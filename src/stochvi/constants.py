@@ -298,9 +298,10 @@ class BurnInResult:
 
 def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResult:
     """Burn-in index: closed form from the integral bound (single agent with
-    a = 0, or network with a > 0), and the numeric minimizer of the same
+    a = 0, or every agent with a > 0), and the numeric minimizer of the same
     condition sum_(k >= k0) 1/N_k <= phi / D.  The numeric index never
-    exceeds the closed form."""
+    exceeds the closed form; the closed form is None where it overflows or
+    no integral bound is derived (mixed exponents, or a = 0 with m > 1)."""
     D = inputs.noise_margin
     threshold = math.inf if D == 0.0 else inputs.phi / D
 
@@ -319,18 +320,19 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
         except OverflowError:
             closed = None
     elif all(a.a > 0 for a in inputs.schedule.agents):
-        a_lo = min(a.a for a in inputs.schedule.agents)
-        b_lo = min(a.b for a in inputs.schedule.agents)
-        th_lo = min(a.theta for a in inputs.schedule.agents)
-        mu_lo = min(a.mu for a in inputs.schedule.agents)
-        if b_lo <= 0:
-            closed = None  # integral shortcut needs positive log exponents
-        else:
-            guard = math.ceil(math.e - mu_lo + 1.0)
-            val = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
-                   * inputs.sigma ** 2 / (inputs.phi * th_lo * b_lo)) ** (1.0 / a_lo) \
-                - mu_lo + 1.0
-            closed = max(0, guard, math.ceil(val))
+        # _tail_remainder bounds the tail from k0 by the sum over agents of
+        # 1 / (theta_i a_i (k0 - 1 + mu_i)^a_i) once k0 + mu_i >= e; each
+        # term is at most threshold / m from the index computed here.
+        m = len(inputs.schedule.agents)
+        closed = max(0, math.ceil(math.e - min(a.mu for a in inputs.schedule.agents)))
+        try:
+            for ag in inputs.schedule.agents:
+                base = (m * D / (inputs.phi * ag.theta * ag.a)) ** (1.0 / ag.a)
+                # round outward: the power amplifies relative error by 1/a
+                base *= 1.0 + 16.0 * sys.float_info.epsilon * (m + 1.0 / ag.a)
+                closed = max(closed, math.ceil(base - ag.mu + 1.0))
+        except OverflowError:
+            closed = None
 
     if D == 0.0:
         return BurnInResult(closed, 0, 0.0, threshold)

@@ -1,12 +1,21 @@
 """Problem and configuration model shared by all other modules.
 
-The stochastic oracle contract: ``oracle(rng, x, size)`` returns an array of
-shape ``(size, n)`` whose rows are independent draws of the random operator
-at ``x`` -- one row per oracle call.  An oracle may additionally expose
-``oracle.block(rng, x, size, sl)`` returning only the component block ``sl``
-of each draw; this is used by the distributed iteration, where each agent
-owns an independent sample stream, so restricting generation to the block an
-agent actually consumes changes no observable quantity.
+The stochastic oracle contract:
+
+* ``oracle(rng, x, size)`` returns an array of shape ``(size, n)`` whose
+  rows are independent draws of the random operator at ``x`` -- one row per
+  oracle call.
+* ``oracle.block(rng, x, size, sl)`` (optional) returns only the component
+  block ``sl`` of each draw.  The distributed iteration uses it: each agent
+  owns an independent sample stream, so restricting generation to the block
+  an agent consumes changes no observable quantity.  Without it the full
+  draws are sliced.
+* ``oracle.exact_mean = True`` (optional) declares that the oracle has both
+  methods and that both accept ``mean=True``; they then return the average
+  of ``size`` draws, shape ``(n,)`` (or the block's size), drawn from its
+  exact law rather than by averaging draws.  The solver uses the flag
+  whenever the oracle declares it, and otherwise draws the batch and
+  averages it; either way a stage bills ``size`` calls.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .errors import (
     BlockMismatch,
     CoordinationMismatch,
     InvalidStepsize,
+    OracleFailure,
 )
 from .projection import FeasibleSet, set_distance
 from .sampling import SampleSchedule, schedule_tail_check
@@ -171,8 +181,6 @@ class ProblemInstance:
     def oracle_batch(self, rng, x, size):
         out = np.asarray(self.oracle(rng, x, size), dtype=float)
         if out.shape != (size, self.dimension):
-            from .errors import OracleFailure
-
             raise OracleFailure(
                 f"oracle returned shape {out.shape}, expected {(size, self.dimension)}")
         return out
@@ -182,6 +190,22 @@ class ProblemInstance:
         if block_fn is not None:
             return np.asarray(block_fn(rng, x, size, sl), dtype=float)
         return self.oracle_batch(rng, x, size)[:, sl]
+
+    def oracle_mean(self, rng, x, size, sl=None):
+        """Average of ``size`` oracle draws at ``x`` (block ``sl`` only, if
+        given): from its exact law when the oracle declares ``exact_mean``,
+        otherwise by drawing the batch and averaging it."""
+        if not getattr(self.oracle, "exact_mean", False):
+            batch = self.oracle_batch(rng, x, size) if sl is None \
+                else self.oracle_batch_block(rng, x, size, sl)
+            return batch.mean(axis=0)
+        if sl is not None:
+            return np.asarray(self.oracle.block(rng, x, size, sl, mean=True), dtype=float)
+        out = np.asarray(self.oracle(rng, x, size, mean=True), dtype=float)
+        if out.shape != (self.dimension,):
+            raise OracleFailure(
+                f"oracle mean has shape {out.shape}, expected {(self.dimension,)}")
+        return out
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -8,6 +8,7 @@ seeded independently of the run-time sample streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,72 +24,85 @@ _EIG_DIAG_CAP = 512  # dense eigendecompositions stay at desk scale
 
 
 class AdditiveGaussianOracle:
-    """F(xi, x) = T(x) + xi with xi ~ N(0, scale^2 I_n)."""
+    """F(xi, x) = T(x) + xi with xi ~ N(0, scale^2 I_n).
+
+    The mean of ``size`` draws is T(x) + (scale / sqrt(size)) Z, Z ~ N(0, I).
+    """
+
+    exact_mean = True
 
     def __init__(self, mean_operator, n, scale):
         self.mean_operator = mean_operator
         self.n = int(n)
         self.scale = float(scale)
 
-    def __call__(self, rng, x, size):
-        t = np.asarray(self.mean_operator(x), dtype=float)
-        if self.scale == 0.0:
-            return np.broadcast_to(t, (size, self.n)).copy()
-        return t + self.scale * rng.standard_normal((size, self.n))
+    def __call__(self, rng, x, size, mean=False):
+        return self.block(rng, x, size, slice(None), mean)
 
-    def block(self, rng, x, size, sl):
+    def block(self, rng, x, size, sl, mean=False):
         # Additive noise is coordinatewise independent: an agent holding its
         # own stream may draw only the components it consumes.
         t = np.asarray(self.mean_operator(x), dtype=float)[sl]
-        nb = t.shape[0]
+        shape = t.shape if mean else (size,) + t.shape
         if self.scale == 0.0:
-            return np.broadcast_to(t, (size, nb)).copy()
-        return t + self.scale * rng.standard_normal((size, nb))
+            return np.broadcast_to(t, shape).copy()
+        scale = self.scale / math.sqrt(size) if mean else self.scale
+        return t + scale * rng.standard_normal(shape)
 
 
 class LinearMatrixNoiseOracle:
-    """F(xi, x) = (Abar + E(xi)) x with i.i.d. N(0, scale^2) matrix entries."""
+    """F(xi, x) = (Abar + E(xi)) x with i.i.d. N(0, scale^2) matrix entries.
+
+    Row i of E(xi) x is N(0, scale^2 ||x||^2) and the rows are independent,
+    so the mean of ``size`` draws is Abar x + (scale ||x|| / sqrt(size)) Z.
+    """
+
+    exact_mean = True
 
     def __init__(self, mean_matrix, scale):
         self.mean_matrix = np.asarray(mean_matrix, dtype=float)
         self.scale = float(scale)
         self.n = self.mean_matrix.shape[0]
 
-    def __call__(self, rng, x, size):
-        t = self.mean_matrix @ x
-        if self.scale == 0.0:
-            return np.broadcast_to(t, (size, self.n)).copy()
-        noise = rng.standard_normal((size, self.n, self.n))
-        return t + self.scale * noise @ x
+    def __call__(self, rng, x, size, mean=False):
+        return self.block(rng, x, size, slice(None), mean)
 
-    def block(self, rng, x, size, sl):
+    def block(self, rng, x, size, sl, mean=False):
         # Row blocks of E(xi) are independent, so an agent's draws need only
         # the rows feeding its components.
         t = (self.mean_matrix @ x)[sl]
-        nb = t.shape[0]
+        shape = t.shape if mean else (size,) + t.shape
         if self.scale == 0.0:
-            return np.broadcast_to(t, (size, nb)).copy()
-        noise = rng.standard_normal((size, nb, len(x)))
+            return np.broadcast_to(t, shape).copy()
+        if mean:
+            spread = self.scale * math.sqrt(float(np.dot(x, x)) / size)
+            return t + spread * rng.standard_normal(shape)
+        noise = rng.standard_normal(shape + (len(x),))
         return t + self.scale * noise @ x
 
 
 class ConstantOracle:
-    """F(xi, x) = xi, a zero-mean random constant; T is identically zero."""
+    """F(xi, x) = xi, a zero-mean random constant; T is identically zero.
+
+    The mean of ``size`` draws is (sigma / sqrt(size)) Z.
+    """
+
+    exact_mean = True
 
     def __init__(self, sigma, n=1):
         self.sigma = float(sigma)
         self.n = int(n)
 
-    def __call__(self, rng, x, size):
-        if self.sigma == 0.0:
-            return np.zeros((size, self.n))
-        return self.sigma * rng.standard_normal((size, self.n))
+    def __call__(self, rng, x, size, mean=False):
+        return self.block(rng, x, size, slice(None), mean)
 
-    def block(self, rng, x, size, sl):
+    def block(self, rng, x, size, sl, mean=False):
         nb = len(range(*sl.indices(self.n)))
+        shape = (nb,) if mean else (size, nb)
         if self.sigma == 0.0:
-            return np.zeros((size, nb))
-        return self.sigma * rng.standard_normal((size, nb))
+            return np.zeros(shape)
+        sigma = self.sigma / math.sqrt(size) if mean else self.sigma
+        return sigma * rng.standard_normal(shape)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -217,7 +217,13 @@ class BatchMeanResult:
 
 
 def batch_mean(problem, x, n_samples: int, key) -> BatchMeanResult:
-    """Average of ``n_samples`` fresh oracle draws from the keyed stream."""
+    """Average of ``n_samples`` fresh oracle draws from the keyed stream.
+
+    Every draw is made and averaged, even for an oracle that can draw the
+    average from its exact law: the solver takes that shortcut, but on it the
+    1/N error-decay law holds by construction, so ``error_decay_probe``
+    (acceptance criterion 2) would check nothing.
+    """
     from .core import derive_stream
 
     if n_samples < 1:

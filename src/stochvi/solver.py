@@ -35,7 +35,7 @@ from .core import (
     derive_stream,
     validate,
 )
-from .errors import CoordinationMismatch, MissingDiagnostics
+from .errors import CoordinationMismatch, MissingDiagnostics, OracleFailure
 from .merit import distance_sq_to_solutions, natural_residual_sq
 from .projection import CartesianProduct, project
 
@@ -170,20 +170,27 @@ class _Engine:
         return out
 
     def stage_mean(self, k, stage, point):
-        """Empirical oracle average at ``point`` and the oracle calls consumed."""
+        """Oracle average at ``point`` and the oracle calls it bills.
+
+        A stage bills its N_k (per agent: N_{k,i}) calls whether the average
+        is drawn from its exact law or from the draws themselves (see
+        ``ProblemInstance.oracle_mean``).  A non-finite average raises.
+        """
         if self.centralized:
-            n_draws = int(self.sizes[k, 0])
+            calls = int(self.sizes[k, 0])
             rng = derive_stream(self.key(k, stage, 0))
-            batch = self.problem.oracle_batch(rng, point, n_draws)
-            return batch.mean(axis=0), n_draws
-        mean = np.empty(self.problem.dimension)
-        calls = 0
-        for i, sl in enumerate(self.slices):
-            n_draws = int(self.sizes[k, i])
-            rng = derive_stream(self.key(k, stage, i))
-            block = self.problem.oracle_batch_block(rng, point, n_draws, sl)
-            mean[sl] = block.mean(axis=0)
-            calls += n_draws
+            mean = self.problem.oracle_mean(rng, point, calls)
+        else:
+            mean = np.empty(self.problem.dimension)
+            calls = 0
+            for i, sl in enumerate(self.slices):
+                n_draws = int(self.sizes[k, i])
+                rng = derive_stream(self.key(k, stage, i))
+                mean[sl] = self.problem.oracle_mean(rng, point, n_draws, sl)
+                calls += n_draws
+        if not np.isfinite(mean).all():
+            raise OracleFailure(
+                f"oracle average is not finite at iteration {k}, stage {stage}")
         return mean, calls
 
     def advance(self, state: ExtragradientState, record=None):

@@ -16,7 +16,7 @@ from stochvi.constants import (
     variance_moduli,
 )
 from stochvi.errors import InvalidInputs, InvalidStepsize, MissingJ
-from stochvi.sampling import SampleSchedule
+from stochvi.sampling import AgentSchedule, SampleSchedule
 
 
 def inputs(**overrides):
@@ -166,6 +166,31 @@ class TestBurnIn:
         res = k0_and_tail(inp)
         assert res.closed_form is not None
         assert res.numeric is not None and res.numeric <= res.closed_form
+        # a polynomial-exponent schedule whose burn-in lies past the numeric
+        # horizon: the bound must use the exponent a and the sum over agents
+        res = k0_and_tail(inputs(
+            m=3, shared_samples=False, alpha=0.25, c_remainder=None,
+            schedule=SampleSchedule.uniform(0.817, 5.486, 0.401, 0.947, m=3)))
+        assert res.numeric == 654539
+        assert res.numeric <= res.closed_form
+        gen = np.random.default_rng(31)
+
+        def agent():
+            return AgentSchedule(gen.uniform(0.5, 3.0), gen.uniform(2.2, 6.0),
+                                 gen.uniform(0.05, 1.0), gen.uniform(-1.0, 2.0))
+
+        for j in range(30):
+            agents = (agent(),) * 3 if j % 2 else tuple(agent() for _ in range(3))
+            res = k0_and_tail(inputs(
+                m=3, shared_samples=False, schedule=SampleSchedule(agents),
+                alpha=gen.uniform(0.05, 0.35), sigma=gen.uniform(0.3, 2.0),
+                phi=gen.uniform(0.2, 0.6), c_remainder=(None, 2.0)[j % 3 == 0]))
+            if res.numeric is None:  # the search gives up past 1e300
+                assert res.closed_form is None or res.closed_form > 1e300
+                continue
+            assert res.closed_form is not None
+            assert res.numeric <= res.closed_form
+            assert res.tail_at_numeric <= res.threshold
 
 
 class TestRateAndComplexity:

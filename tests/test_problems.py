@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import default_config
-from stochvi.core import RngStreamKey, validate
+from stochvi.core import RngStreamKey, derive_stream, validate
 from stochvi.problems import (
     check_pseudo_monotone,
     gen_constant_noise,
@@ -43,6 +45,55 @@ def test_generated_problems_validate_and_match_oracle_mean(maker):
             .derive_stream(RngStreamKey(13, sample=j)), x, 100_000)
         stderr = batch.std(axis=0, ddof=1) / math.sqrt(100_000)
         assert np.all(np.abs(res.error) <= 4.0 * stderr + 1e-12)
+
+
+BUILTIN_ORACLES = {
+    "additive": lambda: gen_strongly_monotone(4, seed=11, noise_scale=0.7,
+                                              psd_scale=0.5, skew_scale=0.3),
+    "linear_matrix": lambda: gen_linear_svi(4, seed=11, noise_scale=0.3),
+    "constant": lambda: gen_constant_noise(sigma=1.3, n=4),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BUILTIN_ORACLES)), size=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_call_is_the_full_block(name, size, seed):
+    """Per-draw path: ``oracle(...)`` is ``oracle.block(..., slice(None))``
+    bit for bit, stream position included."""
+    oracle = BUILTIN_ORACLES[name]().oracle
+    x = np.random.default_rng(seed).standard_normal(4)
+    rng1, rng2 = (derive_stream(RngStreamKey(seed)) for _ in range(2))
+    assert np.array_equal(oracle(rng1, x, size), oracle.block(rng2, x, size, slice(None)))
+    assert np.array_equal(rng1.standard_normal(3), rng2.standard_normal(3))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_ORACLES))
+@pytest.mark.parametrize("sl", [None, slice(1, 3)], ids=["full", "block"])
+@pytest.mark.parametrize("size", [1, 7, 200])
+def test_exact_mean_matches_draws_in_distribution(name, sl, size):
+    """Two-sample check at a point with ||x|| != 1: averages drawn from the
+    exact law and averages of ``size`` drawn rows agree in mean and in
+    per-coordinate variance within 4 standard errors."""
+    p = BUILTIN_ORACLES[name]()
+    assert p.oracle.exact_mean
+    x = np.array([1.5, -0.5, 2.0, 0.25])
+    R = 2000
+    exact = np.array([p.oracle_mean(derive_stream(RngStreamKey(1, replication=r)),
+                                    x, size, sl) for r in range(R)])
+    draws = []
+    for r in range(R):
+        rng = derive_stream(RngStreamKey(2, replication=r))
+        batch = p.oracle_batch(rng, x, size) if sl is None \
+            else p.oracle_batch_block(rng, x, size, sl)
+        draws.append(batch.mean(axis=0))
+    draws = np.array(draws)
+    assert exact.shape == draws.shape == (R, 4 if sl is None else 2)
+    v_exact, v_draws = exact.var(axis=0, ddof=1), draws.var(axis=0, ddof=1)
+    mean_se = np.sqrt((v_exact + v_draws) / R)
+    assert np.all(np.abs(exact.mean(axis=0) - draws.mean(axis=0)) <= 4.0 * mean_se)
+    var_se = np.sqrt(2.0 / (R - 1) * (v_exact ** 2 + v_draws ** 2))
+    assert np.all(np.abs(v_exact - v_draws) <= 4.0 * var_se)
 
 
 class TestLinearSVI:

@@ -128,6 +128,23 @@ class TestBatchMean:
                         .derive_stream(RngStreamKey(9)), np.zeros(1), 1)
         assert res.mean[0] == draw[0, 0]
 
+    @pytest.mark.parametrize("maker", [
+        lambda: gen_strongly_monotone(3, seed=4, noise_scale=0.8),
+        lambda: gen_linear_svi(3, seed=4, noise_scale=0.5),
+        lambda: gen_constant_noise(sigma=1.5, n=3),
+    ])
+    def test_builtin_oracle_draws_every_sample(self, maker):
+        """batch_mean stays on the per-draw path even for oracles that can
+        draw the average from its exact law (criterion 2 relies on it)."""
+        from stochvi.core import derive_stream
+
+        p = maker()
+        x = np.array([0.5, -1.0, 2.0])
+        key = RngStreamKey(3, replication=2)
+        res = batch_mean(p, x, 64, key)
+        expected = p.oracle_batch(derive_stream(key), x, 64).mean(axis=0)
+        assert np.array_equal(res.mean, expected)
+
 
 class TestErrorDecayProbe:
     def test_zero_variance_all_zero(self):

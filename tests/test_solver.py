@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import default_config
 from reference_impls import korpelevich_reference
-from stochvi.core import ProblemInstance, VarianceProfile
-from stochvi.errors import CoordinationMismatch, MissingDiagnostics
+from stochvi.core import ProblemInstance, VarianceProfile, derive_stream
+from stochvi.errors import CoordinationMismatch, MissingDiagnostics, OracleFailure
 from stochvi.problems import (
     AdditiveGaussianOracle,
     gen_constant_noise,
@@ -16,6 +18,7 @@ from stochvi.projection import Box, WholeSpace, project
 from stochvi.sampling import AgentSchedule, SampleSchedule
 from stochvi.solver import (
     ExtragradientState,
+    _Engine,
     fejer_audit,
     martingale_probe,
     run,
@@ -166,6 +169,19 @@ class TestCartesianConsistency:
         assert np.array_equal(t1.iterates, t3.iterates)
         assert np.array_equal(t1.cum_calls, t3.cum_calls)
 
+    def test_centralized_blocks_match_monolithic_bitwise_per_draw(self):
+        """The same equality when every draw is made and averaged: a plain
+        function oracle carries no exact_mean marker."""
+        p1 = gen_strongly_monotone(5, seed=7, noise_scale=1.0, center=np.zeros(5),
+                                   feasible=Box(-2 * np.ones(5), 2 * np.ones(5)))
+        p1 = replace(p1, oracle=lambda rng, x, size, o=p1.oracle: o(rng, x, size))
+        p3 = p1.with_blocks([2, 2, 1])
+        cfg = default_config(max_iterations=40, master_seed=11)
+        t1 = run(p1, cfg, x0=np.full(5, 1.5))
+        t3 = run(p3, cfg, x0=np.full(5, 1.5))
+        assert np.array_equal(t1.iterates, t3.iterates)
+        assert np.array_equal(t1.cum_calls, t3.cum_calls)
+
     def test_distributed_differs_but_converges_similarly(self, monotone_problem):
         p3 = monotone_problem.with_blocks([2, 2, 1])
         cfg_c = default_config(max_iterations=50, master_seed=3)
@@ -256,3 +272,51 @@ class TestMartingaleProbe:
         cfg = default_config(stepsize=0.2, max_iterations=1)
         res = martingale_probe(p, cfg, np.array([0.7]), replications=10_000)
         assert res.passed, str(res)
+
+
+def user_problem(oracle, blocks=()):
+    """Identity operator sampled through a plain-function oracle (no
+    ``block`` method, no ``exact_mean`` marker)."""
+    T = lambda x: np.asarray(x, dtype=float)
+    return ProblemInstance(dimension=3, oracle=oracle, mean_operator=T,
+                           lipschitz_L=1.0, feasible_set=WholeSpace(3),
+                           known_solutions=(np.zeros(3),)).with_blocks(blocks or (3,))
+
+
+class TestStageMean:
+    @staticmethod
+    def noisy_identity(rng, x, size):
+        return np.asarray(x, dtype=float) + 0.5 * rng.standard_normal((size, len(x)))
+
+    @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
+    def test_user_oracle_averages_its_draws_bitwise(self, coordination):
+        p = user_problem(self.noisy_identity, blocks=(2, 1))
+        eng = _Engine(p, default_config(coordination=coordination), replication=3)
+        x = np.array([0.3, -1.2, 2.0])
+        for k, stage in [(0, 1), (4, 2), (17, 1)]:
+            mean, calls = eng.stage_mean(k, stage, x)
+            if coordination == "centralized":
+                n = int(eng.sizes[k, 0])
+                ref = p.oracle_batch(derive_stream(eng.key(k, stage, 0)), x, n)
+                expected = ref.mean(axis=0)
+            else:
+                n = int(eng.sizes[k].sum())
+                expected = np.concatenate([
+                    p.oracle_batch_block(derive_stream(eng.key(k, stage, i)), x,
+                                         int(eng.sizes[k, i]), sl).mean(axis=0)
+                    for i, sl in enumerate(eng.slices)])
+            assert calls == n
+            assert np.array_equal(mean, expected)
+
+    def test_nonfinite_oracle_output_raises(self):
+        state = {"calls": 0}
+
+        def faulty(rng, x, size):
+            state["calls"] += 1
+            out = self.noisy_identity(rng, x, size)
+            return out * np.nan if state["calls"] == 5 else out
+
+        with pytest.raises(OracleFailure, match="iteration 2, stage 1"):
+            run(user_problem(faulty), default_config(max_iterations=50),
+                x0=np.ones(3))
+        assert state["calls"] == 5
