@@ -32,7 +32,6 @@ from .projection import (
     WholeSpace,
     feasible_set_from_config,
     project,
-    project_cartesian,
     set_distance,
 )
 from .sampling import (
@@ -43,7 +42,6 @@ from .sampling import (
     error_decay_probe,
     harmonic_aggregate,
     network_exponents,
-    sample_size,
     verify_network_exponents,
 )
 from .solver import (
@@ -53,7 +51,6 @@ from .solver import (
     martingale_probe,
     run,
     step,
-    step_cartesian,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -92,17 +92,28 @@ def cmd_experiment(args):
     return 0
 
 
+# (section, key) each probe kind reads its seed from; None is the top level.
+_PROBE_SEED_KEYS = {
+    "error_decay": (None, "master_seed"),
+    "martingale": ("solver", "master_seed"),
+    "variance_scaling": (None, "master_seed"),
+    "fejer_audit": ("solver", "master_seed"),
+    "pm_check": (None, "seed"),
+}
+
+
 def cmd_probe(args):
     from .harness import probe
 
-    document = _apply_overrides(_load(args.config), args)
+    document = _load(args.config)
     kind = document.pop("kind", None)
     if kind is None:
         raise StochviError("probe config needs a 'kind' field")
     if args.replications is not None:
         document["replications"] = args.replications
-    if args.seed is not None:
-        document["master_seed"] = args.seed
+    if args.seed is not None and kind in _PROBE_SEED_KEYS:
+        section, key = _PROBE_SEED_KEYS[kind]
+        (document.setdefault(section, {}) if section else document)[key] = args.seed
     document.pop("threads", None)
     verdict = probe(kind, document, args.out)
     print(f"{kind}: {'PASS' if verdict.get('passed') else 'FAIL'}")

@@ -120,25 +120,20 @@ class ConstantsInputs:
         """Summable noise majorant D = 2 c alpha^2 C_2^2 sigma^2."""
         return 2.0 * self.c_remainder * self.alpha ** 2 * self.c2 ** 2 * self.sigma ** 2
 
-    def harmonic_inverse(self, k_max: int) -> np.ndarray:
-        """Array of 1/N_k (harmonic aggregate) for k = 0..k_max."""
-        sizes = self.schedule.sizes_upto(k_max)
-        return np.sum(1.0 / sizes, axis=1)
+    def harmonic_inverse(self, k_max: int, k_min: int = 0) -> np.ndarray:
+        """Array of 1/N_k (harmonic aggregate) for k = k_min..k_max."""
+        return np.sum(1.0 / self.schedule.counts(np.arange(k_min, k_max + 1)), axis=1)
 
-    def min_inverse(self, k_max: int) -> np.ndarray:
-        sizes = self.schedule.sizes_upto(k_max)
-        return 1.0 / np.min(sizes, axis=1)
+    def min_inverse(self, k_max: int, k_min: int = 0) -> np.ndarray:
+        """Array of 1/min_i N_{k,i} for k = k_min..k_max."""
+        return 1.0 / np.min(self.schedule.counts(np.arange(k_min, k_max + 1)), axis=1)
 
 
 def _tail_remainder(inputs: ConstantsInputs, horizon: int) -> float:
     """Analytic bound on sum_(k > horizon) 1/N_k via per-agent integrals."""
     rem = 0.0
     for ag in inputs.schedule.agents:
-        t = horizon + ag.mu
-        if ag.a > 0:
-            rem += 1.0 / (ag.theta * ag.a * t ** ag.a)
-        else:
-            rem += 1.0 / (ag.theta * ag.b * math.log(t) ** ag.b)
+        rem += ag.tail_bound(horizon)
     return rem
 
 
@@ -180,7 +175,7 @@ class VarianceModuli:
 
 def variance_moduli(inputs: ConstantsInputs, k: int) -> VarianceModuli:
     """Literal evaluation of the per-iteration constants at index k."""
-    nk = 1.0 / float(inputs.harmonic_inverse(k)[k])
+    nk = 1.0 / float(inputs.harmonic_inverse(k, k)[0])
     alpha, sigma = inputs.alpha, inputs.sigma
     g2 = alpha * inputs.c2 * sigma
     gp = alpha * inputs.cp * sigma
@@ -221,7 +216,7 @@ def prediction_step_bound(inputs: ConstantsInputs, k: int, dist: float) -> float
         h = mod.reduced_step_noise_p
         return (1.0 + inputs.L * inputs.alpha + h) * dist + h
     opl = inputs.op_bound_L if inputs.op_bound_L is not None else 0.0
-    nmin = 1.0 / float(inputs.min_inverse(k)[k])
+    nmin = 1.0 / float(inputs.min_inverse(k, k)[0])
     noise = inputs.cp * inputs.sigma / math.sqrt(nmin)
     return (1.0 + opl * inputs.alpha) * dist \
         + inputs.alpha * (inputs.op_bound_M + noise)

@@ -33,7 +33,7 @@ from .errors import (
     InvalidStepsize,
     OracleFailure,
 )
-from .projection import FeasibleSet, set_distance
+from .projection import FeasibleSet, block_slices, set_distance
 from .sampling import SampleSchedule, schedule_tail_check
 
 STEPSIZE_CAP = 1.0 / math.sqrt(6.0)  # times 1/L
@@ -157,11 +157,7 @@ class ProblemInstance:
         return len(self.blocks)
 
     def block_slices(self):
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b))
-            start += b
-        return out
+        return block_slices(self.blocks)
 
     def with_blocks(self, blocks) -> "ProblemInstance":
         """Re-partition the coordinates; the feasible set is split blockwise.
@@ -284,9 +280,11 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> ValidationReport
 
     Returns a report with one entry per check.  Raises immediately (rather
     than reporting) on the conditions that make a run meaningless: a stepsize
-    at or above 1/(sqrt(6) L), a numerically non-summable sampling-rate tail,
-    and inconsistent block structure.  Re-running is idempotent and
-    side-effect free.
+    at or above 1/(sqrt(6) L), sample counts still stalled near 1 at the
+    ``schedule_tail_check`` horizon (the schedule's parameter region already
+    makes sum_k 1/N_k finite; the check is analytic, not a scan), and
+    inconsistent block structure.  Re-running is idempotent and side-effect
+    free.
     """
     checks = []
     L = problem.lipschitz_L

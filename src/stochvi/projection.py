@@ -15,6 +15,15 @@ import numpy as np
 from .errors import BlockMismatch, DimensionMismatch, InfeasibleAffine
 
 
+def block_slices(sizes):
+    """Consecutive slices covering blocks of the given sizes."""
+    out, start = [], 0
+    for s in sizes:
+        out.append(slice(start, start + s))
+        start += s
+    return out
+
+
 def _as_batch(x, n):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
@@ -278,17 +287,10 @@ class CartesianProduct(FeasibleSet):
     def dim(self):
         return sum(self.sizes)
 
-    def block_slices(self):
-        out, start = [], 0
-        for s in self.sizes:
-            out.append(slice(start, start + s))
-            start += s
-        return out
-
     def project(self, x):
         x = _as_batch(x, self.dim)
         out = np.empty_like(x)
-        for part, sl in zip(self.parts, self.block_slices()):
+        for part, sl in zip(self.parts, block_slices(self.sizes)):
             out[..., sl] = part.project(x[..., sl])
         return out
 
@@ -308,10 +310,6 @@ _SEPARABLE = (WholeSpace, NonnegativeOrthant, Box)
 
 def split_separable(fset: FeasibleSet, sizes) -> CartesianProduct:
     """Split a componentwise-separable set into a Cartesian descriptor."""
-    slices, start = [], 0
-    for s in sizes:
-        slices.append(slice(start, start + s))
-        start += s
     if isinstance(fset, CartesianProduct):
         if tuple(fset.sizes) != tuple(sizes):
             raise BlockMismatch("cartesian sizes disagree with requested split")
@@ -321,25 +319,13 @@ def split_separable(fset: FeasibleSet, sizes) -> CartesianProduct:
     if isinstance(fset, NonnegativeOrthant):
         return CartesianProduct(tuple(NonnegativeOrthant(s) for s in sizes), tuple(sizes))
     if isinstance(fset, Box):
-        parts = tuple(Box(fset.lower[sl], fset.upper[sl]) for sl in slices)
+        parts = tuple(Box(fset.lower[sl], fset.upper[sl]) for sl in block_slices(sizes))
         return CartesianProduct(parts, tuple(sizes))
     raise BlockMismatch(f"{type(fset).__name__} cannot be split into blocks")
 
 
 def project(fset: FeasibleSet, x):
     """argmin_{y in set} ||y - x||^2 for x with shape (..., n)."""
-    return fset.project(x)
-
-
-def project_cartesian(fset, x):
-    """Blockwise projection; identical to :func:`project` on the product set.
-
-    Accepts either a :class:`CartesianProduct` or a list of
-    ``(descriptor, size)`` pairs.
-    """
-    if not isinstance(fset, CartesianProduct):
-        parts, sizes = zip(*fset)
-        fset = CartesianProduct(tuple(parts), tuple(sizes))
     return fset.project(x)
 
 

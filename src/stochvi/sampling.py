@@ -39,26 +39,28 @@ class AgentSchedule:
         elif not self.b > 0:
             raise InvalidSchedule("a = 0 requires b > 0 (sum of 1/(k ln k) diverges)")
 
+    def tail_bound(self, k) -> float:
+        """Integral-test bound B(k) >= sum_(j > k) 1/N_j, valid for k >= 1.
 
-def _ceil_snap(values):
-    """Ceiling with a relative snap to the nearest integer.
-
-    Guards against a representation error of an exactly integral value
-    (e.g. 2 * 10^2 evaluated in floating point) inflating the count by one.
-    """
-    values = np.asarray(values, dtype=float)
-    nearest = np.round(values)
-    snap = np.abs(values - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest))
-    return np.where(snap, nearest, np.ceil(values)).astype(np.int64)
+        1/N_j <= f(j) with f(x) = 1 / (theta (x+mu)^(1+a) ln(x+mu)^(1+b))
+        decreasing, so the tail is at most the integral of f from k:
+        1/(theta a (k+mu)^a) for a > 0 (dropping ln(x+mu)^(1+b) >= 1, which
+        needs x + mu >= e and so holds for k >= 1), and
+        1/(theta b ln(k+mu)^b) for a = 0.
+        """
+        t = k + self.mu
+        if self.a > 0:
+            return 1.0 / (self.theta * self.a * t ** self.a)
+        return 1.0 / (self.theta * self.b * math.log(t) ** self.b)
 
 
 @dataclass(frozen=True)
 class SampleSchedule:
     """Per-agent sample-rate parameters.
 
-    ``harmonic(k)`` returns the aggregate N_k defined through
-    1/N_k = sum_i 1/N_{k,i}; it is a real number (harmonic means are not
-    integers) and only the per-agent counts drive actual draws.
+    The aggregate count N_k is defined through 1/N_k = sum_i 1/N_{k,i}; it
+    is a real number (harmonic means are not integers, see
+    ``harmonic_aggregate``) and only the per-agent counts drive actual draws.
     """
 
     agents: tuple
@@ -85,32 +87,46 @@ class SampleSchedule:
         raise InvalidSchedule(
             f"schedule has {self.n_agents} agents, problem has {m} blocks")
 
-    def size(self, agent: int, k: int) -> int:
-        return int(self.sizes_upto(k, agents=(agent,))[k, 0])
+    def counts(self, k) -> np.ndarray:
+        """Per-agent counts N_{k,i} as floats at the indices ``k``, shape
+        (len(k), m), so they cannot wrap however large they grow.
 
-    def sizes(self, k: int) -> np.ndarray:
-        return self.sizes_upto(k)[k]
-
-    def sizes_upto(self, k_max: int, agents=None) -> np.ndarray:
-        """Integer array of shape (k_max + 1, m) of per-agent counts."""
-        if k_max < 0:
+        The ceiling snaps to the nearest integer within a relative 1e-9, so
+        a representation error of an exactly integral value (e.g. 2 * 10^2
+        evaluated in floating point) does not inflate the count by one; every
+        count is at least 1.
+        """
+        k = np.asarray(k, dtype=float)
+        if np.any(k < 0):
             raise InvalidSchedule("iteration index must be nonnegative")
-        idx = agents if agents is not None else range(self.n_agents)
-        k = np.arange(k_max + 1, dtype=float)
         cols = []
-        for i in idx:
-            ag = self.agents[i]
+        for ag in self.agents:
             base = k + ag.mu
             vals = ag.theta * base ** (1.0 + ag.a) * np.log(base) ** (1.0 + ag.b)
-            cols.append(np.maximum(_ceil_snap(vals), 1))
-        return np.stack(cols, axis=1)
+            nearest = np.round(vals)
+            snap = np.abs(vals - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest))
+            cols.append(np.maximum(np.where(snap, nearest, np.ceil(vals)), 1.0))
+        return np.stack(cols, axis=-1)
 
-    def harmonic(self, k: int) -> float:
-        return harmonic_aggregate(self.sizes(k))[0]
+    def size(self, agent: int, k: int) -> int:
+        """N_{k,i} for one agent; always >= 1 and nondecreasing in k."""
+        return int(self.counts([k])[0, agent])
 
-    def harmonic_upto(self, k_max: int) -> np.ndarray:
-        sizes = self.sizes_upto(k_max)
-        return 1.0 / np.sum(1.0 / sizes, axis=1)
+    def sizes_upto(self, k_max: int) -> np.ndarray:
+        """Integer array of shape (k_max + 1, m) of per-agent counts.
+
+        Raises ``InvalidSchedule`` where a count does not fit in int64.
+        """
+        if k_max < 0:
+            raise InvalidSchedule("iteration index must be nonnegative")
+        counts = self.counts(np.arange(k_max + 1))
+        over = np.argwhere(counts >= 2.0 ** 63)
+        if over.size:
+            k, agent = over[0]
+            raise InvalidSchedule(
+                f"agent {agent}: N_k = {counts[k, agent]:.3g} at k = {k} "
+                "exceeds the int64 range")
+        return counts.astype(np.int64)
 
     def to_config(self):
         return [{"theta": a.theta, "mu": a.mu, "a": a.a, "b": a.b} for a in self.agents]
@@ -131,11 +147,6 @@ class SampleSchedule:
         return cls(tuple(agents))
 
 
-def sample_size(schedule: SampleSchedule, agent: int, k: int) -> int:
-    """N_{k,i} for one agent; always >= 1 and nondecreasing in k."""
-    return schedule.size(agent, k)
-
-
 def harmonic_aggregate(sizes):
     """Aggregate count N_k with 1/N_k = sum_i 1/N_{k,i}; also returns min_i N_{k,i}."""
     sizes = np.asarray(sizes, dtype=float)
@@ -148,21 +159,27 @@ def harmonic_aggregate(sizes):
 
 def schedule_tail_check(schedule: SampleSchedule, horizon: int = 10 ** 6,
                         window: int = 10, tol: float = 1e-6):
-    """Finite-horizon summability check of sum_k 1/N_k.
+    """Finite-horizon check that sum_k 1/N_k has settled by ``horizon``.
 
-    The partial sums over the final ``window`` indices of the horizon must
-    move by at most ``tol``; a schedule whose counts stall near 1 fails.
+    The parameter region ``AgentSchedule`` enforces is exactly the condition
+    sum_k 1/N_k < inf, so every valid schedule is summable; this check
+    catches counts still stalled near 1 at the horizon (e.g. theta = 1e-30),
+    whose series has not begun to settle.  The increment over the final
+    ``window`` indices must be at most ``tol * max(1, total)``, where
+    ``total`` bounds sum_(k <= horizon) 1/N_k per agent by
+    min(horizon + 1, 1/N_0 + 1/N_1 + B(1) - B(horizon)) with the integral
+    bound B of ``AgentSchedule.tail_bound``; no O(horizon) work is done.
     Returns (ok, detail).  The companion per-agent condition
     sum_k 1/min_i N_{k,i} < inf is reported informationally in the detail.
     """
-    inv = 1.0 / schedule.sizes_upto(horizon)
-    inv_agg = np.sum(inv, axis=1)          # 1/N_k
-    total = float(np.sum(inv_agg))
-    tail = float(np.sum(inv_agg[horizon - window:]))
-    inv_min = np.max(inv, axis=1)          # 1/min_i N_{k,i}
-    tail_min = float(np.sum(inv_min[horizon - window:]))
+    inv = 1.0 / schedule.counts(np.arange(max(horizon - window, 0), horizon + 1))
+    tail = float(np.sum(np.sum(inv, axis=1)))     # increment of 1/N_k
+    tail_min = float(np.sum(np.max(inv, axis=1)))  # of 1/min_i N_{k,i}
+    head = 1.0 / schedule.counts([0, 1])
+    total = sum(min(horizon + 1.0, h0 + h1 + ag.tail_bound(1) - ag.tail_bound(horizon))
+                for ag, h0, h1 in zip(schedule.agents, head[0], head[1]))
     ok = tail <= tol * max(1.0, total)
-    detail = (f"sum_(k<={horizon}) 1/N_k = {total:.6g}, last-{window} increment "
+    detail = (f"sum_(k<={horizon}) 1/N_k <= {total:.6g}, last-{window} increment "
               f"{tail:.3g} (aggregate) / {tail_min:.3g} (per-agent minimum)")
     return ok, detail
 

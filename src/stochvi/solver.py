@@ -130,16 +130,21 @@ class RunTrace:
 
 
 class _Engine:
-    """Shared per-run machinery: block layout, streams, recording."""
+    """Shared per-run machinery: block layout, streams, recording.
 
-    def __init__(self, problem: ProblemInstance, config: SolverConfig, replication: int):
+    Sample counts are tabulated for iterations 0..``horizon``; the engine
+    advances no iteration past it.
+    """
+
+    def __init__(self, problem: ProblemInstance, config: SolverConfig, replication: int,
+                 horizon: int):
         self.problem = problem
         self.config = config
         self.replication = replication
         self.m = problem.n_blocks
         self.slices = problem.block_slices()
         self.schedule = config.schedule.broadcast(self.m)
-        self.sizes = self.schedule.sizes_upto(config.max_iterations)
+        self.sizes = self.schedule.sizes_upto(horizon)
         self.centralized = config.coordination == "centralized" or self.m == 1
         if self.centralized and self.m > 1:
             if np.any(self.sizes.max(axis=1) != self.sizes.min(axis=1)):
@@ -150,24 +155,11 @@ class _Engine:
             raise CoordinationMismatch(
                 "multi-block problems need a Cartesian feasible set "
                 "(see ProblemInstance.with_blocks)")
-        if isinstance(fset, CartesianProduct) and self.m > 1:
-            if tuple(fset.sizes) != tuple(problem.blocks):
-                raise CoordinationMismatch("feasible-set blocks disagree with problem blocks")
-            self.parts = fset.parts
-        else:
-            self.parts = None
-        self.T = problem.mean_operator
+        if self.m > 1 and tuple(fset.sizes) != tuple(problem.blocks):
+            raise CoordinationMismatch("feasible-set blocks disagree with problem blocks")
 
     def key(self, k, stage, block):
         return RngStreamKey(self.config.master_seed, self.replication, k, stage, block)
-
-    def project_blockwise(self, v):
-        if self.parts is None:
-            return project(self.problem.feasible_set, v)
-        out = np.empty_like(v)
-        for part, sl in zip(self.parts, self.slices):
-            out[sl] = part.project(v[sl])
-        return out
 
     def stage_mean(self, k, stage, point):
         """Oracle average at ``point`` and the oracle calls it bills.
@@ -197,9 +189,9 @@ class _Engine:
         k = state.k
         alpha = self.config.stepsize_at(k)
         g1, calls1 = self.stage_mean(k, 1, state.x)
-        z = self.project_blockwise(state.x - alpha * g1)
+        z = project(self.problem.feasible_set, state.x - alpha * g1)
         g2, calls2 = self.stage_mean(k, 2, z)
-        x_next = self.project_blockwise(state.x - alpha * g2)
+        x_next = project(self.problem.feasible_set, state.x - alpha * g2)
         if record is not None:
             record(k, state.x, z, g1, g2, alpha)
         state.x = x_next
@@ -210,17 +202,9 @@ class _Engine:
 
 def step(state: ExtragradientState, problem: ProblemInstance,
          config: SolverConfig) -> ExtragradientState:
-    """One extragradient iteration on a monolithic (or centralized) problem."""
-    if problem.n_blocks > 1 and config.coordination != "centralized":
-        raise CoordinationMismatch("step() handles m = 1 or centralized runs; "
-                                   "use step_cartesian for distributed sampling")
-    return _Engine(problem, config, state.replication).advance(state)
-
-
-def step_cartesian(state: ExtragradientState, problem: ProblemInstance,
-                   config: SolverConfig) -> ExtragradientState:
-    """One iteration with per-block projections and per-block sampling."""
-    return _Engine(problem, config, state.replication).advance(state)
+    """One extragradient iteration from ``state`` under the config's
+    coordination; it advances exactly as ``run`` does at iteration state.k."""
+    return _Engine(problem, config, state.replication, state.k).advance(state)
 
 
 def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
@@ -233,7 +217,7 @@ def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
     """
     if check:
         validate(problem, config)
-    eng = _Engine(problem, config, replication)
+    eng = _Engine(problem, config, replication, config.max_iterations)
     n = problem.dimension
     K = config.max_iterations
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -241,7 +225,7 @@ def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
         from .errors import DimensionMismatch
 
         raise DimensionMismatch(f"x0 must have shape ({n},)")
-    x = eng.project_blockwise(x)  # iterates live in X from the start
+    x = project(problem.feasible_set, x)  # iterates live in X from the start
 
     T = problem.mean_operator
     has_T = T is not None
@@ -439,11 +423,11 @@ def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
     T = problem.mean_operator
     alpha = config.stepsize_at(0)
     deltas = np.empty(replications)
-    eng = _Engine(problem, config, 0)
+    eng = _Engine(problem, config, 0, 0)
     for r in range(replications):
         eng.replication = r
         g1, _ = eng.stage_mean(0, 1, x)
-        z = eng.project_blockwise(x - alpha * g1)
+        z = project(problem.feasible_set, x - alpha * g1)
         g2, _ = eng.stage_mean(0, 2, z)
         e2 = g2 - np.asarray(T(z), dtype=float)
         deltas[r] = 2.0 * alpha * float((x_star - z) @ e2)

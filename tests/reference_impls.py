@@ -5,6 +5,7 @@ that agreement between the two routes is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -55,3 +56,36 @@ def quadratic_gap_bruteforce(T_x, x, lower, upper, a, grid=401):
         vals = T_x[0] * d0 + T_x[1] * (x[1] - g1) - 0.5 * a * (d0 ** 2 + (x[1] - g1) ** 2)
         best = max(best, float(vals.max()))
     return best
+
+
+def sample_count(theta, mu, a, b, k):
+    """N_k = ceil(theta (k+mu)^(1+a) ln(k+mu)^(1+b)), at least 1, in scalar
+    float arithmetic; a value within a relative 1e-9 of an integer counts as
+    that integer."""
+    v = theta * (k + mu) ** (1 + a) * math.log(k + mu) ** (1 + b)
+    n = round(v)
+    if abs(v - n) <= 1e-9 * max(1.0, abs(n)):
+        return max(float(n), 1.0)
+    return max(float(math.ceil(v)), 1.0)
+
+
+def tail_scan(agents, horizon=10 ** 6, window=10, tol=1e-6):
+    """Numeric summability scan: tabulate 1/N_k = sum_i 1/N_{k,i} for every
+    k <= horizon (float counts, so nothing wraps) and accept when the last
+    ``window`` indices add at most ``tol * max(1, total)``.
+
+    ``agents`` is a list of (theta, mu, a, b) tuples.
+    """
+    k = np.arange(horizon + 1, dtype=float)
+    columns = {}
+    inv = np.zeros(horizon + 1)
+    for agent in agents:
+        if agent not in columns:
+            theta, mu, a, b = agent
+            v = theta * (k + mu) ** (1 + a) * np.log(k + mu) ** (1 + b)
+            near = np.round(v)
+            n = np.where(np.abs(v - near) <= 1e-9 * np.maximum(1.0, near), near, np.ceil(v))
+            columns[agent] = 1.0 / np.maximum(n, 1.0)
+        inv += columns[agent]
+    total = float(inv.sum())
+    return float(inv[horizon - window:].sum()) <= tol * max(1.0, total)

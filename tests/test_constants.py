@@ -173,11 +173,16 @@ class TestBurnIn:
             schedule=SampleSchedule.uniform(0.817, 5.486, 0.401, 0.947, m=3)))
         assert res.numeric == 654539
         assert res.numeric <= res.closed_form
+        # counts pass the int64 range inside the numeric horizon
+        res = k0_and_tail(inputs(
+            m=3, shared_samples=False, alpha=0.25, c_remainder=None,
+            schedule=SampleSchedule.uniform(2.761, 2.555, 1.933, 1.84, m=3)))
+        assert res.numeric <= res.closed_form
         gen = np.random.default_rng(31)
 
         def agent():
             return AgentSchedule(gen.uniform(0.5, 3.0), gen.uniform(2.2, 6.0),
-                                 gen.uniform(0.05, 1.0), gen.uniform(-1.0, 2.0))
+                                 gen.uniform(0.05, 2.0), gen.uniform(-1.0, 2.0))
 
         for j in range(30):
             agents = (agent(),) * 3 if j % 2 else tuple(agent() for _ in range(3))

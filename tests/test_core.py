@@ -134,6 +134,16 @@ class TestValidate:
         assert validate(p3, default_config(
             schedule=SampleSchedule(agents), coordination="distributed")).passed
 
+    def test_fast_growing_counts_pass(self, quiet_problem):
+        # N_k passes the int64 range before the 10^6 check horizon
+        cfg = default_config(schedule=SampleSchedule.uniform(1, 3, 2, 1))
+        assert validate(quiet_problem, cfg).passed
+
+    def test_stalled_counts_rejected(self, quiet_problem):
+        cfg = default_config(schedule=SampleSchedule.uniform(1e-30, 3, 0, 1))
+        with pytest.raises(InvalidSchedule):
+            validate(quiet_problem, cfg)
+
     def test_validate_is_idempotent(self, quiet_problem):
         cfg = default_config()
         r1 = validate(quiet_problem, cfg)

@@ -242,6 +242,37 @@ class TestCli:
         })
         assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 0
 
+    PROBE_DOCS = {
+        "error_decay": {"problem": {"kind": "constant_noise", "sigma": 1.0},
+                        "x": [0.0], "N_grid": [1, 4], "replications": 50},
+        "martingale": {"problem": {"kind": "linear_svi", "n": 3, "seed": 2,
+                                   "noise_scale": 0.4},
+                       "solver": {"stepsize": 0.1, "max_iterations": 1,
+                                  "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1}},
+                       "x": [1.0, 0.5, 0.2], "replications": 50},
+        "variance_scaling": {"K_list": [10], "sigma": 0.5, "replications": 50},
+        "fejer_audit": {"problem": {"kind": "strongly_monotone", "n": 3, "seed": 5,
+                                    "noise_scale": 0.5, "center": [0.0, 0.0, 0.0]},
+                        "solver": {"stepsize": 0.25, "max_iterations": 10,
+                                   "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+                                   "diagnostics": True},
+                        "replications": 2, "x0": [1.0, 1.0, 1.0]},
+        "pm_check": {"problem": {"kind": "negative_control", "n": 1}, "samples": 50},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PROBE_DOCS))
+    def test_probe_cli_seed(self, tmp_path, kind):
+        """--seed reaches the seed field each probe kind reads."""
+        cfg = self.write(tmp_path / "p.json", dict(self.PROBE_DOCS[kind], kind=kind))
+        csvs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            code = cli_main(["probe", "--config", cfg, "--out", str(out), "--seed", seed])
+            assert code == (3 if kind == "pm_check" else 0)  # pm_check's control fails
+            csvs.append((out / f"{kind}.csv").read_text())
+        if kind != "fejer_audit":  # its rows hold no draw-dependent value
+            assert csvs[0] != csvs[1]
+
     def test_constants_cli(self, tmp_path, capsys):
         cfg = self.write(tmp_path / "c.json", {
             "eps": 1e-4, "L": 1.0, "alpha": 0.25, "sigma": 0.0,

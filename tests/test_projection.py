@@ -16,7 +16,6 @@ from stochvi.projection import (
     WholeSpace,
     feasible_set_from_config,
     project,
-    project_cartesian,
     set_distance,
     split_separable,
 )
@@ -90,15 +89,15 @@ def test_affine_rank_deficient_consistent_fails_loudly():
 
 
 def test_cartesian_example():
-    sets = [(Box(np.zeros(1), np.ones(1)), 1), (NonnegativeOrthant(1), 1)]
-    assert np.array_equal(project_cartesian(sets, np.array([2.0, -1.0])), [1.0, 0.0])
+    sets = CartesianProduct((Box(np.zeros(1), np.ones(1)), NonnegativeOrthant(1)), (1, 1))
+    assert np.array_equal(sets.project(np.array([2.0, -1.0])), [1.0, 0.0])
 
 
 def test_cartesian_single_block_degenerates_to_project():
     ball = Ball(np.zeros(3), 1.0)
     x = np.array([2.0, -1.0, 0.5])
     np.testing.assert_array_equal(
-        project_cartesian([(ball, 3)], x), project(ball, x))
+        CartesianProduct((ball,), (3,)).project(x), project(ball, x))
 
 
 def test_cartesian_matches_monolithic_split(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_impls import sample_count, tail_scan
 from stochvi.core import RngStreamKey
 from stochvi.errors import EmptyList, InvalidSchedule, NoMeanOperator
 from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
@@ -15,7 +16,6 @@ from stochvi.sampling import (
     error_decay_probe,
     harmonic_aggregate,
     network_exponents,
-    sample_size,
     schedule_tail_check,
     verify_network_exponents,
 )
@@ -24,11 +24,18 @@ from stochvi.sampling import (
 class TestSampleSize:
     def test_minimum_requirement_schedule(self):
         sched = SampleSchedule.uniform(theta=1, mu=3, a=0, b=1)
-        assert sample_size(sched, 0, 0) == 4  # ceil(3 ln(3)^2) = ceil(3.6207)
+        assert sched.size(0, 0) == 4  # ceil(3 ln(3)^2) = ceil(3.6207)
 
     def test_pure_polynomial_schedule(self):
         sched = SampleSchedule.uniform(theta=2, mu=3, a=1, b=-1)
-        assert sample_size(sched, 0, 7) == 200  # ceil(2 * 10^2 * ln(10)^0)
+        assert sched.size(0, 7) == 200  # ceil(2 * 10^2 * ln(10)^0)
+
+    def test_counts_past_int64_raise(self):
+        sched = SampleSchedule.uniform(2.761, 2.555, 1.933, 1.84)
+        assert sched.sizes_upto(1000)[-1, 0] > 1
+        with pytest.raises(InvalidSchedule, match=r"agent 0: .* at k = \d+ exceeds"):
+            sched.sizes_upto(200_000)
+        assert sched.size(0, 200_000) > 2 ** 63  # one count is a Python int
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidSchedule):
@@ -81,6 +88,28 @@ def test_tail_check_catches_stalled_counts():
     sched = SampleSchedule.uniform(theta=1e-30, mu=3, a=0, b=1)
     ok, _ = schedule_tail_check(sched, horizon=10_000)
     assert not ok
+
+
+# (theta, mu, a, b) of every schedule the tests, demos and benchmark run,
+# plus stalled counts (theta = 1e-30) and two schedules whose counts pass
+# the int64 range before the 10^6 horizon
+SCHEDULES = [
+    (1, 3, 0, 1), (1, 3, 0, 0.5), (2, 3, 1, -1), (0.5, 4, 0.3, 0.2),
+    (0.5, 2.5, 0, 0.2), (1.7, 4, 0.5, 2), (4 / 9, 3, 1, -1), (8 / 9, 3, 1, -1),
+    (2, 3, 0, 1), (2, 4, 0.5, 0), (0.5, 3, 1, -1), (1.3, 3.5, 0.7, 0.9),
+    (1, 3, 1, 1), (0.817, 5.486, 0.401, 0.947),
+    (1e-30, 3, 0, 1), (1, 3, 2, 1), (2.761, 2.555, 1.933, 1.84),
+]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_tail_check_decides_like_the_numeric_scan(m):
+    decisions = []
+    for params in SCHEDULES:
+        ok, detail = schedule_tail_check(SampleSchedule.uniform(*params, m=m))
+        assert ok == tail_scan([params] * m), (params, detail)
+        decisions.append(ok)
+    assert decisions.count(False) == 1  # only the stalled schedule fails
 
 
 class TestNetworkExponents:
@@ -184,3 +213,17 @@ def test_schedule_counts_positive_and_monotone(theta, mu, b):
     sizes = sched.sizes_upto(300)[:, 0]
     assert sizes[0] >= 1
     assert np.all(np.diff(sizes) >= 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.1, 10), mu=st.floats(2.01, 20), a=st.floats(0, 2),
+       b=st.floats(-1, 3), k=st.integers(0, 400), agent=st.integers(0, 2))
+def test_size_matches_table_and_reference(theta, mu, a, b, k, agent):
+    if a == 0 and b <= 0:
+        b = 1.0
+    params = [(1, 3, 0, 1), (theta, mu, a, b), (2, 3, 1, -1)]
+    sched = SampleSchedule(tuple(AgentSchedule(*p) for p in params))
+    table = sched.sizes_upto(k)
+    reference = [sample_count(*params[agent], j) for j in range(k + 1)]
+    assert sched.size(agent, k) == table[k, agent]
+    assert table[:, agent].tolist() == reference

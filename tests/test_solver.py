@@ -23,7 +23,6 @@ from stochvi.solver import (
     martingale_probe,
     run,
     step,
-    step_cartesian,
 )
 
 
@@ -38,6 +37,20 @@ def identity_problem(noise=0.0, n=1):
         known_solutions=(np.zeros(n),),
         variance_profile=VarianceProfile("uniform", noise * np.sqrt(n)),
     )
+
+
+def assert_steps_match_run(problem, cfg, replication=3):
+    """Two step() calls from x0 reproduce run()'s first two iterates and
+    call counts bit for bit."""
+    x0 = np.linspace(-1.0, 1.5, problem.dimension)
+    trace = run(problem, cfg, replication=replication, x0=x0)
+    state = ExtragradientState(k=0, x=project(problem.feasible_set, x0),
+                               replication=replication)
+    for k in (1, 2):
+        state = step(state, problem, cfg)
+        assert state.k == k
+        assert np.array_equal(state.x, trace.iterates[k])
+        assert state.calls == trace.cum_calls[k]
 
 
 class TestStep:
@@ -72,14 +85,16 @@ class TestStep:
                              coordination="distributed", stepsize=0.2)
         assert cfg.schedule.size(0, 0) == 4 and cfg.schedule.size(1, 0) == 8
         state = ExtragradientState(k=0, x=np.ones(2))
-        state = step_cartesian(state, p, cfg)
+        state = step(state, p, cfg)
         assert state.calls == 24
 
-    def test_step_rejects_distributed_multiblock(self, quiet_problem):
-        p3 = quiet_problem.with_blocks([2, 2, 1])
-        cfg = default_config(coordination="distributed")
-        with pytest.raises(CoordinationMismatch):
-            step(ExtragradientState(k=0, x=np.zeros(5)), p3, cfg)
+    def test_distributed_multiblock_step_equals_first_run_iterate(self, monotone_problem):
+        p3 = monotone_problem.with_blocks([2, 2, 1])
+        agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(2, 4, 0.5, 0),
+                  AgentSchedule(0.5, 3, 1, -1))
+        cfg = default_config(schedule=SampleSchedule(agents),
+                             coordination="distributed", max_iterations=5)
+        assert_steps_match_run(p3, cfg)
 
 
 class TestRun:
@@ -146,13 +161,8 @@ class TestRun:
 
 
 class TestCartesianConsistency:
-    def test_m1_step_equals_step_cartesian(self, monotone_problem):
-        cfg = default_config()
-        s1 = ExtragradientState(k=0, x=np.ones(5))
-        s2 = ExtragradientState(k=0, x=np.ones(5))
-        out1 = step(s1, monotone_problem, cfg)
-        out2 = step_cartesian(s2, monotone_problem, cfg)
-        assert np.array_equal(out1.x, out2.x)
+    def test_m1_step_equals_first_run_iterate(self, monotone_problem):
+        assert_steps_match_run(monotone_problem, default_config(max_iterations=5))
 
     @pytest.mark.parametrize("feasible", ["whole", "box"])
     def test_centralized_blocks_match_monolithic_bitwise(self, feasible):
@@ -291,7 +301,8 @@ class TestStageMean:
     @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
     def test_user_oracle_averages_its_draws_bitwise(self, coordination):
         p = user_problem(self.noisy_identity, blocks=(2, 1))
-        eng = _Engine(p, default_config(coordination=coordination), replication=3)
+        eng = _Engine(p, default_config(coordination=coordination), replication=3,
+                      horizon=17)
         x = np.array([0.3, -1.2, 2.0])
         for k, stage in [(0, 1), (4, 2), (17, 1)]:
             mean, calls = eng.stage_mean(k, stage, x)
