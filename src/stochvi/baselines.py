@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStreamKey, derive_stream
-from .errors import InvalidHorizon
+from .errors import InvalidHorizon, InvalidParameters
 from .projection import project
 
 
@@ -107,8 +107,10 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
     Rows: K, var_zK_emp, var_zK_exact, var_zbar_emp, var_zbar_exact.
     The exact values are sigma^2 * sum alpha_k^2 and sigma^2 * sum theta_k^2
     (sums of independent Gaussians), so the empirical columns agree within
-    Monte Carlo noise.
+    Monte Carlo noise.  A sample variance needs at least two replications.
     """
+    if replications < 2:
+        raise InvalidParameters("variance scaling probe needs at least 2 replications")
     rows = []
     for j, K in enumerate(K_list):
         sched = MirrorProxSchedule.build(int(K), sigma, L)

@@ -7,6 +7,8 @@ Subcommands:
     constants   evaluate the theoretical-constants report
 
 All subcommands read a JSON config (--config) and write into --out.
+``solve`` also takes --seed; ``experiment`` and ``probe`` take --seed and
+--replications; ``constants`` takes neither.
 """
 
 from __future__ import annotations
@@ -24,33 +26,27 @@ def _load(path):
         return json.load(fh)
 
 
-def _common(sub):
-    sub.add_argument("--config", required=True, help="JSON config path")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override master seed")
-    sub.add_argument("--replications", type=int, default=None,
-                     help="override replication count")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="replication-level worker threads")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stochvi",
         description="Variance-reduced stochastic extragradient experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "experiment", "probe", "constants"):
-        _common(subs.add_parser(name))
+    both = ["--seed", "--replications"]
+    for name, overrides in (("solve", ["--seed"]), ("experiment", both), ("probe", both),
+                            ("constants", [])):
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", required=True, help="JSON config path")
+        sub.add_argument("--out", default="out", help="output directory")
+        for flag in overrides:
+            sub.add_argument(flag, type=int, help=f"override the {flag[2:]}")
     return parser
 
 
 def _apply_overrides(document, args):
     if args.seed is not None:
         document.setdefault("solver", {})["master_seed"] = args.seed
-    if args.replications is not None:
+    if getattr(args, "replications", None) is not None:  # solve has no such flag
         document["replications"] = args.replications
-    if args.threads is not None:
-        document["threads"] = args.threads
     return document
 
 
@@ -59,7 +55,6 @@ def cmd_solve(args):
     from .solver import run
 
     document = _apply_overrides(_load(args.config), args)
-    document.setdefault("replications", 1)
     cfg = experiment_from_config(document)
     trace = run(cfg.problem, cfg.solver, replication=0, x0=cfg.x0)
     out = Path(args.out)
@@ -92,29 +87,19 @@ def cmd_experiment(args):
     return 0
 
 
-# (section, key) each probe kind reads its seed from; None is the top level.
-_PROBE_SEED_KEYS = {
-    "error_decay": (None, "master_seed"),
-    "martingale": ("solver", "master_seed"),
-    "variance_scaling": (None, "master_seed"),
-    "fejer_audit": ("solver", "master_seed"),
-    "pm_check": (None, "seed"),
-}
-
-
 def cmd_probe(args):
-    from .harness import probe
+    from .harness import probe, probe_spec
 
     document = _load(args.config)
     kind = document.pop("kind", None)
     if kind is None:
         raise StochviError("probe config needs a 'kind' field")
-    if args.replications is not None:
+    spec = probe_spec(kind)
+    if args.replications is not None and "replications" in spec.keys:
         document["replications"] = args.replications
-    if args.seed is not None and kind in _PROBE_SEED_KEYS:
-        section, key = _PROBE_SEED_KEYS[kind]
+    if args.seed is not None:
+        section, key = spec.seed_field
         (document.setdefault(section, {}) if section else document)[key] = args.seed
-    document.pop("threads", None)
     verdict = probe(kind, document, args.out)
     print(f"{kind}: {'PASS' if verdict.get('passed') else 'FAIL'}")
     return 0 if verdict.get("passed") else 3

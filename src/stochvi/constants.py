@@ -439,7 +439,9 @@ class BoundsReport:
     variance (single agent, a = 0 schedules), the ``uniform`` family sharpens
     the constants when the variance is bounded over the feasible set, and the
     ``network`` family covers fully distributed sampling with a > 0.
-    Inapplicable entries are None.
+    Inapplicable entries are None; the network entries are None also when
+    the smallest log exponent b_lo <= -1/2, because their tail coefficient
+    B integrates ln^-(2 + 2 b_lo), which is finite only for b_lo > -1/2.
     """
 
     eps: float
@@ -544,14 +546,14 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
             uC = (max(1.0, ag.theta ** -2) * max(1.0, ag.theta) * uI
                   * (math.log(uP / eps) ** (1.0 + ag.b) + 1.0 / ag.mu) / eps ** 2)
 
-    # Network family (shared polynomial exponent a > 0).
+    # Network family (shared polynomial exponent a > 0, b_lo > -1/2).
     nA = nB = nQ = nI = nP = nC = None
     a_exps = {a.a for a in inputs.schedule.agents}
-    if all(a.a > 0 for a in inputs.schedule.agents) and len(a_exps) == 1:
+    b_lo = min(a.b for a in inputs.schedule.agents)
+    if all(a.a > 0 for a in inputs.schedule.agents) and len(a_exps) == 1 and b_lo > -0.5:
         lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
         a_exp = inputs.schedule.agents[0].a
         mu_lo = min(a.mu for a in inputs.schedule.agents)
-        b_lo = min(a.b for a in inputs.schedule.agents)
         lg_lo = math.log(mu_lo - 1.0)
         nA = sum(lam / (a.theta * a.a * (a.mu - 1.0) ** a.a)
                  for a in inputs.schedule.agents)

@@ -174,34 +174,35 @@ class ProblemInstance:
             else self.feasible_set
         return replace(self, blocks=blocks, feasible_set=fset)
 
-    def oracle_batch(self, rng, x, size):
-        out = np.asarray(self.oracle(rng, x, size), dtype=float)
-        if out.shape != (size, self.dimension):
-            raise OracleFailure(
-                f"oracle returned shape {out.shape}, expected {(size, self.dimension)}")
+    def _shaped(self, out, shape, what):
+        out = np.asarray(out, dtype=float)
+        if out.shape != shape:
+            raise OracleFailure(f"oracle {what} has shape {out.shape}, expected {shape}")
         return out
 
+    def oracle_batch(self, rng, x, size):
+        return self._shaped(self.oracle(rng, x, size), (size, self.dimension), "batch")
+
     def oracle_batch_block(self, rng, x, size, sl):
-        block_fn = getattr(self.oracle, "block", None)
-        if block_fn is not None:
-            return np.asarray(block_fn(rng, x, size, sl), dtype=float)
-        return self.oracle_batch(rng, x, size)[:, sl]
+        if getattr(self.oracle, "block", None) is None:
+            return self.oracle_batch(rng, x, size)[:, sl]
+        width = len(range(self.dimension)[sl])
+        return self._shaped(self.oracle.block(rng, x, size, sl), (size, width), "block batch")
 
     def oracle_mean(self, rng, x, size, sl=None):
         """Average of ``size`` oracle draws at ``x`` (block ``sl`` only, if
         given): from its exact law when the oracle declares ``exact_mean``,
-        otherwise by drawing the batch and averaging it."""
+        otherwise by drawing the batch and averaging it.  Every output is
+        checked against the width it must have."""
         if not getattr(self.oracle, "exact_mean", False):
             batch = self.oracle_batch(rng, x, size) if sl is None \
                 else self.oracle_batch_block(rng, x, size, sl)
             return batch.mean(axis=0)
-        if sl is not None:
-            return np.asarray(self.oracle.block(rng, x, size, sl, mean=True), dtype=float)
-        out = np.asarray(self.oracle(rng, x, size, mean=True), dtype=float)
-        if out.shape != (self.dimension,):
-            raise OracleFailure(
-                f"oracle mean has shape {out.shape}, expected {(self.dimension,)}")
-        return out
+        if sl is None:
+            return self._shaped(self.oracle(rng, x, size, mean=True), (self.dimension,), "mean")
+        width = len(range(self.dimension)[sl])
+        return self._shaped(self.oracle.block(rng, x, size, sl, mean=True), (width,),
+                            "block mean")
 
 
 @dataclass(frozen=True, kw_only=True)

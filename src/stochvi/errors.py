@@ -26,7 +26,8 @@ class InvalidSchedule(StochviError):
 
 
 class InvalidParameters(StochviError):
-    """Merit or gap parameters outside their domain (e.g. b <= a)."""
+    """Merit, gap or probe parameters outside their domain (e.g. b <= a,
+    or fewer than two replications for a Monte Carlo standard error)."""
 
 
 class InvalidInputs(StochviError):

@@ -24,8 +24,13 @@ Schema (defaults in parentheses):
                  "track_distance": bool (true)},
       "rate_fit_window": [k_lo, k_hi]   (optional),
       "epsilon": float                  (optional; enables K_eps),
-      "threads": int (1)
+      "threads": int                    (accepted and ignored)
     }
+
+Replications run serially; ``"threads"`` is accepted and ignored so that
+documents carrying it keep loading with the same config hash.
+A probe document is a ``kind`` plus the params its ``PROBES`` entry lists;
+any other key, ``threads`` included, is rejected.
 
 Result CSV columns: k, mean_r2, stderr_r2, mean_dist2, mean_dgap, cum_calls.
 The JSON summary carries the config hash, K_eps, the fitted slope, and the
@@ -37,18 +42,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import ProblemInstance, RngStreamKey, SolverConfig, validate
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameters
 from .merit import d_gap
 from .projection import feasible_set_from_config
 from .sampling import SampleSchedule, batch_mean, error_decay_probe
-from .solver import fejer_audit, martingale_probe, run
+from .solver import fejer_audit, martingale_probe, run, write_rows_csv
 
 SCHEMA_VERSION = 1
 
@@ -116,7 +121,6 @@ class ExperimentConfig:
     track_distance: bool = True
     rate_fit_window: tuple | None = None
     epsilon: float | None = None
-    threads: int = 1
     config_hash: str = ""
 
     def __post_init__(self):
@@ -160,7 +164,6 @@ def experiment_from_config(document) -> ExperimentConfig:
         track_distance=bool(merits.get("track_distance", True)),
         rate_fit_window=None if window is None else (int(window[0]), int(window[1])),
         epsilon=document.get("epsilon"),
-        threads=int(document.get("threads", 1)),
         config_hash=config_hash(document),
     )
 
@@ -213,22 +216,10 @@ class ExperimentResult:
     def to_csv(self, path):
         n = len(self.cum_calls)
         nan = np.full(n, np.nan)
-        cols = [
-            ("k", np.arange(n)),
-            ("mean_r2", self.mean_r2 if self.mean_r2 is not None else nan),
-            ("stderr_r2", self.stderr_r2 if self.stderr_r2 is not None else nan),
-            ("mean_dist2", self.mean_dist2 if self.mean_dist2 is not None else nan),
-            ("mean_dgap", self.mean_dgap if self.mean_dgap is not None else nan),
-            ("cum_calls", self.cum_calls),
-        ]
-        with open(path, "w") as fh:
-            fh.write(",".join(name for name, _ in cols) + "\n")
-            for row in range(n):
-                cells = []
-                for name, arr in cols:
-                    v = arr[row]
-                    cells.append(str(int(v)) if name in ("k", "cum_calls") else repr(float(v)))
-                fh.write(",".join(cells) + "\n")
+        cols = {name: nan if getattr(self, name) is None else getattr(self, name)
+                for name in ("mean_r2", "stderr_r2", "mean_dist2", "mean_dgap")}
+        write_rows_csv(path, [{"k": k, **{h: float(c[k]) for h, c in cols.items()},
+                               "cum_calls": int(self.cum_calls[k])} for k in range(n)])
 
     def summary(self):
         out = {
@@ -265,29 +256,18 @@ def fit_loglog_slope(values, window):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the replication ensemble and aggregate per-iteration stats.
 
-    Replications run independently (optionally on a thread pool) and are
-    merged by index, so results do not depend on execution order.  Traces
-    shorter than max_iterations (early residual-floor stops) are carried
-    forward at their final value for ensemble averaging.
+    Replications run serially, each on the streams keyed by its index, and
+    are merged by index, so results depend only on (master_seed,
+    replication).  Traces shorter than max_iterations (early residual-floor
+    stops) are carried forward at their final value for ensemble averaging.
     """
     validate(config.problem, config.solver)
     problem, solver = config.problem, config.solver
     R = config.replications
     K = solver.max_iterations
-
-    def one(rep):
-        return run(problem, solver, replication=rep, x0=config.x0, check=False)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            traces = list(pool.map(one, range(R)))
-    else:
-        traces = [one(rep) for rep in range(R)]
-
-    T_op, estimated = (problem.mean_operator, False) if problem.mean_operator \
-        else effective_mean_operator(problem)
-    has_r2 = traces[0].r2 is not None
-    has_dist = traces[0].dist2 is not None
+    traces = [run(problem, solver, replication=rep, x0=config.x0, check=False)
+              for rep in range(R)]
+    T_op, estimated = effective_mean_operator(problem)
 
     def padded(values, length):
         out = np.full(length, values[-1], dtype=float)
@@ -295,13 +275,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     mean_r2 = stderr_r2 = None
-    if has_r2:
+    if traces[0].r2 is not None:
         stack = np.stack([padded(t.r2, K + 1) for t in traces])
         mean_r2 = stack.mean(axis=0)
         stderr_r2 = (stack.std(axis=0, ddof=1) / math.sqrt(R)) if R > 1 \
             else np.zeros(K + 1)
     mean_dist2 = None
-    if has_dist and config.track_distance:
+    if traces[0].dist2 is not None and config.track_distance:
         stack = np.stack([padded(t.dist2, K + 1) for t in traces])
         mean_dist2 = stack.mean(axis=0)
 
@@ -309,9 +289,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.dgap_a is not None:
         vals = np.zeros(K + 1)
         for t in traces:
-            its = t.iterates
             gaps = np.array([d_gap(T_op, problem.feasible_set, x,
-                                   config.dgap_a, config.dgap_b) for x in its])
+                                   config.dgap_a, config.dgap_b) for x in t.iterates])
             vals += padded(gaps, K + 1)
         mean_dgap = vals / R
 
@@ -342,16 +321,105 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def write_rows_csv(path, rows):
-    """Write a list of homogeneous dicts as CSV with repr-formatted floats."""
-    path = Path(path)
-    header = list(rows[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(",".join(
-                repr(float(r[h])) if isinstance(r[h], float) else str(r[h])
-                for h in header) + "\n")
+def _error_decay(params):
+    problem = problem_from_config(params["problem"])
+    rows = error_decay_probe(problem, np.asarray(params["x"], dtype=float),
+                             params["N_grid"], int(params["replications"]),
+                             int(params.get("master_seed", 0)))
+    products = [r["product"] for r in rows]
+    spread = (max(products) - min(products)) / max(max(products), 1e-300)
+    passed = all(abs(r["product"] - products[0]) <= 4.0 * r["N"] * r["stderr"] + 1e-12
+                 for r in rows)
+    return rows, {"passed": passed, "product_spread": spread}
+
+
+def _martingale(params):
+    res = martingale_probe(problem_from_config(params["problem"]),
+                           solver_config_from_config(params["solver"]),
+                           np.asarray(params["x"], dtype=float),
+                           int(params["replications"]))
+    rows = [{"mean_dM": res.mean, "stderr": res.stderr, "replications": res.replications}]
+    return rows, {"passed": res.passed, "detail": str(res)}
+
+
+def _variance_scaling(params):
+    from .baselines import variance_scaling_probe
+
+    reps = int(params["replications"])
+    rows = variance_scaling_probe(params["K_list"], float(params["sigma"]),
+                                  float(params.get("L", 1.0)), reps,
+                                  int(params.get("master_seed", 0)))
+    # variance of a Gaussian sample variance: 2 sigma^4 / (R - 1)
+    band = 4.0 * math.sqrt(2.0 / (reps - 1))
+    passed = all(abs(r[f"var_{w}_emp"] - r[f"var_{w}_exact"])
+                 <= max(band * r[f"var_{w}_exact"], 1e-12)
+                 for r in rows for w in ("zK", "zbar"))
+    return rows, {"passed": passed}
+
+
+def _fejer_audit(params):
+    problem = problem_from_config(params["problem"])
+    solver = solver_config_from_config(params["solver"])
+    x0 = params.get("x0")
+    reps = int(params["replications"])
+    if reps < 1:  # with no path audited the verdict would pass vacuously
+        raise InvalidParameters("fejer_audit probe needs at least 1 replication")
+    validate(problem, solver)
+    rows = []
+    for rep in range(reps):
+        trace = run(problem, solver, replication=rep, check=False,
+                    x0=None if x0 is None else np.asarray(x0, float))
+        report = fejer_audit(trace, problem.known_solutions[0], problem, solver)
+        rows.append({"replication": rep,
+                     "max_rel_violation": report.max_rel_violation,
+                     "violations": report.n_violations})
+    bad = sum(r["violations"] for r in rows)
+    worst = max([0.0] + [r["max_rel_violation"] for r in rows])
+    return rows, {"passed": bad == 0, "max_rel_violation": worst, "violations": bad}
+
+
+def _pm_check(params):
+    from .problems import check_pseudo_monotone
+
+    problem = problem_from_config(params["problem"])
+    report = check_pseudo_monotone(
+        problem.mean_operator, problem.feasible_set,
+        samples=int(params.get("samples", 1000)),
+        seed=int(params.get("seed", 0)), n=problem.dimension)
+    rows = [{"n_pairs": report.n_pairs, "n_applicable": report.n_applicable,
+             "violations": len(report.violations)}]
+    return rows, {"passed": report.passed, "detail": str(report)}
+
+
+class ProbeSpec(NamedTuple):
+    """One probe kind: ``runner(params)`` returns (CSV rows, verdict fields);
+    ``keys`` are the params it accepts; ``seed_field`` is the (section, key)
+    its seed lives at, section None meaning the top level."""
+
+    runner: Callable
+    keys: set
+    seed_field: tuple
+
+
+PROBES = {
+    "error_decay": ProbeSpec(
+        _error_decay, {"problem", "x", "N_grid", "replications", "master_seed"},
+        (None, "master_seed")),
+    "martingale": ProbeSpec(
+        _martingale, {"problem", "solver", "x", "replications"}, ("solver", "master_seed")),
+    "variance_scaling": ProbeSpec(
+        _variance_scaling, {"K_list", "sigma", "L", "replications", "master_seed"},
+        (None, "master_seed")),
+    "fejer_audit": ProbeSpec(
+        _fejer_audit, {"problem", "solver", "replications", "x0"}, ("solver", "master_seed")),
+    "pm_check": ProbeSpec(_pm_check, {"problem", "samples", "seed"}, (None, "seed")),
+}
+
+
+def probe_spec(kind: str) -> ProbeSpec:
+    if kind not in PROBES:
+        raise ConfigError(f"unknown probe kind {kind!r}")
+    return PROBES[kind]
 
 
 def probe(kind: str, params: dict, out_dir) -> dict:
@@ -359,88 +427,17 @@ def probe(kind: str, params: dict, out_dir) -> dict:
 
     Kinds: ``error_decay`` (1/N law), ``martingale`` (zero-mean increments),
     ``variance_scaling`` (ergodic baseline variance laws), ``fejer_audit``
-    (pathwise recursion), ``pm_check`` (pseudo-monotonicity sampling).
+    (pathwise recursion), ``pm_check`` (pseudo-monotonicity sampling); the
+    params each accepts are in ``PROBES``.
     """
+    spec = probe_spec(kind)
+    _check_keys(params, spec.keys, f"{kind} params")
+    rows, fields = spec.runner(params)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = dict(params)
-    verdict = {"kind": kind}
-    rows = []
-
-    if kind == "error_decay":
-        problem = problem_from_config(params.pop("problem"))
-        x = np.asarray(params.pop("x"), dtype=float)
-        rows = error_decay_probe(problem, x, params.pop("N_grid"),
-                                 int(params.pop("replications")),
-                                 int(params.pop("master_seed", 0)))
-        _check_keys(params, set(), "error_decay params")
-        products = [r["product"] for r in rows]
-        spread = (max(products) - min(products)) / max(max(products), 1e-300)
-        verdict.update(passed=all(
-            abs(r["product"] - products[0]) <= 4.0 * r["N"] * r["stderr"] + 1e-12
-            for r in rows), product_spread=spread)
-    elif kind == "martingale":
-        problem = problem_from_config(params.pop("problem"))
-        solver = solver_config_from_config(params.pop("solver"))
-        x = np.asarray(params.pop("x"), dtype=float)
-        res = martingale_probe(problem, solver, x, int(params.pop("replications")))
-        _check_keys(params, set(), "martingale params")
-        rows = [{"mean_dM": res.mean, "stderr": res.stderr,
-                 "replications": res.replications}]
-        verdict.update(passed=res.passed, detail=str(res))
-    elif kind == "variance_scaling":
-        from .baselines import variance_scaling_probe
-
-        reps = int(params.pop("replications"))
-        rows = variance_scaling_probe(
-            params.pop("K_list"), float(params.pop("sigma")),
-            float(params.pop("L", 1.0)), reps,
-            int(params.pop("master_seed", 0)))
-        _check_keys(params, set(), "variance_scaling params")
-        ok = True
-        for r in rows:
-            for which in ("zK", "zbar"):
-                emp, exact = r[f"var_{which}_emp"], r[f"var_{which}_exact"]
-                # variance of a Gaussian sample variance: 2 sigma^4 / (R - 1)
-                stderr = exact * math.sqrt(2.0 / max(reps - 1, 1)) if exact else 0.0
-                ok = ok and abs(emp - exact) <= max(4.0 * stderr, 1e-12)
-        verdict.update(passed=ok)
-    elif kind == "fejer_audit":
-        problem = problem_from_config(params.pop("problem"))
-        solver = solver_config_from_config(params.pop("solver"))
-        reps = int(params.pop("replications"))
-        x0 = params.pop("x0", None)
-        _check_keys(params, set(), "fejer_audit params")
-        validate(problem, solver)
-        worst = 0.0
-        bad = 0
-        for rep in range(reps):
-            trace = run(problem, solver, replication=rep, check=False,
-                        x0=None if x0 is None else np.asarray(x0, float))
-            rep_report = fejer_audit(trace, problem.known_solutions[0], problem, solver)
-            worst = max(worst, rep_report.max_rel_violation)
-            bad += rep_report.n_violations
-            rows.append({"replication": rep,
-                         "max_rel_violation": rep_report.max_rel_violation,
-                         "violations": rep_report.n_violations})
-        verdict.update(passed=bad == 0, max_rel_violation=worst, violations=bad)
-    elif kind == "pm_check":
-        from .problems import check_pseudo_monotone
-
-        problem = problem_from_config(params.pop("problem"))
-        report = check_pseudo_monotone(
-            problem.mean_operator, problem.feasible_set,
-            samples=int(params.pop("samples", 1000)),
-            seed=int(params.pop("seed", 0)), n=problem.dimension)
-        _check_keys(params, set(), "pm_check params")
-        rows = [{"n_pairs": report.n_pairs, "n_applicable": report.n_applicable,
-                 "violations": len(report.violations)}]
-        verdict.update(passed=report.passed, detail=str(report))
-    else:
-        raise ConfigError(f"unknown probe kind {kind!r}")
-
     if rows:
         write_rows_csv(out_dir / f"{kind}.csv", rows)
+    verdict = {"kind": kind, **fields}
     with open(out_dir / f"{kind}_verdict.json", "w") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)
     return verdict

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyList, InvalidSchedule, NoMeanOperator
+from .errors import EmptyList, InvalidParameters, InvalidSchedule, NoMeanOperator
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,13 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     ``replications`` independent batches and returns rows of
     (N, mean_sq_error, stderr, N * mean_sq_error).  The product column is
     flat in N exactly when the empirical average error variance scales like
-    the single-draw variance divided by N.
+    the single-draw variance divided by N.  The standard errors need at
+    least two replications.
     """
     from .core import RngStreamKey
 
+    if replications < 2:
+        raise InvalidParameters("error decay probe needs at least 2 replications")
     if problem.mean_operator is None:
         raise NoMeanOperator("error decay probe needs the closed-form mean operator")
     rows = []
@@ -280,7 +283,7 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
             res = batch_mean(problem, x, int(n), key)
             sq[r] = float(res.error @ res.error)
         mean_sq = float(np.mean(sq))
-        stderr = float(np.std(sq, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        stderr = float(np.std(sq, ddof=1) / math.sqrt(replications))
         rows.append({"N": int(n), "mean_sq_error": mean_sq,
                      "stderr": stderr, "product": n * mean_sq})
     return rows

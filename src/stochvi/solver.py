@@ -35,7 +35,7 @@ from .core import (
     derive_stream,
     validate,
 )
-from .errors import CoordinationMismatch, MissingDiagnostics, OracleFailure
+from .errors import CoordinationMismatch, InvalidParameters, MissingDiagnostics, OracleFailure
 from .merit import distance_sq_to_solutions, natural_residual_sq
 from .projection import CartesianProduct, project
 
@@ -48,6 +48,17 @@ class ExtragradientState:
     x: np.ndarray
     calls: int = 0
     replication: int = 0
+
+
+def write_rows_csv(path, rows):
+    """Write a list of homogeneous dicts as CSV with repr-formatted floats."""
+    header = list(rows[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for r in rows:
+            fh.write(",".join(
+                repr(float(r[h])) if isinstance(r[h], float) else str(r[h])
+                for h in header) + "\n")
 
 
 @dataclass
@@ -90,29 +101,24 @@ class RunTrace:
         A, M_0..M_s, cum_calls); step-indexed columns are padded with nan at
         k = 0 so every row describes iterate x^k."""
         K = self.n_steps
-        cols = {"k": np.arange(K + 1)}
         nan = np.full(K + 1, np.nan)
-        cols["r2"] = self.r2 if self.r2 is not None else nan
-        cols["dist2"] = self.dist2 if self.dist2 is not None else nan
 
         def pad(step_arr):
             if step_arr is None:
                 return nan
             return np.concatenate([[np.nan], step_arr])
 
-        cols["eps1_norm"] = pad(self.eps1_norm)
-        cols["eps2_norm"] = pad(self.eps2_norm)
-        cols["A"] = self.A if self.A is not None else nan
+        cols = {"r2": self.r2 if self.r2 is not None else nan,
+                "dist2": self.dist2 if self.dist2 is not None else nan,
+                "eps1_norm": pad(self.eps1_norm),
+                "eps2_norm": pad(self.eps2_norm),
+                "A": self.A if self.A is not None else nan}
         if self.M is not None:
             for s in range(self.M.shape[1]):
                 cols[f"M_{s}"] = self.M[:, s]
         cols["cum_calls"] = self.cum_calls
-        header = list(cols)
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in range(K + 1):
-                fh.write(",".join(repr(float(cols[h][row])) if h != "k" else str(row)
-                                  for h in header) + "\n")
+        write_rows_csv(path, [{"k": row, **{h: float(c[row]) for h, c in cols.items()}}
+                              for row in range(K + 1)])
 
     def summary(self):
         out = {
@@ -406,8 +412,11 @@ def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
 
     dM = 2 <x* - z, alpha eps2> where eps2 is the correction-stage error;
     its conditional mean vanishes because the second-stage samples are
-    independent of everything realized before them.
+    independent of everything realized before them.  Its standard error
+    needs at least two replications.
     """
+    if replications < 2:
+        raise InvalidParameters("martingale probe needs at least 2 replications")
     if problem.mean_operator is None:
         from .errors import NoMeanOperator
 
@@ -432,6 +441,5 @@ def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
         e2 = g2 - np.asarray(T(z), dtype=float)
         deltas[r] = 2.0 * alpha * float((x_star - z) @ e2)
     mean = float(np.mean(deltas))
-    stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications)) \
-        if replications > 1 else 0.0
+    stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))
     return MartingaleProbeResult(mean=mean, stderr=stderr, replications=replications)

@@ -10,7 +10,7 @@ from stochvi.baselines import (
     variance_scaling_probe,
 )
 from stochvi.core import RngStreamKey
-from stochvi.errors import InvalidHorizon
+from stochvi.errors import InvalidHorizon, InvalidParameters
 from stochvi.problems import gen_strongly_monotone
 from stochvi.merit import distance_sq_to_solutions
 
@@ -98,6 +98,11 @@ class TestVarianceScaling:
         for r in rows:
             assert r["var_zK_emp"] == 0.0 and r["var_zK_exact"] == 0.0
             assert r["var_zbar_emp"] == 0.0 and r["var_zbar_exact"] == 0.0
+
+    def test_one_replication_rejected(self):
+        # a sample variance of one draw is NaN, not a test of the law
+        with pytest.raises(InvalidParameters, match="2 replications"):
+            variance_scaling_probe([10], sigma=1.0, L=1.0, replications=1)
 
     def test_empirical_matches_exact_within_band(self):
         R = 4000

@@ -241,6 +241,25 @@ class TestRateAndComplexity:
         want_q = 2.0 / inp.rho * (1.0 + A * (1.0 + 4.0))
         assert rep.network_rate_Q == pytest.approx(want_q, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [-0.5, -0.75])
+    def test_network_family_needs_b_above_minus_half(self, b):
+        # the network tail coefficient integrates ln^-(2 + 2b), finite only
+        # for b > -1/2: its formula divides by zero at -0.5, is negative below
+        inp = inputs(L=1.0, alpha=0.1, sigma=0.7, J=2.0,
+                     schedule=SampleSchedule.uniform(0.5, 2.5, 0.3, b))
+        rep = rate_and_complexity_bounds(inp, 1e-3)
+        assert rep.network_tail_coeff_A is None and rep.network_tail_coeff_B is None
+        assert rep.network_rate_Q is None and rep.network_complexity_bound is None
+
+    def test_network_family_unchanged_above_minus_half(self):
+        inp = inputs(L=1.0, alpha=0.1, sigma=0.7, J=2.0, c_remainder=None,
+                     schedule=SampleSchedule.uniform(0.5, 2.5, 0.3, -0.25))
+        rep = rate_and_complexity_bounds(inp, 1e-3)
+        assert rep.network_tail_coeff_A == pytest.approx(9.64179231179309, rel=1e-12)
+        assert rep.network_tail_coeff_B == pytest.approx(17.519433022582753, rel=1e-12)
+        assert rep.network_rate_Q == pytest.approx(59.133366605323815, rel=1e-12)
+        assert rep.network_complexity_bound == pytest.approx(8033334167432.941, rel=1e-12)
+
     def test_uniform_constants_shape(self):
         rep = rate_and_complexity_bounds(inputs(J=2.0), 1e-4)
         inp = inputs()

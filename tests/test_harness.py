@@ -1,17 +1,19 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from stochvi.cli import main as cli_main
-from stochvi.errors import ConfigError
+from stochvi.cli import build_parser, main as cli_main
+from stochvi.errors import ConfigError, InvalidParameters
 from stochvi.harness import (
     config_hash,
     constants_cmd,
     experiment_from_config,
     effective_mean_operator,
     fit_loglog_slope,
+    PROBES,
     probe,
     problem_from_config,
     run_experiment,
@@ -104,6 +106,7 @@ class TestRunExperiment:
         assert ks[0] <= ks[1] <= ks[2]
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
+        """A ``threads`` key is accepted and ignored: it changes no byte."""
         doc = experiment_doc(replications=6)
         res1 = run_experiment(experiment_from_config(doc))
         doc2 = experiment_doc(replications=6, threads=3)
@@ -186,6 +189,17 @@ class TestProbes:
         with pytest.raises(ConfigError):
             probe("nope", {}, tmp_path)
 
+    def test_fejer_audit_needs_a_path(self, tmp_path):
+        params = dict(TestCli.PROBE_DOCS["fejer_audit"], replications=0)
+        with pytest.raises(InvalidParameters, match="1 replication"):
+            probe("fejer_audit", params, tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(PROBES))
+    def test_unknown_param_rejected(self, tmp_path, kind):
+        params = dict(TestCli.PROBE_DOCS[kind], bogus=1)
+        with pytest.raises(ConfigError, match=f"'bogus'.*{kind} params"):
+            probe(kind, params, tmp_path)
+
 
 class TestConstantsCmd:
     def test_minimal_noiseless_inputs(self, tmp_path):
@@ -230,7 +244,7 @@ class TestCli:
         assert cli_main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert (tmp_path / "s" / "trace.csv").exists()
         assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path / "e"),
-                         "--replications", "2", "--threads", "2"]) == 0
+                         "--replications", "2"]) == 0
         summary = json.loads((tmp_path / "e" / "experiment_summary.json").read_text())
         assert summary["replications"] == 2
         assert "slope" in summary
@@ -272,6 +286,35 @@ class TestCli:
             csvs.append((out / f"{kind}.csv").read_text())
         if kind != "fejer_audit":  # its rows hold no draw-dependent value
             assert csvs[0] != csvs[1]
+
+    def test_probe_replications_skips_kinds_without_it(self, tmp_path):
+        # pm_check reads no replication count: the negative control still
+        # reaches its verdict (exit 3) instead of a config error (exit 2)
+        cfg = self.write(tmp_path / "p.json", dict(self.PROBE_DOCS["pm_check"],
+                                                  kind="pm_check"))
+        assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr"),
+                         "--replications", "5"]) == 3
+
+    @pytest.mark.parametrize("argv", [["constants", "--seed", "1"],
+                                      ["solve", "--replications", "2"],
+                                      ["experiment", "--threads", "2"]])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, argv):
+        cfg = self.write(tmp_path / "c.json", {})
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv[:1] + ["--config", cfg] + argv[1:])
+        assert exc.value.code == 2
+
+    def test_option_sets_pinned(self):
+        """Each subcommand offers only the flags its handler reads."""
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        options = {name: {o for o in sub._option_string_actions if o.startswith("--")}
+                   for name, sub in subs.choices.items()}
+        common = {"--help", "--config", "--out"}
+        assert options == {"solve": common | {"--seed"},
+                           "experiment": common | {"--seed", "--replications"},
+                           "probe": common | {"--seed", "--replications"},
+                           "constants": common}
 
     def test_constants_cli(self, tmp_path, capsys):
         cfg = self.write(tmp_path / "c.json", {

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reference_impls import sample_count, tail_scan
 from stochvi.core import RngStreamKey
-from stochvi.errors import EmptyList, InvalidSchedule, NoMeanOperator
+from stochvi.errors import EmptyList, InvalidParameters, InvalidSchedule, NoMeanOperator
 from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
 from stochvi.sampling import (
     AgentSchedule,
@@ -204,6 +204,12 @@ class TestErrorDecayProbe:
         object.__setattr__(p, "mean_operator", None)
         with pytest.raises(NoMeanOperator):
             error_decay_probe(p, np.zeros(1), [1], replications=2)
+
+    def test_one_replication_rejected(self):
+        # one replication has no standard error, so the 4-SE band is empty
+        with pytest.raises(InvalidParameters, match="2 replications"):
+            error_decay_probe(gen_constant_noise(sigma=1.0), np.zeros(1), [1, 4],
+                              replications=1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,12 @@ import pytest
 from conftest import default_config
 from reference_impls import korpelevich_reference
 from stochvi.core import ProblemInstance, VarianceProfile, derive_stream
-from stochvi.errors import CoordinationMismatch, MissingDiagnostics, OracleFailure
+from stochvi.errors import (
+    CoordinationMismatch,
+    InvalidParameters,
+    MissingDiagnostics,
+    OracleFailure,
+)
 from stochvi.problems import (
     AdditiveGaussianOracle,
     gen_constant_noise,
@@ -283,6 +288,13 @@ class TestMartingaleProbe:
         res = martingale_probe(p, cfg, np.array([0.7]), replications=10_000)
         assert res.passed, str(res)
 
+    def test_one_replication_rejected(self):
+        # one increment has no standard error, so a 4-SE band tests nothing
+        p = gen_constant_noise(sigma=1.0)
+        with pytest.raises(InvalidParameters, match="2 replications"):
+            martingale_probe(p, default_config(max_iterations=1), np.array([0.7]),
+                             replications=1)
+
 
 def user_problem(oracle, blocks=()):
     """Identity operator sampled through a plain-function oracle (no
@@ -331,3 +343,27 @@ class TestStageMean:
             run(user_problem(faulty), default_config(max_iterations=50),
                 x0=np.ones(3))
         assert state["calls"] == 5
+
+    class NarrowBlock:
+        """Full draws are right; ``block`` returns one column for any block."""
+
+        exact_mean = False
+
+        def __call__(self, rng, x, size, mean=False):
+            draws = np.asarray(x, dtype=float) + 0.5 * rng.standard_normal((size, len(x)))
+            return draws.mean(axis=0) if mean else draws
+
+        def block(self, rng, x, size, sl, mean=False):
+            out = self(rng, x, size, mean)[..., sl]
+            return out[..., 0] if mean else out[:, :1]
+
+    @pytest.mark.parametrize("exact_mean", [False, True], ids=["per_draw", "exact"])
+    def test_wrong_block_width_raises(self, exact_mean):
+        # a 2-wide block answered with width 1 (per draw) or a scalar (exact
+        # mean) would broadcast into the block unnoticed
+        oracle = self.NarrowBlock()
+        oracle.exact_mean = exact_mean
+        with pytest.raises(OracleFailure, match="block"):
+            run(user_problem(oracle, blocks=(2, 1)),
+                default_config(coordination="distributed", max_iterations=3),
+                x0=np.ones(3))
