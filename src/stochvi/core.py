@@ -16,6 +16,9 @@ The stochastic oracle contract:
   exact law rather than by averaging draws.  The solver uses the flag
   whenever the oracle declares it, and otherwise draws the batch and
   averages it; either way a stage bills ``size`` calls.
+* The generator ``rng`` handed to an oracle is valid only for that call:
+  the solver re-keys the same generator for the next stage, so an oracle
+  must not keep it, or anything drawn lazily from it, past its return.
 """
 
 from __future__ import annotations
@@ -61,24 +64,27 @@ class RngStreamKey:
             raise ValueError("stage must be 1 or 2")
 
 
+def _philox_key(master_seed, replication, iteration, stage, block, sample=0):
+    """128-bit Philox key of the stream with these six key fields: packed as
+    little-endian int64, hashed with SHA-256, the first 16 bytes read as
+    ``uint64[2]``."""
+    payload = struct.pack("<qqqqqq", master_seed, replication, iteration, stage, block,
+                          sample)
+    return np.frombuffer(hashlib.sha256(payload).digest()[:16], dtype=np.uint64)
+
+
 def derive_stream(key: RngStreamKey) -> np.random.Generator:
     """Deterministic, order-independent stream for the given key.
 
     The six key fields are packed and hashed into a 128-bit Philox key, so
-    stream derivation is pure and collision probability is negligible.
+    stream derivation is pure and collision probability is negligible.  A
+    Philox stream is fixed by its key and counter alone, so the solver
+    reproduces these streams without constructing one per stage: it re-keys
+    a single generator and resets its counter, buffer and cached uint32.
     """
-    payload = struct.pack(
-        "<qqqqqq",
-        key.master_seed,
-        key.replication,
-        key.iteration,
-        key.stage,
-        key.block,
-        key.sample,
-    )
-    digest = hashlib.sha256(payload).digest()
-    words = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=words))
+    return np.random.Generator(np.random.Philox(key=_philox_key(
+        key.master_seed, key.replication, key.iteration, key.stage, key.block,
+        key.sample)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ Schema (defaults in parentheses):
 Replications run serially; ``"threads"`` is accepted and ignored so that
 documents carrying it keep loading with the same config hash.
 A probe document is a ``kind`` plus the params its ``PROBES`` entry lists;
-any other key, ``threads`` included, is rejected.
+any other key, ``threads`` included, is rejected, and so is a document
+missing a required param or holding an empty grid.
 
 Result CSV columns: k, mean_r2, stderr_r2, mean_dist2, mean_dgap, cum_calls.
 The JSON summary carries the config hash, K_eps, the fitted slope, and the
@@ -321,10 +322,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _grid(params, key):
+    """A probe's list of batch sizes or horizons; an empty one has no rows
+    to give a verdict on."""
+    grid = params[key]
+    if not grid:
+        raise ConfigError(f"{key} must not be empty")
+    return grid
+
+
 def _error_decay(params):
     problem = problem_from_config(params["problem"])
     rows = error_decay_probe(problem, np.asarray(params["x"], dtype=float),
-                             params["N_grid"], int(params["replications"]),
+                             _grid(params, "N_grid"), int(params["replications"]),
                              int(params.get("master_seed", 0)))
     products = [r["product"] for r in rows]
     spread = (max(products) - min(products)) / max(max(products), 1e-300)
@@ -346,7 +356,7 @@ def _variance_scaling(params):
     from .baselines import variance_scaling_probe
 
     reps = int(params["replications"])
-    rows = variance_scaling_probe(params["K_list"], float(params["sigma"]),
+    rows = variance_scaling_probe(_grid(params, "K_list"), float(params["sigma"]),
                                   float(params.get("L", 1.0)), reps,
                                   int(params.get("master_seed", 0)))
     # variance of a Gaussian sample variance: 2 sigma^4 / (R - 1)
@@ -393,26 +403,34 @@ def _pm_check(params):
 
 class ProbeSpec(NamedTuple):
     """One probe kind: ``runner(params)`` returns (CSV rows, verdict fields);
-    ``keys`` are the params it accepts; ``seed_field`` is the (section, key)
-    its seed lives at, section None meaning the top level."""
+    ``required`` are the params it needs and ``optional`` the others it
+    accepts; ``seed_field`` is the (section, key) its seed lives at, section
+    None meaning the top level."""
 
     runner: Callable
-    keys: set
+    required: set
+    optional: set
     seed_field: tuple
+
+    @property
+    def keys(self):
+        return self.required | self.optional
 
 
 PROBES = {
     "error_decay": ProbeSpec(
-        _error_decay, {"problem", "x", "N_grid", "replications", "master_seed"},
+        _error_decay, {"problem", "x", "N_grid", "replications"}, {"master_seed"},
         (None, "master_seed")),
     "martingale": ProbeSpec(
-        _martingale, {"problem", "solver", "x", "replications"}, ("solver", "master_seed")),
+        _martingale, {"problem", "solver", "x", "replications"}, set(),
+        ("solver", "master_seed")),
     "variance_scaling": ProbeSpec(
-        _variance_scaling, {"K_list", "sigma", "L", "replications", "master_seed"},
+        _variance_scaling, {"K_list", "sigma", "replications"}, {"L", "master_seed"},
         (None, "master_seed")),
     "fejer_audit": ProbeSpec(
-        _fejer_audit, {"problem", "solver", "replications", "x0"}, ("solver", "master_seed")),
-    "pm_check": ProbeSpec(_pm_check, {"problem", "samples", "seed"}, (None, "seed")),
+        _fejer_audit, {"problem", "solver", "replications"}, {"x0"},
+        ("solver", "master_seed")),
+    "pm_check": ProbeSpec(_pm_check, {"problem"}, {"samples", "seed"}, (None, "seed")),
 }
 
 
@@ -428,10 +446,13 @@ def probe(kind: str, params: dict, out_dir) -> dict:
     Kinds: ``error_decay`` (1/N law), ``martingale`` (zero-mean increments),
     ``variance_scaling`` (ergodic baseline variance laws), ``fejer_audit``
     (pathwise recursion), ``pm_check`` (pseudo-monotonicity sampling); the
-    params each accepts are in ``PROBES``.
+    params each accepts and needs are in ``PROBES``.
     """
     spec = probe_spec(kind)
     _check_keys(params, spec.keys, f"{kind} params")
+    missing = spec.required - set(params)
+    if missing:
+        raise ConfigError(f"missing keys {sorted(missing)} in {kind} params")
     rows, fields = spec.runner(params)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

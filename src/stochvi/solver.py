@@ -28,10 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# derive_stream is not called here, but it stays a module global of the solver:
+# perfbench/tracing.py rebinds it at this name.
 from .core import (
     ProblemInstance,
     RngStreamKey,
     SolverConfig,
+    _philox_key,
     derive_stream,
     validate,
 )
@@ -139,7 +142,10 @@ class _Engine:
     """Shared per-run machinery: block layout, streams, recording.
 
     Sample counts are tabulated for iterations 0..``horizon``; the engine
-    advances no iteration past it.
+    advances no iteration past it.  The engine owns one Philox generator and
+    re-keys it for every (iteration, stage, block) stream, which gives the
+    draws of ``derive_stream(self.key(...))`` without constructing a
+    generator per stage.
     """
 
     def __init__(self, problem: ProblemInstance, config: SolverConfig, replication: int,
@@ -163,9 +169,21 @@ class _Engine:
                 "(see ProblemInstance.with_blocks)")
         if self.m > 1 and tuple(fset.sizes) != tuple(problem.blocks):
             raise CoordinationMismatch("feasible-set blocks disagree with problem blocks")
+        self._bits = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bits)
+        # a fresh state: counter zero, empty buffer, no cached uint32
+        self._fresh = self._bits.state
 
     def key(self, k, stage, block):
         return RngStreamKey(self.config.master_seed, self.replication, k, stage, block)
+
+    def stream(self, k, stage, block):
+        """The engine's generator, re-keyed to the stream of ``self.key(k,
+        stage, block)``; it is valid until the next call."""
+        self._fresh["state"]["key"] = _philox_key(
+            self.config.master_seed, self.replication, k, stage, block)
+        self._bits.state = self._fresh
+        return self._rng
 
     def stage_mean(self, k, stage, point):
         """Oracle average at ``point`` and the oracle calls it bills.
@@ -176,14 +194,14 @@ class _Engine:
         """
         if self.centralized:
             calls = int(self.sizes[k, 0])
-            rng = derive_stream(self.key(k, stage, 0))
+            rng = self.stream(k, stage, 0)
             mean = self.problem.oracle_mean(rng, point, calls)
         else:
             mean = np.empty(self.problem.dimension)
             calls = 0
             for i, sl in enumerate(self.slices):
                 n_draws = int(self.sizes[k, i])
-                rng = derive_stream(self.key(k, stage, i))
+                rng = self.stream(k, stage, i)
                 mean[sl] = self.problem.oracle_mean(rng, point, n_draws, sl)
                 calls += n_draws
         if not np.isfinite(mean).all():

@@ -200,6 +200,27 @@ class TestProbes:
         with pytest.raises(ConfigError, match=f"'bogus'.*{kind} params"):
             probe(kind, params, tmp_path)
 
+    REQUIRED = [("error_decay", "problem"), ("error_decay", "x"), ("error_decay", "N_grid"),
+                ("error_decay", "replications"), ("martingale", "problem"),
+                ("martingale", "solver"), ("martingale", "x"), ("martingale", "replications"),
+                ("variance_scaling", "K_list"), ("variance_scaling", "sigma"),
+                ("variance_scaling", "replications"), ("fejer_audit", "problem"),
+                ("fejer_audit", "solver"), ("fejer_audit", "replications"),
+                ("pm_check", "problem")]
+
+    @pytest.mark.parametrize("kind,key", REQUIRED)
+    def test_missing_required_param_rejected(self, tmp_path, kind, key):
+        params = {k: v for k, v in TestCli.PROBE_DOCS[kind].items() if k != key}
+        with pytest.raises(ConfigError, match=f"missing keys \\['{key}'\\] in {kind} params"):
+            probe(kind, params, tmp_path)
+
+    @pytest.mark.parametrize("kind,key", [("error_decay", "N_grid"),
+                                          ("variance_scaling", "K_list")])
+    def test_empty_grid_rejected(self, tmp_path, kind, key):
+        # variance_scaling with no horizons used to pass vacuously
+        with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+            probe(kind, dict(TestCli.PROBE_DOCS[kind], **{key: []}), tmp_path)
+
 
 class TestConstantsCmd:
     def test_minimal_noiseless_inputs(self, tmp_path):
@@ -286,6 +307,14 @@ class TestCli:
             csvs.append((out / f"{kind}.csv").read_text())
         if kind != "fejer_audit":  # its rows hold no draw-dependent value
             assert csvs[0] != csvs[1]
+
+    def test_incomplete_probe_documents_exit_2(self, tmp_path, capsys):
+        no_x = {k: v for k, v in self.PROBE_DOCS["martingale"].items() if k != "x"}
+        no_grid = dict(self.PROBE_DOCS["error_decay"], N_grid=[])
+        for kind, doc in [("martingale", no_x), ("error_decay", no_grid)]:
+            cfg = self.write(tmp_path / "p.json", dict(doc, kind=kind))
+            assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_probe_replications_skips_kinds_without_it(self, tmp_path):
         # pm_check reads no replication count: the negative control still

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import default_config
 from reference_impls import korpelevich_reference
@@ -305,31 +307,77 @@ def user_problem(oracle, blocks=()):
                            known_solutions=(np.zeros(3),)).with_blocks(blocks or (3,))
 
 
+def odd_state_identity(rng, x, size):
+    """Per-draw oracle that leaves its generator with a half-used buffer and
+    a cached uint32 behind."""
+    draws = TestStageMean.noisy_identity(rng, x, size)
+    rng.bit_generator.random_raw(3)
+    rng.integers(0, 9, dtype=np.uint32)
+    return draws
+
+
+def exact_mean_problem(blocks):
+    """Built-in additive Gaussian oracle: stage means from the exact law."""
+    return gen_strongly_monotone(3, seed=0, noise_scale=0.5).with_blocks(blocks)
+
+
 class TestStageMean:
     @staticmethod
     def noisy_identity(rng, x, size):
         return np.asarray(x, dtype=float) + 0.5 * rng.standard_normal((size, len(x)))
 
-    @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
-    def test_user_oracle_averages_its_draws_bitwise(self, coordination):
-        p = user_problem(self.noisy_identity, blocks=(2, 1))
+    @pytest.mark.parametrize("make,coordination", [
+        pytest.param(lambda: user_problem(TestStageMean.noisy_identity, (2, 1)),
+                     "centralized", id="centralized"),
+        pytest.param(lambda: user_problem(TestStageMean.noisy_identity, (2, 1)),
+                     "distributed", id="distributed"),
+        pytest.param(lambda: exact_mean_problem((3,)), "centralized", id="exact-centralized-m1"),
+        pytest.param(lambda: exact_mean_problem((1, 1, 1)), "distributed",
+                     id="exact-distributed-m3"),
+        pytest.param(lambda: user_problem(odd_state_identity, (2, 1)), "centralized",
+                     id="odd_state-centralized"),
+        pytest.param(lambda: user_problem(odd_state_identity, (1, 1, 1)), "distributed",
+                     id="odd_state-distributed-m3"),
+    ])
+    def test_user_oracle_averages_its_draws_bitwise(self, make, coordination):
+        """Each stage mean equals the one drawn from ``derive_stream`` of its
+        key, whatever stage the engine's generator served before."""
+        p = make()
         eng = _Engine(p, default_config(coordination=coordination), replication=3,
                       horizon=17)
         x = np.array([0.3, -1.2, 2.0])
-        for k, stage in [(0, 1), (4, 2), (17, 1)]:
+        for k, stage in [(17, 2), (0, 1), (4, 2), (17, 1)]:
             mean, calls = eng.stage_mean(k, stage, x)
-            if coordination == "centralized":
-                n = int(eng.sizes[k, 0])
-                ref = p.oracle_batch(derive_stream(eng.key(k, stage, 0)), x, n)
-                expected = ref.mean(axis=0)
-            else:
-                n = int(eng.sizes[k].sum())
-                expected = np.concatenate([
-                    p.oracle_batch_block(derive_stream(eng.key(k, stage, i)), x,
-                                         int(eng.sizes[k, i]), sl).mean(axis=0)
-                    for i, sl in enumerate(eng.slices)])
-            assert calls == n
-            assert np.array_equal(mean, expected)
+            blocks = [(0, slice(None))] if eng.centralized else list(enumerate(eng.slices))
+            expected = []
+            for i, sl in blocks:
+                rng = derive_stream(eng.key(k, stage, i))
+                n = int(eng.sizes[k, i])
+                if getattr(p.oracle, "exact_mean", False):
+                    expected.append(p.oracle.block(rng, x, n, sl, mean=True))
+                else:
+                    expected.append(p.oracle_batch_block(rng, x, n, sl).mean(axis=0))
+            assert calls == sum(int(eng.sizes[k, i]) for i, _ in blocks)
+            assert np.array_equal(mean, np.concatenate(expected))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), replication=st.integers(0, 2**63 - 1),
+           k=st.integers(0, 10**6), stage=st.sampled_from([1, 2]),
+           block=st.integers(0, 7), words=st.integers(0, 7))
+    def test_rekeyed_stream_equals_derive_stream(self, seed, replication, k, stage, block,
+                                                 words):
+        eng = _Engine(user_problem(self.noisy_identity), default_config(master_seed=seed),
+                      replication=replication, horizon=0)
+        # the previous stream leaves a half-used buffer and a cached uint32
+        previous = eng.stream(k + 1, 3 - stage, block)
+        previous.bit_generator.random_raw(words)
+        previous.integers(0, 9, dtype=np.uint32)
+        ours = eng.stream(k, stage, block)
+        ref = derive_stream(eng.key(k, stage, block))
+        assert np.array_equal(ours.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
+        assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
+        assert np.array_equal(ours.integers(0, 2**32, 7, dtype=np.uint32),
+                              ref.integers(0, 2**32, 7, dtype=np.uint32))
 
     def test_nonfinite_oracle_output_raises(self):
         state = {"calls": 0}
