@@ -14,7 +14,6 @@ from .core import (
 )
 from .errors import StochviError
 from .merit import (
-    MeritConfig,
     d_gap,
     distance_sq_to_solutions,
     natural_residual_sq,

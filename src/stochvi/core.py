@@ -19,6 +19,13 @@ The stochastic oracle contract:
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
+
+The mean-operator contract: ``mean_operator(X)`` maps points of shape
+``(..., n)`` row by row to the same shape, as projections do, so merits
+and audits take a whole trace in one call.  :func:`check_mean_operator`
+enforces it; a single-point ``lambda x: A @ x`` fails with
+``DimensionMismatch``.  The stacked ``(A @ X[..., None])[..., 0]`` gives
+each row the single-point product bit for bit; ``X @ A.T`` does not.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ import numpy as np
 from .errors import (
     BlockMismatch,
     CoordinationMismatch,
+    DimensionMismatch,
     InvalidStepsize,
     OracleFailure,
 )
-from .projection import FeasibleSet, block_slices, set_distance
+from .projection import FeasibleSet, block_slices, project, set_distance
 from .sampling import SampleSchedule, schedule_tail_check
 
 STEPSIZE_CAP = 1.0 / math.sqrt(6.0)  # times 1/L
@@ -101,6 +109,22 @@ class VarianceProfile:
             raise ValueError("sigma must be nonnegative")
 
 
+def check_mean_operator(T, fset: FeasibleSet, n: int):
+    """Raise ``DimensionMismatch`` unless ``T`` maps a ``(2, n)`` batch of
+    feasible points to its two single-point values (rtol 1e-12)."""
+    X = project(fset, np.stack([np.linspace(-0.5, 1.5, n), np.linspace(2.0, -0.5, n)]))
+    rows = np.stack([np.asarray(T(x), dtype=float) for x in X])
+    must = f"mean operator must map points of shape (..., n) row by row; on shape {X.shape}"
+    try:
+        out = np.asarray(T(X), dtype=float)
+    except (ValueError, TypeError, IndexError) as exc:  # as shape misuse raises
+        raise DimensionMismatch(f"{must} it raised {type(exc).__name__}: {exc}") from exc
+    if out.shape != X.shape:
+        raise DimensionMismatch(f"{must} it returned shape {out.shape}")
+    if not np.allclose(out, rows, rtol=1e-12, atol=1e-12 * np.max(np.abs(rows), initial=1.0)):
+        raise DimensionMismatch(f"{must} its rows differ from its single-point values")
+
+
 def _freeze(arr):
     a = np.asarray(arr, dtype=float).copy()
     a.setflags(write=False)
@@ -151,12 +175,13 @@ class ProblemInstance:
         if self.mean_operator is not None:
             from .merit import natural_residual_sq
 
-            alpha = 0.1 / self.lipschitz_L
-            for s in sols:
-                r2 = natural_residual_sq(self.mean_operator, self.feasible_set, s, alpha)
-                if r2 > 1e-20:
+            check_mean_operator(self.mean_operator, self.feasible_set, self.dimension)
+            if sols:
+                r2 = natural_residual_sq(self.mean_operator, self.feasible_set,
+                                         np.stack(sols), 0.1 / self.lipschitz_L)
+                if r2.max() > 1e-20:
                     raise ValueError(
-                        f"known solution fails the fixed-point test: r^2 = {r2:.3e}")
+                        f"known solution fails the fixed-point test: r^2 = {r2.max():.3e}")
 
     @property
     def n_blocks(self):

@@ -2,36 +2,20 @@
 
 All of them take the closed-form mean operator; on oracle-only problems the
 harness substitutes a high-accuracy batch mean and labels the output
-"estimated" (see :func:`stochvi.harness.effective_mean_operator`).
+"estimated" (see :func:`stochvi.harness.effective_mean_operator`).  Each
+maps points of shape ``(..., n)`` to one value per row, bit for bit the
+single-point value (the mean-operator contract is in :mod:`stochvi.core`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameters, NoKnownSolutions
-from .projection import FeasibleSet, project, set_distance
+from .projection import FeasibleSet, inner, project
 
 
-@dataclass(frozen=True)
-class MeritConfig:
-    """Parameters of the tracked merits: residual stepsize ``alpha`` and the
-    gap pair ``a < b``."""
-
-    alpha: float = 0.1
-    a: float = 1.0
-    b: float = 2.0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise InvalidParameters("residual parameter alpha must be positive")
-        if not (self.b > self.a > 0):
-            raise InvalidParameters("gap parameters require b > a > 0")
-
-
-def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float) -> float:
+def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float):
     """Squared natural residual ||x - P[x - alpha T(x)]||^2.
 
     Zero exactly at solutions: x solves the problem iff x is a fixed point
@@ -40,12 +24,11 @@ def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float) -> float:
     if not alpha > 0:
         raise InvalidParameters("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    step = project(fset, x - alpha * np.asarray(T(x), dtype=float))
-    diff = x - step
-    return float(diff @ diff)
+    diff = x - project(fset, x - alpha * np.asarray(T(x), dtype=float))
+    return inner(diff, diff)
 
 
-def regularized_gap(T, fset: FeasibleSet, x, a: float) -> float:
+def regularized_gap(T, fset: FeasibleSet, x, a: float):
     """g_a(x) = max_{y in X} { <T(x), x - y> - (a/2) ||x - y||^2 }.
 
     The maximizer of the concave quadratic is y = P[x - T(x)/a], so one
@@ -55,12 +38,11 @@ def regularized_gap(T, fset: FeasibleSet, x, a: float) -> float:
         raise InvalidParameters("gap parameter a must be positive")
     x = np.asarray(x, dtype=float)
     t = np.asarray(T(x), dtype=float)
-    y = project(fset, x - t / a)
-    d = x - y
-    return float(t @ d - 0.5 * a * (d @ d))
+    d = x - project(fset, x - t / a)
+    return inner(t, d) - 0.5 * a * inner(d, d)
 
 
-def d_gap(T, fset: FeasibleSet, x, a: float, b: float) -> float:
+def d_gap(T, fset: FeasibleSet, x, a: float, b: float):
     """g_a(x) - g_b(x) for b > a > 0: nonnegative, zero exactly on solutions,
     finite on the whole space whether or not X is bounded."""
     if not b > a > 0:
@@ -68,7 +50,7 @@ def d_gap(T, fset: FeasibleSet, x, a: float, b: float) -> float:
     return regularized_gap(T, fset, x, a) - regularized_gap(T, fset, x, b)
 
 
-def distance_sq_to_solutions(problem, x) -> float:
+def distance_sq_to_solutions(problem, x):
     """min over known solutions of ||x - x*||^2.
 
     For problems whose solution set is the entire feasible set, this is the
@@ -76,7 +58,8 @@ def distance_sq_to_solutions(problem, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     if problem.solution_set_is_feasible_set:
-        return float(set_distance(problem.feasible_set, x) ** 2)
+        d = x - project(problem.feasible_set, x)
+        return inner(d, d)
     if not problem.known_solutions:
         raise NoKnownSolutions("problem carries no known solutions")
-    return min(float((x - s) @ (x - s)) for s in problem.known_solutions)
+    return np.min([inner(x - s, x - s) for s in problem.known_solutions], axis=0)

@@ -3,7 +3,8 @@
 Each generator returns a frozen :class:`~stochvi.core.ProblemInstance`
 subclass carrying whatever extra structure the problem exposes (noise
 covariance, strong-monotonicity modulus, ...).  Construction randomness is
-seeded independently of the run-time sample streams.
+seeded independently of the run-time sample streams.  The mean operators
+keep the batched contract of :mod:`stochvi.core`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, VarianceProfile
+from .core import ProblemInstance, VarianceProfile, check_mean_operator
 from .projection import (
     FeasibleSet,
     NonnegativeOrthant,
     WholeSpace,
+    inner,
 )
 
 _EIG_DIAG_CAP = 512  # dense eigendecompositions stay at desk scale
@@ -164,7 +166,7 @@ def gen_linear_svi(n, seed=0, noise_scale=0.1, feasible="orthant") -> LinearSVIP
     return LinearSVIProblem(
         dimension=n,
         oracle=LinearMatrixNoiseOracle(abar, noise_scale),
-        mean_operator=lambda x, A=abar: A @ x,
+        mean_operator=lambda x, A=abar: (A @ np.asarray(x, dtype=float)[..., None])[..., 0],
         lipschitz_L=max(L, 1e-12),
         feasible_set=fset,
         known_solutions=(np.zeros(n),),
@@ -209,7 +211,7 @@ def gen_strongly_monotone(n, seed=0, noise_scale=1.0, strong_modulus=1.0,
     if center is None:
         center = rng.standard_normal(n)
     center = np.asarray(center, dtype=float)
-    mean_op = lambda x, A=abar, c=center: A @ (np.asarray(x, dtype=float) - c)
+    mean_op = lambda x, A=abar, c=center: (A @ (np.asarray(x, dtype=float) - c)[..., None])[..., 0]
     fset = feasible if feasible is not None else WholeSpace(n)
     sigma_star = float(np.sqrt(n) * noise_scale)
     return StronglyMonotoneQuadratic(
@@ -236,7 +238,7 @@ def gen_scaled_monotone(n, seed=0, noise_scale=1.0) -> ScaledMonotoneProblem:
 
     def mean_op(x, A=abar):
         x = np.asarray(x, dtype=float)
-        return (A @ x) / (1.0 + x @ x)
+        return (A @ x[..., None])[..., 0] / (1.0 + inner(x, x))[..., None]
 
     # |grad T| <= h ||A|| + ||A x|| * 2||x||/(1+||x||^2)^2 <= 1.5 ||A||
     L = 1.5 * _spectral_norm(abar)
@@ -320,18 +322,15 @@ def check_pseudo_monotone(T, fset: FeasibleSet, samples=1000, seed=0,
     rng = np.random.default_rng(seed)
     xs = fset.sample(rng, samples, n=n, scale=scale)
     zs = fset.sample(rng, samples, n=n, scale=scale)
-    applicable = 0
-    violations = []
-    for x, z in zip(xs, zs):
-        d = z - x
-        if np.asarray(T(x), dtype=float) @ d >= 0.0:
-            applicable += 1
-            lhs = float(np.asarray(T(z), dtype=float) @ d)
-            if lhs < -1e-10:
-                violations.append((x.copy(), z.copy(), lhs))
+    check_mean_operator(T, fset, xs.shape[-1])
+    d = zs - xs
+    applicable = inner(np.asarray(T(xs), dtype=float), d) >= 0.0
+    lhs = inner(np.asarray(T(zs), dtype=float), d)
+    violations = tuple((xs[i].copy(), zs[i].copy(), float(lhs[i]))
+                       for i in np.flatnonzero(applicable & (lhs < -1e-10)))
     return PseudoMonotonicityReport(
-        n_pairs=samples, n_applicable=applicable,
-        violations=tuple(violations), passed=not violations)
+        n_pairs=samples, n_applicable=int(applicable.sum()),
+        violations=violations, passed=not violations)
 
 
 def lipschitz_estimate(T, fset: FeasibleSet, samples=1000, seed=0,
@@ -341,11 +340,8 @@ def lipschitz_estimate(T, fset: FeasibleSet, samples=1000, seed=0,
     rng = np.random.default_rng(seed)
     xs = fset.sample(rng, samples, n=n, scale=scale)
     zs = fset.sample(rng, samples, n=n, scale=scale)
-    best = 0.0
-    for x, z in zip(xs, zs):
-        gap = np.linalg.norm(x - z)
-        if gap < 1e-12:
-            continue
-        best = max(best, float(np.linalg.norm(
-            np.asarray(T(x), dtype=float) - np.asarray(T(z), dtype=float)) / gap))
-    return best
+    check_mean_operator(T, fset, xs.shape[-1])
+    dt = np.asarray(T(xs), dtype=float) - np.asarray(T(zs), dtype=float)
+    gap = np.sqrt(inner(xs - zs, xs - zs))
+    far = gap >= 1e-12
+    return float(np.max(np.sqrt(inner(dt, dt))[far] / gap[far], initial=0.0))

@@ -24,6 +24,13 @@ def block_slices(sizes):
     return out
 
 
+def inner(a, b):
+    """Inner products over the last axis, one per row: each is the 1-D
+    ``a @ b`` bit for bit, which a ``(K, n) @ (n,)`` product is not."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _as_batch(x, n):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
@@ -202,7 +209,7 @@ class Halfspace(FeasibleSet):
 
     def project(self, x):
         x = _as_batch(x, self.dim)
-        viol = (x @ self.a - self.b) / (self.a @ self.a)
+        viol = (inner(x, self.a) - self.b) / (self.a @ self.a)
         return x - np.maximum(viol, 0.0)[..., None] * self.a
 
     def sample(self, rng, size, n=None, scale=1.0):
@@ -248,16 +255,13 @@ class AffineSubspace(FeasibleSet):
     def dim(self):
         return self.A.shape[1]
 
-    def _gram_solve(self, rhs):
-        # rhs has shape (..., rows); two triangular solves against the factor
-        y = np.linalg.solve(self._chol, rhs[..., None] if rhs.ndim == 1 else rhs.swapaxes(-1, -2))
-        z = np.linalg.solve(self._chol.T, y)
-        return z[..., 0] if rhs.ndim == 1 else z.swapaxes(-1, -2)
-
     def project(self, x):
+        # Every product is stacked per row, so a batch projects each row
+        # exactly as a single point: two solves against the Cholesky factor.
         x = _as_batch(x, self.dim)
-        resid = x @ self.A.T - self.b
-        return x - self._gram_solve(resid) @ self.A
+        resid = (x[..., None, :] @ self.A.T)[..., 0, :] - self.b
+        y = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, resid[..., None]))
+        return x - (y.swapaxes(-1, -2) @ self.A)[..., 0, :]
 
     def sample(self, rng, size, n=None, scale=1.0):
         return self.project(scale * rng.standard_normal((size, self.dim)))

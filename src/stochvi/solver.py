@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import CoordinationMismatch, InvalidParameters, MissingDiagnostics, OracleFailure
 from .merit import distance_sq_to_solutions, natural_residual_sq
-from .projection import CartesianProduct, project
+from .projection import CartesianProduct, inner, project
 
 
 @dataclass
@@ -209,26 +209,32 @@ class _Engine:
                 f"oracle average is not finite at iteration {k}, stage {stage}")
         return mean, calls
 
-    def advance(self, state: ExtragradientState, record=None):
+    def advance(self, state: ExtragradientState):
+        """One iteration from ``state``, updated in place; returns the
+        prediction point z^k and the two stage averages (g1, g2)."""
         k = state.k
         alpha = self.config.stepsize_at(k)
         g1, calls1 = self.stage_mean(k, 1, state.x)
         z = project(self.problem.feasible_set, state.x - alpha * g1)
         g2, calls2 = self.stage_mean(k, 2, z)
-        x_next = project(self.problem.feasible_set, state.x - alpha * g2)
-        if record is not None:
-            record(k, state.x, z, g1, g2, alpha)
-        state.x = x_next
+        state.x = project(self.problem.feasible_set, state.x - alpha * g2)
         state.calls += calls1 + calls2
         state.k = k + 1
-        return state
+        return z, g1, g2
 
 
 def step(state: ExtragradientState, problem: ProblemInstance,
          config: SolverConfig) -> ExtragradientState:
     """One extragradient iteration from ``state`` under the config's
     coordination; it advances exactly as ``run`` does at iteration state.k."""
-    return _Engine(problem, config, state.replication, state.k).advance(state)
+    _Engine(problem, config, state.replication, state.k).advance(state)
+    return state
+
+
+def _pow2(v):
+    """Squares as scalar ``** 2`` (libm ``pow``) gives them; an array's
+    ``** 2`` multiplies, which differs in the last bit about once in 1000."""
+    return np.float_power(v, 2)
 
 
 def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
@@ -252,85 +258,60 @@ def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
     x = project(problem.feasible_set, x)  # iterates live in X from the start
 
     T = problem.mean_operator
-    has_T = T is not None
-    diag = config.diagnostics and has_T
-    track = problem.known_solutions if diag else ()
-    has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
-
-    iterates = np.empty((K + 1, n))
-    r2 = np.empty(K + 1) if has_T else None
-    dist2 = np.empty(K + 1) if has_dist else None
-    cum_calls = np.zeros(K + 1, dtype=np.int64)
-    alphas = np.empty(K)
-    zs = np.empty((K, n)) if diag else None
-    eps1_norm = np.empty(K) if diag else None
-    eps2_norm = np.empty(K) if diag else None
-    eps2_vec = np.empty((K, n)) if diag else None
-    A = np.zeros(K + 1) if diag else None
-    M = np.zeros((K + 1, len(track))) if diag else None
-
-    L = problem.lipschitz_L
     state = ExtragradientState(k=0, x=x, calls=0, replication=replication)
-    steps_done = 0
+    iterates, r2, cum_calls, steps = [x], [], [0], []
     stopped = False
-
-    def record(k, xk, zk, g1, g2, alpha):
-        if not diag:
-            return
-        e1 = g1 - np.asarray(T(xk), dtype=float)
-        e2 = g2 - np.asarray(T(zk), dtype=float)
-        zs[k] = zk
-        eps1_norm[k] = np.linalg.norm(e1)
-        eps2_norm[k] = np.linalg.norm(e2)
-        eps2_vec[k] = e2
-        rho_k = 1.0 - 6.0 * (L * alpha) ** 2
-        A[k + 1] = A[k] + (8.0 + rho_k) * alpha ** 2 * eps1_norm[k] ** 2 \
-            + 8.0 * alpha ** 2 * eps2_norm[k] ** 2
-        for s, xstar in enumerate(track):
-            M[k + 1, s] = M[k, s] + 2.0 * alpha * float((xstar - zk) @ e2)
-
-    for k in range(K):
-        iterates[k] = state.x
-        if has_T:
-            r2[k] = natural_residual_sq(T, problem.feasible_set, state.x,
-                                        config.stepsize_at(k))
-        if has_dist:
-            dist2[k] = distance_sq_to_solutions(problem, state.x)
-        if has_T and r2[k] <= config.residual_floor:
-            stopped = True
+    for k in range(K + 1):
+        if T is not None:  # the residual floor reads r^2 before each step
+            r2.append(natural_residual_sq(T, problem.feasible_set, state.x,
+                                          config.stepsize_at(k)))
+            stopped = bool(k < K and r2[-1] <= config.residual_floor)
+        if k == K or stopped:
             break
-        alphas[k] = config.stepsize_at(k)
-        eng.advance(state, record)
-        cum_calls[k + 1] = state.calls
-        steps_done = k + 1
+        steps.append(eng.advance(state))
+        iterates.append(state.x)
+        cum_calls.append(state.calls)
 
-    iterates[steps_done] = state.x
-    if has_T:
-        r2[steps_done] = natural_residual_sq(
-            T, problem.feasible_set, state.x, config.stepsize_at(steps_done))
-    if has_dist:
-        dist2[steps_done] = distance_sq_to_solutions(problem, state.x)
-
-    sl = slice(0, steps_done + 1)
-    sl_step = slice(0, steps_done)
-    return RunTrace(
-        iterates=iterates[sl].copy(),
-        r2=r2[sl].copy() if has_T else None,
-        dist2=dist2[sl].copy() if has_dist else None,
-        cum_calls=cum_calls[sl].copy(),
-        sizes=eng.sizes[sl_step].copy(),
-        alphas=alphas[sl_step].copy(),
+    iterates = np.array(iterates)
+    n_steps = len(steps)
+    has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
+    trace = RunTrace(
+        iterates=iterates,
+        r2=np.array(r2) if T is not None else None,
+        dist2=distance_sq_to_solutions(problem, iterates) if has_dist else None,
+        cum_calls=np.array(cum_calls, dtype=np.int64),
+        sizes=eng.sizes[:n_steps].copy(),
+        alphas=np.array([config.stepsize_at(k) for k in range(n_steps)]),
         replication=replication,
-        z=zs[sl_step].copy() if diag else None,
-        eps1_norm=eps1_norm[sl_step].copy() if diag else None,
-        eps2_norm=eps2_norm[sl_step].copy() if diag else None,
-        eps2=eps2_vec[sl_step].copy() if diag else None,
-        A=A[sl].copy() if diag else None,
-        M=M[sl].copy() if diag else None,
-        tracked_solutions=tuple(track),
-        lipschitz_L=L,
+        lipschitz_L=problem.lipschitz_L,
         stopped_early=stopped,
     )
+    if config.diagnostics and T is not None:
+        _record_diagnostics(trace, T, np.array(steps).reshape(n_steps, 3, n),
+                            problem.known_solutions)
+    return trace
+
+
+def _record_diagnostics(trace: RunTrace, T, steps, track):
+    """Realized errors and the A and M sums (module docstring) from each
+    step's (z, g1, g2).  ``np.cumsum`` adds in order, and A_(k+1) adds its
+    two terms one after the other, so A is a running sum of both, interleaved."""
+    z, g1, g2 = steps.swapaxes(0, 1)
+    e1 = g1 - np.asarray(T(trace.iterates[:-1]), dtype=float)
+    e2 = g2 - np.asarray(T(z), dtype=float)
+    alpha = trace.alphas
+    rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
+    trace.z, trace.eps2 = z, e2
+    trace.eps1_norm, trace.eps2_norm = np.sqrt(inner(e1, e1)), np.sqrt(inner(e2, e2))
+    dA = np.zeros(2 * len(alpha) + 1)
+    dA[1::2] = (8.0 + rho) * _pow2(alpha) * _pow2(trace.eps1_norm)
+    dA[2::2] = 8.0 * _pow2(alpha) * _pow2(trace.eps2_norm)
+    trace.A = np.cumsum(dA)[::2]
+    dM = np.zeros((len(alpha) + 1, len(track)))
+    for s, xstar in enumerate(track):
+        dM[1:, s] = 2.0 * alpha * inner(xstar - z, e2)
+    trace.M = np.cumsum(dM, axis=0)
+    trace.tracked_solutions = track
 
 
 @dataclass(frozen=True)
@@ -374,35 +355,24 @@ def fejer_audit(trace: RunTrace, x_star, problem: ProblemInstance,
     if trace.z is None or trace.eps2 is None or trace.A is None:
         raise MissingDiagnostics("fejer_audit needs a trace recorded with diagnostics")
     x_star = np.asarray(x_star, dtype=float)
-    K = trace.n_steps
-    col = None
-    for s, sol in enumerate(trace.tracked_solutions):
-        if np.array_equal(sol, x_star):
-            col = s
-            break
-    max_viol = 0.0
-    max_rel = 0.0
-    n_bad = 0
+    alpha = trace.alphas
+    col = next((s for s, sol in enumerate(trace.tracked_solutions)
+                if np.array_equal(sol, x_star)), None)
+    if col is not None:
+        dM = np.diff(trace.M[:, col])
+    else:
+        dM = 2.0 * alpha * inner(x_star - trace.z, trace.eps2)
     d2 = np.sum((trace.iterates - x_star) ** 2, axis=1)
-    for k in range(K):
-        alpha = trace.alphas[k]
-        rho_k = 1.0 - 6.0 * (trace.lipschitz_L * alpha) ** 2
-        if col is not None:
-            dM = trace.M[k + 1, col] - trace.M[k, col]
-        else:
-            dM = 2.0 * alpha * float((x_star - trace.z[k]) @ trace.eps2[k])
-        dA = trace.A[k + 1] - trace.A[k]
-        rhs = d2[k] - 0.5 * rho_k * trace.r2[k] + dM + dA
-        viol = d2[k + 1] - rhs
-        rel = viol / max(1.0, abs(rhs))
-        if rel > max_rel:
-            max_rel = rel
-            max_viol = viol
-        if rel > rel_tol:
-            n_bad += 1
+    rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
+    rhs = d2[:-1] - 0.5 * rho * trace.r2[:-1] + dM + np.diff(trace.A)
+    viol = d2[1:] - rhs
+    rel = viol / np.maximum(1.0, np.abs(rhs))
+    worst = int(np.argmax(rel)) if rel.size else 0
+    positive = rel.size > 0 and rel[worst] > 0.0
     return FejerAuditReport(
-        max_violation=max_viol, max_rel_violation=max_rel,
-        n_violations=n_bad, n_steps=K, tolerance=rel_tol)
+        max_violation=float(viol[worst]) if positive else 0.0,
+        max_rel_violation=float(rel[worst]) if positive else 0.0,
+        n_violations=int(np.sum(rel > rel_tol)), n_steps=trace.n_steps, tolerance=rel_tol)
 
 
 @dataclass(frozen=True)
@@ -447,17 +417,14 @@ def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
-    T = problem.mean_operator
-    alpha = config.stepsize_at(0)
-    deltas = np.empty(replications)
     eng = _Engine(problem, config, 0, 0)
+    steps = []
     for r in range(replications):
         eng.replication = r
-        g1, _ = eng.stage_mean(0, 1, x)
-        z = project(problem.feasible_set, x - alpha * g1)
-        g2, _ = eng.stage_mean(0, 2, z)
-        e2 = g2 - np.asarray(T(z), dtype=float)
-        deltas[r] = 2.0 * alpha * float((x_star - z) @ e2)
+        steps.append(eng.advance(ExtragradientState(k=0, x=x, replication=r)))
+    z, _, g2 = np.array(steps).swapaxes(0, 1)
+    e2 = g2 - np.asarray(problem.mean_operator(z), dtype=float)
+    deltas = 2.0 * config.stepsize_at(0) * inner(x_star - z, e2)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))
     return MartingaleProbeResult(mean=mean, stderr=stderr, replications=replications)

@@ -89,3 +89,49 @@ def tail_scan(agents, horizon=10 ** 6, window=10, tol=1e-6):
         inv += columns[agent]
     total = float(inv.sum())
     return float(inv[horizon - window:].sum()) <= tol * max(1.0, total)
+
+
+def fejer_audit_reference(trace, x_star, rel_tol=1e-9):
+    """The quasi-Fejer audit one step at a time, as a Python loop over the
+    recorded trace; returns (max_violation, max_rel_violation, violations)."""
+    x_star = np.asarray(x_star, dtype=float)
+    col = None
+    for s, sol in enumerate(trace.tracked_solutions):
+        if np.array_equal(sol, x_star):
+            col = s
+            break
+    max_viol = max_rel = 0.0
+    n_bad = 0
+    d2 = np.sum((trace.iterates - x_star) ** 2, axis=1)
+    for k in range(trace.n_steps):
+        alpha = trace.alphas[k]
+        rho_k = 1.0 - 6.0 * (trace.lipschitz_L * alpha) ** 2
+        if col is not None:
+            dM = trace.M[k + 1, col] - trace.M[k, col]
+        else:
+            dM = 2.0 * alpha * float((x_star - trace.z[k]) @ trace.eps2[k])
+        dA = trace.A[k + 1] - trace.A[k]
+        rhs = d2[k] - 0.5 * rho_k * trace.r2[k] + dM + dA
+        viol = d2[k + 1] - rhs
+        rel = viol / max(1.0, abs(rhs))
+        if rel > max_rel:
+            max_rel, max_viol = rel, viol
+        if rel > rel_tol:
+            n_bad += 1
+    return max_viol, max_rel, n_bad
+
+
+def diagnostic_sums_reference(trace):
+    """A and M of a diagnostics trace, one step at a time from its recorded
+    errors, as the recursions in the ``stochvi.solver`` docstring read."""
+    K = trace.n_steps
+    A = np.zeros(K + 1)
+    M = np.zeros((K + 1, len(trace.tracked_solutions)))
+    for k in range(K):
+        alpha = float(trace.alphas[k])
+        rho_k = 1.0 - 6.0 * (trace.lipschitz_L * alpha) ** 2
+        A[k + 1] = A[k] + (8.0 + rho_k) * alpha ** 2 * float(trace.eps1_norm[k]) ** 2 \
+            + 8.0 * alpha ** 2 * float(trace.eps2_norm[k]) ** 2
+        for s, xstar in enumerate(trace.tracked_solutions):
+            M[k + 1, s] = M[k, s] + 2.0 * alpha * float((xstar - trace.z[k]) @ trace.eps2[k])
+    return A, M

@@ -11,10 +11,11 @@ from stochvi.core import (
 from stochvi.errors import (
     BlockMismatch,
     CoordinationMismatch,
+    DimensionMismatch,
     InvalidSchedule,
     InvalidStepsize,
 )
-from stochvi.problems import gen_strongly_monotone
+from stochvi.problems import check_pseudo_monotone, gen_strongly_monotone, lipschitz_estimate
 from stochvi.projection import Box, WholeSpace
 from stochvi.sampling import AgentSchedule, SampleSchedule
 
@@ -91,6 +92,43 @@ class TestProblemInstance:
         x = np.arange(6.0) * 3 - 8
         np.testing.assert_array_equal(p3.feasible_set.project(x),
                                       p.feasible_set.project(x))
+
+
+class TestMeanOperatorContract:
+    """A mean operator maps a (..., n) batch row by row; one written for a
+    single point is rejected with DimensionMismatch (CLI exit 2)."""
+
+    A3 = np.random.default_rng(0).standard_normal((3, 3))
+    A2 = np.random.default_rng(1).standard_normal((2, 2))
+
+    @staticmethod
+    def problem(T, n):
+        return ProblemInstance(dimension=n, oracle=None, mean_operator=T, lipschitz_L=1.0,
+                               feasible_set=WholeSpace(n), known_solutions=(np.zeros(n),))
+
+    def test_single_point_product_fails_on_a_batch(self):
+        with pytest.raises(DimensionMismatch, match=r"on shape \(2, 3\) it raised ValueError"):
+            self.problem(lambda x: self.A3 @ x, 3)
+
+    def test_single_point_product_mixes_rows(self):
+        # at n = 2, A @ X has the batch's shape but combines the two points
+        with pytest.raises(DimensionMismatch, match="differ from its single-point values"):
+            self.problem(lambda x: self.A2 @ x, 2)
+
+    def test_wrong_output_shape_is_named(self):
+        with pytest.raises(DimensionMismatch, match=r"returned shape \(3,\)"):
+            self.problem(lambda x: np.ones(3), 3)
+
+    def test_stacked_product_accepted(self):
+        T = lambda x: (self.A3 @ np.asarray(x)[..., None])[..., 0]
+        assert self.problem(T, 3).mean_operator is T
+
+    @pytest.mark.parametrize("check", [check_pseudo_monotone, lipschitz_estimate])
+    def test_randomized_checks_enforce_it(self, check):
+        # with samples == n a single-point product would run on the whole
+        # sample matrix and report numbers for the wrong operator
+        with pytest.raises(DimensionMismatch):
+            check(lambda x: self.A2 @ x, WholeSpace(2), samples=2, n=2)
 
 
 class TestValidate:

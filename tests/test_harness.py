@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,11 @@ class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
             experiment_from_config(experiment_doc(unknown_field=1))
+
+    def test_residual_alpha_rejected(self):
+        # r^2 is always taken at the run's stepsize: the key was never read
+        with pytest.raises(ConfigError, match="residual_alpha"):
+            experiment_from_config(experiment_doc(merits={"residual_alpha": 0.1}))
 
     def test_unknown_problem_key(self):
         doc = experiment_doc()
@@ -184,6 +190,23 @@ class TestProbes:
             "samples": 400,
         }, tmp_path)
         assert not verdict["passed"]
+
+    @pytest.mark.parametrize("seed", [3, 8, 143, 183, 189])
+    def test_error_decay_band_holds_both_rows_errors(self, tmp_path, seed):
+        # exact 1/N law; a band on row j's stderr alone rejected these seeds
+        params = dict(TestCli.PROBE_DOCS["error_decay"], master_seed=seed)
+        assert probe("error_decay", params, tmp_path)["passed"]
+
+    def test_error_decay_fails_without_1_over_n_decay(self, tmp_path, monkeypatch):
+        """One noise row repeated across the batch keeps E||eps_N||^2 at
+        sigma^2, so N E||eps_N||^2 grows like N and the probe must fail."""
+        def repeated_noise(rng, x, size):
+            return np.broadcast_to(rng.standard_normal((1, 1)), (size, 1)).copy()
+
+        p = replace(gen_constant_noise(sigma=1.0), oracle=repeated_noise)
+        monkeypatch.setattr("stochvi.harness.problem_from_config", lambda cfg: p)
+        params = dict(TestCli.PROBE_DOCS["error_decay"], N_grid=[1, 4, 16], replications=200)
+        assert not probe("error_decay", params, tmp_path)["passed"]
 
     def test_unknown_probe_kind(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,17 +1,35 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_impls import quadratic_gap_bruteforce
 from stochvi.errors import InvalidParameters, NoKnownSolutions
 from stochvi.merit import (
-    MeritConfig,
     d_gap,
     distance_sq_to_solutions,
     natural_residual_sq,
     regularized_gap,
 )
-from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
-from stochvi.projection import Box, NonnegativeOrthant, WholeSpace
+from stochvi.problems import (
+    gen_constant_noise,
+    gen_linear_svi,
+    gen_negative_control,
+    gen_scaled_monotone,
+    gen_strongly_monotone,
+)
+from stochvi.projection import (
+    AffineSubspace,
+    Ball,
+    Box,
+    CartesianProduct,
+    Halfspace,
+    NonnegativeOrthant,
+    Simplex,
+    WholeSpace,
+)
 
 IDENT = lambda x: np.asarray(x, dtype=float)
 R2 = WholeSpace(2)
@@ -130,9 +148,52 @@ class TestDistance:
             distance_sq_to_solutions(p, np.zeros(1))
 
 
-def test_merit_config_validation():
-    MeritConfig(alpha=0.2, a=1.0, b=2.0)
-    with pytest.raises(InvalidParameters):
-        MeritConfig(alpha=0.2, a=2.0, b=1.0)
-    with pytest.raises(InvalidParameters):
-        MeritConfig(alpha=-0.1)
+OPERATORS = {
+    "strongly_monotone": lambda n: gen_strongly_monotone(n, seed=4, psd_scale=0.5,
+                                                         skew_scale=0.3),
+    "linear_svi": lambda n: gen_linear_svi(n, seed=4),
+    "scaled_monotone": lambda n: gen_scaled_monotone(n, seed=4),
+    "negative_control": lambda n: gen_negative_control(n),
+    "constant_noise": lambda n: gen_constant_noise(n=n),
+}
+
+SETS = {
+    "whole_space": lambda n, rng: WholeSpace(n),
+    "orthant": lambda n, rng: NonnegativeOrthant(n),
+    "box": lambda n, rng: Box(-np.ones(n), 2.0 * np.ones(n)),
+    "ball": lambda n, rng: Ball(rng.standard_normal(n), 1.5),
+    "simplex": lambda n, rng: Simplex(n, 2.0),
+    "halfspace": lambda n, rng: Halfspace(rng.standard_normal(n) + 0.1, 0.5),
+    "affine": lambda n, rng: AffineSubspace(rng.standard_normal(((n + 1) // 2, n)),
+                                            rng.standard_normal((n + 1) // 2)),
+    "cartesian": lambda n, rng: CartesianProduct(
+        (Ball(np.zeros(1), 1.0), Box(-np.ones(n - 1), np.ones(n - 1))), (1, n - 1))
+    if n > 1 else CartesianProduct((NonnegativeOrthant(1),), (1,)),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(op=st.sampled_from(sorted(OPERATORS)), kind=st.sampled_from(sorted(SETS)),
+       n=st.integers(1, 7), K=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1))
+def test_batched_calls_equal_row_calls(op, kind, n, K, seed):
+    """Built-in mean operators and the four merits on a (K, n) batch return,
+    row for row, the single-point values bit for bit, on every set type."""
+    rng = np.random.default_rng(seed)
+    T = OPERATORS[op](n).mean_operator
+    fset = SETS[kind](n, rng)
+    X = 3.0 * rng.standard_normal((K, n))
+    solutions = SimpleNamespace(solution_set_is_feasible_set=False,
+                                known_solutions=tuple(rng.standard_normal((2, n))))
+    whole_set = SimpleNamespace(solution_set_is_feasible_set=True, feasible_set=fset)
+    merits = [
+        T,
+        lambda x: natural_residual_sq(T, fset, x, 0.3),
+        lambda x: regularized_gap(T, fset, x, 1.5),
+        lambda x: d_gap(T, fset, x, 1.0, 2.0),
+        lambda x: distance_sq_to_solutions(solutions, x),
+        lambda x: distance_sq_to_solutions(whole_set, x),
+    ]
+    for f in merits:
+        batched = f(X)
+        assert batched.shape[:1] == (K,)
+        assert np.array_equal(batched, np.reshape([f(x) for x in X], batched.shape))

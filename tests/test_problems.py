@@ -192,7 +192,7 @@ class TestLipschitzEstimate:
         assert 2.0 - 1e-10 <= est <= 2.0
 
     def test_constant_operator(self):
-        est = lipschitz_estimate(lambda x: np.ones(3), WholeSpace(3),
+        est = lipschitz_estimate(lambda x: np.ones_like(x), WholeSpace(3),
                                  samples=200, seed=0, n=3)
         assert est == 0.0
 

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import default_config
-from reference_impls import korpelevich_reference
+from reference_impls import (
+    diagnostic_sums_reference,
+    fejer_audit_reference,
+    korpelevich_reference,
+)
 from stochvi.core import ProblemInstance, VarianceProfile, derive_stream
 from stochvi.errors import (
     CoordinationMismatch,
@@ -26,6 +30,7 @@ from stochvi.sampling import AgentSchedule, SampleSchedule
 from stochvi.solver import (
     ExtragradientState,
     _Engine,
+    _pow2,
     fejer_audit,
     martingale_probe,
     run,
@@ -270,6 +275,40 @@ class TestFejerAudit:
         trace = run(p, cfg, x0=np.array([1.0]))
         report = fejer_audit(trace, np.zeros(1), p, cfg)
         assert not report.passed
+
+    @pytest.mark.parametrize("blocks", [(), (2, 2, 1)], ids=["monolithic", "distributed"])
+    def test_diagnostic_sums_match_the_step_by_step_recursion(self, monotone_problem, blocks):
+        """A, M and the error norms, computed over the stored steps after
+        the loop, equal the per-step recursion bit for bit."""
+        p = monotone_problem.with_blocks(blocks) if blocks else monotone_problem
+        cfg = default_config(max_iterations=60, coordination="distributed" if blocks
+                             else "centralized", stepsize=np.linspace(0.3, 0.2, 60))
+        for rep in range(3):
+            trace = run(p, cfg, replication=rep, x0=np.ones(5))
+            A, M = diagnostic_sums_reference(trace)
+            assert np.array_equal(trace.A, A) and np.array_equal(trace.M, M)
+            assert np.array_equal(trace.eps2_norm, [np.linalg.norm(e) for e in trace.eps2])
+
+    def test_squares_match_scalar_pow(self):
+        """The vectorised recursions square as the per-step scalar ``** 2``
+        (libm pow) did; an array's ``** 2`` multiplies, and the two differ
+        in the last bit about once in 1000 values."""
+        v = 10.0 * np.random.default_rng(3).standard_normal(20_000)
+        assert np.array_equal(_pow2(v), [float(x) ** 2 for x in v])
+
+    @pytest.mark.parametrize("case", ["tracked", "untracked", "negative_control"])
+    def test_matches_the_step_by_step_reference(self, monotone_problem, case):
+        """The vectorised audit equals the per-step loop bit for bit."""
+        p = gen_negative_control(n=1) if case == "negative_control" else monotone_problem
+        cfg = default_config(stepsize=0.2, max_iterations=30, diagnostics=True)
+        x_star = p.known_solutions[0] + (0.01 if case == "untracked" else 0.0)
+        for rep in range(3):
+            trace = run(p, cfg, replication=rep, x0=np.ones(p.dimension))
+            report = fejer_audit(trace, x_star, p, cfg)
+            assert (report.max_violation, report.max_rel_violation, report.n_violations) \
+                == fejer_audit_reference(trace, x_star)
+            if case != "untracked":  # the inequality holds only at a solution
+                assert report.passed == (case == "tracked")
 
     def test_requires_diagnostics(self, quiet_problem):
         cfg = default_config(diagnostics=False, max_iterations=5)
