@@ -25,14 +25,14 @@ config = SolverConfig(stepsize=0.25 / problem.lipschitz_L,
 print(f"pseudo-monotone (non-monotone) instance: {problem.name}")
 for rep in range(3):
     trace = run(problem, config, replication=rep, x0=np.full(5, 1.0))
-    audit = fejer_audit(trace, problem.known_solutions[0], problem, config)
+    audit = fejer_audit(trace, problem.known_solutions[0])
     print(f"  replication {rep}: {audit}")
 
 control = gen_negative_control(n=1)
 ctl_cfg = SolverConfig(stepsize=0.2, schedule=SampleSchedule.uniform(1, 3, 0, 1),
                        max_iterations=30, master_seed=1, diagnostics=True)
 trace = run(control, ctl_cfg, x0=np.array([1.0]))
-audit = fejer_audit(trace, np.zeros(1), control, ctl_cfg)
+audit = fejer_audit(trace, np.zeros(1))
 print(f"\nnegative control T(x) = -x: {audit}")
 print("pseudo-monotonicity check on the control:",
       check_pseudo_monotone(control.mean_operator, control.feasible_set,

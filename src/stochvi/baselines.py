@@ -39,8 +39,7 @@ def sa_step(x, problem, alpha: float, key: RngStreamKey):
 
         raise InvalidStepsize("sa_step needs alpha > 0")
     x = np.asarray(x, dtype=float)
-    rng = derive_stream(key)
-    draw = problem.oracle_batch(rng, x, 1)[0]
+    draw = problem.draw(derive_stream(key), x, 1)[0]
     return project(problem.feasible_set, x - alpha * draw), 1
 
 

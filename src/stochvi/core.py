@@ -16,6 +16,8 @@ The stochastic oracle contract:
   exact law rather than by averaging draws.  The solver uses the flag
   whenever the oracle declares it, and otherwise draws the batch and
   averages it; either way a stage bills ``size`` calls.
+* :meth:`ProblemInstance.draw` is the one route by which the package calls
+  an oracle: it picks among these methods and checks every output's shape.
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .errors import (
     InvalidStepsize,
     OracleFailure,
 )
-from .projection import FeasibleSet, block_slices, project, set_distance
+from .projection import CartesianProduct, FeasibleSet, block_slices, project, set_distance
 from .sampling import SampleSchedule, schedule_tail_check
 
 STEPSIZE_CAP = 1.0 / math.sqrt(6.0)  # times 1/L
@@ -165,6 +167,10 @@ class ProblemInstance:
                 f"blocks {blocks} do not sum to dimension {self.dimension}")
         object.__setattr__(self, "blocks", blocks)
         self.feasible_set.check_dim(self.dimension)
+        if len(blocks) > 1 and not (isinstance(self.feasible_set, CartesianProduct)
+                                    and tuple(self.feasible_set.sizes) == blocks):
+            raise BlockMismatch(f"blocks {blocks} need a Cartesian feasible set with the "
+                                "same blocks (see ProblemInstance.with_blocks)")
         sols = tuple(_freeze(s) for s in self.known_solutions)
         object.__setattr__(self, "known_solutions", sols)
         for s in sols:
@@ -205,35 +211,29 @@ class ProblemInstance:
             else self.feasible_set
         return replace(self, blocks=blocks, feasible_set=fset)
 
-    def _shaped(self, out, shape, what):
+    def draw(self, rng, x, size, sl=None, mean=False):
+        """``size`` oracle draws at ``x`` (block ``sl`` only, if given), or
+        with ``mean`` their average; the one route to the oracle.  The
+        average comes from the exact law when the oracle declares
+        ``exact_mean``, a block from ``oracle.block`` when it has one (else
+        the full draws are sliced), and the oracle's output is checked
+        against the shape it must have."""
+        o = self.oracle
+        exact = mean and getattr(o, "exact_mean", False)
+        if sl is not None and (exact or getattr(o, "block", None) is not None):
+            out = o.block(rng, x, size, sl, mean=True) if exact else o.block(rng, x, size, sl)
+            what, width, cut = "block ", len(range(self.dimension)[sl]), None
+        else:  # the full draws, cut to block sl if given
+            out = o(rng, x, size, mean=True) if exact else o(rng, x, size)
+            what, width, cut = "", self.dimension, sl
         out = np.asarray(out, dtype=float)
+        shape = (width,) if exact else (size, width)
         if out.shape != shape:
-            raise OracleFailure(f"oracle {what} has shape {out.shape}, expected {shape}")
-        return out
-
-    def oracle_batch(self, rng, x, size):
-        return self._shaped(self.oracle(rng, x, size), (size, self.dimension), "batch")
-
-    def oracle_batch_block(self, rng, x, size, sl):
-        if getattr(self.oracle, "block", None) is None:
-            return self.oracle_batch(rng, x, size)[:, sl]
-        width = len(range(self.dimension)[sl])
-        return self._shaped(self.oracle.block(rng, x, size, sl), (size, width), "block batch")
-
-    def oracle_mean(self, rng, x, size, sl=None):
-        """Average of ``size`` oracle draws at ``x`` (block ``sl`` only, if
-        given): from its exact law when the oracle declares ``exact_mean``,
-        otherwise by drawing the batch and averaging it.  Every output is
-        checked against the width it must have."""
-        if not getattr(self.oracle, "exact_mean", False):
-            batch = self.oracle_batch(rng, x, size) if sl is None \
-                else self.oracle_batch_block(rng, x, size, sl)
-            return batch.mean(axis=0)
-        if sl is None:
-            return self._shaped(self.oracle(rng, x, size, mean=True), (self.dimension,), "mean")
-        width = len(range(self.dimension)[sl])
-        return self._shaped(self.oracle.block(rng, x, size, sl, mean=True), (width,),
-                            "block mean")
+            raise OracleFailure(f"oracle {what}{'mean' if exact else 'batch'} has shape "
+                                f"{out.shape}, expected {shape}")
+        if cut is not None:
+            out = out[:, cut]
+        return out if exact or not mean else out.mean(axis=0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -314,9 +314,9 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> ValidationReport
     than reporting) on the conditions that make a run meaningless: a stepsize
     at or above 1/(sqrt(6) L), sample counts still stalled near 1 at the
     ``schedule_tail_check`` horizon (the schedule's parameter region already
-    makes sum_k 1/N_k finite; the check is analytic, not a scan), and
-    inconsistent block structure.  Re-running is idempotent and side-effect
-    free.
+    makes sum_k 1/N_k finite; the check is analytic, not a scan), and agent
+    schedules that do not fit the blocks or the coordination.  Re-running is
+    idempotent and side-effect free.
     """
     checks = []
     L = problem.lipschitz_L
@@ -350,10 +350,6 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> ValidationReport
             raise CoordinationMismatch(
                 "centralized sampling requires identical per-block sample counts")
     checks.append(CheckResult("sampling_coordination", True, config.coordination))
-
-    fdim = getattr(problem.feasible_set, "dim", None)
-    if fdim is not None and fdim != problem.dimension:
-        raise BlockMismatch("feasible set dimension disagrees with the problem")
     checks.append(CheckResult(
         "block_partition", True, f"blocks {problem.blocks} sum to n = {problem.dimension}"))
 

@@ -371,7 +371,7 @@ def _fejer_audit(params):
     for rep in range(reps):
         trace = run(problem, solver, replication=rep, check=False,
                     x0=None if x0 is None else np.asarray(x0, float))
-        report = fejer_audit(trace, problem.known_solutions[0], problem, solver)
+        report = fejer_audit(trace, problem.known_solutions[0])
         rows.append({"replication": rep,
                      "max_rel_violation": report.max_rel_violation,
                      "violations": report.n_violations})

@@ -37,17 +37,24 @@ def regularized_gap(T, fset: FeasibleSet, x, a: float):
     if not a > 0:
         raise InvalidParameters("gap parameter a must be positive")
     x = np.asarray(x, dtype=float)
-    t = np.asarray(T(x), dtype=float)
+    return _gap(np.asarray(T(x), dtype=float), fset, x, a)
+
+
+def _gap(t, fset, x, a):
+    """g_a(x) given t = T(x)."""
     d = x - project(fset, x - t / a)
     return inner(t, d) - 0.5 * a * inner(d, d)
 
 
 def d_gap(T, fset: FeasibleSet, x, a: float, b: float):
     """g_a(x) - g_b(x) for b > a > 0: nonnegative, zero exactly on solutions,
-    finite on the whole space whether or not X is bounded."""
+    finite on the whole space whether or not X is bounded.  T is evaluated
+    once, for both gaps."""
     if not b > a > 0:
         raise InvalidParameters("d-gap requires b > a > 0")
-    return regularized_gap(T, fset, x, a) - regularized_gap(T, fset, x, b)
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(T(x), dtype=float)
+    return _gap(t, fset, x, a) - _gap(t, fset, x, b)
 
 
 def distance_sq_to_solutions(problem, x):

@@ -246,9 +246,7 @@ def batch_mean(problem, x, n_samples: int, key) -> BatchMeanResult:
     if n_samples < 1:
         raise InvalidSchedule("batch size must be >= 1")
     x = np.asarray(x, dtype=float)
-    rng = derive_stream(key)
-    batch = problem.oracle_batch(rng, x, n_samples)
-    mean = batch.mean(axis=0)
+    mean = problem.draw(derive_stream(key), x, n_samples).mean(axis=0)
     if not np.all(np.isfinite(mean)):
         from .errors import OracleFailure
 

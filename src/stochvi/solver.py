@@ -38,9 +38,9 @@ from .core import (
     derive_stream,
     validate,
 )
-from .errors import CoordinationMismatch, InvalidParameters, MissingDiagnostics, OracleFailure
+from .errors import InvalidParameters, MissingDiagnostics, OracleFailure
 from .merit import distance_sq_to_solutions, natural_residual_sq
-from .projection import CartesianProduct, inner, project
+from .projection import inner, project
 
 
 @dataclass
@@ -139,13 +139,14 @@ class RunTrace:
 
 
 class _Engine:
-    """Shared per-run machinery: block layout, streams, recording.
+    """Shared per-run machinery: draw sets, streams, recording.
 
     Sample counts are tabulated for iterations 0..``horizon``; the engine
-    advances no iteration past it.  The engine owns one Philox generator and
-    re-keys it for every (iteration, stage, block) stream, which gives the
-    draws of ``derive_stream(self.key(...))`` without constructing a
-    generator per stage.
+    advances no iteration past it.  A stage draws one set (stream block 0)
+    when centralized, one per agent, (i, slice_i), when distributed.  The
+    engine re-keys one Philox generator for every (iteration, stage, block)
+    stream, which gives the draws of ``derive_stream(self.key(...))``.  It
+    checks nothing: its callers run ``validate``.
     """
 
     def __init__(self, problem: ProblemInstance, config: SolverConfig, replication: int,
@@ -153,22 +154,10 @@ class _Engine:
         self.problem = problem
         self.config = config
         self.replication = replication
-        self.m = problem.n_blocks
-        self.slices = problem.block_slices()
-        self.schedule = config.schedule.broadcast(self.m)
-        self.sizes = self.schedule.sizes_upto(horizon)
-        self.centralized = config.coordination == "centralized" or self.m == 1
-        if self.centralized and self.m > 1:
-            if np.any(self.sizes.max(axis=1) != self.sizes.min(axis=1)):
-                raise CoordinationMismatch(
-                    "centralized sampling requires equal per-block counts")
-        fset = problem.feasible_set
-        if self.m > 1 and not isinstance(fset, CartesianProduct):
-            raise CoordinationMismatch(
-                "multi-block problems need a Cartesian feasible set "
-                "(see ProblemInstance.with_blocks)")
-        if self.m > 1 and tuple(fset.sizes) != tuple(problem.blocks):
-            raise CoordinationMismatch("feasible-set blocks disagree with problem blocks")
+        self.sizes = config.schedule.broadcast(problem.n_blocks).sizes_upto(horizon)
+        distributed = config.coordination == "distributed" and problem.n_blocks > 1
+        self.draw_sets = list(enumerate(problem.block_slices())) if distributed \
+            else [(0, None)]
         self._bits = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bits)
         # a fresh state: counter zero, empty buffer, no cached uint32
@@ -188,22 +177,16 @@ class _Engine:
     def stage_mean(self, k, stage, point):
         """Oracle average at ``point`` and the oracle calls it bills.
 
-        A stage bills its N_k (per agent: N_{k,i}) calls whether the average
-        is drawn from its exact law or from the draws themselves (see
-        ``ProblemInstance.oracle_mean``).  A non-finite average raises.
+        Each draw set bills its N_{k,i} calls whether its average is drawn
+        from the exact law or from the draws themselves (see
+        ``ProblemInstance.draw``).  A non-finite average raises.
         """
-        if self.centralized:
-            calls = int(self.sizes[k, 0])
-            rng = self.stream(k, stage, 0)
-            mean = self.problem.oracle_mean(rng, point, calls)
-        else:
-            mean = np.empty(self.problem.dimension)
-            calls = 0
-            for i, sl in enumerate(self.slices):
-                n_draws = int(self.sizes[k, i])
-                rng = self.stream(k, stage, i)
-                mean[sl] = self.problem.oracle_mean(rng, point, n_draws, sl)
-                calls += n_draws
+        means, calls = [], 0
+        for i, sl in self.draw_sets:
+            n = int(self.sizes[k, i])
+            means.append(self.problem.draw(self.stream(k, stage, i), point, n, sl, mean=True))
+            calls += n
+        mean = means[0] if len(means) == 1 else np.concatenate(means)
         if not np.isfinite(mean).all():
             raise OracleFailure(
                 f"oracle average is not finite at iteration {k}, stage {stage}")
@@ -227,6 +210,7 @@ def step(state: ExtragradientState, problem: ProblemInstance,
          config: SolverConfig) -> ExtragradientState:
     """One extragradient iteration from ``state`` under the config's
     coordination; it advances exactly as ``run`` does at iteration state.k."""
+    validate(problem, config)
     _Engine(problem, config, state.replication, state.k).advance(state)
     return state
 
@@ -243,7 +227,8 @@ def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
     squared natural residual falls below ``config.residual_floor``).
 
     Deterministic given (master_seed, replication): traces are bit-identical
-    across reruns and across serial or concurrent execution.
+    across reruns and across serial or concurrent execution.  ``check=False``
+    skips ``validate``: the caller has already run it on this pair.
     """
     if check:
         validate(problem, config)
@@ -344,8 +329,7 @@ class FejerAuditReport:
                 f"{self.max_rel_violation:.3e})")
 
 
-def fejer_audit(trace: RunTrace, x_star, problem: ProblemInstance,
-                config: SolverConfig, rel_tol: float = 1e-9) -> FejerAuditReport:
+def fejer_audit(trace: RunTrace, x_star, rel_tol: float = 1e-9) -> FejerAuditReport:
     """Audit the per-step quasi-Fejer inequality along a recorded trace.
 
     ``x_star`` may be any solution: tracked solutions reuse the recorded M
@@ -417,6 +401,7 @@ def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
+    validate(problem, config)
     eng = _Engine(problem, config, 0, 0)
     steps = []
     for r in range(replications):

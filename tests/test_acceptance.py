@@ -104,7 +104,7 @@ def test_criterion_03_fejer_audit():
         for rep in range(50):
             trace = run(problem, solver, replication=rep,
                         x0=np.full(N_DIM, 1.0), check=False)
-            audit = fejer_audit(trace, problem.known_solutions[0], problem, solver)
+            audit = fejer_audit(trace, problem.known_solutions[0])
             worst = max(worst, audit.max_rel_violation)
             violations += audit.n_violations
 
@@ -112,7 +112,7 @@ def test_criterion_03_fejer_audit():
     ctl_cfg = SolverConfig(stepsize=0.2, schedule=SCHEDULE, max_iterations=30,
                            master_seed=1, diagnostics=True)
     ctl_trace = run(control, ctl_cfg, x0=np.array([1.0]))
-    ctl_audit = fejer_audit(ctl_trace, np.zeros(1), control, ctl_cfg)
+    ctl_audit = fejer_audit(ctl_trace, np.zeros(1))
     ctl_pm = check_pseudo_monotone(control.mean_operator, control.feasible_set,
                                    samples=500, seed=2, n=1)
     control_flags = (not ctl_audit.passed) or (not ctl_pm.passed)

@@ -16,7 +16,7 @@ from stochvi.errors import (
     InvalidStepsize,
 )
 from stochvi.problems import check_pseudo_monotone, gen_strongly_monotone, lipschitz_estimate
-from stochvi.projection import Box, WholeSpace
+from stochvi.projection import Box, CartesianProduct, WholeSpace
 from stochvi.sampling import AgentSchedule, SampleSchedule
 
 
@@ -64,6 +64,19 @@ class TestProblemInstance:
     def test_block_partition_enforced(self):
         with pytest.raises(BlockMismatch):
             gen_strongly_monotone(5, seed=0, noise_scale=0.0).with_blocks([2, 2])
+
+    def test_multi_block_needs_cartesian_set(self):
+        p = gen_strongly_monotone(3, seed=0, noise_scale=0.0)
+        with pytest.raises(BlockMismatch, match="Cartesian"):
+            ProblemInstance(dimension=3, blocks=(2, 1), feasible_set=WholeSpace(3),
+                            oracle=p.oracle, lipschitz_L=p.lipschitz_L)
+
+    def test_cartesian_blocks_must_match_problem_blocks(self):
+        p = gen_strongly_monotone(3, seed=0, noise_scale=0.0)
+        fset = CartesianProduct((WholeSpace(1), WholeSpace(2)), (1, 2))
+        with pytest.raises(BlockMismatch, match="Cartesian"):
+            ProblemInstance(dimension=3, blocks=(2, 1), feasible_set=fset,
+                            oracle=p.oracle, lipschitz_L=p.lipschitz_L)
 
     def test_known_solution_must_be_feasible(self):
         box = Box(np.zeros(3), np.ones(3))

@@ -339,6 +339,17 @@ class TestCli:
             assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
             assert "error:" in capsys.readouterr().err
 
+    def test_martingale_probe_rejects_stepsize_above_cap(self, tmp_path, capsys):
+        # the same solver section exits 2 under fejer_audit too
+        cfg = self.write(tmp_path / "p.json", {
+            "kind": "martingale",
+            "problem": {"kind": "constant_noise", "sigma": 1.0, "n": 1},
+            "solver": {"stepsize": 0.9, "schedule": {"theta": 1, "mu": 3},
+                       "max_iterations": 1},
+            "x": [0.7], "replications": 50})
+        assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
+        assert "must be < 1/(sqrt(6) L)" in capsys.readouterr().err
+
     def test_probe_replications_skips_kinds_without_it(self, tmp_path):
         # pm_check reads no replication count: the negative control still
         # reaches its verdict (exit 3) instead of a config error (exit 2)

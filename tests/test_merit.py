@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,6 +128,25 @@ class TestDGap:
             gap = d_gap(p.mean_operator, p.feasible_set, x, 1.0, 2.0)
             res = natural_residual_sq(p.mean_operator, p.feasible_set, x, 0.25)
             assert (gap > 1e-12) == (res > 1e-12)
+
+
+    def test_surrogate_evaluated_once_per_row(self, monkeypatch):
+        """On an oracle-only problem each T evaluation of a row is a fresh
+        batch mean: 11 rows cost 11, and the value is g_a - g_b bit for bit."""
+        from stochvi import harness
+
+        p = replace(gen_strongly_monotone(3, seed=1, noise_scale=0.5), mean_operator=None)
+        T, estimated = harness.effective_mean_operator(p, n_samples=1000)
+        assert estimated
+        calls = []
+        batch_mean = harness.batch_mean
+        monkeypatch.setattr(harness, "batch_mean",
+                            lambda *args: calls.append(args) or batch_mean(*args))
+        X = np.linspace(-1.0, 1.0, 33).reshape(11, 3)
+        value = d_gap(T, p.feasible_set, X, 1.0, 2.0)
+        assert len(calls) == 11
+        assert np.array_equal(value, regularized_gap(T, p.feasible_set, X, 1.0)
+                              - regularized_gap(T, p.feasible_set, X, 2.0))
 
 
 class TestDistance:

@@ -40,7 +40,7 @@ def test_generated_problems_validate_and_match_oracle_mean(maker):
     for j in range(3):
         x = p.feasible_set.project(2.0 * rng.standard_normal(p.dimension))
         res = batch_mean(p, x, 100_000, RngStreamKey(13, sample=j))
-        batch = p.oracle_batch(
+        batch = p.oracle(
             __import__("stochvi.core", fromlist=["derive_stream"])
             .derive_stream(RngStreamKey(13, sample=j)), x, 100_000)
         stderr = batch.std(axis=0, ddof=1) / math.sqrt(100_000)
@@ -79,14 +79,17 @@ def test_exact_mean_matches_draws_in_distribution(name, sl, size):
     assert p.oracle.exact_mean
     x = np.array([1.5, -0.5, 2.0, 0.25])
     R = 2000
-    exact = np.array([p.oracle_mean(derive_stream(RngStreamKey(1, replication=r)),
-                                    x, size, sl) for r in range(R)])
-    draws = []
+    exact, draws = [], []
     for r in range(R):
-        rng = derive_stream(RngStreamKey(2, replication=r))
-        batch = p.oracle_batch(rng, x, size) if sl is None \
-            else p.oracle_batch_block(rng, x, size, sl)
-        draws.append(batch.mean(axis=0))
+        rng1 = derive_stream(RngStreamKey(1, replication=r))
+        rng2 = derive_stream(RngStreamKey(2, replication=r))
+        if sl is None:
+            exact.append(p.oracle(rng1, x, size, mean=True))
+            draws.append(p.oracle(rng2, x, size).mean(axis=0))
+        else:
+            exact.append(p.oracle.block(rng1, x, size, sl, mean=True))
+            draws.append(p.oracle.block(rng2, x, size, sl).mean(axis=0))
+    exact = np.array(exact)
     draws = np.array(draws)
     assert exact.shape == draws.shape == (R, 4 if sl is None else 2)
     v_exact, v_draws = exact.var(axis=0, ddof=1), draws.var(axis=0, ddof=1)
@@ -137,7 +140,7 @@ class TestLinearSVI:
         x = rng.standard_normal(4)
         stream = __import__("stochvi.core", fromlist=["derive_stream"]) \
             .derive_stream(RngStreamKey(99))
-        draws = p.oracle_batch(stream, x, 10_000)
+        draws = p.oracle(stream, x, 10_000)
         err = draws - p.mean_operator(x)
         sq = np.sum(err ** 2, axis=1)
         stderr = sq.std(ddof=1) / math.sqrt(len(sq))

@@ -171,7 +171,7 @@ class TestBatchMean:
         x = np.array([0.5, -1.0, 2.0])
         key = RngStreamKey(3, replication=2)
         res = batch_mean(p, x, 64, key)
-        expected = p.oracle_batch(derive_stream(key), x, 64).mean(axis=0)
+        expected = p.oracle(derive_stream(key), x, 64).mean(axis=0)
         assert np.array_equal(res.mean, expected)
 
 

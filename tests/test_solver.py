@@ -15,6 +15,7 @@ from stochvi.core import ProblemInstance, VarianceProfile, derive_stream
 from stochvi.errors import (
     CoordinationMismatch,
     InvalidParameters,
+    InvalidStepsize,
     MissingDiagnostics,
     OracleFailure,
 )
@@ -99,6 +100,21 @@ class TestStep:
         state = ExtragradientState(k=0, x=np.ones(2))
         state = step(state, p, cfg)
         assert state.calls == 24
+
+    def test_stepsize_above_cap_rejected(self):
+        # L = 1: the cap is 1/sqrt(6) = 0.408
+        with pytest.raises(InvalidStepsize):
+            step(ExtragradientState(k=0, x=np.array([1.0])), identity_problem(),
+                 default_config(stepsize=0.9))
+
+    def test_centralized_schedule_with_differing_agents_rejected(self):
+        # both agents draw 4 samples at k = 0; they differ from k = 2 on
+        p = gen_strongly_monotone(2, seed=0, noise_scale=0.5,
+                                  center=np.zeros(2)).with_blocks([1, 1])
+        agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(1, 3, 0, 1.01))
+        with pytest.raises(CoordinationMismatch):
+            step(ExtragradientState(k=0, x=np.ones(2)), p,
+                 default_config(schedule=SampleSchedule(agents)))
 
     def test_distributed_multiblock_step_equals_first_run_iterate(self, monotone_problem):
         p3 = monotone_problem.with_blocks([2, 2, 1])
@@ -247,8 +263,7 @@ class TestFejerAudit:
     def test_zero_variance_pure_decrease(self, quiet_problem):
         cfg = default_config(max_iterations=120)
         trace = run(quiet_problem, cfg, x0=np.full(5, 2.0))
-        report = fejer_audit(trace, quiet_problem.known_solutions[0],
-                             quiet_problem, cfg)
+        report = fejer_audit(trace, quiet_problem.known_solutions[0])
         assert report.passed
         assert report.max_violation <= 1e-10
 
@@ -256,8 +271,7 @@ class TestFejerAudit:
         cfg = default_config(max_iterations=100)
         for rep in range(5):
             trace = run(monotone_problem, cfg, replication=rep, x0=np.ones(5))
-            report = fejer_audit(trace, monotone_problem.known_solutions[0],
-                                 monotone_problem, cfg)
+            report = fejer_audit(trace, monotone_problem.known_solutions[0])
             assert report.passed, str(report)
 
     def test_untracked_solution_recomputed_from_errors(self, monotone_problem):
@@ -266,14 +280,14 @@ class TestFejerAudit:
         # audit against a perturbed reference: inequality need not hold, but
         # the computation must run off the stored z and eps2 vectors
         other = monotone_problem.known_solutions[0] + 0.01
-        report = fejer_audit(trace, other, monotone_problem, cfg)
+        report = fejer_audit(trace, other)
         assert report.n_steps == 40
 
     def test_negative_control_violates(self):
         p = gen_negative_control(n=1)
         cfg = default_config(stepsize=0.2, max_iterations=30)
         trace = run(p, cfg, x0=np.array([1.0]))
-        report = fejer_audit(trace, np.zeros(1), p, cfg)
+        report = fejer_audit(trace, np.zeros(1))
         assert not report.passed
 
     @pytest.mark.parametrize("blocks", [(), (2, 2, 1)], ids=["monolithic", "distributed"])
@@ -304,7 +318,7 @@ class TestFejerAudit:
         x_star = p.known_solutions[0] + (0.01 if case == "untracked" else 0.0)
         for rep in range(3):
             trace = run(p, cfg, replication=rep, x0=np.ones(p.dimension))
-            report = fejer_audit(trace, x_star, p, cfg)
+            report = fejer_audit(trace, x_star)
             assert (report.max_violation, report.max_rel_violation, report.n_violations) \
                 == fejer_audit_reference(trace, x_star)
             if case != "untracked":  # the inequality holds only at a solution
@@ -314,7 +328,7 @@ class TestFejerAudit:
         cfg = default_config(diagnostics=False, max_iterations=5)
         trace = run(quiet_problem, cfg, x0=np.ones(5))
         with pytest.raises(MissingDiagnostics):
-            fejer_audit(trace, quiet_problem.known_solutions[0], quiet_problem, cfg)
+            fejer_audit(trace, quiet_problem.known_solutions[0])
 
 
 class TestMartingaleProbe:
@@ -355,6 +369,18 @@ def odd_state_identity(rng, x, size):
     return draws
 
 
+class PerDrawBlock:
+    """Per-draw oracle whose ``block`` draws only the block's columns (no
+    ``exact_mean`` marker): a block comes from ``block``, not from slicing."""
+
+    def __call__(self, rng, x, size):
+        return self.block(rng, x, size, slice(None))
+
+    def block(self, rng, x, size, sl):
+        x = np.asarray(x, dtype=float)[sl]
+        return x + 0.5 * rng.standard_normal((size, len(x)))
+
+
 def exact_mean_problem(blocks):
     """Built-in additive Gaussian oracle: stage means from the exact law."""
     return gen_strongly_monotone(3, seed=0, noise_scale=0.5).with_blocks(blocks)
@@ -377,6 +403,10 @@ class TestStageMean:
                      id="odd_state-centralized"),
         pytest.param(lambda: user_problem(odd_state_identity, (1, 1, 1)), "distributed",
                      id="odd_state-distributed-m3"),
+        pytest.param(lambda: user_problem(PerDrawBlock(), (2, 1)), "centralized",
+                     id="per_draw_block-centralized"),
+        pytest.param(lambda: user_problem(PerDrawBlock(), (1, 1, 1)), "distributed",
+                     id="per_draw_block-distributed-m3"),
     ])
     def test_user_oracle_averages_its_draws_bitwise(self, make, coordination):
         """Each stage mean equals the one drawn from ``derive_stream`` of its
@@ -387,15 +417,18 @@ class TestStageMean:
         x = np.array([0.3, -1.2, 2.0])
         for k, stage in [(17, 2), (0, 1), (4, 2), (17, 1)]:
             mean, calls = eng.stage_mean(k, stage, x)
-            blocks = [(0, slice(None))] if eng.centralized else list(enumerate(eng.slices))
+            blocks = [(0, slice(None))] if coordination == "centralized" \
+                else list(enumerate(p.block_slices()))
             expected = []
             for i, sl in blocks:
                 rng = derive_stream(eng.key(k, stage, i))
                 n = int(eng.sizes[k, i])
                 if getattr(p.oracle, "exact_mean", False):
                     expected.append(p.oracle.block(rng, x, n, sl, mean=True))
+                elif coordination == "distributed" and hasattr(p.oracle, "block"):
+                    expected.append(p.oracle.block(rng, x, n, sl).mean(axis=0))
                 else:
-                    expected.append(p.oracle_batch_block(rng, x, n, sl).mean(axis=0))
+                    expected.append(p.oracle(rng, x, n)[:, sl].mean(axis=0))
             assert calls == sum(int(eng.sizes[k, i]) for i, _ in blocks)
             assert np.array_equal(mean, np.concatenate(expected))
 

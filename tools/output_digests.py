@@ -8,10 +8,18 @@ bits on these runs:
   short_agents at seed 1 with diagnostics and the d-gap switched on (the
   benchmark workloads never switch them on);
 * ``stochvi probe --seed 3`` on each probe document of the CLI tests
-  (``TestCli.PROBE_DOCS`` in ``tests/test_harness.py``).
+  (``TestCli.PROBE_DOCS`` in ``tests/test_harness.py``);
+* ``solver.run`` (replication 0) on each workload config at seed 1 with its
+  oracle wrapped so that it draws every sample: as a plain function (no
+  ``block``, no ``exact_mean``; distributed stages slice the full draws) and
+  as an object with ``__call__`` and ``block`` but no ``exact_mean``.  No CLI
+  run reaches these routes, since every built-in oracle declares
+  ``exact_mean``.
 
-Each run writes two files: 8 configs x 2 commands x 2 + 5 probes x 2 = 42
-digests, keyed ``<run>/<file>``.  BLAS is pinned to one thread.
+Each CLI run writes two files: 8 configs x 2 commands x 2 + 5 probes x 2 =
+42 digests, keyed ``<run>/<file>``; each per-draw run gives one digest of
+its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more.
+BLAS is pinned to one thread.
 
 Usage (from the repository root)::
 
@@ -59,6 +67,43 @@ def configs(workloads):
     return out
 
 
+class PerDrawOracle:
+    """``__call__`` and ``block`` of a wrapped oracle, per draw only."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def __call__(self, rng, x, size):
+        return self.oracle(rng, x, size)
+
+    def block(self, rng, x, size, sl):
+        return self.oracle.block(rng, x, size, sl)
+
+
+def per_draw_digests(workloads) -> dict:
+    """Digest of ``solver.run`` on each workload at seed 1 under both
+    per-draw wrappers of its oracle."""
+    import dataclasses
+
+    import numpy as np
+    from stochvi.harness import experiment_from_config
+    from stochvi.solver import run
+
+    wrappers = {"function": lambda o: lambda rng, x, size: o(rng, x, size),
+                "object": PerDrawOracle}
+    out = {}
+    for name in sorted(workloads.GENERATORS):
+        exp = experiment_from_config(workloads.config_document(name, SEEDS[0]))
+        for kind, wrap in wrappers.items():
+            problem = dataclasses.replace(exp.problem, oracle=wrap(exp.problem.oracle))
+            trace = run(problem, exp.solver, replication=0, x0=exp.x0)
+            data = b"".join(np.ascontiguousarray(getattr(trace, f)).tobytes()
+                            for f in ("iterates", "r2", "cum_calls"))
+            out[f"{name}-s{SEEDS[0]}-per_draw_{kind}/iterates,r2,cum_calls"] = \
+                hashlib.sha256(data).hexdigest()
+    return out
+
+
 def digests(root: Path) -> dict:
     for sub in ("tests", "perfbench", "src"):  # src ends up first on the path
         sys.path.insert(0, str(root / sub))
@@ -80,7 +125,7 @@ def digests(root: Path) -> dict:
                 main(argv[:1] + ["--config", str(cfg), "--out", str(run_dir)] + argv[1:])
             for path in sorted(run_dir.iterdir()):
                 out[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+    return {**out, **per_draw_digests(workloads)}
 
 
 def main(argv=None):
