@@ -39,7 +39,6 @@ from .sampling import (
     SampleSchedule,
     batch_mean,
     error_decay_probe,
-    harmonic_aggregate,
     network_exponents,
     verify_network_exponents,
 )

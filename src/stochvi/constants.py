@@ -51,10 +51,11 @@ def admissible_remainder_constant(L: float, alpha: float) -> float:
 class ConstantsInputs:
     """Everything the calculators need.
 
-    ``a_coef`` and ``b_coef`` are the error-decay coefficients determined by
-    the sampling layout: a_coef = 1 for a single agent and 2 for a network;
-    b_coef = 1 for a single agent or shared draws and 2 for fully
-    independent per-agent draws.  Left unset, ``c_remainder`` resolves to
+    The schedule is broadcast to ``m`` agents; its ``inverse_series``,
+    ``tail_bound`` and ``tail_bound_sq`` are the only view of the sample
+    counts the calculators take.  The error-decay coefficients ``a_coef``
+    and ``b_coef`` follow from the sampling layout (``m`` and
+    ``shared_samples``).  Left unset, ``c_remainder`` resolves to
     ``admissible_remainder_constant(L, alpha)``; any c below 32 is rejected
     by ``c_consistency`` at every index, since (1 + L alpha + H)^2 >= 1 + H^2.
     """
@@ -72,8 +73,6 @@ class ConstantsInputs:
     c_remainder: float | None = None
     m: int = 1
     shared_samples: bool = True
-    a_coef: int | None = None
-    b_coef: int | None = None
     S: float = 1.0
     J: float | None = None
     op_bound_L: float | None = None   # bounded-operator branch: L-part
@@ -96,17 +95,6 @@ class ConstantsInputs:
             raise InvalidInputs("moment order p must be 2 or at least 4")
         if self.m < 1:
             raise InvalidInputs("network size must be >= 1")
-        a = self.a_coef if self.a_coef is not None else (1 if self.m == 1 else 2)
-        b = self.b_coef if self.b_coef is not None else (
-            1 if (self.m == 1 or self.shared_samples) else 2)
-        if self.m == 1 and (a, b) != (1, 1):
-            raise InvalidInputs("single-agent layout requires a_coef = b_coef = 1")
-        if self.m > 1 and a != 2:
-            raise InvalidInputs("network layout requires a_coef = 2")
-        if b not in (1, 2):
-            raise InvalidInputs("b_coef must be 1 or 2")
-        object.__setattr__(self, "a_coef", a)
-        object.__setattr__(self, "b_coef", b)
         object.__setattr__(self, "schedule", self.schedule.broadcast(self.m))
         if self.S < 1:
             raise InvalidInputs("S must be >= 1")
@@ -116,36 +104,21 @@ class ConstantsInputs:
         return rho(self.alpha, self.L)
 
     @property
+    def a_coef(self) -> int:
+        """Error-decay coefficient of the step noise: 1 for a single agent,
+        2 for a network."""
+        return 1 if self.m == 1 else 2
+
+    @property
+    def b_coef(self) -> int:
+        """Martingale coefficient: 1 for a single agent or shared draws, 2
+        for fully independent per-agent draws."""
+        return 1 if (self.m == 1 or self.shared_samples) else 2
+
+    @property
     def noise_margin(self) -> float:
         """Summable noise majorant D = 2 c alpha^2 C_2^2 sigma^2."""
         return 2.0 * self.c_remainder * self.alpha ** 2 * self.c2 ** 2 * self.sigma ** 2
-
-    def harmonic_inverse(self, k_max: int, k_min: int = 0) -> np.ndarray:
-        """Array of 1/N_k (harmonic aggregate) for k = k_min..k_max."""
-        return np.sum(1.0 / self.schedule.counts(np.arange(k_min, k_max + 1)), axis=1)
-
-    def min_inverse(self, k_max: int, k_min: int = 0) -> np.ndarray:
-        """Array of 1/min_i N_{k,i} for k = k_min..k_max."""
-        return 1.0 / np.min(self.schedule.counts(np.arange(k_min, k_max + 1)), axis=1)
-
-
-def _tail_remainder(inputs: ConstantsInputs, horizon: int) -> float:
-    """Analytic bound on sum_(k > horizon) 1/N_k via per-agent integrals."""
-    rem = 0.0
-    for ag in inputs.schedule.agents:
-        rem += ag.tail_bound(horizon)
-    return rem
-
-
-def _tail_remainder_sq(inputs: ConstantsInputs, horizon: int) -> float:
-    """Bound on sum_(k > horizon) 1/N_k^2 via the l2 triangle inequality."""
-    parts = 0.0
-    for ag in inputs.schedule.agents:
-        t = horizon + ag.mu
-        r2 = 1.0 / (ag.theta ** 2 * (1.0 + 2.0 * ag.a) * t ** (1.0 + 2.0 * ag.a)
-                    * math.log(t) ** (2.0 + 2.0 * ag.b))
-        parts += math.sqrt(r2)
-    return parts ** 2
 
 
 @dataclass(frozen=True)
@@ -175,7 +148,7 @@ class VarianceModuli:
 
 def variance_moduli(inputs: ConstantsInputs, k: int) -> VarianceModuli:
     """Literal evaluation of the per-iteration constants at index k."""
-    nk = 1.0 / float(inputs.harmonic_inverse(k, k)[0])
+    nk = 1.0 / float(inputs.schedule.inverse_series([k])[0][0])
     alpha, sigma = inputs.alpha, inputs.sigma
     g2 = alpha * inputs.c2 * sigma
     gp = alpha * inputs.cp * sigma
@@ -216,22 +189,17 @@ def prediction_step_bound(inputs: ConstantsInputs, k: int, dist: float) -> float
         h = mod.reduced_step_noise_p
         return (1.0 + inputs.L * inputs.alpha + h) * dist + h
     opl = inputs.op_bound_L if inputs.op_bound_L is not None else 0.0
-    nmin = 1.0 / float(inputs.min_inverse(k, k)[0])
+    nmin = 1.0 / float(inputs.schedule.inverse_series([k])[1][0])
     noise = inputs.cp * inputs.sigma / math.sqrt(nmin)
     return (1.0 + opl * inputs.alpha) * dist \
         + inputs.alpha * (inputs.op_bound_M + noise)
 
 
-def partial_tail_sums(inputs: ConstantsInputs, k: int):
-    """(sum_(i<=k) 1/N_i, sum_(i<=k) 1/N_i^2)."""
-    inv = inputs.harmonic_inverse(k)
-    return float(np.sum(inv)), float(np.sum(inv ** 2))
-
-
 def rate_constant_partial(inputs: ConstantsInputs, k: int, J: float) -> float:
     """Finite-horizon rate constant: the k-truncated version of the
     quantity whose limit bounds eps * K_eps."""
-    a0, b0 = partial_tail_sums(inputs, k)
+    inv, _ = inputs.schedule.inverse_series(np.arange(k + 1))
+    a0, b0 = float(np.sum(inv)), float(np.sum(inv ** 2))
     D = inputs.noise_margin
     return 2.0 / inputs.rho * (
         inputs.d0 ** 2 + (1.0 + J) * (D * a0 + D ** 2 * b0))
@@ -267,7 +235,7 @@ def c_consistency(inputs: ConstantsInputs, k_max: int = 1000) -> CConsistencyRep
     """
     if inputs.sigma == 0.0:
         return CConsistencyReport(inputs.c_remainder, 1.0, True, 0, k_max)
-    inv = inputs.harmonic_inverse(k_max)
+    inv, _ = inputs.schedule.inverse_series(np.arange(k_max + 1))
     h2 = (inputs.alpha * inputs.c2 * inputs.sigma) * np.sqrt(inputs.a_coef * inv)
     ratio = (32.0 * (1.0 + inputs.L * inputs.alpha + h2) ** 2 + 18.0) / (1.0 + h2 ** 2)
     minimal = float(np.max(ratio))
@@ -300,11 +268,12 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
     D = inputs.noise_margin
     threshold = math.inf if D == 0.0 else inputs.phi / D
 
-    ag0 = inputs.schedule.agents[0]
+    schedule = inputs.schedule
+    ag0 = schedule.agents[0]
     closed: int | None = None
     if D == 0.0:
         closed = 0
-    elif all(a.a == 0 for a in inputs.schedule.agents) and inputs.m == 1:
+    elif all(a.a == 0 for a in schedule.agents) and inputs.m == 1:
         expo = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
                 * inputs.sigma ** 2 / (inputs.phi * ag0.b * ag0.theta)) ** (1.0 / ag0.b)
         # round outward: this index solves the same tail condition the numeric
@@ -314,14 +283,14 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
             closed = max(0, math.ceil(math.exp(expo) - ag0.mu + 1.0))
         except OverflowError:
             closed = None
-    elif all(a.a > 0 for a in inputs.schedule.agents):
-        # _tail_remainder bounds the tail from k0 by the sum over agents of
+    elif all(a.a > 0 for a in schedule.agents):
+        # schedule.tail_bound bounds the tail from k0 by the sum over agents of
         # 1 / (theta_i a_i (k0 - 1 + mu_i)^a_i) once k0 + mu_i >= e; each
         # term is at most threshold / m from the index computed here.
-        m = len(inputs.schedule.agents)
-        closed = max(0, math.ceil(math.e - min(a.mu for a in inputs.schedule.agents)))
+        m = schedule.n_agents
+        closed = max(0, math.ceil(math.e - min(a.mu for a in schedule.agents)))
         try:
-            for ag in inputs.schedule.agents:
+            for ag in schedule.agents:
                 base = (m * D / (inputs.phi * ag.theta * ag.a)) ** (1.0 / ag.a)
                 # round outward: the power amplifies relative error by 1/a
                 base *= 1.0 + 16.0 * sys.float_info.epsilon * (m + 1.0 / ag.a)
@@ -331,8 +300,8 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
 
     if D == 0.0:
         return BurnInResult(closed, 0, 0.0, threshold)
-    inv = inputs.harmonic_inverse(horizon)
-    rem = _tail_remainder(inputs, horizon)
+    inv, _ = schedule.inverse_series(np.arange(horizon + 1))
+    rem = schedule.tail_bound(horizon)
     suffix = np.cumsum(inv[::-1])[::-1] + rem
     ok = np.nonzero(suffix <= threshold)[0]
     if ok.size:
@@ -341,7 +310,7 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
     # beyond the numeric horizon, certify through the integral bound alone;
     # the bisection runs over integers, so it ends at the least index that fits
     def fits(k):
-        return _tail_remainder(inputs, k - 1) <= threshold
+        return schedule.tail_bound(k - 1) <= threshold
 
     lo, hi = horizon, max(2 * horizon, 4)
     while not fits(hi):
@@ -354,7 +323,7 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
             hi = mid
         else:
             lo = mid
-    return BurnInResult(closed, hi, float(_tail_remainder(inputs, hi - 1)), threshold)
+    return BurnInResult(closed, hi, float(schedule.tail_bound(hi - 1)), threshold)
 
 
 @dataclass(frozen=True)
@@ -496,9 +465,10 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     phi = inputs.phi
 
     burn = k0_and_tail(inputs, horizon=horizon)
-    inv = inputs.harmonic_inverse(horizon)
-    a0 = float(np.sum(inv)) + _tail_remainder(inputs, horizon)
-    b0 = float(np.sum(inv ** 2)) + _tail_remainder_sq(inputs, horizon)
+    schedule = inputs.schedule
+    inv, min_inv = schedule.inverse_series(np.arange(horizon + 1))
+    a0 = float(np.sum(inv)) + schedule.tail_bound(horizon)
+    b0 = float(np.sum(inv ** 2)) + schedule.tail_bound_sq(horizon)
 
     J = inputs.J
     if J is None and D > 0.0:
@@ -514,7 +484,7 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     Q_inf = 2.0 / rho_val * (d0 ** 2 + (1.0 + J) * (D * a0 + D ** 2 * b0))
     P = Q_inf + 1.0
 
-    ag = inputs.schedule.agents[0]
+    ag = schedule.agents[0]
     scalar_family = inputs.m == 1 and ag.a == 0
     Q_bar = I_const = complexity = coef_A = coef_B = None
     if scalar_family:
@@ -533,8 +503,7 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     if inputs.m == 1:
         lg = math.log(ag.mu - 1.0)
         unif_tail = 17.0 * inputs.c2 ** 2 * inputs.alpha ** 2 * inputs.sigma ** 2
-        min_inv = inputs.min_inverse(horizon)
-        sum_min = float(np.sum(min_inv)) + _tail_remainder(inputs, horizon)
+        sum_min = float(np.sum(min_inv)) + schedule.tail_bound(horizon)
         uQ_inf = 2.0 / rho_val * (d0 ** 2 + unif_tail * sum_min)
         uP = uQ_inf + 1.0
         if ag.a == 0:
@@ -548,25 +517,25 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
 
     # Network family (shared polynomial exponent a > 0, b_lo > -1/2).
     nA = nB = nQ = nI = nP = nC = None
-    a_exps = {a.a for a in inputs.schedule.agents}
-    b_lo = min(a.b for a in inputs.schedule.agents)
-    if all(a.a > 0 for a in inputs.schedule.agents) and len(a_exps) == 1 and b_lo > -0.5:
+    a_exps = {a.a for a in schedule.agents}
+    b_lo = min(a.b for a in schedule.agents)
+    if all(a.a > 0 for a in schedule.agents) and len(a_exps) == 1 and b_lo > -0.5:
         lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
-        a_exp = inputs.schedule.agents[0].a
-        mu_lo = min(a.mu for a in inputs.schedule.agents)
+        a_exp = schedule.agents[0].a
+        mu_lo = min(a.mu for a in schedule.agents)
         lg_lo = math.log(mu_lo - 1.0)
         nA = sum(lam / (a.theta * a.a * (a.mu - 1.0) ** a.a)
-                 for a in inputs.schedule.agents)
+                 for a in schedule.agents)
         vartheta = (1.0 + 2.0 * b_lo) * (mu_lo - 1.0) ** (1.0 + 2.0 * a_exp) * lg_lo
-        nB = (sum(lam / (a.theta * lg_lo ** a.b) for a in inputs.schedule.agents) ** 2
+        nB = (sum(lam / (a.theta * lg_lo ** a.b) for a in schedule.agents) ** 2
               / vartheta)
         A_net = inputs.sigma ** 2 * nA + inputs.sigma ** 4 * nB
         nQ = _rate_constant(rho_val, d0, A_net, J)
         nP = Q_inf + 1.0
         nu = 2.0 + a_exp
         nI = _network_complexity_constant(rho_val, d0, A_net, J, nu)
-        b1 = max(a.b for a in inputs.schedule.agents)
-        theta_max = max(a.theta for a in inputs.schedule.agents)
+        b1 = max(a.b for a in schedule.agents)
+        theta_max = max(a.theta for a in schedule.agents)
         nC = (inputs.S * max(theta_max, 1.0)
               * math.log(nP / eps) ** (1.0 + b1) * nI / eps ** nu)
 

@@ -62,9 +62,5 @@ class MissingJ(StochviError):
     """Rate constants need a trajectory bound, either supplied or empirical."""
 
 
-class EmptyList(StochviError):
-    """Aggregation over an empty collection."""
-
-
 class ConfigError(StochviError):
     """Malformed or unsupported JSON configuration document."""

@@ -58,10 +58,13 @@ from .solver import fejer_audit, martingale_probe, run, write_rows_csv
 SCHEMA_VERSION = 1
 
 
-def _check_keys(obj, allowed, where):
-    extra = set(obj) - set(allowed)
+def _check_keys(obj, allowed, where, required=()):
+    extra = set(obj) - set(allowed) - set(required)
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
 def problem_from_config(cfg) -> ProblemInstance:
@@ -96,8 +99,8 @@ def problem_from_config(cfg) -> ProblemInstance:
 
 
 def solver_config_from_config(cfg) -> SolverConfig:
-    _check_keys(cfg, {"stepsize", "schedule", "max_iterations", "coordination",
-                      "master_seed", "diagnostics", "residual_floor"}, "solver")
+    _check_keys(cfg, {"coordination", "master_seed", "diagnostics", "residual_floor"},
+                "solver", required={"stepsize", "schedule", "max_iterations"})
     return SolverConfig(
         stepsize=cfg["stepsize"],
         schedule=SampleSchedule.from_config(cfg["schedule"]),
@@ -140,9 +143,9 @@ def config_hash(document) -> str:
 
 
 def experiment_from_config(document) -> ExperimentConfig:
-    _check_keys(document, {"schema_version", "problem", "solver", "replications",
-                           "x0", "merits", "rate_fit_window", "epsilon", "threads"},
-                "experiment config")
+    _check_keys(document, {"schema_version", "replications", "x0", "merits",
+                           "rate_fit_window", "epsilon", "threads"},
+                "experiment config", required={"problem", "solver"})
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
@@ -441,10 +444,7 @@ def probe(kind: str, params: dict, out_dir) -> dict:
     params each accepts and needs are in ``PROBES``.
     """
     spec = probe_spec(kind)
-    _check_keys(params, spec.keys, f"{kind} params")
-    missing = spec.required - set(params)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {kind} params")
+    _check_keys(params, spec.optional, f"{kind} params", spec.required)
     rows, fields = spec.runner(params)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -459,9 +459,11 @@ def probe(kind: str, params: dict, out_dir) -> dict:
 def constants_inputs_from_config(cfg):
     from .constants import ConstantsInputs
 
-    _check_keys(cfg, {"L", "alpha", "sigma", "schedule", "phi", "d0", "p",
-                      "c2", "cp", "cq", "c_remainder", "m", "shared_samples",
-                      "S", "J", "op_bound_L", "op_bound_M"}, "constants inputs")
+    _check_keys(cfg, {"phi", "d0", "p", "c2", "cp", "cq", "c_remainder", "m",
+                      "shared_samples", "S", "J", "op_bound_L", "op_bound_M"},
+                "constants inputs", required={"L", "alpha", "sigma", "schedule"})
+    if type(cfg.get("m", 1)) is not int:
+        raise ConfigError(f"network size m must be an integer, got {cfg['m']!r}")
     kwargs = dict(cfg)
     kwargs["schedule"] = SampleSchedule.from_config(kwargs["schedule"])
     return ConstantsInputs(**kwargs)

@@ -1,4 +1,4 @@
-"""Sample-rate schedules, harmonic aggregation and batch-mean evaluation.
+"""Sample-rate schedules, their 1/N_k series and tail bounds, and batch means.
 
 The per-agent sample count at iteration k is
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyList, InvalidParameters, InvalidSchedule, NoMeanOperator
+from .errors import ConfigError, InvalidParameters, InvalidSchedule, NoMeanOperator
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,27 @@ class AgentSchedule:
             return 1.0 / (self.theta * self.a * t ** self.a)
         return 1.0 / (self.theta * self.b * math.log(t) ** self.b)
 
+    def tail_bound_sq(self, k) -> float:
+        """Integral-test bound >= sum_(j > k) 1/N_j^2, valid for k >= 0:
+        1/(theta^2 (1 + 2a) (k+mu)^(1+2a) ln(k+mu)^(2+2b)), since
+        ln(x+mu)^-(2+2b) is nonincreasing for b >= -1."""
+        t = k + self.mu
+        return 1.0 / (self.theta ** 2 * (1.0 + 2.0 * self.a) * t ** (1.0 + 2.0 * self.a)
+                      * math.log(t) ** (2.0 + 2.0 * self.b))
+
 
 @dataclass(frozen=True)
 class SampleSchedule:
-    """Per-agent sample-rate parameters.
+    """Per-agent sample-rate parameters and the summability argument.
 
     The aggregate count N_k is defined through 1/N_k = sum_i 1/N_{k,i}; it
-    is a real number (harmonic means are not integers, see
-    ``harmonic_aggregate``) and only the per-agent counts drive actual draws.
+    is a real number (harmonic means are not integers) and only the
+    per-agent counts drive actual draws.  Every guarantee rests on
+    sum_k 1/N_k < inf (and sum_k 1/N_k^2 for complexity): ``inverse_series``
+    tabulates the heads of 1/N_k and 1/min_i N_{k,i}, ``tail_bound`` and
+    ``tail_bound_sq`` bound what lies past a tabulated head.
+    ``schedule_tail_check`` (validation) and ``stochvi.constants`` read the
+    series through these methods.
     """
 
     agents: tuple
@@ -128,33 +141,45 @@ class SampleSchedule:
                 "exceeds the int64 range")
         return counts.astype(np.int64)
 
+    def inverse_series(self, k):
+        """(1/N_k, 1/min_i N_{k,i}) at the indices ``k``: the aggregate series
+        and the per-agent-minimum series, each of shape (len(k),)."""
+        inv = 1.0 / self.counts(k)
+        return np.sum(inv, axis=1), np.max(inv, axis=1)
+
+    def tail_bound(self, k) -> float:
+        """Bound on sum_(j > k) 1/N_j: the agents' integral-test bounds summed."""
+        total = 0.0
+        for ag in self.agents:
+            total += ag.tail_bound(k)
+        return total
+
+    def tail_bound_sq(self, k) -> float:
+        """Bound on sum_(j > k) 1/N_j^2: the agents' bounds combined by the
+        l2 triangle inequality, (sum_i sqrt(B2_i(k)))^2."""
+        root = 0.0
+        for ag in self.agents:
+            root += math.sqrt(ag.tail_bound_sq(k))
+        return root ** 2
+
     def to_config(self):
         return [{"theta": a.theta, "mu": a.mu, "a": a.a, "b": a.b} for a in self.agents]
 
     @classmethod
     def from_config(cls, cfg):
-        from .errors import ConfigError
-
         entries = cfg if isinstance(cfg, list) else [cfg]
         agents = []
         for e in entries:
             extra = set(e) - {"theta", "mu", "a", "b"}
             if extra:
                 raise ConfigError(f"unknown schedule keys {sorted(extra)}")
+            missing = {"theta", "mu"} - set(e)
+            if missing:
+                raise ConfigError(f"schedule entry misses keys {sorted(missing)}")
             agents.append(AgentSchedule(
                 float(e["theta"]), float(e["mu"]),
                 float(e.get("a", 0.0)), float(e.get("b", 1.0))))
         return cls(tuple(agents))
-
-
-def harmonic_aggregate(sizes):
-    """Aggregate count N_k with 1/N_k = sum_i 1/N_{k,i}; also returns min_i N_{k,i}."""
-    sizes = np.asarray(sizes, dtype=float)
-    if sizes.size == 0:
-        raise EmptyList("harmonic aggregate of an empty list")
-    if np.any(sizes < 1):
-        raise InvalidSchedule("sample counts must be >= 1")
-    return float(1.0 / np.sum(1.0 / sizes)), int(np.min(sizes))
 
 
 def schedule_tail_check(schedule: SampleSchedule, horizon: int = 10 ** 6,
@@ -169,12 +194,12 @@ def schedule_tail_check(schedule: SampleSchedule, horizon: int = 10 ** 6,
     ``total`` bounds sum_(k <= horizon) 1/N_k per agent by
     min(horizon + 1, 1/N_0 + 1/N_1 + B(1) - B(horizon)) with the integral
     bound B of ``AgentSchedule.tail_bound``; no O(horizon) work is done.
-    Returns (ok, detail).  The companion per-agent condition
+    Returns (ok, detail).  Both series come from
+    ``SampleSchedule.inverse_series``; the companion per-agent condition
     sum_k 1/min_i N_{k,i} < inf is reported informationally in the detail.
     """
-    inv = 1.0 / schedule.counts(np.arange(max(horizon - window, 0), horizon + 1))
-    tail = float(np.sum(np.sum(inv, axis=1)))     # increment of 1/N_k
-    tail_min = float(np.sum(np.max(inv, axis=1)))  # of 1/min_i N_{k,i}
+    agg, per_min = schedule.inverse_series(np.arange(max(horizon - window, 0), horizon + 1))
+    tail, tail_min = float(np.sum(agg)), float(np.sum(per_min))
     head = 1.0 / schedule.counts([0, 1])
     total = sum(min(horizon + 1.0, h0 + h1 + ag.tail_bound(1) - ag.tail_bound(horizon))
                 for ag, h0, h1 in zip(schedule.agents, head[0], head[1]))

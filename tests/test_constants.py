@@ -75,7 +75,7 @@ class TestCConsistency:
     def test_minimal_c_matches_direct_formula(self):
         inp = inputs()
         report = c_consistency(inp, k_max=200)
-        inv = inp.harmonic_inverse(200)
+        inv = np.sum(1.0 / inp.schedule.counts(np.arange(201)), axis=1)
         h = inp.alpha * inp.sigma * np.sqrt(inv)
         direct = np.max((32.0 * (1.0 + inp.alpha + h) ** 2 + 18.0) / (1.0 + h ** 2))
         assert report.minimal_c == pytest.approx(float(direct), rel=1e-12)
@@ -344,12 +344,18 @@ class TestPartialRateConstant:
 
 class TestInputValidation:
     def test_layout_consistency(self):
-        with pytest.raises(InvalidInputs):
-            inputs(a_coef=2)  # m = 1 forces a_coef = 1
-        with pytest.raises(InvalidInputs):
-            ConstantsInputs(L=1.0, alpha=0.1, sigma=1.0,
-                            schedule=SampleSchedule.uniform(1, 3, 0, 1, m=2),
-                            phi=0.5, d0=1.0, m=2, a_coef=1)
+        # the error-decay coefficients follow from m and shared_samples alone
+        single = inputs()
+        assert (single.a_coef, single.b_coef) == (1, 1)
+        assert (inputs(shared_samples=False).a_coef,
+                inputs(shared_samples=False).b_coef) == (1, 1)
+        shared = inputs(m=3)
+        assert (shared.a_coef, shared.b_coef) == (2, 1)
+        independent = inputs(m=3, shared_samples=False)
+        assert (independent.a_coef, independent.b_coef) == (2, 2)
+        assert independent.schedule.n_agents == 3
+        with pytest.raises(TypeError):
+            inputs(a_coef=2)  # not an input any more
 
     def test_p_domain(self):
         with pytest.raises(InvalidInputs):

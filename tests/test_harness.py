@@ -40,6 +40,37 @@ def experiment_doc(**overrides):
     return doc
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+CONSTANTS_DOC = {"L": 1.0, "alpha": 0.25, "sigma": 0.0,
+                 "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+                 "phi": 0.5, "d0": 1.0}
+
+
+def incomplete_documents(fejer):
+    """(subcommand, document, text the error names) for documents that miss
+    a required key or give a non-integer network size; ``fejer`` is a
+    complete fejer_audit probe document."""
+    solver = experiment_doc()["solver"]
+    fejer = dict(fejer, kind="fejer_audit")
+    cases = [("solve", experiment_doc(solver=dict(solver, schedule={"mu": 3})), "theta"),
+             ("experiment", experiment_doc(solver=dict(solver, schedule=[{"theta": 1}])),
+              "mu"),
+             ("probe", dict(fejer, solver=dict(fejer["solver"], schedule={"mu": 3})),
+              "theta"),
+             ("constants", dict(CONSTANTS_DOC, schedule={"theta": 1}), "mu"),
+             ("constants", dict(CONSTANTS_DOC, m=3.0), "m must be an integer")]
+    cases += [("constants", without(CONSTANTS_DOC, key), key)
+              for key in ("L", "alpha", "sigma", "schedule")]
+    cases += [("experiment", without(experiment_doc(), key), key)
+              for key in ("problem", "solver")]
+    cases += [("experiment", experiment_doc(solver=without(solver, key)), key)
+              for key in ("stepsize", "schedule", "max_iterations")]
+    return cases
+
+
 class TestConfigParsing:
     def test_round_trip_and_hash(self):
         doc = experiment_doc()
@@ -331,8 +362,15 @@ class TestCli:
         if kind != "fejer_audit":  # its rows hold no draw-dependent value
             assert csvs[0] != csvs[1]
 
+    @pytest.mark.parametrize("command,doc,named",
+                             incomplete_documents(PROBE_DOCS["fejer_audit"]))
+    def test_incomplete_documents_exit_2(self, tmp_path, capsys, command, doc, named):
+        cfg = self.write(tmp_path / "c.json", doc)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_incomplete_probe_documents_exit_2(self, tmp_path, capsys):
-        no_x = {k: v for k, v in self.PROBE_DOCS["martingale"].items() if k != "x"}
+        no_x = without(self.PROBE_DOCS["martingale"], "x")
         no_grid = dict(self.PROBE_DOCS["error_decay"], N_grid=[])
         for kind, doc in [("martingale", no_x), ("error_decay", no_grid)]:
             cfg = self.write(tmp_path / "p.json", dict(doc, kind=kind))

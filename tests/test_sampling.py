@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from reference_impls import sample_count, tail_scan
 from stochvi.core import RngStreamKey
-from stochvi.errors import EmptyList, InvalidParameters, InvalidSchedule, NoMeanOperator
+from stochvi.errors import InvalidParameters, InvalidSchedule, NoMeanOperator
 from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
 from stochvi.sampling import (
     AgentSchedule,
     SampleSchedule,
     batch_mean,
     error_decay_probe,
-    harmonic_aggregate,
     network_exponents,
     schedule_tail_check,
     verify_network_exponents,
@@ -57,22 +56,44 @@ class TestSampleSize:
         assert sizes[0] >= 1
 
 
+# three agents with three different polynomial exponents a
+MIXED = SampleSchedule((AgentSchedule(1, 3, 0, 1), AgentSchedule(2, 4, 0.5, 0),
+                        AgentSchedule(0.5, 3, 1, -1)))
+
+
 class TestHarmonicAggregate:
+    """``SampleSchedule.inverse_series``: (1/N_k, 1/min_i N_{k,i}) with
+    1/N_k = sum_i 1/N_{k,i}, checked against the counts summed by hand."""
+
     def test_equal_pair(self):
-        agg, nmin = harmonic_aggregate([2, 2])
-        assert agg == 1.0 and nmin == 2
+        agg, per_min = SampleSchedule.uniform(1, 3, 0, 1, m=2).inverse_series([0])
+        assert agg[0] == 0.5 and per_min[0] == 0.25  # N_{0,i} = 4
 
     def test_unequal_pair(self):
-        agg, _ = harmonic_aggregate([2, 6])
-        assert agg == pytest.approx(1.5)
+        sched = SampleSchedule((AgentSchedule(1, 3, 0, 1), AgentSchedule(2, 3, 1, -1)))
+        agg, per_min = sched.inverse_series([7])
+        assert (sched.size(0, 7), sched.size(1, 7)) == (54, 200)
+        assert agg[0] == pytest.approx(1 / 54 + 1 / 200)
+        assert per_min[0] == 1 / 54
+
+    def test_mixed_three_agents(self):
+        k = [0, 1, 10, 1000, 10 ** 5]
+        agg, per_min = MIXED.inverse_series(k)
+        for j, kk in enumerate(k):
+            sizes = [MIXED.size(i, kk) for i in range(3)]
+            assert agg[j] == pytest.approx(1 / sizes[0] + 1 / sizes[1] + 1 / sizes[2],
+                                           rel=1e-15)
+            assert per_min[j] == 1 / min(sizes)
 
     def test_single_agent(self):
-        agg, nmin = harmonic_aggregate([17])
-        assert agg == 17.0 and nmin == 17
+        sched = SampleSchedule.uniform(1, 3, 0, 1)
+        agg, per_min = sched.inverse_series(np.arange(50))
+        assert np.array_equal(agg, 1.0 / sched.sizes_upto(49)[:, 0])
+        assert np.array_equal(per_min, agg)
 
     def test_empty(self):
-        with pytest.raises(EmptyList):
-            harmonic_aggregate([])
+        with pytest.raises(InvalidSchedule):
+            SampleSchedule(())
 
 
 def test_tail_summability_finite_horizon():
@@ -110,6 +131,20 @@ def test_tail_check_decides_like_the_numeric_scan(m):
         assert ok == tail_scan([params] * m), (params, detail)
         decisions.append(ok)
     assert decisions.count(False) == 1  # only the stalled schedule fails
+
+
+def test_tail_bounds_bound_the_tails():
+    """sum_(k < j <= H) 1/N_j and 1/N_j^2 stay under ``tail_bound(k)`` and
+    ``tail_bound_sq(k)`` for every schedule above at m = 1 and 3, and for
+    the mixed-exponent network.  Float counts: some schedules pass int64."""
+    horizon = 10 ** 5
+    schedules = [SampleSchedule.uniform(*p, m=m) for p in SCHEDULES for m in (1, 3)]
+    for sched in schedules + [MIXED]:
+        inv = np.sum(1.0 / sched.counts(np.arange(horizon + 1)), axis=1)
+        for k in (1, 10, 1000):
+            tail = inv[k + 1:]
+            assert np.sum(tail) <= sched.tail_bound(k), (sched, k)
+            assert np.sum(tail ** 2) <= sched.tail_bound_sq(k), (sched, k)
 
 
 class TestNetworkExponents:

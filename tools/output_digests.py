@@ -9,6 +9,10 @@ bits on these runs:
   benchmark workloads never switch them on);
 * ``stochvi probe --seed 3`` on each probe document of the CLI tests
   (``TestCli.PROBE_DOCS`` in ``tests/test_harness.py``);
+* ``stochvi constants`` on the four documents of ``CONSTANTS_DOCS``: the
+  README example and the acceptance criterion-9 inputs (both against the
+  seed-1 rate_ensemble experiment summary), a network of three agents with
+  independent draws and a > 0, and a p = 4 input with a bounded operator;
 * ``solver.run`` (replication 0) on each workload config at seed 1 with its
   oracle wrapped so that it draws every sample: as a plain function (no
   ``block``, no ``exact_mean``; distributed stages slice the full draws) and
@@ -16,8 +20,9 @@ bits on these runs:
   run reaches these routes, since every built-in oracle declares
   ``exact_mean``.
 
-Each CLI run writes two files: 8 configs x 2 commands x 2 + 5 probes x 2 =
-42 digests, keyed ``<run>/<file>``; each per-draw run gives one digest of
+Each experiment, solve and probe run writes two files: 8 configs x 2
+commands x 2 + 5 probes x 2 = 42 digests, keyed ``<run>/<file>``; each
+constants run writes one, 4 more; each per-draw run gives one digest of
 its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more.
 BLAS is pinned to one thread.
 
@@ -51,6 +56,23 @@ from pathlib import Path  # noqa: E402
 SEEDS = (1, 2)
 DIAGNOSTIC_WORKLOADS = ("rate_ensemble", "short_agents")
 PROBE_SEED = 3
+RATE_SUMMARY = "rate_ensemble-s1-experiment/experiment_summary.json"
+CONSTANTS_DOCS = {
+    "readme": {"eps": 1e-4, "L": 1.0, "alpha": 0.25, "sigma": 2.2360679,
+               "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+               "phi": 0.5, "d0": 2.2360679, "run_summary": RATE_SUMMARY},
+    "criterion9": {"eps": 1e-4, "L": 1.0, "alpha": 0.25, "sigma": 5 ** 0.5,
+                   "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+                   "phi": 0.5, "d0": 5 ** 0.5, "run_summary": RATE_SUMMARY},
+    "network": {"eps": 1e-3, "L": 1.0, "alpha": 0.1, "sigma": 1.0, "J": 2.0,
+                "m": 3, "shared_samples": False,
+                "schedule": [{"theta": 1, "mu": 3, "a": 0.5, "b": 1.0},
+                             {"theta": 1.5, "mu": 4, "a": 0.5, "b": 0.6},
+                             {"theta": 2, "mu": 3.5, "a": 0.5, "b": 0.2}]},
+    "bounded_p4": {"eps": 1e-3, "L": 1.0, "alpha": 0.2, "sigma": 0.5, "J": 1.5,
+                   "schedule": {"theta": 2, "mu": 3, "a": 0, "b": 1},
+                   "p": 4, "cp": 1.2, "cq": 1.1, "op_bound_M": 3.0},
+}
 
 
 def configs(workloads):
@@ -115,6 +137,8 @@ def digests(root: Path) -> dict:
             for name, doc in configs(workloads) for command in ("experiment", "solve")]
     runs += [(f"probe-{kind}", ["probe", "--seed", str(PROBE_SEED)], dict(doc, kind=kind))
              for kind, doc in sorted(TestCli.PROBE_DOCS.items())]
+    runs += [(f"constants-{name}", ["constants"], doc)  # after the summaries they read
+             for name, doc in CONSTANTS_DOCS.items()]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run, argv, doc in runs:
