@@ -26,9 +26,10 @@ config = SolverConfig(
     master_seed=7,
 )
 print()
-print(validate(problem, config))
+plan = validate(problem, config)  # checks the pair and tabulates the run
+print(plan.report)
 
-trace = run(problem, config, x0=np.full(8, 2.0))
+trace = run(plan, x0=np.full(8, 2.0))
 print()
 print("  k    r_alpha(x)^2      dist^2        N_k   cumulative calls")
 for k in (0, 10, 50, 100, 200):

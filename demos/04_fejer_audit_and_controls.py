@@ -13,7 +13,7 @@ the randomized pseudo-monotonicity check finds a witness pair.
 
 import numpy as np
 
-from stochvi import SampleSchedule, SolverConfig
+from stochvi import SampleSchedule, SolverConfig, validate
 from stochvi.problems import check_pseudo_monotone, gen_negative_control, gen_scaled_monotone
 from stochvi.solver import fejer_audit, run
 
@@ -23,15 +23,16 @@ config = SolverConfig(stepsize=0.25 / problem.lipschitz_L,
                       max_iterations=100, master_seed=31, diagnostics=True)
 
 print(f"pseudo-monotone (non-monotone) instance: {problem.name}")
+plan = validate(problem, config)
 for rep in range(3):
-    trace = run(problem, config, replication=rep, x0=np.full(5, 1.0))
+    trace = run(plan, replication=rep, x0=np.full(5, 1.0))
     audit = fejer_audit(trace, problem.known_solutions[0])
     print(f"  replication {rep}: {audit}")
 
 control = gen_negative_control(n=1)
 ctl_cfg = SolverConfig(stepsize=0.2, schedule=SampleSchedule.uniform(1, 3, 0, 1),
                        max_iterations=30, master_seed=1, diagnostics=True)
-trace = run(control, ctl_cfg, x0=np.array([1.0]))
+trace = run(validate(control, ctl_cfg), x0=np.array([1.0]))
 audit = fejer_audit(trace, np.zeros(1))
 print(f"\nnegative control T(x) = -x: {audit}")
 print("pseudo-monotonicity check on the control:",

@@ -9,7 +9,7 @@ while the per-agent exponent coordination keeps the aggregate rate intact.
 
 import numpy as np
 
-from stochvi import SampleSchedule, SolverConfig
+from stochvi import SampleSchedule, SolverConfig, validate
 from stochvi.problems import gen_strongly_monotone
 from stochvi.sampling import network_exponents, verify_network_exponents
 from stochvi.solver import run
@@ -19,8 +19,8 @@ blocked = problem.with_blocks([2, 2, 1])
 config = SolverConfig(stepsize=0.25, schedule=SampleSchedule.uniform(1, 3, 0, 1),
                       max_iterations=80, master_seed=11)
 
-mono = run(problem, config, x0=np.full(5, 1.5))
-cent = run(blocked, config, x0=np.full(5, 1.5))
+mono = run(validate(problem, config), x0=np.full(5, 1.5))
+cent = run(validate(blocked, config), x0=np.full(5, 1.5))
 print("three agents, centralized sampling:")
 print(f"  trace identical to monolithic run: "
       f"{np.array_equal(mono.iterates, cent.iterates)}")
@@ -31,7 +31,7 @@ dist_cfg = SolverConfig(stepsize=0.25,
                         schedule=SampleSchedule.uniform(1, 3, 0, 1, m=3),
                         max_iterations=80, master_seed=11,
                         coordination="distributed")
-dist = run(blocked, dist_cfg, x0=np.full(5, 1.5))
+dist = run(validate(blocked, dist_cfg), x0=np.full(5, 1.5))
 print("\nthree agents, distributed sampling:")
 print(f"  oracle calls: {dist.cum_calls[-1]} (3x the shared-draw cost)")
 print(f"  final r^2: {dist.r2[-1]:.3e} vs centralized {cent.r2[-1]:.3e}")

@@ -6,6 +6,7 @@ experiment harness."""
 from .core import (
     ProblemInstance,
     RngStreamKey,
+    RunPlan,
     SolverConfig,
     ValidationReport,
     VarianceProfile,

@@ -51,12 +51,13 @@ def _apply_overrides(document, args):
 
 
 def cmd_solve(args):
+    from .core import validate
     from .harness import experiment_from_config
     from .solver import run
 
     document = _apply_overrides(_load(args.config), args)
     cfg = experiment_from_config(document)
-    trace = run(cfg.problem, cfg.solver, replication=0, x0=cfg.x0)
+    trace = run(validate(cfg.problem, cfg.solver), replication=0, x0=cfg.x0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")

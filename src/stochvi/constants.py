@@ -259,12 +259,15 @@ class BurnInResult:
                 f"(tail threshold {self.threshold:.6g})")
 
 
-def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResult:
+def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON,
+                inv=None) -> BurnInResult:
     """Burn-in index: closed form from the integral bound (single agent with
     a = 0, or every agent with a > 0), and the numeric minimizer of the same
     condition sum_(k >= k0) 1/N_k <= phi / D.  The numeric index never
     exceeds the closed form; the closed form is None where it overflows or
-    no integral bound is derived (mixed exponents, or a = 0 with m > 1)."""
+    no integral bound is derived (mixed exponents, or a = 0 with m > 1).
+    ``inv`` is the head 1/N_k for k = 0..horizon when the caller has
+    already tabulated it."""
     D = inputs.noise_margin
     threshold = math.inf if D == 0.0 else inputs.phi / D
 
@@ -300,7 +303,8 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON) -> BurnInResul
 
     if D == 0.0:
         return BurnInResult(closed, 0, 0.0, threshold)
-    inv, _ = schedule.inverse_series(np.arange(horizon + 1))
+    if inv is None:
+        inv, _ = schedule.inverse_series(np.arange(horizon + 1))
     rem = schedule.tail_bound(horizon)
     suffix = np.cumsum(inv[::-1])[::-1] + rem
     ok = np.nonzero(suffix <= threshold)[0]
@@ -464,9 +468,9 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     D = inputs.noise_margin
     phi = inputs.phi
 
-    burn = k0_and_tail(inputs, horizon=horizon)
     schedule = inputs.schedule
     inv, min_inv = schedule.inverse_series(np.arange(horizon + 1))
+    burn = k0_and_tail(inputs, horizon=horizon, inv=inv)
     a0 = float(np.sum(inv)) + schedule.tail_bound(horizon)
     b0 = float(np.sum(inv ** 2)) + schedule.tail_bound_sq(horizon)
 

@@ -36,6 +36,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -307,16 +308,41 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(problem: ProblemInstance, config: SolverConfig) -> ValidationReport:
-    """Check every configuration-time condition the method relies on.
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """A validated (problem, config) pair and the tables every run of it
+    reads, built once by :func:`validate`.
 
-    Returns a report with one entry per check.  Raises immediately (rather
+    ``draw_sets`` are a stage's (block, slice) pairs: ``(0, None)`` alone
+    when sampling is centralized, one per agent when distributed.
+    ``sizes`` holds the per-agent counts N_{k,i} for k = 0..max_iterations,
+    ``rows[k]`` the counts of iteration k's draw sets as Python ints,
+    ``alphas[k]`` the stepsize alpha_k, and ``cum_calls[k]`` the oracle
+    calls billed before iteration k, 2 sum_(j<k) sum_i N_{j,i}.
+    """
+
+    problem: ProblemInstance
+    config: SolverConfig
+    report: ValidationReport
+    draw_sets: tuple
+    sizes: np.ndarray
+    rows: tuple
+    alphas: tuple
+    cum_calls: np.ndarray
+
+
+def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
+    """Check every configuration-time condition the method relies on and
+    return the run plan of the pair.
+
+    The plan's report has one entry per check.  Raises immediately (rather
     than reporting) on the conditions that make a run meaningless: a stepsize
     at or above 1/(sqrt(6) L), sample counts still stalled near 1 at the
     ``schedule_tail_check`` horizon (the schedule's parameter region already
-    makes sum_k 1/N_k finite; the check is analytic, not a scan), and agent
-    schedules that do not fit the blocks or the coordination.  Re-running is
-    idempotent and side-effect free.
+    makes sum_k 1/N_k finite; the check is analytic, not a scan), agent
+    schedules that do not fit the blocks or the coordination, and counts
+    beyond the int64 range by ``max_iterations``.  Re-running is idempotent
+    and side-effect free.
     """
     checks = []
     L = problem.lipschitz_L
@@ -371,4 +397,17 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> ValidationReport
     else:
         vp = problem.variance_profile
         checks.append(CheckResult("variance_profile", True, f"{vp.kind}, sigma={vp.sigma:g}"))
-    return ValidationReport(tuple(checks))
+
+    K = config.max_iterations
+    sizes = sched.sizes_upto(K)
+    sizes.setflags(write=False)
+    distributed = config.coordination == "distributed" and m > 1
+    draw_sets = tuple(enumerate(problem.block_slices())) if distributed else ((0, None),)
+    rows = tuple(map(tuple, sizes[:, :len(draw_sets)].tolist()))
+    cum_calls = np.array(list(accumulate((2 * sum(r) for r in rows[:K]), initial=0)),
+                         dtype=np.int64)
+    cum_calls.setflags(write=False)
+    return RunPlan(problem=problem, config=config, report=ValidationReport(tuple(checks)),
+                   draw_sets=draw_sets, sizes=sizes, rows=rows,
+                   alphas=tuple(map(config.stepsize_at, range(K + 1))),
+                   cum_calls=cum_calls)

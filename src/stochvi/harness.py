@@ -75,19 +75,19 @@ def problem_from_config(cfg) -> ProblemInstance:
     kind = cfg.pop("kind", None)
     blocks = cfg.pop("blocks", None)
     fset_cfg = cfg.pop("set", None)
-    makers = {
+    makers = {  # kind: (generator, optional keys, required keys)
         "strongly_monotone": (P.gen_strongly_monotone,
-                              {"n", "seed", "noise_scale", "strong_modulus",
-                               "psd_scale", "skew_scale", "center"}),
-        "linear_svi": (P.gen_linear_svi, {"n", "seed", "noise_scale", "feasible"}),
-        "scaled_monotone": (P.gen_scaled_monotone, {"n", "seed", "noise_scale"}),
-        "constant_noise": (P.gen_constant_noise, {"sigma", "n"}),
-        "negative_control": (P.gen_negative_control, {"n", "noise_scale"}),
+                              {"seed", "noise_scale", "strong_modulus",
+                               "psd_scale", "skew_scale", "center"}, {"n"}),
+        "linear_svi": (P.gen_linear_svi, {"seed", "noise_scale", "feasible"}, {"n"}),
+        "scaled_monotone": (P.gen_scaled_monotone, {"seed", "noise_scale"}, {"n"}),
+        "constant_noise": (P.gen_constant_noise, {"sigma", "n"}, set()),
+        "negative_control": (P.gen_negative_control, {"n", "noise_scale"}, set()),
     }
     if kind not in makers:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    maker, allowed = makers[kind]
-    _check_keys(cfg, allowed, f"problem kind {kind!r}")
+    maker, allowed, required = makers[kind]
+    _check_keys(cfg, allowed, f"problem kind {kind!r}", required)
     if fset_cfg is not None:
         if kind != "strongly_monotone":
             raise ConfigError("'set' override is only supported for strongly_monotone")
@@ -261,17 +261,15 @@ def fit_loglog_slope(values, window):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the replication ensemble and aggregate per-iteration stats.
 
-    Replications run serially, each on the streams keyed by its index, and
-    are merged by index, so results depend only on (master_seed,
-    replication).  Traces shorter than max_iterations (early residual-floor
-    stops) are carried forward at their final value for ensemble averaging.
+    The pair is validated into one run plan, and replications run serially
+    from it, each on the streams keyed by its index; they are merged by
+    index, so results depend only on (master_seed, replication).  Traces
+    shorter than max_iterations (early residual-floor stops) are carried
+    forward at their final value for ensemble averaging.
     """
-    validate(config.problem, config.solver)
-    problem, solver = config.problem, config.solver
-    R = config.replications
-    K = solver.max_iterations
-    traces = [run(problem, solver, replication=rep, x0=config.x0, check=False)
-              for rep in range(R)]
+    plan = validate(config.problem, config.solver)
+    problem, R, K = config.problem, config.replications, config.solver.max_iterations
+    traces = [run(plan, replication=rep, x0=config.x0) for rep in range(R)]
     T_op, estimated = effective_mean_operator(problem)
 
     def stacked(per_trace):  # (R, K+1), each row held at its final value
@@ -339,8 +337,8 @@ def _error_decay(params):
 
 
 def _martingale(params):
-    res = martingale_probe(problem_from_config(params["problem"]),
-                           solver_config_from_config(params["solver"]),
+    res = martingale_probe(validate(problem_from_config(params["problem"]),
+                                    solver_config_from_config(params["solver"])),
                            np.asarray(params["x"], dtype=float),
                            int(params["replications"]))
     rows = [{"mean_dM": res.mean, "stderr": res.stderr, "replications": res.replications}]
@@ -363,18 +361,16 @@ def _variance_scaling(params):
 
 
 def _fejer_audit(params):
-    problem = problem_from_config(params["problem"])
-    solver = solver_config_from_config(params["solver"])
     x0 = params.get("x0")
     reps = int(params["replications"])
     if reps < 1:  # with no path audited the verdict would pass vacuously
         raise InvalidParameters("fejer_audit probe needs at least 1 replication")
-    validate(problem, solver)
+    plan = validate(problem_from_config(params["problem"]),
+                    solver_config_from_config(params["solver"]))
     rows = []
     for rep in range(reps):
-        trace = run(problem, solver, replication=rep, check=False,
-                    x0=None if x0 is None else np.asarray(x0, float))
-        report = fejer_audit(trace, problem.known_solutions[0])
+        trace = run(plan, replication=rep, x0=None if x0 is None else np.asarray(x0, float))
+        report = fejer_audit(trace, plan.problem.known_solutions[0])
         rows.append({"replication": rep,
                      "max_rel_violation": report.max_rel_violation,
                      "violations": report.n_violations})

@@ -114,8 +114,8 @@ class Box(FeasibleSet):
         return self.lower.shape[0]
 
     def project(self, x):
-        x = _as_batch(x, self.dim)
-        return np.clip(x, self.lower, self.upper)
+        # the method np.clip dispatches to, without its Python wrapper
+        return _as_batch(x, self.dim).clip(self.lower, self.upper)
 
     def sample(self, rng, size, n=None, scale=1.0):
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
@@ -144,7 +144,8 @@ class Ball(FeasibleSet):
     def project(self, x):
         x = _as_batch(x, self.dim)
         d = x - self.center
-        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+        # np.linalg.norm(d, axis=-1, keepdims=True), without its Python wrapper
+        nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
         factor = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
         return self.center + d * factor
 
@@ -272,10 +273,12 @@ class AffineSubspace(FeasibleSet):
 
 @dataclass(frozen=True)
 class CartesianProduct(FeasibleSet):
-    """Product of blocks, each a descriptor with an explicit size."""
+    """Product of blocks, each a descriptor with an explicit size; the
+    (part, slice) pairs are laid out once, at construction."""
 
     parts: tuple
     sizes: tuple
+    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.parts) != len(self.sizes):
@@ -286,6 +289,7 @@ class CartesianProduct(FeasibleSet):
                 raise BlockMismatch(f"factor of dimension {d} declared with size {s}")
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "_blocks", tuple(zip(self.parts, block_slices(self.sizes))))
 
     @property
     def dim(self):
@@ -294,7 +298,7 @@ class CartesianProduct(FeasibleSet):
     def project(self, x):
         x = _as_batch(x, self.dim)
         out = np.empty_like(x)
-        for part, sl in zip(self.parts, block_slices(self.sizes)):
+        for part, sl in self._blocks:
             out[..., sl] = part.project(x[..., sl])
         return out
 

@@ -272,7 +272,7 @@ def batch_mean(problem, x, n_samples: int, key) -> BatchMeanResult:
         raise InvalidSchedule("batch size must be >= 1")
     x = np.asarray(x, dtype=float)
     mean = problem.draw(derive_stream(key), x, n_samples).mean(axis=0)
-    if not np.all(np.isfinite(mean)):
+    if not np.logical_and.reduce(np.isfinite(mean)):
         from .errors import OracleFailure
 
         raise OracleFailure("oracle batch mean is not finite")

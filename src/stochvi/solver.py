@@ -28,19 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# derive_stream is not called here, but it stays a module global of the solver:
-# perfbench/tracing.py rebinds it at this name.
-from .core import (
-    ProblemInstance,
-    RngStreamKey,
-    SolverConfig,
-    _philox_key,
-    derive_stream,
-    validate,
-)
+# derive_stream, validate and project are not called here, but they stay
+# module globals of the solver: perfbench/tracing.py rebinds them at these names.
+from .core import RunPlan, _philox_key, derive_stream, validate  # noqa: F401
 from .errors import InvalidParameters, MissingDiagnostics, OracleFailure
 from .merit import distance_sq_to_solutions, natural_residual_sq
-from .projection import inner, project
+from .projection import inner, project  # noqa: F401
 
 
 @dataclass
@@ -138,80 +131,69 @@ class RunTrace:
         return out
 
 
-class _Engine:
-    """Shared per-run machinery: draw sets, streams, recording.
+def _streams(master_seed):
+    """``stream(replication, k, stage, block)``: one Philox generator,
+    re-keyed to the stream ``derive_stream(RngStreamKey(master_seed,
+    replication, k, stage, block))`` gives; it is valid until the next call."""
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # counter zero, empty buffer, no cached uint32
+    keyed = fresh["state"]
 
-    Sample counts are tabulated for iterations 0..``horizon``; the engine
-    advances no iteration past it.  A stage draws one set (stream block 0)
-    when centralized, one per agent, (i, slice_i), when distributed.  The
-    engine re-keys one Philox generator for every (iteration, stage, block)
-    stream, which gives the draws of ``derive_stream(self.key(...))``.  It
-    checks nothing: its callers run ``validate``.
+    def stream(replication, k, stage, block):
+        keyed["key"] = _philox_key(master_seed, replication, k, stage, block)
+        bits.state = fresh
+        return rng
+
+    return stream
+
+
+def _stepper(plan: RunPlan):
+    """``advance(replication, k, x) -> (z, g1, g2, x_next)``: iteration k of
+    the plan from ``x``, with the prediction point z^k and the two stage
+    averages.  ``run``, ``step`` and ``martingale_probe`` all advance
+    through it.
+
+    A stage draws each of its draw sets on its own stream and bills N_{k,i}
+    calls for it, whether the average is drawn from the exact law or from
+    the draws themselves (see ``ProblemInstance.draw``); the plan's
+    ``cum_calls`` holds the sums.  A non-finite average raises.
     """
+    stream, draw = _streams(plan.config.master_seed), plan.problem.draw
+    proj, draw_sets, rows, alphas = (plan.problem.feasible_set.project, plan.draw_sets,
+                                     plan.rows, plan.alphas)
+    isfinite, every = np.isfinite, np.logical_and.reduce
 
-    def __init__(self, problem: ProblemInstance, config: SolverConfig, replication: int,
-                 horizon: int):
-        self.problem = problem
-        self.config = config
-        self.replication = replication
-        self.sizes = config.schedule.broadcast(problem.n_blocks).sizes_upto(horizon)
-        distributed = config.coordination == "distributed" and problem.n_blocks > 1
-        self.draw_sets = list(enumerate(problem.block_slices())) if distributed \
-            else [(0, None)]
-        self._bits = np.random.Philox(key=0)
-        self._rng = np.random.Generator(self._bits)
-        # a fresh state: counter zero, empty buffer, no cached uint32
-        self._fresh = self._bits.state
-
-    def key(self, k, stage, block):
-        return RngStreamKey(self.config.master_seed, self.replication, k, stage, block)
-
-    def stream(self, k, stage, block):
-        """The engine's generator, re-keyed to the stream of ``self.key(k,
-        stage, block)``; it is valid until the next call."""
-        self._fresh["state"]["key"] = _philox_key(
-            self.config.master_seed, self.replication, k, stage, block)
-        self._bits.state = self._fresh
-        return self._rng
-
-    def stage_mean(self, k, stage, point):
-        """Oracle average at ``point`` and the oracle calls it bills.
-
-        Each draw set bills its N_{k,i} calls whether its average is drawn
-        from the exact law or from the draws themselves (see
-        ``ProblemInstance.draw``).  A non-finite average raises.
-        """
-        means, calls = [], 0
-        for i, sl in self.draw_sets:
-            n = int(self.sizes[k, i])
-            means.append(self.problem.draw(self.stream(k, stage, i), point, n, sl, mean=True))
-            calls += n
+    def stage_mean(replication, k, stage, point):
+        means = [draw(stream(replication, k, stage, i), point, n, sl, mean=True)
+                 for (i, sl), n in zip(draw_sets, rows[k])]
         mean = means[0] if len(means) == 1 else np.concatenate(means)
-        if not np.isfinite(mean).all():
+        if not every(isfinite(mean)):
             raise OracleFailure(
                 f"oracle average is not finite at iteration {k}, stage {stage}")
-        return mean, calls
+        return mean
 
-    def advance(self, state: ExtragradientState):
-        """One iteration from ``state``, updated in place; returns the
-        prediction point z^k and the two stage averages (g1, g2)."""
-        k = state.k
-        alpha = self.config.stepsize_at(k)
-        g1, calls1 = self.stage_mean(k, 1, state.x)
-        z = project(self.problem.feasible_set, state.x - alpha * g1)
-        g2, calls2 = self.stage_mean(k, 2, z)
-        state.x = project(self.problem.feasible_set, state.x - alpha * g2)
-        state.calls += calls1 + calls2
-        state.k = k + 1
-        return z, g1, g2
+    def advance(replication, k, x):
+        alpha = alphas[k]
+        g1 = stage_mean(replication, k, 1, x)
+        z = proj(x - alpha * g1)
+        g2 = stage_mean(replication, k, 2, z)
+        return z, g1, g2, proj(x - alpha * g2)
+
+    return advance
 
 
-def step(state: ExtragradientState, problem: ProblemInstance,
-         config: SolverConfig) -> ExtragradientState:
-    """One extragradient iteration from ``state`` under the config's
-    coordination; it advances exactly as ``run`` does at iteration state.k."""
-    validate(problem, config)
-    _Engine(problem, config, state.replication, state.k).advance(state)
+def step(state: ExtragradientState, plan: RunPlan) -> ExtragradientState:
+    """One extragradient iteration from ``state``, updated in place; it
+    advances exactly as ``run`` does at iteration state.k, which must lie
+    below the plan's ``max_iterations``."""
+    k = state.k
+    if not 0 <= k < plan.config.max_iterations:
+        raise InvalidParameters(
+            f"iteration {k} is outside the plan's 0..{plan.config.max_iterations - 1}")
+    state.x = _stepper(plan)(state.replication, k, state.x)[3]
+    state.calls += int(plan.cum_calls[k + 1] - plan.cum_calls[k])
+    state.k = k + 1
     return state
 
 
@@ -221,41 +203,36 @@ def _pow2(v):
     return np.float_power(v, 2)
 
 
-def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
-        x0=None, check: bool = True) -> RunTrace:
-    """Execute the iteration for ``max_iterations`` steps (early stop once the
-    squared natural residual falls below ``config.residual_floor``).
+def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
+    """Execute the plan's iteration for ``max_iterations`` steps (early stop
+    once the squared natural residual falls below ``config.residual_floor``).
 
     Deterministic given (master_seed, replication): traces are bit-identical
-    across reruns and across serial or concurrent execution.  ``check=False``
-    skips ``validate``: the caller has already run it on this pair.
+    across reruns and across serial or concurrent execution.  The plan comes
+    from ``validate``, once for any number of replications.
     """
-    if check:
-        validate(problem, config)
-    eng = _Engine(problem, config, replication, config.max_iterations)
-    n = problem.dimension
-    K = config.max_iterations
+    problem, config = plan.problem, plan.config
+    n, K = problem.dimension, config.max_iterations
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         from .errors import DimensionMismatch
 
         raise DimensionMismatch(f"x0 must have shape ({n},)")
-    x = project(problem.feasible_set, x)  # iterates live in X from the start
-
-    T = problem.mean_operator
-    state = ExtragradientState(k=0, x=x, calls=0, replication=replication)
-    iterates, r2, cum_calls, steps = [x], [], [0], []
+    T, fset, floor, alphas = (problem.mean_operator, problem.feasible_set,
+                              config.residual_floor, plan.alphas)
+    residual_sq, advance = natural_residual_sq, _stepper(plan)
+    x = fset.project(x)  # iterates live in X from the start
+    iterates, r2, steps = [x], [], []
     stopped = False
     for k in range(K + 1):
         if T is not None:  # the residual floor reads r^2 before each step
-            r2.append(natural_residual_sq(T, problem.feasible_set, state.x,
-                                          config.stepsize_at(k)))
-            stopped = bool(k < K and r2[-1] <= config.residual_floor)
+            r2.append(residual_sq(T, fset, x, alphas[k]))
+            stopped = bool(k < K and r2[-1] <= floor)
         if k == K or stopped:
             break
-        steps.append(eng.advance(state))
-        iterates.append(state.x)
-        cum_calls.append(state.calls)
+        z, g1, g2, x = advance(replication, k, x)
+        steps.append((z, g1, g2))
+        iterates.append(x)
 
     iterates = np.array(iterates)
     n_steps = len(steps)
@@ -264,9 +241,9 @@ def run(problem: ProblemInstance, config: SolverConfig, replication: int = 0,
         iterates=iterates,
         r2=np.array(r2) if T is not None else None,
         dist2=distance_sq_to_solutions(problem, iterates) if has_dist else None,
-        cum_calls=np.array(cum_calls, dtype=np.int64),
-        sizes=eng.sizes[:n_steps].copy(),
-        alphas=np.array([config.stepsize_at(k) for k in range(n_steps)]),
+        cum_calls=plan.cum_calls[:n_steps + 1].copy(),
+        sizes=plan.sizes[:n_steps].copy(),
+        alphas=np.array(alphas[:n_steps]),
         replication=replication,
         lipschitz_L=problem.lipschitz_L,
         stopped_early=stopped,
@@ -378,15 +355,16 @@ class MartingaleProbeResult:
                 f"{4.0 * self.stderr:.4e} over {self.replications} steps")
 
 
-def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
-                     replications: int, x_star=None) -> MartingaleProbeResult:
-    """Run independent single steps from ``x`` and test E[dM] = 0.
+def martingale_probe(plan: RunPlan, x, replications: int,
+                     x_star=None) -> MartingaleProbeResult:
+    """Run independent single steps of the plan from ``x`` and test E[dM] = 0.
 
     dM = 2 <x* - z, alpha eps2> where eps2 is the correction-stage error;
     its conditional mean vanishes because the second-stage samples are
     independent of everything realized before them.  Its standard error
     needs at least two replications.
     """
+    problem = plan.problem
     if replications < 2:
         raise InvalidParameters("martingale probe needs at least 2 replications")
     if problem.mean_operator is None:
@@ -401,15 +379,11 @@ def martingale_probe(problem: ProblemInstance, config: SolverConfig, x,
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
-    validate(problem, config)
-    eng = _Engine(problem, config, 0, 0)
-    steps = []
-    for r in range(replications):
-        eng.replication = r
-        steps.append(eng.advance(ExtragradientState(k=0, x=x, replication=r)))
+    advance = _stepper(plan)
+    steps = [advance(r, 0, x)[:3] for r in range(replications)]
     z, _, g2 = np.array(steps).swapaxes(0, 1)
     e2 = g2 - np.asarray(problem.mean_operator(z), dtype=float)
-    deltas = 2.0 * config.stepsize_at(0) * inner(x_star - z, e2)
+    deltas = 2.0 * plan.alphas[0] * inner(x_star - z, e2)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))
     return MartingaleProbeResult(mean=mean, stderr=stderr, replications=replications)

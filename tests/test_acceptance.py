@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from reference_impls import korpelevich_reference
-from stochvi import SampleSchedule, SolverConfig
+from stochvi import SampleSchedule, SolverConfig, validate
 from stochvi.baselines import MirrorProxSchedule, variance_scaling_probe
 from stochvi.constants import (
     ConstantsInputs,
@@ -101,9 +101,9 @@ def test_criterion_03_fejer_audit():
     for problem in (rate_problem(), gen_scaled_monotone(N_DIM, seed=5, noise_scale=0.5)):
         solver = SolverConfig(stepsize=0.25 / problem.lipschitz_L, schedule=SCHEDULE,
                               max_iterations=100, master_seed=31, diagnostics=True)
+        plan = validate(problem, solver)
         for rep in range(50):
-            trace = run(problem, solver, replication=rep,
-                        x0=np.full(N_DIM, 1.0), check=False)
+            trace = run(plan, replication=rep, x0=np.full(N_DIM, 1.0))
             audit = fejer_audit(trace, problem.known_solutions[0])
             worst = max(worst, audit.max_rel_violation)
             violations += audit.n_violations
@@ -111,7 +111,7 @@ def test_criterion_03_fejer_audit():
     control = gen_negative_control(n=1)
     ctl_cfg = SolverConfig(stepsize=0.2, schedule=SCHEDULE, max_iterations=30,
                            master_seed=1, diagnostics=True)
-    ctl_trace = run(control, ctl_cfg, x0=np.array([1.0]))
+    ctl_trace = run(validate(control, ctl_cfg), x0=np.array([1.0]))
     ctl_audit = fejer_audit(ctl_trace, np.zeros(1))
     ctl_pm = check_pseudo_monotone(control.mean_operator, control.feasible_set,
                                    samples=500, seed=2, n=1)
@@ -128,7 +128,7 @@ def test_criterion_04_martingale_zero_mean():
     cfg = SolverConfig(stepsize=0.2 / problem.lipschitz_L, schedule=SCHEDULE,
                        max_iterations=1, master_seed=17)
     x = np.full(N_DIM, 1.0)
-    res = martingale_probe(problem, cfg, x, replications=10_000)
+    res = martingale_probe(validate(problem, cfg), x, replications=10_000)
     assert report(4, "martingale increments zero-mean", res.passed,
                   f"|mean dM|={abs(res.mean):.2e} vs 4*stderr={4 * res.stderr:.2e}, "
                   f"R=10000")
@@ -172,7 +172,7 @@ def test_criterion_06_complexity_accounting():
     problem = gen_strongly_monotone(N_DIM, seed=3, noise_scale=0.0,
                                     center=np.zeros(N_DIM))
     cfg = rate_config(max_iterations=1000, residual_floor=0.0)
-    trace = run(problem, cfg, x0=np.full(N_DIM, 1.0))
+    trace = run(validate(problem, cfg), x0=np.full(N_DIM, 1.0))
     theta, mu, b = 1.0, 3.0, 1.0
 
     def count(k):
@@ -200,14 +200,14 @@ def test_criterion_07_deterministic_limit():
                                     center=np.zeros(N_DIM))
     cfg = rate_config(max_iterations=500, residual_floor=0.0)
     x0 = np.full(N_DIM, 2.0)
-    trace = run(problem, cfg, x0=x0)
+    trace = run(validate(problem, cfg), x0=x0)
     ref = korpelevich_reference(problem.mean_operator,
                                 lambda v: project(problem.feasible_set, v),
                                 x0, 0.25, 500)
     max_gap = float(np.max(np.linalg.norm(trace.iterates - ref, axis=1)))
 
     cfg2 = rate_config(max_iterations=2000)
-    trace2 = run(problem, cfg2, x0=x0)
+    trace2 = run(validate(problem, cfg2), x0=x0)
     reached = trace2.r2[-1] < 1e-12
 
     ok = max_gap <= 1e-12 and reached
@@ -220,8 +220,8 @@ def test_criterion_08_distributed_consistency():
     problem = rate_problem()
     blocked = problem.with_blocks([2, 2, 1])
     cfg = rate_config(max_iterations=120)
-    mono = run(problem, cfg, x0=np.full(N_DIM, 1.0))
-    cent = run(blocked, cfg, x0=np.full(N_DIM, 1.0))
+    mono = run(validate(problem, cfg), x0=np.full(N_DIM, 1.0))
+    cent = run(validate(blocked, cfg), x0=np.full(N_DIM, 1.0))
     bitwise = (np.array_equal(mono.iterates, cent.iterates)
                and np.array_equal(mono.cum_calls, cent.cum_calls))
 

@@ -279,6 +279,27 @@ class TestRateAndComplexity:
         assert not bad.passed and bad.first_violation_k == 1
 
 
+    @pytest.mark.parametrize("network", [False, True], ids=["single", "three_agents"])
+    def test_one_head_tabulation_per_report(self, monkeypatch, network):
+        """The burn-in search and the tail sums share one tabulated head."""
+        lengths = []
+        series = SampleSchedule.inverse_series
+
+        def counted(self, k):
+            lengths.append(len(k))
+            return series(self, k)
+
+        kwargs = dict(m=3, schedule=SampleSchedule.uniform(1, 3, 0.5, 0.0)) if network \
+            else {}
+        inp = inputs(J=1.0, **kwargs)
+        ref = rate_and_complexity_bounds(inp, 1e-3)
+        monkeypatch.setattr(SampleSchedule, "inverse_series", counted)
+        rep = rate_and_complexity_bounds(inp, 1e-3)
+        assert [n for n in lengths if n > 1] == [max(lengths)]
+        assert rep.burn_in == ref.burn_in == k0_and_tail(inp)
+        assert (rep.tail_sum, rep.tail_sum_sq) == (ref.tail_sum, ref.tail_sum_sq)
+
+
 class TestLpBounds:
     def test_p2_plugin_example(self):
         res = lp_bound_constants(inputs(), 1.0)

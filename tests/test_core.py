@@ -146,7 +146,7 @@ class TestMeanOperatorContract:
 
 class TestValidate:
     def test_stepsize_below_cap_passes(self, quiet_problem):
-        report = validate(quiet_problem, default_config(stepsize=0.40))
+        report = validate(quiet_problem, default_config(stepsize=0.40)).report
         assert report.passed  # 0.40 < 1/sqrt(6) = 0.40825 at L = 1
 
     def test_stepsize_at_cap_rejected(self, quiet_problem):
@@ -161,7 +161,7 @@ class TestValidate:
         cfg = default_config(stepsize=np.array([0.1, 0.2, 0.3]))
         assert cfg.stepsize_at(0) == 0.1
         assert cfg.stepsize_at(99) == 0.3  # extended by the last value
-        assert validate(quiet_problem, cfg).passed
+        assert validate(quiet_problem, cfg).report.passed
         with pytest.raises(InvalidStepsize):
             validate(quiet_problem, default_config(stepsize=np.array([0.1, 0.45])))
 
@@ -183,12 +183,12 @@ class TestValidate:
         with pytest.raises(CoordinationMismatch):
             validate(p3, cfg)
         assert validate(p3, default_config(
-            schedule=SampleSchedule(agents), coordination="distributed")).passed
+            schedule=SampleSchedule(agents), coordination="distributed")).report.passed
 
     def test_fast_growing_counts_pass(self, quiet_problem):
         # N_k passes the int64 range before the 10^6 check horizon
         cfg = default_config(schedule=SampleSchedule.uniform(1, 3, 2, 1))
-        assert validate(quiet_problem, cfg).passed
+        assert validate(quiet_problem, cfg).report.passed
 
     def test_stalled_counts_rejected(self, quiet_problem):
         cfg = default_config(schedule=SampleSchedule.uniform(1e-30, 3, 0, 1))
@@ -199,4 +199,6 @@ class TestValidate:
         cfg = default_config()
         r1 = validate(quiet_problem, cfg)
         r2 = validate(quiet_problem, cfg)
-        assert str(r1) == str(r2)
+        assert str(r1.report) == str(r2.report)
+        assert r1.rows == r2.rows and r1.alphas == r2.alphas
+        assert np.array_equal(r1.cum_calls, r2.cum_calls)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stochvi.cli import build_parser, main as cli_main
+from stochvi.core import validate
 from stochvi.errors import ConfigError, InvalidParameters
 from stochvi.harness import (
     config_hash,
@@ -68,6 +69,11 @@ def incomplete_documents(fejer):
               for key in ("problem", "solver")]
     cases += [("experiment", experiment_doc(solver=without(solver, key)), key)
               for key in ("stepsize", "schedule", "max_iterations")]
+    cases += [("solve", experiment_doc(problem=without(experiment_doc()["problem"], "n")),
+               "missing keys ['n'] in problem kind 'strongly_monotone'")]
+    cases += [("solve", experiment_doc(problem={"kind": kind, "seed": 1}),
+               f"missing keys ['n'] in problem kind '{kind}'")
+              for kind in ("linear_svi", "scaled_monotone")]
     return cases
 
 
@@ -122,10 +128,29 @@ class TestRunExperiment:
         doc = experiment_doc(replications=1)
         cfg = experiment_from_config(doc)
         res = run_experiment(cfg)
-        trace = run(cfg.problem, cfg.solver, replication=0, x0=cfg.x0)
+        trace = run(validate(cfg.problem, cfg.solver), replication=0, x0=cfg.x0)
         np.testing.assert_allclose(res.mean_r2, trace.r2)
         assert np.all(res.stderr_r2 == 0.0)
         assert res.merit_mode == "exact"
+
+    def test_ensemble_validates_and_tabulates_once(self, monkeypatch):
+        from stochvi import harness
+        from stochvi.sampling import SampleSchedule
+
+        counts = {"validate": 0, "sizes_upto": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "validate", counted("validate", harness.validate))
+        monkeypatch.setattr(SampleSchedule, "sizes_upto",
+                            counted("sizes_upto", SampleSchedule.sizes_upto))
+        res = run_experiment(experiment_from_config(experiment_doc(replications=5)))
+        assert len(res.traces) == 5
+        assert counts == {"validate": 1, "sizes_upto": 1}
 
     def test_calls_column_matches_schedule_sum(self):
         cfg = experiment_from_config(experiment_doc(replications=2))

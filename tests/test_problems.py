@@ -35,7 +35,7 @@ def test_generated_problems_validate_and_match_oracle_mean(maker):
     """Every built-in problem passes validation and its oracle average agrees
     with the closed-form mean componentwise within Monte Carlo error."""
     p = maker()
-    assert validate(p, default_config(stepsize=0.2 / p.lipschitz_L)).passed
+    assert validate(p, default_config(stepsize=0.2 / p.lipschitz_L)).report.passed
     rng = np.random.default_rng(77)
     for j in range(3):
         x = p.feasible_set.project(2.0 * rng.standard_normal(p.dimension))

@@ -155,6 +155,40 @@ def test_projection_property_suite(name, fset, dim):
     assert np.max(firm) <= 1e-10, name
 
 
+def ball_points(ball, rng):
+    """Rows inside, outside, on the sphere, at the centre, and at the
+    centre with -0.0 offsets."""
+    n = ball.dim
+    rows = ball.center + ball.radius * rng.uniform(-2.0, 2.0, (64, n))
+    on_sphere = ball.center + ball.radius * np.eye(n)
+    signed_zero = np.where(np.arange(n) % 2, -0.0, 0.0)
+    return np.concatenate([rows, on_sphere, -on_sphere, [ball.center],
+                           [ball.center + signed_zero], [signed_zero]])
+
+
+@pytest.mark.parametrize("kind", ["ball", "cartesian"])
+def test_batch_projection_matches_single_points_bitwise(kind):
+    """A batch projects each row exactly as that point alone, signed zeros
+    included, and the ball's norm is ``np.linalg.norm``'s bit for bit."""
+    rng = np.random.default_rng(SEED)
+    ball = Ball(np.array([0.5, -0.5, 0.0]), 2.0)
+    if kind == "ball":
+        fset, X = ball, ball_points(ball, rng)
+    else:
+        small = Ball(np.array([-0.0, 1.0]), 0.5)
+        fset = CartesianProduct((ball, Box(-np.ones(1), np.ones(1)), small), (3, 1, 2))
+        little = ball_points(small, rng)
+        big = ball_points(ball, rng)[-len(little):]  # the special rows end both
+        X = np.concatenate([big, np.full((len(big), 1), -0.0), little], axis=1)
+    batch = fset.project(X)
+    for x, row in zip(X, batch):
+        assert fset.project(x).tobytes() == row.tobytes()
+    d = X[:, :3] - ball.center
+    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+    ref = ball.center + d * np.where(nrm > 2.0, 2.0 / np.maximum(nrm, 1e-300), 1.0)
+    assert ref.tobytes() == np.ascontiguousarray(batch[:, :3]).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),
        st.floats(0.1, 10.0))

@@ -11,7 +11,7 @@ from reference_impls import (
     fejer_audit_reference,
     korpelevich_reference,
 )
-from stochvi.core import ProblemInstance, VarianceProfile, derive_stream
+from stochvi.core import ProblemInstance, RngStreamKey, VarianceProfile, derive_stream, validate
 from stochvi.errors import (
     CoordinationMismatch,
     InvalidParameters,
@@ -30,8 +30,9 @@ from stochvi.projection import Box, WholeSpace, project
 from stochvi.sampling import AgentSchedule, SampleSchedule
 from stochvi.solver import (
     ExtragradientState,
-    _Engine,
     _pow2,
+    _stepper,
+    _streams,
     fejer_audit,
     martingale_probe,
     run,
@@ -53,17 +54,21 @@ def identity_problem(noise=0.0, n=1):
 
 
 def assert_steps_match_run(problem, cfg, replication=3):
-    """Two step() calls from x0 reproduce run()'s first two iterates and
-    call counts bit for bit."""
+    """K step() calls on one plan from x0 reproduce every iterate and call
+    count of run() bit for bit."""
     x0 = np.linspace(-1.0, 1.5, problem.dimension)
-    trace = run(problem, cfg, replication=replication, x0=x0)
+    plan = validate(problem, replace(cfg, residual_floor=0.0))
+    trace = run(plan, replication=replication, x0=x0)
+    assert trace.n_steps == cfg.max_iterations
     state = ExtragradientState(k=0, x=project(problem.feasible_set, x0),
                                replication=replication)
-    for k in (1, 2):
-        state = step(state, problem, cfg)
+    for k in range(1, cfg.max_iterations + 1):
+        state = step(state, plan)
         assert state.k == k
         assert np.array_equal(state.x, trace.iterates[k])
         assert state.calls == trace.cum_calls[k]
+    with pytest.raises(InvalidParameters, match="outside the plan"):
+        step(state, plan)
 
 
 class TestStep:
@@ -71,13 +76,13 @@ class TestStep:
         # T(x) = x, x0 = 1, alpha = 0.2: z = 0.8, x1 = 1 - 0.2*0.8 = 0.84
         p = identity_problem()
         state = ExtragradientState(k=0, x=np.array([1.0]))
-        state = step(state, p, default_config(stepsize=0.2))
+        state = step(state, validate(p, default_config(stepsize=0.2)))
         assert state.x[0] == pytest.approx(0.84, abs=1e-12)
         assert state.k == 1
 
     def test_fixed_point_stays(self, quiet_problem):
         state = ExtragradientState(k=0, x=quiet_problem.known_solutions[0].copy())
-        state = step(state, quiet_problem, default_config())
+        state = step(state, validate(quiet_problem, default_config()))
         np.testing.assert_allclose(state.x, quiet_problem.known_solutions[0],
                                    atol=1e-14)
 
@@ -85,7 +90,7 @@ class TestStep:
         p = identity_problem()
         cfg = default_config(stepsize=0.2)
         state = ExtragradientState(k=0, x=np.array([1.0]))
-        state = step(state, p, cfg)
+        state = step(state, validate(p, cfg))
         assert state.calls == 2 * cfg.schedule.size(0, 0)
 
     def test_distributed_call_accounting(self):
@@ -98,14 +103,13 @@ class TestStep:
                              coordination="distributed", stepsize=0.2)
         assert cfg.schedule.size(0, 0) == 4 and cfg.schedule.size(1, 0) == 8
         state = ExtragradientState(k=0, x=np.ones(2))
-        state = step(state, p, cfg)
+        state = step(state, validate(p, cfg))
         assert state.calls == 24
 
     def test_stepsize_above_cap_rejected(self):
         # L = 1: the cap is 1/sqrt(6) = 0.408
         with pytest.raises(InvalidStepsize):
-            step(ExtragradientState(k=0, x=np.array([1.0])), identity_problem(),
-                 default_config(stepsize=0.9))
+            validate(identity_problem(), default_config(stepsize=0.9))
 
     def test_centralized_schedule_with_differing_agents_rejected(self):
         # both agents draw 4 samples at k = 0; they differ from k = 2 on
@@ -113,8 +117,7 @@ class TestStep:
                                   center=np.zeros(2)).with_blocks([1, 1])
         agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(1, 3, 0, 1.01))
         with pytest.raises(CoordinationMismatch):
-            step(ExtragradientState(k=0, x=np.ones(2)), p,
-                 default_config(schedule=SampleSchedule(agents)))
+            validate(p, default_config(schedule=SampleSchedule(agents)))
 
     def test_distributed_multiblock_step_equals_first_run_iterate(self, monotone_problem):
         p3 = monotone_problem.with_blocks([2, 2, 1])
@@ -128,26 +131,26 @@ class TestStep:
 class TestRun:
     def test_deterministic_repeat(self, monotone_problem):
         cfg = default_config(max_iterations=30)
-        t1 = run(monotone_problem, cfg, replication=4, x0=np.ones(5))
-        t2 = run(monotone_problem, cfg, replication=4, x0=np.ones(5))
+        t1 = run(validate(monotone_problem, cfg), replication=4, x0=np.ones(5))
+        t2 = run(validate(monotone_problem, cfg), replication=4, x0=np.ones(5))
         assert np.array_equal(t1.iterates, t2.iterates)
         assert np.array_equal(t1.r2, t2.r2)
 
     def test_replications_differ(self, monotone_problem):
         cfg = default_config(max_iterations=5)
-        t1 = run(monotone_problem, cfg, replication=0, x0=np.ones(5))
-        t2 = run(monotone_problem, cfg, replication=1, x0=np.ones(5))
+        t1 = run(validate(monotone_problem, cfg), replication=0, x0=np.ones(5))
+        t2 = run(validate(monotone_problem, cfg), replication=1, x0=np.ones(5))
         assert not np.array_equal(t1.iterates[1:], t2.iterates[1:])
 
     def test_zero_variance_residual_decreases_below_tolerance(self, quiet_problem):
         cfg = default_config(max_iterations=2000, diagnostics=False)
-        trace = run(quiet_problem, cfg, x0=np.full(5, 2.0))
+        trace = run(validate(quiet_problem, cfg), x0=np.full(5, 2.0))
         assert np.all(np.diff(trace.r2) < 0)
         assert trace.r2[-1] < 1e-12
 
     def test_early_stop_at_residual_floor(self, quiet_problem):
         cfg = default_config(max_iterations=10_000, diagnostics=False)
-        trace = run(quiet_problem, cfg, x0=np.full(5, 0.5))
+        trace = run(validate(quiet_problem, cfg), x0=np.full(5, 0.5))
         assert trace.stopped_early
         assert trace.n_steps < 10_000
         assert trace.r2[-1] <= cfg.residual_floor
@@ -157,7 +160,7 @@ class TestRun:
         p = gen_strongly_monotone(3, seed=2, noise_scale=2.0, feasible=box,
                                   center=np.full(3, 0.5))
         cfg = default_config(max_iterations=60, stepsize=0.2 / p.lipschitz_L)
-        trace = run(p, cfg, x0=np.full(3, 0.9))
+        trace = run(validate(p, cfg), x0=np.full(3, 0.9))
         from stochvi.projection import set_distance
 
         dists = set_distance(p.feasible_set, trace.iterates)
@@ -165,7 +168,7 @@ class TestRun:
 
     def test_oracle_accounting_identity(self, monotone_problem):
         cfg = default_config(max_iterations=25)
-        trace = run(monotone_problem, cfg, x0=np.ones(5))
+        trace = run(validate(monotone_problem, cfg), x0=np.ones(5))
         expected = 2 * np.cumsum(trace.sizes.sum(axis=1))
         np.testing.assert_array_equal(trace.cum_calls[1:], expected)
 
@@ -173,13 +176,13 @@ class TestRun:
         p = gen_linear_svi(4, seed=12, noise_scale=0.2)
         cfg = default_config(stepsize=0.25 / p.lipschitz_L, max_iterations=400,
                              diagnostics=False)
-        trace = run(p, cfg, x0=np.full(4, 3.0))
+        trace = run(validate(p, cfg), x0=np.full(4, 3.0))
         assert np.all(np.isfinite(trace.iterates))
         assert np.max(trace.dist2) <= 4.0 * trace.dist2[0] + 1.0
 
     def test_trace_csv_round_trip(self, tmp_path, monotone_problem):
         cfg = default_config(max_iterations=8)
-        trace = run(monotone_problem, cfg, x0=np.ones(5))
+        trace = run(validate(monotone_problem, cfg), x0=np.ones(5))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         data = np.genfromtxt(path, delimiter=",", names=True)
@@ -202,8 +205,8 @@ class TestCartesianConsistency:
                                    center=np.zeros(5))
         p3 = p1.with_blocks([2, 2, 1])
         cfg = default_config(max_iterations=40, master_seed=11)
-        t1 = run(p1, cfg, x0=np.full(5, 1.5))
-        t3 = run(p3, cfg, x0=np.full(5, 1.5))
+        t1 = run(validate(p1, cfg), x0=np.full(5, 1.5))
+        t3 = run(validate(p3, cfg), x0=np.full(5, 1.5))
         assert np.array_equal(t1.iterates, t3.iterates)
         assert np.array_equal(t1.cum_calls, t3.cum_calls)
 
@@ -215,8 +218,8 @@ class TestCartesianConsistency:
         p1 = replace(p1, oracle=lambda rng, x, size, o=p1.oracle: o(rng, x, size))
         p3 = p1.with_blocks([2, 2, 1])
         cfg = default_config(max_iterations=40, master_seed=11)
-        t1 = run(p1, cfg, x0=np.full(5, 1.5))
-        t3 = run(p3, cfg, x0=np.full(5, 1.5))
+        t1 = run(validate(p1, cfg), x0=np.full(5, 1.5))
+        t3 = run(validate(p3, cfg), x0=np.full(5, 1.5))
         assert np.array_equal(t1.iterates, t3.iterates)
         assert np.array_equal(t1.cum_calls, t3.cum_calls)
 
@@ -225,8 +228,8 @@ class TestCartesianConsistency:
         cfg_c = default_config(max_iterations=50, master_seed=3)
         cfg_d = default_config(max_iterations=50, master_seed=3,
                                coordination="distributed")
-        tc = run(p3, cfg_c, x0=np.ones(5))
-        td = run(p3, cfg_d, x0=np.ones(5))
+        tc = run(validate(p3, cfg_c), x0=np.ones(5))
+        td = run(validate(p3, cfg_d), x0=np.ones(5))
         assert not np.array_equal(tc.iterates, td.iterates)
         assert td.r2[-1] < td.r2[0]
         # distributed billing: three blocks each drawing the shared count
@@ -238,7 +241,7 @@ class TestDeterministicLimit:
         cfg = default_config(max_iterations=500, diagnostics=False,
                              residual_floor=0.0)
         x0 = np.full(5, 2.0)
-        trace = run(quiet_problem, cfg, x0=x0)
+        trace = run(validate(quiet_problem, cfg), x0=x0)
         T = quiet_problem.mean_operator
         ref = korpelevich_reference(
             T, lambda v: project(quiet_problem.feasible_set, v), x0, 0.25, 500)
@@ -252,7 +255,7 @@ class TestDeterministicLimit:
         cfg = default_config(stepsize=0.2 / p.lipschitz_L, max_iterations=200,
                              diagnostics=False, residual_floor=0.0)
         x0 = np.array([0.3, 0.9, 1.0])
-        trace = run(p, cfg, x0=x0)
+        trace = run(validate(p, cfg), x0=x0)
         ref = korpelevich_reference(
             p.mean_operator, lambda v: project(box, v), x0,
             0.2 / p.lipschitz_L, 200)
@@ -262,7 +265,7 @@ class TestDeterministicLimit:
 class TestFejerAudit:
     def test_zero_variance_pure_decrease(self, quiet_problem):
         cfg = default_config(max_iterations=120)
-        trace = run(quiet_problem, cfg, x0=np.full(5, 2.0))
+        trace = run(validate(quiet_problem, cfg), x0=np.full(5, 2.0))
         report = fejer_audit(trace, quiet_problem.known_solutions[0])
         assert report.passed
         assert report.max_violation <= 1e-10
@@ -270,13 +273,13 @@ class TestFejerAudit:
     def test_stochastic_paths_respect_recursion(self, monotone_problem):
         cfg = default_config(max_iterations=100)
         for rep in range(5):
-            trace = run(monotone_problem, cfg, replication=rep, x0=np.ones(5))
+            trace = run(validate(monotone_problem, cfg), replication=rep, x0=np.ones(5))
             report = fejer_audit(trace, monotone_problem.known_solutions[0])
             assert report.passed, str(report)
 
     def test_untracked_solution_recomputed_from_errors(self, monotone_problem):
         cfg = default_config(max_iterations=40)
-        trace = run(monotone_problem, cfg, x0=np.ones(5))
+        trace = run(validate(monotone_problem, cfg), x0=np.ones(5))
         # audit against a perturbed reference: inequality need not hold, but
         # the computation must run off the stored z and eps2 vectors
         other = monotone_problem.known_solutions[0] + 0.01
@@ -286,7 +289,7 @@ class TestFejerAudit:
     def test_negative_control_violates(self):
         p = gen_negative_control(n=1)
         cfg = default_config(stepsize=0.2, max_iterations=30)
-        trace = run(p, cfg, x0=np.array([1.0]))
+        trace = run(validate(p, cfg), x0=np.array([1.0]))
         report = fejer_audit(trace, np.zeros(1))
         assert not report.passed
 
@@ -298,7 +301,7 @@ class TestFejerAudit:
         cfg = default_config(max_iterations=60, coordination="distributed" if blocks
                              else "centralized", stepsize=np.linspace(0.3, 0.2, 60))
         for rep in range(3):
-            trace = run(p, cfg, replication=rep, x0=np.ones(5))
+            trace = run(validate(p, cfg), replication=rep, x0=np.ones(5))
             A, M = diagnostic_sums_reference(trace)
             assert np.array_equal(trace.A, A) and np.array_equal(trace.M, M)
             assert np.array_equal(trace.eps2_norm, [np.linalg.norm(e) for e in trace.eps2])
@@ -317,7 +320,7 @@ class TestFejerAudit:
         cfg = default_config(stepsize=0.2, max_iterations=30, diagnostics=True)
         x_star = p.known_solutions[0] + (0.01 if case == "untracked" else 0.0)
         for rep in range(3):
-            trace = run(p, cfg, replication=rep, x0=np.ones(p.dimension))
+            trace = run(validate(p, cfg), replication=rep, x0=np.ones(p.dimension))
             report = fejer_audit(trace, x_star)
             assert (report.max_violation, report.max_rel_violation, report.n_violations) \
                 == fejer_audit_reference(trace, x_star)
@@ -326,7 +329,7 @@ class TestFejerAudit:
 
     def test_requires_diagnostics(self, quiet_problem):
         cfg = default_config(diagnostics=False, max_iterations=5)
-        trace = run(quiet_problem, cfg, x0=np.ones(5))
+        trace = run(validate(quiet_problem, cfg), x0=np.ones(5))
         with pytest.raises(MissingDiagnostics):
             fejer_audit(trace, quiet_problem.known_solutions[0])
 
@@ -334,20 +337,20 @@ class TestFejerAudit:
 class TestMartingaleProbe:
     def test_zero_variance_increments_vanish(self, quiet_problem):
         cfg = default_config(max_iterations=1)
-        res = martingale_probe(quiet_problem, cfg, np.ones(5), replications=50)
+        res = martingale_probe(validate(quiet_problem, cfg), np.ones(5), replications=50)
         assert abs(res.mean) <= 1e-12
 
     def test_constant_noise_zero_mean(self):
         p = gen_constant_noise(sigma=1.0)
         cfg = default_config(stepsize=0.2, max_iterations=1)
-        res = martingale_probe(p, cfg, np.array([0.7]), replications=10_000)
+        res = martingale_probe(validate(p, cfg), np.array([0.7]), replications=10_000)
         assert res.passed, str(res)
 
     def test_one_replication_rejected(self):
         # one increment has no standard error, so a 4-SE band tests nothing
         p = gen_constant_noise(sigma=1.0)
         with pytest.raises(InvalidParameters, match="2 replications"):
-            martingale_probe(p, default_config(max_iterations=1), np.array([0.7]),
+            martingale_probe(validate(p, default_config(max_iterations=1)), np.array([0.7]),
                              replications=1)
 
 
@@ -410,27 +413,34 @@ class TestStageMean:
     ])
     def test_user_oracle_averages_its_draws_bitwise(self, make, coordination):
         """Each stage mean equals the one drawn from ``derive_stream`` of its
-        key, whatever stage the engine's generator served before."""
+        key, whatever stage the run's generator served before."""
         p = make()
-        eng = _Engine(p, default_config(coordination=coordination), replication=3,
-                      horizon=17)
-        x = np.array([0.3, -1.2, 2.0])
-        for k, stage in [(17, 2), (0, 1), (4, 2), (17, 1)]:
-            mean, calls = eng.stage_mean(k, stage, x)
-            blocks = [(0, slice(None))] if coordination == "centralized" \
-                else list(enumerate(p.block_slices()))
-            expected = []
+        cfg = default_config(coordination=coordination, master_seed=5)
+        plan = validate(p, cfg)
+        advance = _stepper(plan)
+        blocks = [(0, slice(None))] if coordination == "centralized" \
+            else list(enumerate(p.block_slices()))
+
+        def expected(k, stage, point):
+            out = []
             for i, sl in blocks:
-                rng = derive_stream(eng.key(k, stage, i))
-                n = int(eng.sizes[k, i])
+                rng = derive_stream(RngStreamKey(5, 3, k, stage, i))
+                n = int(plan.sizes[k, i])
                 if getattr(p.oracle, "exact_mean", False):
-                    expected.append(p.oracle.block(rng, x, n, sl, mean=True))
+                    out.append(p.oracle.block(rng, point, n, sl, mean=True))
                 elif coordination == "distributed" and hasattr(p.oracle, "block"):
-                    expected.append(p.oracle.block(rng, x, n, sl).mean(axis=0))
+                    out.append(p.oracle.block(rng, point, n, sl).mean(axis=0))
                 else:
-                    expected.append(p.oracle(rng, x, n)[:, sl].mean(axis=0))
-            assert calls == sum(int(eng.sizes[k, i]) for i, _ in blocks)
-            assert np.array_equal(mean, np.concatenate(expected))
+                    out.append(p.oracle(rng, point, n)[:, sl].mean(axis=0))
+            return np.concatenate(out)
+
+        x = np.array([0.3, -1.2, 2.0])
+        for k in (17, 0, 4, 17):
+            z, g1, g2, _ = advance(3, k, x)
+            assert np.array_equal(g1, expected(k, 1, x))
+            assert np.array_equal(g2, expected(k, 2, z))
+            billed = 2 * sum(int(plan.sizes[k, i]) for i, _ in blocks)
+            assert plan.cum_calls[k + 1] - plan.cum_calls[k] == billed
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), replication=st.integers(0, 2**63 - 1),
@@ -438,14 +448,13 @@ class TestStageMean:
            block=st.integers(0, 7), words=st.integers(0, 7))
     def test_rekeyed_stream_equals_derive_stream(self, seed, replication, k, stage, block,
                                                  words):
-        eng = _Engine(user_problem(self.noisy_identity), default_config(master_seed=seed),
-                      replication=replication, horizon=0)
+        stream = _streams(seed)
         # the previous stream leaves a half-used buffer and a cached uint32
-        previous = eng.stream(k + 1, 3 - stage, block)
+        previous = stream(replication, k + 1, 3 - stage, block)
         previous.bit_generator.random_raw(words)
         previous.integers(0, 9, dtype=np.uint32)
-        ours = eng.stream(k, stage, block)
-        ref = derive_stream(eng.key(k, stage, block))
+        ours = stream(replication, k, stage, block)
+        ref = derive_stream(RngStreamKey(seed, replication, k, stage, block))
         assert np.array_equal(ours.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
         assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
         assert np.array_equal(ours.integers(0, 2**32, 7, dtype=np.uint32),
@@ -460,7 +469,7 @@ class TestStageMean:
             return out * np.nan if state["calls"] == 5 else out
 
         with pytest.raises(OracleFailure, match="iteration 2, stage 1"):
-            run(user_problem(faulty), default_config(max_iterations=50),
+            run(validate(user_problem(faulty), default_config(max_iterations=50)),
                 x0=np.ones(3))
         assert state["calls"] == 5
 
@@ -484,6 +493,6 @@ class TestStageMean:
         oracle = self.NarrowBlock()
         oracle.exact_mean = exact_mean
         with pytest.raises(OracleFailure, match="block"):
-            run(user_problem(oracle, blocks=(2, 1)),
-                default_config(coordination="distributed", max_iterations=3),
+            run(validate(user_problem(oracle, blocks=(2, 1)),
+                         default_config(coordination="distributed", max_iterations=3)),
                 x0=np.ones(3))

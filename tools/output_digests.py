@@ -108,6 +108,7 @@ def per_draw_digests(workloads) -> dict:
     import dataclasses
 
     import numpy as np
+    from stochvi.core import validate
     from stochvi.harness import experiment_from_config
     from stochvi.solver import run
 
@@ -118,7 +119,11 @@ def per_draw_digests(workloads) -> dict:
         exp = experiment_from_config(workloads.config_document(name, SEEDS[0]))
         for kind, wrap in wrappers.items():
             problem = dataclasses.replace(exp.problem, oracle=wrap(exp.problem.oracle))
-            trace = run(problem, exp.solver, replication=0, x0=exp.x0)
+            plan = validate(problem, exp.solver)
+            if hasattr(plan, "problem"):
+                trace = run(plan, replication=0, x0=exp.x0)
+            else:  # a checkout whose validate returns only the report
+                trace = run(problem, exp.solver, replication=0, x0=exp.x0)
             data = b"".join(np.ascontiguousarray(getattr(trace, f)).tobytes()
                             for f in ("iterates", "r2", "cum_calls"))
             out[f"{name}-s{SEEDS[0]}-per_draw_{kind}/iterates,r2,cum_calls"] = \
