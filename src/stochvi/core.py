@@ -16,8 +16,11 @@ The stochastic oracle contract:
   exact law rather than by averaging draws.  The solver uses the flag
   whenever the oracle declares it, and otherwise draws the batch and
   averages it; either way a stage bills ``size`` calls.
-* :meth:`ProblemInstance.draw` is the one route by which the package calls
-  an oracle: it picks among these methods and checks every output's shape.
+* :meth:`ProblemInstance.route` is the one route by which the package calls
+  an oracle: it picks among these methods once and returns a callable that
+  checks every output's shape.  :meth:`ProblemInstance.draw` takes it for a
+  single call; the solver resolves each draw set's route once per run, when
+  the run starts, so the oracle's methods are read then.
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
@@ -75,13 +78,16 @@ class RngStreamKey:
             raise ValueError("stage must be 1 or 2")
 
 
+_KEY_FIELDS, _KEY_WORDS = struct.Struct("<qqqqqq"), struct.Struct("<QQ")
+
+
 def _philox_key(master_seed, replication, iteration, stage, block, sample=0):
     """128-bit Philox key of the stream with these six key fields: packed as
-    little-endian int64, hashed with SHA-256, the first 16 bytes read as
-    ``uint64[2]``."""
-    payload = struct.pack("<qqqqqq", master_seed, replication, iteration, stage, block,
-                          sample)
-    return np.frombuffer(hashlib.sha256(payload).digest()[:16], dtype=np.uint64)
+    little-endian int64, hashed with SHA-256, the first 16 bytes read as two
+    little-endian uint64, returned as Python ints (the Philox state setter
+    reads ints faster than array elements)."""
+    return _KEY_WORDS.unpack_from(hashlib.sha256(_KEY_FIELDS.pack(
+        master_seed, replication, iteration, stage, block, sample)).digest())
 
 
 def derive_stream(key: RngStreamKey) -> np.random.Generator:
@@ -93,9 +99,9 @@ def derive_stream(key: RngStreamKey) -> np.random.Generator:
     reproduces these streams without constructing one per stage: it re-keys
     a single generator and resets its counter, buffer and cached uint32.
     """
-    return np.random.Generator(np.random.Philox(key=_philox_key(
+    return np.random.Generator(np.random.Philox(key=np.array(_philox_key(
         key.master_seed, key.replication, key.iteration, key.stage, key.block,
-        key.sample)))
+        key.sample), dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -214,27 +220,41 @@ class ProblemInstance:
 
     def draw(self, rng, x, size, sl=None, mean=False):
         """``size`` oracle draws at ``x`` (block ``sl`` only, if given), or
-        with ``mean`` their average; the one route to the oracle.  The
-        average comes from the exact law when the oracle declares
+        with ``mean`` their average; the one route to the oracle, taken
+        through :meth:`route`."""
+        return self.route(sl, mean)(rng, x, size)
+
+    def route(self, sl=None, mean=False):
+        """The callable ``(rng, x, size)`` behind :meth:`draw` for block
+        ``sl`` and ``mean``, resolved once; it reads the oracle's methods
+        now, so a run resolves its draw sets when it starts.
+
+        The average comes from the exact law when the oracle declares
         ``exact_mean``, a block from ``oracle.block`` when it has one (else
-        the full draws are sliced), and the oracle's output is checked
+        the full draws are sliced).  Each call makes one oracle call, with
+        ``size`` its fourth positional argument, and checks the output
         against the shape it must have."""
-        o = self.oracle
+        o, asarray = self.oracle, np.asarray
         exact = mean and getattr(o, "exact_mean", False)
         if sl is not None and (exact or getattr(o, "block", None) is not None):
-            out = o.block(rng, x, size, sl, mean=True) if exact else o.block(rng, x, size, sl)
-            what, width, cut = "block ", len(range(self.dimension)[sl]), None
+            block, what, width, cut = o.block, "block ", len(range(self.dimension)[sl]), None
+            call = (lambda rng, x, size: block(rng, x, size, sl, mean=True)) if exact \
+                else (lambda rng, x, size: block(rng, x, size, sl))
         else:  # the full draws, cut to block sl if given
-            out = o(rng, x, size, mean=True) if exact else o(rng, x, size)
             what, width, cut = "", self.dimension, sl
-        out = np.asarray(out, dtype=float)
-        shape = (width,) if exact else (size, width)
-        if out.shape != shape:
-            raise OracleFailure(f"oracle {what}{'mean' if exact else 'batch'} has shape "
-                                f"{out.shape}, expected {shape}")
-        if cut is not None:
-            out = out[:, cut]
-        return out if exact or not mean else out.mean(axis=0)
+            call = (lambda rng, x, size: o(rng, x, size, mean=True)) if exact else o
+
+        def route(rng, x, size):
+            out = asarray(call(rng, x, size), dtype=float)
+            shape = (width,) if exact else (size, width)
+            if out.shape != shape:
+                raise OracleFailure(f"oracle {what}{'mean' if exact else 'batch'} has "
+                                    f"shape {out.shape}, expected {shape}")
+            if cut is not None:
+                out = out[:, cut]
+            return out if exact or not mean else out.mean(axis=0)
+
+        return route
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -376,18 +396,10 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
             raise CoordinationMismatch(
                 "centralized sampling requires identical per-block sample counts")
     checks.append(CheckResult("sampling_coordination", True, config.coordination))
-    checks.append(CheckResult(
-        "block_partition", True, f"blocks {problem.blocks} sum to n = {problem.dimension}"))
 
-    # Construction-time invariants, re-reported for completeness.
-    checks.append(CheckResult(
-        "known_solutions_feasible", True,
-        f"{len(problem.known_solutions)} solution(s) within 1e-10 of the set"))
-    if problem.mean_operator is not None:
-        checks.append(CheckResult(
-            "known_solutions_fixed_points", True,
-            "natural residual <= 1e-10 at alpha = 0.1/L"))
-    else:
+    # The block partition and the known solutions' feasibility and fixed-point
+    # tests are construction-time invariants of ProblemInstance, not checks.
+    if problem.mean_operator is None:
         checks.append(CheckResult(
             "mean_operator_available", False,
             "no closed-form mean operator: merits will be estimated"))

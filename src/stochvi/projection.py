@@ -134,8 +134,8 @@ class Ball(FeasibleSet):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < np.inf:  # a ball of infinite radius is WholeSpace
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def dim(self):
@@ -146,8 +146,8 @@ class Ball(FeasibleSet):
         d = x - self.center
         # np.linalg.norm(d, axis=-1, keepdims=True), without its Python wrapper
         nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
-        factor = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
-        return self.center + d * factor
+        # r / max(nrm, r): 1.0 inside the ball, and fmax keeps it 1.0 on NaN rows
+        return self.center + d * (self.radius / np.fmax(nrm, self.radius))
 
     def sample(self, rng, size, n=None, scale=1.0):
         n = self.dim

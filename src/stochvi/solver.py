@@ -138,7 +138,9 @@ def _streams(master_seed):
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     fresh = bits.state  # counter zero, empty buffer, no cached uint32
-    keyed = fresh["state"]
+    # as Python ints: the state setter reads them faster than array elements
+    keyed = fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
 
     def stream(replication, k, stage, block):
         keyed["key"] = _philox_key(master_seed, replication, k, stage, block)
@@ -156,18 +158,20 @@ def _stepper(plan: RunPlan):
 
     A stage draws each of its draw sets on its own stream and bills N_{k,i}
     calls for it, whether the average is drawn from the exact law or from
-    the draws themselves (see ``ProblemInstance.draw``); the plan's
-    ``cum_calls`` holds the sums.  A non-finite average raises.
+    the draws themselves (see ``ProblemInstance.route``, resolved here once
+    per run); the plan's ``cum_calls`` holds the sums.  Each set's average
+    fills its block of the stage mean.  A non-finite average raises.
     """
-    stream, draw = _streams(plan.config.master_seed), plan.problem.draw
-    proj, draw_sets, rows, alphas = (plan.problem.feasible_set.project, plan.draw_sets,
-                                     plan.rows, plan.alphas)
-    isfinite, every = np.isfinite, np.logical_and.reduce
+    problem, rows, alphas = plan.problem, plan.rows, plan.alphas
+    stream, proj = _streams(plan.config.master_seed), problem.feasible_set.project
+    sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl, mean=True))
+                 for i, sl in plan.draw_sets)
+    empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
 
     def stage_mean(replication, k, stage, point):
-        means = [draw(stream(replication, k, stage, i), point, n, sl, mean=True)
-                 for (i, sl), n in zip(draw_sets, rows[k])]
-        mean = means[0] if len(means) == 1 else np.concatenate(means)
+        mean = empty(problem.dimension)
+        for (i, sl, route), size in zip(sets, rows[k]):
+            mean[sl] = route(stream(replication, k, stage, i), point, size)
         if not every(isfinite(mean)):
             raise OracleFailure(
                 f"oracle average is not finite at iteration {k}, stage {stage}")

@@ -21,6 +21,14 @@ def korpelevich_reference(T, project_fn, x0, alpha, iterations):
     return np.array(out)
 
 
+def project_ball_where(x, center, radius):
+    """Ball projection with the factor r / max(||d||, 1e-300) where
+    ||d|| > r and 1.0 elsewhere (a NaN norm compares false, so 1.0)."""
+    d = np.asarray(x, dtype=float) - center
+    nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
+    return center + d * np.where(nrm > radius, radius / np.maximum(nrm, 1e-300), 1.0)
+
+
 def project_simplex_bruteforce(x, scale=1.0):
     """Projection onto {y >= 0, sum y = scale} by active-set enumeration.
 

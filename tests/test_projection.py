@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_impls import project_simplex_bruteforce
+from reference_impls import project_ball_where, project_simplex_bruteforce
 from stochvi.errors import BlockMismatch, DimensionMismatch, InfeasibleAffine
 from stochvi.projection import (
     AffineSubspace,
@@ -187,6 +187,60 @@ def test_batch_projection_matches_single_points_bitwise(kind):
     nrm = np.linalg.norm(d, axis=-1, keepdims=True)
     ref = ball.center + d * np.where(nrm > 2.0, 2.0 / np.maximum(nrm, 1e-300), 1.0)
     assert ref.tobytes() == np.ascontiguousarray(batch[:, :3]).tobytes()
+
+
+def hard_ball_rows(center, radius, rng, n_random=20000):
+    """Offsets from ``center`` at scales from 1e-3 r to 1e3 r, then the
+    centre, points on the sphere, subnormal offsets, +-inf and NaN entries,
+    and offsets whose squared norm overflows."""
+    n = len(center)
+    u = rng.standard_normal((n_random, n))
+    d = u * (radius * 10.0 ** rng.uniform(-3, 3, (n_random, 1)))
+    unit = u[:64] / np.linalg.norm(u[:64], axis=-1, keepdims=True)
+    special = np.concatenate([
+        np.zeros((1, n)), radius * unit, radius * np.eye(n), -radius * np.eye(n),
+        5e-324 * np.sign(u[:8]), 1e-310 * u[:8], np.full((2, n), 1e200),
+        1e160 * u[:8], np.diag(np.full(n, 1.5e154))])
+    rows = center + np.concatenate([d, special])
+    odd = np.tile(center, (6, 1))
+    odd[0, 0], odd[1, -1], odd[2, 0] = np.inf, -np.inf, np.nan
+    odd[3] = np.inf
+    odd[4, 0], odd[4, -1] = np.nan, np.inf
+    odd[5, 0], odd[5, -1] = np.inf, -np.inf
+    return np.concatenate([rows, odd])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-8, 0.25, 2.0, 1e150])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN rows, as intended
+def test_ball_factor_matches_where_reference_bitwise(radius):
+    """``radius / fmax(nrm, radius)`` is the ``np.where`` factor bit for bit,
+    NaN rows and overflowing norms included: alone and as a Cartesian
+    factor, in a batch and point by point."""
+    rng = np.random.default_rng(SEED)
+    center = np.array([0.0, -0.0, 0.0]) if radius < 1e-7 else np.array([0.5, -0.25, 0.0])
+    ball = Ball(center, radius)
+    X = hard_ball_rows(center, radius, rng)
+    ref = project_ball_where(X, center, radius)
+    assert bits(ball.project(X)) == bits(ref)
+    box = Box(-np.ones(2), np.ones(2))
+    prod = CartesianProduct((box, ball), (2, 3))
+    Y = np.concatenate([rng.uniform(-2.0, 2.0, (len(X), 2)), X], axis=1)
+    out = prod.project(Y)
+    assert bits(out[:, 2:]) == bits(ref) and bits(out[:, :2]) == bits(box.project(Y[:, :2]))
+    singles = np.r_[0:len(X):97, len(X) - 300:len(X)]  # every special row
+    for i in singles:
+        assert bits(ball.project(X[i])) == bits(ref[i])
+        assert bits(prod.project(Y[i])) == bits(out[i])
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
+def test_ball_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Ball(np.zeros(2), radius)
 
 
 @settings(max_examples=60, deadline=None)

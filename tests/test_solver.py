@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from stochvi.errors import (
 )
 from stochvi.problems import (
     AdditiveGaussianOracle,
+    ConstantOracle,
+    LinearMatrixNoiseOracle,
     gen_constant_noise,
     gen_linear_svi,
     gen_negative_control,
@@ -496,3 +499,48 @@ class TestStageMean:
             run(validate(user_problem(oracle, blocks=(2, 1)),
                          default_config(coordination="distributed", max_iterations=3)),
                 x0=np.ones(3))
+
+
+class TestOracleBilling:
+    """The solver's billing and the oracle calls it makes cannot disagree.
+
+    A call tracer wraps ``block`` and ``__call__`` of the built-in oracle
+    classes once a plan exists and reads ``size`` as the fourth positional
+    argument; these wrappers do the same, counting outermost calls only
+    (``__call__`` delegates to ``block``)."""
+
+    @pytest.mark.parametrize("coordination", ["distributed", "centralized"])
+    def test_oracle_sizes_add_up_to_cum_calls(self, monotone_problem, coordination):
+        R, K = 3, 20
+        plan = validate(monotone_problem.with_blocks((2, 2, 1)),
+                        default_config(coordination=coordination, max_iterations=K))
+        assert len(plan.draw_sets) == (3 if coordination == "distributed" else 1)
+        seen = {"calls": 0, "size": 0, "depth": 0}
+
+        def counting(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                if seen["depth"] == 0:
+                    seen["calls"] += 1
+                    seen["size"] += args[3]
+                seen["depth"] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    seen["depth"] -= 1
+            return wrapper
+
+        saved = [(cls, name, vars(cls)[name])
+                 for cls in (AdditiveGaussianOracle, LinearMatrixNoiseOracle, ConstantOracle)
+                 for name in ("block", "__call__")]
+        try:
+            for cls, name, fn in saved:
+                setattr(cls, name, counting(fn))
+            traces = [run(plan, replication=r, x0=np.ones(5)) for r in range(R)]
+        finally:
+            for cls, name, fn in saved:
+                setattr(cls, name, fn)
+        assert all(vars(cls)[name] is fn for cls, name, fn in saved)
+        assert all(t.n_steps == K for t in traces)
+        assert seen["size"] == sum(int(t.cum_calls[-1]) for t in traces)
+        assert seen["calls"] == R * K * 2 * len(plan.draw_sets)

@@ -7,6 +7,9 @@ bits on these runs:
   of ``perfbench/workloads.py`` at seeds 1 and 2, and on rate_ensemble and
   short_agents at seed 1 with diagnostics and the d-gap switched on (the
   benchmark workloads never switch them on);
+* ``stochvi experiment`` on ``CARTESIAN_AGENTS``: four distributed agents
+  on a product of a box, a ball of radius 0.25, an orthant and the whole
+  space, noisy enough that the ball's factor projects most stages;
 * ``stochvi probe --seed 3`` on each probe document of the CLI tests
   (``TestCli.PROBE_DOCS`` in ``tests/test_harness.py``);
 * ``stochvi constants`` on the four documents of ``CONSTANTS_DOCS``: the
@@ -21,7 +24,8 @@ bits on these runs:
   ``exact_mean``.
 
 Each experiment, solve and probe run writes two files: 8 configs x 2
-commands x 2 + 5 probes x 2 = 42 digests, keyed ``<run>/<file>``; each
+commands x 2 + 1 experiment x 2 + 5 probes x 2 = 44 digests, keyed
+``<run>/<file>``; each
 constants run writes one, 4 more; each per-draw run gives one digest of
 its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more.
 BLAS is pinned to one thread.
@@ -57,6 +61,22 @@ SEEDS = (1, 2)
 DIAGNOSTIC_WORKLOADS = ("rate_ensemble", "short_agents")
 PROBE_SEED = 3
 RATE_SUMMARY = "rate_ensemble-s1-experiment/experiment_summary.json"
+CARTESIAN_AGENTS = {
+    "schema_version": 1,
+    "problem": {"kind": "strongly_monotone", "n": 7, "seed": 5, "noise_scale": 10.0,
+                "center": [0.0] * 7, "blocks": [2, 2, 1, 2],
+                "set": {"variant": "cartesian", "sizes": [2, 2, 1, 2],
+                        "parts": [{"variant": "box", "lower": [-1.0, -1.0],
+                                   "upper": [1.0, 1.0]},
+                                  {"variant": "ball", "center": [0.0, 0.0], "radius": 0.25},
+                                  {"variant": "nonnegative_orthant", "dim": 1},
+                                  {"variant": "whole_space", "dim": 2}]}},
+    "solver": {"stepsize": 0.25, "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+               "max_iterations": 20, "coordination": "distributed", "master_seed": 1},
+    "replications": 3,
+    "x0": [1.5] * 7,
+    "epsilon": 1e-2,
+}
 CONSTANTS_DOCS = {
     "readme": {"eps": 1e-4, "L": 1.0, "alpha": 0.25, "sigma": 2.2360679,
                "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
@@ -140,6 +160,7 @@ def digests(root: Path) -> dict:
 
     runs = [(f"{name}-{command}", [command], doc)
             for name, doc in configs(workloads) for command in ("experiment", "solve")]
+    runs.append(("cartesian_agents-experiment", ["experiment"], CARTESIAN_AGENTS))
     runs += [(f"probe-{kind}", ["probe", "--seed", str(PROBE_SEED)], dict(doc, kind=kind))
              for kind, doc in sorted(TestCli.PROBE_DOCS.items())]
     runs += [(f"constants-{name}", ["constants"], doc)  # after the summaries they read
