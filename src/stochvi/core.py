@@ -16,6 +16,14 @@ The stochastic oracle contract:
   exact law rather than by averaging draws.  The solver uses the flag
   whenever the oracle declares it, and otherwise draws the batch and
   averages it; either way a stage bills ``size`` calls.
+* An exact-mean oracle whose law is centred on T may also take ``t=None``
+  with ``mean=True``: ``t`` is T(x) as the caller already evaluated it, to be
+  read instead of evaluating T again.  The solver passes it only when the
+  oracle declares ``exact_mean`` and its ``mean_operator`` attribute is the
+  problem's ``mean_operator`` object itself
+  (:attr:`ProblemInstance.oracle_shares_mean_operator`); every other oracle
+  is called without it.  It then evaluates T once per point, for all of a
+  stage's draw sets and the residual floor.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
   an oracle: it picks among these methods once and returns a callable that
   checks every output's shape.  :meth:`ProblemInstance.draw` takes it for a
@@ -224,28 +232,43 @@ class ProblemInstance:
         through :meth:`route`."""
         return self.route(sl, mean)(rng, x, size)
 
+    @property
+    def oracle_shares_mean_operator(self):
+        """Whether the exact-mean route hands the oracle T(x): the oracle
+        declares ``exact_mean`` and its ``mean_operator`` is this problem's."""
+        T = self.mean_operator
+        return (T is not None and getattr(self.oracle, "exact_mean", False)
+                and getattr(self.oracle, "mean_operator", None) is T)
+
     def route(self, sl=None, mean=False):
-        """The callable ``(rng, x, size)`` behind :meth:`draw` for block
-        ``sl`` and ``mean``, resolved once; it reads the oracle's methods
-        now, so a run resolves its draw sets when it starts.
+        """The callable ``(rng, x, size, t=None)`` behind :meth:`draw` for
+        block ``sl`` and ``mean``, resolved once; it reads the oracle's
+        methods now, so a run resolves its draw sets when it starts.
 
         The average comes from the exact law when the oracle declares
         ``exact_mean``, a block from ``oracle.block`` when it has one (else
         the full draws are sliced).  Each call makes one oracle call, with
         ``size`` its fourth positional argument, and checks the output
-        against the shape it must have."""
+        against the shape it must have.  ``t`` is T(x) as the caller
+        evaluated it; the route forwards it only on the exact-mean route of
+        an oracle that shares this problem's mean operator (see
+        :attr:`oracle_shares_mean_operator`) and ignores it otherwise."""
         o, asarray = self.oracle, np.asarray
         exact = mean and getattr(o, "exact_mean", False)
         if sl is not None and (exact or getattr(o, "block", None) is not None):
             block, what, width, cut = o.block, "block ", len(range(self.dimension)[sl]), None
-            call = (lambda rng, x, size: block(rng, x, size, sl, mean=True)) if exact \
-                else (lambda rng, x, size: block(rng, x, size, sl))
+            draws = lambda rng, x, size, t: block(rng, x, size, sl)
+            average = lambda rng, x, size, t: block(rng, x, size, sl, mean=True)
+            shared = lambda rng, x, size, t: block(rng, x, size, sl, mean=True, t=t)
         else:  # the full draws, cut to block sl if given
             what, width, cut = "", self.dimension, sl
-            call = (lambda rng, x, size: o(rng, x, size, mean=True)) if exact else o
+            draws = lambda rng, x, size, t: o(rng, x, size)
+            average = lambda rng, x, size, t: o(rng, x, size, mean=True)
+            shared = lambda rng, x, size, t: o(rng, x, size, mean=True, t=t)
+        call = (shared if self.oracle_shares_mean_operator else average) if exact else draws
 
-        def route(rng, x, size):
-            out = asarray(call(rng, x, size), dtype=float)
+        def route(rng, x, size, t=None):
+            out = asarray(call(rng, x, size, t), dtype=float)
             shape = (width,) if exact else (size, width)
             if out.shape != shape:
                 raise OracleFailure(f"oracle {what}{'mean' if exact else 'batch'} has "

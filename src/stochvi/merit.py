@@ -15,8 +15,9 @@ from .errors import InvalidParameters, NoKnownSolutions
 from .projection import FeasibleSet, inner, project
 
 
-def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float):
-    """Squared natural residual ||x - P[x - alpha T(x)]||^2.
+def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float, t=None):
+    """Squared natural residual ||x - P[x - alpha T(x)]||^2; ``t``, if
+    given, is T(x) as the caller already evaluated it.
 
     Zero exactly at solutions: x solves the problem iff x is a fixed point
     of the projected step, for any alpha > 0.
@@ -24,7 +25,8 @@ def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float):
     if not alpha > 0:
         raise InvalidParameters("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    diff = x - project(fset, x - alpha * np.asarray(T(x), dtype=float))
+    t = np.asarray(T(x) if t is None else t, dtype=float)
+    diff = x - project(fset, x - alpha * t)
     return inner(diff, diff)
 
 

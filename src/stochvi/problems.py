@@ -29,6 +29,8 @@ class AdditiveGaussianOracle:
     """F(xi, x) = T(x) + xi with xi ~ N(0, scale^2 I_n).
 
     The mean of ``size`` draws is T(x) + (scale / sqrt(size)) Z, Z ~ N(0, I).
+    ``t``, if given, is T(x) as the caller already evaluated it, and the
+    oracle reads it instead of evaluating T again.
     """
 
     exact_mean = True
@@ -38,13 +40,15 @@ class AdditiveGaussianOracle:
         self.n = int(n)
         self.scale = float(scale)
 
-    def __call__(self, rng, x, size, mean=False):
-        return self.block(rng, x, size, slice(None), mean)
+    def __call__(self, rng, x, size, mean=False, t=None):
+        return self.block(rng, x, size, slice(None), mean, t)
 
-    def block(self, rng, x, size, sl, mean=False):
+    def block(self, rng, x, size, sl, mean=False, t=None):
         # Additive noise is coordinatewise independent: an agent holding its
         # own stream may draw only the components it consumes.
-        t = np.asarray(self.mean_operator(x), dtype=float)[sl]
+        if t is None:
+            t = self.mean_operator(x)
+        t = np.asarray(t, dtype=float)[sl]
         shape = t.shape if mean else (size,) + t.shape
         if self.scale == 0.0:
             return np.broadcast_to(t, shape).copy()

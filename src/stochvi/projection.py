@@ -114,8 +114,11 @@ class Box(FeasibleSet):
         return self.lower.shape[0]
 
     def project(self, x):
-        # the method np.clip dispatches to, without its Python wrapper
-        return _as_batch(x, self.dim).clip(self.lower, self.upper)
+        # A tie goes to the bound and a NaN stays, whatever the layout:
+        # ndarray.clip keeps x on a tie when it loops over constant bounds,
+        # as it does for a (..., 1) batch, so its rows could differ from
+        # single points.
+        return np.minimum(np.maximum(_as_batch(x, self.dim), self.lower), self.upper)
 
     def sample(self, rng, size, n=None, scale=1.0):
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
@@ -271,13 +274,24 @@ class AffineSubspace(FeasibleSet):
         return {"variant": "affine", "A": self.A.tolist(), "b": self.b.tolist()}
 
 
+_SEPARABLE = (WholeSpace, NonnegativeOrthant, Box)
+
+
 @dataclass(frozen=True)
 class CartesianProduct(FeasibleSet):
-    """Product of blocks, each a descriptor with an explicit size; the
-    (part, slice) pairs are laid out once, at construction."""
+    """Product of blocks, each a descriptor with an explicit size.
+
+    At construction the separable factors (box, orthant, whole space) are
+    merged into one full-width :class:`Box`, with infinite bounds on the
+    other factors' coordinates, and the other factors are laid out as
+    (part, slice) pairs.  A projection is then one clip through that box,
+    whose slices are bit for bit the factors' own projections, and one
+    projection per remaining factor.
+    """
 
     parts: tuple
     sizes: tuple
+    _clip: Box | None = field(init=False, repr=False, compare=False)
     _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -289,7 +303,17 @@ class CartesianProduct(FeasibleSet):
                 raise BlockMismatch(f"factor of dimension {d} declared with size {s}")
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        object.__setattr__(self, "_blocks", tuple(zip(self.parts, block_slices(self.sizes))))
+        blocks = tuple(zip(self.parts, block_slices(self.sizes)))
+        lower, upper = np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
+        for part, sl in blocks:
+            if isinstance(part, Box):
+                lower[sl], upper[sl] = part.lower, part.upper
+            elif isinstance(part, NonnegativeOrthant):
+                lower[sl] = 0.0
+        separable = any(isinstance(part, _SEPARABLE) for part in self.parts)
+        object.__setattr__(self, "_clip", Box(lower, upper) if separable else None)
+        object.__setattr__(self, "_blocks", tuple(
+            (part, sl) for part, sl in blocks if not isinstance(part, _SEPARABLE)))
 
     @property
     def dim(self):
@@ -297,7 +321,7 @@ class CartesianProduct(FeasibleSet):
 
     def project(self, x):
         x = _as_batch(x, self.dim)
-        out = np.empty_like(x)
+        out = np.empty_like(x) if self._clip is None else self._clip.project(x)
         for part, sl in self._blocks:
             out[..., sl] = part.project(x[..., sl])
         return out
@@ -311,9 +335,6 @@ class CartesianProduct(FeasibleSet):
         return {"variant": "cartesian",
                 "parts": [p.to_config() for p in self.parts],
                 "sizes": list(self.sizes)}
-
-
-_SEPARABLE = (WholeSpace, NonnegativeOrthant, Box)
 
 
 def split_separable(fset: FeasibleSet, sizes) -> CartesianProduct:

@@ -23,6 +23,7 @@ where rho_k = 1 - 6 L^2 alpha_k^2, which feed the pathwise recursion audit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,11 +132,19 @@ class RunTrace:
         return out
 
 
+@functools.cache
+def _throwaway_seed():
+    """A fixed seed, so building a stream function draws no OS entropy (every
+    re-key replaces the key it gives); made on first use, since importing
+    the package loads no ``numpy.random``."""
+    return np.random.SeedSequence(0)
+
+
 def _streams(master_seed):
     """``stream(replication, k, stage, block)``: one Philox generator,
     re-keyed to the stream ``derive_stream(RngStreamKey(master_seed,
     replication, k, stage, block))`` gives; it is valid until the next call."""
-    bits = np.random.Philox(key=0)
+    bits = np.random.Philox(_throwaway_seed())
     rng = np.random.Generator(bits)
     fresh = bits.state  # counter zero, empty buffer, no cached uint32
     # as Python ints: the state setter reads them faster than array elements
@@ -151,37 +160,42 @@ def _streams(master_seed):
 
 
 def _stepper(plan: RunPlan):
-    """``advance(replication, k, x) -> (z, g1, g2, x_next)``: iteration k of
-    the plan from ``x``, with the prediction point z^k and the two stage
-    averages.  ``run``, ``step`` and ``martingale_probe`` all advance
-    through it.
+    """``advance(replication, k, x, t=None) -> (z, g1, g2, x_next)``:
+    iteration k of the plan from ``x``, with the prediction point z^k and the
+    two stage averages; ``t``, if given, is T(x) as the caller evaluated it.
+    ``run``, ``step`` and ``martingale_probe`` all advance through it.
 
     A stage draws each of its draw sets on its own stream and bills N_{k,i}
     calls for it, whether the average is drawn from the exact law or from
     the draws themselves (see ``ProblemInstance.route``, resolved here once
     per run); the plan's ``cum_calls`` holds the sums.  Each set's average
-    fills its block of the stage mean.  A non-finite average raises.
+    fills its block of the stage mean.  A non-finite average raises.  When
+    the oracle shares the problem's mean operator, a stage evaluates T once
+    at its point and hands it to every draw set.
     """
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
+    T = problem.mean_operator if problem.oracle_shares_mean_operator else None
     stream, proj = _streams(plan.config.master_seed), problem.feasible_set.project
     sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl, mean=True))
                  for i, sl in plan.draw_sets)
     empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
 
-    def stage_mean(replication, k, stage, point):
+    def stage_mean(replication, k, stage, point, t):
         mean = empty(problem.dimension)
         for (i, sl, route), size in zip(sets, rows[k]):
-            mean[sl] = route(stream(replication, k, stage, i), point, size)
+            mean[sl] = route(stream(replication, k, stage, i), point, size, t)
         if not every(isfinite(mean)):
             raise OracleFailure(
                 f"oracle average is not finite at iteration {k}, stage {stage}")
         return mean
 
-    def advance(replication, k, x):
+    def advance(replication, k, x, t=None):
         alpha = alphas[k]
-        g1 = stage_mean(replication, k, 1, x)
+        if t is None and T is not None:
+            t = T(x)
+        g1 = stage_mean(replication, k, 1, x, t)
         z = proj(x - alpha * g1)
-        g2 = stage_mean(replication, k, 2, z)
+        g2 = stage_mean(replication, k, 2, z, None if T is None else T(z))
         return z, g1, g2, proj(x - alpha * g2)
 
     return advance
@@ -213,7 +227,8 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
 
     Deterministic given (master_seed, replication): traces are bit-identical
     across reruns and across serial or concurrent execution.  The plan comes
-    from ``validate``, once for any number of replications.
+    from ``validate``, once for any number of replications.  T(x^k) is
+    evaluated once, for the residual and the first stage.
     """
     problem, config = plan.problem, plan.config
     n, K = problem.dimension, config.max_iterations
@@ -227,14 +242,15 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
     residual_sq, advance = natural_residual_sq, _stepper(plan)
     x = fset.project(x)  # iterates live in X from the start
     iterates, r2, steps = [x], [], []
-    stopped = False
+    stopped, t = False, None
     for k in range(K + 1):
         if T is not None:  # the residual floor reads r^2 before each step
-            r2.append(residual_sq(T, fset, x, alphas[k]))
+            t = T(x)
+            r2.append(residual_sq(T, fset, x, alphas[k], t=t))
             stopped = bool(k < K and r2[-1] <= floor)
         if k == K or stopped:
             break
-        z, g1, g2, x = advance(replication, k, x)
+        z, g1, g2, x = advance(replication, k, x, t)
         steps.append((z, g1, g2))
         iterates.append(x)
 
@@ -383,8 +399,8 @@ def martingale_probe(plan: RunPlan, x, replications: int,
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
-    advance = _stepper(plan)
-    steps = [advance(r, 0, x)[:3] for r in range(replications)]
+    advance, t = _stepper(plan), problem.mean_operator(x)
+    steps = [advance(r, 0, x, t)[:3] for r in range(replications)]
     z, _, g2 = np.array(steps).swapaxes(0, 1)
     e2 = g2 - np.asarray(problem.mean_operator(z), dtype=float)
     deltas = 2.0 * plan.alphas[0] * inner(x_star - z, e2)

@@ -143,3 +143,16 @@ def diagnostic_sums_reference(trace):
         for s, xstar in enumerate(trace.tracked_solutions):
             M[k + 1, s] = M[k, s] + 2.0 * alpha * float((xstar - trace.z[k]) @ trace.eps2[k])
     return A, M
+
+
+def project_cartesian_per_factor(fset, x):
+    """A Cartesian product's projection as one projection per factor, each
+    on its own slice of the coordinates."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    start = 0
+    for part, size in zip(fset.parts, fset.sizes):
+        sl = slice(start, start + size)
+        out[..., sl] = part.project(x[..., sl])
+        start += size
+    return out

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_impls import project_ball_where, project_simplex_bruteforce
+from reference_impls import (
+    project_ball_where,
+    project_cartesian_per_factor,
+    project_simplex_bruteforce,
+)
 from stochvi.errors import BlockMismatch, DimensionMismatch, InfeasibleAffine
 from stochvi.projection import (
     AffineSubspace,
@@ -187,6 +191,61 @@ def test_batch_projection_matches_single_points_bitwise(kind):
     nrm = np.linalg.norm(d, axis=-1, keepdims=True)
     ref = ball.center + d * np.where(nrm > 2.0, 2.0 / np.maximum(nrm, 1e-300), 1.0)
     assert ref.tobytes() == np.ascontiguousarray(batch[:, :3]).tobytes()
+
+
+def tie_rows(rng, n, n_random=40):
+    """Random rows, then every coordinate at each of +-0, +-1, +-inf and
+    NaN (so each bound of +-0, +-1 or +-inf is met with either sign of a
+    tie), and rows mixing them."""
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    rows = [rng.uniform(-2.0, 2.0, (n_random, n)), np.repeat(special, n).reshape(-1, n),
+            rng.choice(special, (n_random, n))]
+    return np.concatenate(rows)
+
+
+SEPARABLE_PRODUCTS = {
+    "box_ball_orthant": ((Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0),
+                          NonnegativeOrthant(1)), (2, 2, 1)),
+    "zero_bounds": ((Box(np.array([0.0]), np.array([1.0])), NonnegativeOrthant(None),
+                     Box(np.array([-1.0, -0.0]), np.array([0.0, 0.0])),
+                     Ball(np.array([0.0, -0.0]), 0.5), WholeSpace(None)), (1, 2, 2, 2, 1)),
+    "separable_only": ((NonnegativeOrthant(1), WholeSpace(2), Box(np.zeros(1), np.zeros(1))),
+                       (1, 2, 1)),
+    "one_coordinate": ((NonnegativeOrthant(1),), (1,)),
+    "no_separable": ((Ball(np.zeros(2), 1.0), Simplex(3)), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_PRODUCTS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN rows, as intended
+def test_merged_clip_matches_per_factor_loop_bitwise(name):
+    """One clip through the merged box, then the other factors, gives the
+    per-factor loop's bits: signed zeros at zero bounds, +-inf and NaN rows
+    included, as a C- or Fortran-ordered batch and point by point."""
+    parts, sizes = SEPARABLE_PRODUCTS[name]
+    fset = CartesianProduct(parts, sizes)
+    X = tie_rows(np.random.default_rng(SEED), fset.dim)
+    ref = project_cartesian_per_factor(fset, X)
+    assert bits(fset.project(X)) == bits(ref)
+    assert bits(fset.project(np.asfortranarray(X))) == bits(ref)
+    for x, row in zip(X, ref):
+        assert bits(fset.project(x)) == bits(row)
+    assert not np.shares_memory(fset.project(X), X)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_box_rows_match_single_points_on_ties(width):
+    """A tie between a point and a signed-zero bound goes to the bound in
+    every layout; ``ndarray.clip`` keeps the point when it loops over
+    constant bounds, as it does over a (..., 1) batch."""
+    box = Box(np.zeros(width), np.ones(width))
+    column = lambda *v: np.repeat(np.array(v), width).reshape(-1, width)
+    X = column(-0.0, 0.0, -1.0, 2.0, 1.0, np.nan)
+    batch = box.project(X)
+    assert bits(batch) == bits(column(0.0, 0.0, 0.0, 1.0, 1.0, np.nan))
+    assert bits(box.project(np.asfortranarray(X))) == bits(batch)
+    for x, row in zip(X, batch):
+        assert bits(box.project(x)) == bits(row)
 
 
 def hard_ball_rows(center, radius, rng, n_random=20000):

@@ -544,3 +544,97 @@ class TestOracleBilling:
         assert all(t.n_steps == K for t in traces)
         assert seen["size"] == sum(int(t.cum_calls[-1]) for t in traces)
         assert seen["calls"] == R * K * 2 * len(plan.draw_sets)
+
+
+class TestSharedMeanOperator:
+    """A stage evaluates T once at its point for all of its draw sets, and
+    ``run`` hands T(x^k) to both the residual and the first stage; an oracle
+    centred on any other callable keeps its own law."""
+
+    @staticmethod
+    def counted(noise=1.0, blocks=(5,)):
+        base = gen_strongly_monotone(5, seed=3, noise_scale=noise, center=np.zeros(5))
+        calls = [0]
+
+        def T(x):
+            calls[0] += 1
+            return base.mean_operator(x)
+
+        problem = replace(base, oracle=AdditiveGaussianOracle(T, 5, noise), mean_operator=T)
+        return problem.with_blocks(blocks), calls
+
+    @pytest.mark.parametrize("coordination, blocks",
+                             [("centralized", (5,)), ("distributed", (2, 2, 1))])
+    def test_run_evaluates_T_once_per_point(self, coordination, blocks):
+        # x^0..x^K for the residual (x^k also for stage 1), z^0..z^(K-1) for stage 2
+        K = 12
+        problem, calls = self.counted(blocks=blocks)
+        assert problem.oracle_shares_mean_operator
+        plan = validate(problem, default_config(coordination=coordination, max_iterations=K,
+                                                residual_floor=0.0, diagnostics=False))
+        calls[0] = 0
+        trace = run(plan, replication=1, x0=np.ones(5))
+        assert trace.n_steps == K and not trace.stopped_early
+        assert calls[0] == 2 * K + 1
+
+    @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
+    def test_sharing_changes_no_bit(self, coordination):
+        """An oracle centred on an equal but distinct callable evaluates T
+        itself; the traces agree bit for bit."""
+        problem, _ = self.counted(blocks=(2, 2, 1))
+        T = problem.mean_operator
+        own = replace(problem, oracle=AdditiveGaussianOracle(lambda x: T(x), 5, 1.0))
+        assert not own.oracle_shares_mean_operator
+        cfg = default_config(coordination=coordination, max_iterations=15)
+        a, b = (run(validate(p, cfg), replication=2, x0=np.ones(5)) for p in (problem, own))
+        for field in ("iterates", "r2", "z", "eps2", "A", "cum_calls"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
+    def test_oracle_on_another_operator_keeps_its_law(self, coordination):
+        base = gen_strongly_monotone(5, seed=3, noise_scale=0.0, center=np.zeros(5))
+        T = base.mean_operator
+        problem = replace(base, oracle=AdditiveGaussianOracle(lambda x: T(x) + 1.0, 5, 0.0))
+        problem = problem.with_blocks((2, 2, 1))
+        assert not problem.oracle_shares_mean_operator
+        advance = _stepper(validate(problem, default_config(coordination=coordination)))
+        x = np.linspace(-1.0, 1.5, 5)
+        z, g1, g2, _ = advance(0, 0, x, T(x))
+        assert g1.tobytes() == (T(x) + 1.0).tobytes()
+        assert g2.tobytes() == (T(z) + 1.0).tobytes()
+
+    def test_exact_mean_oracle_without_t_is_called_without_it(self):
+        """A user exact-mean oracle that takes no ``t`` is called as before."""
+
+        class Shifted:
+            exact_mean = True
+
+            def __call__(self, rng, x, size, mean=False):
+                return self.block(rng, x, size, slice(None), mean)
+
+            def block(self, rng, x, size, sl, mean=False):
+                return np.asarray(x, dtype=float)[sl] + 0.5
+
+        problem = replace(identity_problem(n=3), oracle=Shifted()).with_blocks((1, 2))
+        x = np.array([1.0, -2.0, 0.25])
+        for sl in (None, slice(1, 3)):
+            out = problem.route(sl, mean=True)(None, x, 4, t=np.zeros(3))
+            assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
+
+    def test_zero_noise_stage_mean_does_not_alias_t(self):
+        problem, _ = self.counted(noise=0.0, blocks=(2, 2, 1))
+        assert problem.oracle_shares_mean_operator
+        x = np.linspace(-1.0, 1.5, 5)
+        t = problem.mean_operator(x)
+        kept = t.copy()
+        rng = np.random.default_rng(0)
+        for sl in (None, slice(2, 4)):
+            out = problem.route(sl, mean=True)(rng, x, 4, t)
+            assert out.tobytes() == t[sl or slice(None)].tobytes()
+            assert not np.shares_memory(out, t)
+            out[...] = 7.0
+            assert t.tobytes() == kept.tobytes()
+        for coordination in ("centralized", "distributed"):
+            advance = _stepper(validate(problem, default_config(coordination=coordination)))
+            _, g1, _, _ = advance(0, 0, x, t)
+            assert g1.tobytes() == t.tobytes() and not np.shares_memory(g1, t)
