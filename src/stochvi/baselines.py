@@ -26,20 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStreamKey, derive_stream
-from .errors import InvalidHorizon, InvalidParameters
+from .core import streams
+from .errors import InvalidHorizon, InvalidParameters, InvalidStepsize
 from .projection import project
 
 
-def sa_step(x, problem, alpha: float, key: RngStreamKey):
+def sa_step(x, problem, alpha: float, rng):
     """One classical stochastic-approximation step
-    x' = P[x - alpha F(xi, x)]; exactly one oracle call."""
+    x' = P[x - alpha F(xi, x)]; exactly one oracle call, drawn from ``rng``."""
     if not alpha > 0:
-        from .errors import InvalidStepsize
-
         raise InvalidStepsize("sa_step needs alpha > 0")
     x = np.asarray(x, dtype=float)
-    draw = problem.draw(derive_stream(key), x, 1)[0]
+    draw = problem.draw(rng, x, 1)[0]
     return project(problem.feasible_set, x - alpha * draw), 1
 
 
@@ -84,15 +82,13 @@ class MirrorProxSchedule:
         return self.c0 * k * (K - k + 1.0) * (K + k) / (K * (K + 1.0) * denom ** 2)
 
 
-def mirror_prox_example1(K: int, sigma: float, L: float = 1.0, x1: float = 0.0,
-                         replication: int = 0, master_seed: int = 0):
+def mirror_prox_example1(K: int, sigma: float, L: float = 1.0, x1: float = 0.0, *, rng):
     """Terminal iterate z^K and ergodic average zbar^K of the mirror-prox
     scheme on the scalar zero-mean constant operator with N(0, sigma^2)
-    noise.  Returns (z_K, zbar_K)."""
+    noise drawn from ``rng``.  Returns (z_K, zbar_K)."""
     sched = MirrorProxSchedule.build(K, sigma, L)
     if sigma == 0.0:
         return float(x1), float(x1)
-    rng = derive_stream(RngStreamKey(master_seed, replication=replication))
     draws = sigma * rng.standard_normal(K)
     z_K = x1 - float(sched.alphas @ draws)
     zbar_K = x1 - float(sched.avg_coeffs @ draws)
@@ -106,7 +102,9 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
     Rows: K, var_zK_emp, var_zK_exact, var_zbar_emp, var_zbar_exact.
     The exact values are sigma^2 * sum alpha_k^2 and sigma^2 * sum theta_k^2
     (sums of independent Gaussians), so the empirical columns agree within
-    Monte Carlo noise.  A sample variance needs at least two replications.
+    Monte Carlo noise.  Replication r at the j-th horizon draws on stream
+    (r, 0, 1, 0) of the stream function of ``master_seed + j``.  A sample
+    variance needs at least two replications.
     """
     if replications < 2:
         raise InvalidParameters("variance scaling probe needs at least 2 replications")
@@ -115,9 +113,9 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
         sched = MirrorProxSchedule.build(int(K), sigma, L)
         z = np.empty(replications)
         zbar = np.empty(replications)
+        stream = streams(master_seed + j)
         for r in range(replications):
-            z[r], zbar[r] = mirror_prox_example1(
-                int(K), sigma, L, 0.0, replication=r, master_seed=master_seed + j)
+            z[r], zbar[r] = mirror_prox_example1(int(K), sigma, L, 0.0, rng=stream(r, 0, 1, 0))
         rows.append({
             "K": int(K),
             "var_zK_emp": float(np.var(z, ddof=1)),

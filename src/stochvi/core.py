@@ -33,6 +33,10 @@ The stochastic oracle contract:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
 
+Run-time randomness has one source, :func:`streams`: the solver, the probes,
+the baselines and the harness's surrogate each take a stream function of
+their own.  :func:`derive_stream` is the reference they equal bit for bit.
+
 The mean-operator contract: ``mean_operator(X)`` maps points of shape
 ``(..., n)`` row by row to the same shape, as projections do, so merits
 and audits take a whole trace in one call.  :func:`check_mean_operator`
@@ -43,6 +47,7 @@ each row the single-point product bit for bit; ``X @ A.T`` does not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -55,6 +60,7 @@ from .errors import (
     BlockMismatch,
     CoordinationMismatch,
     DimensionMismatch,
+    InvalidSchedule,
     InvalidStepsize,
     OracleFailure,
 )
@@ -102,14 +108,43 @@ def derive_stream(key: RngStreamKey) -> np.random.Generator:
     """Deterministic, order-independent stream for the given key.
 
     The six key fields are packed and hashed into a 128-bit Philox key, so
-    stream derivation is pure and collision probability is negligible.  A
-    Philox stream is fixed by its key and counter alone, so the solver
-    reproduces these streams without constructing one per stage: it re-keys
-    a single generator and resets its counter, buffer and cached uint32.
+    stream derivation is pure and collision probability is negligible.  It
+    is the reference: the package takes its run-time streams from
+    :func:`streams`, which gives the same stream without a new generator.
     """
     return np.random.Generator(np.random.Philox(key=np.array(_philox_key(
         key.master_seed, key.replication, key.iteration, key.stage, key.block,
         key.sample), dtype=np.uint64)))
+
+
+@functools.cache
+def _throwaway_seed():
+    """A fixed seed, so building a stream function draws no OS entropy (every
+    re-key replaces the key it gives); made on first use, since importing
+    the package loads no ``numpy.random``."""
+    return np.random.SeedSequence(0)
+
+
+def streams(master_seed):
+    """``stream(replication, iteration, stage, block, sample=0)``, the one
+    maker of run-time streams: it re-keys one Philox generator, owned by this
+    call of ``streams``, to the stream ``derive_stream`` gives for the key (a
+    Philox stream is fixed by its key and counter alone) and is valid until
+    the next call.  Consumers that may run inside one another each call
+    ``streams`` for their own."""
+    bits = np.random.Philox(_throwaway_seed())
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # counter zero, empty buffer, no cached uint32
+    # as Python ints: the state setter reads them faster than array elements
+    keyed = fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+
+    def stream(replication, iteration, stage, block, sample=0):
+        keyed["key"] = _philox_key(master_seed, replication, iteration, stage, block, sample)
+        bits.state = fresh
+        return rng
+
+    return stream
 
 
 @dataclass(frozen=True)
@@ -408,8 +443,6 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
 
     ok, detail = schedule_tail_check(sched)
     if not ok:
-        from .errors import InvalidSchedule
-
         raise InvalidSchedule(f"sampling-rate tail not summable at finite horizon: {detail}")
     checks.append(CheckResult("sampling_rate_summable", True, detail))
 

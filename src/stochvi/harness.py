@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ProblemInstance, RngStreamKey, SolverConfig, validate
+from .core import ProblemInstance, SolverConfig, streams, validate
 from .errors import ConfigError, InvalidParameters
 from .merit import d_gap
 from .projection import feasible_set_from_config
@@ -174,18 +174,20 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
 
     Returns (operator, estimated): ``estimated`` is True when the surrogate
     is in use, so outputs can be labeled accordingly.  The surrogate maps
-    the rows of its input, each on a stream keyed by a hash of the row.
+    the rows of its input, each on stream (0, 0, 1, 0) of its own stream
+    function with ``sample`` a hash of the row.
     """
     if problem.mean_operator is not None:
         return problem.mean_operator, False
+    stream = streams(master_seed)
 
     def surrogate(X):
         X = np.asarray(X, dtype=float)
         means = []
         for x in X.reshape(-1, problem.dimension):
             digest = hashlib.sha256(x.tobytes()).digest()
-            key = RngStreamKey(master_seed, sample=int.from_bytes(digest[:4], "little"))
-            means.append(batch_mean(problem, x, n_samples, key).mean)
+            rng = stream(0, 0, 1, 0, int.from_bytes(digest[:4], "little"))
+            means.append(batch_mean(problem, x, n_samples, rng).mean)
         return np.reshape(means, X.shape)
 
     return surrogate, True

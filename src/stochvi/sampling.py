@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameters, InvalidSchedule, NoMeanOperator
+from .errors import ConfigError, InvalidParameters, InvalidSchedule, NoMeanOperator, OracleFailure
 
 
 @dataclass(frozen=True)
@@ -258,23 +258,19 @@ class BatchMeanResult:
     error: np.ndarray | None = None
 
 
-def batch_mean(problem, x, n_samples: int, key) -> BatchMeanResult:
-    """Average of ``n_samples`` fresh oracle draws from the keyed stream.
+def batch_mean(problem, x, n_samples: int, rng) -> BatchMeanResult:
+    """Average of ``n_samples`` fresh oracle draws from the generator ``rng``.
 
     Every draw is made and averaged, even for an oracle that can draw the
     average from its exact law: the solver takes that shortcut, but on it the
     1/N error-decay law holds by construction, so ``error_decay_probe``
     (acceptance criterion 2) would check nothing.
     """
-    from .core import derive_stream
-
     if n_samples < 1:
         raise InvalidSchedule("batch size must be >= 1")
     x = np.asarray(x, dtype=float)
-    mean = problem.draw(derive_stream(key), x, n_samples).mean(axis=0)
+    mean = problem.draw(rng, x, n_samples).mean(axis=0)
     if not np.logical_and.reduce(np.isfinite(mean)):
-        from .errors import OracleFailure
-
         raise OracleFailure("oracle batch mean is not finite")
     err = None
     if problem.mean_operator is not None:
@@ -289,21 +285,21 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     ``replications`` independent batches and returns rows of
     (N, mean_sq_error, stderr, N * mean_sq_error).  The product column is
     flat in N exactly when the empirical average error variance scales like
-    the single-draw variance divided by N.  The standard errors need at
-    least two replications.
+    the single-draw variance divided by N.  Batch r of the j-th size draws
+    on stream (r, j, 1, 0) of one stream function.  The standard errors need
+    at least two replications.
     """
-    from .core import RngStreamKey
+    from .core import streams
 
     if replications < 2:
         raise InvalidParameters("error decay probe needs at least 2 replications")
     if problem.mean_operator is None:
         raise NoMeanOperator("error decay probe needs the closed-form mean operator")
-    rows = []
+    rows, stream = [], streams(master_seed)
     for j, n in enumerate(n_grid):
         sq = np.empty(replications)
         for r in range(replications):
-            key = RngStreamKey(master_seed, replication=r, iteration=j, stage=1)
-            res = batch_mean(problem, x, int(n), key)
+            res = batch_mean(problem, x, int(n), stream(r, j, 1, 0))
             sq[r] = float(res.error @ res.error)
         mean_sq = float(np.mean(sq))
         stderr = float(np.std(sq, ddof=1) / math.sqrt(replications))

@@ -23,7 +23,6 @@ where rho_k = 1 - 6 L^2 alpha_k^2, which feed the pathwise recursion audit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,8 @@ import numpy as np
 
 # derive_stream, validate and project are not called here, but they stay
 # module globals of the solver: perfbench/tracing.py rebinds them at these names.
-from .core import RunPlan, _philox_key, derive_stream, validate  # noqa: F401
-from .errors import InvalidParameters, MissingDiagnostics, OracleFailure
+from .core import RunPlan, derive_stream, streams, validate  # noqa: F401
+from .errors import InvalidParameters, MissingDiagnostics, NoMeanOperator, OracleFailure
 from .merit import distance_sq_to_solutions, natural_residual_sq
 from .projection import inner, project  # noqa: F401
 
@@ -132,33 +131,6 @@ class RunTrace:
         return out
 
 
-@functools.cache
-def _throwaway_seed():
-    """A fixed seed, so building a stream function draws no OS entropy (every
-    re-key replaces the key it gives); made on first use, since importing
-    the package loads no ``numpy.random``."""
-    return np.random.SeedSequence(0)
-
-
-def _streams(master_seed):
-    """``stream(replication, k, stage, block)``: one Philox generator,
-    re-keyed to the stream ``derive_stream(RngStreamKey(master_seed,
-    replication, k, stage, block))`` gives; it is valid until the next call."""
-    bits = np.random.Philox(_throwaway_seed())
-    rng = np.random.Generator(bits)
-    fresh = bits.state  # counter zero, empty buffer, no cached uint32
-    # as Python ints: the state setter reads them faster than array elements
-    keyed = fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
-
-    def stream(replication, k, stage, block):
-        keyed["key"] = _philox_key(master_seed, replication, k, stage, block)
-        bits.state = fresh
-        return rng
-
-    return stream
-
-
 def _stepper(plan: RunPlan):
     """``advance(replication, k, x, t=None) -> (z, g1, g2, x_next)``:
     iteration k of the plan from ``x``, with the prediction point z^k and the
@@ -175,7 +147,7 @@ def _stepper(plan: RunPlan):
     """
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
     T = problem.mean_operator if problem.oracle_shares_mean_operator else None
-    stream, proj = _streams(plan.config.master_seed), problem.feasible_set.project
+    stream, proj = streams(plan.config.master_seed), problem.feasible_set.project
     sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl, mean=True))
                  for i, sl in plan.draw_sets)
     empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
@@ -388,8 +360,6 @@ def martingale_probe(plan: RunPlan, x, replications: int,
     if replications < 2:
         raise InvalidParameters("martingale probe needs at least 2 replications")
     if problem.mean_operator is None:
-        from .errors import NoMeanOperator
-
         raise NoMeanOperator("martingale probe needs the closed-form mean operator")
     if x_star is None:
         if not problem.known_solutions:

@@ -156,3 +156,60 @@ def project_cartesian_per_factor(fset, x):
         out[..., sl] = part.project(x[..., sl])
         start += size
     return out
+
+
+def error_decay_rows_reference(problem, x, n_grid, replications, master_seed):
+    """Rows of ``error_decay_probe``, each batch a fresh ``derive_stream``
+    generator keyed (master_seed, r, j, 1) and averaged draw by draw."""
+    from stochvi.core import RngStreamKey, derive_stream
+
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for j, n in enumerate(n_grid):
+        sq = np.empty(replications)
+        for r in range(replications):
+            rng = derive_stream(RngStreamKey(master_seed, replication=r, iteration=j, stage=1))
+            err = problem.oracle(rng, x, n).mean(axis=0) - problem.mean_operator(x)
+            sq[r] = float(err @ err)
+        mean_sq = float(np.mean(sq))
+        rows.append({"N": n, "mean_sq_error": mean_sq,
+                     "stderr": float(np.std(sq, ddof=1) / math.sqrt(replications)),
+                     "product": n * mean_sq})
+    return rows
+
+
+def variance_scaling_rows_reference(K_list, sigma, L, replications, master_seed):
+    """Rows of ``variance_scaling_probe``: replication r at the j-th horizon
+    draws its K normals from ``derive_stream`` keyed (master_seed + j, r)."""
+    from stochvi.baselines import MirrorProxSchedule
+    from stochvi.core import RngStreamKey, derive_stream
+
+    rows = []
+    for j, K in enumerate(K_list):
+        sched = MirrorProxSchedule.build(K, sigma, L)
+        draws = [sigma * derive_stream(RngStreamKey(master_seed + j, replication=r))
+                 .standard_normal(K) for r in range(replications)]
+        z = np.array([0.0 - float(sched.alphas @ d) for d in draws])
+        zbar = np.array([0.0 - float(sched.avg_coeffs @ d) for d in draws])
+        rows.append({"K": K,
+                     "var_zK_emp": float(np.var(z, ddof=1)),
+                     "var_zK_exact": sigma ** 2 * sched.terminal_var_coeff,
+                     "var_zbar_emp": float(np.var(zbar, ddof=1)),
+                     "var_zbar_exact": sigma ** 2 * sched.average_var_coeff})
+    return rows
+
+
+def surrogate_rows_reference(problem, X, n_samples, master_seed):
+    """The batch-mean surrogate of ``harness.effective_mean_operator`` row by
+    row: the draw average on ``derive_stream`` keyed (master_seed, sample=h),
+    h the first four bytes of the row's SHA-256 read little-endian."""
+    import hashlib
+
+    from stochvi.core import RngStreamKey, derive_stream
+
+    out = []
+    for x in np.asarray(X, dtype=float):
+        h = int.from_bytes(hashlib.sha256(x.tobytes()).digest()[:4], "little")
+        rng = derive_stream(RngStreamKey(master_seed, sample=h))
+        out.append(problem.oracle(rng, x, n_samples).mean(axis=0))
+    return np.array(out)

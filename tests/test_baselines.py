@@ -9,7 +9,7 @@ from stochvi.baselines import (
     sa_step,
     variance_scaling_probe,
 )
-from stochvi.core import RngStreamKey
+from stochvi.core import RngStreamKey, derive_stream
 from stochvi.errors import InvalidHorizon, InvalidParameters
 from stochvi.problems import gen_strongly_monotone
 from stochvi.merit import distance_sq_to_solutions
@@ -18,13 +18,14 @@ from stochvi.merit import distance_sq_to_solutions
 class TestSaStep:
     def test_hand_arithmetic_identity_operator(self):
         p = gen_strongly_monotone(1, seed=0, noise_scale=0.0, center=np.zeros(1))
-        x1, calls = sa_step(np.array([1.0]), p, 0.2, RngStreamKey(0))
+        x1, calls = sa_step(np.array([1.0]), p, 0.2, derive_stream(RngStreamKey(0)))
         assert x1[0] == pytest.approx(0.8, abs=1e-14)
         assert calls == 1
 
     def test_solution_is_fixed(self):
         p = gen_strongly_monotone(3, seed=1, noise_scale=0.0)
-        x1, _ = sa_step(p.known_solutions[0].copy(), p, 0.3, RngStreamKey(0))
+        x1, _ = sa_step(p.known_solutions[0].copy(), p, 0.3,
+                        derive_stream(RngStreamKey(0)))
         np.testing.assert_allclose(x1, p.known_solutions[0], atol=1e-14)
 
     def test_diminishing_step_sa_converges_qualitatively(self):
@@ -32,7 +33,7 @@ class TestSaStep:
         x = np.full(3, 2.0)
         d_at = {}
         for k in range(10_000):
-            x, _ = sa_step(x, p, 0.5 / (k + 1), RngStreamKey(1, iteration=k))
+            x, _ = sa_step(x, p, 0.5 / (k + 1), derive_stream(RngStreamKey(1, iteration=k)))
             if k + 1 in (100, 10_000):
                 d_at[k + 1] = distance_sq_to_solutions(p, x)
         assert d_at[10_000] < d_at[100]
@@ -71,23 +72,23 @@ class TestMirrorProxSchedule:
 
 class TestMirrorProxRuns:
     def test_no_noise_returns_start(self):
-        z, zbar = mirror_prox_example1(10, sigma=0.0, L=1.0, x1=3.14)
+        z, zbar = mirror_prox_example1(10, sigma=0.0, L=1.0, x1=3.14,
+                                       rng=derive_stream(RngStreamKey(0)))
         assert z == 3.14 and zbar == 3.14
 
     def test_deterministic_in_replication(self):
-        a = mirror_prox_example1(20, 1.0, 1.0, 0.0, replication=5, master_seed=9)
-        b = mirror_prox_example1(20, 1.0, 1.0, 0.0, replication=5, master_seed=9)
+        key = RngStreamKey(9, replication=5)
+        a = mirror_prox_example1(20, 1.0, 1.0, 0.0, rng=derive_stream(key))
+        b = mirror_prox_example1(20, 1.0, 1.0, 0.0, rng=derive_stream(key))
         assert a == b
 
     def test_explicit_sum_identity(self):
         # z^K - x1 must equal minus the stepsize-weighted draw sum
-        from stochvi.core import derive_stream
-
         K, sigma = 15, 0.7
         sched = MirrorProxSchedule.build(K, sigma, 1.0)
         draws = sigma * derive_stream(RngStreamKey(3, replication=2)).standard_normal(K)
-        z, zbar = mirror_prox_example1(K, sigma, 1.0, 1.0, replication=2,
-                                       master_seed=3)
+        z, zbar = mirror_prox_example1(K, sigma, 1.0, 1.0,
+                                       rng=derive_stream(RngStreamKey(3, replication=2)))
         assert z == pytest.approx(1.0 - sched.alphas @ draws, abs=1e-15)
         assert zbar == pytest.approx(1.0 - sched.avg_coeffs @ draws, abs=1e-15)
 

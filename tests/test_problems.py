@@ -39,10 +39,8 @@ def test_generated_problems_validate_and_match_oracle_mean(maker):
     rng = np.random.default_rng(77)
     for j in range(3):
         x = p.feasible_set.project(2.0 * rng.standard_normal(p.dimension))
-        res = batch_mean(p, x, 100_000, RngStreamKey(13, sample=j))
-        batch = p.oracle(
-            __import__("stochvi.core", fromlist=["derive_stream"])
-            .derive_stream(RngStreamKey(13, sample=j)), x, 100_000)
+        res = batch_mean(p, x, 100_000, derive_stream(RngStreamKey(13, sample=j)))
+        batch = p.oracle(derive_stream(RngStreamKey(13, sample=j)), x, 100_000)
         stderr = batch.std(axis=0, ddof=1) / math.sqrt(100_000)
         assert np.all(np.abs(res.error) <= 4.0 * stderr + 1e-12)
 

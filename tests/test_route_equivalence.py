@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 
 from stochvi import SampleSchedule, SolverConfig, validate
-from stochvi.problems import AdditiveGaussianOracle, gen_linear_svi, gen_strongly_monotone
+from stochvi.problems import (
+    AdditiveGaussianOracle,
+    LinearMatrixNoiseOracle,
+    gen_linear_svi,
+    gen_strongly_monotone,
+)
 from stochvi.solver import run
 
 R = 1000
@@ -106,4 +111,22 @@ def test_gate_rejects_a_law_without_root_n(per_draw_finals):
     faulty = replace(problem, oracle=WithoutRootN(problem.mean_operator, 2, 1.0))
     exact = finals(faulty, config, x0, EXACT_SEED)
     D = [ks_statistic(e, d) for e, d in zip(exact, per_draw_finals["strongly_monotone"])]
+    assert min(D) > critical_d(R, R), D
+
+
+class WithoutNorm(LinearMatrixNoiseOracle):
+    """A faulty linear law: the stage average's spread drops ||x||."""
+
+    def block(self, rng, x, size, sl, mean=False):
+        if not mean:
+            return super().block(rng, x, size, sl)
+        t = (self.mean_matrix @ x)[sl]
+        return t + self.scale / np.sqrt(size) * rng.standard_normal(t.shape)
+
+
+def test_gate_rejects_a_linear_law_without_the_norm(per_draw_finals):
+    problem, config, x0 = configs()["linear_svi"]
+    faulty = replace(problem, oracle=WithoutNorm(problem.mean_matrix, problem.oracle.scale))
+    exact = finals(faulty, config, x0, EXACT_SEED)
+    D = [ks_statistic(e, d) for e, d in zip(exact, per_draw_finals["linear_svi"])]
     assert min(D) > critical_d(R, R), D

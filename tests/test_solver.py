@@ -12,7 +12,14 @@ from reference_impls import (
     fejer_audit_reference,
     korpelevich_reference,
 )
-from stochvi.core import ProblemInstance, RngStreamKey, VarianceProfile, derive_stream, validate
+from stochvi.core import (
+    ProblemInstance,
+    RngStreamKey,
+    VarianceProfile,
+    derive_stream,
+    streams,
+    validate,
+)
 from stochvi.errors import (
     CoordinationMismatch,
     InvalidParameters,
@@ -35,7 +42,6 @@ from stochvi.solver import (
     ExtragradientState,
     _pow2,
     _stepper,
-    _streams,
     fejer_audit,
     martingale_probe,
     run,
@@ -448,16 +454,17 @@ class TestStageMean:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), replication=st.integers(0, 2**63 - 1),
            k=st.integers(0, 10**6), stage=st.sampled_from([1, 2]),
-           block=st.integers(0, 7), words=st.integers(0, 7))
+           block=st.integers(0, 7), sample=st.integers(0, 2**32 - 1),
+           words=st.integers(0, 7))
     def test_rekeyed_stream_equals_derive_stream(self, seed, replication, k, stage, block,
-                                                 words):
-        stream = _streams(seed)
+                                                 sample, words):
+        stream = streams(seed)
         # the previous stream leaves a half-used buffer and a cached uint32
         previous = stream(replication, k + 1, 3 - stage, block)
         previous.bit_generator.random_raw(words)
         previous.integers(0, 9, dtype=np.uint32)
-        ours = stream(replication, k, stage, block)
-        ref = derive_stream(RngStreamKey(seed, replication, k, stage, block))
+        ours = stream(replication, k, stage, block, sample)
+        ref = derive_stream(RngStreamKey(seed, replication, k, stage, block, sample))
         assert np.array_equal(ours.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
         assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
         assert np.array_equal(ours.integers(0, 2**32, 7, dtype=np.uint32),

@@ -21,14 +21,18 @@ bits on these runs:
   ``block``, no ``exact_mean``; distributed stages slice the full draws) and
   as an object with ``__call__`` and ``block`` but no ``exact_mean``.  No CLI
   run reaches these routes, since every built-in oracle declares
-  ``exact_mean``.
+  ``exact_mean``;
+* the batch-mean surrogate of ``harness.effective_mean_operator`` on a
+  linear SVI problem built without ``mean_operator``: five rows, 64 draws
+  each.  No CLI run reaches it, since every built-in problem has a closed
+  form mean operator.
 
 Each experiment, solve and probe run writes two files: 8 configs x 2
 commands x 2 + 1 experiment x 2 + 5 probes x 2 = 44 digests, keyed
 ``<run>/<file>``; each
 constants run writes one, 4 more; each per-draw run gives one digest of
-its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more.
-BLAS is pinned to one thread.
+its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more;
+the surrogate gives one, 55 in all.  BLAS is pinned to one thread.
 
 Usage (from the repository root)::
 
@@ -151,6 +155,21 @@ def per_draw_digests(workloads) -> dict:
     return out
 
 
+def surrogate_digest() -> dict:
+    """Digest of the surrogate mean operator's values on five rows."""
+    import dataclasses
+
+    import numpy as np
+    from stochvi.harness import effective_mean_operator
+    from stochvi.problems import gen_linear_svi
+
+    problem = dataclasses.replace(gen_linear_svi(4, seed=2, noise_scale=0.5),
+                                  mean_operator=None)
+    T, _ = effective_mean_operator(problem, n_samples=64)
+    values = np.asarray(T(np.linspace(-1.0, 2.0, 20).reshape(5, 4)), dtype=float)
+    return {"surrogate-linear_svi/values": hashlib.sha256(values.tobytes()).hexdigest()}
+
+
 def digests(root: Path) -> dict:
     for sub in ("tests", "perfbench", "src"):  # src ends up first on the path
         sys.path.insert(0, str(root / sub))
@@ -175,7 +194,7 @@ def digests(root: Path) -> dict:
                 main(argv[:1] + ["--config", str(cfg), "--out", str(run_dir)] + argv[1:])
             for path in sorted(run_dir.iterdir()):
                 out[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {**out, **per_draw_digests(workloads)}
+    return {**out, **per_draw_digests(workloads), **surrogate_digest()}
 
 
 def main(argv=None):
