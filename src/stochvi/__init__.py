@@ -44,12 +44,10 @@ from .sampling import (
     verify_network_exponents,
 )
 from .solver import (
-    ExtragradientState,
     RunTrace,
     fejer_audit,
     martingale_probe,
     run,
-    step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

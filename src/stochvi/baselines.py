@@ -1,5 +1,5 @@
-"""Comparison methods: one-sample projected SA and the ergodic mirror-prox
-scheme on the zero-mean constant-operator problem.
+"""Comparison method: the ergodic mirror-prox scheme on the zero-mean
+constant-operator problem.
 
 For the constant operator F(xi, x) = xi the mirror-prox recursion collapses
 to explicit sums: after K iterations the terminal iterate and the ergodic
@@ -27,18 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import streams
-from .errors import InvalidHorizon, InvalidParameters, InvalidStepsize
-from .projection import project
-
-
-def sa_step(x, problem, alpha: float, rng):
-    """One classical stochastic-approximation step
-    x' = P[x - alpha F(xi, x)]; exactly one oracle call, drawn from ``rng``."""
-    if not alpha > 0:
-        raise InvalidStepsize("sa_step needs alpha > 0")
-    x = np.asarray(x, dtype=float)
-    draw = problem.draw(rng, x, 1)[0]
-    return project(problem.feasible_set, x - alpha * draw), 1
+from .errors import InvalidHorizon, InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -81,18 +70,14 @@ class MirrorProxSchedule:
         denom = 3.0 * self.L * K + self.sigma * K * math.sqrt(K - 1.0)
         return self.c0 * k * (K - k + 1.0) * (K + k) / (K * (K + 1.0) * denom ** 2)
 
-
-def mirror_prox_example1(K: int, sigma: float, L: float = 1.0, x1: float = 0.0, *, rng):
-    """Terminal iterate z^K and ergodic average zbar^K of the mirror-prox
-    scheme on the scalar zero-mean constant operator with N(0, sigma^2)
-    noise drawn from ``rng``.  Returns (z_K, zbar_K)."""
-    sched = MirrorProxSchedule.build(K, sigma, L)
-    if sigma == 0.0:
-        return float(x1), float(x1)
-    draws = sigma * rng.standard_normal(K)
-    z_K = x1 - float(sched.alphas @ draws)
-    zbar_K = x1 - float(sched.avg_coeffs @ draws)
-    return z_K, zbar_K
+    def sample(self, rng, x1: float = 0.0):
+        """Terminal iterate z^K and ergodic average zbar^K of the scheme on
+        the scalar zero-mean constant operator from ``x1``, with
+        N(0, sigma^2) noise drawn from ``rng``.  Returns (z_K, zbar_K)."""
+        if self.sigma == 0.0:
+            return float(x1), float(x1)
+        draws = self.sigma * rng.standard_normal(self.K)
+        return x1 - float(self.alphas @ draws), x1 - float(self.avg_coeffs @ draws)
 
 
 def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
@@ -115,7 +100,7 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
         zbar = np.empty(replications)
         stream = streams(master_seed + j)
         for r in range(replications):
-            z[r], zbar[r] = mirror_prox_example1(int(K), sigma, L, 0.0, rng=stream(r, 0, 1, 0))
+            z[r], zbar[r] = sched.sample(stream(r, 0, 1, 0))
         rows.append({
             "K": int(K),
             "var_zK_emp": float(np.var(z, ddof=1)),

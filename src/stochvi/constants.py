@@ -75,8 +75,6 @@ class ConstantsInputs:
     shared_samples: bool = True
     S: float = 1.0
     J: float | None = None
-    op_bound_L: float | None = None   # bounded-operator branch: L-part
-    op_bound_M: float | None = None   # bounded-operator branch: sup ||T||-part
 
     def __post_init__(self):
         if not 0 < self.alpha < 1.0 / (math.sqrt(6.0) * self.L):
@@ -174,35 +172,6 @@ def variance_moduli(inputs: ConstantsInputs, k: int) -> VarianceModuli:
         fejer_noise_coeff=c_exact, fejer_noise_coeff_uniform=c_unif,
         noise_margin_2=d2, noise_margin_p=dp,
         martingale_coeff=bp, step_noise_sup=gtilde)
-
-
-def prediction_step_bound(inputs: ConstantsInputs, k: int, dist: float) -> float:
-    """One-step L^p bound on ||z^k - x*|| given ||x^k - x*|| = dist.
-
-    Default branch: (1 + L alpha + H_k) dist + H_k.  When the operator is
-    uniformly bounded (op_bound_M = 2 sup ||T||) the alternative branch
-    (1 + op_bound_L alpha) dist + alpha (op_bound_M + C_p sigma / sqrt(N_min))
-    applies with op_bound_L = 0.
-    """
-    mod = variance_moduli(inputs, k)
-    if inputs.op_bound_M is None:
-        h = mod.reduced_step_noise_p
-        return (1.0 + inputs.L * inputs.alpha + h) * dist + h
-    opl = inputs.op_bound_L if inputs.op_bound_L is not None else 0.0
-    nmin = 1.0 / float(inputs.schedule.inverse_series([k])[1][0])
-    noise = inputs.cp * inputs.sigma / math.sqrt(nmin)
-    return (1.0 + opl * inputs.alpha) * dist \
-        + inputs.alpha * (inputs.op_bound_M + noise)
-
-
-def rate_constant_partial(inputs: ConstantsInputs, k: int, J: float) -> float:
-    """Finite-horizon rate constant: the k-truncated version of the
-    quantity whose limit bounds eps * K_eps."""
-    inv, _ = inputs.schedule.inverse_series(np.arange(k + 1))
-    a0, b0 = float(np.sum(inv)), float(np.sum(inv ** 2))
-    D = inputs.noise_margin
-    return 2.0 / inputs.rho * (
-        inputs.d0 ** 2 + (1.0 + J) * (D * a0 + D ** 2 * b0))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ The stochastic oracle contract:
   stage's draw sets and the residual floor.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
   an oracle: it picks among these methods once and returns a callable that
-  checks every output's shape.  :meth:`ProblemInstance.draw` takes it for a
-  single call; the solver resolves each draw set's route once per run, when
-  the run starts, so the oracle's methods are read then.
+  checks every output's shape.  The solver resolves each draw set's route
+  once per run, when the run starts, so the oracle's methods are read then;
+  ``batch_mean`` resolves one per call.
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
@@ -261,12 +261,6 @@ class ProblemInstance:
             else self.feasible_set
         return replace(self, blocks=blocks, feasible_set=fset)
 
-    def draw(self, rng, x, size, sl=None, mean=False):
-        """``size`` oracle draws at ``x`` (block ``sl`` only, if given), or
-        with ``mean`` their average; the one route to the oracle, taken
-        through :meth:`route`."""
-        return self.route(sl, mean)(rng, x, size)
-
     @property
     def oracle_shares_mean_operator(self):
         """Whether the exact-mean route hands the oracle T(x): the oracle
@@ -276,9 +270,10 @@ class ProblemInstance:
                 and getattr(self.oracle, "mean_operator", None) is T)
 
     def route(self, sl=None, mean=False):
-        """The callable ``(rng, x, size, t=None)`` behind :meth:`draw` for
-        block ``sl`` and ``mean``, resolved once; it reads the oracle's
-        methods now, so a run resolves its draw sets when it starts.
+        """The callable ``(rng, x, size, t=None)`` that draws ``size`` oracle
+        samples at ``x`` (block ``sl`` only, if given), or with ``mean``
+        their average; it is the one route to the oracle.  It reads the
+        oracle's methods now, so a run resolves its draw sets when it starts.
 
         The average comes from the exact law when the oracle declares
         ``exact_mean``, a block from ``oracle.block`` when it has one (else

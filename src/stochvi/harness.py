@@ -458,7 +458,7 @@ def constants_inputs_from_config(cfg):
     from .constants import ConstantsInputs
 
     _check_keys(cfg, {"phi", "d0", "p", "c2", "cp", "cq", "c_remainder", "m",
-                      "shared_samples", "S", "J", "op_bound_L", "op_bound_M"},
+                      "shared_samples", "S", "J"},
                 "constants inputs", required={"L", "alpha", "sigma", "schedule"})
     if type(cfg.get("m", 1)) is not int:
         raise ConfigError(f"network size m must be an integer, got {cfg['m']!r}")

@@ -22,8 +22,6 @@ from .projection import (
     inner,
 )
 
-_EIG_DIAG_CAP = 512  # dense eigendecompositions stay at desk scale
-
 
 class AdditiveGaussianOracle:
     """F(xi, x) = T(x) + xi with xi ~ N(0, scale^2 I_n).
@@ -281,23 +279,6 @@ def variance_at(problem: LinearSVIProblem, x) -> float:
     return float(x @ problem.covariance_B @ x)
 
 
-def variance_lower_bound(problem: LinearSVIProblem, x) -> float:
-    """lambda_+(B) ||x_B||^2 where x_B is x projected off the kernel of B."""
-    B = problem.covariance_B
-    n = B.shape[0]
-    if n > _EIG_DIAG_CAP:
-        raise ValueError(f"eigendecomposition capped at n <= {_EIG_DIAG_CAP}")
-    w, V = np.linalg.eigh(B)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(w))))
-    pos = w > tol
-    if not np.any(pos):
-        return 0.0
-    lam_plus = float(np.min(w[pos]))
-    x = np.asarray(x, dtype=float)
-    x_B = V[:, pos] @ (V[:, pos].T @ x)
-    return lam_plus * float(x_B @ x_B)
-
-
 @dataclass(frozen=True)
 class PseudoMonotonicityReport:
     n_pairs: int
@@ -336,16 +317,3 @@ def check_pseudo_monotone(T, fset: FeasibleSet, samples=1000, seed=0,
         n_pairs=samples, n_applicable=int(applicable.sum()),
         violations=violations, passed=not violations)
 
-
-def lipschitz_estimate(T, fset: FeasibleSet, samples=1000, seed=0,
-                       scale=3.0, n=None) -> float:
-    """Largest sampled ratio ||T(x) - T(z)|| / ||x - z||: a lower estimate of
-    the true modulus, approaching it as sampling grows."""
-    rng = np.random.default_rng(seed)
-    xs = fset.sample(rng, samples, n=n, scale=scale)
-    zs = fset.sample(rng, samples, n=n, scale=scale)
-    check_mean_operator(T, fset, xs.shape[-1])
-    dt = np.asarray(T(xs), dtype=float) - np.asarray(T(zs), dtype=float)
-    gap = np.sqrt(inner(xs - zs, xs - zs))
-    far = gap >= 1e-12
-    return float(np.max(np.sqrt(inner(dt, dt))[far] / gap[far], initial=0.0))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockMismatch, DimensionMismatch, InfeasibleAffine
+from .errors import BlockMismatch, ConfigError, DimensionMismatch, InfeasibleAffine
 
 
 def block_slices(sizes):
@@ -366,8 +366,6 @@ def set_distance(fset: FeasibleSet, x):
 
 def feasible_set_from_config(cfg) -> FeasibleSet:
     """Build a descriptor from its JSON form (see :meth:`FeasibleSet.to_config`)."""
-    from .errors import ConfigError
-
     kind = cfg.get("variant")
     extra = set(cfg) - _ALLOWED_KEYS.get(kind, set())
     if kind not in _ALLOWED_KEYS:

@@ -269,7 +269,7 @@ def batch_mean(problem, x, n_samples: int, rng) -> BatchMeanResult:
     if n_samples < 1:
         raise InvalidSchedule("batch size must be >= 1")
     x = np.asarray(x, dtype=float)
-    mean = problem.draw(rng, x, n_samples).mean(axis=0)
+    mean = problem.route()(rng, x, n_samples).mean(axis=0)
     if not np.logical_and.reduce(np.isfinite(mean)):
         raise OracleFailure("oracle batch mean is not finite")
     err = None

@@ -31,19 +31,16 @@ import numpy as np
 # derive_stream, validate and project are not called here, but they stay
 # module globals of the solver: perfbench/tracing.py rebinds them at these names.
 from .core import RunPlan, derive_stream, streams, validate  # noqa: F401
-from .errors import InvalidParameters, MissingDiagnostics, NoMeanOperator, OracleFailure
+from .errors import (
+    DimensionMismatch,
+    InvalidParameters,
+    MissingDiagnostics,
+    NoKnownSolutions,
+    NoMeanOperator,
+    OracleFailure,
+)
 from .merit import distance_sq_to_solutions, natural_residual_sq
 from .projection import inner, project  # noqa: F401
-
-
-@dataclass
-class ExtragradientState:
-    """Mutable cursor of a run: iteration, iterate, oracle-call total."""
-
-    k: int
-    x: np.ndarray
-    calls: int = 0
-    replication: int = 0
 
 
 def write_rows_csv(path, rows):
@@ -135,7 +132,7 @@ def _stepper(plan: RunPlan):
     """``advance(replication, k, x, t=None) -> (z, g1, g2, x_next)``:
     iteration k of the plan from ``x``, with the prediction point z^k and the
     two stage averages; ``t``, if given, is T(x) as the caller evaluated it.
-    ``run``, ``step`` and ``martingale_probe`` all advance through it.
+    ``run`` and ``martingale_probe`` both advance through it.
 
     A stage draws each of its draw sets on its own stream and bills N_{k,i}
     calls for it, whether the average is drawn from the exact law or from
@@ -173,20 +170,6 @@ def _stepper(plan: RunPlan):
     return advance
 
 
-def step(state: ExtragradientState, plan: RunPlan) -> ExtragradientState:
-    """One extragradient iteration from ``state``, updated in place; it
-    advances exactly as ``run`` does at iteration state.k, which must lie
-    below the plan's ``max_iterations``."""
-    k = state.k
-    if not 0 <= k < plan.config.max_iterations:
-        raise InvalidParameters(
-            f"iteration {k} is outside the plan's 0..{plan.config.max_iterations - 1}")
-    state.x = _stepper(plan)(state.replication, k, state.x)[3]
-    state.calls += int(plan.cum_calls[k + 1] - plan.cum_calls[k])
-    state.k = k + 1
-    return state
-
-
 def _pow2(v):
     """Squares as scalar ``** 2`` (libm ``pow``) gives them; an array's
     ``** 2`` multiplies, which differs in the last bit about once in 1000."""
@@ -206,8 +189,6 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
     n, K = problem.dimension, config.max_iterations
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(f"x0 must have shape ({n},)")
     T, fset, floor, alphas = (problem.mean_operator, problem.feasible_set,
                               config.residual_floor, plan.alphas)
@@ -363,8 +344,6 @@ def martingale_probe(plan: RunPlan, x, replications: int,
         raise NoMeanOperator("martingale probe needs the closed-form mean operator")
     if x_star is None:
         if not problem.known_solutions:
-            from .errors import NoKnownSolutions
-
             raise NoKnownSolutions("martingale probe needs a reference solution")
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)

@@ -333,36 +333,6 @@ class TestLpBounds:
         assert at_thr.growth_factor == pytest.approx(1.0, abs=1e-6)
 
 
-class TestPredictionStepBound:
-    def test_default_branch_formula(self):
-        from stochvi.constants import prediction_step_bound, variance_moduli
-
-        inp = inputs()
-        h = variance_moduli(inp, 0).reduced_step_noise_p
-        want = (1.0 + 0.1 + h) * 2.0 + h
-        assert prediction_step_bound(inp, 0, 2.0) == pytest.approx(want)
-
-    def test_bounded_operator_branch(self):
-        from stochvi.constants import prediction_step_bound
-
-        inp = inputs(op_bound_M=4.0)  # 2 * sup||T|| with op_bound_L = 0
-        n0 = 4.0  # ceil(3 ln(3)^2)
-        want = 2.0 + 0.1 * (4.0 + 1.0 / math.sqrt(n0))
-        assert prediction_step_bound(inp, 0, 2.0) == pytest.approx(want)
-
-
-class TestPartialRateConstant:
-    def test_increases_to_limit(self):
-        from stochvi.constants import rate_constant_partial
-
-        inp = inputs(J=3.0)
-        qs = [rate_constant_partial(inp, k, 3.0) for k in (10, 100, 1000)]
-        assert qs[0] < qs[1] < qs[2]
-        rep = rate_and_complexity_bounds(inp, 1e-3)
-        assert qs[-1] < rep.rate_Q_inf
-        assert rep.rate_Q_inf - qs[-1] < 0.25 * rep.rate_Q_inf
-
-
 class TestInputValidation:
     def test_layout_consistency(self):
         # the error-decay coefficients follow from m and shared_samples alone

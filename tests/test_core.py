@@ -15,7 +15,7 @@ from stochvi.errors import (
     InvalidSchedule,
     InvalidStepsize,
 )
-from stochvi.problems import check_pseudo_monotone, gen_strongly_monotone, lipschitz_estimate
+from stochvi.problems import check_pseudo_monotone, gen_strongly_monotone
 from stochvi.projection import Box, CartesianProduct, WholeSpace
 from stochvi.sampling import AgentSchedule, SampleSchedule
 
@@ -136,7 +136,7 @@ class TestMeanOperatorContract:
         T = lambda x: (self.A3 @ np.asarray(x)[..., None])[..., 0]
         assert self.problem(T, 3).mean_operator is T
 
-    @pytest.mark.parametrize("check", [check_pseudo_monotone, lipschitz_estimate])
+    @pytest.mark.parametrize("check", [check_pseudo_monotone])
     def test_randomized_checks_enforce_it(self, check):
         # with samples == n a single-point product would run on the whole
         # sample matrix and report numbers for the wrong operator

@@ -452,6 +452,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rate_Q_inf" in out
 
+    @pytest.mark.parametrize("key", ["op_bound_L", "op_bound_M"])
+    def test_constants_key_no_calculator_reads_is_rejected(self, tmp_path, capsys, key):
+        doc = dict(CONSTANTS_DOC, **{key: 3.0})
+        with pytest.raises(ConfigError, match=key):
+            constants_cmd(doc, 1e-4)
+        cfg = self.write(tmp_path / "c.json", doc)
+        assert cli_main(["constants", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_error_reported_cleanly(self, tmp_path, capsys):
         cfg = self.write(tmp_path / "bad.json", experiment_doc(schema_version=9))
         assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 2

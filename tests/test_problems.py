@@ -14,12 +14,9 @@ from stochvi.problems import (
     gen_negative_control,
     gen_scaled_monotone,
     gen_strongly_monotone,
-    lipschitz_estimate,
     variance_at,
-    variance_lower_bound,
 )
 from stochvi.sampling import batch_mean, error_decay_probe
-from stochvi.projection import WholeSpace
 
 ALL_GENERATORS = [
     lambda: gen_linear_svi(4, seed=11, noise_scale=0.3),
@@ -118,20 +115,11 @@ class TestLinearSVI:
         np.testing.assert_allclose(p.covariance_B, np.eye(2), atol=1e-15)
         assert variance_at(p, np.array([1.0, 1.0])) == pytest.approx(2.0)
 
-    def test_variance_lower_bound_holds(self, rng):
-        p = gen_linear_svi(5, seed=4, noise_scale=0.3)
-        for _ in range(50):
-            x = 3 * rng.standard_normal(5)
-            assert variance_at(p, x) >= variance_lower_bound(p, x) - 1e-10
-
     def test_kernel_direction_gives_zero(self):
         p = gen_linear_svi(3, seed=4, noise_scale=0.2)
         B = np.diag([0.0, 1.0, 4.0])
         object.__setattr__(p, "covariance_B", B)
         assert variance_at(p, np.array([5.0, 0.0, 0.0])) == 0.0
-        assert variance_lower_bound(p, np.array([5.0, 0.0, 0.0])) == 0.0
-        # lambda_+ = 1 along the second axis
-        assert variance_lower_bound(p, np.array([0.0, 2.0, 0.0])) == pytest.approx(4.0)
 
     def test_empirical_variance_matches_quadratic_form(self, rng):
         p = gen_linear_svi(4, seed=5, noise_scale=0.4)
@@ -184,29 +172,3 @@ class TestPseudoMonotonicity:
         x, z, lhs = report.violations[0]
         assert lhs < -1e-10
         assert "FAIL" in str(report)
-
-
-class TestLipschitzEstimate:
-    def test_linear_scaling(self):
-        est = lipschitz_estimate(lambda x: 2.0 * np.asarray(x, float),
-                                 WholeSpace(3), samples=500, seed=0, n=3)
-        assert 2.0 - 1e-10 <= est <= 2.0
-
-    def test_constant_operator(self):
-        est = lipschitz_estimate(lambda x: np.ones_like(x), WholeSpace(3),
-                                 samples=200, seed=0, n=3)
-        assert est == 0.0
-
-    def test_linear_below_spectral_norm(self):
-        p = gen_linear_svi(5, seed=7, noise_scale=0.0)
-        est = lipschitz_estimate(p.mean_operator, WholeSpace(5),
-                                 samples=4000, seed=3, n=5)
-        spectral = np.linalg.norm(p.mean_matrix, 2)
-        assert est <= spectral + 1e-10
-        assert est >= 0.5 * spectral  # sampled pairs get close to the norm
-
-    def test_scaled_monotone_modulus_is_an_upper_bound(self):
-        p = gen_scaled_monotone(4, seed=5, noise_scale=0.0)
-        est = lipschitz_estimate(p.mean_operator, p.feasible_set,
-                                 samples=4000, seed=1, n=4)
-        assert est <= p.lipschitz_L

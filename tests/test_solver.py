@@ -39,13 +39,11 @@ from stochvi.problems import (
 from stochvi.projection import Box, WholeSpace, project
 from stochvi.sampling import AgentSchedule, SampleSchedule
 from stochvi.solver import (
-    ExtragradientState,
     _pow2,
     _stepper,
     fejer_audit,
     martingale_probe,
     run,
-    step,
 )
 
 
@@ -62,45 +60,32 @@ def identity_problem(noise=0.0, n=1):
     )
 
 
-def assert_steps_match_run(problem, cfg, replication=3):
-    """K step() calls on one plan from x0 reproduce every iterate and call
-    count of run() bit for bit."""
-    x0 = np.linspace(-1.0, 1.5, problem.dimension)
-    plan = validate(problem, replace(cfg, residual_floor=0.0))
-    trace = run(plan, replication=replication, x0=x0)
-    assert trace.n_steps == cfg.max_iterations
-    state = ExtragradientState(k=0, x=project(problem.feasible_set, x0),
-                               replication=replication)
-    for k in range(1, cfg.max_iterations + 1):
-        state = step(state, plan)
-        assert state.k == k
-        assert np.array_equal(state.x, trace.iterates[k])
-        assert state.calls == trace.cum_calls[k]
-    with pytest.raises(InvalidParameters, match="outside the plan"):
-        step(state, plan)
+def first_step(problem, x0, **overrides):
+    """The trace of ``run`` for one iteration from ``x0``; under a zero
+    residual floor the run stops before its step only where r^2 is zero."""
+    cfg = default_config(**{"max_iterations": 1, "residual_floor": 0.0, **overrides})
+    return run(validate(problem, cfg), x0=x0)
 
 
 class TestStep:
     def test_hand_recursion_identity_operator(self):
         # T(x) = x, x0 = 1, alpha = 0.2: z = 0.8, x1 = 1 - 0.2*0.8 = 0.84
-        p = identity_problem()
-        state = ExtragradientState(k=0, x=np.array([1.0]))
-        state = step(state, validate(p, default_config(stepsize=0.2)))
-        assert state.x[0] == pytest.approx(0.84, abs=1e-12)
-        assert state.k == 1
+        trace = first_step(identity_problem(), np.array([1.0]), stepsize=0.2)
+        assert trace.n_steps == 1
+        assert trace.iterates[1][0] == pytest.approx(0.84, abs=1e-12)
 
     def test_fixed_point_stays(self, quiet_problem):
-        state = ExtragradientState(k=0, x=quiet_problem.known_solutions[0].copy())
-        state = step(state, validate(quiet_problem, default_config()))
-        np.testing.assert_allclose(state.x, quiet_problem.known_solutions[0],
-                                   atol=1e-14)
+        # r^2 is exactly zero at the solution, so only a negative floor lets
+        # the run take its step there
+        x_star = quiet_problem.known_solutions[0]
+        trace = first_step(quiet_problem, x_star.copy(), residual_floor=-1.0)
+        assert trace.n_steps == 1
+        np.testing.assert_allclose(trace.iterates[1], x_star, atol=1e-14)
 
     def test_call_accounting_single_block(self):
-        p = identity_problem()
         cfg = default_config(stepsize=0.2)
-        state = ExtragradientState(k=0, x=np.array([1.0]))
-        state = step(state, validate(p, cfg))
-        assert state.calls == 2 * cfg.schedule.size(0, 0)
+        trace = first_step(identity_problem(), np.array([1.0]), stepsize=0.2)
+        assert trace.cum_calls[1] == 2 * cfg.schedule.size(0, 0)
 
     def test_distributed_call_accounting(self):
         # per-agent counts 4 and 8 at k = 0 give 2 * (4 + 8) = 24 calls
@@ -108,12 +93,11 @@ class TestStep:
                                   center=np.zeros(2)).with_blocks([1, 1])
         agents = (AgentSchedule(theta=4 / 9, mu=3, a=1, b=-1),
                   AgentSchedule(theta=8 / 9, mu=3, a=1, b=-1))
-        cfg = default_config(schedule=SampleSchedule(agents),
-                             coordination="distributed", stepsize=0.2)
-        assert cfg.schedule.size(0, 0) == 4 and cfg.schedule.size(1, 0) == 8
-        state = ExtragradientState(k=0, x=np.ones(2))
-        state = step(state, validate(p, cfg))
-        assert state.calls == 24
+        schedule = SampleSchedule(agents)
+        assert schedule.size(0, 0) == 4 and schedule.size(1, 0) == 8
+        trace = first_step(p, np.ones(2), schedule=schedule,
+                           coordination="distributed", stepsize=0.2)
+        assert trace.n_steps == 1 and trace.cum_calls[1] == 24
 
     def test_stepsize_above_cap_rejected(self):
         # L = 1: the cap is 1/sqrt(6) = 0.408
@@ -127,14 +111,6 @@ class TestStep:
         agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(1, 3, 0, 1.01))
         with pytest.raises(CoordinationMismatch):
             validate(p, default_config(schedule=SampleSchedule(agents)))
-
-    def test_distributed_multiblock_step_equals_first_run_iterate(self, monotone_problem):
-        p3 = monotone_problem.with_blocks([2, 2, 1])
-        agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(2, 4, 0.5, 0),
-                  AgentSchedule(0.5, 3, 1, -1))
-        cfg = default_config(schedule=SampleSchedule(agents),
-                             coordination="distributed", max_iterations=5)
-        assert_steps_match_run(p3, cfg)
 
 
 class TestRun:
@@ -201,9 +177,6 @@ class TestRun:
 
 
 class TestCartesianConsistency:
-    def test_m1_step_equals_first_run_iterate(self, monotone_problem):
-        assert_steps_match_run(monotone_problem, default_config(max_iterations=5))
-
     @pytest.mark.parametrize("feasible", ["whole", "box"])
     def test_centralized_blocks_match_monolithic_bitwise(self, feasible):
         if feasible == "box":

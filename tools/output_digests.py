@@ -15,7 +15,7 @@ bits on these runs:
 * ``stochvi constants`` on the four documents of ``CONSTANTS_DOCS``: the
   README example and the acceptance criterion-9 inputs (both against the
   seed-1 rate_ensemble experiment summary), a network of three agents with
-  independent draws and a > 0, and a p = 4 input with a bounded operator;
+  independent draws and a > 0, and a p = 4 input;
 * ``solver.run`` (replication 0) on each workload config at seed 1 with its
   oracle wrapped so that it draws every sample: as a plain function (no
   ``block``, no ``exact_mean``; distributed stages slice the full draws) and
@@ -95,7 +95,7 @@ CONSTANTS_DOCS = {
                              {"theta": 2, "mu": 3.5, "a": 0.5, "b": 0.2}]},
     "bounded_p4": {"eps": 1e-3, "L": 1.0, "alpha": 0.2, "sigma": 0.5, "J": 1.5,
                    "schedule": {"theta": 2, "mu": 3, "a": 0, "b": 1},
-                   "p": 4, "cp": 1.2, "cq": 1.1, "op_bound_M": 3.0},
+                   "p": 4, "cp": 1.2, "cq": 1.1},
 }
 
 
