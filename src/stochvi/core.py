@@ -28,7 +28,7 @@ The stochastic oracle contract:
   an oracle: it picks among these methods once and returns a callable that
   checks every output's shape.  The solver resolves each draw set's route
   once per run, when the run starts, so the oracle's methods are read then;
-  ``batch_mean`` resolves one per call.
+  ``batch_mean`` one per call, ``error_decay_probe`` and the harness's surrogate one each.
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
@@ -41,8 +41,8 @@ The mean-operator contract: ``mean_operator(X)`` maps points of shape
 ``(..., n)`` row by row to the same shape, as projections do, so merits
 and audits take a whole trace in one call.  :func:`check_mean_operator`
 enforces it; a single-point ``lambda x: A @ x`` fails with
-``DimensionMismatch``.  The stacked ``(A @ X[..., None])[..., 0]`` gives
-each row the single-point product bit for bit; ``X @ A.T`` does not.
+``DimensionMismatch``.  ``np.matvec(A, X)`` gives each row the single-point
+``A @ x`` bit for bit (``np.vecdot`` likewise); ``X @ A.T`` does not.
 """
 
 from __future__ import annotations

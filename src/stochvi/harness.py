@@ -52,7 +52,7 @@ from .core import ProblemInstance, SolverConfig, streams, validate
 from .errors import ConfigError, InvalidParameters
 from .merit import d_gap
 from .projection import feasible_set_from_config
-from .sampling import SampleSchedule, batch_mean, error_decay_probe
+from .sampling import SampleSchedule, _batch_mean, error_decay_probe
 from .solver import fejer_audit, martingale_probe, run, write_rows_csv
 
 SCHEMA_VERSION = 1
@@ -179,7 +179,7 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
     """
     if problem.mean_operator is not None:
         return problem.mean_operator, False
-    stream = streams(master_seed)
+    stream, draw = streams(master_seed), problem.route()
 
     def surrogate(X):
         X = np.asarray(X, dtype=float)
@@ -187,7 +187,7 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
         for x in X.reshape(-1, problem.dimension):
             digest = hashlib.sha256(x.tobytes()).digest()
             rng = stream(0, 0, 1, 0, int.from_bytes(digest[:4], "little"))
-            means.append(batch_mean(problem, x, n_samples, rng).mean)
+            means.append(_batch_mean(draw, x, n_samples, rng))
         return np.reshape(means, X.shape)
 
     return surrogate, True
@@ -482,7 +482,7 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
     if run_summary is not None and run_summary.get("mean_dist2"):
         mean_dist2 = np.asarray(run_summary["mean_dist2"], dtype=float)
     report = rate_and_complexity_bounds(inputs, eps, mean_dist2=mean_dist2)
-    consistency = c_consistency(inputs)
+    consistency = c_consistency(inputs, inv=report.inverse_head)
     doc = {
         "inputs": {k: v for k, v in inputs_cfg.items()},
         "eps": eps,

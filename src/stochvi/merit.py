@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameters, NoKnownSolutions
-from .projection import FeasibleSet, inner, project
+from .projection import FeasibleSet, project
 
 
 def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float, t=None):
@@ -27,7 +27,7 @@ def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float, t=None):
     x = np.asarray(x, dtype=float)
     t = np.asarray(T(x) if t is None else t, dtype=float)
     diff = x - project(fset, x - alpha * t)
-    return inner(diff, diff)
+    return np.vecdot(diff, diff)
 
 
 def regularized_gap(T, fset: FeasibleSet, x, a: float):
@@ -45,7 +45,7 @@ def regularized_gap(T, fset: FeasibleSet, x, a: float):
 def _gap(t, fset, x, a):
     """g_a(x) given t = T(x)."""
     d = x - project(fset, x - t / a)
-    return inner(t, d) - 0.5 * a * inner(d, d)
+    return np.vecdot(t, d) - 0.5 * a * np.vecdot(d, d)
 
 
 def d_gap(T, fset: FeasibleSet, x, a: float, b: float):
@@ -68,7 +68,7 @@ def distance_sq_to_solutions(problem, x):
     x = np.asarray(x, dtype=float)
     if problem.solution_set_is_feasible_set:
         d = x - project(problem.feasible_set, x)
-        return inner(d, d)
+        return np.vecdot(d, d)
     if not problem.known_solutions:
         raise NoKnownSolutions("problem carries no known solutions")
-    return np.min([inner(x - s, x - s) for s in problem.known_solutions], axis=0)
+    return np.min([np.vecdot(x - s, x - s) for s in problem.known_solutions], axis=0)

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, VarianceProfile, check_mean_operator
-from .projection import (
-    FeasibleSet,
-    NonnegativeOrthant,
-    WholeSpace,
-    inner,
-)
+from .projection import FeasibleSet, NonnegativeOrthant, WholeSpace
 
 
 class AdditiveGaussianOracle:
@@ -168,7 +163,7 @@ def gen_linear_svi(n, seed=0, noise_scale=0.1, feasible="orthant") -> LinearSVIP
     return LinearSVIProblem(
         dimension=n,
         oracle=LinearMatrixNoiseOracle(abar, noise_scale),
-        mean_operator=lambda x, A=abar: (A @ np.asarray(x, dtype=float)[..., None])[..., 0],
+        mean_operator=lambda x, A=abar: np.matvec(A, np.asarray(x, dtype=float)),
         lipschitz_L=max(L, 1e-12),
         feasible_set=fset,
         known_solutions=(np.zeros(n),),
@@ -213,7 +208,7 @@ def gen_strongly_monotone(n, seed=0, noise_scale=1.0, strong_modulus=1.0,
     if center is None:
         center = rng.standard_normal(n)
     center = np.asarray(center, dtype=float)
-    mean_op = lambda x, A=abar, c=center: (A @ (np.asarray(x, dtype=float) - c)[..., None])[..., 0]
+    mean_op = lambda x, A=abar, c=center: np.matvec(A, np.asarray(x, dtype=float) - c)
     fset = feasible if feasible is not None else WholeSpace(n)
     sigma_star = float(np.sqrt(n) * noise_scale)
     return StronglyMonotoneQuadratic(
@@ -240,7 +235,7 @@ def gen_scaled_monotone(n, seed=0, noise_scale=1.0) -> ScaledMonotoneProblem:
 
     def mean_op(x, A=abar):
         x = np.asarray(x, dtype=float)
-        return (A @ x[..., None])[..., 0] / (1.0 + inner(x, x))[..., None]
+        return np.matvec(A, x) / (1.0 + np.vecdot(x, x))[..., None]
 
     # |grad T| <= h ||A|| + ||A x|| * 2||x||/(1+||x||^2)^2 <= 1.5 ||A||
     L = 1.5 * _spectral_norm(abar)
@@ -309,8 +304,8 @@ def check_pseudo_monotone(T, fset: FeasibleSet, samples=1000, seed=0,
     zs = fset.sample(rng, samples, n=n, scale=scale)
     check_mean_operator(T, fset, xs.shape[-1])
     d = zs - xs
-    applicable = inner(np.asarray(T(xs), dtype=float), d) >= 0.0
-    lhs = inner(np.asarray(T(zs), dtype=float), d)
+    applicable = np.vecdot(np.asarray(T(xs), dtype=float), d) >= 0.0
+    lhs = np.vecdot(np.asarray(T(zs), dtype=float), d)
     violations = tuple((xs[i].copy(), zs[i].copy(), float(lhs[i]))
                        for i in np.flatnonzero(applicable & (lhs < -1e-10)))
     return PseudoMonotonicityReport(

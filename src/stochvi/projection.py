@@ -24,13 +24,6 @@ def block_slices(sizes):
     return out
 
 
-def inner(a, b):
-    """Inner products over the last axis, one per row: each is the 1-D
-    ``a @ b`` bit for bit, which a ``(K, n) @ (n,)`` product is not."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _as_batch(x, n):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
@@ -213,7 +206,7 @@ class Halfspace(FeasibleSet):
 
     def project(self, x):
         x = _as_batch(x, self.dim)
-        viol = (inner(x, self.a) - self.b) / (self.a @ self.a)
+        viol = (np.vecdot(x, self.a) - self.b) / (self.a @ self.a)
         return x - np.maximum(viol, 0.0)[..., None] * self.a
 
     def sample(self, rng, size, n=None, scale=1.0):
@@ -260,12 +253,11 @@ class AffineSubspace(FeasibleSet):
         return self.A.shape[1]
 
     def project(self, x):
-        # Every product is stacked per row, so a batch projects each row
-        # exactly as a single point: two solves against the Cholesky factor.
+        # two solves against the Cholesky factor, each row as a single point
         x = _as_batch(x, self.dim)
-        resid = (x[..., None, :] @ self.A.T)[..., 0, :] - self.b
+        resid = np.matvec(self.A, x) - self.b
         y = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, resid[..., None]))
-        return x - (y.swapaxes(-1, -2) @ self.A)[..., 0, :]
+        return x - np.vecmat(y[..., 0], self.A)
 
     def sample(self, rng, size, n=None, scale=1.0):
         return self.project(scale * rng.standard_normal((size, self.dim)))

@@ -266,16 +266,22 @@ def batch_mean(problem, x, n_samples: int, rng) -> BatchMeanResult:
     1/N error-decay law holds by construction, so ``error_decay_probe``
     (acceptance criterion 2) would check nothing.
     """
+    x = np.asarray(x, dtype=float)
+    mean = _batch_mean(problem.route(), x, n_samples, rng)
+    T = problem.mean_operator
+    err = None if T is None else mean - np.asarray(T(x), dtype=float)
+    return BatchMeanResult(mean=mean, calls=int(n_samples), error=err)
+
+
+def _batch_mean(draw, x, n_samples, rng):
+    """The mean of :func:`batch_mean` through ``draw = problem.route()``,
+    which a caller making many batches resolves once."""
     if n_samples < 1:
         raise InvalidSchedule("batch size must be >= 1")
-    x = np.asarray(x, dtype=float)
-    mean = problem.route()(rng, x, n_samples).mean(axis=0)
+    mean = draw(rng, x, n_samples).mean(axis=0)
     if not np.logical_and.reduce(np.isfinite(mean)):
         raise OracleFailure("oracle batch mean is not finite")
-    err = None
-    if problem.mean_operator is not None:
-        err = mean - np.asarray(problem.mean_operator(x), dtype=float)
-    return BatchMeanResult(mean=mean, calls=int(n_samples), error=err)
+    return mean
 
 
 def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 0):
@@ -295,12 +301,14 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
         raise InvalidParameters("error decay probe needs at least 2 replications")
     if problem.mean_operator is None:
         raise NoMeanOperator("error decay probe needs the closed-form mean operator")
+    x = np.asarray(x, dtype=float)
+    draw, t = problem.route(), np.asarray(problem.mean_operator(x), dtype=float)
     rows, stream = [], streams(master_seed)
     for j, n in enumerate(n_grid):
         sq = np.empty(replications)
         for r in range(replications):
-            res = batch_mean(problem, x, int(n), stream(r, j, 1, 0))
-            sq[r] = float(res.error @ res.error)
+            err = _batch_mean(draw, x, int(n), stream(r, j, 1, 0)) - t
+            sq[r] = float(err @ err)
         mean_sq = float(np.mean(sq))
         stderr = float(np.std(sq, ddof=1) / math.sqrt(replications))
         rows.append({"N": int(n), "mean_sq_error": mean_sq,

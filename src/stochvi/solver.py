@@ -40,7 +40,7 @@ from .errors import (
     OracleFailure,
 )
 from .merit import distance_sq_to_solutions, natural_residual_sq
-from .projection import inner, project  # noqa: F401
+from .projection import project  # noqa: F401
 
 
 def write_rows_csv(path, rows):
@@ -237,14 +237,14 @@ def _record_diagnostics(trace: RunTrace, T, steps, track):
     alpha = trace.alphas
     rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
     trace.z, trace.eps2 = z, e2
-    trace.eps1_norm, trace.eps2_norm = np.sqrt(inner(e1, e1)), np.sqrt(inner(e2, e2))
+    trace.eps1_norm, trace.eps2_norm = np.sqrt(np.vecdot(e1, e1)), np.sqrt(np.vecdot(e2, e2))
     dA = np.zeros(2 * len(alpha) + 1)
     dA[1::2] = (8.0 + rho) * _pow2(alpha) * _pow2(trace.eps1_norm)
     dA[2::2] = 8.0 * _pow2(alpha) * _pow2(trace.eps2_norm)
     trace.A = np.cumsum(dA)[::2]
     dM = np.zeros((len(alpha) + 1, len(track)))
     for s, xstar in enumerate(track):
-        dM[1:, s] = 2.0 * alpha * inner(xstar - z, e2)
+        dM[1:, s] = 2.0 * alpha * np.vecdot(xstar - z, e2)
     trace.M = np.cumsum(dM, axis=0)
     trace.tracked_solutions = track
 
@@ -295,7 +295,7 @@ def fejer_audit(trace: RunTrace, x_star, rel_tol: float = 1e-9) -> FejerAuditRep
     if col is not None:
         dM = np.diff(trace.M[:, col])
     else:
-        dM = 2.0 * alpha * inner(x_star - trace.z, trace.eps2)
+        dM = 2.0 * alpha * np.vecdot(x_star - trace.z, trace.eps2)
     d2 = np.sum((trace.iterates - x_star) ** 2, axis=1)
     rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
     rhs = d2[:-1] - 0.5 * rho * trace.r2[:-1] + dM + np.diff(trace.A)
@@ -352,7 +352,7 @@ def martingale_probe(plan: RunPlan, x, replications: int,
     steps = [advance(r, 0, x, t)[:3] for r in range(replications)]
     z, _, g2 = np.array(steps).swapaxes(0, 1)
     e2 = g2 - np.asarray(problem.mean_operator(z), dtype=float)
-    deltas = 2.0 * plan.alphas[0] * inner(x_star - z, e2)
+    deltas = 2.0 * plan.alphas[0] * np.vecdot(x_star - z, e2)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))
     return MartingaleProbeResult(mean=mean, stderr=stderr, replications=replications)

@@ -213,3 +213,35 @@ def surrogate_rows_reference(problem, X, n_samples, master_seed):
         rng = derive_stream(RngStreamKey(master_seed, sample=h))
         out.append(problem.oracle(rng, x, n_samples).mean(axis=0))
     return np.array(out)
+
+
+def inner_stacked(a, b):
+    """Row-wise inner products over the last axis written as a stack of
+    (1, n) @ (n, 1) products: each row is the 1-D ``a @ b`` bit for bit."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matvec_stacked(A, X):
+    """Row-wise ``A @ x`` written as a stack of (m, n) @ (n, 1) products."""
+    return (A @ np.asarray(X, dtype=float)[..., None])[..., 0]
+
+
+def vecmat_stacked(y, A):
+    """Row-wise ``y @ A`` written as a stack of (1, m) @ (m, n) products."""
+    return (np.asarray(y, dtype=float)[..., None, :] @ A)[..., 0, :]
+
+
+def project_halfspace_stacked(a, b, x):
+    """Projection onto { y : <a, y> <= b } with the stacked inner product."""
+    viol = (inner_stacked(x, a) - b) / (a @ a)
+    return x - np.maximum(viol, 0.0)[..., None] * a
+
+
+def project_affine_stacked(A, b, x):
+    """Projection onto { y : A y = b } with stacked products and two solves
+    against the Cholesky factor of A A^T."""
+    chol = np.linalg.cholesky(A @ A.T)
+    resid = (x[..., None, :] @ A.T)[..., 0, :] - b
+    y = np.linalg.solve(chol.T, np.linalg.solve(chol, resid[..., None]))
+    return x - (y.swapaxes(-1, -2) @ A)[..., 0, :]

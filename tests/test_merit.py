@@ -139,8 +139,8 @@ class TestDGap:
         T, estimated = harness.effective_mean_operator(p, n_samples=1000)
         assert estimated
         calls = []
-        batch_mean = harness.batch_mean
-        monkeypatch.setattr(harness, "batch_mean",
+        batch_mean = harness._batch_mean
+        monkeypatch.setattr(harness, "_batch_mean",
                             lambda *args: calls.append(args) or batch_mean(*args))
         X = np.linspace(-1.0, 1.0, 33).reshape(11, 3)
         value = d_gap(T, p.feasible_set, X, 1.0, 2.0)
@@ -194,7 +194,8 @@ SETS = {
 
 @settings(max_examples=120, deadline=None)
 @given(op=st.sampled_from(sorted(OPERATORS)), kind=st.sampled_from(sorted(SETS)),
-       n=st.integers(1, 7), K=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1))
+       n=st.integers(1, 7) | st.sampled_from([16, 64]), K=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 31 - 1))
 def test_batched_calls_equal_row_calls(op, kind, n, K, seed):
     """Built-in mean operators and the four merits on a (K, n) batch return,
     row for row, the single-point values bit for bit, on every set type."""

@@ -231,6 +231,22 @@ class TestErrorDecayProbe:
         for r in rows:
             assert r["product"] == pytest.approx(target, rel=0.15)
 
+    def test_route_resolved_once_per_probe_and_surrogate(self, monkeypatch):
+        from dataclasses import replace
+
+        from stochvi.core import ProblemInstance
+        from stochvi.harness import effective_mean_operator
+
+        p = gen_linear_svi(3, seed=6, noise_scale=0.5)
+        resolved, route = [], ProblemInstance.route
+        monkeypatch.setattr(ProblemInstance, "route",
+                            lambda self, *a, **k: resolved.append(a) or route(self, *a, **k))
+        error_decay_probe(p, np.ones(3), [1, 4], replications=5)
+        T, _ = effective_mean_operator(replace(p, mean_operator=None), n_samples=8)
+        T(np.ones((4, 3)))
+        T(np.zeros(3))
+        assert resolved == [(), ()]
+
     def test_requires_mean_operator(self):
         p = gen_constant_noise(sigma=1.0)
         object.__setattr__(p, "mean_operator", None)
