@@ -23,7 +23,9 @@ The stochastic oracle contract:
   problem's ``mean_operator`` object itself
   (:attr:`ProblemInstance.oracle_shares_mean_operator`); every other oracle
   is called without it.  It then evaluates T once per point, for all of a
-  stage's draw sets and the residual floor.
+  stage's draw sets and the residual floor.  ``AdditiveGaussianOracle`` and
+  ``LinearMatrixNoiseOracle`` are built on their problem's ``mean_operator``
+  and read ``t`` when handed it, never a product of their own.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
   an oracle: it picks among these methods once and returns a callable that
   checks every output's shape.  The solver resolves each draw set's route
@@ -60,6 +62,7 @@ from .errors import (
     BlockMismatch,
     CoordinationMismatch,
     DimensionMismatch,
+    InvalidParameters,
     InvalidSchedule,
     InvalidStepsize,
     OracleFailure,
@@ -89,7 +92,7 @@ class RngStreamKey:
 
     def __post_init__(self):
         if self.stage not in (1, 2):
-            raise ValueError("stage must be 1 or 2")
+            raise InvalidParameters("stage must be 1 or 2")
 
 
 _KEY_FIELDS, _KEY_WORDS = struct.Struct("<qqqqqq"), struct.Struct("<QQ")
@@ -156,9 +159,9 @@ class VarianceProfile:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "point"):
-            raise ValueError("variance profile kind must be 'uniform' or 'point'")
+            raise InvalidParameters("variance profile kind must be 'uniform' or 'point'")
         if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise InvalidParameters("sigma must be nonnegative")
 
 
 def check_mean_operator(T, fset: FeasibleSet, n: int):
@@ -208,9 +211,9 @@ class ProblemInstance:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+            raise InvalidParameters("dimension must be positive")
         if not self.lipschitz_L > 0:
-            raise ValueError("lipschitz_L must be positive")
+            raise InvalidParameters("lipschitz_L must be positive")
         blocks = tuple(int(b) for b in (self.blocks or (self.dimension,)))
         if sum(blocks) != self.dimension:
             raise BlockMismatch(
@@ -227,7 +230,7 @@ class ProblemInstance:
             if s.shape != (self.dimension,):
                 raise BlockMismatch("known solution has wrong dimension")
             if set_distance(self.feasible_set, s) > 1e-10:
-                raise ValueError("known solution lies outside the feasible set")
+                raise InvalidParameters("known solution lies outside the feasible set")
         if self.mean_operator is not None:
             from .merit import natural_residual_sq
 
@@ -236,7 +239,7 @@ class ProblemInstance:
                 r2 = natural_residual_sq(self.mean_operator, self.feasible_set,
                                          np.stack(sols), 0.1 / self.lipschitz_L)
                 if r2.max() > 1e-20:
-                    raise ValueError(
+                    raise InvalidParameters(
                         f"known solution fails the fixed-point test: r^2 = {r2.max():.3e}")
 
     @property
@@ -332,9 +335,10 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+            raise InvalidParameters(f"max_iterations must be positive, got {self.max_iterations}")
         if self.coordination not in ("centralized", "distributed"):
-            raise ValueError("coordination must be 'centralized' or 'distributed'")
+            raise InvalidParameters(f"coordination {self.coordination!r} is not "
+                                    "'centralized' or 'distributed'")
         if np.ndim(self.stepsize) == 0:
             object.__setattr__(self, "stepsize", float(self.stepsize))
         else:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-section check."""
+
+from dataclasses import MISSING, fields
 
 
 class StochviError(Exception):
@@ -25,9 +27,10 @@ class InvalidSchedule(StochviError):
     """Sample-rate schedule parameters outside the admissible region."""
 
 
-class InvalidParameters(StochviError):
-    """Merit, gap or probe parameters outside their domain (e.g. b <= a,
-    or fewer than two replications for a Monte Carlo standard error)."""
+class InvalidParameters(StochviError, ValueError):
+    """A ``ValueError``: merit, probe, problem, solver or set parameters
+    outside their domain (e.g. gap b <= a, one replication for a standard
+    error, a ball radius <= 0)."""
 
 
 class InvalidInputs(StochviError):
@@ -64,3 +67,28 @@ class MissingJ(StochviError):
 
 class ConfigError(StochviError):
     """Malformed or unsupported JSON configuration document."""
+
+
+def check_keys(obj, allowed, where, required=()):
+    """Raise ``ConfigError`` naming the keys of ``obj`` outside ``allowed``
+    and ``required``, or the ``required`` keys it lacks."""
+    extra = set(obj) - set(allowed) - set(required)
+    if extra:
+        raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+
+
+def from_document(cls, doc, where, **given):
+    """Build the dataclass ``cls`` from the JSON object ``doc``.
+
+    Its constructor fields are the keys ``doc`` may hold, and those without
+    a default the keys it must hold.  ``given`` maps a field to the function
+    that converts its document value; a field left out of ``doc`` takes the
+    dataclass default.
+    """
+    init = [f for f in fields(cls) if f.init]
+    check_keys(doc, {f.name for f in init}, where,
+               {f.name for f in init if f.default is MISSING and f.default_factory is MISSING})
+    return cls(**{k: given[k](v) if k in given else v for k, v in doc.items()})

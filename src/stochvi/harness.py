@@ -10,21 +10,29 @@ Schema (defaults in parentheses):
       "problem":  {"kind": "strongly_monotone" | "linear_svi" |
                    "scaled_monotone" | "constant_noise" | "negative_control",
                    ... generator parameters ...,
+                   "set": {"variant": ..., ...}   (strongly_monotone only),
                    "blocks": [n_1, ...]            (single block)},
       "solver":   {"stepsize": float | [floats],
-                   "schedule": {"theta", "mu", "a", "b"} | [per-agent ...],
+                   "schedule": {"theta", "mu", "a" (0), "b" (1)} | [per-agent ...],
                    "max_iterations": int,
                    "coordination": "centralized" (default) | "distributed",
                    "master_seed": int (0),
-                   "diagnostics": bool (false)},
+                   "diagnostics": bool (false),
+                   "residual_floor": float (1e-24)},
       "replications": int (1),
       "x0": [floats] (origin),
-      "merits": {"dgap_a": float, "dgap_b": float   (off unless both given),
-                 "track_distance": bool (true)},
+      "merits": {"dgap_a": float, "dgap_b": float}   (off unless both given),
       "rate_fit_window": [k_lo, k_hi]   (optional),
       "epsilon": float                  (optional; enables K_eps),
       "threads": int                    (accepted and ignored)
     }
+
+The keys of the ``solver`` section, a schedule entry, a ``set`` and a
+constants document are the constructor fields of ``SolverConfig``,
+``AgentSchedule``, the variant's class in ``projection.VARIANTS`` and
+``ConstantsInputs`` (:func:`~stochvi.errors.from_document`); those without
+a default are required.  A missing or unknown key raises ``ConfigError``,
+a value outside its domain a typed error such as ``InvalidParameters``.
 
 Replications run serially; ``"threads"`` is accepted and ignored so that
 documents carrying it keep loading with the same config hash.
@@ -49,22 +57,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import ProblemInstance, SolverConfig, streams, validate
-from .errors import ConfigError, InvalidParameters
+from .errors import ConfigError, InvalidParameters, check_keys, from_document
 from .merit import d_gap
 from .projection import feasible_set_from_config
 from .sampling import SampleSchedule, _batch_mean, error_decay_probe
 from .solver import fejer_audit, martingale_probe, run, write_rows_csv
 
 SCHEMA_VERSION = 1
-
-
-def _check_keys(obj, allowed, where, required=()):
-    extra = set(obj) - set(allowed) - set(required)
-    if extra:
-        raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
 def problem_from_config(cfg) -> ProblemInstance:
@@ -87,7 +86,7 @@ def problem_from_config(cfg) -> ProblemInstance:
     if kind not in makers:
         raise ConfigError(f"unknown problem kind {kind!r}")
     maker, allowed, required = makers[kind]
-    _check_keys(cfg, allowed, f"problem kind {kind!r}", required)
+    check_keys(cfg, allowed, f"problem kind {kind!r}", required)
     if fset_cfg is not None:
         if kind != "strongly_monotone":
             raise ConfigError("'set' override is only supported for strongly_monotone")
@@ -99,17 +98,9 @@ def problem_from_config(cfg) -> ProblemInstance:
 
 
 def solver_config_from_config(cfg) -> SolverConfig:
-    _check_keys(cfg, {"coordination", "master_seed", "diagnostics", "residual_floor"},
-                "solver", required={"stepsize", "schedule", "max_iterations"})
-    return SolverConfig(
-        stepsize=cfg["stepsize"],
-        schedule=SampleSchedule.from_config(cfg["schedule"]),
-        max_iterations=int(cfg["max_iterations"]),
-        coordination=cfg.get("coordination", "centralized"),
-        master_seed=int(cfg.get("master_seed", 0)),
-        diagnostics=bool(cfg.get("diagnostics", False)),
-        residual_floor=float(cfg.get("residual_floor", 1e-24)),
-    )
+    return from_document(SolverConfig, cfg, "solver", schedule=SampleSchedule.from_config,
+                         max_iterations=int, master_seed=int, diagnostics=bool,
+                         residual_floor=float)
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,6 @@ class ExperimentConfig:
     x0: np.ndarray | None = None
     dgap_a: float | None = None
     dgap_b: float | None = None
-    track_distance: bool = True
     rate_fit_window: tuple | None = None
     epsilon: float | None = None
     config_hash: str = ""
@@ -143,14 +133,14 @@ def config_hash(document) -> str:
 
 
 def experiment_from_config(document) -> ExperimentConfig:
-    _check_keys(document, {"schema_version", "replications", "x0", "merits",
-                           "rate_fit_window", "epsilon", "threads"},
-                "experiment config", required={"problem", "solver"})
+    check_keys(document, {"schema_version", "replications", "x0", "merits",
+                          "rate_fit_window", "epsilon", "threads"},
+               "experiment config", required={"problem", "solver"})
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
     merits = dict(document.get("merits", {}))
-    _check_keys(merits, {"dgap_a", "dgap_b", "track_distance"}, "merits")
+    check_keys(merits, {"dgap_a", "dgap_b"}, "merits")
     problem = problem_from_config(document["problem"])
     solver = solver_config_from_config(document["solver"])
     window = document.get("rate_fit_window")
@@ -161,7 +151,6 @@ def experiment_from_config(document) -> ExperimentConfig:
         x0=None if document.get("x0") is None else np.asarray(document["x0"], float),
         dgap_a=merits.get("dgap_a"),
         dgap_b=merits.get("dgap_b"),
-        track_distance=bool(merits.get("track_distance", True)),
         rate_fit_window=None if window is None else (int(window[0]), int(window[1])),
         epsilon=document.get("epsilon"),
         config_hash=config_hash(document),
@@ -284,7 +273,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         stderr_r2 = (stack.std(axis=0, ddof=1) / math.sqrt(R)) if R > 1 \
             else np.zeros(K + 1)
     mean_dist2 = None
-    if traces[0].dist2 is not None and config.track_distance:
+    if traces[0].dist2 is not None:
         mean_dist2 = stacked(t.dist2 for t in traces).mean(axis=0)
     mean_dgap = None
     if config.dgap_a is not None:
@@ -442,7 +431,7 @@ def probe(kind: str, params: dict, out_dir) -> dict:
     params each accepts and needs are in ``PROBES``.
     """
     spec = probe_spec(kind)
-    _check_keys(params, spec.optional, f"{kind} params", spec.required)
+    check_keys(params, spec.optional, f"{kind} params", spec.required)
     rows, fields = spec.runner(params)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -457,14 +446,10 @@ def probe(kind: str, params: dict, out_dir) -> dict:
 def constants_inputs_from_config(cfg):
     from .constants import ConstantsInputs
 
-    _check_keys(cfg, {"phi", "d0", "p", "c2", "cp", "cq", "c_remainder", "m",
-                      "shared_samples", "S", "J"},
-                "constants inputs", required={"L", "alpha", "sigma", "schedule"})
     if type(cfg.get("m", 1)) is not int:
         raise ConfigError(f"network size m must be an integer, got {cfg['m']!r}")
-    kwargs = dict(cfg)
-    kwargs["schedule"] = SampleSchedule.from_config(kwargs["schedule"])
-    return ConstantsInputs(**kwargs)
+    return from_document(ConstantsInputs, cfg, "constants inputs",
+                         schedule=SampleSchedule.from_config)
 
 
 def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,

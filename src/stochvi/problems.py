@@ -50,26 +50,30 @@ class AdditiveGaussianOracle:
 
 
 class LinearMatrixNoiseOracle:
-    """F(xi, x) = (Abar + E(xi)) x with i.i.d. N(0, scale^2) matrix entries.
+    """F(xi, x) = (Abar + E(xi)) x with i.i.d. N(0, scale^2) matrix entries,
+    where ``mean_operator`` is T(x) = Abar x.
 
     Row i of E(xi) x is N(0, scale^2 ||x||^2) and the rows are independent,
     so the mean of ``size`` draws is Abar x + (scale ||x|| / sqrt(size)) Z.
+    ``t``, if given, is T(x) as the caller already evaluated it, and the
+    oracle reads it instead of evaluating T again.
     """
 
     exact_mean = True
 
-    def __init__(self, mean_matrix, scale):
-        self.mean_matrix = np.asarray(mean_matrix, dtype=float)
+    def __init__(self, mean_operator, scale):
+        self.mean_operator = mean_operator
         self.scale = float(scale)
-        self.n = self.mean_matrix.shape[0]
 
-    def __call__(self, rng, x, size, mean=False):
-        return self.block(rng, x, size, slice(None), mean)
+    def __call__(self, rng, x, size, mean=False, t=None):
+        return self.block(rng, x, size, slice(None), mean, t)
 
-    def block(self, rng, x, size, sl, mean=False):
+    def block(self, rng, x, size, sl, mean=False, t=None):
         # Row blocks of E(xi) are independent, so an agent's draws need only
         # the rows feeding its components.
-        t = (self.mean_matrix @ x)[sl]
+        if t is None:
+            t = self.mean_operator(x)
+        t = np.asarray(t, dtype=float)[sl]
         shape = t.shape if mean else (size,) + t.shape
         if self.scale == 0.0:
             return np.broadcast_to(t, shape).copy()
@@ -160,10 +164,11 @@ def gen_linear_svi(n, seed=0, noise_scale=0.1, feasible="orthant") -> LinearSVIP
     fset = {"orthant": NonnegativeOrthant(n), "whole_space": WholeSpace(n)}[feasible]
     L = _spectral_norm(abar)
     sigma_star = float(np.sqrt(n) * noise_scale)  # sqrt(lambda_max(B))
+    mean_op = lambda x, A=abar: np.matvec(A, np.asarray(x, dtype=float))
     return LinearSVIProblem(
         dimension=n,
-        oracle=LinearMatrixNoiseOracle(abar, noise_scale),
-        mean_operator=lambda x, A=abar: np.matvec(A, np.asarray(x, dtype=float)),
+        oracle=LinearMatrixNoiseOracle(mean_op, noise_scale),
+        mean_operator=mean_op,
         lipschitz_L=max(L, 1e-12),
         feasible_set=fset,
         known_solutions=(np.zeros(n),),

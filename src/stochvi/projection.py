@@ -8,11 +8,18 @@ pathwise audit in :mod:`stochvi.solver` relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BlockMismatch, ConfigError, DimensionMismatch, InfeasibleAffine
+from .errors import (
+    BlockMismatch,
+    ConfigError,
+    DimensionMismatch,
+    InfeasibleAffine,
+    InvalidParameters,
+    from_document,
+)
 
 
 def block_slices(sizes):
@@ -52,7 +59,18 @@ class FeasibleSet:
             raise DimensionMismatch(f"set has dimension {d}, point has {n}")
 
     def to_config(self):
-        raise NotImplementedError
+        """The JSON form :func:`feasible_set_from_config` reads: the variant
+        and every constructor field, arrays and factors as lists."""
+        return {"variant": {c: k for k, c in VARIANTS.items()}[type(self)],
+                **{f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.init}}
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):  # a product's parts and sizes
+        return [v.to_config() if isinstance(v, FeasibleSet) else v for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,9 +84,6 @@ class WholeSpace(FeasibleSet):
         n = self.dim if n is None else n
         return scale * rng.standard_normal((size, n))
 
-    def to_config(self):
-        return {"variant": "whole_space"}
-
 
 @dataclass(frozen=True)
 class NonnegativeOrthant(FeasibleSet):
@@ -80,9 +95,6 @@ class NonnegativeOrthant(FeasibleSet):
     def sample(self, rng, size, n=None, scale=1.0):
         n = self.dim if n is None else n
         return np.abs(scale * rng.standard_normal((size, n)))
-
-    def to_config(self):
-        return {"variant": "nonnegative_orthant"}
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,7 @@ class Box(FeasibleSet):
         if lo.shape != hi.shape:
             raise DimensionMismatch("box bounds must share a shape")
         if np.any(lo > hi):
-            raise ValueError("box requires lower <= upper componentwise")
+            raise InvalidParameters("box requires lower <= upper componentwise")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
@@ -116,10 +128,6 @@ class Box(FeasibleSet):
     def sample(self, rng, size, n=None, scale=1.0):
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
-    def to_config(self):
-        return {"variant": "box", "lower": self.lower.tolist(),
-                "upper": self.upper.tolist()}
-
 
 @dataclass(frozen=True)
 class Ball(FeasibleSet):
@@ -130,8 +138,9 @@ class Ball(FeasibleSet):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "radius", float(self.radius))
         if not 0 < self.radius < np.inf:  # a ball of infinite radius is WholeSpace
-            raise ValueError("ball radius must be positive and finite")
+            raise InvalidParameters(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def dim(self):
@@ -152,10 +161,6 @@ class Ball(FeasibleSet):
         r = self.radius * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
         return self.center + r * d
 
-    def to_config(self):
-        return {"variant": "ball", "center": self.center.tolist(),
-                "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Simplex(FeasibleSet):
@@ -165,8 +170,10 @@ class Simplex(FeasibleSet):
     scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "scale", float(self.scale))
         if not self.scale > 0:
-            raise ValueError("simplex scale must be positive")
+            raise InvalidParameters(f"simplex scale must be positive, got {self.scale}")
 
     def project(self, x):
         x = _as_batch(x, self.dim)
@@ -182,9 +189,6 @@ class Simplex(FeasibleSet):
     def sample(self, rng, size, n=None, scale=1.0):
         return self.scale * rng.dirichlet(np.ones(self.dim), size=size)
 
-    def to_config(self):
-        return {"variant": "simplex", "dim": self.dim, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Halfspace(FeasibleSet):
@@ -196,9 +200,10 @@ class Halfspace(FeasibleSet):
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if np.linalg.norm(a) == 0:
-            raise ValueError("halfspace normal must be nonzero")
+            raise InvalidParameters("halfspace normal must be nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", float(self.b))
 
     @property
     def dim(self):
@@ -211,9 +216,6 @@ class Halfspace(FeasibleSet):
 
     def sample(self, rng, size, n=None, scale=1.0):
         return self.project(scale * rng.standard_normal((size, self.dim)))
-
-    def to_config(self):
-        return {"variant": "halfspace", "a": self.a.tolist(), "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -261,9 +263,6 @@ class AffineSubspace(FeasibleSet):
 
     def sample(self, rng, size, n=None, scale=1.0):
         return self.project(scale * rng.standard_normal((size, self.dim)))
-
-    def to_config(self):
-        return {"variant": "affine", "A": self.A.tolist(), "b": self.b.tolist()}
 
 
 _SEPARABLE = (WholeSpace, NonnegativeOrthant, Box)
@@ -323,11 +322,6 @@ class CartesianProduct(FeasibleSet):
                 for p, s in zip(self.parts, self.sizes)]
         return np.concatenate(cols, axis=-1)
 
-    def to_config(self):
-        return {"variant": "cartesian",
-                "parts": [p.to_config() for p in self.parts],
-                "sizes": list(self.sizes)}
-
 
 def split_separable(fset: FeasibleSet, sizes) -> CartesianProduct:
     """Split a componentwise-separable set into a Cartesian descriptor."""
@@ -357,38 +351,23 @@ def set_distance(fset: FeasibleSet, x):
 
 
 def feasible_set_from_config(cfg) -> FeasibleSet:
-    """Build a descriptor from its JSON form (see :meth:`FeasibleSet.to_config`)."""
-    kind = cfg.get("variant")
-    extra = set(cfg) - _ALLOWED_KEYS.get(kind, set())
-    if kind not in _ALLOWED_KEYS:
+    """Build a descriptor from its JSON form (see :meth:`FeasibleSet.to_config`):
+    a ``variant`` of :data:`VARIANTS` and its class's constructor fields."""
+    cfg = dict(cfg)
+    kind = cfg.pop("variant", None)
+    if kind not in VARIANTS:
         raise ConfigError(f"unknown feasible-set variant {kind!r}")
-    if extra:
-        raise ConfigError(f"unknown keys {sorted(extra)} for variant {kind!r}")
-    if kind == "whole_space":
-        return WholeSpace(cfg.get("dim"))
-    if kind == "nonnegative_orthant":
-        return NonnegativeOrthant(cfg.get("dim"))
-    if kind == "box":
-        return Box(np.asarray(cfg["lower"]), np.asarray(cfg["upper"]))
-    if kind == "ball":
-        return Ball(np.asarray(cfg["center"]), float(cfg["radius"]))
-    if kind == "simplex":
-        return Simplex(int(cfg["dim"]), float(cfg.get("scale", 1.0)))
-    if kind == "halfspace":
-        return Halfspace(np.asarray(cfg["a"]), float(cfg["b"]))
-    if kind == "affine":
-        return AffineSubspace(np.asarray(cfg["A"]), np.asarray(cfg["b"]))
-    parts = [feasible_set_from_config(p) for p in cfg["parts"]]
-    return CartesianProduct(tuple(parts), tuple(cfg["sizes"]))
+    parts = lambda docs: tuple(map(feasible_set_from_config, docs))
+    return from_document(VARIANTS[kind], cfg, f"variant {kind!r}", parts=parts)
 
 
-_ALLOWED_KEYS = {
-    "whole_space": {"variant", "dim"},
-    "nonnegative_orthant": {"variant", "dim"},
-    "box": {"variant", "lower", "upper"},
-    "ball": {"variant", "center", "radius"},
-    "simplex": {"variant", "dim", "scale"},
-    "halfspace": {"variant", "a", "b"},
-    "affine": {"variant", "A", "b"},
-    "cartesian": {"variant", "parts", "sizes"},
+VARIANTS = {
+    "whole_space": WholeSpace,
+    "nonnegative_orthant": NonnegativeOrthant,
+    "box": Box,
+    "ball": Ball,
+    "simplex": Simplex,
+    "halfspace": Halfspace,
+    "affine": AffineSubspace,
+    "cartesian": CartesianProduct,
 }

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameters, InvalidSchedule, NoMeanOperator, OracleFailure
+from .errors import (
+    InvalidParameters,
+    InvalidSchedule,
+    NoMeanOperator,
+    OracleFailure,
+    from_document,
+)
 
 
 @dataclass(frozen=True)
@@ -162,24 +168,11 @@ class SampleSchedule:
             root += math.sqrt(ag.tail_bound_sq(k))
         return root ** 2
 
-    def to_config(self):
-        return [{"theta": a.theta, "mu": a.mu, "a": a.a, "b": a.b} for a in self.agents]
-
     @classmethod
     def from_config(cls, cfg):
         entries = cfg if isinstance(cfg, list) else [cfg]
-        agents = []
-        for e in entries:
-            extra = set(e) - {"theta", "mu", "a", "b"}
-            if extra:
-                raise ConfigError(f"unknown schedule keys {sorted(extra)}")
-            missing = {"theta", "mu"} - set(e)
-            if missing:
-                raise ConfigError(f"schedule entry misses keys {sorted(missing)}")
-            agents.append(AgentSchedule(
-                float(e["theta"]), float(e["mu"]),
-                float(e.get("a", 0.0)), float(e.get("b", 1.0))))
-        return cls(tuple(agents))
+        return cls(tuple(from_document(AgentSchedule, e, "schedule", theta=float, mu=float,
+                                       a=float, b=float) for e in entries))
 
 
 def schedule_tail_check(schedule: SampleSchedule, horizon: int = 10 ** 6,

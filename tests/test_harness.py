@@ -12,6 +12,7 @@ from stochvi.errors import ConfigError, InvalidParameters
 from stochvi.harness import (
     config_hash,
     constants_cmd,
+    constants_inputs_from_config,
     experiment_from_config,
     effective_mean_operator,
     fit_loglog_slope,
@@ -22,6 +23,8 @@ from stochvi.harness import (
     solver_config_from_config,
 )
 from stochvi.problems import gen_constant_noise
+from stochvi.projection import feasible_set_from_config
+from stochvi.sampling import SampleSchedule
 from stochvi.solver import run
 
 
@@ -52,8 +55,8 @@ CONSTANTS_DOC = {"L": 1.0, "alpha": 0.25, "sigma": 0.0,
 
 def incomplete_documents(fejer):
     """(subcommand, document, text the error names) for documents that miss
-    a required key or give a non-integer network size; ``fejer`` is a
-    complete fejer_audit probe document."""
+    a required key, give a non-integer network size, or give a value outside
+    its domain; ``fejer`` is a complete fejer_audit probe document."""
     solver = experiment_doc()["solver"]
     fejer = dict(fejer, kind="fejer_audit")
     cases = [("solve", experiment_doc(solver=dict(solver, schedule={"mu": 3})), "theta"),
@@ -74,10 +77,68 @@ def incomplete_documents(fejer):
     cases += [("solve", experiment_doc(problem={"kind": kind, "seed": 1}),
                f"missing keys ['n'] in problem kind '{kind}'")
               for kind in ("linear_svi", "scaled_monotone")]
+    problem = experiment_doc()["problem"]
+    cases += [("experiment", experiment_doc(problem=dict(problem, set=fset)), named)
+              for fset, named in [
+                  ({"variant": "box", "lower": [0, 0, 0]},
+                   "missing keys ['upper'] in variant 'box'"),
+                  ({"variant": "ball", "center": [0, 0, 0], "radius": -1},
+                   "ball radius must be positive and finite, got -1.0")]]
+    cases += [("solve", experiment_doc(solver=dict(solver, max_iterations=0)),
+               "max_iterations must be positive, got 0"),
+              ("experiment", experiment_doc(solver=dict(solver, coordination="bogus")),
+               "coordination 'bogus' is not")]
     return cases
 
 
+SCHEDULE_DOC = {"theta": 1, "mu": 3, "a": 0, "b": 1}
+SECTIONS = {  # section: (builder, complete document, required keys)
+    "whole_space": (feasible_set_from_config, {"variant": "whole_space", "dim": 2}, ()),
+    "nonnegative_orthant": (feasible_set_from_config,
+                            {"variant": "nonnegative_orthant", "dim": 2}, ()),
+    "box": (feasible_set_from_config, {"variant": "box", "lower": [0], "upper": [1]},
+            ("lower", "upper")),
+    "ball": (feasible_set_from_config, {"variant": "ball", "center": [0], "radius": 1},
+             ("center", "radius")),
+    "simplex": (feasible_set_from_config, {"variant": "simplex", "dim": 2, "scale": 2},
+                ("dim",)),
+    "halfspace": (feasible_set_from_config, {"variant": "halfspace", "a": [1], "b": 0},
+                  ("a", "b")),
+    "affine": (feasible_set_from_config, {"variant": "affine", "A": [[1, 1]], "b": [1]},
+               ("A", "b")),
+    "cartesian": (feasible_set_from_config,
+                  {"variant": "cartesian", "sizes": [1, 1],
+                   "parts": [{"variant": "box", "lower": [0], "upper": [1]},
+                             {"variant": "whole_space"}]},
+                  ("parts", "sizes")),
+    "schedule": (SampleSchedule.from_config, SCHEDULE_DOC, ("theta", "mu")),
+    "solver": (solver_config_from_config,
+               {"stepsize": 0.1, "schedule": SCHEDULE_DOC, "max_iterations": 5,
+                "coordination": "distributed", "master_seed": 3, "diagnostics": True,
+                "residual_floor": 0.0},
+               ("stepsize", "schedule", "max_iterations")),
+    "constants": (constants_inputs_from_config,
+                  dict(CONSTANTS_DOC, p=4.0, c2=1.0, cp=1.0, cq=1.0, c_remainder=100.0,
+                       m=2, shared_samples=False, S=1.0, J=2.0),
+                  ("L", "alpha", "sigma", "schedule")),
+}
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_section_keys_are_constructor_fields(self, section):
+        """A section builds from its full document and from its required
+        keys alone; dropping a required key, or adding an unknown one,
+        raises ConfigError naming that key."""
+        build, doc, required = SECTIONS[section]
+        build(doc)
+        build({k: v for k, v in doc.items() if k in required or k == "variant"})
+        for key in required:
+            with pytest.raises(ConfigError, match=rf"missing keys \['{key}'\]"):
+                build(without(doc, key))
+        with pytest.raises(ConfigError, match=r"unknown keys \['bogus'\]"):
+            build(dict(doc, bogus=1))
+
     def test_round_trip_and_hash(self):
         doc = experiment_doc()
         cfg = experiment_from_config(doc)

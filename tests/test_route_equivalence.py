@@ -117,16 +117,16 @@ def test_gate_rejects_a_law_without_root_n(per_draw_finals):
 class WithoutNorm(LinearMatrixNoiseOracle):
     """A faulty linear law: the stage average's spread drops ||x||."""
 
-    def block(self, rng, x, size, sl, mean=False):
+    def block(self, rng, x, size, sl, mean=False, t=None):
         if not mean:
-            return super().block(rng, x, size, sl)
-        t = (self.mean_matrix @ x)[sl]
+            return super().block(rng, x, size, sl, t=t)
+        t = np.asarray(self.mean_operator(x) if t is None else t)[sl]
         return t + self.scale / np.sqrt(size) * rng.standard_normal(t.shape)
 
 
 def test_gate_rejects_a_linear_law_without_the_norm(per_draw_finals):
     problem, config, x0 = configs()["linear_svi"]
-    faulty = replace(problem, oracle=WithoutNorm(problem.mean_matrix, problem.oracle.scale))
+    faulty = replace(problem, oracle=WithoutNorm(problem.mean_operator, problem.oracle.scale))
     exact = finals(faulty, config, x0, EXACT_SEED)
     D = [ks_statistic(e, d) for e, d in zip(exact, per_draw_finals["linear_svi"])]
     assert min(D) > critical_d(R, R), D

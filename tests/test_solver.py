@@ -557,6 +557,36 @@ class TestSharedMeanOperator:
         assert trace.n_steps == K and not trace.stopped_early
         assert calls[0] == 2 * K + 1
 
+    @pytest.mark.parametrize("coordination, blocks",
+                             [("centralized", (8,)), ("distributed", (3, 3, 2))])
+    def test_linear_oracle_reads_T_it_is_handed(self, coordination, blocks):
+        """Linear SVI shares its T with its oracle, so a run evaluates T
+        2K+1 times and the oracle forms no product Abar x of its own."""
+        assert gen_linear_svi(8).oracle_shares_mean_operator
+        base = gen_linear_svi(8, seed=3, noise_scale=0.2)
+        calls = [0]
+
+        def T(x):
+            calls[0] += 1
+            return base.mean_operator(x)
+
+        problem = replace(base, oracle=LinearMatrixNoiseOracle(T, 0.2), mean_operator=T)
+        problem = problem.with_blocks(blocks)
+        assert problem.oracle_shares_mean_operator
+        K = 12
+        plan = validate(problem, default_config(
+            coordination=coordination, max_iterations=K, residual_floor=0.0,
+            diagnostics=False, stepsize=0.2 / problem.lipschitz_L))
+        calls[0] = 0
+        trace = run(plan, replication=1, x0=np.ones(8))
+        assert trace.n_steps == K and not trace.stopped_early
+        assert calls[0] == 2 * K + 1
+        # a noiseless stage mean is the t it was handed, not a product of its own
+        quiet, t = LinearMatrixNoiseOracle(T, 0.0), np.arange(8.0)
+        for sl in (slice(None), slice(3, 6)):
+            out = quiet.block(None, np.ones(8), 4, sl, mean=True, t=t)
+            assert out.tobytes() == t[sl].tobytes()
+
     @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
     def test_sharing_changes_no_bit(self, coordination):
         """An oracle centred on an equal but distinct callable evaluates T
