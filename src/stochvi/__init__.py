@@ -5,7 +5,6 @@ experiment harness."""
 
 from .core import (
     ProblemInstance,
-    RngStreamKey,
     RunPlan,
     SolverConfig,
     ValidationReport,

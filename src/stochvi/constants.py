@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputs, InvalidStepsize, MissingJ
+from .core import stepsize_cap
+from .errors import InvalidInputs, MissingJ
 from .sampling import SampleSchedule
 
 GOLDEN_PHI_CAP = (math.sqrt(5.0) - 1.0) / 2.0
@@ -28,8 +29,7 @@ _HORIZON = 200_000
 
 def rho(alpha: float, L: float) -> float:
     """Residual margin 1 - 6 L^2 alpha^2, in (0, 1) for admissible steps."""
-    if not 0 < alpha < 1.0 / (math.sqrt(6.0) * L):
-        raise InvalidStepsize(f"alpha must lie in (0, {1.0 / (math.sqrt(6.0) * L):.6g})")
+    stepsize_cap(L, (alpha,))
     return 1.0 - 6.0 * (L * alpha) ** 2
 
 
@@ -77,8 +77,9 @@ class ConstantsInputs:
     J: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1.0 / (math.sqrt(6.0) * self.L):
-            raise InvalidStepsize("alpha outside (0, 1/(sqrt(6) L))")
+        if not self.L > 0:
+            raise InvalidInputs(f"L must be positive, got {self.L!r}")
+        stepsize_cap(self.L, (self.alpha,))
         if self.sigma < 0:
             raise InvalidInputs("sigma must be nonnegative")
         if not 0.0 < self.phi < GOLDEN_PHI_CAP:

@@ -10,17 +10,17 @@ The stochastic oracle contract:
   owns an independent sample stream, so restricting generation to the block
   an agent consumes changes no observable quantity.  Without it the full
   draws are sliced.
-* ``oracle.exact_mean = True`` (optional) declares that the oracle has both
-  methods and that both accept ``mean=True``; they then return the average
-  of ``size`` draws, shape ``(n,)`` (or the block's size), drawn from its
-  exact law rather than by averaging draws.  The solver uses the flag
-  whenever the oracle declares it, and otherwise draws the batch and
-  averages it; either way a stage bills ``size`` calls.
+* ``oracle.exact_mean = True`` (optional) declares that ``block`` also
+  accepts ``mean=True`` and then returns the average of ``size`` draws, in
+  the block's shape, drawn from its exact law; the package reaches that law
+  only through ``block`` (``slice(None)`` for the whole point).  The solver
+  uses the flag whenever the oracle declares it, and otherwise draws the
+  batch and averages it; either way a stage bills ``size`` calls.
 * An exact-mean oracle whose law is centred on T may also take ``t=None``
-  with ``mean=True``: ``t`` is T(x) as the caller already evaluated it, to be
-  read instead of evaluating T again.  The solver passes it only when the
-  oracle declares ``exact_mean`` and its ``mean_operator`` attribute is the
-  problem's ``mean_operator`` object itself
+  in ``block`` with ``mean=True``: ``t`` is T(x) as the caller already
+  evaluated it, to be read instead of evaluating T again.  The solver passes
+  it only when the oracle declares ``exact_mean`` and its ``mean_operator``
+  attribute is the problem's ``mean_operator`` object itself
   (:attr:`ProblemInstance.oracle_shares_mean_operator`); every other oracle
   is called without it.  It then evaluates T once per point, for all of a
   stage's draw sets and the residual floor.  ``AdditiveGaussianOracle`` and
@@ -37,7 +37,8 @@ The stochastic oracle contract:
 
 Run-time randomness has one source, :func:`streams`: the solver, the probes,
 the baselines and the harness's surrogate each take a stream function of
-their own.  :func:`derive_stream` is the reference they equal bit for bit.
+their own.  :func:`derive_stream`, on the same key fields, is the reference
+they equal bit for bit.
 
 The mean-operator contract: ``mean_operator(X)`` maps points of shape
 ``(..., n)`` row by row to the same shape, as projections do, so merits
@@ -70,31 +71,6 @@ from .errors import (
 from .projection import CartesianProduct, FeasibleSet, block_slices, project, set_distance
 from .sampling import SampleSchedule, schedule_tail_check
 
-STEPSIZE_CAP = 1.0 / math.sqrt(6.0)  # times 1/L
-
-
-@dataclass(frozen=True)
-class RngStreamKey:
-    """Address of one independent random stream.
-
-    Distinct keys yield statistically independent streams (counter-based
-    generator keyed by a hash of the tuple); the same key always reproduces
-    the same draws, independently of evaluation order.  ``stage`` is 1 for
-    the prediction-step samples and 2 for the correction-step samples.
-    """
-
-    master_seed: int
-    replication: int = 0
-    iteration: int = 0
-    stage: int = 1
-    block: int = 0
-    sample: int = 0
-
-    def __post_init__(self):
-        if self.stage not in (1, 2):
-            raise InvalidParameters("stage must be 1 or 2")
-
-
 _KEY_FIELDS, _KEY_WORDS = struct.Struct("<qqqqqq"), struct.Struct("<QQ")
 
 
@@ -107,17 +83,17 @@ def _philox_key(master_seed, replication, iteration, stage, block, sample=0):
         master_seed, replication, iteration, stage, block, sample)).digest())
 
 
-def derive_stream(key: RngStreamKey) -> np.random.Generator:
-    """Deterministic, order-independent stream for the given key.
-
-    The six key fields are packed and hashed into a 128-bit Philox key, so
-    stream derivation is pure and collision probability is negligible.  It
-    is the reference: the package takes its run-time streams from
-    :func:`streams`, which gives the same stream without a new generator.
-    """
+def derive_stream(master_seed, replication=0, iteration=0, stage=1, block=0, sample=0):
+    """The stream of the key (master_seed, replication, iteration, stage,
+    block, sample), ``stage`` 1 for the prediction step and 2 for the
+    correction step.  The fields are hashed into a 128-bit Philox key, so
+    derivation is pure and order-independent and distinct keys give
+    independent streams.  It is the reference for :func:`streams`, whose
+    stream function takes the same fields after ``master_seed``."""
+    if stage not in (1, 2):
+        raise InvalidParameters("stage must be 1 or 2")
     return np.random.Generator(np.random.Philox(key=np.array(_philox_key(
-        key.master_seed, key.replication, key.iteration, key.stage, key.block,
-        key.sample), dtype=np.uint64)))
+        master_seed, replication, iteration, stage, block, sample), dtype=np.uint64)))
 
 
 @functools.cache
@@ -278,27 +254,30 @@ class ProblemInstance:
         their average; it is the one route to the oracle.  It reads the
         oracle's methods now, so a run resolves its draw sets when it starts.
 
-        The average comes from the exact law when the oracle declares
-        ``exact_mean``, a block from ``oracle.block`` when it has one (else
-        the full draws are sliced).  Each call makes one oracle call, with
-        ``size`` its fourth positional argument, and checks the output
-        against the shape it must have.  ``t`` is T(x) as the caller
-        evaluated it; the route forwards it only on the exact-mean route of
-        an oracle that shares this problem's mean operator (see
-        :attr:`oracle_shares_mean_operator`) and ignores it otherwise."""
+        The average comes from the exact law through ``oracle.block``
+        (``slice(None)`` for the whole point) when the oracle declares
+        ``exact_mean``, and such an oracle without ``block`` raises
+        ``OracleFailure`` now; else a block comes from ``oracle.block`` when
+        it has one, or the full draws are sliced.  Each call makes one oracle
+        call, with ``size`` its fourth positional argument, and checks the
+        output's shape.  ``t`` is T(x) as the caller evaluated it; only the
+        exact-mean route of an oracle that shares this problem's mean
+        operator (:attr:`oracle_shares_mean_operator`) forwards it."""
         o, asarray = self.oracle, np.asarray
         exact = mean and getattr(o, "exact_mean", False)
-        if sl is not None and (exact or getattr(o, "block", None) is not None):
-            block, what, width, cut = o.block, "block ", len(range(self.dimension)[sl]), None
-            draws = lambda rng, x, size, t: block(rng, x, size, sl)
-            average = lambda rng, x, size, t: block(rng, x, size, sl, mean=True)
-            shared = lambda rng, x, size, t: block(rng, x, size, sl, mean=True, t=t)
+        block, part = getattr(o, "block", None), slice(None) if sl is None else sl
+        what, width, cut = "" if sl is None else "block ", len(range(self.dimension)[part]), None
+        if exact and block is None:
+            raise OracleFailure("an oracle declaring exact_mean must have a block method")
+        if exact and self.oracle_shares_mean_operator:
+            call = lambda rng, x, size, t: block(rng, x, size, part, mean=True, t=t)
+        elif exact:
+            call = lambda rng, x, size, t: block(rng, x, size, part, mean=True)
+        elif sl is not None and block is not None:
+            call = lambda rng, x, size, t: block(rng, x, size, part)
         else:  # the full draws, cut to block sl if given
             what, width, cut = "", self.dimension, sl
-            draws = lambda rng, x, size, t: o(rng, x, size)
-            average = lambda rng, x, size, t: o(rng, x, size, mean=True)
-            shared = lambda rng, x, size, t: o(rng, x, size, mean=True, t=t)
-        call = (shared if self.oracle_shares_mean_operator else average) if exact else draws
+            call = lambda rng, x, size, t: o(rng, x, size)
 
         def route(rng, x, size, t=None):
             out = asarray(call(rng, x, size, t), dtype=float)
@@ -313,19 +292,32 @@ class ProblemInstance:
         return route
 
 
+def stepsize_cap(L, alphas):
+    """The cap 1/(sqrt(6) L), after raising ``InvalidStepsize`` unless each of
+    ``alphas`` lies in (0, cap): the one check behind ``validate``,
+    ``constants.rho`` and ``ConstantsInputs``."""
+    cap = 1.0 / (math.sqrt(6.0) * L)
+    if not all(a > 0 for a in alphas):
+        raise InvalidStepsize("stepsize sequence must be bounded away from zero")
+    if not all(a < cap for a in alphas):
+        raise InvalidStepsize(
+            f"sup stepsize {max(alphas):.6g} must be < 1/(sqrt(6) L) = {cap:.6g}")
+    return cap
+
+
 @dataclass(frozen=True, kw_only=True)
 class SolverConfig:
     """Extragradient run parameters.
 
-    ``stepsize`` is a constant or a bounded sequence (array-like, extended by
-    its last value); the whole sequence must satisfy
-    0 < inf alpha_k <= sup alpha_k < 1/(sqrt(6) L).
+    ``stepsize`` is a constant or a bounded sequence, extended by its last
+    value and kept as a tuple of floats (a constant as a 1-tuple); the whole
+    sequence must satisfy 0 < inf alpha_k <= sup alpha_k < 1/(sqrt(6) L).
     ``coordination`` selects the sampling mode for multi-block problems:
     'centralized' shares one draw set per stage across blocks, 'distributed'
     gives each block its own independent draws.
     """
 
-    stepsize: object
+    stepsize: tuple
     schedule: SampleSchedule
     max_iterations: int
     coordination: str = "centralized"
@@ -339,27 +331,14 @@ class SolverConfig:
         if self.coordination not in ("centralized", "distributed"):
             raise InvalidParameters(f"coordination {self.coordination!r} is not "
                                     "'centralized' or 'distributed'")
-        if np.ndim(self.stepsize) == 0:
-            object.__setattr__(self, "stepsize", float(self.stepsize))
-        else:
-            object.__setattr__(self, "stepsize", _freeze(self.stepsize))
+        alphas = np.asarray(self.stepsize, dtype=float)
+        if alphas.ndim > 1 or alphas.size == 0:
+            raise InvalidStepsize("stepsize must be a number or a nonempty sequence of "
+                                  f"numbers, got {self.stepsize!r}")
+        object.__setattr__(self, "stepsize", tuple(alphas.ravel().tolist()))
 
     def stepsize_at(self, k: int) -> float:
-        if isinstance(self.stepsize, float):
-            return self.stepsize
-        return float(self.stepsize[min(k, len(self.stepsize) - 1)])
-
-    @property
-    def stepsize_sup(self) -> float:
-        if isinstance(self.stepsize, float):
-            return self.stepsize
-        return float(np.max(self.stepsize))
-
-    @property
-    def stepsize_inf(self) -> float:
-        if isinstance(self.stepsize, float):
-            return self.stepsize
-        return float(np.min(self.stepsize))
+        return self.stepsize[min(k, len(self.stepsize) - 1)]
 
 
 @dataclass(frozen=True)
@@ -421,17 +400,10 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     beyond the int64 range by ``max_iterations``.  Re-running is idempotent
     and side-effect free.
     """
-    checks = []
-    L = problem.lipschitz_L
-    cap = STEPSIZE_CAP / L
-    if not config.stepsize_inf > 0:
-        raise InvalidStepsize("stepsize sequence must be bounded away from zero")
-    if not config.stepsize_sup < cap:
-        raise InvalidStepsize(
-            f"sup stepsize {config.stepsize_sup:.6g} must be < 1/(sqrt(6) L) = {cap:.6g}")
-    checks.append(CheckResult(
-        "stepsize_bounds", True,
-        f"0 < {config.stepsize_inf:.6g} <= {config.stepsize_sup:.6g} < {cap:.6g}"))
+    alphas = config.stepsize
+    cap = stepsize_cap(problem.lipschitz_L, alphas)
+    checks = [CheckResult("stepsize_bounds", True,
+                          f"0 < {min(alphas):.6g} <= {max(alphas):.6g} < {cap:.6g}")]
 
     m = problem.n_blocks
     sched = config.schedule.broadcast(m)  # raises InvalidSchedule on shape mismatch

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the config-section check."""
+"""Exception types shared across the package, and the config-section and
+JSON type checks."""
 
-from dataclasses import MISSING, fields
+from inspect import signature
+from numbers import Integral, Real
 
 
 class StochviError(Exception):
@@ -80,15 +82,58 @@ def check_keys(obj, allowed, where, required=()):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
-def from_document(cls, doc, where, **given):
-    """Build the dataclass ``cls`` from the JSON object ``doc``.
+def _number(v):
+    return isinstance(v, Real) and not isinstance(v, bool)
 
-    Its constructor fields are the keys ``doc`` may hold, and those without
-    a default the keys it must hold.  ``given`` maps a field to the function
-    that converts its document value; a field left out of ``doc`` takes the
-    dataclass default.
+
+def _integer(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _numbers(v):
+    return _number(v) or isinstance(v, (list, tuple)) and all(map(_numbers, v))
+
+
+JSON_TYPES = {  # annotation: (test of a document value, conversion, what it must be)
+    "float": (_number, float, "a number"),
+    "int": (_integer, int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
+    "str": (lambda v: isinstance(v, str), str, "a string"),
+    "None": (lambda v: v is None, lambda v: v, "null"),
+    "list[int]": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v)),
+                  lambda v: [int(a) for a in v], "a list of integers"),
+    "np.ndarray": (_numbers, lambda v: v, "a number or a list of numbers"),
+}
+
+
+def typed(value, kind, key, where):
+    """``value`` converted by the first type of the annotation ``kind`` (say
+    ``"float | None"``) that it has; raises ``ConfigError`` naming ``key``
+    when it has none.  An annotation naming a type outside ``JSON_TYPES``
+    passes the value through unchecked."""
+    types = [JSON_TYPES.get(name) for name in str(kind).split(" | ")]
+    if None in types:
+        return value
+    for test, convert, _ in types:
+        if test(value):
+            return convert(value)
+    raise ConfigError(f"{key} must be {' or '.join(t[2] for t in types)} in {where}, "
+                      f"got {value!r}")
+
+
+def from_document(cls, doc, where, **given):
+    """Call ``cls``, a dataclass or a function, on the JSON object ``doc``.
+
+    Its parameters are the keys ``doc`` may hold, and those without a
+    default the keys it must hold.  A value must have the JSON type of its
+    parameter's annotation (:func:`typed`); ``given`` maps a parameter to
+    another annotation, or to the function that converts its document
+    value.  A parameter left out of ``doc`` takes its default.
     """
-    init = [f for f in fields(cls) if f.init]
-    check_keys(doc, {f.name for f in init}, where,
-               {f.name for f in init if f.default is MISSING and f.default_factory is MISSING})
-    return cls(**{k: given[k](v) if k in given else v for k, v in doc.items()})
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    params = signature(cls).parameters
+    check_keys(doc, set(params), where, {k for k, p in params.items() if p.default is p.empty})
+    convert = lambda k, v: given[k](v) if callable(given.get(k)) else \
+        typed(v, given.get(k, params[k].annotation), k, where)
+    return cls(**{k: convert(k, v) for k, v in doc.items()})

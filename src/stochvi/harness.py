@@ -12,7 +12,7 @@ Schema (defaults in parentheses):
                    ... generator parameters ...,
                    "set": {"variant": ..., ...}   (strongly_monotone only),
                    "blocks": [n_1, ...]            (single block)},
-      "solver":   {"stepsize": float | [floats],
+      "solver":   {"stepsize": float | [floats]   (nonempty),
                    "schedule": {"theta", "mu", "a" (0), "b" (1)} | [per-agent ...],
                    "max_iterations": int,
                    "coordination": "centralized" (default) | "distributed",
@@ -27,18 +27,22 @@ Schema (defaults in parentheses):
       "threads": int                    (accepted and ignored)
     }
 
-The keys of the ``solver`` section, a schedule entry, a ``set`` and a
-constants document are the constructor fields of ``SolverConfig``,
-``AgentSchedule``, the variant's class in ``projection.VARIANTS`` and
-``ConstantsInputs`` (:func:`~stochvi.errors.from_document`); those without
-a default are required.  A missing or unknown key raises ``ConfigError``,
-a value outside its domain a typed error such as ``InvalidParameters``.
+The keys of the ``solver`` section, a schedule entry, a ``set``, a
+constants document and a problem (past ``kind``, ``set`` and ``blocks``)
+are the parameters of ``SolverConfig``, ``AgentSchedule``, the variant's
+class in ``projection.VARIANTS``, ``ConstantsInputs`` and the kind's
+generator (:func:`~stochvi.errors.from_document`); those without a default
+are required, and a value must have the JSON type its annotation names.
+A missing or unknown key, or a value of the wrong type, raises
+``ConfigError`` naming the key; a value outside its domain a typed error
+such as ``InvalidParameters``.
 
 Replications run serially; ``"threads"`` is accepted and ignored so that
 documents carrying it keep loading with the same config hash.
-A probe document is a ``kind`` plus the params its ``PROBES`` entry lists;
-any other key, ``threads`` included, is rejected, and so is a document
-missing a required param or holding an empty grid.
+A probe document is a ``kind`` plus the parameters of its ``PROBES``
+runner, read the same way; any other key, ``threads`` included, is
+rejected, and so is a document missing a required param or holding an
+empty grid.
 
 Result CSV columns: k, mean_r2, stderr_r2, mean_dist2, mean_dgap, cum_calls.
 The JSON summary carries the config hash, K_eps, the fitted slope, and the
@@ -51,13 +55,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from inspect import signature
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import ProblemInstance, SolverConfig, streams, validate
-from .errors import ConfigError, InvalidParameters, check_keys, from_document
+from .errors import ConfigError, InvalidParameters, check_keys, from_document, typed
 from .merit import d_gap
 from .projection import feasible_set_from_config
 from .sampling import SampleSchedule, _batch_mean, error_decay_probe
@@ -67,40 +72,35 @@ SCHEMA_VERSION = 1
 
 
 def problem_from_config(cfg) -> ProblemInstance:
-    """Instantiate a built-in problem from its JSON description."""
+    """Instantiate a built-in problem from its JSON description: its kind's
+    generator is called on the other keys (:func:`~stochvi.errors.from_document`),
+    after ``blocks`` and the strongly monotone family's ``set`` are taken out."""
     from . import problems as P
 
     cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    blocks = cfg.pop("blocks", None)
-    fset_cfg = cfg.pop("set", None)
-    makers = {  # kind: (generator, optional keys, required keys)
-        "strongly_monotone": (P.gen_strongly_monotone,
-                              {"seed", "noise_scale", "strong_modulus",
-                               "psd_scale", "skew_scale", "center"}, {"n"}),
-        "linear_svi": (P.gen_linear_svi, {"seed", "noise_scale", "feasible"}, {"n"}),
-        "scaled_monotone": (P.gen_scaled_monotone, {"seed", "noise_scale"}, {"n"}),
-        "constant_noise": (P.gen_constant_noise, {"sigma", "n"}, set()),
-        "negative_control": (P.gen_negative_control, {"n", "noise_scale"}, set()),
-    }
+    kind, fset_cfg = cfg.pop("kind", None), cfg.pop("set", None)
+    makers = {"strongly_monotone": P.gen_strongly_monotone, "linear_svi": P.gen_linear_svi,
+              "scaled_monotone": P.gen_scaled_monotone, "constant_noise": P.gen_constant_noise,
+              "negative_control": P.gen_negative_control}
     if kind not in makers:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    maker, allowed, required = makers[kind]
-    check_keys(cfg, allowed, f"problem kind {kind!r}", required)
-    if fset_cfg is not None:
-        if kind != "strongly_monotone":
-            raise ConfigError("'set' override is only supported for strongly_monotone")
-        cfg["feasible"] = feasible_set_from_config(fset_cfg)
-    problem = maker(**cfg)
+    where = f"problem kind {kind!r}"
+    blocks = typed(cfg.pop("blocks", None), "list[int] | None", "blocks", where)
+    if kind == "strongly_monotone":  # its feasible set is the document's "set"
+        check_keys(cfg, set(cfg) - {"feasible"}, where)
+        if fset_cfg is not None:
+            cfg["feasible"] = feasible_set_from_config(fset_cfg)
+    elif fset_cfg is not None:
+        raise ConfigError("'set' override is only supported for strongly_monotone")
+    problem = from_document(makers[kind], cfg, where)
     if blocks is not None:
         problem = problem.with_blocks(blocks)
     return problem
 
 
 def solver_config_from_config(cfg) -> SolverConfig:
-    return from_document(SolverConfig, cfg, "solver", schedule=SampleSchedule.from_config,
-                         max_iterations=int, master_seed=int, diagnostics=bool,
-                         residual_floor=float)
+    return from_document(SolverConfig, cfg, "solver", stepsize="np.ndarray",
+                         schedule=SampleSchedule.from_config)
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.rate_fit_window is not None:
-            lo, hi = self.rate_fit_window
-            if not (0 < lo < hi <= self.solver.max_iterations):
-                raise ConfigError("rate_fit_window needs 0 < k_lo < k_hi <= max_iterations")
+        window = self.rate_fit_window
+        if window is not None and not (len(window) == 2 and
+                                       0 < window[0] < window[1] <= self.solver.max_iterations):
+            raise ConfigError("rate_fit_window needs 0 < k_lo < k_hi <= max_iterations")
         if (self.dgap_a is None) != (self.dgap_b is None):
             raise ConfigError("dgap tracking needs both dgap_a and dgap_b")
 
@@ -141,18 +141,19 @@ def experiment_from_config(document) -> ExperimentConfig:
         raise ConfigError(f"unsupported schema_version {version!r}")
     merits = dict(document.get("merits", {}))
     check_keys(merits, {"dgap_a", "dgap_b"}, "merits")
-    problem = problem_from_config(document["problem"])
-    solver = solver_config_from_config(document["solver"])
-    window = document.get("rate_fit_window")
+    top = lambda key, kind, default=None: typed(document.get(key, default), kind, key,
+                                               "experiment config")
+    dgap = lambda key: typed(merits.get(key), "float | None", key, "merits")
+    x0, window = top("x0", "np.ndarray | None"), top("rate_fit_window", "list[int] | None")
     return ExperimentConfig(
-        problem=problem,
-        solver=solver,
-        replications=int(document.get("replications", 1)),
-        x0=None if document.get("x0") is None else np.asarray(document["x0"], float),
-        dgap_a=merits.get("dgap_a"),
-        dgap_b=merits.get("dgap_b"),
-        rate_fit_window=None if window is None else (int(window[0]), int(window[1])),
-        epsilon=document.get("epsilon"),
+        problem=problem_from_config(document["problem"]),
+        solver=solver_config_from_config(document["solver"]),
+        replications=top("replications", "int", 1),
+        x0=None if x0 is None else np.asarray(x0, float),
+        dgap_a=dgap("dgap_a"),
+        dgap_b=dgap("dgap_b"),
+        rate_fit_window=None if window is None else tuple(window),
+        epsilon=top("epsilon", "float | None"),
         config_hash=config_hash(document),
     )
 
@@ -304,20 +305,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _grid(params, key):
+def _grid(grid, key):
     """A probe's list of batch sizes or horizons; an empty one has no rows
     to give a verdict on."""
-    grid = params[key]
     if not grid:
         raise ConfigError(f"{key} must not be empty")
     return grid
 
 
-def _error_decay(params):
-    problem = problem_from_config(params["problem"])
-    rows = error_decay_probe(problem, np.asarray(params["x"], dtype=float),
-                             _grid(params, "N_grid"), int(params["replications"]),
-                             int(params.get("master_seed", 0)))
+def _error_decay(problem: dict, x: np.ndarray, N_grid: list[int], replications: int,
+                 master_seed: int = 0):
+    rows = error_decay_probe(problem_from_config(problem), np.asarray(x, dtype=float),
+                             _grid(N_grid, "N_grid"), replications, master_seed)
     products = [r["product"] for r in rows]
     spread = (max(products) - min(products)) / max(max(products), 1e-300)
     # each row is compared with row 0: the band holds the error of both
@@ -327,39 +326,35 @@ def _error_decay(params):
     return rows, {"passed": passed, "product_spread": spread}
 
 
-def _martingale(params):
-    res = martingale_probe(validate(problem_from_config(params["problem"]),
-                                    solver_config_from_config(params["solver"])),
-                           np.asarray(params["x"], dtype=float),
-                           int(params["replications"]))
+def _martingale(problem: dict, solver: dict, x: np.ndarray, replications: int):
+    res = martingale_probe(validate(problem_from_config(problem),
+                                    solver_config_from_config(solver)),
+                           np.asarray(x, dtype=float), replications)
     rows = [{"mean_dM": res.mean, "stderr": res.stderr, "replications": res.replications}]
     return rows, {"passed": res.passed, "detail": str(res)}
 
 
-def _variance_scaling(params):
+def _variance_scaling(K_list: list[int], sigma: float, replications: int, L: float = 1.0,
+                      master_seed: int = 0):
     from .baselines import variance_scaling_probe
 
-    reps = int(params["replications"])
-    rows = variance_scaling_probe(_grid(params, "K_list"), float(params["sigma"]),
-                                  float(params.get("L", 1.0)), reps,
-                                  int(params.get("master_seed", 0)))
+    rows = variance_scaling_probe(_grid(K_list, "K_list"), sigma, L, replications,
+                                  master_seed)
     # variance of a Gaussian sample variance: 2 sigma^4 / (R - 1)
-    band = 4.0 * math.sqrt(2.0 / (reps - 1))
+    band = 4.0 * math.sqrt(2.0 / (replications - 1))
     passed = all(abs(r[f"var_{w}_emp"] - r[f"var_{w}_exact"])
                  <= max(band * r[f"var_{w}_exact"], 1e-12)
                  for r in rows for w in ("zK", "zbar"))
     return rows, {"passed": passed}
 
 
-def _fejer_audit(params):
-    x0 = params.get("x0")
-    reps = int(params["replications"])
-    if reps < 1:  # with no path audited the verdict would pass vacuously
+def _fejer_audit(problem: dict, solver: dict, replications: int,
+                 x0: np.ndarray | None = None):
+    if replications < 1:  # with no path audited the verdict would pass vacuously
         raise InvalidParameters("fejer_audit probe needs at least 1 replication")
-    plan = validate(problem_from_config(params["problem"]),
-                    solver_config_from_config(params["solver"]))
+    plan = validate(problem_from_config(problem), solver_config_from_config(solver))
     rows = []
-    for rep in range(reps):
+    for rep in range(replications):
         trace = run(plan, replication=rep, x0=None if x0 is None else np.asarray(x0, float))
         report = fejer_audit(trace, plan.problem.known_solutions[0])
         rows.append({"replication": rep,
@@ -370,49 +365,37 @@ def _fejer_audit(params):
     return rows, {"passed": bad == 0, "max_rel_violation": worst, "violations": bad}
 
 
-def _pm_check(params):
+def _pm_check(problem: dict, samples: int = 1000, seed: int = 0):
     from .problems import check_pseudo_monotone
 
-    problem = problem_from_config(params["problem"])
-    report = check_pseudo_monotone(
-        problem.mean_operator, problem.feasible_set,
-        samples=int(params.get("samples", 1000)),
-        seed=int(params.get("seed", 0)), n=problem.dimension)
+    problem = problem_from_config(problem)
+    report = check_pseudo_monotone(problem.mean_operator, problem.feasible_set,
+                                   samples=samples, seed=seed, n=problem.dimension)
     rows = [{"n_pairs": report.n_pairs, "n_applicable": report.n_applicable,
              "violations": len(report.violations)}]
     return rows, {"passed": report.passed, "detail": str(report)}
 
 
 class ProbeSpec(NamedTuple):
-    """One probe kind: ``runner(params)`` returns (CSV rows, verdict fields);
-    ``required`` are the params it needs and ``optional`` the others it
-    accepts; ``seed_field`` is the (section, key) its seed lives at, section
-    None meaning the top level."""
+    """One probe kind: ``runner(**params)`` returns (CSV rows, verdict
+    fields), and its parameters are the params a probe document holds
+    (:func:`~stochvi.errors.from_document`); ``seed_field`` is the
+    (section, key) its seed lives at, section None meaning the top level."""
 
     runner: Callable
-    required: set
-    optional: set
     seed_field: tuple
 
     @property
     def keys(self):
-        return self.required | self.optional
+        return set(signature(self.runner).parameters)
 
 
 PROBES = {
-    "error_decay": ProbeSpec(
-        _error_decay, {"problem", "x", "N_grid", "replications"}, {"master_seed"},
-        (None, "master_seed")),
-    "martingale": ProbeSpec(
-        _martingale, {"problem", "solver", "x", "replications"}, set(),
-        ("solver", "master_seed")),
-    "variance_scaling": ProbeSpec(
-        _variance_scaling, {"K_list", "sigma", "replications"}, {"L", "master_seed"},
-        (None, "master_seed")),
-    "fejer_audit": ProbeSpec(
-        _fejer_audit, {"problem", "solver", "replications"}, {"x0"},
-        ("solver", "master_seed")),
-    "pm_check": ProbeSpec(_pm_check, {"problem"}, {"samples", "seed"}, (None, "seed")),
+    "error_decay": ProbeSpec(_error_decay, (None, "master_seed")),
+    "martingale": ProbeSpec(_martingale, ("solver", "master_seed")),
+    "variance_scaling": ProbeSpec(_variance_scaling, (None, "master_seed")),
+    "fejer_audit": ProbeSpec(_fejer_audit, ("solver", "master_seed")),
+    "pm_check": ProbeSpec(_pm_check, (None, "seed")),
 }
 
 
@@ -428,11 +411,9 @@ def probe(kind: str, params: dict, out_dir) -> dict:
     Kinds: ``error_decay`` (1/N law), ``martingale`` (zero-mean increments),
     ``variance_scaling`` (ergodic baseline variance laws), ``fejer_audit``
     (pathwise recursion), ``pm_check`` (pseudo-monotonicity sampling); the
-    params each accepts and needs are in ``PROBES``.
+    params each accepts and needs are its ``PROBES`` runner's parameters.
     """
-    spec = probe_spec(kind)
-    check_keys(params, spec.optional, f"{kind} params", spec.required)
-    rows, fields = spec.runner(params)
+    rows, fields = from_document(probe_spec(kind).runner, params, f"{kind} params")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if rows:
@@ -446,8 +427,6 @@ def probe(kind: str, params: dict, out_dir) -> dict:
 def constants_inputs_from_config(cfg):
     from .constants import ConstantsInputs
 
-    if type(cfg.get("m", 1)) is not int:
-        raise ConfigError(f"network size m must be an integer, got {cfg['m']!r}")
     return from_document(ConstantsInputs, cfg, "constants inputs",
                          schedule=SampleSchedule.from_config)
 

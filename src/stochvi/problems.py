@@ -21,9 +21,10 @@ from .projection import FeasibleSet, NonnegativeOrthant, WholeSpace
 class AdditiveGaussianOracle:
     """F(xi, x) = T(x) + xi with xi ~ N(0, scale^2 I_n).
 
-    The mean of ``size`` draws is T(x) + (scale / sqrt(size)) Z, Z ~ N(0, I).
-    ``t``, if given, is T(x) as the caller already evaluated it, and the
-    oracle reads it instead of evaluating T again.
+    ``block(..., mean=True)`` draws the mean of ``size`` draws from its law,
+    T(x) + (scale / sqrt(size)) Z with Z ~ N(0, I); its ``t``, if given, is
+    T(x) as the caller already evaluated it, and the oracle reads it instead
+    of evaluating T again.
     """
 
     exact_mean = True
@@ -33,8 +34,8 @@ class AdditiveGaussianOracle:
         self.n = int(n)
         self.scale = float(scale)
 
-    def __call__(self, rng, x, size, mean=False, t=None):
-        return self.block(rng, x, size, slice(None), mean, t)
+    def __call__(self, rng, x, size):
+        return self.block(rng, x, size, slice(None))
 
     def block(self, rng, x, size, sl, mean=False, t=None):
         # Additive noise is coordinatewise independent: an agent holding its
@@ -54,9 +55,10 @@ class LinearMatrixNoiseOracle:
     where ``mean_operator`` is T(x) = Abar x.
 
     Row i of E(xi) x is N(0, scale^2 ||x||^2) and the rows are independent,
-    so the mean of ``size`` draws is Abar x + (scale ||x|| / sqrt(size)) Z.
-    ``t``, if given, is T(x) as the caller already evaluated it, and the
-    oracle reads it instead of evaluating T again.
+    so ``block(..., mean=True)`` draws the mean of ``size`` draws as
+    Abar x + (scale ||x|| / sqrt(size)) Z; its ``t``, if given, is T(x) as
+    the caller already evaluated it, and the oracle reads it instead of
+    evaluating T again.
     """
 
     exact_mean = True
@@ -65,8 +67,8 @@ class LinearMatrixNoiseOracle:
         self.mean_operator = mean_operator
         self.scale = float(scale)
 
-    def __call__(self, rng, x, size, mean=False, t=None):
-        return self.block(rng, x, size, slice(None), mean, t)
+    def __call__(self, rng, x, size):
+        return self.block(rng, x, size, slice(None))
 
     def block(self, rng, x, size, sl, mean=False, t=None):
         # Row blocks of E(xi) are independent, so an agent's draws need only
@@ -87,7 +89,8 @@ class LinearMatrixNoiseOracle:
 class ConstantOracle:
     """F(xi, x) = xi, a zero-mean random constant; T is identically zero.
 
-    The mean of ``size`` draws is (sigma / sqrt(size)) Z.
+    ``block(..., mean=True)`` draws the mean of ``size`` draws as
+    (sigma / sqrt(size)) Z.
     """
 
     exact_mean = True
@@ -96,8 +99,8 @@ class ConstantOracle:
         self.sigma = float(sigma)
         self.n = int(n)
 
-    def __call__(self, rng, x, size, mean=False):
-        return self.block(rng, x, size, slice(None), mean)
+    def __call__(self, rng, x, size):
+        return self.block(rng, x, size, slice(None))
 
     def block(self, rng, x, size, sl, mean=False):
         nb = len(range(*sl.indices(self.n)))
@@ -149,7 +152,8 @@ def _spectral_norm(A):
     return float(np.linalg.norm(A, 2))
 
 
-def gen_linear_svi(n, seed=0, noise_scale=0.1, feasible="orthant") -> LinearSVIProblem:
+def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
+                   feasible: str = "orthant") -> LinearSVIProblem:
     """Random positive-semidefinite mean matrix Abar = M^T M with entrywise
     i.i.d. Gaussian matrix noise of the given scale.
 
@@ -180,7 +184,7 @@ def gen_linear_svi(n, seed=0, noise_scale=0.1, feasible="orthant") -> LinearSVIP
     )
 
 
-def gen_constant_noise(sigma=1.0, n=1) -> ConstantNoiseProblem:
+def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ConstantNoiseProblem:
     """Zero-mean random constant operator on the whole space (T == 0)."""
     return ConstantNoiseProblem(
         dimension=n,
@@ -196,9 +200,10 @@ def gen_constant_noise(sigma=1.0, n=1) -> ConstantNoiseProblem:
     )
 
 
-def gen_strongly_monotone(n, seed=0, noise_scale=1.0, strong_modulus=1.0,
-                          psd_scale=0.0, skew_scale=0.0,
-                          feasible=None, center=None) -> StronglyMonotoneQuadratic:
+def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
+                          strong_modulus: float = 1.0, psd_scale: float = 0.0,
+                          skew_scale: float = 0.0, feasible: FeasibleSet | None = None,
+                          center: np.ndarray | None = None) -> StronglyMonotoneQuadratic:
     """T(x) = Abar (x - center), Abar = modulus * I + psd + skew, with
     additive Gaussian oracle noise; the unique solution is ``center`` when
     feasible."""
@@ -232,7 +237,8 @@ def gen_strongly_monotone(n, seed=0, noise_scale=1.0, strong_modulus=1.0,
     )
 
 
-def gen_scaled_monotone(n, seed=0, noise_scale=1.0) -> ScaledMonotoneProblem:
+def gen_scaled_monotone(n: int, seed: int = 0,
+                        noise_scale: float = 1.0) -> ScaledMonotoneProblem:
     """Pseudo-monotone, non-monotone instance T(x) = Abar x / (1 + ||x||^2)."""
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -259,7 +265,7 @@ def gen_scaled_monotone(n, seed=0, noise_scale=1.0) -> ScaledMonotoneProblem:
     )
 
 
-def gen_negative_control(n=1, noise_scale=0.0) -> ProblemInstance:
+def gen_negative_control(n: int = 1, noise_scale: float = 0.0) -> ProblemInstance:
     """T(x) = -x: not pseudo-monotone; used to show the audits can fail."""
     mean_op = lambda x: -np.asarray(x, dtype=float)
     return ProblemInstance(

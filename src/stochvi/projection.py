@@ -138,7 +138,6 @@ class Ball(FeasibleSet):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
         if not 0 < self.radius < np.inf:  # a ball of infinite radius is WholeSpace
             raise InvalidParameters(f"ball radius must be positive and finite, got {self.radius}")
 
@@ -170,8 +169,6 @@ class Simplex(FeasibleSet):
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "scale", float(self.scale))
         if not self.scale > 0:
             raise InvalidParameters(f"simplex scale must be positive, got {self.scale}")
 
@@ -203,7 +200,6 @@ class Halfspace(FeasibleSet):
             raise InvalidParameters("halfspace normal must be nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
 
     @property
     def dim(self):

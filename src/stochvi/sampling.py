@@ -171,8 +171,7 @@ class SampleSchedule:
     @classmethod
     def from_config(cls, cfg):
         entries = cfg if isinstance(cfg, list) else [cfg]
-        return cls(tuple(from_document(AgentSchedule, e, "schedule", theta=float, mu=float,
-                                       a=float, b=float) for e in entries))
+        return cls(tuple(from_document(AgentSchedule, e, "schedule") for e in entries))
 
 
 def schedule_tail_check(schedule: SampleSchedule, horizon: int = 10 ** 6,

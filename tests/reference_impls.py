@@ -161,14 +161,14 @@ def project_cartesian_per_factor(fset, x):
 def error_decay_rows_reference(problem, x, n_grid, replications, master_seed):
     """Rows of ``error_decay_probe``, each batch a fresh ``derive_stream``
     generator keyed (master_seed, r, j, 1) and averaged draw by draw."""
-    from stochvi.core import RngStreamKey, derive_stream
+    from stochvi.core import derive_stream
 
     x = np.asarray(x, dtype=float)
     rows = []
     for j, n in enumerate(n_grid):
         sq = np.empty(replications)
         for r in range(replications):
-            rng = derive_stream(RngStreamKey(master_seed, replication=r, iteration=j, stage=1))
+            rng = derive_stream(master_seed, replication=r, iteration=j, stage=1)
             err = problem.oracle(rng, x, n).mean(axis=0) - problem.mean_operator(x)
             sq[r] = float(err @ err)
         mean_sq = float(np.mean(sq))
@@ -182,12 +182,12 @@ def variance_scaling_rows_reference(K_list, sigma, L, replications, master_seed)
     """Rows of ``variance_scaling_probe``: replication r at the j-th horizon
     draws its K normals from ``derive_stream`` keyed (master_seed + j, r)."""
     from stochvi.baselines import MirrorProxSchedule
-    from stochvi.core import RngStreamKey, derive_stream
+    from stochvi.core import derive_stream
 
     rows = []
     for j, K in enumerate(K_list):
         sched = MirrorProxSchedule.build(K, sigma, L)
-        draws = [sigma * derive_stream(RngStreamKey(master_seed + j, replication=r))
+        draws = [sigma * derive_stream(master_seed + j, replication=r)
                  .standard_normal(K) for r in range(replications)]
         z = np.array([0.0 - float(sched.alphas @ d) for d in draws])
         zbar = np.array([0.0 - float(sched.avg_coeffs @ d) for d in draws])
@@ -205,12 +205,12 @@ def surrogate_rows_reference(problem, X, n_samples, master_seed):
     h the first four bytes of the row's SHA-256 read little-endian."""
     import hashlib
 
-    from stochvi.core import RngStreamKey, derive_stream
+    from stochvi.core import derive_stream
 
     out = []
     for x in np.asarray(X, dtype=float):
         h = int.from_bytes(hashlib.sha256(x.tobytes()).digest()[:4], "little")
-        rng = derive_stream(RngStreamKey(master_seed, sample=h))
+        rng = derive_stream(master_seed, sample=h)
         out.append(problem.oracle(rng, x, n_samples).mean(axis=0))
     return np.array(out)
 

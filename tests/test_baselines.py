@@ -3,7 +3,7 @@ import math
 import pytest
 
 from stochvi.baselines import MirrorProxSchedule, variance_scaling_probe
-from stochvi.core import RngStreamKey, derive_stream
+from stochvi.core import derive_stream
 from stochvi.errors import InvalidHorizon, InvalidParameters
 
 
@@ -41,20 +41,20 @@ class TestMirrorProxSchedule:
 class TestMirrorProxRuns:
     def test_no_noise_returns_start(self):
         sched = MirrorProxSchedule.build(10, sigma=0.0, L=1.0)
-        z, zbar = sched.sample(derive_stream(RngStreamKey(0)), x1=3.14)
+        z, zbar = sched.sample(derive_stream(0), x1=3.14)
         assert z == 3.14 and zbar == 3.14
 
     def test_deterministic_in_replication(self):
-        key = RngStreamKey(9, replication=5)
         sched = MirrorProxSchedule.build(20, 1.0, 1.0)
-        assert sched.sample(derive_stream(key)) == sched.sample(derive_stream(key))
+        assert sched.sample(derive_stream(9, replication=5)) == \
+            sched.sample(derive_stream(9, replication=5))
 
     def test_explicit_sum_identity(self):
         # z^K - x1 must equal minus the stepsize-weighted draw sum
         K, sigma = 15, 0.7
         sched = MirrorProxSchedule.build(K, sigma, 1.0)
-        draws = sigma * derive_stream(RngStreamKey(3, replication=2)).standard_normal(K)
-        z, zbar = sched.sample(derive_stream(RngStreamKey(3, replication=2)), x1=1.0)
+        draws = sigma * derive_stream(3, replication=2).standard_normal(K)
+        z, zbar = sched.sample(derive_stream(3, replication=2), x1=1.0)
         assert z == pytest.approx(1.0 - sched.alphas @ draws, abs=1e-15)
         assert zbar == pytest.approx(1.0 - sched.avg_coeffs @ draws, abs=1e-15)
 

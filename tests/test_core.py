@@ -1,10 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import default_config
 from stochvi.core import (
     ProblemInstance,
-    RngStreamKey,
     derive_stream,
     validate,
 )
@@ -22,42 +24,41 @@ from stochvi.sampling import AgentSchedule, SampleSchedule
 
 class TestStreams:
     def test_same_key_reproduces_draws(self):
-        key = RngStreamKey(42, replication=3, iteration=17, stage=2, block=1)
-        a = derive_stream(key).standard_normal(100)
-        b = derive_stream(key).standard_normal(100)
+        key = dict(replication=3, iteration=17, stage=2, block=1)
+        a = derive_stream(42, **key).standard_normal(100)
+        b = derive_stream(42, **key).standard_normal(100)
         assert np.array_equal(a, b)
 
     def test_stage_changes_stream(self):
-        k1 = RngStreamKey(42, replication=3, iteration=17, stage=1)
-        k2 = RngStreamKey(42, replication=3, iteration=17, stage=2)
-        assert derive_stream(k1).standard_normal() != derive_stream(k2).standard_normal()
+        k1 = derive_stream(42, replication=3, iteration=17, stage=1)
+        k2 = derive_stream(42, replication=3, iteration=17, stage=2)
+        assert k1.standard_normal() != k2.standard_normal()
 
     def test_each_field_changes_stream(self):
-        base = RngStreamKey(42, 1, 2, 1, 3, 4)
-        first = derive_stream(base).standard_normal()
+        first = derive_stream(42, 1, 2, 1, 3, 4).standard_normal()
         variants = [
-            RngStreamKey(43, 1, 2, 1, 3, 4),
-            RngStreamKey(42, 2, 2, 1, 3, 4),
-            RngStreamKey(42, 1, 3, 1, 3, 4),
-            RngStreamKey(42, 1, 2, 2, 3, 4),
-            RngStreamKey(42, 1, 2, 1, 4, 4),
-            RngStreamKey(42, 1, 2, 1, 3, 5),
+            (43, 1, 2, 1, 3, 4),
+            (42, 2, 2, 1, 3, 4),
+            (42, 1, 3, 1, 3, 4),
+            (42, 1, 2, 2, 3, 4),
+            (42, 1, 2, 1, 4, 4),
+            (42, 1, 2, 1, 3, 5),
         ]
         for key in variants:
-            assert derive_stream(key).standard_normal() != first
+            assert derive_stream(*key).standard_normal() != first
 
     def test_replications_uncorrelated(self):
         n = 10_000
-        a = np.array([derive_stream(RngStreamKey(7, replication=r)).standard_normal()
+        a = np.array([derive_stream(7, replication=r).standard_normal()
                       for r in range(n)])
-        b = np.array([derive_stream(RngStreamKey(7, replication=r + n)).standard_normal()
+        b = np.array([derive_stream(7, replication=r + n).standard_normal()
                       for r in range(n)])
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 0.05
 
     def test_invalid_stage(self):
         with pytest.raises(ValueError):
-            RngStreamKey(0, stage=3)
+            derive_stream(0, stage=3)
 
 
 class TestProblemInstance:
@@ -164,6 +165,41 @@ class TestValidate:
         assert validate(quiet_problem, cfg).report.passed
         with pytest.raises(InvalidStepsize):
             validate(quiet_problem, default_config(stepsize=np.array([0.1, 0.45])))
+
+    def test_stepsize_sequence_config_compares_and_hashes(self):
+        cfg = default_config(stepsize=np.array([0.3, 0.2, 0.1]))
+        copy = replace(cfg)
+        assert cfg.stepsize == (0.3, 0.2, 0.1)
+        assert cfg == copy and hash(cfg) == hash(copy)
+        assert cfg != replace(cfg, stepsize=[0.3, 0.2])
+        assert default_config(stepsize=0.25).stepsize == (0.25,)
+
+    def test_empty_stepsize_sequence_rejected(self):
+        with pytest.raises(InvalidStepsize, match="nonempty"):
+            default_config(stepsize=[])
+
+    def test_cap_agrees_with_the_constants_inputs(self):
+        """``validate`` and ``ConstantsInputs`` accept the same stepsizes at
+        the cap 1/(sqrt(6) L), to the last bit, for random L."""
+        from stochvi.constants import ConstantsInputs
+
+        gen = np.random.default_rng(11)
+        schedule = SampleSchedule.uniform(1, 3, 0, 1)
+        for L in np.exp(gen.uniform(-5.0, 5.0, 60)).tolist():
+            problem = ProblemInstance(dimension=1, oracle=None, lipschitz_L=L,
+                                      feasible_set=WholeSpace(1))
+            for cap in {1.0 / math.sqrt(6.0) / L, 1.0 / (math.sqrt(6.0) * L)}:
+                for alpha in (np.nextafter(cap, 0.0), cap, np.nextafter(cap, np.inf)):
+                    verdicts = []
+                    for check in (lambda: validate(problem, default_config(stepsize=alpha)),
+                                  lambda: ConstantsInputs(L=L, alpha=alpha, sigma=0.0,
+                                                          schedule=schedule)):
+                        try:
+                            check()
+                            verdicts.append(True)
+                        except InvalidStepsize:
+                            verdicts.append(False)
+                    assert verdicts[0] == verdicts[1], (L, alpha)
 
     def test_invalid_schedule_a0_b0(self):
         with pytest.raises(InvalidSchedule):

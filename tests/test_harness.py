@@ -55,8 +55,8 @@ CONSTANTS_DOC = {"L": 1.0, "alpha": 0.25, "sigma": 0.0,
 
 def incomplete_documents(fejer):
     """(subcommand, document, text the error names) for documents that miss
-    a required key, give a non-integer network size, or give a value outside
-    its domain; ``fejer`` is a complete fejer_audit probe document."""
+    a required key, give a value of the wrong JSON type, or give a value
+    outside its domain; ``fejer`` is a complete fejer_audit probe document."""
     solver = experiment_doc()["solver"]
     fejer = dict(fejer, kind="fejer_audit")
     cases = [("solve", experiment_doc(solver=dict(solver, schedule={"mu": 3})), "theta"),
@@ -88,6 +88,26 @@ def incomplete_documents(fejer):
                "max_iterations must be positive, got 0"),
               ("experiment", experiment_doc(solver=dict(solver, coordination="bogus")),
                "coordination 'bogus' is not")]
+    # a value of the wrong JSON type names its key rather than ending in a
+    # traceback or being cast (bool("false") is True, int(2.7) is 2)
+    cases += [("experiment", experiment_doc(solver=dict(solver, **{key: value})), named)
+              for key, value, named in [
+                  ("stepsize", "big", "stepsize must be a number or a list of numbers"),
+                  ("stepsize", [], "nonempty sequence"),
+                  ("schedule", 5, "schedule must be an object, got 5"),
+                  ("diagnostics", "false", "diagnostics must be true or false"),
+                  ("max_iterations", 2.7, "max_iterations must be an integer"),
+                  ("max_iterations", True, "max_iterations must be an integer")]]
+    cases += [("solve", experiment_doc(problem=dict(problem, **{key: value})),
+               f"{key} must be an integer in problem kind 'strongly_monotone'")
+              for key, value in (("n", 2.5), ("seed", "a"))]
+    cases += [("experiment", experiment_doc(**{key: value}), f"{key} must be")
+              for key, value in (("x0", "abc"), ("epsilon", "x"), ("replications", 2.5))]
+    cases += [("experiment", experiment_doc(problem=dict(problem, set={
+        "variant": "ball", "center": [0, 0, 0], "radius": "wide"})),
+        "radius must be a number in variant 'ball', got 'wide'"),
+              ("probe", dict(fejer, replications=2.5),
+               "replications must be an integer in fejer_audit params")]
     return cases
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_impls import sample_count, tail_scan
-from stochvi.core import RngStreamKey, derive_stream
+from stochvi.core import derive_stream
 from stochvi.errors import InvalidParameters, InvalidSchedule, NoMeanOperator
 from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
 from stochvi.sampling import (
@@ -173,7 +173,7 @@ class TestBatchMean:
     def test_zero_variance_oracle_exact(self):
         p = gen_strongly_monotone(4, seed=1, noise_scale=0.0)
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        res = batch_mean(p, x, 37, derive_stream(RngStreamKey(0)))
+        res = batch_mean(p, x, 37, derive_stream(0))
         assert res.calls == 37
         # averaging N identical rows rounds at the ulp level, nothing more
         np.testing.assert_allclose(res.mean, p.mean_operator(x), rtol=1e-14)
@@ -181,14 +181,14 @@ class TestBatchMean:
 
     def test_clt_bound_constant_noise(self):
         p = gen_constant_noise(sigma=1.0)
-        res = batch_mean(p, np.zeros(1), 10_000, derive_stream(RngStreamKey(5)))
+        res = batch_mean(p, np.zeros(1), 10_000, derive_stream(5))
         assert abs(res.mean[0]) <= 4.0 / math.sqrt(10_000)
 
     def test_single_draw(self):
         p = gen_constant_noise(sigma=2.0)
-        res = batch_mean(p, np.zeros(1), 1, derive_stream(RngStreamKey(9)))
+        res = batch_mean(p, np.zeros(1), 1, derive_stream(9))
         assert res.calls == 1
-        draw = p.oracle(derive_stream(RngStreamKey(9)), np.zeros(1), 1)
+        draw = p.oracle(derive_stream(9), np.zeros(1), 1)
         assert res.mean[0] == draw[0, 0]
 
     @pytest.mark.parametrize("maker", [
@@ -201,9 +201,8 @@ class TestBatchMean:
         draw the average from its exact law (criterion 2 relies on it)."""
         p = maker()
         x = np.array([0.5, -1.0, 2.0])
-        key = RngStreamKey(3, replication=2)
-        res = batch_mean(p, x, 64, derive_stream(key))
-        expected = p.oracle(derive_stream(key), x, 64).mean(axis=0)
+        res = batch_mean(p, x, 64, derive_stream(3, replication=2))
+        expected = p.oracle(derive_stream(3, replication=2), x, 64).mean(axis=0)
         assert np.array_equal(res.mean, expected)
 
 

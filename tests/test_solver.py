@@ -14,7 +14,6 @@ from reference_impls import (
 )
 from stochvi.core import (
     ProblemInstance,
-    RngStreamKey,
     VarianceProfile,
     derive_stream,
     streams,
@@ -406,7 +405,7 @@ class TestStageMean:
         def expected(k, stage, point):
             out = []
             for i, sl in blocks:
-                rng = derive_stream(RngStreamKey(5, 3, k, stage, i))
+                rng = derive_stream(5, 3, k, stage, i)
                 n = int(plan.sizes[k, i])
                 if getattr(p.oracle, "exact_mean", False):
                     out.append(p.oracle.block(rng, point, n, sl, mean=True))
@@ -437,7 +436,7 @@ class TestStageMean:
         previous.bit_generator.random_raw(words)
         previous.integers(0, 9, dtype=np.uint32)
         ours = stream(replication, k, stage, block, sample)
-        ref = derive_stream(RngStreamKey(seed, replication, k, stage, block, sample))
+        ref = derive_stream(seed, replication, k, stage, block, sample)
         assert np.array_equal(ours.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
         assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
         assert np.array_equal(ours.integers(0, 2**32, 7, dtype=np.uint32),
@@ -630,6 +629,23 @@ class TestSharedMeanOperator:
         for sl in (None, slice(1, 3)):
             out = problem.route(sl, mean=True)(None, x, 4, t=np.zeros(3))
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
+
+    def test_exact_mean_oracle_without_block_is_rejected(self):
+        """The exact law is reached through ``block`` only, so an oracle that
+        declares ``exact_mean`` without one fails when its route is resolved."""
+
+        class NoBlock:
+            exact_mean = True
+
+            def __call__(self, rng, x, size, mean=False):
+                return np.asarray(x, dtype=float) if mean else np.tile(x, (size, 1))
+
+        problem = replace(identity_problem(n=3), oracle=NoBlock())
+        with pytest.raises(OracleFailure, match="exact_mean must have a block method"):
+            problem.route(mean=True)
+        assert problem.route()(None, np.ones(3), 2).shape == (2, 3)  # draws still work
+        with pytest.raises(OracleFailure, match="block method"):
+            run(validate(problem, default_config(max_iterations=2)), x0=np.ones(3))
 
     def test_zero_noise_stage_mean_does_not_alias_t(self):
         problem, _ = self.counted(noise=0.0, blocks=(2, 2, 1))

@@ -23,7 +23,7 @@ from reference_impls import (
     variance_scaling_rows_reference,
 )
 from stochvi.baselines import variance_scaling_probe
-from stochvi.core import ProblemInstance, RngStreamKey, derive_stream, validate
+from stochvi.core import ProblemInstance, derive_stream, validate
 from stochvi.harness import effective_mean_operator
 from stochvi.problems import (
     AdditiveGaussianOracle,
@@ -106,5 +106,5 @@ def test_surrogate_inside_a_stage_keeps_the_stage_stream():
     z, g1, g2, _ = _stepper(plan)(3, 2, x)
     scale = 0.3 / math.sqrt(plan.rows[2][0])
     for stage, point, g in ((1, x, g1), (2, z, g2)):
-        rng = derive_stream(RngStreamKey(5, 3, 2, stage, 0))
+        rng = derive_stream(5, 3, 2, stage, 0)
         assert np.array_equal(g, S(point) + scale * rng.standard_normal(2))
