@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import StochviError
+from .errors import StochviError, typed
 
 
 def _load(path):
@@ -110,9 +110,10 @@ def cmd_constants(args):
     from .harness import constants_cmd, format_constants_table
 
     document = _load(args.config)
-    eps = float(document.pop("eps", 1e-4))
+    eps = typed(document.pop("eps", 1e-4), "float", "eps", "constants document")
     run_summary = None
-    summary_path = document.pop("run_summary", None)
+    summary_path = typed(document.pop("run_summary", None), "str | None", "run_summary",
+                         "constants document")
     if summary_path is not None:
         run_summary = _load(Path(args.config).parent / summary_path
                             if not Path(summary_path).is_absolute() else summary_path)

@@ -10,22 +10,15 @@ The stochastic oracle contract:
   owns an independent sample stream, so restricting generation to the block
   an agent consumes changes no observable quantity.  Without it the full
   draws are sliced.
-* ``oracle.exact_mean = True`` (optional) declares that ``block`` also
-  accepts ``mean=True`` and then returns the average of ``size`` draws, in
-  the block's shape, drawn from its exact law; the package reaches that law
-  only through ``block`` (``slice(None)`` for the whole point).  The solver
-  uses the flag whenever the oracle declares it, and otherwise draws the
-  batch and averages it; either way a stage bills ``size`` calls.
-* An exact-mean oracle whose law is centred on T may also take ``t=None``
-  in ``block`` with ``mean=True``: ``t`` is T(x) as the caller already
-  evaluated it, to be read instead of evaluating T again.  The solver passes
-  it only when the oracle declares ``exact_mean`` and its ``mean_operator``
-  attribute is the problem's ``mean_operator`` object itself
-  (:attr:`ProblemInstance.oracle_shares_mean_operator`); every other oracle
-  is called without it.  It then evaluates T once per point, for all of a
-  stage's draw sets and the residual floor.  ``AdditiveGaussianOracle`` and
-  ``LinearMatrixNoiseOracle`` are built on their problem's ``mean_operator``
-  and read ``t`` when handed it, never a product of their own.
+* ``oracle.exact_error = True`` (optional) declares that ``block`` also
+  accepts ``error=True`` and then returns, in the block's shape, the average
+  of ``size`` draws of the error F(xi, x) - T(x), drawn from its exact law.
+  On a problem with a ``mean_operator`` the package reaches that law only
+  through ``block`` (``slice(None)`` for the whole point), and the stage
+  average is T(x) plus that error, with T(x) as the caller evaluated it
+  once for the point; an oracle without the marker, or a problem without
+  T, draws the batch and averages it.  Either way a stage bills ``size``
+  calls.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
   an oracle: it picks among these methods once and returns a callable that
   checks every output's shape.  The solver resolves each draw set's route
@@ -240,54 +233,48 @@ class ProblemInstance:
             else self.feasible_set
         return replace(self, blocks=blocks, feasible_set=fset)
 
-    @property
-    def oracle_shares_mean_operator(self):
-        """Whether the exact-mean route hands the oracle T(x): the oracle
-        declares ``exact_mean`` and its ``mean_operator`` is this problem's."""
-        T = self.mean_operator
-        return (T is not None and getattr(self.oracle, "exact_mean", False)
-                and getattr(self.oracle, "mean_operator", None) is T)
-
     def route(self, sl=None, mean=False):
         """The callable ``(rng, x, size, t=None)`` that draws ``size`` oracle
         samples at ``x`` (block ``sl`` only, if given), or with ``mean``
         their average; it is the one route to the oracle.  It reads the
         oracle's methods now, so a run resolves its draw sets when it starts.
 
-        The average comes from the exact law through ``oracle.block``
-        (``slice(None)`` for the whole point) when the oracle declares
-        ``exact_mean``, and such an oracle without ``block`` raises
-        ``OracleFailure`` now; else a block comes from ``oracle.block`` when
-        it has one, or the full draws are sliced.  Each call makes one oracle
-        call, with ``size`` its fourth positional argument, and checks the
-        output's shape.  ``t`` is T(x) as the caller evaluated it; only the
-        exact-mean route of an oracle that shares this problem's mean
-        operator (:attr:`oracle_shares_mean_operator`) forwards it."""
+        When the problem has a ``mean_operator`` and the oracle declares
+        ``exact_error``, the average is ``t[sl]`` plus the error drawn from
+        its exact law by ``oracle.block`` (``slice(None)`` for the whole
+        point), where ``t`` is T(x) as the caller evaluated it (a call
+        without it raises ``InvalidParameters``); such an oracle without
+        ``block`` raises ``OracleFailure`` now.  Else a block comes from
+        ``oracle.block`` when it has one, or the full draws are sliced.  Each
+        call makes one oracle call, with ``size`` its fourth positional
+        argument, and checks the output's shape."""
         o, asarray = self.oracle, np.asarray
-        exact = mean and getattr(o, "exact_mean", False)
+        exact = mean and self.mean_operator is not None and getattr(o, "exact_error", False)
         block, part = getattr(o, "block", None), slice(None) if sl is None else sl
         what, width, cut = "" if sl is None else "block ", len(range(self.dimension)[part]), None
         if exact and block is None:
-            raise OracleFailure("an oracle declaring exact_mean must have a block method")
-        if exact and self.oracle_shares_mean_operator:
-            call = lambda rng, x, size, t: block(rng, x, size, part, mean=True, t=t)
-        elif exact:
-            call = lambda rng, x, size, t: block(rng, x, size, part, mean=True)
+            raise OracleFailure("an oracle declaring exact_error must have a block method")
+        if exact:
+            call = lambda rng, x, size: block(rng, x, size, part, error=True)
         elif sl is not None and block is not None:
-            call = lambda rng, x, size, t: block(rng, x, size, part)
+            call = lambda rng, x, size: block(rng, x, size, part)
         else:  # the full draws, cut to block sl if given
             what, width, cut = "", self.dimension, sl
-            call = lambda rng, x, size, t: o(rng, x, size)
+            call = lambda rng, x, size: o(rng, x, size)
 
         def route(rng, x, size, t=None):
-            out = asarray(call(rng, x, size, t), dtype=float)
+            out = asarray(call(rng, x, size), dtype=float)
             shape = (width,) if exact else (size, width)
             if out.shape != shape:
-                raise OracleFailure(f"oracle {what}{'mean' if exact else 'batch'} has "
+                raise OracleFailure(f"oracle {what}{'error' if exact else 'batch'} has "
                                     f"shape {out.shape}, expected {shape}")
+            if exact:
+                if t is None:
+                    raise InvalidParameters("the exact-error route needs t = T(x)")
+                return asarray(t, dtype=float)[part] + out
             if cut is not None:
                 out = out[:, cut]
-            return out if exact or not mean else out.mean(axis=0)
+            return out.mean(axis=0) if mean else out
 
         return route
 

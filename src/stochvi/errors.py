@@ -99,6 +99,8 @@ JSON_TYPES = {  # annotation: (test of a document value, conversion, what it mus
     "int": (_integer, int, "an integer"),
     "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
     "str": (lambda v: isinstance(v, str), str, "a string"),
+    "dict": (lambda v: isinstance(v, dict), dict, "an object"),
+    "list": (lambda v: isinstance(v, (list, tuple)), list, "a list"),
     "None": (lambda v: v is None, lambda v: v, "null"),
     "list[int]": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v)),
                   lambda v: [int(a) for a in v], "a list of integers"),

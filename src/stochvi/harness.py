@@ -89,7 +89,7 @@ def problem_from_config(cfg) -> ProblemInstance:
     if kind == "strongly_monotone":  # its feasible set is the document's "set"
         check_keys(cfg, set(cfg) - {"feasible"}, where)
         if fset_cfg is not None:
-            cfg["feasible"] = feasible_set_from_config(fset_cfg)
+            cfg["feasible"] = feasible_set_from_config(fset_cfg, "set", where)
     elif fset_cfg is not None:
         raise ConfigError("'set' override is only supported for strongly_monotone")
     problem = from_document(makers[kind], cfg, where)
@@ -139,10 +139,10 @@ def experiment_from_config(document) -> ExperimentConfig:
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
-    merits = dict(document.get("merits", {}))
-    check_keys(merits, {"dgap_a", "dgap_b"}, "merits")
     top = lambda key, kind, default=None: typed(document.get(key, default), kind, key,
                                                "experiment config")
+    merits = top("merits", "dict", {})
+    check_keys(merits, {"dgap_a", "dgap_b"}, "merits")
     dgap = lambda key: typed(merits.get(key), "float | None", key, "merits")
     x0, window = top("x0", "np.ndarray | None"), top("rate_fit_window", "list[int] | None")
     return ExperimentConfig(
@@ -257,7 +257,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     from it, each on the streams keyed by its index; they are merged by
     index, so results depend only on (master_seed, replication).  Traces
     shorter than max_iterations (early residual-floor stops) are carried
-    forward at their final value for ensemble averaging.
+    forward at their final value for ensemble averaging; the calls column
+    is the plan's ``cum_calls``.
     """
     plan = validate(config.problem, config.solver)
     problem, R, K = config.problem, config.replications, config.solver.max_iterations
@@ -281,18 +282,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         mean_dgap = stacked(d_gap(T_op, problem.feasible_set, t.iterates, config.dgap_a,
                                   config.dgap_b) for t in traces).mean(axis=0)
 
-    cum = stacked([traces[0].cum_calls])[0]
-    for t in traces[1:]:
-        if t.n_steps == traces[0].n_steps and not np.array_equal(t.cum_calls, traces[0].cum_calls):
-            raise AssertionError("replications disagree on the call schedule")
-
     slope = intercept = None
     if config.rate_fit_window is not None and mean_r2 is not None:
         slope, intercept = fit_loglog_slope(mean_r2, config.rate_fit_window)
 
     result = ExperimentResult(
         mean_r2=mean_r2, stderr_r2=stderr_r2, mean_dist2=mean_dist2,
-        mean_dgap=mean_dgap, cum_calls=cum, replications=R,
+        mean_dgap=mean_dgap, cum_calls=plan.cum_calls, replications=R,
         k_eps=None, epsilon=config.epsilon, nonconvergence=False,
         slope=slope, intercept=intercept, rate_fit_window=config.rate_fit_window,
         config_hash=config.config_hash,

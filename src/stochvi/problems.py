@@ -15,19 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, VarianceProfile, check_mean_operator
+from .errors import InvalidParameters
 from .projection import FeasibleSet, NonnegativeOrthant, WholeSpace
+
+
+def _normal(rng, shape, scale):
+    """``scale`` Z with Z ~ N(0, I) of ``shape``: the bits of
+    ``scale * rng.standard_normal(shape)`` (up to the sign of a zero) in one
+    call; zeros, drawing nothing, when ``scale`` is 0."""
+    return rng.normal(0.0, scale, shape) if scale else np.zeros(shape)
 
 
 class AdditiveGaussianOracle:
     """F(xi, x) = T(x) + xi with xi ~ N(0, scale^2 I_n).
 
-    ``block(..., mean=True)`` draws the mean of ``size`` draws from its law,
-    T(x) + (scale / sqrt(size)) Z with Z ~ N(0, I); its ``t``, if given, is
-    T(x) as the caller already evaluated it, and the oracle reads it instead
-    of evaluating T again.
+    ``block(..., error=True)`` draws the average error of ``size`` draws
+    from its law, (scale / sqrt(size)) Z with Z ~ N(0, I).
     """
 
-    exact_mean = True
+    exact_error = True
 
     def __init__(self, mean_operator, n, scale):
         self.mean_operator = mean_operator
@@ -37,17 +43,13 @@ class AdditiveGaussianOracle:
     def __call__(self, rng, x, size):
         return self.block(rng, x, size, slice(None))
 
-    def block(self, rng, x, size, sl, mean=False, t=None):
+    def block(self, rng, x, size, sl, error=False):
         # Additive noise is coordinatewise independent: an agent holding its
         # own stream may draw only the components it consumes.
-        if t is None:
-            t = self.mean_operator(x)
-        t = np.asarray(t, dtype=float)[sl]
-        shape = t.shape if mean else (size,) + t.shape
-        if self.scale == 0.0:
-            return np.broadcast_to(t, shape).copy()
-        scale = self.scale / math.sqrt(size) if mean else self.scale
-        return t + scale * rng.standard_normal(shape)
+        if error:
+            return _normal(rng, (len(range(self.n)[sl]),), self.scale / math.sqrt(size))
+        t = np.asarray(self.mean_operator(x), dtype=float)[sl]
+        return t + _normal(rng, (size,) + t.shape, self.scale)
 
 
 class LinearMatrixNoiseOracle:
@@ -55,13 +57,11 @@ class LinearMatrixNoiseOracle:
     where ``mean_operator`` is T(x) = Abar x.
 
     Row i of E(xi) x is N(0, scale^2 ||x||^2) and the rows are independent,
-    so ``block(..., mean=True)`` draws the mean of ``size`` draws as
-    Abar x + (scale ||x|| / sqrt(size)) Z; its ``t``, if given, is T(x) as
-    the caller already evaluated it, and the oracle reads it instead of
-    evaluating T again.
+    so ``block(..., error=True)`` draws the average error of ``size`` draws
+    as (scale ||x|| / sqrt(size)) Z.
     """
 
-    exact_mean = True
+    exact_error = True
 
     def __init__(self, mean_operator, scale):
         self.mean_operator = mean_operator
@@ -70,30 +70,24 @@ class LinearMatrixNoiseOracle:
     def __call__(self, rng, x, size):
         return self.block(rng, x, size, slice(None))
 
-    def block(self, rng, x, size, sl, mean=False, t=None):
+    def block(self, rng, x, size, sl, error=False):
         # Row blocks of E(xi) are independent, so an agent's draws need only
         # the rows feeding its components.
-        if t is None:
-            t = self.mean_operator(x)
-        t = np.asarray(t, dtype=float)[sl]
-        shape = t.shape if mean else (size,) + t.shape
-        if self.scale == 0.0:
-            return np.broadcast_to(t, shape).copy()
-        if mean:
-            spread = self.scale * math.sqrt(float(np.dot(x, x)) / size)
-            return t + spread * rng.standard_normal(shape)
-        noise = rng.standard_normal(shape + (len(x),))
-        return t + self.scale * noise @ x
+        if error:
+            spread = self.scale * math.sqrt(float(np.vecdot(x, x)) / size)
+            return _normal(rng, (len(range(len(x))[sl]),), spread)
+        t = np.asarray(self.mean_operator(x), dtype=float)[sl]
+        return t + _normal(rng, (size,) + t.shape + (len(x),), self.scale) @ x
 
 
 class ConstantOracle:
     """F(xi, x) = xi, a zero-mean random constant; T is identically zero.
 
-    ``block(..., mean=True)`` draws the mean of ``size`` draws as
+    ``block(..., error=True)`` draws the average of ``size`` draws as
     (sigma / sqrt(size)) Z.
     """
 
-    exact_mean = True
+    exact_error = True
 
     def __init__(self, sigma, n=1):
         self.sigma = float(sigma)
@@ -102,13 +96,11 @@ class ConstantOracle:
     def __call__(self, rng, x, size):
         return self.block(rng, x, size, slice(None))
 
-    def block(self, rng, x, size, sl, mean=False):
-        nb = len(range(*sl.indices(self.n)))
-        shape = (nb,) if mean else (size, nb)
-        if self.sigma == 0.0:
-            return np.zeros(shape)
-        sigma = self.sigma / math.sqrt(size) if mean else self.sigma
-        return sigma * rng.standard_normal(shape)
+    def block(self, rng, x, size, sl, error=False):
+        shape = (len(range(self.n)[sl]),)
+        if error:
+            return _normal(rng, shape, self.sigma / math.sqrt(size))
+        return _normal(rng, (size,) + shape, self.sigma)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -165,7 +157,10 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
     M = rng.standard_normal((n, n)) / np.sqrt(n)
     abar = M.T @ M
     B = n * noise_scale ** 2 * np.eye(n)
-    fset = {"orthant": NonnegativeOrthant(n), "whole_space": WholeSpace(n)}[feasible]
+    sets = {"orthant": NonnegativeOrthant, "whole_space": WholeSpace}
+    if feasible not in sets:
+        raise InvalidParameters(f"feasible must be one of {sorted(sets)}, got {feasible!r}")
+    fset = sets[feasible](n)
     L = _spectral_norm(abar)
     sigma_star = float(np.sqrt(n) * noise_scale)  # sqrt(lambda_max(B))
     mean_op = lambda x, A=abar: np.matvec(A, np.asarray(x, dtype=float))

@@ -19,6 +19,7 @@ from .errors import (
     InfeasibleAffine,
     InvalidParameters,
     from_document,
+    typed,
 )
 
 
@@ -346,15 +347,18 @@ def set_distance(fset: FeasibleSet, x):
     return np.linalg.norm(x - fset.project(x), axis=-1)
 
 
-def feasible_set_from_config(cfg) -> FeasibleSet:
-    """Build a descriptor from its JSON form (see :meth:`FeasibleSet.to_config`):
-    a ``variant`` of :data:`VARIANTS` and its class's constructor fields."""
-    cfg = dict(cfg)
+def feasible_set_from_config(cfg, key="set", where="problem") -> FeasibleSet:
+    """Build a descriptor from its JSON form (see :meth:`FeasibleSet.to_config`),
+    the value of ``key`` in section ``where``: a ``variant`` of
+    :data:`VARIANTS` and its class's constructor fields."""
+    cfg = typed(cfg, "dict", key, where)
     kind = cfg.pop("variant", None)
     if kind not in VARIANTS:
         raise ConfigError(f"unknown feasible-set variant {kind!r}")
-    parts = lambda docs: tuple(map(feasible_set_from_config, docs))
-    return from_document(VARIANTS[kind], cfg, f"variant {kind!r}", parts=parts)
+    where = f"variant {kind!r}"
+    parts = lambda docs: tuple(feasible_set_from_config(d, "each part", where)
+                               for d in typed(docs, "list", "parts", where))
+    return from_document(VARIANTS[kind], cfg, where, parts=parts, sizes="list[int]")
 
 
 VARIANTS = {

@@ -135,15 +135,15 @@ def _stepper(plan: RunPlan):
     ``run`` and ``martingale_probe`` both advance through it.
 
     A stage draws each of its draw sets on its own stream and bills N_{k,i}
-    calls for it, whether the average is drawn from the exact law or from
-    the draws themselves (see ``ProblemInstance.route``, resolved here once
-    per run); the plan's ``cum_calls`` holds the sums.  Each set's average
-    fills its block of the stage mean.  A non-finite average raises.  When
-    the oracle shares the problem's mean operator, a stage evaluates T once
-    at its point and hands it to every draw set.
+    calls for it, whether the average is T plus an error drawn from the
+    exact law or that of the draws themselves (see ``ProblemInstance.route``,
+    resolved here once per run); the plan's ``cum_calls`` holds the sums.
+    Each set's average fills its block of the stage mean.  A non-finite
+    average raises.  When the problem has a mean operator, a stage
+    evaluates T once at its point and hands it to every draw set.
     """
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
-    T = problem.mean_operator if problem.oracle_shares_mean_operator else None
+    T = problem.mean_operator
     stream, proj = streams(plan.config.master_seed), problem.feasible_set.project
     sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl, mean=True))
                  for i, sl in plan.draw_sets)

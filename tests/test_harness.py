@@ -108,6 +108,26 @@ def incomplete_documents(fejer):
         "radius must be a number in variant 'ball', got 'wide'"),
               ("probe", dict(fejer, replications=2.5),
                "replications must be an integer in fejer_audit params")]
+    # values no constructor parameter holds: a problem's set or its parts,
+    # the merits section, a generator's choice of set and the constants eps
+    cases += [("experiment", experiment_doc(problem=dict(problem, set=fset)), named)
+              for fset, named in [
+                  (5, "set must be an object in problem kind 'strongly_monotone', got 5"),
+                  ({"variant": "cartesian", "sizes": [1, 2], "parts": 5},
+                   "parts must be a list in variant 'cartesian', got 5"),
+                  ({"variant": "cartesian", "sizes": 3, "parts": []},
+                   "sizes must be a list of integers in variant 'cartesian'"),
+                  ({"variant": "cartesian", "sizes": [3], "parts": [5]},
+                   "each part must be an object in variant 'cartesian', got 5")]]
+    cases += [("experiment", experiment_doc(merits=5),
+               "merits must be an object in experiment config, got 5"),
+              ("solve", experiment_doc(problem={"kind": "linear_svi", "n": 3,
+                                                "feasible": "box"}),
+               "feasible must be one of ['orthant', 'whole_space'], got 'box'"),
+              ("constants", dict(CONSTANTS_DOC, eps="x"),
+               "eps must be a number in constants document, got 'x'"),
+              ("constants", dict(CONSTANTS_DOC, run_summary=5),
+               "run_summary must be a string or null in constants document")]
     return cases
 
 
@@ -240,6 +260,24 @@ class TestRunExperiment:
         for k in range(10):
             want += 2 * math.ceil((k + 3) * math.log(k + 3) ** 2)
         assert res.cum_calls[10] == want
+
+    def test_calls_column_is_the_plan_when_replications_stop_apart(self, tmp_path):
+        """Replications that stop early at different k: the calls column is
+        the plan's schedule, not replication 0's held at its last value."""
+        doc = experiment_doc(
+            problem={"kind": "strongly_monotone", "n": 2, "seed": 5, "noise_scale": 0.5},
+            solver={"stepsize": 0.25, "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+                    "max_iterations": 60, "master_seed": 7, "residual_floor": 3e-5},
+            replications=8, x0=None, rate_fit_window=None)
+        cfg = experiment_from_config(doc)
+        res = run_experiment(cfg)
+        steps = [t.n_steps for t in res.traces]
+        assert steps[0] < max(steps) < 60
+        want = validate(cfg.problem, cfg.solver).cum_calls
+        assert res.cum_calls.tolist() == want.tolist()
+        res.to_csv(tmp_path / "e.csv")
+        rows = (tmp_path / "e.csv").read_text().splitlines()
+        assert [int(r.rsplit(",", 1)[1]) for r in rows[1:]] == want.tolist()
 
     def test_k_eps_monotone_in_eps(self):
         cfg = experiment_from_config(experiment_doc(replications=3))

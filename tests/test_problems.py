@@ -63,27 +63,43 @@ def test_call_is_the_full_block(name, size, seed):
     assert np.array_equal(rng1.standard_normal(3), rng2.standard_normal(3))
 
 
+SPREADS = {  # the exact law's spread of a stage error, as each oracle forms it
+    "additive": lambda o, x, size: o.scale / math.sqrt(size),
+    "linear_matrix": lambda o, x, size: o.scale * math.sqrt(float(np.vecdot(x, x)) / size),
+    "constant": lambda o, x, size: o.sigma / math.sqrt(size),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BUILTIN_ORACLES)), size=st.integers(1, 10 ** 6),
+       seed=st.integers(0, 2 ** 31 - 1), sl=st.sampled_from([slice(None), slice(1, 3)]))
+def test_stage_error_is_the_spread_times_the_stream_normals(name, size, seed, sl):
+    """``block(..., error=True)`` is the spread times the next normals of the
+    stage's stream, bit for bit: one normal per coordinate of the block."""
+    oracle = BUILTIN_ORACLES[name]().oracle
+    x = np.random.default_rng(seed).standard_normal(4)
+    rng1, rng2 = (derive_stream(seed) for _ in range(2))
+    want = SPREADS[name](oracle, x, size) * rng2.standard_normal(len(range(4)[sl]))
+    assert oracle.block(rng1, x, size, sl, error=True).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_ORACLES))
 @pytest.mark.parametrize("sl", [None, slice(1, 3)], ids=["full", "block"])
 @pytest.mark.parametrize("size", [1, 7, 200])
 def test_exact_mean_matches_draws_in_distribution(name, sl, size):
-    """Two-sample check at a point with ||x|| != 1: averages drawn from the
-    exact law and averages of ``size`` drawn rows agree in mean and in
-    per-coordinate variance within 4 standard errors."""
+    """Two-sample check at a point with ||x|| != 1: stage averages T(x) plus
+    an error drawn from the exact law and averages of ``size`` drawn rows
+    agree in mean and in per-coordinate variance within 4 standard errors."""
     p = BUILTIN_ORACLES[name]()
-    assert p.oracle.exact_mean
+    assert p.oracle.exact_error
     x = np.array([1.5, -0.5, 2.0, 0.25])
+    t = p.mean_operator(x)
+    exact_route, draw_route = p.route(sl, mean=True), p.route(sl)
     R = 2000
     exact, draws = [], []
     for r in range(R):
-        rng1 = derive_stream(1, replication=r)
-        rng2 = derive_stream(2, replication=r)
-        # the exact law is reached through block only, slice(None) for the point
-        exact.append(p.oracle.block(rng1, x, size, sl or slice(None), mean=True))
-        if sl is None:
-            draws.append(p.oracle(rng2, x, size).mean(axis=0))
-        else:
-            draws.append(p.oracle.block(rng2, x, size, sl).mean(axis=0))
+        exact.append(exact_route(derive_stream(1, replication=r), x, size, t))
+        draws.append(draw_route(derive_stream(2, replication=r), x, size).mean(axis=0))
     exact = np.array(exact)
     draws = np.array(draws)
     assert exact.shape == draws.shape == (R, 4 if sl is None else 2)

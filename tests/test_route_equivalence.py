@@ -64,7 +64,7 @@ def configs():
 
 def per_draw(problem):
     """The problem with its oracle behind a plain function: no ``block``, no
-    ``exact_mean``, so every stage draws its samples and averages them."""
+    ``exact_error``, so every stage draws its samples and averages them."""
     oracle = problem.oracle
     return replace(problem, oracle=lambda rng, x, size: oracle(rng, x, size))
 
@@ -100,10 +100,10 @@ def test_exact_route_matches_per_draw_route_in_distribution(name, per_draw_final
 
 
 class WithoutRootN(AdditiveGaussianOracle):
-    """A faulty additive law: the stage average keeps the noise of one draw."""
+    """A faulty additive law: the stage error keeps the noise of one draw."""
 
-    def block(self, rng, x, size, sl, mean=False, t=None):
-        return super().block(rng, x, 1 if mean else size, sl, mean, t)
+    def block(self, rng, x, size, sl, error=False):
+        return super().block(rng, x, 1 if error else size, sl, error)
 
 
 def test_gate_rejects_a_law_without_root_n(per_draw_finals):
@@ -115,13 +115,12 @@ def test_gate_rejects_a_law_without_root_n(per_draw_finals):
 
 
 class WithoutNorm(LinearMatrixNoiseOracle):
-    """A faulty linear law: the stage average's spread drops ||x||."""
+    """A faulty linear law: the stage error's spread drops ||x||."""
 
-    def block(self, rng, x, size, sl, mean=False, t=None):
-        if not mean:
-            return super().block(rng, x, size, sl, t=t)
-        t = np.asarray(self.mean_operator(x) if t is None else t)[sl]
-        return t + self.scale / np.sqrt(size) * rng.standard_normal(t.shape)
+    def block(self, rng, x, size, sl, error=False):
+        if not error:
+            return super().block(rng, x, size, sl)
+        return self.scale / np.sqrt(size) * rng.standard_normal(len(range(len(x))[sl]))
 
 
 def test_gate_rejects_a_linear_law_without_the_norm(per_draw_finals):

@@ -2,7 +2,9 @@
 
 ``np.vecdot``, ``np.matvec`` and ``np.vecmat`` give each row of a batch its
 single-point product bit for bit, as the stacked ``[..., None]`` products of
-``reference_impls`` do; the package writes every row-wise product with them.
+``reference_impls`` do; the package writes every row-wise product with them,
+and single-point inner products too, since ``np.dot`` (a BLAS call) need not
+round as a row of ``np.vecdot`` does.
 """
 
 import ast
@@ -58,7 +60,7 @@ def test_gufuncs_equal_stacked_products_bitwise(n, batch):
 
 def stacked_products(source):
     """Lines of ``source`` that apply ``@`` (or ``np.matmul``) to an operand
-    subscripted with ``None``, or define a name ``inner``."""
+    subscripted with ``None``, call ``dot``, or define a name ``inner``."""
     def expanded(node):
         return isinstance(node, ast.Subscript) and any(
             isinstance(e, ast.Constant) and e.value is None for e in ast.walk(node.slice))
@@ -69,7 +71,7 @@ def stacked_products(source):
             hit = expanded(node.left) or expanded(node.right)
         elif isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            hit = name == "matmul" and any(map(expanded, node.args))
+            hit = name == "dot" or name == "matmul" and any(map(expanded, node.args))
         elif isinstance(node, ast.FunctionDef):
             hit = node.name == "inner"
         elif isinstance(node, ast.Assign):
@@ -93,6 +95,8 @@ def test_no_module_stacks_products_by_hand():
     "r = np.matmul(A, x[..., None])",
     "def inner(a, b):\n    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]",
     "inner = np.vecdot",
+    "spread = scale * math.sqrt(float(np.dot(x, x)) / size)",
+    "r = x.dot(y)",
 ])
 def test_scan_flags_the_stacked_idiom(source):
     assert stacked_products(source)

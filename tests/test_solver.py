@@ -193,7 +193,7 @@ class TestCartesianConsistency:
 
     def test_centralized_blocks_match_monolithic_bitwise_per_draw(self):
         """The same equality when every draw is made and averaged: a plain
-        function oracle carries no exact_mean marker."""
+        function oracle carries no exact_error marker."""
         p1 = gen_strongly_monotone(5, seed=7, noise_scale=1.0, center=np.zeros(5),
                                    feasible=Box(-2 * np.ones(5), 2 * np.ones(5)))
         p1 = replace(p1, oracle=lambda rng, x, size, o=p1.oracle: o(rng, x, size))
@@ -337,7 +337,7 @@ class TestMartingaleProbe:
 
 def user_problem(oracle, blocks=()):
     """Identity operator sampled through a plain-function oracle (no
-    ``block`` method, no ``exact_mean`` marker)."""
+    ``block`` method, no ``exact_error`` marker)."""
     T = lambda x: np.asarray(x, dtype=float)
     return ProblemInstance(dimension=3, oracle=oracle, mean_operator=T,
                            lipschitz_L=1.0, feasible_set=WholeSpace(3),
@@ -355,7 +355,7 @@ def odd_state_identity(rng, x, size):
 
 class PerDrawBlock:
     """Per-draw oracle whose ``block`` draws only the block's columns (no
-    ``exact_mean`` marker): a block comes from ``block``, not from slicing."""
+    ``exact_error`` marker): a block comes from ``block``, not from slicing."""
 
     def __call__(self, rng, x, size):
         return self.block(rng, x, size, slice(None))
@@ -365,8 +365,8 @@ class PerDrawBlock:
         return x + 0.5 * rng.standard_normal((size, len(x)))
 
 
-def exact_mean_problem(blocks):
-    """Built-in additive Gaussian oracle: stage means from the exact law."""
+def exact_error_problem(blocks):
+    """Built-in additive Gaussian oracle: stage errors from the exact law."""
     return gen_strongly_monotone(3, seed=0, noise_scale=0.5).with_blocks(blocks)
 
 
@@ -380,8 +380,8 @@ class TestStageMean:
                      "centralized", id="centralized"),
         pytest.param(lambda: user_problem(TestStageMean.noisy_identity, (2, 1)),
                      "distributed", id="distributed"),
-        pytest.param(lambda: exact_mean_problem((3,)), "centralized", id="exact-centralized-m1"),
-        pytest.param(lambda: exact_mean_problem((1, 1, 1)), "distributed",
+        pytest.param(lambda: exact_error_problem((3,)), "centralized", id="exact-centralized-m1"),
+        pytest.param(lambda: exact_error_problem((1, 1, 1)), "distributed",
                      id="exact-distributed-m3"),
         pytest.param(lambda: user_problem(odd_state_identity, (2, 1)), "centralized",
                      id="odd_state-centralized"),
@@ -407,8 +407,9 @@ class TestStageMean:
             for i, sl in blocks:
                 rng = derive_stream(5, 3, k, stage, i)
                 n = int(plan.sizes[k, i])
-                if getattr(p.oracle, "exact_mean", False):
-                    out.append(p.oracle.block(rng, point, n, sl, mean=True))
+                if getattr(p.oracle, "exact_error", False):
+                    t = p.mean_operator(point)[sl]
+                    out.append(t + p.oracle.block(rng, point, n, sl, error=True))
                 elif coordination == "distributed" and hasattr(p.oracle, "block"):
                     out.append(p.oracle.block(rng, point, n, sl).mean(axis=0))
                 else:
@@ -458,22 +459,22 @@ class TestStageMean:
     class NarrowBlock:
         """Full draws are right; ``block`` returns one column for any block."""
 
-        exact_mean = False
+        exact_error = False
 
-        def __call__(self, rng, x, size, mean=False):
-            draws = np.asarray(x, dtype=float) + 0.5 * rng.standard_normal((size, len(x)))
-            return draws.mean(axis=0) if mean else draws
+        def __call__(self, rng, x, size):
+            return np.asarray(x, dtype=float) + 0.5 * rng.standard_normal((size, len(x)))
 
-        def block(self, rng, x, size, sl, mean=False):
-            out = self(rng, x, size, mean)[..., sl]
-            return out[..., 0] if mean else out[:, :1]
+        def block(self, rng, x, size, sl, error=False):
+            if error:
+                return 0.5 / np.sqrt(size) * rng.standard_normal()
+            return self(rng, x, size)[:, sl][:, :1]
 
-    @pytest.mark.parametrize("exact_mean", [False, True], ids=["per_draw", "exact"])
-    def test_wrong_block_width_raises(self, exact_mean):
+    @pytest.mark.parametrize("exact_error", [False, True], ids=["per_draw", "exact"])
+    def test_wrong_block_width_raises(self, exact_error):
         # a 2-wide block answered with width 1 (per draw) or a scalar (exact
-        # mean) would broadcast into the block unnoticed
+        # error) would broadcast into the block unnoticed
         oracle = self.NarrowBlock()
-        oracle.exact_mean = exact_mean
+        oracle.exact_error = exact_error
         with pytest.raises(OracleFailure, match="block"):
             run(validate(user_problem(oracle, blocks=(2, 1)),
                          default_config(coordination="distributed", max_iterations=3)),
@@ -525,20 +526,27 @@ class TestOracleBilling:
         assert seen["calls"] == R * K * 2 * len(plan.draw_sets)
 
 
+def counting(T):
+    """``T`` behind a wrapper that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return T(x)
+
+    return counted, calls
+
+
 class TestSharedMeanOperator:
-    """A stage evaluates T once at its point for all of its draw sets, and
-    ``run`` hands T(x^k) to both the residual and the first stage; an oracle
-    centred on any other callable keeps its own law."""
+    """A stage evaluates the problem's T once at its point for all of its
+    draw sets, and ``run`` hands T(x^k) to both the residual and the first
+    stage.  An ``exact_error`` oracle draws only the stage error, so the
+    operator it is centred on is never evaluated on that route."""
 
     @staticmethod
     def counted(noise=1.0, blocks=(5,)):
         base = gen_strongly_monotone(5, seed=3, noise_scale=noise, center=np.zeros(5))
-        calls = [0]
-
-        def T(x):
-            calls[0] += 1
-            return base.mean_operator(x)
-
+        T, calls = counting(base.mean_operator)
         problem = replace(base, oracle=AdditiveGaussianOracle(T, 5, noise), mean_operator=T)
         return problem.with_blocks(blocks), calls
 
@@ -548,7 +556,6 @@ class TestSharedMeanOperator:
         # x^0..x^K for the residual (x^k also for stage 1), z^0..z^(K-1) for stage 2
         K = 12
         problem, calls = self.counted(blocks=blocks)
-        assert problem.oracle_shares_mean_operator
         plan = validate(problem, default_config(coordination=coordination, max_iterations=K,
                                                 residual_floor=0.0, diagnostics=False))
         calls[0] = 0
@@ -557,21 +564,33 @@ class TestSharedMeanOperator:
         assert calls[0] == 2 * K + 1
 
     @pytest.mark.parametrize("coordination, blocks",
+                             [("centralized", (5,)), ("distributed", (2, 2, 1))])
+    def test_oracle_on_a_distinct_callable_evaluates_no_T(self, coordination, blocks):
+        """An oracle centred on an equal but distinct callable: a run
+        evaluates the problem's T 2K+1 times and the oracle's own never."""
+        base = gen_strongly_monotone(5, seed=3, noise_scale=1.0, center=np.zeros(5))
+        T, calls = counting(base.mean_operator)
+        own, own_calls = counting(base.mean_operator)
+        problem = replace(base, oracle=AdditiveGaussianOracle(own, 5, 1.0), mean_operator=T)
+        K = 12
+        plan = validate(problem.with_blocks(blocks), default_config(
+            coordination=coordination, max_iterations=K, residual_floor=0.0,
+            diagnostics=False))
+        calls[0] = own_calls[0] = 0
+        trace = run(plan, replication=1, x0=np.ones(5))
+        assert trace.n_steps == K and not trace.stopped_early
+        assert (calls[0], own_calls[0]) == (2 * K + 1, 0)
+
+    @pytest.mark.parametrize("coordination, blocks",
                              [("centralized", (8,)), ("distributed", (3, 3, 2))])
     def test_linear_oracle_reads_T_it_is_handed(self, coordination, blocks):
-        """Linear SVI shares its T with its oracle, so a run evaluates T
-        2K+1 times and the oracle forms no product Abar x of its own."""
-        assert gen_linear_svi(8).oracle_shares_mean_operator
+        """A linear SVI run evaluates the problem's T 2K+1 times, and its
+        oracle forms no product Abar x of its own."""
         base = gen_linear_svi(8, seed=3, noise_scale=0.2)
-        calls = [0]
-
-        def T(x):
-            calls[0] += 1
-            return base.mean_operator(x)
-
-        problem = replace(base, oracle=LinearMatrixNoiseOracle(T, 0.2), mean_operator=T)
+        T, calls = counting(base.mean_operator)
+        own, own_calls = counting(base.mean_operator)
+        problem = replace(base, oracle=LinearMatrixNoiseOracle(own, 0.2), mean_operator=T)
         problem = problem.with_blocks(blocks)
-        assert problem.oracle_shares_mean_operator
         K = 12
         plan = validate(problem, default_config(
             coordination=coordination, max_iterations=K, residual_floor=0.0,
@@ -579,21 +598,21 @@ class TestSharedMeanOperator:
         calls[0] = 0
         trace = run(plan, replication=1, x0=np.ones(8))
         assert trace.n_steps == K and not trace.stopped_early
-        assert calls[0] == 2 * K + 1
+        assert (calls[0], own_calls[0]) == (2 * K + 1, 0)
         # a noiseless stage mean is the t it was handed, not a product of its own
-        quiet, t = LinearMatrixNoiseOracle(T, 0.0), np.arange(8.0)
-        for sl in (slice(None), slice(3, 6)):
-            out = quiet.block(None, np.ones(8), 4, sl, mean=True, t=t)
-            assert out.tobytes() == t[sl].tobytes()
+        quiet, t = replace(problem, oracle=LinearMatrixNoiseOracle(own, 0.0)), np.arange(8.0)
+        for sl in (None, slice(3, 6)):
+            out = quiet.route(sl, mean=True)(None, np.ones(8), 4, t)
+            assert out.tobytes() == t[sl or slice(None)].tobytes()
+        assert own_calls[0] == 0
 
     @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
     def test_sharing_changes_no_bit(self, coordination):
-        """An oracle centred on an equal but distinct callable evaluates T
-        itself; the traces agree bit for bit."""
+        """An oracle centred on an equal but distinct callable gives the
+        same traces bit for bit."""
         problem, _ = self.counted(blocks=(2, 2, 1))
         T = problem.mean_operator
         own = replace(problem, oracle=AdditiveGaussianOracle(lambda x: T(x), 5, 1.0))
-        assert not own.oracle_shares_mean_operator
         cfg = default_config(coordination=coordination, max_iterations=15)
         a, b = (run(validate(p, cfg), replication=2, x0=np.ones(5)) for p in (problem, own))
         for field in ("iterates", "r2", "z", "eps2", "A", "cum_calls"):
@@ -601,55 +620,73 @@ class TestSharedMeanOperator:
 
     @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
     def test_oracle_on_another_operator_keeps_its_law(self, coordination):
+        """The exact-error route centres every stage on the problem's T; an
+        oracle centred on another operator keeps its own law once it drops
+        the marker, since its draws are then averaged."""
         base = gen_strongly_monotone(5, seed=3, noise_scale=0.0, center=np.zeros(5))
         T = base.mean_operator
-        problem = replace(base, oracle=AdditiveGaussianOracle(lambda x: T(x) + 1.0, 5, 0.0))
-        problem = problem.with_blocks((2, 2, 1))
-        assert not problem.oracle_shares_mean_operator
-        advance = _stepper(validate(problem, default_config(coordination=coordination)))
+        oracle = AdditiveGaussianOracle(lambda x: T(x) + 1.0, 5, 0.0)
         x = np.linspace(-1.0, 1.5, 5)
-        z, g1, g2, _ = advance(0, 0, x, T(x))
-        assert g1.tobytes() == (T(x) + 1.0).tobytes()
-        assert g2.tobytes() == (T(z) + 1.0).tobytes()
+        for exact_error, shift in ((True, 0.0), (False, 1.0)):
+            oracle.exact_error = exact_error
+            problem = replace(base, oracle=oracle).with_blocks((2, 2, 1))
+            advance = _stepper(validate(problem, default_config(coordination=coordination)))
+            z, g1, g2, _ = advance(0, 0, x, T(x))
+            np.testing.assert_allclose(g1, T(x) + shift, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(g2, T(z) + shift, rtol=1e-15, atol=0.0)
 
-    def test_exact_mean_oracle_without_t_is_called_without_it(self):
-        """A user exact-mean oracle that takes no ``t`` is called as before."""
+    def test_oracle_with_the_old_marker_is_not_shifted(self):
+        """An oracle written to the former ``exact_mean`` contract, whose
+        ``block(..., mean=True)`` returned the whole average, takes the
+        per-draw route: its draws are averaged and never shifted by T(x)."""
 
-        class Shifted:
+        class OldContract:
             exact_mean = True
 
-            def __call__(self, rng, x, size, mean=False):
-                return self.block(rng, x, size, slice(None), mean)
+            def __call__(self, rng, x, size):
+                return self.block(rng, x, size, slice(None))
 
             def block(self, rng, x, size, sl, mean=False):
-                return np.asarray(x, dtype=float)[sl] + 0.5
+                shifted = np.asarray(x, dtype=float)[sl] + 0.5
+                return shifted if mean else np.tile(shifted, (size, 1))
 
-        problem = replace(identity_problem(n=3), oracle=Shifted()).with_blocks((1, 2))
+        problem = replace(identity_problem(n=3), oracle=OldContract()).with_blocks((1, 2))
         x = np.array([1.0, -2.0, 0.25])
         for sl in (None, slice(1, 3)):
-            out = problem.route(sl, mean=True)(None, x, 4, t=np.zeros(3))
+            out = problem.route(sl, mean=True)(None, x, 4, problem.mean_operator(x))
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
+        for coordination in ("centralized", "distributed"):
+            advance = _stepper(validate(problem, default_config(coordination=coordination)))
+            _, g1, _, _ = advance(0, 4, x)
+            assert g1.tobytes() == (x + 0.5).tobytes()
 
-    def test_exact_mean_oracle_without_block_is_rejected(self):
+    def test_exact_error_oracle_without_block_is_rejected(self):
         """The exact law is reached through ``block`` only, so an oracle that
-        declares ``exact_mean`` without one fails when its route is resolved."""
+        declares ``exact_error`` without one fails when its route is resolved."""
 
         class NoBlock:
-            exact_mean = True
+            exact_error = True
 
-            def __call__(self, rng, x, size, mean=False):
-                return np.asarray(x, dtype=float) if mean else np.tile(x, (size, 1))
+            def __call__(self, rng, x, size):
+                return np.tile(x, (size, 1))
 
         problem = replace(identity_problem(n=3), oracle=NoBlock())
-        with pytest.raises(OracleFailure, match="exact_mean must have a block method"):
+        with pytest.raises(OracleFailure, match="exact_error must have a block method"):
             problem.route(mean=True)
         assert problem.route()(None, np.ones(3), 2).shape == (2, 3)  # draws still work
         with pytest.raises(OracleFailure, match="block method"):
             run(validate(problem, default_config(max_iterations=2)), x0=np.ones(3))
 
+    def test_exact_error_route_needs_t(self):
+        problem, calls = self.counted(blocks=(2, 2, 1))
+        calls[0] = 0
+        for sl in (None, slice(2, 4)):
+            with pytest.raises(InvalidParameters, match="needs t"):
+                problem.route(sl, mean=True)(np.random.default_rng(0), np.ones(5), 4)
+        assert calls[0] == 0
+
     def test_zero_noise_stage_mean_does_not_alias_t(self):
         problem, _ = self.counted(noise=0.0, blocks=(2, 2, 1))
-        assert problem.oracle_shares_mean_operator
         x = np.linspace(-1.0, 1.5, 5)
         t = problem.mean_operator(x)
         kept = t.copy()

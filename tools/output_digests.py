@@ -18,10 +18,10 @@ bits on these runs:
   independent draws and a > 0, and a p = 4 input;
 * ``solver.run`` (replication 0) on each workload config at seed 1 with its
   oracle wrapped so that it draws every sample: as a plain function (no
-  ``block``, no ``exact_mean``; distributed stages slice the full draws) and
-  as an object with ``__call__`` and ``block`` but no ``exact_mean``.  No CLI
+  ``block``, no ``exact_error``; distributed stages slice the full draws) and
+  as an object with ``__call__`` and ``block`` but no ``exact_error``.  No CLI
   run reaches these routes, since every built-in oracle declares
-  ``exact_mean``;
+  ``exact_error``;
 * the batch-mean surrogate of ``harness.effective_mean_operator`` on a
   linear SVI problem built without ``mean_operator``: five rows, 64 draws
   each.  No CLI run reaches it, since every built-in problem has a closed
