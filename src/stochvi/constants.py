@@ -121,64 +121,10 @@ class ConstantsInputs:
 
 
 @dataclass(frozen=True)
-class VarianceModuli:
-    """Per-iteration noise moduli at index k.
-
-    step_noise = alpha C sigma; reduced_step_noise = step_noise *
-    sqrt(a_coef / N_k); fejer_noise_coeff is the exact coefficient of the
-    (1 + ||x^k - x*||^2)/N_k term of the quasi-Fejer recursion; its uniform
-    counterpart is (16 + rho) alpha^2 C_2^2 sigma^2.  martingale_coeff feeds
-    the L^p boundedness certificate (zero at p = 2).
-    """
-
-    k: int
-    harmonic: float
-    step_noise_2: float
-    step_noise_p: float
-    reduced_step_noise_2: float
-    reduced_step_noise_p: float
-    fejer_noise_coeff: float
-    fejer_noise_coeff_uniform: float
-    noise_margin_2: float
-    noise_margin_p: float
-    martingale_coeff: float
-    step_noise_sup: float
-
-
-def variance_moduli(inputs: ConstantsInputs, k: int) -> VarianceModuli:
-    """Literal evaluation of the per-iteration constants at index k."""
-    nk = 1.0 / float(inputs.schedule.inverse_series([k])[0][0])
-    alpha, sigma = inputs.alpha, inputs.sigma
-    g2 = alpha * inputs.c2 * sigma
-    gp = alpha * inputs.cp * sigma
-    root = math.sqrt(inputs.a_coef / nk)
-    h2, hp = g2 * root, gp * root
-    c_exact = inputs.a_coef * g2 ** 2 * (
-        32.0 * (1.0 + inputs.L * alpha + h2) ** 2 + 18.0)
-    c_unif = (16.0 + inputs.rho) * alpha ** 2 * inputs.c2 ** 2 * sigma ** 2
-    d2 = inputs.noise_margin
-    dp = 2.0 * inputs.c_remainder * alpha ** 2 * inputs.cp ** 2 * sigma ** 2
-    gtilde = inputs.cp * alpha * sigma
-    if inputs.p == 2:
-        bp = 0.0
-    else:
-        bp = (math.sqrt(3.0 * inputs.b_coef) * inputs.cq * gtilde
-              * ((1.0 + inputs.L * alpha) ** 2
-                 + (3.0 + 2.0 * inputs.L * alpha) * math.sqrt(inputs.a_coef) * gtilde
-                 + 2.0 * inputs.a_coef * gtilde ** 2))
-    return VarianceModuli(
-        k=k, harmonic=nk,
-        step_noise_2=g2, step_noise_p=gp,
-        reduced_step_noise_2=h2, reduced_step_noise_p=hp,
-        fejer_noise_coeff=c_exact, fejer_noise_coeff_uniform=c_unif,
-        noise_margin_2=d2, noise_margin_p=dp,
-        martingale_coeff=bp, step_noise_sup=gtilde)
-
-
-@dataclass(frozen=True)
 class CConsistencyReport:
     """Smallest constant c making the exact per-step noise coefficient obey
-    fejer_noise_coeff / N_k <= c * H_k^2 (1 + H_k^2) over the scanned range,
+    H_k^2 [32 (1 + L alpha + H_k)^2 + 18] <= c H_k^2 (1 + H_k^2) over the
+    scanned range, with H_k = alpha C_2 sigma sqrt(a_coef / N_k),
     together with the first index at which the default becomes admissible."""
 
     default_c: float
@@ -330,9 +276,20 @@ def lp_bound_constants(inputs: ConstantsInputs, gamma: float) -> LpBoundResult:
     """Evaluate the L^p-boundedness certificate at tail mass ``gamma``."""
     if gamma < 0:
         raise InvalidInputs("gamma must be nonnegative")
-    mod = variance_moduli(inputs, 0)
-    bp, dp = mod.martingale_coeff, mod.noise_margin_p
-    beta = bp * math.sqrt(gamma) + dp * gamma + (dp * gamma) ** 2
+    # the p-th noise margin D_p = 2 c alpha^2 C_p^2 sigma^2, and the
+    # martingale coefficient B_p (zero at p = 2) with gtilde = C_p alpha sigma
+    dp = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.cp ** 2 * inputs.sigma ** 2
+    bp = 0.0
+    if inputs.p != 2:
+        gtilde, La = inputs.cp * inputs.alpha * inputs.sigma, inputs.L * inputs.alpha
+        bp = (math.sqrt(3.0 * inputs.b_coef) * inputs.cq * gtilde
+              * ((1.0 + La) ** 2 + (3.0 + 2.0 * La) * math.sqrt(inputs.a_coef) * gtilde
+                 + 2.0 * inputs.a_coef * gtilde ** 2))
+
+    def growth(g):
+        return bp * math.sqrt(g) + dp * g + (dp * g) ** 2
+
+    beta = growth(gamma)
     ok = beta < 1.0
 
     if dp == 0.0 and bp == 0.0:
@@ -341,11 +298,11 @@ def lp_bound_constants(inputs: ConstantsInputs, gamma: float) -> LpBoundResult:
         thresh = GOLDEN_PHI_CAP / dp
     else:
         lo, hi = 0.0, 1.0
-        while bp * math.sqrt(hi) + dp * hi + (dp * hi) ** 2 < 1.0:
+        while growth(hi) < 1.0:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if bp * math.sqrt(mid) + dp * mid + (dp * mid) ** 2 < 1.0:
+            if growth(mid) < 1.0:
                 lo = mid
             else:
                 hi = mid
@@ -463,11 +420,11 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     P = Q_inf + 1.0
 
     ag = schedule.agents[0]
+    lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
+    lg = math.log(ag.mu - 1.0)
     scalar_family = inputs.m == 1 and ag.a == 0
     Q_bar = I_const = complexity = coef_A = coef_B = None
     if scalar_family:
-        lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
-        lg = math.log(ag.mu - 1.0)
         coef_A = lam / (ag.b * lg ** ag.b)
         coef_B = lam ** 2 / ((ag.mu - 1.0) * (1.0 + 2.0 * ag.b) * lg ** (1.0 + 2.0 * ag.b))
         A_combo = inputs.sigma ** 2 * coef_A + inputs.sigma ** 4 * coef_B
@@ -479,7 +436,6 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     # Uniform-over-X family (single-agent schedule shape).
     uQ = uI = uP = uC = None
     if inputs.m == 1:
-        lg = math.log(ag.mu - 1.0)
         unif_tail = 17.0 * inputs.c2 ** 2 * inputs.alpha ** 2 * inputs.sigma ** 2
         sum_min = float(np.sum(min_inv)) + schedule.tail_bound(horizon)
         uQ_inf = 2.0 / rho_val * (d0 ** 2 + unif_tail * sum_min)
@@ -498,7 +454,6 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     a_exps = {a.a for a in schedule.agents}
     b_lo = min(a.b for a in schedule.agents)
     if all(a.a > 0 for a in schedule.agents) and len(a_exps) == 1 and b_lo > -0.5:
-        lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
         a_exp = schedule.agents[0].a
         mu_lo = min(a.mu for a in schedule.agents)
         lg_lo = math.log(mu_lo - 1.0)

@@ -24,21 +24,23 @@ Schema (defaults in parentheses):
       "merits": {"dgap_a": float, "dgap_b": float}   (off unless both given),
       "rate_fit_window": [k_lo, k_hi]   (optional),
       "epsilon": float                  (optional; enables K_eps),
-      "threads": int                    (accepted and ignored)
+      "threads": int                    (optional; read and ignored)
     }
 
-The keys of the ``solver`` section, a schedule entry, a ``set``, a
-constants document and a problem (past ``kind``, ``set`` and ``blocks``)
-are the parameters of ``SolverConfig``, ``AgentSchedule``, the variant's
-class in ``projection.VARIANTS``, ``ConstantsInputs`` and the kind's
-generator (:func:`~stochvi.errors.from_document`); those without a default
+The keys of the document, its ``merits``, the ``solver`` section, a
+schedule entry, a ``set``, a constants document and a problem (past
+``kind``, ``set`` and ``blocks``) are the parameters of ``_experiment``,
+``_merits``, ``SolverConfig``, ``AgentSchedule``, the variant's class in
+``projection.VARIANTS``, ``ConstantsInputs`` and the kind's generator
+(:func:`~stochvi.errors.from_document`); those without a default
 are required, and a value must have the JSON type its annotation names.
 A missing or unknown key, or a value of the wrong type, raises
 ``ConfigError`` naming the key; a value outside its domain a typed error
 such as ``InvalidParameters``.
 
-Replications run serially; ``"threads"`` is accepted and ignored so that
-documents carrying it keep loading with the same config hash.
+Replications run serially; an integer ``"threads"`` is accepted and
+ignored so that documents carrying it keep loading with the same config
+hash.
 A probe document is a ``kind`` plus the parameters of its ``PROBES``
 runner, read the same way; any other key, ``threads`` included, is
 rejected, and so is a document missing a required param or holding an
@@ -132,30 +134,31 @@ def config_hash(document) -> str:
     ).hexdigest()[:16]
 
 
+def _merits(dgap_a: float | None = None, dgap_b: float | None = None):
+    return dgap_a, dgap_b
+
+
+def _experiment(problem: dict, solver: dict, schema_version: int | None = None,
+                replications: int = 1, x0: np.ndarray | None = None, merits: dict = {},
+                rate_fit_window: list[int] | None = None, epsilon: float | None = None,
+                threads: int | None = None) -> dict:
+    """The ``ExperimentConfig`` fields of an experiment document, whose keys
+    are this function's parameters; ``threads`` is read and ignored."""
+    if schema_version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {schema_version!r}")
+    dgap_a, dgap_b = from_document(_merits, merits, "merits")
+    return dict(problem=problem_from_config(problem),
+                solver=solver_config_from_config(solver),
+                replications=replications,
+                x0=None if x0 is None else np.asarray(x0, float),
+                dgap_a=dgap_a, dgap_b=dgap_b,
+                rate_fit_window=None if rate_fit_window is None else tuple(rate_fit_window),
+                epsilon=epsilon)
+
+
 def experiment_from_config(document) -> ExperimentConfig:
-    check_keys(document, {"schema_version", "replications", "x0", "merits",
-                          "rate_fit_window", "epsilon", "threads"},
-               "experiment config", required={"problem", "solver"})
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}")
-    top = lambda key, kind, default=None: typed(document.get(key, default), kind, key,
-                                               "experiment config")
-    merits = top("merits", "dict", {})
-    check_keys(merits, {"dgap_a", "dgap_b"}, "merits")
-    dgap = lambda key: typed(merits.get(key), "float | None", key, "merits")
-    x0, window = top("x0", "np.ndarray | None"), top("rate_fit_window", "list[int] | None")
-    return ExperimentConfig(
-        problem=problem_from_config(document["problem"]),
-        solver=solver_config_from_config(document["solver"]),
-        replications=top("replications", "int", 1),
-        x0=None if x0 is None else np.asarray(x0, float),
-        dgap_a=dgap("dgap_a"),
-        dgap_b=dgap("dgap_b"),
-        rate_fit_window=None if window is None else tuple(window),
-        epsilon=top("epsilon", "float | None"),
-        config_hash=config_hash(document),
-    )
+    return ExperimentConfig(**from_document(_experiment, document, "experiment config"),
+                            config_hash=config_hash(document))
 
 
 def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,

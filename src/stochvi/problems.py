@@ -1,10 +1,10 @@
 """Built-in stochastic test problems with closed-form mean operators.
 
-Each generator returns a frozen :class:`~stochvi.core.ProblemInstance`
-subclass carrying whatever extra structure the problem exposes (noise
-covariance, strong-monotonicity modulus, ...).  Construction randomness is
-seeded independently of the run-time sample streams.  The mean operators
-keep the batched contract of :mod:`stochvi.core`.
+Each generator returns a frozen :class:`~stochvi.core.ProblemInstance`, a
+:class:`MatrixProblem` carrying the mean matrix where the operator is built
+on one.  Construction randomness is seeded independently of the run-time
+sample streams.  The mean operators keep the batched contract of
+:mod:`stochvi.core`.
 """
 
 from __future__ import annotations
@@ -104,40 +104,12 @@ class ConstantOracle:
 
 
 @dataclass(frozen=True, kw_only=True)
-class LinearSVIProblem(ProblemInstance):
-    """F(xi, x) = A(xi) x over an unbounded set: the oracle error variance
-    x^T B x grows quadratically along rays, so no uniform bound exists."""
+class MatrixProblem(ProblemInstance):
+    """A built-in problem whose mean operator is built on the matrix Abar,
+    ``mean_matrix``.  Its oracle holds the noise scale and
+    ``known_solutions[0]`` is its solution."""
 
     mean_matrix: np.ndarray = None
-    covariance_B: np.ndarray = None
-    noise_scale: float = 0.0
-
-
-@dataclass(frozen=True, kw_only=True)
-class ConstantNoiseProblem(ProblemInstance):
-    """Zero-mean random constant operator; every feasible point solves it."""
-
-    sigma: float = 1.0
-
-
-@dataclass(frozen=True, kw_only=True)
-class ScaledMonotoneProblem(ProblemInstance):
-    """T(x) = h(x) Abar x with h > 0: pseudo-monotone (positive scaling
-    preserves the sign of <Abar x, z - x>) but genuinely non-monotone."""
-
-    mean_matrix: np.ndarray = None
-    noise_scale: float = 0.0
-
-
-@dataclass(frozen=True, kw_only=True)
-class StronglyMonotoneQuadratic(ProblemInstance):
-    """T(x) = Abar (x - center) with symmetric part >= modulus * I, so the
-    solution is unique and known in closed form."""
-
-    mean_matrix: np.ndarray = None
-    center: np.ndarray = None
-    strong_modulus: float = 1.0
-    noise_scale: float = 0.0
 
 
 def _spectral_norm(A):
@@ -145,18 +117,19 @@ def _spectral_norm(A):
 
 
 def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
-                   feasible: str = "orthant") -> LinearSVIProblem:
-    """Random positive-semidefinite mean matrix Abar = M^T M with entrywise
-    i.i.d. Gaussian matrix noise of the given scale.
+                   feasible: str = "orthant") -> MatrixProblem:
+    """F(xi, x) = A(xi) x: random positive-semidefinite mean matrix
+    Abar = M^T M with entrywise i.i.d. Gaussian matrix noise of the given
+    scale.
 
     The aggregated noise covariance is B = n * noise_scale^2 * I (each of the
-    n rows contributes a noise_scale^2 * I row covariance), so the variance
-    law x^T B x and its spectral quantities are exact.
+    n rows contributes a noise_scale^2 * I row covariance), so the oracle
+    error variance x^T B x (:func:`variance_at`) grows quadratically along
+    rays: on an unbounded set no uniform bound exists.
     """
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n)) / np.sqrt(n)
     abar = M.T @ M
-    B = n * noise_scale ** 2 * np.eye(n)
     sets = {"orthant": NonnegativeOrthant, "whole_space": WholeSpace}
     if feasible not in sets:
         raise InvalidParameters(f"feasible must be one of {sorted(sets)}, got {feasible!r}")
@@ -164,7 +137,7 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
     L = _spectral_norm(abar)
     sigma_star = float(np.sqrt(n) * noise_scale)  # sqrt(lambda_max(B))
     mean_op = lambda x, A=abar: np.matvec(A, np.asarray(x, dtype=float))
-    return LinearSVIProblem(
+    return MatrixProblem(
         dimension=n,
         oracle=LinearMatrixNoiseOracle(mean_op, noise_scale),
         mean_operator=mean_op,
@@ -173,15 +146,14 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
         known_solutions=(np.zeros(n),),
         variance_profile=VarianceProfile("point", sigma_star),
         mean_matrix=abar,
-        covariance_B=B,
-        noise_scale=float(noise_scale),
         name=f"linear_svi(n={n}, seed={seed}, noise={noise_scale:g})",
     )
 
 
-def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ConstantNoiseProblem:
-    """Zero-mean random constant operator on the whole space (T == 0)."""
-    return ConstantNoiseProblem(
+def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ProblemInstance:
+    """Zero-mean random constant operator on the whole space (T == 0);
+    every feasible point solves it."""
+    return ProblemInstance(
         dimension=n,
         oracle=ConstantOracle(sigma, n),
         mean_operator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -190,7 +162,6 @@ def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ConstantNoiseProblem:
         known_solutions=(np.zeros(n),),
         variance_profile=VarianceProfile("uniform", float(sigma) * np.sqrt(n)),
         solution_set_is_feasible_set=True,
-        sigma=float(sigma),
         name=f"constant_noise(sigma={sigma:g}, n={n})",
     )
 
@@ -198,9 +169,10 @@ def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ConstantNoiseProblem:
 def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
                           strong_modulus: float = 1.0, psd_scale: float = 0.0,
                           skew_scale: float = 0.0, feasible: FeasibleSet | None = None,
-                          center: np.ndarray | None = None) -> StronglyMonotoneQuadratic:
+                          center: np.ndarray | None = None) -> MatrixProblem:
     """T(x) = Abar (x - center), Abar = modulus * I + psd + skew, with
-    additive Gaussian oracle noise; the unique solution is ``center`` when
+    additive Gaussian oracle noise.  The symmetric part of Abar is at least
+    modulus * I, so the solution is unique, and it is ``center`` when
     feasible."""
     rng = np.random.default_rng(seed)
     abar = strong_modulus * np.eye(n)
@@ -216,25 +188,23 @@ def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
     mean_op = lambda x, A=abar, c=center: np.matvec(A, np.asarray(x, dtype=float) - c)
     fset = feasible if feasible is not None else WholeSpace(n)
     sigma_star = float(np.sqrt(n) * noise_scale)
-    return StronglyMonotoneQuadratic(
+    return MatrixProblem(
         dimension=n,
         oracle=AdditiveGaussianOracle(mean_op, n, noise_scale),
         mean_operator=mean_op,
         lipschitz_L=_spectral_norm(abar),
         feasible_set=fset,
-        known_solutions=(center.copy(),),
+        known_solutions=(center,),
         variance_profile=VarianceProfile("uniform", sigma_star),
         mean_matrix=abar,
-        center=center,
-        strong_modulus=float(strong_modulus),
-        noise_scale=float(noise_scale),
         name=f"strongly_monotone(n={n}, seed={seed}, noise={noise_scale:g})",
     )
 
 
 def gen_scaled_monotone(n: int, seed: int = 0,
-                        noise_scale: float = 1.0) -> ScaledMonotoneProblem:
-    """Pseudo-monotone, non-monotone instance T(x) = Abar x / (1 + ||x||^2)."""
+                        noise_scale: float = 1.0) -> MatrixProblem:
+    """T(x) = Abar x / (1 + ||x||^2): the positive scaling preserves the sign
+    of <Abar x, z - x>, so T is pseudo-monotone, but it is not monotone."""
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n)) / np.sqrt(n)
     abar = M.T @ M + 0.1 * np.eye(n)
@@ -246,7 +216,7 @@ def gen_scaled_monotone(n: int, seed: int = 0,
     # |grad T| <= h ||A|| + ||A x|| * 2||x||/(1+||x||^2)^2 <= 1.5 ||A||
     L = 1.5 * _spectral_norm(abar)
     sigma_star = float(np.sqrt(n) * noise_scale)
-    return ScaledMonotoneProblem(
+    return MatrixProblem(
         dimension=n,
         oracle=AdditiveGaussianOracle(mean_op, n, noise_scale),
         mean_operator=mean_op,
@@ -255,7 +225,6 @@ def gen_scaled_monotone(n: int, seed: int = 0,
         known_solutions=(np.zeros(n),),
         variance_profile=VarianceProfile("uniform", sigma_star),
         mean_matrix=abar,
-        noise_scale=float(noise_scale),
         name=f"scaled_monotone(n={n}, seed={seed}, noise={noise_scale:g})",
     )
 
@@ -274,10 +243,11 @@ def gen_negative_control(n: int = 1, noise_scale: float = 0.0) -> ProblemInstanc
     )
 
 
-def variance_at(problem: LinearSVIProblem, x) -> float:
-    """Total oracle-error variance x^T B x of the linear instance."""
+def variance_at(problem: MatrixProblem, x) -> float:
+    """Total oracle-error variance x^T B x = n s^2 ||x||^2 of a linear SVI
+    instance, whose oracle has the entry noise scale s."""
     x = np.asarray(x, dtype=float)
-    return float(x @ problem.covariance_B @ x)
+    return float(problem.dimension * problem.oracle.scale ** 2 * np.vecdot(x, x))
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,6 @@ class SampleSchedule:
             cols.append(np.maximum(np.where(snap, nearest, np.ceil(vals)), 1.0))
         return np.stack(cols, axis=-1)
 
-    def size(self, agent: int, k: int) -> int:
-        """N_{k,i} for one agent; always >= 1 and nondecreasing in k."""
-        return int(self.counts([k])[0, agent])
-
     def sizes_upto(self, k_max: int) -> np.ndarray:
         """Integer array of shape (k_max + 1, m) of per-agent counts.
 

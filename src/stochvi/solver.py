@@ -129,9 +129,10 @@ class RunTrace:
 
 
 def _stepper(plan: RunPlan):
-    """``advance(replication, k, x, t=None) -> (z, g1, g2, x_next)``:
-    iteration k of the plan from ``x``, with the prediction point z^k and the
-    two stage averages; ``t``, if given, is T(x) as the caller evaluated it.
+    """``advance(replication, k, x, t=None) -> (z, g1, g2, x_next, t, tz)``:
+    iteration k of the plan from ``x``, with the prediction point z^k, the
+    two stage averages and the T(x) and T(z^k) the stages used (None without
+    a mean operator); ``t``, if given, is T(x) as the caller evaluated it.
     ``run`` and ``martingale_probe`` both advance through it.
 
     A stage draws each of its draw sets on its own stream and bills N_{k,i}
@@ -164,8 +165,9 @@ def _stepper(plan: RunPlan):
             t = T(x)
         g1 = stage_mean(replication, k, 1, x, t)
         z = proj(x - alpha * g1)
-        g2 = stage_mean(replication, k, 2, z, None if T is None else T(z))
-        return z, g1, g2, proj(x - alpha * g2)
+        tz = None if T is None else T(z)
+        g2 = stage_mean(replication, k, 2, z, tz)
+        return z, g1, g2, proj(x - alpha * g2), t, tz
 
     return advance
 
@@ -182,8 +184,9 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
 
     Deterministic given (master_seed, replication): traces are bit-identical
     across reruns and across serial or concurrent execution.  The plan comes
-    from ``validate``, once for any number of replications.  T(x^k) is
-    evaluated once, for the residual and the first stage.
+    from ``validate``, once for any number of replications.  T is evaluated
+    once per point: T(x^k) serves the residual and the first stage, T(z^k)
+    the second, and both the diagnostics.
     """
     problem, config = plan.problem, plan.config
     n, K = problem.dimension, config.max_iterations
@@ -193,6 +196,7 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
     T, fset, floor, alphas = (problem.mean_operator, problem.feasible_set,
                               config.residual_floor, plan.alphas)
     residual_sq, advance = natural_residual_sq, _stepper(plan)
+    record = config.diagnostics and T is not None  # only diagnostics read the steps
     x = fset.project(x)  # iterates live in X from the start
     iterates, r2, steps = [x], [], []
     stopped, t = False, None
@@ -203,12 +207,13 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
             stopped = bool(k < K and r2[-1] <= floor)
         if k == K or stopped:
             break
-        z, g1, g2, x = advance(replication, k, x, t)
-        steps.append((z, g1, g2))
+        z, g1, g2, x, t, tz = advance(replication, k, x, t)
+        if record:
+            steps.append((z, g1, g2, t, tz))
         iterates.append(x)
 
     iterates = np.array(iterates)
-    n_steps = len(steps)
+    n_steps = len(iterates) - 1
     has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
     trace = RunTrace(
         iterates=iterates,
@@ -221,19 +226,19 @@ def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
         lipschitz_L=problem.lipschitz_L,
         stopped_early=stopped,
     )
-    if config.diagnostics and T is not None:
-        _record_diagnostics(trace, T, np.array(steps).reshape(n_steps, 3, n),
+    if record:
+        _record_diagnostics(trace, np.array(steps, dtype=float).reshape(n_steps, 5, n),
                             problem.known_solutions)
     return trace
 
 
-def _record_diagnostics(trace: RunTrace, T, steps, track):
+def _record_diagnostics(trace: RunTrace, steps, track):
     """Realized errors and the A and M sums (module docstring) from each
-    step's (z, g1, g2).  ``np.cumsum`` adds in order, and A_(k+1) adds its
-    two terms one after the other, so A is a running sum of both, interleaved."""
-    z, g1, g2 = steps.swapaxes(0, 1)
-    e1 = g1 - np.asarray(T(trace.iterates[:-1]), dtype=float)
-    e2 = g2 - np.asarray(T(z), dtype=float)
+    step's (z, g1, g2, T(x^k), T(z^k)).  ``np.cumsum`` adds in order, and
+    A_(k+1) adds its two terms one after the other, so A is a running sum of
+    both, interleaved."""
+    z, g1, g2, t, tz = steps.swapaxes(0, 1)
+    e1, e2 = g1 - t, g2 - tz
     alpha = trace.alphas
     rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
     trace.z, trace.eps2 = z, e2
@@ -349,9 +354,9 @@ def martingale_probe(plan: RunPlan, x, replications: int,
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
     advance, t = _stepper(plan), problem.mean_operator(x)
-    steps = [advance(r, 0, x, t)[:3] for r in range(replications)]
-    z, _, g2 = np.array(steps).swapaxes(0, 1)
-    e2 = g2 - np.asarray(problem.mean_operator(z), dtype=float)
+    steps = [advance(r, 0, x, t) for r in range(replications)]
+    z, _, g2, _, _, tz = (np.array(v, dtype=float) for v in zip(*steps))
+    e2 = g2 - tz
     deltas = 2.0 * plan.alphas[0] * np.vecdot(x_star - z, e2)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))

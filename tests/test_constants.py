@@ -13,7 +13,6 @@ from stochvi.constants import (
     lp_bound_constants,
     rate_and_complexity_bounds,
     rho,
-    variance_moduli,
 )
 from stochvi.errors import InvalidInputs, InvalidStepsize, MissingJ
 from stochvi.sampling import AgentSchedule, SampleSchedule
@@ -45,30 +44,29 @@ class TestRho:
 
 
 class TestVarianceModuli:
+    """The noise margins D and D_p and the martingale coefficient B_p, as
+    the noise margin property and the L^p certificate's growth factor
+    beta = B_p sqrt(gamma) + D_p gamma + (D_p gamma)^2 give them."""
+
     def test_noiseless_degenerate(self):
-        m = variance_moduli(inputs(sigma=0.0), 5)
-        assert m.step_noise_2 == 0 and m.reduced_step_noise_2 == 0
-        assert m.fejer_noise_coeff == 0 and m.noise_margin_2 == 0
-        assert m.martingale_coeff == 0
+        inp = inputs(sigma=0.0, p=4.0, cp=1.2, cq=1.1)
+        res = lp_bound_constants(inp, 1.0)
+        assert inp.noise_margin == 0
+        assert res.growth_factor == 0 and res.gamma_threshold == math.inf
 
     def test_noise_margin_plugin(self):
         # 2 * c * alpha^2 * C2^2 * sigma^2 = 2 * 2 * 0.01 * 1 * 1
         assert inputs().noise_margin == pytest.approx(0.04)
 
-    def test_uniform_coefficient(self):
-        m = variance_moduli(inputs(alpha=0.2), 0)
-        assert m.fejer_noise_coeff_uniform == pytest.approx(
-            (16.0 + rho(0.2, 1.0)) * 0.04)
-
-    def test_reduced_noise_uses_harmonic_count(self):
-        inp = inputs()
-        m = variance_moduli(inp, 0)
-        assert m.harmonic == 4.0  # ceil(3 ln(3)^2)
-        assert m.reduced_step_noise_2 == pytest.approx(m.step_noise_2 / 2.0)
-
     def test_p4_martingale_coeff_positive(self):
-        m = variance_moduli(inputs(p=4.0, cp=1.2, cq=1.1), 0)
-        assert m.martingale_coeff > 0
+        # D_p = 2 * 2 * 0.01 * 1.44 = 0.0576; with gtilde = C_p alpha sigma
+        # = 0.12, B_p = sqrt(3) C_q gtilde ((1 + L alpha)^2 + (3 + 2 L alpha)
+        # gtilde + 2 gtilde^2) for one agent
+        res = lp_bound_constants(inputs(p=4.0, cp=1.2, cq=1.1), 1.0)
+        dp, g = 0.0576, 0.12
+        bp = math.sqrt(3.0) * 1.1 * g * (1.1 ** 2 + 3.2 * g + 2.0 * g ** 2)
+        assert bp > 0
+        assert res.growth_factor == pytest.approx(bp + dp + dp ** 2, rel=1e-12)
 
 
 class TestCConsistency:

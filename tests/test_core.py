@@ -94,7 +94,7 @@ class TestProblemInstance:
                 mean_operator=good.mean_operator,
                 lipschitz_L=good.lipschitz_L,
                 feasible_set=WholeSpace(3),
-                known_solutions=(good.center + 1.0,),
+                known_solutions=(good.known_solutions[0] + 1.0,),
             )
 
     def test_with_blocks_splits_feasible_set(self):

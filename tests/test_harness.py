@@ -128,6 +128,10 @@ def incomplete_documents(fejer):
                "eps must be a number in constants document, got 'x'"),
               ("constants", dict(CONSTANTS_DOC, run_summary=5),
                "run_summary must be a string or null in constants document")]
+    # threads is read and ignored, but only as an integer
+    cases += [("experiment", experiment_doc(threads=value),
+               f"threads must be an integer or null in experiment config, got {value!r}")
+              for value in ("x", [1], True)]
     return cases
 
 

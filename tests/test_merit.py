@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import default_config
 from reference_impls import quadratic_gap_bruteforce
+from stochvi.core import validate
 from stochvi.errors import InvalidParameters, NoKnownSolutions
 from stochvi.merit import (
     d_gap,
@@ -31,6 +33,7 @@ from stochvi.projection import (
     Simplex,
     WholeSpace,
 )
+from stochvi.solver import run
 
 IDENT = lambda x: np.asarray(x, dtype=float)
 R2 = WholeSpace(2)
@@ -128,6 +131,32 @@ class TestDGap:
             gap = d_gap(p.mean_operator, p.feasible_set, x, 1.0, 2.0)
             res = natural_residual_sq(p.mean_operator, p.feasible_set, x, 0.25)
             assert (gap > 1e-12) == (res > 1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_strongly_monotone(5, seed=3, center=np.zeros(5)),
+        lambda: gen_strongly_monotone(5, seed=3, feasible=Box(-np.ones(5), np.ones(5)),
+                                      center=np.array([1.0, 0.5, 0.0, -0.5, -1.0])),
+        lambda: gen_scaled_monotone(5, seed=5, noise_scale=0.5),
+    ], ids=["strongly_monotone", "strongly_monotone_box", "scaled_monotone"])
+    def test_sandwich_on_every_iterate(self, make):
+        """For b > a > 0, (b - a)/2 r^2_{1/b}(x) <= g_a(x) - g_b(x) <=
+        (b - a)/2 r^2_{1/a}(x), with r^2_alpha the squared natural residual
+        (Yamashita, Taji and Fukushima, JOTA 92, 1997): checked to a relative
+        1e-9 of the upper bound on every iterate of a short ensemble."""
+        a, b, R, K = 1.0, 2.0, 10, 100
+        p = make()
+        T, fset = p.mean_operator, p.feasible_set
+        plan = validate(p, default_config(stepsize=0.25 / p.lipschitz_L, max_iterations=K,
+                                          diagnostics=False))
+        X = np.concatenate([run(plan, replication=r, x0=np.full(5, 2.0)).iterates
+                            for r in range(R)])
+        assert len(X) == R * (K + 1)
+        gap = d_gap(T, fset, X, a, b)
+        lower = 0.5 * (b - a) * natural_residual_sq(T, fset, X, 1.0 / b)
+        upper = 0.5 * (b - a) * natural_residual_sq(T, fset, X, 1.0 / a)
+        tol = 1e-9 * upper
+        assert np.all(lower <= gap + tol) and np.all(gap <= upper + tol)
+        assert np.all(upper > 0.0)
 
 
     def test_surrogate_evaluated_once_per_row(self, monkeypatch):

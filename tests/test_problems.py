@@ -118,7 +118,7 @@ class TestLinearSVI:
 
     def test_zero_noise_means_zero_covariance(self):
         p = gen_linear_svi(3, seed=2, noise_scale=0.0)
-        assert np.all(p.covariance_B == 0.0)
+        assert variance_at(p, np.array([5.0, -1.0, 2.0])) == 0.0
 
     def test_variance_quadratic_in_x_scalar_case(self):
         # n = 1 with entry noise variance v: Var F = v x^2
@@ -128,14 +128,7 @@ class TestLinearSVI:
     def test_variance_identity_examples(self):
         p = gen_linear_svi(2, seed=1, noise_scale=1.0 / math.sqrt(2.0))
         # covariance is (n * scale^2) I = I here
-        np.testing.assert_allclose(p.covariance_B, np.eye(2), atol=1e-15)
         assert variance_at(p, np.array([1.0, 1.0])) == pytest.approx(2.0)
-
-    def test_kernel_direction_gives_zero(self):
-        p = gen_linear_svi(3, seed=4, noise_scale=0.2)
-        B = np.diag([0.0, 1.0, 4.0])
-        object.__setattr__(p, "covariance_B", B)
-        assert variance_at(p, np.array([5.0, 0.0, 0.0])) == 0.0
 
     def test_empirical_variance_matches_quadratic_form(self, rng):
         p = gen_linear_svi(4, seed=5, noise_scale=0.4)

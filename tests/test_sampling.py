@@ -23,18 +23,18 @@ from stochvi.sampling import (
 class TestSampleSize:
     def test_minimum_requirement_schedule(self):
         sched = SampleSchedule.uniform(theta=1, mu=3, a=0, b=1)
-        assert sched.size(0, 0) == 4  # ceil(3 ln(3)^2) = ceil(3.6207)
+        assert sched.sizes_upto(0)[0, 0] == 4  # ceil(3 ln(3)^2) = ceil(3.6207)
 
     def test_pure_polynomial_schedule(self):
         sched = SampleSchedule.uniform(theta=2, mu=3, a=1, b=-1)
-        assert sched.size(0, 7) == 200  # ceil(2 * 10^2 * ln(10)^0)
+        assert sched.sizes_upto(7)[7, 0] == 200  # ceil(2 * 10^2 * ln(10)^0)
 
     def test_counts_past_int64_raise(self):
         sched = SampleSchedule.uniform(2.761, 2.555, 1.933, 1.84)
         assert sched.sizes_upto(1000)[-1, 0] > 1
         with pytest.raises(InvalidSchedule, match=r"agent 0: .* at k = \d+ exceeds"):
             sched.sizes_upto(200_000)
-        assert sched.size(0, 200_000) > 2 ** 63  # one count is a Python int
+        assert sched.counts([200_000])[0, 0] > 2.0 ** 63  # a float count does not wrap
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidSchedule):
@@ -72,7 +72,7 @@ class TestHarmonicAggregate:
     def test_unequal_pair(self):
         sched = SampleSchedule((AgentSchedule(1, 3, 0, 1), AgentSchedule(2, 3, 1, -1)))
         agg, per_min = sched.inverse_series([7])
-        assert (sched.size(0, 7), sched.size(1, 7)) == (54, 200)
+        assert sched.counts([7]).tolist() == [[54, 200]]
         assert agg[0] == pytest.approx(1 / 54 + 1 / 200)
         assert per_min[0] == 1 / 54
 
@@ -80,7 +80,7 @@ class TestHarmonicAggregate:
         k = [0, 1, 10, 1000, 10 ** 5]
         agg, per_min = MIXED.inverse_series(k)
         for j, kk in enumerate(k):
-            sizes = [MIXED.size(i, kk) for i in range(3)]
+            sizes = MIXED.counts([kk])[0]
             assert agg[j] == pytest.approx(1 / sizes[0] + 1 / sizes[1] + 1 / sizes[2],
                                            rel=1e-15)
             assert per_min[j] == 1 / min(sizes)
@@ -278,5 +278,5 @@ def test_size_matches_table_and_reference(theta, mu, a, b, k, agent):
     sched = SampleSchedule(tuple(AgentSchedule(*p) for p in params))
     table = sched.sizes_upto(k)
     reference = [sample_count(*params[agent], j) for j in range(k + 1)]
-    assert sched.size(agent, k) == table[k, agent]
+    assert sched.counts([k])[0, agent] == table[k, agent]
     assert table[:, agent].tolist() == reference

@@ -84,7 +84,7 @@ class TestStep:
     def test_call_accounting_single_block(self):
         cfg = default_config(stepsize=0.2)
         trace = first_step(identity_problem(), np.array([1.0]), stepsize=0.2)
-        assert trace.cum_calls[1] == 2 * cfg.schedule.size(0, 0)
+        assert trace.cum_calls[1] == 2 * cfg.schedule.sizes_upto(0)[0, 0]
 
     def test_distributed_call_accounting(self):
         # per-agent counts 4 and 8 at k = 0 give 2 * (4 + 8) = 24 calls
@@ -93,7 +93,7 @@ class TestStep:
         agents = (AgentSchedule(theta=4 / 9, mu=3, a=1, b=-1),
                   AgentSchedule(theta=8 / 9, mu=3, a=1, b=-1))
         schedule = SampleSchedule(agents)
-        assert schedule.size(0, 0) == 4 and schedule.size(1, 0) == 8
+        assert schedule.sizes_upto(0).tolist() == [[4, 8]]
         trace = first_step(p, np.ones(2), schedule=schedule,
                            coordination="distributed", stepsize=0.2)
         assert trace.n_steps == 1 and trace.cum_calls[1] == 24
@@ -418,7 +418,7 @@ class TestStageMean:
 
         x = np.array([0.3, -1.2, 2.0])
         for k in (17, 0, 4, 17):
-            z, g1, g2, _ = advance(3, k, x)
+            z, g1, g2, *_ = advance(3, k, x)
             assert np.array_equal(g1, expected(k, 1, x))
             assert np.array_equal(g2, expected(k, 2, z))
             billed = 2 * sum(int(plan.sizes[k, i]) for i, _ in blocks)
@@ -527,11 +527,12 @@ class TestOracleBilling:
 
 
 def counting(T):
-    """``T`` behind a wrapper that counts its calls in ``calls[0]``."""
+    """``T`` behind a wrapper that counts the points it is evaluated at in
+    ``calls[0]``: one per call on a point, one per row on a batch."""
     calls = [0]
 
     def counted(x):
-        calls[0] += 1
+        calls[0] += int(np.prod(np.shape(x)[:-1]))
         return T(x)
 
     return counted, calls
@@ -562,6 +563,29 @@ class TestSharedMeanOperator:
         trace = run(plan, replication=1, x0=np.ones(5))
         assert trace.n_steps == K and not trace.stopped_early
         assert calls[0] == 2 * K + 1
+
+    @pytest.mark.parametrize("coordination, blocks",
+                             [("centralized", (5,)), ("distributed", (2, 2, 1))])
+    def test_diagnostics_evaluate_no_further_T(self, coordination, blocks):
+        """A diagnostics run takes its stage errors from the T(x^k) and
+        T(z^k) its stages used: still 2K+1 points."""
+        K = 12
+        problem, calls = self.counted(blocks=blocks)
+        plan = validate(problem, default_config(coordination=coordination, max_iterations=K,
+                                                residual_floor=0.0, diagnostics=True))
+        calls[0] = 0
+        trace = run(plan, replication=1, x0=np.ones(5))
+        assert trace.n_steps == K and trace.A is not None
+        assert calls[0] == 2 * K + 1
+
+    def test_martingale_probe_evaluates_T_once_per_point(self):
+        # T(x) once for every replication's first stage, T(z) once per replication
+        R = 50
+        problem, calls = self.counted()
+        plan = validate(problem, default_config(max_iterations=1))
+        calls[0] = 0
+        martingale_probe(plan, np.ones(5), replications=R)
+        assert calls[0] == R + 1
 
     @pytest.mark.parametrize("coordination, blocks",
                              [("centralized", (5,)), ("distributed", (2, 2, 1))])
@@ -631,7 +655,7 @@ class TestSharedMeanOperator:
             oracle.exact_error = exact_error
             problem = replace(base, oracle=oracle).with_blocks((2, 2, 1))
             advance = _stepper(validate(problem, default_config(coordination=coordination)))
-            z, g1, g2, _ = advance(0, 0, x, T(x))
+            z, g1, g2, *_ = advance(0, 0, x, T(x))
             np.testing.assert_allclose(g1, T(x) + shift, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(g2, T(z) + shift, rtol=1e-15, atol=0.0)
 
@@ -657,7 +681,7 @@ class TestSharedMeanOperator:
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
         for coordination in ("centralized", "distributed"):
             advance = _stepper(validate(problem, default_config(coordination=coordination)))
-            _, g1, _, _ = advance(0, 4, x)
+            _, g1, *_ = advance(0, 4, x)
             assert g1.tobytes() == (x + 0.5).tobytes()
 
     def test_exact_error_oracle_without_block_is_rejected(self):
@@ -699,5 +723,5 @@ class TestSharedMeanOperator:
             assert t.tobytes() == kept.tobytes()
         for coordination in ("centralized", "distributed"):
             advance = _stepper(validate(problem, default_config(coordination=coordination)))
-            _, g1, _, _ = advance(0, 0, x, t)
+            _, g1, *_ = advance(0, 0, x, t)
             assert g1.tobytes() == t.tobytes() and not np.shares_memory(g1, t)
