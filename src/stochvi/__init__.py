@@ -17,7 +17,6 @@ from .merit import (
     d_gap,
     distance_sq_to_solutions,
     natural_residual_sq,
-    regularized_gap,
 )
 from .projection import (
     AffineSubspace,
@@ -35,9 +34,7 @@ from .projection import (
 )
 from .sampling import (
     AgentSchedule,
-    BatchMeanResult,
     SampleSchedule,
-    batch_mean,
     error_decay_probe,
     network_exponents,
     verify_network_exponents,

@@ -64,12 +64,6 @@ class MirrorProxSchedule:
             average_var_coeff=float(avg_coeffs @ avg_coeffs),
         )
 
-    def avg_coeff_closed_form(self, k: int) -> float:
-        """theta_k^K = c0 k (K-k+1) (K+k) / (K (K+1) denom^2)."""
-        K = self.K
-        denom = 3.0 * self.L * K + self.sigma * K * math.sqrt(K - 1.0)
-        return self.c0 * k * (K - k + 1.0) * (K + k) / (K * (K + 1.0) * denom ** 2)
-
     def sample(self, rng, x1: float = 0.0):
         """Terminal iterate z^K and ergodic average zbar^K of the scheme on
         the scalar zero-mean constant operator from ``x1``, with

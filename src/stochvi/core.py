@@ -13,17 +13,17 @@ The stochastic oracle contract:
 * ``oracle.exact_error = True`` (optional) declares that ``block`` also
   accepts ``error=True`` and then returns, in the block's shape, the average
   of ``size`` draws of the error F(xi, x) - T(x), drawn from its exact law.
-  On a problem with a ``mean_operator`` the package reaches that law only
-  through ``block`` (``slice(None)`` for the whole point), and the stage
-  average is T(x) plus that error, with T(x) as the caller evaluated it
-  once for the point; an oracle without the marker, or a problem without
-  T, draws the batch and averages it.  Either way a stage bills ``size``
-  calls.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
-  an oracle: it picks among these methods once and returns a callable that
-  checks every output's shape.  The solver resolves each draw set's route
-  once per run, when the run starts, so the oracle's methods are read then;
-  ``batch_mean`` one per call, ``error_decay_probe`` and the harness's surrogate one each.
+  an oracle, and what it returns is a stage's average, never raw draws.  On
+  a problem with a ``mean_operator`` and an oracle declaring
+  ``exact_error``, a call handed T(x), as the caller evaluated it once for
+  the point, returns T(x) plus the error drawn through ``block``
+  (``slice(None)`` for the whole point); every other call draws the batch
+  and averages it.  Either way it bills ``size`` calls.  The solver hands
+  T(x) over; ``error_decay_probe`` and the harness's surrogate do not, so
+  acceptance criterion 2 sees every draw.  The solver resolves each draw
+  set's route once per run, when the run starts, so the oracle's methods
+  are read then; ``error_decay_probe`` and the surrogate resolve one each.
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next stage, so an oracle
   must not keep it, or anything drawn lazily from it, past its return.
@@ -233,48 +233,46 @@ class ProblemInstance:
             else self.feasible_set
         return replace(self, blocks=blocks, feasible_set=fset)
 
-    def route(self, sl=None, mean=False):
-        """The callable ``(rng, x, size, t=None)`` that draws ``size`` oracle
-        samples at ``x`` (block ``sl`` only, if given), or with ``mean``
-        their average; it is the one route to the oracle.  It reads the
-        oracle's methods now, so a run resolves its draw sets when it starts.
+    def route(self, sl=None):
+        """The one route to the oracle: ``(rng, x, size, t=None)`` returns the
+        average of ``size`` oracle draws at ``x`` (block ``sl`` only, if
+        given) and bills ``size`` calls.  It reads the oracle's methods now,
+        so a run resolves its draw sets when it starts.
 
-        When the problem has a ``mean_operator`` and the oracle declares
-        ``exact_error``, the average is ``t[sl]`` plus the error drawn from
-        its exact law by ``oracle.block`` (``slice(None)`` for the whole
-        point), where ``t`` is T(x) as the caller evaluated it (a call
-        without it raises ``InvalidParameters``); such an oracle without
-        ``block`` raises ``OracleFailure`` now.  Else a block comes from
-        ``oracle.block`` when it has one, or the full draws are sliced.  Each
-        call makes one oracle call, with ``size`` its fourth positional
-        argument, and checks the output's shape."""
+        Handed ``t`` = T(x), on a problem with a ``mean_operator`` whose
+        oracle declares ``exact_error``, it returns ``t[sl]`` plus the error
+        drawn from its exact law by ``oracle.block``; such an oracle without
+        ``block`` raises ``OracleFailure`` now.  Else it averages the draws,
+        from ``oracle.block`` if the oracle has one, or the full draws sliced.
+        A ``size`` below 1 raises ``InvalidSchedule``.  Each call makes one
+        oracle call, with ``size`` its fourth positional argument, and checks
+        the output's shape; callers check that the average is finite."""
         o, asarray = self.oracle, np.asarray
-        exact = mean and self.mean_operator is not None and getattr(o, "exact_error", False)
+        exact = self.mean_operator is not None and getattr(o, "exact_error", False)
         block, part = getattr(o, "block", None), slice(None) if sl is None else sl
-        what, width, cut = "" if sl is None else "block ", len(range(self.dimension)[part]), None
         if exact and block is None:
             raise OracleFailure("an oracle declaring exact_error must have a block method")
-        if exact:
-            call = lambda rng, x, size: block(rng, x, size, part, error=True)
-        elif sl is not None and block is not None:
-            call = lambda rng, x, size: block(rng, x, size, part)
+        error_shape = (len(range(self.dimension)[part]),)
+        if sl is not None and block is not None:
+            what, cut, drawn = "block ", None, error_shape[0]
+            draw = lambda rng, x, size: block(rng, x, size, sl)
         else:  # the full draws, cut to block sl if given
-            what, width, cut = "", self.dimension, sl
-            call = lambda rng, x, size: o(rng, x, size)
+            what, cut, drawn, draw = "", sl, self.dimension, o
 
         def route(rng, x, size, t=None):
-            out = asarray(call(rng, x, size), dtype=float)
-            shape = (width,) if exact else (size, width)
-            if out.shape != shape:
-                raise OracleFailure(f"oracle {what}{'error' if exact else 'batch'} has "
-                                    f"shape {out.shape}, expected {shape}")
-            if exact:
-                if t is None:
-                    raise InvalidParameters("the exact-error route needs t = T(x)")
+            if size < 1:
+                raise InvalidSchedule("batch size must be >= 1")
+            if t is not None and exact:
+                out = asarray(block(rng, x, size, part, error=True), dtype=float)
+                if out.shape != error_shape:
+                    raise OracleFailure(f"oracle {what}error has shape {out.shape}, "
+                                        f"expected {error_shape}")
                 return asarray(t, dtype=float)[part] + out
-            if cut is not None:
-                out = out[:, cut]
-            return out.mean(axis=0) if mean else out
+            out = asarray(draw(rng, x, size), dtype=float)
+            if out.shape != (size, drawn):
+                raise OracleFailure(f"oracle {what}batch has shape {out.shape}, "
+                                    f"expected {(size, drawn)}")
+            return (out if cut is None else out[:, cut]).mean(axis=0)
 
         return route
 
@@ -416,7 +414,8 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     if problem.mean_operator is None:
         checks.append(CheckResult(
             "mean_operator_available", False,
-            "no closed-form mean operator: merits will be estimated"))
+            "no closed-form mean operator: runs record no r^2 and have no "
+            "residual floor; only an experiment's D-gap is estimated"))
     if problem.variance_profile is None:
         checks.append(CheckResult(
             "variance_profile", False, "no variance descriptor supplied (informational)"))

@@ -64,10 +64,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import ProblemInstance, SolverConfig, streams, validate
-from .errors import ConfigError, InvalidParameters, check_keys, from_document, typed
+from .errors import (
+    ConfigError,
+    InvalidParameters,
+    OracleFailure,
+    check_keys,
+    from_document,
+    typed,
+)
 from .merit import d_gap
 from .projection import feasible_set_from_config
-from .sampling import SampleSchedule, _batch_mean, error_decay_probe
+from .sampling import SampleSchedule, error_decay_probe
 from .solver import fejer_audit, martingale_probe, run, write_rows_csv
 
 SCHEMA_VERSION = 1
@@ -180,8 +187,11 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
         for x in X.reshape(-1, problem.dimension):
             digest = hashlib.sha256(x.tobytes()).digest()
             rng = stream(0, 0, 1, 0, int.from_bytes(digest[:4], "little"))
-            means.append(_batch_mean(draw, x, n_samples, rng))
-        return np.reshape(means, X.shape)
+            means.append(draw(rng, x, n_samples))
+        means = np.reshape(means, X.shape)
+        if not np.isfinite(means).all():
+            raise OracleFailure("oracle batch mean is not finite")
+        return means
 
     return surrogate, True
 

@@ -1,8 +1,10 @@
 """Merit functions that vanish exactly on the solution set.
 
-All of them take the closed-form mean operator; on oracle-only problems the
-harness substitutes a high-accuracy batch mean and labels the output
-"estimated" (see :func:`stochvi.harness.effective_mean_operator`).  Each
+All of them take the closed-form mean operator.  Without one, ``run``
+records no r^2 and has no residual floor, and the only merit estimated is
+an experiment's D-gap: the harness takes T from a high-accuracy batch-mean
+surrogate and labels the output "estimated" (see
+:func:`stochvi.harness.effective_mean_operator`).  Each
 maps points of shape ``(..., n)`` to one value per row, bit for bit the
 single-point value (the mean-operator contract is in :mod:`stochvi.core`).
 """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, VarianceProfile, check_mean_operator
+from .core import ProblemInstance, VarianceProfile, _freeze, check_mean_operator
 from .errors import InvalidParameters
 from .projection import FeasibleSet, NonnegativeOrthant, WholeSpace
 
@@ -184,7 +184,7 @@ def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
         abar = abar + skew_scale * 0.5 * (S - S.T)
     if center is None:
         center = rng.standard_normal(n)
-    center = np.asarray(center, dtype=float)
+    center = _freeze(center)  # T keeps its own copy, whatever the caller writes later
     mean_op = lambda x, A=abar, c=center: np.matvec(A, np.asarray(x, dtype=float) - c)
     fset = feasible if feasible is not None else WholeSpace(n)
     sigma_star = float(np.sqrt(n) * noise_scale)

@@ -1,4 +1,5 @@
-"""Sample-rate schedules, their 1/N_k series and tail bounds, and batch means.
+"""Sample-rate schedules, their 1/N_k series and tail bounds, and the
+error-decay probe.
 
 The per-agent sample count at iteration k is
 
@@ -236,42 +237,6 @@ def verify_network_exponents(b, S: float = 1.0) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BatchMeanResult:
-    """Empirical oracle average at a point: mean vector, draw count, and the
-    realized error mean - T(x) when the closed-form mean operator exists."""
-
-    mean: np.ndarray
-    calls: int
-    error: np.ndarray | None = None
-
-
-def batch_mean(problem, x, n_samples: int, rng) -> BatchMeanResult:
-    """Average of ``n_samples`` fresh oracle draws from the generator ``rng``.
-
-    Every draw is made and averaged, even for an oracle that can draw the
-    average from its exact law: the solver takes that shortcut, but on it the
-    1/N error-decay law holds by construction, so ``error_decay_probe``
-    (acceptance criterion 2) would check nothing.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = _batch_mean(problem.route(), x, n_samples, rng)
-    T = problem.mean_operator
-    err = None if T is None else mean - np.asarray(T(x), dtype=float)
-    return BatchMeanResult(mean=mean, calls=int(n_samples), error=err)
-
-
-def _batch_mean(draw, x, n_samples, rng):
-    """The mean of :func:`batch_mean` through ``draw = problem.route()``,
-    which a caller making many batches resolves once."""
-    if n_samples < 1:
-        raise InvalidSchedule("batch size must be >= 1")
-    mean = draw(rng, x, n_samples).mean(axis=0)
-    if not np.logical_and.reduce(np.isfinite(mean)):
-        raise OracleFailure("oracle batch mean is not finite")
-    return mean
-
-
 def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 0):
     """Monte Carlo check of the 1/N error-decay law at a fixed point.
 
@@ -280,8 +245,11 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     (N, mean_sq_error, stderr, N * mean_sq_error).  The product column is
     flat in N exactly when the empirical average error variance scales like
     the single-draw variance divided by N.  Batch r of the j-th size draws
-    on stream (r, j, 1, 0) of one stream function.  The standard errors need
-    at least two replications.
+    on stream (r, j, 1, 0) of one stream function, through the problem's
+    route without T(x): every draw is made and averaged, even for an oracle
+    that can draw the average from its exact law, on which the 1/N law
+    holds by construction and acceptance criterion 2 would check nothing.
+    The standard errors need at least two replications.
     """
     from .core import streams
 
@@ -295,7 +263,9 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     for j, n in enumerate(n_grid):
         sq = np.empty(replications)
         for r in range(replications):
-            err = _batch_mean(draw, x, int(n), stream(r, j, 1, 0)) - t
+            err = draw(stream(r, j, 1, 0), x, int(n)) - t
+            if not np.isfinite(err).all():
+                raise OracleFailure(f"oracle batch mean error is not finite at N = {n}")
             sq[r] = float(err @ err)
         mean_sq = float(np.mean(sq))
         stderr = float(np.std(sq, ddof=1) / math.sqrt(replications))

@@ -146,7 +146,7 @@ def _stepper(plan: RunPlan):
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
     T = problem.mean_operator
     stream, proj = streams(plan.config.master_seed), problem.feasible_set.project
-    sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl, mean=True))
+    sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl))
                  for i, sl in plan.draw_sets)
     empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
 

@@ -23,10 +23,15 @@ class TestMirrorProxSchedule:
         assert Gamma[-1] == pytest.approx(2.0 / (K * (K + 1)), rel=1e-12)
 
     def test_avg_coeff_two_routes_agree(self):
-        s = MirrorProxSchedule.build(60, sigma=1.0, L=1.0)
-        for k in range(1, 61):
-            assert s.avg_coeffs[k - 1] == pytest.approx(
-                s.avg_coeff_closed_form(k), abs=1e-12)
+        """The suffix-sum coefficients equal the closed form
+        theta_k^K = c0 k (K-k+1) (K+k) / (K (K+1) denom^2)."""
+        K = 60
+        for sigma, L in ((1.0, 1.0), (0.3, 2.5)):
+            s = MirrorProxSchedule.build(K, sigma=sigma, L=L)
+            denom = 3.0 * L * K + sigma * K * math.sqrt(K - 1.0)
+            for k in range(1, K + 1):
+                closed = s.c0 * k * (K - k + 1.0) * (K + k) / (K * (K + 1.0) * denom ** 2)
+                assert s.avg_coeffs[k - 1] == pytest.approx(closed, rel=1e-12, abs=1e-12)
 
     def test_stepsize_formula(self):
         s = MirrorProxSchedule.build(10, sigma=2.0, L=3.0)

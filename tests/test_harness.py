@@ -520,7 +520,9 @@ class TestCli:
     def test_incomplete_probe_documents_exit_2(self, tmp_path, capsys):
         no_x = without(self.PROBE_DOCS["martingale"], "x")
         no_grid = dict(self.PROBE_DOCS["error_decay"], N_grid=[])
-        for kind, doc in [("martingale", no_x), ("error_decay", no_grid)]:
+        empty_batch = dict(self.PROBE_DOCS["error_decay"], N_grid=[0])
+        for kind, doc in [("martingale", no_x), ("error_decay", no_grid),
+                          ("error_decay", empty_batch)]:
             cfg = self.write(tmp_path / "p.json", dict(doc, kind=kind))
             assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
             assert "error:" in capsys.readouterr().err

@@ -159,21 +159,23 @@ class TestDGap:
         assert np.all(upper > 0.0)
 
 
-    def test_surrogate_evaluated_once_per_row(self, monkeypatch):
+    def test_surrogate_evaluated_once_per_row(self):
         """On an oracle-only problem each T evaluation of a row is a fresh
         batch mean: 11 rows cost 11, and the value is g_a - g_b bit for bit."""
         from stochvi import harness
 
-        p = replace(gen_strongly_monotone(3, seed=1, noise_scale=0.5), mean_operator=None)
+        base, calls = gen_strongly_monotone(3, seed=1, noise_scale=0.5), []
+
+        def oracle(rng, x, size):
+            calls.append(size)
+            return base.oracle(rng, x, size)
+
+        p = replace(base, oracle=oracle, mean_operator=None)
         T, estimated = harness.effective_mean_operator(p, n_samples=1000)
         assert estimated
-        calls = []
-        batch_mean = harness._batch_mean
-        monkeypatch.setattr(harness, "_batch_mean",
-                            lambda *args: calls.append(args) or batch_mean(*args))
         X = np.linspace(-1.0, 1.0, 33).reshape(11, 3)
         value = d_gap(T, p.feasible_set, X, 1.0, 2.0)
-        assert len(calls) == 11
+        assert calls == [1000] * 11
         assert np.array_equal(value, regularized_gap(T, p.feasible_set, X, 1.0)
                               - regularized_gap(T, p.feasible_set, X, 2.0))
 

@@ -16,7 +16,7 @@ from stochvi.problems import (
     gen_strongly_monotone,
     variance_at,
 )
-from stochvi.sampling import batch_mean, error_decay_probe
+from stochvi.sampling import error_decay_probe
 
 ALL_GENERATORS = [
     lambda: gen_linear_svi(4, seed=11, noise_scale=0.3),
@@ -36,10 +36,10 @@ def test_generated_problems_validate_and_match_oracle_mean(maker):
     rng = np.random.default_rng(77)
     for j in range(3):
         x = p.feasible_set.project(2.0 * rng.standard_normal(p.dimension))
-        res = batch_mean(p, x, 100_000, derive_stream(13, sample=j))
+        error = p.route()(derive_stream(13, sample=j), x, 100_000) - p.mean_operator(x)
         batch = p.oracle(derive_stream(13, sample=j), x, 100_000)
         stderr = batch.std(axis=0, ddof=1) / math.sqrt(100_000)
-        assert np.all(np.abs(res.error) <= 4.0 * stderr + 1e-12)
+        assert np.all(np.abs(error) <= 4.0 * stderr + 1e-12)
 
 
 BUILTIN_ORACLES = {
@@ -94,12 +94,12 @@ def test_exact_mean_matches_draws_in_distribution(name, sl, size):
     assert p.oracle.exact_error
     x = np.array([1.5, -0.5, 2.0, 0.25])
     t = p.mean_operator(x)
-    exact_route, draw_route = p.route(sl, mean=True), p.route(sl)
+    route = p.route(sl)  # the exact law when handed t, else the drawn rows' average
     R = 2000
     exact, draws = [], []
     for r in range(R):
-        exact.append(exact_route(derive_stream(1, replication=r), x, size, t))
-        draws.append(draw_route(derive_stream(2, replication=r), x, size).mean(axis=0))
+        exact.append(route(derive_stream(1, replication=r), x, size, t))
+        draws.append(route(derive_stream(2, replication=r), x, size))
     exact = np.array(exact)
     draws = np.array(draws)
     assert exact.shape == draws.shape == (R, 4 if sl is None else 2)
@@ -108,6 +108,17 @@ def test_exact_mean_matches_draws_in_distribution(name, sl, size):
     assert np.all(np.abs(exact.mean(axis=0) - draws.mean(axis=0)) <= 4.0 * mean_se)
     var_se = np.sqrt(2.0 / (R - 1) * (v_exact ** 2 + v_draws ** 2))
     assert np.all(np.abs(v_exact - v_draws) <= 4.0 * var_se)
+
+
+def test_strongly_monotone_keeps_its_own_center():
+    """The caller's ``center`` array is copied: writing into it afterwards
+    moves neither T nor the recorded solution."""
+    c = np.zeros(3)
+    p = gen_strongly_monotone(3, center=c)
+    c[:] = 1.0
+    assert np.array_equal(p.known_solutions[0], np.zeros(3))
+    assert np.array_equal(p.mean_operator(p.known_solutions[0]), np.zeros(3))
+    assert np.array_equal(p.oracle.mean_operator(np.zeros(3)), np.zeros(3))
 
 
 class TestLinearSVI:

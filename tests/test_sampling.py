@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from reference_impls import sample_count, tail_scan
 from stochvi.core import derive_stream
-from stochvi.errors import InvalidParameters, InvalidSchedule, NoMeanOperator
+from stochvi.errors import InvalidParameters, InvalidSchedule, NoMeanOperator, OracleFailure
 from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
 from stochvi.sampling import (
     AgentSchedule,
     SampleSchedule,
-    batch_mean,
     error_decay_probe,
     network_exponents,
     schedule_tail_check,
@@ -170,26 +169,26 @@ class TestNetworkExponents:
 
 
 class TestBatchMean:
+    """``problem.route(sl)`` called without T(x) averages every draw."""
+
     def test_zero_variance_oracle_exact(self):
         p = gen_strongly_monotone(4, seed=1, noise_scale=0.0)
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        res = batch_mean(p, x, 37, derive_stream(0))
-        assert res.calls == 37
+        mean = p.route()(derive_stream(0), x, 37)
         # averaging N identical rows rounds at the ulp level, nothing more
-        np.testing.assert_allclose(res.mean, p.mean_operator(x), rtol=1e-14)
-        assert np.linalg.norm(res.error) <= 1e-13
+        np.testing.assert_allclose(mean, p.mean_operator(x), rtol=1e-14)
+        assert np.linalg.norm(mean - p.mean_operator(x)) <= 1e-13
 
     def test_clt_bound_constant_noise(self):
         p = gen_constant_noise(sigma=1.0)
-        res = batch_mean(p, np.zeros(1), 10_000, derive_stream(5))
-        assert abs(res.mean[0]) <= 4.0 / math.sqrt(10_000)
+        mean = p.route()(derive_stream(5), np.zeros(1), 10_000)
+        assert abs(mean[0]) <= 4.0 / math.sqrt(10_000)
 
     def test_single_draw(self):
         p = gen_constant_noise(sigma=2.0)
-        res = batch_mean(p, np.zeros(1), 1, derive_stream(9))
-        assert res.calls == 1
+        mean = p.route()(derive_stream(9), np.zeros(1), 1)
         draw = p.oracle(derive_stream(9), np.zeros(1), 1)
-        assert res.mean[0] == draw[0, 0]
+        assert mean.shape == (1,) and mean[0] == draw[0, 0]
 
     @pytest.mark.parametrize("maker", [
         lambda: gen_strongly_monotone(3, seed=4, noise_scale=0.8),
@@ -197,13 +196,21 @@ class TestBatchMean:
         lambda: gen_constant_noise(sigma=1.5, n=3),
     ])
     def test_builtin_oracle_draws_every_sample(self, maker):
-        """batch_mean stays on the per-draw path even for oracles that can
-        draw the average from its exact law (criterion 2 relies on it)."""
+        """Without T(x) the route stays on the per-draw path even for
+        oracles that can draw the average from its exact law (criterion 2
+        relies on it)."""
         p = maker()
         x = np.array([0.5, -1.0, 2.0])
-        res = batch_mean(p, x, 64, derive_stream(3, replication=2))
+        mean = p.route()(derive_stream(3, replication=2), x, 64)
         expected = p.oracle(derive_stream(3, replication=2), x, 64).mean(axis=0)
-        assert np.array_equal(res.mean, expected)
+        assert np.array_equal(mean, expected)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_batch_rejected(self, size):
+        p = gen_constant_noise(sigma=1.0)
+        for t in (None, np.zeros(1)):
+            with pytest.raises(InvalidSchedule, match="batch size"):
+                p.route()(derive_stream(0), np.zeros(1), size, t)
 
 
 class TestErrorDecayProbe:
@@ -245,6 +252,43 @@ class TestErrorDecayProbe:
         T(np.ones((4, 3)))
         T(np.zeros(3))
         assert resolved == [(), ()]
+
+    def test_exact_law_oracle_draws_every_sample(self, monkeypatch):
+        """On an oracle declaring ``exact_error`` the probe takes no shortcut:
+        N draws a batch and no ``error=True`` call, and each row is built
+        from the route's average without T(x), bit for bit."""
+        from stochvi.core import streams
+        from stochvi.problems import AdditiveGaussianOracle
+
+        p = gen_strongly_monotone(3, seed=2, noise_scale=0.7)
+        assert p.oracle.exact_error
+        calls, block = [], AdditiveGaussianOracle.block
+
+        def counted(self, rng, x, size, sl, error=False):
+            calls.append((size, error))
+            return block(self, rng, x, size, sl, error)
+
+        monkeypatch.setattr(AdditiveGaussianOracle, "block", counted)
+        x, grid, R = np.array([0.5, -1.0, 2.0]), [1, 4, 16], 4
+        rows = error_decay_probe(p, x, grid, replications=R, master_seed=5)
+        assert calls == [(n, False) for n in grid for _ in range(R)]
+        stream, t = streams(5), p.mean_operator(x)
+        for j, (n, row) in enumerate(zip(grid, rows)):
+            errs = [p.route()(stream(r, j, 1, 0), x, n) - t for r in range(R)]
+            assert row["mean_sq_error"] == float(np.mean([float(e @ e) for e in errs]))
+
+    def test_nonfinite_batch_raises(self):
+        from dataclasses import replace
+
+        from stochvi.harness import effective_mean_operator
+
+        p = replace(gen_constant_noise(sigma=1.0),
+                    oracle=lambda rng, x, size: np.full((size, 1), np.nan))
+        with pytest.raises(OracleFailure, match="not finite"):
+            error_decay_probe(p, np.zeros(1), [2], replications=2)
+        T, _ = effective_mean_operator(replace(p, mean_operator=None), n_samples=4)
+        with pytest.raises(OracleFailure, match="not finite"):
+            T(np.zeros((2, 1)))
 
     def test_requires_mean_operator(self):
         p = gen_constant_noise(sigma=1.0)

@@ -626,7 +626,7 @@ class TestSharedMeanOperator:
         # a noiseless stage mean is the t it was handed, not a product of its own
         quiet, t = replace(problem, oracle=LinearMatrixNoiseOracle(own, 0.0)), np.arange(8.0)
         for sl in (None, slice(3, 6)):
-            out = quiet.route(sl, mean=True)(None, np.ones(8), 4, t)
+            out = quiet.route(sl)(None, np.ones(8), 4, t)
             assert out.tobytes() == t[sl or slice(None)].tobytes()
         assert own_calls[0] == 0
 
@@ -677,7 +677,7 @@ class TestSharedMeanOperator:
         problem = replace(identity_problem(n=3), oracle=OldContract()).with_blocks((1, 2))
         x = np.array([1.0, -2.0, 0.25])
         for sl in (None, slice(1, 3)):
-            out = problem.route(sl, mean=True)(None, x, 4, problem.mean_operator(x))
+            out = problem.route(sl)(None, x, 4, problem.mean_operator(x))
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
         for coordination in ("centralized", "distributed"):
             advance = _stepper(validate(problem, default_config(coordination=coordination)))
@@ -686,7 +686,8 @@ class TestSharedMeanOperator:
 
     def test_exact_error_oracle_without_block_is_rejected(self):
         """The exact law is reached through ``block`` only, so an oracle that
-        declares ``exact_error`` without one fails when its route is resolved."""
+        declares ``exact_error`` without one fails when its route is resolved
+        on a problem with T; without T its draws are averaged."""
 
         class NoBlock:
             exact_error = True
@@ -696,18 +697,21 @@ class TestSharedMeanOperator:
 
         problem = replace(identity_problem(n=3), oracle=NoBlock())
         with pytest.raises(OracleFailure, match="exact_error must have a block method"):
-            problem.route(mean=True)
-        assert problem.route()(None, np.ones(3), 2).shape == (2, 3)  # draws still work
+            problem.route()
+        oracle_only = replace(problem, mean_operator=None)
+        assert oracle_only.route()(None, np.array([1.0, 2.0, 3.0]), 2).tolist() == [1, 2, 3]
         with pytest.raises(OracleFailure, match="block method"):
             run(validate(problem, default_config(max_iterations=2)), x0=np.ones(3))
 
-    def test_exact_error_route_needs_t(self):
-        problem, calls = self.counted(blocks=(2, 2, 1))
-        calls[0] = 0
+    def test_route_without_t_averages_the_draws(self):
+        """Without T(x) even an ``exact_error`` oracle's route averages its
+        draws, bit for bit, for the whole point and for a block."""
+        problem, _ = self.counted(blocks=(2, 2, 1))
+        x = np.linspace(-1.0, 1.5, 5)
         for sl in (None, slice(2, 4)):
-            with pytest.raises(InvalidParameters, match="needs t"):
-                problem.route(sl, mean=True)(np.random.default_rng(0), np.ones(5), 4)
-        assert calls[0] == 0
+            out = problem.route(sl)(derive_stream(7), x, 4)
+            draws = problem.oracle.block(derive_stream(7), x, 4, sl or slice(None))
+            assert out.tobytes() == draws.mean(axis=0).tobytes()
 
     def test_zero_noise_stage_mean_does_not_alias_t(self):
         problem, _ = self.counted(noise=0.0, blocks=(2, 2, 1))
@@ -716,7 +720,7 @@ class TestSharedMeanOperator:
         kept = t.copy()
         rng = np.random.default_rng(0)
         for sl in (None, slice(2, 4)):
-            out = problem.route(sl, mean=True)(rng, x, 4, t)
+            out = problem.route(sl)(rng, x, 4, t)
             assert out.tobytes() == t[sl or slice(None)].tobytes()
             assert not np.shares_memory(out, t)
             out[...] = 7.0
