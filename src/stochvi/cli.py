@@ -18,12 +18,18 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import StochviError, typed
+from .errors import ConfigError, StochviError, typed
+from .solver import write_json
 
 
 def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document at ``path``; one that cannot be read or parsed
+    raises ``ConfigError`` naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def build_parser():
@@ -59,10 +65,8 @@ def cmd_solve(args):
     cfg = experiment_from_config(document)
     trace = run(validate(cfg.problem, cfg.solver), replication=0, x0=cfg.x0)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
-    with open(out / "trace_summary.json", "w") as fh:
-        json.dump(trace.summary(), fh, indent=2, sort_keys=True)
+    write_json(out / "trace_summary.json", trace.summary())
     print(f"wrote {out / 'trace.csv'} ({trace.n_steps} steps, "
           f"{int(trace.cum_calls[-1])} oracle calls)")
     return 0
@@ -75,10 +79,8 @@ def cmd_experiment(args):
     cfg = experiment_from_config(document)
     result = run_experiment(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "experiment.csv")
-    with open(out / "experiment_summary.json", "w") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True)
+    write_json(out / "experiment_summary.json", result.summary())
     msg = f"wrote {out / 'experiment.csv'} (R={result.replications}"
     if result.slope is not None:
         msg += f", slope={result.slope:.3f}"

@@ -48,7 +48,9 @@ empty grid.
 
 Result CSV columns: k, mean_r2, stderr_r2, mean_dist2, mean_dgap, cum_calls.
 The JSON summary carries the config hash, K_eps, the fitted slope, and the
-per-iteration arrays needed by the constants cross-check.
+per-iteration arrays needed by the constants cross-check.  Every CSV is
+written by :func:`~stochvi.solver.write_table` and every JSON file by
+:func:`~stochvi.solver.write_json`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .errors import (
 from .merit import d_gap
 from .projection import feasible_set_from_config
 from .sampling import SampleSchedule, error_decay_probe
-from .solver import fejer_audit, martingale_probe, run, write_rows_csv
+from .solver import fejer_audit, martingale_probe, run, write_json, write_table
 
 SCHEMA_VERSION = 1
 
@@ -226,10 +228,10 @@ class ExperimentResult:
     def to_csv(self, path):
         n = len(self.cum_calls)
         nan = np.full(n, np.nan)
-        cols = {name: nan if getattr(self, name) is None else getattr(self, name)
-                for name in ("mean_r2", "stderr_r2", "mean_dist2", "mean_dgap")}
-        write_rows_csv(path, [{"k": k, **{h: float(c[k]) for h, c in cols.items()},
-                               "cum_calls": int(self.cum_calls[k])} for k in range(n)])
+        write_table(path, {"k": range(n), **{
+            name: nan if getattr(self, name) is None else getattr(self, name)
+            for name in ("mean_r2", "stderr_r2", "mean_dist2", "mean_dgap")},
+            "cum_calls": self.cum_calls})
 
     def summary(self):
         out = {
@@ -242,11 +244,11 @@ class ExperimentResult:
             "slope": self.slope,
             "intercept": self.intercept,
             "rate_fit_window": list(self.rate_fit_window) if self.rate_fit_window else None,
-            "cum_calls": [int(v) for v in self.cum_calls],
+            "cum_calls": self.cum_calls.tolist(),
         }
         for name in ("mean_r2", "stderr_r2", "mean_dist2", "mean_dgap"):
             arr = getattr(self, name)
-            out[name] = None if arr is None else [float(v) for v in arr]
+            out[name] = None if arr is None else arr.tolist()
         return out
 
 
@@ -424,12 +426,10 @@ def probe(kind: str, params: dict, out_dir) -> dict:
     """
     rows, fields = from_document(probe_spec(kind).runner, params, f"{kind} params")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if rows:
-        write_rows_csv(out_dir / f"{kind}.csv", rows)
+        write_table(out_dir / f"{kind}.csv", {h: [r[h] for r in rows] for h in rows[0]})
     verdict = {"kind": kind, **fields}
-    with open(out_dir / f"{kind}_verdict.json", "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
+    write_json(out_dir / f"{kind}_verdict.json", verdict)
     return verdict
 
 
@@ -471,14 +471,11 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
             report.rate_Q_bar is not None:
         cmp_res = compare_bound_to_run(
             inputs, report.rate_Q_bar, run_summary["mean_r2"],
-            k_min=run_summary.get("rate_fit_window", [1])[0] or 1)
+            k_min=(run_summary.get("rate_fit_window") or [1])[0] or 1)
         doc["empirical_check"] = {"passed": cmp_res.passed,
                                   "detail": str(cmp_res)}
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "constants_report.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(Path(out_dir) / "constants_report.json", doc)
     return doc
 
 

@@ -8,7 +8,7 @@ pathwise audit in :mod:`stochvi.solver` relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,20 +58,6 @@ class FeasibleSet:
         d = getattr(self, "dim", None)
         if d is not None and d != n:
             raise DimensionMismatch(f"set has dimension {d}, point has {n}")
-
-    def to_config(self):
-        """The JSON form :func:`feasible_set_from_config` reads: the variant
-        and every constructor field, arrays and factors as lists."""
-        return {"variant": {c: k for k, c in VARIANTS.items()}[type(self)],
-                **{f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.init}}
-
-
-def _plain(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):  # a product's parts and sizes
-        return [v.to_config() if isinstance(v, FeasibleSet) else v for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -348,9 +334,9 @@ def set_distance(fset: FeasibleSet, x):
 
 
 def feasible_set_from_config(cfg, key="set", where="problem") -> FeasibleSet:
-    """Build a descriptor from its JSON form (see :meth:`FeasibleSet.to_config`),
-    the value of ``key`` in section ``where``: a ``variant`` of
-    :data:`VARIANTS` and its class's constructor fields."""
+    """Build a descriptor from its JSON form, the value of ``key`` in
+    section ``where``: a ``variant`` of :data:`VARIANTS` and its class's
+    constructor fields, a product's ``parts`` each in this form."""
     cfg = typed(cfg, "dict", key, where)
     kind = cfg.pop("variant", None)
     if kind not in VARIANTS:

@@ -23,8 +23,10 @@ where rho_k = 1 - 6 L^2 alpha_k^2, which feed the pathwise recursion audit.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -43,15 +45,24 @@ from .merit import distance_sq_to_solutions, natural_residual_sq
 from .projection import project  # noqa: F401
 
 
-def write_rows_csv(path, rows):
-    """Write a list of homogeneous dicts as CSV with repr-formatted floats."""
-    header = list(rows[0])
+def write_table(path, columns):
+    """Write ``{header: column}`` as CSV, one line per index: floats as
+    ``repr(float(v))``, anything else by ``str``.  Columns of unequal
+    length raise ``ValueError``.  Both writers make the file's directory."""
+    cells = [[repr(float(v)) if isinstance(v, float) else str(v) for v in column]
+             for column in columns.values()]
+    lines = [",".join(row) + "\n" for row in zip(*cells, strict=True)]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(",".join(
-                repr(float(r[h])) if isinstance(r[h], float) else str(r[h])
-                for h in header) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(lines)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON, indented by two spaces with sorted keys."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -93,25 +104,15 @@ class RunTrace:
         """Write the per-iterate columns (k, r2, dist2, eps1_norm, eps2_norm,
         A, M_0..M_s, cum_calls); step-indexed columns are padded with nan at
         k = 0 so every row describes iterate x^k."""
-        K = self.n_steps
-        nan = np.full(K + 1, np.nan)
-
-        def pad(step_arr):
-            if step_arr is None:
-                return nan
-            return np.concatenate([[np.nan], step_arr])
-
-        cols = {"r2": self.r2 if self.r2 is not None else nan,
-                "dist2": self.dist2 if self.dist2 is not None else nan,
-                "eps1_norm": pad(self.eps1_norm),
-                "eps2_norm": pad(self.eps2_norm),
-                "A": self.A if self.A is not None else nan}
-        if self.M is not None:
-            for s in range(self.M.shape[1]):
-                cols[f"M_{s}"] = self.M[:, s]
-        cols["cum_calls"] = self.cum_calls
-        write_rows_csv(path, [{"k": row, **{h: float(c[row]) for h, c in cols.items()}}
-                              for row in range(K + 1)])
+        nan = np.full(self.n_steps + 1, np.nan)
+        given = lambda v: nan if v is None else v
+        pad = lambda v: nan if v is None else np.concatenate([[np.nan], v])
+        M = () if self.M is None else self.M.T
+        write_table(path, {
+            "k": range(len(nan)), "r2": given(self.r2), "dist2": given(self.dist2),
+            "eps1_norm": pad(self.eps1_norm), "eps2_norm": pad(self.eps2_norm),
+            "A": given(self.A), **{f"M_{s}": column for s, column in enumerate(M)},
+            "cum_calls": self.cum_calls.astype(float)})
 
     def summary(self):
         out = {
@@ -119,7 +120,7 @@ class RunTrace:
             "iterations": self.n_steps,
             "cum_calls": int(self.cum_calls[-1]),
             "stopped_early": self.stopped_early,
-            "final_iterate": [float(v) for v in self.final_iterate()],
+            "final_iterate": self.final_iterate().tolist(),
         }
         if self.r2 is not None:
             out["final_r2"] = float(self.r2[-1])

@@ -245,3 +245,15 @@ def project_affine_stacked(A, b, x):
     resid = (x[..., None, :] @ A.T)[..., 0, :] - b
     y = np.linalg.solve(chol.T, np.linalg.solve(chol, resid[..., None]))
     return x - (y.swapaxes(-1, -2) @ A)[..., 0, :]
+
+
+def write_rows_reference(path, rows):
+    """CSV of a list of homogeneous dicts, one line per dict: floats as
+    ``repr(float(v))``, anything else by ``str``."""
+    header = list(rows[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for r in rows:
+            fh.write(",".join(
+                repr(float(r[h])) if isinstance(r[h], float) else str(r[h])
+                for h in header) + "\n")

@@ -456,6 +456,18 @@ class TestConstantsCmd:
         }, eps=1e-4, run_summary=summary)
         assert doc["empirical_check"]["passed"]
 
+    def test_run_summary_without_window(self):
+        """A summary whose window is null, as an experiment without
+        ``rate_fit_window`` writes, compares from k = 1 as one without the key."""
+        summary = run_experiment(experiment_from_config(
+            experiment_doc(replications=3, rate_fit_window=None))).summary()
+        assert summary["rate_fit_window"] is None
+        inputs = dict(CONSTANTS_DOC, sigma=math.sqrt(3.0) * 0.5, d0=math.sqrt(3.0))
+        doc = constants_cmd(inputs, eps=1e-4, run_summary=summary)
+        assert doc["empirical_check"]["passed"]
+        assert doc == constants_cmd(inputs, eps=1e-4, run_summary=without(
+            summary, "rate_fit_window"))
+
 
 class TestCli:
     def write(self, path, doc):
@@ -516,6 +528,22 @@ class TestCli:
         cfg = self.write(tmp_path / "c.json", doc)
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "experiment", "probe", "constants"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command):
+        missing, malformed = tmp_path / "missing.json", tmp_path / "bad.json"
+        malformed.write_text('{"kind": ')
+        for path in (missing, malformed):
+            assert cli_main([command, "--config", str(path), "--out",
+                             str(tmp_path / "o")]) == 2
+            assert f"error: cannot read {path}" in capsys.readouterr().err
+
+    def test_unreadable_run_summary_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("[1, 2")
+        for name in ("bad.json", "missing.json"):
+            cfg = self.write(tmp_path / "c.json", dict(CONSTANTS_DOC, run_summary=name))
+            assert cli_main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert f"error: cannot read {tmp_path / name}" in capsys.readouterr().err
 
     def test_incomplete_probe_documents_exit_2(self, tmp_path, capsys):
         no_x = without(self.PROBE_DOCS["martingale"], "x")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,10 +323,41 @@ def test_simplex_output_on_simplex(point):
     assert p.sum() == pytest.approx(3.0, abs=1e-9)
 
 
+def same_set(a, b):
+    """Same class and equal constructor fields, arrays of the same dtype, a
+    product's parts compared in turn."""
+    if type(a) is not type(b):
+        return False
+    for f in (f for f in fields(a) if f.compare):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "parts":
+            if len(u) != len(v) or not all(map(same_set, u, v)):
+                return False
+        elif not (np.array_equal(u, v) and np.asarray(u).dtype == np.asarray(v).dtype):
+            return False
+    return True
+
+
 def test_config_round_trip():
-    for _, fset, _ in all_sets():
-        rebuilt = feasible_set_from_config(fset.to_config())
-        assert rebuilt.to_config() == fset.to_config()
+    A = np.random.default_rng(4).standard_normal((2, 5))  # the affine set's of all_sets
+    documents = {
+        "whole_space": {"variant": "whole_space", "dim": 4},
+        "box": {"variant": "box", "lower": [-1.0] * 4, "upper": [1.0] * 4},
+        "orthant": {"variant": "nonnegative_orthant", "dim": 4},
+        "ball": {"variant": "ball", "center": [0.5, -0.5, 0.0], "radius": 2.0},
+        "simplex": {"variant": "simplex", "dim": 5, "scale": 2.0},
+        "halfspace": {"variant": "halfspace", "a": [1.0, -2.0, 0.5], "b": 1.5},
+        "affine": {"variant": "affine", "A": A.tolist(), "b": [1.0, -0.3]},
+        "cartesian": {"variant": "cartesian", "sizes": [2, 2, 2], "parts": [
+            {"variant": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            {"variant": "nonnegative_orthant", "dim": 2},
+            {"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}]},
+    }
+    assert sorted(documents) == sorted(name for name, _, _ in all_sets())
+    for name, fset, _ in all_sets():
+        assert same_set(feasible_set_from_config(documents[name]), fset), name
+    assert not same_set(feasible_set_from_config(documents["box"]),
+                        Box(-np.ones(4), 2.0 * np.ones(4)))
 
 
 def test_config_unknown_key_rejected():

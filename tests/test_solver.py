@@ -1,4 +1,5 @@
 import functools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from reference_impls import (
     diagnostic_sums_reference,
     fejer_audit_reference,
     korpelevich_reference,
+    write_rows_reference,
 )
 from stochvi.core import (
     ProblemInstance,
@@ -33,6 +35,7 @@ from stochvi.problems import (
     gen_constant_noise,
     gen_linear_svi,
     gen_negative_control,
+    gen_scaled_monotone,
     gen_strongly_monotone,
 )
 from stochvi.projection import Box, WholeSpace, project
@@ -43,6 +46,8 @@ from stochvi.solver import (
     fejer_audit,
     martingale_probe,
     run,
+    write_json,
+    write_table,
 )
 
 
@@ -173,6 +178,50 @@ class TestRun:
         assert len(data) == trace.n_steps + 1
         np.testing.assert_allclose(data["r2"], trace.r2)
         np.testing.assert_allclose(data["cum_calls"], trace.cum_calls)
+
+    def test_scaled_monotone_rates(self):
+        """The paper's O(1/K) in r^2 and in the D-gap on a pseudo-monotone,
+        non-monotone operator, and the squared distance with them: each
+        fitted slope over k in [20, 300] is at most -0.85."""
+        from stochvi.harness import ExperimentConfig, fit_loglog_slope, run_experiment
+
+        p = gen_scaled_monotone(5, seed=5)
+        cfg = default_config(stepsize=0.9 / (np.sqrt(6.0) * p.lipschitz_L),
+                             max_iterations=300, master_seed=11, diagnostics=False)
+        res = run_experiment(ExperimentConfig(problem=p, solver=cfg, replications=20,
+                                              x0=np.ones(5), dgap_a=1.0, dgap_b=2.0))
+        for name in ("mean_r2", "mean_dgap", "mean_dist2"):
+            slope, _ = fit_loglog_slope(getattr(res, name), (20, 300))
+            assert slope <= -0.85, (name, slope)
+
+
+class TestWriters:
+    VALUES = [np.nan, np.inf, -np.inf, -0.0, 1e16, 1e-5, np.float64(0.1), np.int64(-7),
+              3, 2.5]
+
+    def test_table_matches_row_writer(self, tmp_path):
+        n = len(self.VALUES)
+        columns = {"k": range(n), "mixed": self.VALUES,
+                   "floats": np.array([float(v) for v in self.VALUES]),
+                   "ints": np.arange(n, dtype=np.int64) - 3,
+                   "reversed": self.VALUES[::-1]}
+        write_table(tmp_path / "table.csv", columns)
+        write_rows_reference(tmp_path / "rows.csv",
+                             [{h: c[i] for h, c in columns.items()} for i in range(n)])
+        table = (tmp_path / "table.csv").read_bytes()
+        assert table == (tmp_path / "rows.csv").read_bytes()
+        assert table.splitlines()[1] == b"0,nan,nan,-3,2.5"
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "ragged.csv", {"k": range(n + 1), "mixed": self.VALUES})
+        assert not (tmp_path / "ragged.csv").exists()
+
+    def test_json_matches_json_dump(self, tmp_path):
+        doc = {"b": [1, 2.5, None, True], "a": {"z": "x", "y": [], "c": {}}, "n": -0.0,
+               "big": 1e16, "small": 1e-5}
+        write_json(tmp_path / "doc.json", doc)
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        assert (tmp_path / "doc.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestCartesianConsistency:
