@@ -40,6 +40,7 @@ from .sampling import (
     verify_network_exponents,
 )
 from .solver import (
+    Ensemble,
     RunTrace,
     fejer_audit,
     martingale_probe,

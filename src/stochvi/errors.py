@@ -104,6 +104,8 @@ JSON_TYPES = {  # annotation: (test of a document value, conversion, what it mus
     "None": (lambda v: v is None, lambda v: v, "null"),
     "list[int]": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v)),
                   lambda v: [int(a) for a in v], "a list of integers"),
+    "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)),
+                    lambda v: [float(a) for a in v], "a list of numbers"),
     "np.ndarray": (_numbers, lambda v: v, "a number or a list of numbers"),
 }
 

@@ -24,7 +24,7 @@ Schema (defaults in parentheses):
       "merits": {"dgap_a": float, "dgap_b": float}   (off unless both given),
       "rate_fit_window": [k_lo, k_hi]   (optional),
       "epsilon": float                  (optional; enables K_eps),
-      "threads": int                    (optional; read and ignored)
+      "threads": int                    (optional; accepted and ignored)
     }
 
 The keys of the document, its ``merits``, the ``solver`` section, a
@@ -38,9 +38,13 @@ A missing or unknown key, or a value of the wrong type, raises
 ``ConfigError`` naming the key; a value outside its domain a typed error
 such as ``InvalidParameters``.
 
-Replications run serially; an integer ``"threads"`` is accepted and
-ignored so that documents carrying it keep loading with the same config
-hash.
+The replications of an experiment advance in lockstep as the rows of
+one ``(R, n)`` array (:func:`~stochvi.solver.run`), each row on the streams
+of its own index, so no thread count has a meaning.  An integer
+``"threads"`` is still accepted and ignored: the benchmark's workload
+documents (``perfbench/workloads.py``) all carry ``"threads": 1``, so
+rejecting the key would fail every benchmark pass, and documents carrying
+it keep loading with the same config hash.
 A probe document is a ``kind`` plus the parameters of its ``PROBES``
 runner, read the same way; any other key, ``threads`` included, is
 rejected, and so is a document missing a required param or holding an
@@ -152,7 +156,8 @@ def _experiment(problem: dict, solver: dict, schema_version: int | None = None,
                 rate_fit_window: list[int] | None = None, epsilon: float | None = None,
                 threads: int | None = None) -> dict:
     """The ``ExperimentConfig`` fields of an experiment document, whose keys
-    are this function's parameters; ``threads`` is read and ignored."""
+    are this function's parameters; ``threads`` is accepted and ignored
+    (see the module docstring)."""
     if schema_version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {schema_version!r}")
     dgap_a, dgap_b = from_document(_merits, merits, "merits")
@@ -252,6 +257,22 @@ class ExperimentResult:
         return out
 
 
+def _run_summary(replications: int | None = None, config_hash: str | None = None,
+                 merit_mode: str | None = None, epsilon: float | None = None,
+                 k_eps: int | None = None, nonconvergence: bool | None = None,
+                 slope: float | None = None, intercept: float | None = None,
+                 rate_fit_window: list[int] | None = None,
+                 cum_calls: list[int] | None = None, mean_r2: list[float] | None = None,
+                 stderr_r2: list[float] | None = None, mean_dist2: list[float] | None = None,
+                 mean_dgap: list[float] | None = None):
+    """(mean_r2, mean_dist2, rate_fit_window) of an experiment summary, the
+    fields ``stochvi constants`` reads back.  Its parameters are the keys
+    :meth:`ExperimentResult.summary` writes, each optional, so that
+    :func:`~stochvi.errors.from_document` rejects a summary of the wrong
+    shape naming the key."""
+    return mean_r2, mean_dist2, rate_fit_window
+
+
 def fit_loglog_slope(values, window):
     """Least-squares slope/intercept of ln(values[k]) against ln(k) over
     k in [window[0], window[1]]."""
@@ -268,16 +289,16 @@ def fit_loglog_slope(values, window):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the replication ensemble and aggregate per-iteration stats.
 
-    The pair is validated into one run plan, and replications run serially
-    from it, each on the streams keyed by its index; they are merged by
-    index, so results depend only on (master_seed, replication).  Traces
-    shorter than max_iterations (early residual-floor stops) are carried
-    forward at their final value for ensemble averaging; the calls column
-    is the plan's ``cum_calls``.
+    The pair is validated into one run plan, and all R replications run
+    from it as one lockstep ensemble, one call of ``run`` with replications
+    0..R-1, each row on the streams keyed by its index, so results depend
+    only on (master_seed, replication).  Traces shorter than max_iterations
+    (early residual-floor stops) are carried forward at their final value
+    for ensemble averaging; the calls column is the plan's ``cum_calls``.
     """
     plan = validate(config.problem, config.solver)
     problem, R, K = config.problem, config.replications, config.solver.max_iterations
-    traces = [run(plan, replication=rep, x0=config.x0) for rep in range(R)]
+    traces = run(plan, replication=range(R), x0=config.x0).traces
     T_op, estimated = effective_mean_operator(problem)
 
     def stacked(per_trace):  # (R, K+1), each row held at its final value
@@ -365,10 +386,9 @@ def _fejer_audit(problem: dict, solver: dict, replications: int,
         raise InvalidParameters("fejer_audit probe needs at least 1 replication")
     plan = validate(problem_from_config(problem), solver_config_from_config(solver))
     rows = []
-    for rep in range(replications):
-        trace = run(plan, replication=rep, x0=None if x0 is None else np.asarray(x0, float))
+    for trace in run(plan, replication=range(replications), x0=x0).traces:
         report = fejer_audit(trace, plan.problem.known_solutions[0])
-        rows.append({"replication": rep,
+        rows.append({"replication": trace.replication,
                      "max_rel_violation": report.max_rel_violation,
                      "violations": report.n_violations})
     bad = sum(r["violations"] for r in rows)
@@ -443,7 +463,9 @@ def constants_inputs_from_config(cfg):
 def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
                   out_dir=None) -> dict:
     """Full constants report; with a run summary attached, appends the
-    empirical-vs-bound direction verdict."""
+    empirical-vs-bound direction verdict.  The summary is read against
+    :func:`_run_summary`: a key it does not name, or a value of the wrong
+    JSON type, raises ``ConfigError`` naming the key."""
     from .constants import (
         c_consistency,
         compare_bound_to_run,
@@ -451,10 +473,10 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
     )
 
     inputs = constants_inputs_from_config(inputs_cfg)
-    mean_dist2 = None
-    if run_summary is not None and run_summary.get("mean_dist2"):
-        mean_dist2 = np.asarray(run_summary["mean_dist2"], dtype=float)
-    report = rate_and_complexity_bounds(inputs, eps, mean_dist2=mean_dist2)
+    mean_r2, mean_dist2, window = (None, None, None) if run_summary is None else \
+        from_document(_run_summary, run_summary, "run summary")
+    report = rate_and_complexity_bounds(
+        inputs, eps, mean_dist2=np.asarray(mean_dist2, dtype=float) if mean_dist2 else None)
     consistency = c_consistency(inputs, inv=report.inverse_head)
     doc = {
         "inputs": {k: v for k, v in inputs_cfg.items()},
@@ -467,11 +489,9 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
             "threshold_k": consistency.threshold_k,
         },
     }
-    if run_summary is not None and run_summary.get("mean_r2") and \
-            report.rate_Q_bar is not None:
-        cmp_res = compare_bound_to_run(
-            inputs, report.rate_Q_bar, run_summary["mean_r2"],
-            k_min=(run_summary.get("rate_fit_window") or [1])[0] or 1)
+    if mean_r2 and report.rate_Q_bar is not None:
+        cmp_res = compare_bound_to_run(inputs, report.rate_Q_bar, mean_r2,
+                                       k_min=(window or [1])[0] or 1)
         doc["empirical_check"] = {"passed": cmp_res.passed,
                                   "detail": str(cmp_res)}
     if out_dir is not None:

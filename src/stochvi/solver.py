@@ -11,6 +11,12 @@ draw set per stage (and the trace coincides bit for bit with the monolithic
 iteration), under distributed sampling each block consumes its own stream of
 N_{k,i} draws and is billed separately.
 
+The replications of a run advance in lockstep, as the rows of one (R, n)
+array: each iteration evaluates T, the residual and each projection once
+for all rows, and each row draws from the streams keyed by its own
+replication index, so a row's trace is bit for bit the trace of that
+replication run alone.
+
 When diagnostics are enabled and the closed-form mean operator exists, the
 realized stochastic errors eps1 = mean - T(x^k) and eps2 = mean - T(z^k) are
 recorded together with the two bookkeeping sequences
@@ -26,7 +32,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from numbers import Integral
+from operator import index
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,20 +139,35 @@ class RunTrace:
         return out
 
 
-def _stepper(plan: RunPlan):
-    """``advance(replication, k, x, t=None) -> (z, g1, g2, x_next, t, tz)``:
-    iteration k of the plan from ``x``, with the prediction point z^k, the
-    two stage averages and the T(x) and T(z^k) the stages used (None without
-    a mean operator); ``t``, if given, is T(x) as the caller evaluated it.
-    ``run`` and ``martingale_probe`` both advance through it.
+class Ensemble(NamedTuple):
+    """The traces of one lockstep run, one per replication in the order
+    given.  ``cum_calls[k]`` is the oracle calls the ensemble billed before
+    iteration k, counted where the engine hands each stage's sizes to the
+    route (so it is not read from the traces or the plan); a stopped row
+    bills nothing more.  ``n_steps`` is the steps of every row, summed."""
 
-    A stage draws each of its draw sets on its own stream and bills N_{k,i}
-    calls for it, whether the average is T plus an error drawn from the
-    exact law or that of the draws themselves (see ``ProblemInstance.route``,
-    resolved here once per run); the plan's ``cum_calls`` holds the sums.
-    Each set's average fills its block of the stage mean.  A non-finite
-    average raises.  When the problem has a mean operator, a stage
-    evaluates T once at its point and hands it to every draw set.
+    traces: list
+    cum_calls: np.ndarray
+
+    @property
+    def n_steps(self):
+        return sum(t.n_steps for t in self.traces)
+
+
+def _lockstep(plan: RunPlan):
+    """``advance(replications, k, X, TX=None) -> (Z, G1, G2, X_next, TX, TZ,
+    billed)``: iteration k of the plan for every row of ``X``, row r on the
+    streams of ``replications[r]``, with the prediction points, the two
+    stage averages, the T(X) and T(Z) the stages used (None without a mean
+    operator) and the calls billed.  ``TX``, if given, is T(X) as the caller
+    evaluated it.  ``run`` and ``martingale_probe`` both advance through it.
+
+    T is evaluated once per stage on all rows and each projection is one
+    call.  A stage draws each row's draw sets on that row's own streams, one
+    call of the route (``ProblemInstance.route``, resolved here once) per
+    row and draw set, and bills N_{k,i} calls for each; a row's average is
+    thus the one a run of that replication alone draws, bit for bit.  A
+    non-finite average raises.
     """
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
     T = problem.mean_operator
@@ -151,24 +176,27 @@ def _stepper(plan: RunPlan):
                  for i, sl in plan.draw_sets)
     empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
 
-    def stage_mean(replication, k, stage, point, t):
-        mean = empty(problem.dimension)
+    def stage_mean(replications, k, stage, P, TP):
+        mean, billed = empty(P.shape), 0
+        TP = repeat(None) if TP is None else TP
         for (i, sl, route), size in zip(sets, rows[k]):
-            mean[sl] = route(stream(replication, k, stage, i), point, size, t)
-        if not every(isfinite(mean)):
+            mean[:, sl] = [route(stream(replication, k, stage, i), p, size, t)
+                           for replication, p, t in zip(replications, P, TP)]
+            billed += size * len(mean)
+        if not every(isfinite(mean), axis=None):
             raise OracleFailure(
                 f"oracle average is not finite at iteration {k}, stage {stage}")
-        return mean
+        return mean, billed
 
-    def advance(replication, k, x, t=None):
+    def advance(replications, k, X, TX=None):
         alpha = alphas[k]
-        if t is None and T is not None:
-            t = T(x)
-        g1 = stage_mean(replication, k, 1, x, t)
-        z = proj(x - alpha * g1)
-        tz = None if T is None else T(z)
-        g2 = stage_mean(replication, k, 2, z, tz)
-        return z, g1, g2, proj(x - alpha * g2), t, tz
+        if TX is None and T is not None:
+            TX = T(X)
+        G1, billed1 = stage_mean(replications, k, 1, X, TX)
+        Z = proj(X - alpha * G1)
+        TZ = None if T is None else T(Z)
+        G2, billed2 = stage_mean(replications, k, 2, Z, TZ)
+        return Z, G1, G2, proj(X - alpha * G2), TX, TZ, billed1 + billed2
 
     return advance
 
@@ -179,58 +207,89 @@ def _pow2(v):
     return np.float_power(v, 2)
 
 
-def run(plan: RunPlan, replication: int = 0, x0=None) -> RunTrace:
-    """Execute the plan's iteration for ``max_iterations`` steps (early stop
-    once the squared natural residual falls below ``config.residual_floor``).
+def run(plan: RunPlan, replication=0, x0=None):
+    """Execute the plan's iteration from ``x0`` for ``max_iterations`` steps
+    (early stop once the squared natural residual falls below
+    ``config.residual_floor``).
 
-    Deterministic given (master_seed, replication): traces are bit-identical
-    across reruns and across serial or concurrent execution.  The plan comes
+    ``replication`` is one index, and then ``run`` returns its
+    :class:`RunTrace`, or a sequence of them, and then it returns an
+    :class:`Ensemble` of their traces.  Either way the rows advance in
+    lockstep as one ``(R, n)`` array: each k evaluates T and the residual
+    once for all rows, and each stage draws every row from that row's own
+    streams (see ``_lockstep``).  A row whose residual falls below the floor
+    stops there and draws and bills nothing more; the others go on.
+
+    Deterministic given (master_seed, replication): a row's trace is bit
+    for bit the same whichever other rows share its run.  The plan comes
     from ``validate``, once for any number of replications.  T is evaluated
     once per point: T(x^k) serves the residual and the first stage, T(z^k)
     the second, and both the diagnostics.
     """
+    one = isinstance(replication, Integral)
+    # as Python ints, which a trace's JSON summary can hold (numpy's cannot)
+    replications = [index(r) for r in ([replication] if one else replication)]
+    if not replications:
+        raise InvalidParameters("run needs at least one replication")
     problem, config = plan.problem, plan.config
-    n, K = problem.dimension, config.max_iterations
+    n, K, R = problem.dimension, config.max_iterations, len(replications)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise DimensionMismatch(f"x0 must have shape ({n},)")
     T, fset, floor, alphas = (problem.mean_operator, problem.feasible_set,
                               config.residual_floor, plan.alphas)
-    residual_sq, advance = natural_residual_sq, _stepper(plan)
+    residual_sq, advance = natural_residual_sq, _lockstep(plan)
     record = config.diagnostics and T is not None  # only diagnostics read the steps
-    x = fset.project(x)  # iterates live in X from the start
-    iterates, r2, steps = [x], [], []
-    stopped, t = False, None
+    X = np.broadcast_to(fset.project(x), (R, n))  # iterates live in X from the start
+    iterates = np.zeros((R, K + 1, n))
+    iterates[:, 0] = X
+    r2 = None if T is None else np.zeros((R, K + 1))
+    steps = np.zeros((R, K, 5, n)) if record else None
+    ends = np.full(R, K)  # each row's step count
+    live, live_replications = slice(None), replications  # the rows still advancing
+    cum_calls, TX = [0], None
     for k in range(K + 1):
         if T is not None:  # the residual floor reads r^2 before each step
-            t = T(x)
-            r2.append(residual_sq(T, fset, x, alphas[k], t=t))
-            stopped = bool(k < K and r2[-1] <= floor)
-        if k == K or stopped:
+            TX = T(X)
+            res = residual_sq(T, fset, X, alphas[k], t=TX)
+            r2[live, k] = res
+            stop = res <= floor
+            if k < K and stop.any():
+                rows = np.arange(R)[live]
+                ends[rows[stop]] = k
+                live, X, TX = rows[~stop], X[~stop], TX[~stop]
+                live_replications = [replications[row] for row in live.tolist()]
+                if not live_replications:
+                    break
+        if k == K:
             break
-        z, g1, g2, x, t, tz = advance(replication, k, x, t)
+        Z, G1, G2, X, TX, TZ, billed = advance(live_replications, k, X, TX)
+        iterates[live, k + 1] = X
         if record:
-            steps.append((z, g1, g2, t, tz))
-        iterates.append(x)
+            steps[live, k] = np.stack((Z, G1, G2, TX, TZ), axis=1)
+        cum_calls.append(cum_calls[-1] + billed)
 
-    iterates = np.array(iterates)
-    n_steps = len(iterates) - 1
     has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
-    trace = RunTrace(
-        iterates=iterates,
-        r2=np.array(r2) if T is not None else None,
-        dist2=distance_sq_to_solutions(problem, iterates) if has_dist else None,
-        cum_calls=plan.cum_calls[:n_steps + 1].copy(),
-        sizes=plan.sizes[:n_steps].copy(),
-        alphas=np.array(alphas[:n_steps]),
-        replication=replication,
-        lipschitz_L=problem.lipschitz_L,
-        stopped_early=stopped,
-    )
-    if record:
-        _record_diagnostics(trace, np.array(steps, dtype=float).reshape(n_steps, 5, n),
-                            problem.known_solutions)
-    return trace
+    dist2 = distance_sq_to_solutions(problem, iterates) if has_dist else None
+    traces = []
+    for row, (replication, m) in enumerate(zip(replications, ends.tolist())):
+        trace = RunTrace(
+            iterates=iterates[row, :m + 1],
+            r2=None if r2 is None else r2[row, :m + 1],
+            dist2=None if dist2 is None else dist2[row, :m + 1],
+            cum_calls=plan.cum_calls[:m + 1].copy(),
+            sizes=plan.sizes[:m].copy(),
+            alphas=np.array(alphas[:m]),
+            replication=replication,
+            lipschitz_L=problem.lipschitz_L,
+            stopped_early=m < K,
+        )
+        if record:
+            _record_diagnostics(trace, steps[row, :m], problem.known_solutions)
+        traces.append(trace)
+    if one:
+        return traces[0]
+    return Ensemble(traces=traces, cum_calls=np.array(cum_calls, dtype=np.int64))
 
 
 def _record_diagnostics(trace: RunTrace, steps, track):
@@ -336,7 +395,8 @@ class MartingaleProbeResult:
 
 def martingale_probe(plan: RunPlan, x, replications: int,
                      x_star=None) -> MartingaleProbeResult:
-    """Run independent single steps of the plan from ``x`` and test E[dM] = 0.
+    """Run independent single steps of the plan from ``x``, replications
+    0..R-1 as one lockstep ensemble, and test E[dM] = 0.
 
     dM = 2 <x* - z, alpha eps2> where eps2 is the correction-stage error;
     its conditional mean vanishes because the second-stage samples are
@@ -354,11 +414,10 @@ def martingale_probe(plan: RunPlan, x, replications: int,
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
-    advance, t = _stepper(plan), problem.mean_operator(x)
-    steps = [advance(r, 0, x, t) for r in range(replications)]
-    z, _, g2, _, _, tz = (np.array(v, dtype=float) for v in zip(*steps))
-    e2 = g2 - tz
-    deltas = 2.0 * plan.alphas[0] * np.vecdot(x_star - z, e2)
+    X, TX = (np.broadcast_to(v, (replications, problem.dimension))
+             for v in (x, problem.mean_operator(x)))
+    Z, _, G2, _, _, TZ, _ = _lockstep(plan)(range(replications), 0, X, TX)
+    deltas = 2.0 * plan.alphas[0] * np.vecdot(x_star - Z, G2 - TZ)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))
     return MartingaleProbeResult(mean=mean, stderr=stderr, replications=replications)

@@ -257,3 +257,114 @@ def write_rows_reference(path, rows):
             fh.write(",".join(
                 repr(float(r[h])) if isinstance(r[h], float) else str(r[h])
                 for h in header) + "\n")
+
+
+def serial_stepper_reference(plan):
+    """One replication's iteration k as the serial engine advanced it:
+    ``advance(replication, k, x, t=None) -> (z, g1, g2, x_next, t, tz)``,
+    every draw set of a stage on its own stream and billed N_{k,i} calls."""
+    from stochvi.core import streams
+    from stochvi.errors import OracleFailure
+
+    problem, rows, alphas = plan.problem, plan.rows, plan.alphas
+    T = problem.mean_operator
+    stream, proj = streams(plan.config.master_seed), problem.feasible_set.project
+    sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl))
+                 for i, sl in plan.draw_sets)
+
+    def stage_mean(replication, k, stage, point, t):
+        mean = np.empty(problem.dimension)
+        for (i, sl, route), size in zip(sets, rows[k]):
+            mean[sl] = route(stream(replication, k, stage, i), point, size, t)
+        if not np.all(np.isfinite(mean)):
+            raise OracleFailure(
+                f"oracle average is not finite at iteration {k}, stage {stage}")
+        return mean
+
+    def advance(replication, k, x, t=None):
+        alpha = alphas[k]
+        if t is None and T is not None:
+            t = T(x)
+        g1 = stage_mean(replication, k, 1, x, t)
+        z = proj(x - alpha * g1)
+        tz = None if T is None else T(z)
+        g2 = stage_mean(replication, k, 2, z, tz)
+        return z, g1, g2, proj(x - alpha * g2), t, tz
+
+    return advance
+
+
+def _pow2(v):
+    return np.float_power(v, 2)
+
+
+def record_diagnostics_reference(trace, steps, track):
+    """The realized errors and the A and M sums from each step's (z, g1, g2,
+    T(x^k), T(z^k)), as the serial engine recorded them."""
+    z, g1, g2, t, tz = steps.swapaxes(0, 1)
+    e1, e2 = g1 - t, g2 - tz
+    alpha = trace.alphas
+    rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
+    trace.z, trace.eps2 = z, e2
+    trace.eps1_norm, trace.eps2_norm = np.sqrt(np.vecdot(e1, e1)), np.sqrt(np.vecdot(e2, e2))
+    dA = np.zeros(2 * len(alpha) + 1)
+    dA[1::2] = (8.0 + rho) * _pow2(alpha) * _pow2(trace.eps1_norm)
+    dA[2::2] = 8.0 * _pow2(alpha) * _pow2(trace.eps2_norm)
+    trace.A = np.cumsum(dA)[::2]
+    dM = np.zeros((len(alpha) + 1, len(track)))
+    for s, xstar in enumerate(track):
+        dM[1:, s] = 2.0 * alpha * np.vecdot(xstar - z, e2)
+    trace.M = np.cumsum(dM, axis=0)
+    trace.tracked_solutions = track
+
+
+def serial_run_reference(plan, replication=0, x0=None):
+    """One replication run by itself, one iteration after another: the
+    serial engine the lockstep ensemble must equal bit for bit."""
+    from stochvi.errors import DimensionMismatch
+    from stochvi.merit import distance_sq_to_solutions, natural_residual_sq
+    from stochvi.solver import RunTrace
+
+    problem, config = plan.problem, plan.config
+    n, K = problem.dimension, config.max_iterations
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatch(f"x0 must have shape ({n},)")
+    T, fset, floor, alphas = (problem.mean_operator, problem.feasible_set,
+                              config.residual_floor, plan.alphas)
+    advance = serial_stepper_reference(plan)
+    record = config.diagnostics and T is not None
+    x = fset.project(x)
+    iterates, r2, steps = [x], [], []
+    stopped, t = False, None
+    for k in range(K + 1):
+        if T is not None:
+            t = T(x)
+            r2.append(natural_residual_sq(T, fset, x, alphas[k], t=t))
+            stopped = bool(k < K and r2[-1] <= floor)
+        if k == K or stopped:
+            break
+        z, g1, g2, x, t, tz = advance(replication, k, x, t)
+        if record:
+            steps.append((z, g1, g2, t, tz))
+        iterates.append(x)
+
+    iterates = np.array(iterates)
+    n_steps = len(iterates) - 1
+    has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
+    trace = RunTrace(
+        iterates=iterates,
+        r2=np.array(r2) if T is not None else None,
+        dist2=distance_sq_to_solutions(problem, iterates) if has_dist else None,
+        cum_calls=plan.cum_calls[:n_steps + 1].copy(),
+        sizes=plan.sizes[:n_steps].copy(),
+        alphas=np.array(alphas[:n_steps]),
+        replication=replication,
+        lipschitz_L=problem.lipschitz_L,
+        stopped_early=stopped,
+    )
+    if record:
+        record_diagnostics_reference(
+            trace, np.array(steps, dtype=float).reshape(n_steps, 5, n),
+            problem.known_solutions)
+    return trace

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 from dataclasses import replace
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stochvi.harness import (
     probe,
     problem_from_config,
     run_experiment,
+    _run_summary,
     solver_config_from_config,
 )
 from stochvi.problems import gen_constant_noise
@@ -456,6 +458,11 @@ class TestConstantsCmd:
         }, eps=1e-4, run_summary=summary)
         assert doc["empirical_check"]["passed"]
 
+    def test_run_summary_fields_are_the_summary_keys(self):
+        summary = run_experiment(experiment_from_config(experiment_doc(replications=2)))\
+            .summary()
+        assert set(signature(_run_summary).parameters) == set(summary)
+
     def test_run_summary_without_window(self):
         """A summary whose window is null, as an experiment without
         ``rate_fit_window`` writes, compares from k = 1 as one without the key."""
@@ -544,6 +551,21 @@ class TestCli:
             cfg = self.write(tmp_path / "c.json", dict(CONSTANTS_DOC, run_summary=name))
             assert cli_main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert f"error: cannot read {tmp_path / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("summary, named", [
+        ([1, 2], "run summary must be an object, got [1, 2]"),
+        ({"mean_r2": "abc"}, "mean_r2 must be a list of numbers or null in run summary"),
+        ({"mean_r2": [1.0, "x"]}, "mean_r2 must be a list of numbers"),
+        ({"rate_fit_window": [2.5, 9]}, "rate_fit_window must be a list of integers"),
+        ({"mean_r2": [1.0], "extra": 1}, "unknown keys ['extra'] in run summary"),
+    ])
+    def test_malformed_run_summary_exits_2(self, tmp_path, capsys, summary, named):
+        """A summary that parses but has the wrong shape exits 2 naming the
+        key, as a malformed config does."""
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        cfg = self.write(tmp_path / "c.json", dict(CONSTANTS_DOC, run_summary="summary.json"))
+        assert cli_main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_incomplete_probe_documents_exit_2(self, tmp_path, capsys):
         no_x = without(self.PROBE_DOCS["martingale"], "x")

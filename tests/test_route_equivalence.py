@@ -71,7 +71,7 @@ def per_draw(problem):
 
 def finals(problem, config, x0, seed):
     plan = validate(problem, replace(config, master_seed=seed))
-    traces = [run(plan, replication=r, x0=x0) for r in range(R)]
+    traces = run(plan, replication=range(R), x0=x0).traces
     return (np.array([t.r2[-1] for t in traces]), np.array([t.dist2[-1] for t in traces]))
 
 

@@ -41,8 +41,8 @@ from stochvi.problems import (
 from stochvi.projection import Box, WholeSpace, project
 from stochvi.sampling import AgentSchedule, SampleSchedule
 from stochvi.solver import (
+    _lockstep,
     _pow2,
-    _stepper,
     fejer_audit,
     martingale_probe,
     run,
@@ -447,7 +447,7 @@ class TestStageMean:
         p = make()
         cfg = default_config(coordination=coordination, master_seed=5)
         plan = validate(p, cfg)
-        advance = _stepper(plan)
+        advance = _lockstep(plan)
         blocks = [(0, slice(None))] if coordination == "centralized" \
             else list(enumerate(p.block_slices()))
 
@@ -467,10 +467,10 @@ class TestStageMean:
 
         x = np.array([0.3, -1.2, 2.0])
         for k in (17, 0, 4, 17):
-            z, g1, g2, *_ = advance(3, k, x)
+            (z,), (g1,), (g2,), *_, billed = advance([3], k, x[None])
             assert np.array_equal(g1, expected(k, 1, x))
             assert np.array_equal(g2, expected(k, 2, z))
-            billed = 2 * sum(int(plan.sizes[k, i]) for i, _ in blocks)
+            assert billed == 2 * sum(int(plan.sizes[k, i]) for i, _ in blocks)
             assert plan.cum_calls[k + 1] - plan.cum_calls[k] == billed
 
     @settings(max_examples=50, deadline=None)
@@ -565,23 +565,27 @@ class TestOracleBilling:
         try:
             for cls, name, fn in saved:
                 setattr(cls, name, counting(fn))
-            traces = [run(plan, replication=r, x0=np.ones(5)) for r in range(R)]
+            ensemble = run(plan, replication=range(R), x0=np.ones(5))
         finally:
             for cls, name, fn in saved:
                 setattr(cls, name, fn)
+        traces = ensemble.traces
         assert all(vars(cls)[name] is fn for cls, name, fn in saved)
-        assert all(t.n_steps == K for t in traces)
-        assert seen["size"] == sum(int(t.cum_calls[-1]) for t in traces)
+        assert all(t.n_steps == K for t in traces) and ensemble.n_steps == R * K
+        assert seen["size"] == sum(int(t.cum_calls[-1]) for t in traces) \
+            == ensemble.cum_calls[-1]
         assert seen["calls"] == R * K * 2 * len(plan.draw_sets)
 
 
 def counting(T):
     """``T`` behind a wrapper that counts the points it is evaluated at in
-    ``calls[0]``: one per call on a point, one per row on a batch."""
-    calls = [0]
+    ``calls[0]`` (one per call on a point, one per row on a batch) and its
+    calls in ``calls[1]``."""
+    calls = [0, 0]
 
     def counted(x):
         calls[0] += int(np.prod(np.shape(x)[:-1]))
+        calls[1] += 1
         return T(x)
 
     return counted, calls
@@ -608,10 +612,10 @@ class TestSharedMeanOperator:
         problem, calls = self.counted(blocks=blocks)
         plan = validate(problem, default_config(coordination=coordination, max_iterations=K,
                                                 residual_floor=0.0, diagnostics=False))
-        calls[0] = 0
+        calls[:] = 0, 0
         trace = run(plan, replication=1, x0=np.ones(5))
         assert trace.n_steps == K and not trace.stopped_early
-        assert calls[0] == 2 * K + 1
+        assert calls == [2 * K + 1, 2 * K + 1]
 
     @pytest.mark.parametrize("coordination, blocks",
                              [("centralized", (5,)), ("distributed", (2, 2, 1))])
@@ -622,19 +626,20 @@ class TestSharedMeanOperator:
         problem, calls = self.counted(blocks=blocks)
         plan = validate(problem, default_config(coordination=coordination, max_iterations=K,
                                                 residual_floor=0.0, diagnostics=True))
-        calls[0] = 0
+        calls[:] = 0, 0
         trace = run(plan, replication=1, x0=np.ones(5))
         assert trace.n_steps == K and trace.A is not None
-        assert calls[0] == 2 * K + 1
+        assert calls == [2 * K + 1, 2 * K + 1]
 
     def test_martingale_probe_evaluates_T_once_per_point(self):
-        # T(x) once for every replication's first stage, T(z) once per replication
+        # T(x) once for every replication's first stage, T(z) once per
+        # replication: one call on the point, one on the ensemble's R rows
         R = 50
         problem, calls = self.counted()
         plan = validate(problem, default_config(max_iterations=1))
-        calls[0] = 0
+        calls[:] = 0, 0
         martingale_probe(plan, np.ones(5), replications=R)
-        assert calls[0] == R + 1
+        assert calls == [R + 1, 2]
 
     @pytest.mark.parametrize("coordination, blocks",
                              [("centralized", (5,)), ("distributed", (2, 2, 1))])
@@ -649,10 +654,10 @@ class TestSharedMeanOperator:
         plan = validate(problem.with_blocks(blocks), default_config(
             coordination=coordination, max_iterations=K, residual_floor=0.0,
             diagnostics=False))
-        calls[0] = own_calls[0] = 0
+        calls[:] = own_calls[:] = 0, 0
         trace = run(plan, replication=1, x0=np.ones(5))
         assert trace.n_steps == K and not trace.stopped_early
-        assert (calls[0], own_calls[0]) == (2 * K + 1, 0)
+        assert (calls, own_calls) == ([2 * K + 1, 2 * K + 1], [0, 0])
 
     @pytest.mark.parametrize("coordination, blocks",
                              [("centralized", (8,)), ("distributed", (3, 3, 2))])
@@ -668,10 +673,10 @@ class TestSharedMeanOperator:
         plan = validate(problem, default_config(
             coordination=coordination, max_iterations=K, residual_floor=0.0,
             diagnostics=False, stepsize=0.2 / problem.lipschitz_L))
-        calls[0] = 0
+        calls[:] = 0, 0
         trace = run(plan, replication=1, x0=np.ones(8))
         assert trace.n_steps == K and not trace.stopped_early
-        assert (calls[0], own_calls[0]) == (2 * K + 1, 0)
+        assert (calls, own_calls) == ([2 * K + 1, 2 * K + 1], [0, 0])
         # a noiseless stage mean is the t it was handed, not a product of its own
         quiet, t = replace(problem, oracle=LinearMatrixNoiseOracle(own, 0.0)), np.arange(8.0)
         for sl in (None, slice(3, 6)):
@@ -703,8 +708,8 @@ class TestSharedMeanOperator:
         for exact_error, shift in ((True, 0.0), (False, 1.0)):
             oracle.exact_error = exact_error
             problem = replace(base, oracle=oracle).with_blocks((2, 2, 1))
-            advance = _stepper(validate(problem, default_config(coordination=coordination)))
-            z, g1, g2, *_ = advance(0, 0, x, T(x))
+            advance = _lockstep(validate(problem, default_config(coordination=coordination)))
+            (z,), (g1,), (g2,), *_ = advance([0], 0, x[None], T(x[None]))
             np.testing.assert_allclose(g1, T(x) + shift, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(g2, T(z) + shift, rtol=1e-15, atol=0.0)
 
@@ -729,8 +734,8 @@ class TestSharedMeanOperator:
             out = problem.route(sl)(None, x, 4, problem.mean_operator(x))
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
         for coordination in ("centralized", "distributed"):
-            advance = _stepper(validate(problem, default_config(coordination=coordination)))
-            _, g1, *_ = advance(0, 4, x)
+            advance = _lockstep(validate(problem, default_config(coordination=coordination)))
+            _, (g1,), *_ = advance([0], 4, x[None])
             assert g1.tobytes() == (x + 0.5).tobytes()
 
     def test_exact_error_oracle_without_block_is_rejected(self):
@@ -775,6 +780,6 @@ class TestSharedMeanOperator:
             out[...] = 7.0
             assert t.tobytes() == kept.tobytes()
         for coordination in ("centralized", "distributed"):
-            advance = _stepper(validate(problem, default_config(coordination=coordination)))
-            _, g1, *_ = advance(0, 0, x, t)
+            advance = _lockstep(validate(problem, default_config(coordination=coordination)))
+            _, (g1,), *_ = advance([0], 0, x[None], t[None])
             assert g1.tobytes() == t.tobytes() and not np.shares_memory(g1, t)

@@ -32,7 +32,7 @@ from stochvi.problems import (
 )
 from stochvi.projection import WholeSpace
 from stochvi.sampling import error_decay_probe
-from stochvi.solver import _stepper
+from stochvi.solver import _lockstep
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stochvi"
 
@@ -104,7 +104,7 @@ def test_surrogate_inside_a_stage_keeps_the_stage_stream():
                         lipschitz_L=1.0, feasible_set=WholeSpace(2))
     plan = validate(p, default_config(master_seed=5))
     x = np.array([0.4, -1.0])
-    z, g1, g2, *_ = _stepper(plan)(3, 2, x)
+    (z,), (g1,), (g2,), *_ = _lockstep(plan)([3], 2, x[None])
     size = plan.rows[2][0]
     for stage, point, g in ((1, x, g1), (2, z, g2)):
         rng = derive_stream(5, 3, 2, stage, 0)
