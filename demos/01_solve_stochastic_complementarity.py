@@ -25,9 +25,7 @@ config = SolverConfig(
     max_iterations=200,
     master_seed=7,
 )
-print()
-plan = validate(problem, config)  # checks the pair and tabulates the run
-print(plan.report)
+plan = validate(problem, config)  # raises on a misconfigured pair, tabulates the run
 
 trace = run(plan, x0=np.full(8, 2.0))
 print()

@@ -51,4 +51,4 @@ print(f"\nmoment-boundedness certificate at gamma = phi/D:")
 gamma = inputs.phi / inputs.noise_margin
 print(f"  {lp_bound_constants(inputs, gamma)}")
 
-print(f"\n{c_consistency(inputs, inv=bounds.inverse_head)}")
+print(f"\n{c_consistency(inputs)}")

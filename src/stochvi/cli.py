@@ -22,14 +22,17 @@ from .errors import ConfigError, StochviError, typed
 from .solver import write_json
 
 
-def _load(path):
-    """The JSON document at ``path``; one that cannot be read or parsed
-    raises ``ConfigError`` naming the path."""
+def _load(path, where="config"):
+    """The JSON object at ``path``; one that cannot be read or parsed, or is
+    not an object, raises ``ConfigError`` naming the path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(document, dict):
+        raise ConfigError(f"{where} must be an object, got {document!r} (in {path})")
+    return document
 
 
 def build_parser():
@@ -48,9 +51,18 @@ def build_parser():
     return parser
 
 
+def _override(document, section, key, value):
+    """Set ``key`` in the ``section`` of ``document`` (the document itself if
+    None); a section that is not an object raises ``ConfigError``."""
+    target = document if section is None else document.setdefault(section, {})
+    if not isinstance(target, dict):
+        raise ConfigError(f"{section} must be an object in the config, got {target!r}")
+    target[key] = value
+
+
 def _apply_overrides(document, args):
     if args.seed is not None:
-        document.setdefault("solver", {})["master_seed"] = args.seed
+        _override(document, "solver", "master_seed", args.seed)
     if getattr(args, "replications", None) is not None:  # solve has no such flag
         document["replications"] = args.replications
     return document
@@ -101,8 +113,7 @@ def cmd_probe(args):
     if args.replications is not None and "replications" in spec.keys:
         document["replications"] = args.replications
     if args.seed is not None:
-        section, key = spec.seed_field
-        (document.setdefault(section, {}) if section else document)[key] = args.seed
+        _override(document, *spec.seed_field, args.seed)
     verdict = probe(kind, document, args.out)
     print(f"{kind}: {'PASS' if verdict.get('passed') else 'FAIL'}")
     return 0 if verdict.get("passed") else 3
@@ -118,7 +129,8 @@ def cmd_constants(args):
                          "constants document")
     if summary_path is not None:
         run_summary = _load(Path(args.config).parent / summary_path
-                            if not Path(summary_path).is_absolute() else summary_path)
+                            if not Path(summary_path).is_absolute() else summary_path,
+                            "run summary")
     doc = constants_cmd(document, eps, run_summary=run_summary, out_dir=args.out)
     print(format_constants_table(doc))
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,20 +141,18 @@ class CConsistencyReport:
                 f"(first admissible index: {thr})")
 
 
-def c_consistency(inputs: ConstantsInputs, k_max: int = 1000, inv=None) -> CConsistencyReport:
+def c_consistency(inputs: ConstantsInputs, k_max: int = 1000) -> CConsistencyReport:
     """Scan k <= k_max for the minimal admissible remainder constant.
 
     With sigma > 0 the per-index ratio reduces to
     [32 (1 + L alpha + H_k)^2 + 18] / (1 + H_k^2), independent of sigma's
     scale except through H_k; at sigma = 0 both sides vanish and any c > 1
-    is admissible.  ``inv`` is a head 1/N_k for k = 0..k_max or beyond when
-    the caller has already tabulated it (``BoundsReport.inverse_head``).
+    is admissible.
     """
     if inputs.sigma == 0.0:
         return CConsistencyReport(inputs.c_remainder, 1.0, True, 0, k_max)
-    if inv is None or len(inv) <= k_max:
-        inv, _ = inputs.schedule.inverse_series(np.arange(k_max + 1))
-    h2 = (inputs.alpha * inputs.c2 * inputs.sigma) * np.sqrt(inputs.a_coef * inv[:k_max + 1])
+    inv, _ = inputs.schedule.inverse_series(np.arange(k_max + 1))
+    h2 = (inputs.alpha * inputs.c2 * inputs.sigma) * np.sqrt(inputs.a_coef * inv)
     ratio = (32.0 * (1.0 + inputs.L * inputs.alpha + h2) ** 2 + 18.0) / (1.0 + h2 ** 2)
     minimal = float(np.max(ratio))
     ok = minimal <= inputs.c_remainder
@@ -369,8 +367,6 @@ class BoundsReport:
     network_complexity_I: float | None
     network_log_arg_P: float | None
     network_complexity_bound: float | None
-    # the head 1/N_k, k = 0..horizon, the sums were taken over; not reported
-    inverse_head: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self):
         out = {}
@@ -378,7 +374,7 @@ class BoundsReport:
             if isinstance(val, BurnInResult):
                 out["burn_in_closed_form"] = val.closed_form
                 out["burn_in_numeric"] = val.numeric
-            elif name != "inverse_head":
+            else:
                 out[name] = val
         return out
 
@@ -482,7 +478,7 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
         uniform_log_arg_P=uP, uniform_complexity_bound=uC,
         network_tail_coeff_A=nA, network_tail_coeff_B=nB,
         network_rate_Q=nQ, network_complexity_I=nI,
-        network_log_arg_P=nP, network_complexity_bound=nC, inverse_head=inv,
+        network_log_arg_P=nP, network_complexity_bound=nC,
     )
 
 

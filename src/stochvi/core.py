@@ -327,29 +327,6 @@ class SolverConfig:
         return self.stepsize[min(k, len(self.stepsize) - 1)]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def __str__(self):
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"{status:4s}  {c.name}: {c.detail}")
-        return "\n".join(lines)
-
-
 @dataclass(frozen=True, eq=False)
 class RunPlan:
     """A validated (problem, config) pair and the tables every run of it
@@ -365,7 +342,6 @@ class RunPlan:
 
     problem: ProblemInstance
     config: SolverConfig
-    report: ValidationReport
     draw_sets: tuple
     sizes: np.ndarray
     rows: tuple
@@ -377,52 +353,25 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     """Check every configuration-time condition the method relies on and
     return the run plan of the pair.
 
-    The plan's report has one entry per check.  Raises immediately (rather
-    than reporting) on the conditions that make a run meaningless: a stepsize
-    at or above 1/(sqrt(6) L), sample counts still stalled near 1 at the
+    Raises on the conditions that make a run meaningless: a stepsize at or
+    above 1/(sqrt(6) L), sample counts still stalled near 1 at the
     ``schedule_tail_check`` horizon (the schedule's parameter region already
     makes sum_k 1/N_k finite; the check is analytic, not a scan), agent
     schedules that do not fit the blocks or the coordination, and counts
-    beyond the int64 range by ``max_iterations``.  Re-running is idempotent
-    and side-effect free.
+    beyond the int64 range by ``max_iterations``.  The block partition and
+    the known solutions' feasibility and fixed-point tests are construction
+    invariants of ``ProblemInstance``.  Re-running is idempotent and
+    side-effect free.
     """
-    alphas = config.stepsize
-    cap = stepsize_cap(problem.lipschitz_L, alphas)
-    checks = [CheckResult("stepsize_bounds", True,
-                          f"0 < {min(alphas):.6g} <= {max(alphas):.6g} < {cap:.6g}")]
-
+    stepsize_cap(problem.lipschitz_L, config.stepsize)
     m = problem.n_blocks
     sched = config.schedule.broadcast(m)  # raises InvalidSchedule on shape mismatch
-    checks.append(CheckResult(
-        "schedule_parameters", True,
-        "; ".join(f"theta={a.theta:g}, mu={a.mu:g}, a={a.a:g}, b={a.b:g}"
-                  for a in sched.agents)))
-
-    ok, detail = schedule_tail_check(sched)
-    if not ok:
-        raise InvalidSchedule(f"sampling-rate tail not summable at finite horizon: {detail}")
-    checks.append(CheckResult("sampling_rate_summable", True, detail))
-
+    schedule_tail_check(sched)
     if config.coordination == "centralized" and m > 1:
         first = sched.agents[0]
         if any(a != first for a in sched.agents[1:]):
             raise CoordinationMismatch(
                 "centralized sampling requires identical per-block sample counts")
-    checks.append(CheckResult("sampling_coordination", True, config.coordination))
-
-    # The block partition and the known solutions' feasibility and fixed-point
-    # tests are construction-time invariants of ProblemInstance, not checks.
-    if problem.mean_operator is None:
-        checks.append(CheckResult(
-            "mean_operator_available", False,
-            "no closed-form mean operator: runs record no r^2 and have no "
-            "residual floor; only an experiment's D-gap is estimated"))
-    if problem.variance_profile is None:
-        checks.append(CheckResult(
-            "variance_profile", False, "no variance descriptor supplied (informational)"))
-    else:
-        vp = problem.variance_profile
-        checks.append(CheckResult("variance_profile", True, f"{vp.kind}, sigma={vp.sigma:g}"))
 
     K = config.max_iterations
     sizes = sched.sizes_upto(K)
@@ -433,7 +382,6 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     cum_calls = np.array(list(accumulate((2 * sum(r) for r in rows[:K]), initial=0)),
                          dtype=np.int64)
     cum_calls.setflags(write=False)
-    return RunPlan(problem=problem, config=config, report=ValidationReport(tuple(checks)),
-                   draw_sets=draw_sets, sizes=sizes, rows=rows,
+    return RunPlan(problem=problem, config=config, draw_sets=draw_sets, sizes=sizes, rows=rows,
                    alphas=tuple(map(config.stepsize_at, range(K + 1))),
                    cum_calls=cum_calls)

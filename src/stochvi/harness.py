@@ -477,7 +477,7 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
         from_document(_run_summary, run_summary, "run summary")
     report = rate_and_complexity_bounds(
         inputs, eps, mean_dist2=np.asarray(mean_dist2, dtype=float) if mean_dist2 else None)
-    consistency = c_consistency(inputs, inv=report.inverse_head)
+    consistency = c_consistency(inputs)
     doc = {
         "inputs": {k: v for k, v in inputs_cfg.items()},
         "eps": eps,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidParameters,
     InvalidSchedule,
     NoMeanOperator,
@@ -183,19 +184,20 @@ def schedule_tail_check(schedule: SampleSchedule, horizon: int = 10 ** 6,
     ``total`` bounds sum_(k <= horizon) 1/N_k per agent by
     min(horizon + 1, 1/N_0 + 1/N_1 + B(1) - B(horizon)) with the integral
     bound B of ``AgentSchedule.tail_bound``; no O(horizon) work is done.
-    Returns (ok, detail).  Both series come from
+    Raises ``InvalidSchedule`` if it is not.  Both series come from
     ``SampleSchedule.inverse_series``; the companion per-agent condition
-    sum_k 1/min_i N_{k,i} < inf is reported informationally in the detail.
+    sum_k 1/min_i N_{k,i} < inf is named informationally in the message.
     """
     agg, per_min = schedule.inverse_series(np.arange(max(horizon - window, 0), horizon + 1))
     tail, tail_min = float(np.sum(agg)), float(np.sum(per_min))
     head = 1.0 / schedule.counts([0, 1])
     total = sum(min(horizon + 1.0, h0 + h1 + ag.tail_bound(1) - ag.tail_bound(horizon))
                 for ag, h0, h1 in zip(schedule.agents, head[0], head[1]))
-    ok = tail <= tol * max(1.0, total)
-    detail = (f"sum_(k<={horizon}) 1/N_k <= {total:.6g}, last-{window} increment "
-              f"{tail:.3g} (aggregate) / {tail_min:.3g} (per-agent minimum)")
-    return ok, detail
+    if not tail <= tol * max(1.0, total):
+        raise InvalidSchedule(
+            f"sampling-rate tail not summable at finite horizon: sum_(k<={horizon}) 1/N_k "
+            f"<= {total:.6g}, last-{window} increment {tail:.3g} (aggregate) / "
+            f"{tail_min:.3g} (per-agent minimum)")
 
 
 def network_exponents(m: int, base: float, S: float = 1.0):
@@ -258,6 +260,8 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     if problem.mean_operator is None:
         raise NoMeanOperator("error decay probe needs the closed-form mean operator")
     x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dimension,):
+        raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
     draw, t = problem.route(), np.asarray(problem.mean_operator(x), dtype=float)
     rows, stream = [], streams(master_seed)
     for j, n in enumerate(n_grid):

@@ -155,14 +155,15 @@ class Ensemble(NamedTuple):
 
 
 def _lockstep(plan: RunPlan):
-    """``advance(replications, k, X, TX=None) -> (Z, G1, G2, X_next, TX, TZ,
+    """``advance(replications, k, X, TX) -> (Z, G1, G2, X_next, TX, TZ,
     billed)``: iteration k of the plan for every row of ``X``, row r on the
     streams of ``replications[r]``, with the prediction points, the two
     stage averages, the T(X) and T(Z) the stages used (None without a mean
-    operator) and the calls billed.  ``TX``, if given, is T(X) as the caller
-    evaluated it.  ``run`` and ``martingale_probe`` both advance through it.
+    operator) and the calls billed.  ``TX`` is T(X) as the caller evaluated
+    it, or None without a mean operator.  ``run`` and ``martingale_probe``
+    both advance through it.
 
-    T is evaluated once per stage on all rows and each projection is one
+    T(Z) is evaluated once for all rows and each projection is one
     call.  A stage draws each row's draw sets on that row's own streams, one
     call of the route (``ProblemInstance.route``, resolved here once) per
     row and draw set, and bills N_{k,i} calls for each; a row's average is
@@ -188,10 +189,8 @@ def _lockstep(plan: RunPlan):
                 f"oracle average is not finite at iteration {k}, stage {stage}")
         return mean, billed
 
-    def advance(replications, k, X, TX=None):
+    def advance(replications, k, X, TX):
         alpha = alphas[k]
-        if TX is None and T is not None:
-            TX = T(X)
         G1, billed1 = stage_mean(replications, k, 1, X, TX)
         Z = proj(X - alpha * G1)
         TZ = None if T is None else T(Z)
@@ -414,6 +413,8 @@ def martingale_probe(plan: RunPlan, x, replications: int,
         x_star = problem.known_solutions[0]
     x_star = np.asarray(x_star, dtype=float)
     x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dimension,):
+        raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
     X, TX = (np.broadcast_to(v, (replications, problem.dimension))
              for v in (x, problem.mean_operator(x)))
     Z, _, G2, _, _, TZ, _ = _lockstep(plan)(range(replications), 0, X, TX)

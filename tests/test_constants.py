@@ -298,18 +298,17 @@ class TestRateAndComplexity:
         assert (rep.tail_sum, rep.tail_sum_sq) == (ref.tail_sum, ref.tail_sum_sq)
 
     @pytest.mark.parametrize("network", [False, True], ids=["single", "three_agents"])
-    def test_constants_command_tabulates_one_head(self, monkeypatch, network):
-        """``c_consistency`` scans the head the bounds were summed from: the
-        constants command tabulates one, and its verdict is unchanged."""
+    def test_constants_command_tabulates_the_long_head_once(self, monkeypatch, network):
+        """The constants command tabulates the head 1/N_k, k = 0..horizon,
+        once for the burn-in search and the tail sums; ``c_consistency``
+        tabulates only its own k_max + 1 = 1001 terms."""
+        from stochvi.constants import _HORIZON
         from stochvi.harness import constants_cmd
 
         a, m = (0.5, 3) if network else (0.0, 1)
         cfg = dict(L=1.0, alpha=0.1, sigma=1.0, phi=0.5, d0=1.0, c_remainder=2.0, J=1.0,
                    schedule={"theta": 1, "mu": 3, "a": a, "b": 1}, m=m)
         ref = constants_cmd(cfg, 1e-3)
-        inp = inputs(J=1.0, m=m, schedule=SampleSchedule.uniform(1, 3, a, 1))
-        head = rate_and_complexity_bounds(inp, 1e-3).inverse_head
-        assert c_consistency(inp, inv=head) == c_consistency(inp)
         lengths = []
         series = SampleSchedule.inverse_series
 
@@ -319,7 +318,7 @@ class TestRateAndComplexity:
 
         monkeypatch.setattr(SampleSchedule, "inverse_series", counted)
         assert constants_cmd(cfg, 1e-3) == ref
-        assert [n for n in lengths if n > 1] == [max(lengths)]
+        assert [n for n in lengths if n > 1] == [_HORIZON + 1, 1001]
 
 
 class TestLpBounds:

@@ -545,6 +545,41 @@ class TestCli:
                              str(tmp_path / "o")]) == 2
             assert f"error: cannot read {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", []), ("solve", ["--seed", "3"]),
+        ("experiment", []), ("experiment", ["--seed", "3", "--replications", "2"]),
+        ("probe", []), ("probe", ["--seed", "3", "--replications", "2"]),
+        ("constants", []),
+    ])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, flags):
+        cfg = self.write(tmp_path / "c.json", [1, 2])
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]
+                        + flags) == 2
+        assert f"error: config must be an object, got [1, 2] (in {cfg})" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("solve", experiment_doc(solver=[1])),
+        ("experiment", experiment_doc(solver=[1])),
+        ("probe", dict(PROBE_DOCS["martingale"], kind="martingale", solver=[1])),
+        ("probe", dict(PROBE_DOCS["fejer_audit"], kind="fejer_audit", solver="x")),
+    ])
+    def test_seed_into_a_section_that_is_not_an_object_exits_2(self, tmp_path, capsys,
+                                                                command, doc):
+        """With or without --seed the document exits 2 naming the section."""
+        cfg = self.write(tmp_path / "c.json", doc)
+        for flags in ([], ["--seed", "3"]):
+            assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]
+                            + flags) == 2
+            assert "error: solver must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["martingale", "error_decay"])
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0, 4.0], 1.0])
+    def test_probe_point_of_the_wrong_shape_exits_2(self, tmp_path, capsys, kind, x):
+        cfg = self.write(tmp_path / "p.json", dict(self.PROBE_DOCS[kind], kind=kind, x=x))
+        assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
+        assert "error: x must have shape" in capsys.readouterr().err
+
     def test_unreadable_run_summary_exits_2(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("[1, 2")
         for name in ("bad.json", "missing.json"):

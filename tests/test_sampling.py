@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from reference_impls import sample_count, tail_scan
 from stochvi.core import derive_stream
-from stochvi.errors import InvalidParameters, InvalidSchedule, NoMeanOperator, OracleFailure
+from stochvi.errors import (
+    DimensionMismatch,
+    InvalidParameters,
+    InvalidSchedule,
+    NoMeanOperator,
+    OracleFailure,
+)
 from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_monotone
 from stochvi.sampling import (
     AgentSchedule,
@@ -99,15 +105,14 @@ def test_tail_summability_finite_horizon():
     """Partial sums of 1/N_k settle at the 10^6 horizon: the last ten terms
     contribute below 1e-6 of the total for every valid schedule."""
     for params in [(1, 3, 0, 1), (1, 3, 0, 0.5), (2, 3, 1, -1), (0.5, 4, 0.3, 0.2)]:
-        ok, detail = schedule_tail_check(SampleSchedule.uniform(*params))
-        assert ok, detail
+        schedule_tail_check(SampleSchedule.uniform(*params))
 
 
 def test_tail_check_catches_stalled_counts():
     # theta so small the counts stay pinned at 1 across the whole horizon
     sched = SampleSchedule.uniform(theta=1e-30, mu=3, a=0, b=1)
-    ok, _ = schedule_tail_check(sched, horizon=10_000)
-    assert not ok
+    with pytest.raises(InvalidSchedule, match="tail not summable at finite horizon"):
+        schedule_tail_check(sched, horizon=10_000)
 
 
 # (theta, mu, a, b) of every schedule the tests, demos and benchmark run,
@@ -122,12 +127,20 @@ SCHEDULES = [
 ]
 
 
+def passes_tail_check(schedule):
+    try:
+        schedule_tail_check(schedule)
+    except InvalidSchedule:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_tail_check_decides_like_the_numeric_scan(m):
     decisions = []
     for params in SCHEDULES:
-        ok, detail = schedule_tail_check(SampleSchedule.uniform(*params, m=m))
-        assert ok == tail_scan([params] * m), (params, detail)
+        ok = passes_tail_check(SampleSchedule.uniform(*params, m=m))
+        assert ok == tail_scan([params] * m), params
         decisions.append(ok)
     assert decisions.count(False) == 1  # only the stalled schedule fails
 
@@ -301,6 +314,13 @@ class TestErrorDecayProbe:
         with pytest.raises(InvalidParameters, match="2 replications"):
             error_decay_probe(gen_constant_noise(sigma=1.0), np.zeros(1), [1, 4],
                               replications=1)
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], 1.0, [[1.0, 2.0]]])
+    def test_point_must_have_the_problem_dimension(self, x):
+        # a scalar would broadcast against T(x) and run silently as [1, 1]
+        p = gen_linear_svi(n=2, seed=1, noise_scale=0.3)
+        with pytest.raises(DimensionMismatch, match=r"x must have shape \(2,\)"):
+            error_decay_probe(p, x, [1, 4], replications=2)
 
 
 @settings(max_examples=40, deadline=None)

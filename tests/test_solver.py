@@ -23,6 +23,7 @@ from stochvi.core import (
 )
 from stochvi.errors import (
     CoordinationMismatch,
+    DimensionMismatch,
     InvalidParameters,
     InvalidStepsize,
     MissingDiagnostics,
@@ -383,6 +384,13 @@ class TestMartingaleProbe:
             martingale_probe(validate(p, default_config(max_iterations=1)), np.array([0.7]),
                              replications=1)
 
+    @pytest.mark.parametrize("x", [np.ones(3), 1.0, np.ones((1, 5))])
+    def test_point_must_have_the_problem_dimension(self, quiet_problem, x):
+        # a scalar would broadcast to every coordinate and run silently
+        plan = validate(quiet_problem, default_config(max_iterations=1))
+        with pytest.raises(DimensionMismatch, match=r"x must have shape \(5,\)"):
+            martingale_probe(plan, x, replications=2)
+
 
 def user_problem(oracle, blocks=()):
     """Identity operator sampled through a plain-function oracle (no
@@ -467,7 +475,7 @@ class TestStageMean:
 
         x = np.array([0.3, -1.2, 2.0])
         for k in (17, 0, 4, 17):
-            (z,), (g1,), (g2,), *_, billed = advance([3], k, x[None])
+            (z,), (g1,), (g2,), *_, billed = advance([3], k, x[None], p.mean_operator(x[None]))
             assert np.array_equal(g1, expected(k, 1, x))
             assert np.array_equal(g2, expected(k, 2, z))
             assert billed == 2 * sum(int(plan.sizes[k, i]) for i, _ in blocks)
@@ -735,7 +743,7 @@ class TestSharedMeanOperator:
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
         for coordination in ("centralized", "distributed"):
             advance = _lockstep(validate(problem, default_config(coordination=coordination)))
-            _, (g1,), *_ = advance([0], 4, x[None])
+            _, (g1,), *_ = advance([0], 4, x[None], problem.mean_operator(x[None]))
             assert g1.tobytes() == (x + 0.5).tobytes()
 
     def test_exact_error_oracle_without_block_is_rejected(self):

@@ -72,3 +72,6 @@ def test_traced_billing_counts_agree(workload, replications, K):
     assert metrics["solver.iterations"] == sum(t.n_steps for t in result.traces) \
         == replications * K
     assert metrics["solver.run.calls"] == 1  # the ensemble is one engine call
+    # validate and its tail check run under the names the tracer rebinds
+    assert metrics["core.validate.calls"] == 1
+    assert metrics["sampling.schedule_tail_check.s"] > 0
