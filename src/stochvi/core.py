@@ -14,19 +14,25 @@ The stochastic oracle contract:
   accepts ``error=True`` and then returns, in the block's shape, the average
   of ``size`` draws of the error F(xi, x) - T(x), drawn from its exact law.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
-  an oracle, and what it returns is a stage's average, never raw draws.  On
-  a problem with a ``mean_operator`` and an oracle declaring
-  ``exact_error``, a call handed T(x), as the caller evaluated it once for
-  the point, returns T(x) plus the error drawn through ``block``
-  (``slice(None)`` for the whole point); every other call draws the batch
-  and averages it.  Either way it bills ``size`` calls.  The solver hands
-  T(x) over; ``error_decay_probe`` and the harness's surrogate do not, so
-  acceptance criterion 2 sees every draw.  The solver resolves each draw
-  set's route once per run, when the run starts, so the oracle's methods
-  are read then; ``error_decay_probe`` and the surrogate resolve one each.
+  an oracle, and what it returns is a stage's averages, never raw draws.  A
+  call ``route(rngs, X, size, TX=None)`` takes a batch of points ``X`` and
+  returns one average per row, drawing row r on the r-th generator of
+  ``rngs``, which it takes only once row r-1 is drawn, so ``rngs`` may
+  yield one generator re-keyed for each row.  Each row is one oracle call
+  with ``size`` its fourth positional argument, and bills ``size`` calls.
+  On a problem with a ``mean_operator`` and an oracle declaring
+  ``exact_error``, a call handed T(X), as the caller evaluated it once for
+  the points, returns T(X) plus the errors drawn through ``block``
+  (``slice(None)`` for the whole point); every other call draws each row's
+  batch and averages it.  The solver hands T(X) over;
+  ``error_decay_probe`` and the harness's surrogate do not, so acceptance
+  criterion 2 sees every draw.  The solver resolves each draw set's route
+  once per run, when the run starts, so the oracle's methods are read then;
+  ``error_decay_probe`` and the surrogate resolve one each.
 * The generator ``rng`` handed to an oracle is valid only for that call:
-  the solver re-keys the same generator for the next stage, so an oracle
-  must not keep it, or anything drawn lazily from it, past its return.
+  the solver re-keys the same generator for the next row and stage, so an
+  oracle must not keep it, or anything drawn lazily from it, past its
+  return.
 
 Run-time randomness has one source, :func:`streams`: the solver, the probes,
 the baselines and the harness's surrogate each take a stream function of
@@ -76,13 +82,22 @@ def _philox_key(master_seed, replication, iteration, stage, block, sample=0):
         master_seed, replication, iteration, stage, block, sample)).digest())
 
 
+def _check_seed(master_seed):
+    if not -2 ** 63 <= master_seed < 2 ** 63:
+        raise InvalidParameters(f"master_seed {master_seed} is outside the signed 64-bit "
+                                "range of a stream key")
+
+
 def derive_stream(master_seed, replication=0, iteration=0, stage=1, block=0, sample=0):
     """The stream of the key (master_seed, replication, iteration, stage,
     block, sample), ``stage`` 1 for the prediction step and 2 for the
     correction step.  The fields are hashed into a 128-bit Philox key, so
     derivation is pure and order-independent and distinct keys give
     independent streams.  It is the reference for :func:`streams`, whose
-    stream function takes the same fields after ``master_seed``."""
+    stream function takes the same fields after ``master_seed``.  A
+    ``master_seed`` outside the signed 64-bit range raises
+    ``InvalidParameters``."""
+    _check_seed(master_seed)
     if stage not in (1, 2):
         raise InvalidParameters("stage must be 1 or 2")
     return np.random.Generator(np.random.Philox(key=np.array(_philox_key(
@@ -102,8 +117,13 @@ def streams(master_seed):
     maker of run-time streams: it re-keys one Philox generator, owned by this
     call of ``streams``, to the stream ``derive_stream`` gives for the key (a
     Philox stream is fixed by its key and counter alone) and is valid until
-    the next call.  Consumers that may run inside one another each call
-    ``streams`` for their own."""
+    the next call.  ``stream.rows(replications, iteration, stage, block)``
+    yields the same generator re-keyed to each replication's stream in turn
+    (``sample`` 0), each valid until the next is taken: the ``rngs`` of a
+    route call.  Consumers that may run inside one another each call
+    ``streams`` for their own.  A ``master_seed`` outside the signed 64-bit
+    range raises ``InvalidParameters`` here, once, and not at a re-key."""
+    _check_seed(master_seed)
     bits = np.random.Philox(_throwaway_seed())
     rng = np.random.Generator(bits)
     fresh = bits.state  # counter zero, empty buffer, no cached uint32
@@ -116,6 +136,17 @@ def streams(master_seed):
         bits.state = fresh
         return rng
 
+    pack, sha256, unpack = _KEY_FIELDS.pack, hashlib.sha256, _KEY_WORDS.unpack_from
+
+    def rows(replications, iteration, stage, block):
+        # _philox_key inlined: this runs once per row and stage
+        for replication in replications:
+            keyed["key"] = unpack(sha256(pack(
+                master_seed, replication, iteration, stage, block, 0)).digest())
+            bits.state = fresh
+            yield rng
+
+    stream.rows = rows
     return stream
 
 
@@ -234,46 +265,60 @@ class ProblemInstance:
         return replace(self, blocks=blocks, feasible_set=fset)
 
     def route(self, sl=None):
-        """The one route to the oracle: ``(rng, x, size, t=None)`` returns the
-        average of ``size`` oracle draws at ``x`` (block ``sl`` only, if
-        given) and bills ``size`` calls.  It reads the oracle's methods now,
-        so a run resolves its draw sets when it starts.
+        """The one route to the oracle: ``(rngs, X, size, TX=None)`` returns,
+        as a ``(len(X), width)`` array, the average of ``size`` oracle draws
+        at each row of ``X`` (block ``sl`` only, if given), drawing row r on
+        the r-th generator of ``rngs``, and bills ``size`` calls per row.  It
+        takes each generator only after the previous row is drawn.  It reads
+        the oracle's methods now, so a run resolves its draw sets when it
+        starts.
 
-        Handed ``t`` = T(x), on a problem with a ``mean_operator`` whose
-        oracle declares ``exact_error``, it returns ``t[sl]`` plus the error
-        drawn from its exact law by ``oracle.block``; such an oracle without
-        ``block`` raises ``OracleFailure`` now.  Else it averages the draws,
-        from ``oracle.block`` if the oracle has one, or the full draws sliced.
-        A ``size`` below 1 raises ``InvalidSchedule``.  Each call makes one
-        oracle call, with ``size`` its fourth positional argument, and checks
-        the output's shape; callers check that the average is finite."""
-        o, asarray, add_rows = self.oracle, np.asarray, np.add.reduce
+        Handed ``TX`` = T(X), on a problem with a ``mean_operator`` whose
+        oracle declares ``exact_error``, it returns ``TX[:, sl]`` plus the
+        errors drawn from their exact law by ``oracle.block``, stacked and
+        checked once; such an oracle without ``block`` raises
+        ``OracleFailure`` now.  Else it averages each row's draws, from
+        ``oracle.block`` if the oracle has one, or the full draws sliced.  A
+        ``size`` below 1 raises ``InvalidSchedule``.  Each row makes one
+        oracle call, with ``size`` its fourth positional argument, and the
+        output's shape is checked; callers check that the averages are
+        finite."""
+        o, asarray, add_rows, empty = self.oracle, np.asarray, np.add.reduce, np.empty
         exact = self.mean_operator is not None and getattr(o, "exact_error", False)
         block, part = getattr(o, "block", None), slice(None) if sl is None else sl
         if exact and block is None:
             raise OracleFailure("an oracle declaring exact_error must have a block method")
-        error_shape = (len(range(self.dimension)[part]),)
+        width = len(range(self.dimension)[part])
         if sl is not None and block is not None:
-            what, cut, drawn = "block ", None, error_shape[0]
+            what, cut, drawn = "block ", None, width
             draw = lambda rng, x, size: block(rng, x, size, sl)
         else:  # the full draws, cut to block sl if given
             what, cut, drawn, draw = "", sl, self.dimension, o
 
-        def route(rng, x, size, t=None):
+        def route(rngs, X, size, TX=None):
             if size < 1:
                 raise InvalidSchedule("batch size must be >= 1")
-            if t is not None and exact:
-                out = asarray(block(rng, x, size, part, error=True), dtype=float)
-                if out.shape != error_shape:
-                    raise OracleFailure(f"oracle {what}error has shape {out.shape}, "
-                                        f"expected {error_shape}")
-                return asarray(t, dtype=float)[part] + out
-            out = asarray(draw(rng, x, size), dtype=float)
-            if out.shape != (size, drawn):
-                raise OracleFailure(f"oracle {what}batch has shape {out.shape}, "
-                                    f"expected {(size, drawn)}")
-            # the sum and division ndarray.mean makes, without its Python wrapper
-            return add_rows(out if cut is None else out[:, cut], axis=0) / size
+            if TX is not None and exact:
+                errors = [block(rng, x, size, part, error=True) for x, rng in zip(X, rngs)]
+                expected = (len(errors), width)
+                try:
+                    E = asarray(errors, dtype=float)
+                except ValueError as exc:  # rows of unequal shapes
+                    raise OracleFailure(f"oracle {what}errors do not stack to shape "
+                                        f"{expected}: {exc}") from None
+                if E.shape != expected:
+                    raise OracleFailure(f"oracle {what}errors have shape {E.shape}, "
+                                        f"expected {expected}")
+                return asarray(TX, dtype=float)[:, part] + E
+            means = empty((len(X), width))
+            for r, (x, rng) in enumerate(zip(X, rngs)):
+                out = asarray(draw(rng, x, size), dtype=float)
+                if out.shape != (size, drawn):
+                    raise OracleFailure(f"oracle {what}batch has shape {out.shape}, "
+                                        f"expected {(size, drawn)}")
+                # the sum and division ndarray.mean makes, without its Python wrapper
+                means[r] = add_rows(out if cut is None else out[:, cut], axis=0) / size
+            return means
 
         return route
 

@@ -181,8 +181,9 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
 
     Returns (operator, estimated): ``estimated`` is True when the surrogate
     is in use, so outputs can be labeled accordingly.  The surrogate maps
-    the rows of its input, each on stream (0, 0, 1, 0) of its own stream
-    function with ``sample`` a hash of the row.
+    the rows of its input through one route call, each row on stream
+    (0, 0, 1, 0) of its own stream function with ``sample`` a hash of the
+    row.
     """
     if problem.mean_operator is not None:
         return problem.mean_operator, False
@@ -190,12 +191,10 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
 
     def surrogate(X):
         X = np.asarray(X, dtype=float)
-        means = []
-        for x in X.reshape(-1, problem.dimension):
-            digest = hashlib.sha256(x.tobytes()).digest()
-            rng = stream(0, 0, 1, 0, int.from_bytes(digest[:4], "little"))
-            means.append(draw(rng, x, n_samples))
-        means = np.reshape(means, X.shape)
+        points = X.reshape(-1, problem.dimension)
+        digests = (hashlib.sha256(x.tobytes()).digest() for x in points)
+        rngs = (stream(0, 0, 1, 0, int.from_bytes(d[:4], "little")) for d in digests)
+        means = draw(rngs, points, n_samples).reshape(X.shape)
         if not np.isfinite(means).all():
             raise OracleFailure("oracle batch mean is not finite")
         return means

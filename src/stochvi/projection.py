@@ -137,6 +137,9 @@ class Ball(FeasibleSet):
         d = x - self.center
         # np.linalg.norm(d, axis=-1, keepdims=True), without its Python wrapper
         nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
+        if np.isinf(nrm).any():  # d * d overflowed: those finite rows' norms by hypot
+            fix = np.isinf(nrm) & np.isfinite(d).all(axis=-1, keepdims=True)
+            nrm = np.where(fix, np.hypot.reduce(d, axis=-1, keepdims=True), nrm)
         # r / max(nrm, r): 1.0 inside the ball, and fmax keeps it 1.0 on NaN rows
         return self.center + d * (self.radius / np.fmax(nrm, self.radius))
 

@@ -247,10 +247,11 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     (N, mean_sq_error, stderr, N * mean_sq_error).  The product column is
     flat in N exactly when the empirical average error variance scales like
     the single-draw variance divided by N.  Batch r of the j-th size draws
-    on stream (r, j, 1, 0) of one stream function, through the problem's
-    route without T(x): every draw is made and averaged, even for an oracle
-    that can draw the average from its exact law, on which the 1/N law
-    holds by construction and acceptance criterion 2 would check nothing.
+    on stream (r, j, 1, 0) of one stream function, through one call of the
+    problem's route per size, without T(x): every draw is made and averaged,
+    even for an oracle that can draw the average from its exact law, on
+    which the 1/N law holds by construction and acceptance criterion 2
+    would check nothing.
     The standard errors need at least two replications.
     """
     from .core import streams
@@ -263,14 +264,13 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     if x.shape != (problem.dimension,):
         raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
     draw, t = problem.route(), np.asarray(problem.mean_operator(x), dtype=float)
-    rows, stream = [], streams(master_seed)
+    rows, keyed = [], streams(master_seed).rows
+    X = np.broadcast_to(x, (replications, problem.dimension))
     for j, n in enumerate(n_grid):
-        sq = np.empty(replications)
-        for r in range(replications):
-            err = draw(stream(r, j, 1, 0), x, int(n)) - t
-            if not np.isfinite(err).all():
-                raise OracleFailure(f"oracle batch mean error is not finite at N = {n}")
-            sq[r] = float(err @ err)
+        errs = draw(keyed(range(replications), j, 1, 0), X, int(n)) - t
+        if not np.isfinite(errs).all():
+            raise OracleFailure(f"oracle batch mean error is not finite at N = {n}")
+        sq = np.vecdot(errs, errs)
         mean_sq = float(np.mean(sq))
         stderr = float(np.std(sq, ddof=1) / math.sqrt(replications))
         rows.append({"N": int(n), "mean_sq_error": mean_sq,

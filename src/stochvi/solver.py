@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from numbers import Integral
 from operator import index
 from pathlib import Path
@@ -164,25 +163,24 @@ def _lockstep(plan: RunPlan):
     both advance through it.
 
     T(Z) is evaluated once for all rows and each projection is one
-    call.  A stage draws each row's draw sets on that row's own streams, one
-    call of the route (``ProblemInstance.route``, resolved here once) per
-    row and draw set, and bills N_{k,i} calls for each; a row's average is
-    thus the one a run of that replication alone draws, bit for bit.  A
-    non-finite average raises.
+    call.  A stage makes one call of the route (``ProblemInstance.route``,
+    resolved here once) per draw set, which draws each row on that row's
+    own stream, keyed by ``stream.rows``, and bills N_{k,i} calls per row;
+    a row's average is thus the one a run of that replication alone draws,
+    bit for bit.  A non-finite average raises.
     """
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
     T = problem.mean_operator
-    stream, proj = streams(plan.config.master_seed), problem.feasible_set.project
+    keyed = streams(plan.config.master_seed).rows
+    proj = problem.feasible_set.project
     sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl))
                  for i, sl in plan.draw_sets)
     empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
 
     def stage_mean(replications, k, stage, P, TP):
         mean, billed = empty(P.shape), 0
-        TP = repeat(None) if TP is None else TP
         for (i, sl, route), size in zip(sets, rows[k]):
-            mean[:, sl] = [route(stream(replication, k, stage, i), p, size, t)
-                           for replication, p, t in zip(replications, P, TP)]
+            mean[:, sl] = route(keyed(replications, k, stage, i), P, size, TP)
             billed += size * len(mean)
         if not every(isfinite(mean), axis=None):
             raise OracleFailure(

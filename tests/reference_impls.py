@@ -23,9 +23,12 @@ def korpelevich_reference(T, project_fn, x0, alpha, iterations):
 
 def project_ball_where(x, center, radius):
     """Ball projection with the factor r / max(||d||, 1e-300) where
-    ||d|| > r and 1.0 elsewhere (a NaN norm compares false, so 1.0)."""
+    ||d|| > r and 1.0 elsewhere (a NaN norm compares false, so 1.0).  A
+    finite row whose squared norm overflows takes ||d|| from ``np.hypot``."""
     d = np.asarray(x, dtype=float) - center
     nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
+    overflowed = (nrm == np.inf) & np.all(np.abs(d) < np.inf, axis=-1, keepdims=True)
+    nrm = np.where(overflowed, np.hypot.reduce(d, axis=-1, keepdims=True), nrm)
     return center + d * np.where(nrm > radius, radius / np.maximum(nrm, 1e-300), 1.0)
 
 
@@ -275,7 +278,8 @@ def serial_stepper_reference(plan):
     def stage_mean(replication, k, stage, point, t):
         mean = np.empty(problem.dimension)
         for (i, sl, route), size in zip(sets, rows[k]):
-            mean[sl] = route(stream(replication, k, stage, i), point, size, t)
+            mean[sl] = route([stream(replication, k, stage, i)], point[None], size,
+                             None if t is None else t[None])[0]
         if not np.all(np.isfinite(mean)):
             raise OracleFailure(
                 f"oracle average is not finite at iteration {k}, stage {stage}")

@@ -529,6 +529,22 @@ class TestCli:
         if kind != "fejer_audit":  # its rows hold no draw-dependent value
             assert csvs[0] != csvs[1]
 
+    @pytest.mark.parametrize("command,doc,seed", [
+        ("solve", experiment_doc(), 2 ** 63),
+        ("experiment", experiment_doc(), 99999999999999999999),
+        ("experiment", experiment_doc(), -2 ** 63 - 1),
+        ("probe", dict(PROBE_DOCS["error_decay"], kind="error_decay"), 2 ** 63),
+        # the first horizon runs on master_seed, the second on master_seed + 1
+        ("probe", dict(PROBE_DOCS["variance_scaling"], kind="variance_scaling",
+                       K_list=[10, 20]), 2 ** 63 - 1),
+    ], ids=["solve", "experiment", "experiment_negative", "error_decay", "variance_scaling"])
+    def test_seed_outside_int64_exits_2(self, tmp_path, capsys, command, doc, seed):
+        cfg = self.write(tmp_path / "c.json", doc)
+        code = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--seed", str(seed)])
+        assert code == 2
+        assert "outside the signed 64-bit range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,doc,named",
                              incomplete_documents(PROBE_DOCS["fejer_audit"]))
     def test_incomplete_documents_exit_2(self, tmp_path, capsys, command, doc, named):

@@ -36,7 +36,7 @@ def test_generated_problems_validate_and_match_oracle_mean(maker):
     rng = np.random.default_rng(77)
     for j in range(3):
         x = p.feasible_set.project(2.0 * rng.standard_normal(p.dimension))
-        error = p.route()(derive_stream(13, sample=j), x, 100_000) - p.mean_operator(x)
+        error = p.route()([derive_stream(13, sample=j)], x[None], 100_000)[0] - p.mean_operator(x)
         batch = p.oracle(derive_stream(13, sample=j), x, 100_000)
         stderr = batch.std(axis=0, ddof=1) / math.sqrt(100_000)
         assert np.all(np.abs(error) <= 4.0 * stderr + 1e-12)
@@ -98,8 +98,8 @@ def test_exact_mean_matches_draws_in_distribution(name, sl, size):
     R = 2000
     exact, draws = [], []
     for r in range(R):
-        exact.append(route(derive_stream(1, replication=r), x, size, t))
-        draws.append(route(derive_stream(2, replication=r), x, size))
+        exact.append(route([derive_stream(1, replication=r)], x[None], size, t[None])[0])
+        draws.append(route([derive_stream(2, replication=r)], x[None], size)[0])
     exact = np.array(exact)
     draws = np.array(draws)
     assert exact.shape == draws.shape == (R, 4 if sl is None else 2)

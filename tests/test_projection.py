@@ -298,6 +298,23 @@ def test_ball_factor_matches_where_reference_bitwise(radius):
         assert bits(prod.project(Y[i])) == bits(out[i])
 
 
+def test_ball_projects_overflowing_rows_onto_the_sphere():
+    """A finite offset whose squared norm overflows lands on the sphere along
+    its direction, not at the centre; a NaN row stays NaN and the other rows
+    keep the bits they had when no row overflowed."""
+    ball = Ball(center=[0.0, 0.0], radius=1.0)
+    half = np.sqrt(0.5)
+    X = np.array([[1e200, 1e200], [np.nan, 1.0], [0.3, -0.4], [3.0, 4.0],
+                  [-1e300, 0.0], [1.5e154, -1.5e154]])
+    with np.errstate(over="ignore"):
+        np.testing.assert_allclose(ball.project([1e200, 1e200]), [half, half], rtol=1e-15)
+        out = ball.project(X)
+    np.testing.assert_allclose(out[[0, 4, 5]], [[half, half], [-1.0, 0.0], [half, -half]],
+                               rtol=1e-15)
+    assert np.isnan(out[1, 0]) and out[1, 1] == 1.0
+    assert bits(out[2:4]) == bits(ball.project(X[2:4]))
+
+
 @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
 def test_ball_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -187,19 +187,19 @@ class TestBatchMean:
     def test_zero_variance_oracle_exact(self):
         p = gen_strongly_monotone(4, seed=1, noise_scale=0.0)
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        mean = p.route()(derive_stream(0), x, 37)
+        mean = p.route()([derive_stream(0)], x[None], 37)[0]
         # averaging N identical rows rounds at the ulp level, nothing more
         np.testing.assert_allclose(mean, p.mean_operator(x), rtol=1e-14)
         assert np.linalg.norm(mean - p.mean_operator(x)) <= 1e-13
 
     def test_clt_bound_constant_noise(self):
         p = gen_constant_noise(sigma=1.0)
-        mean = p.route()(derive_stream(5), np.zeros(1), 10_000)
+        mean = p.route()([derive_stream(5)], np.zeros((1, 1)), 10_000)[0]
         assert abs(mean[0]) <= 4.0 / math.sqrt(10_000)
 
     def test_single_draw(self):
         p = gen_constant_noise(sigma=2.0)
-        mean = p.route()(derive_stream(9), np.zeros(1), 1)
+        mean = p.route()([derive_stream(9)], np.zeros((1, 1)), 1)[0]
         draw = p.oracle(derive_stream(9), np.zeros(1), 1)
         assert mean.shape == (1,) and mean[0] == draw[0, 0]
 
@@ -214,16 +214,16 @@ class TestBatchMean:
         relies on it)."""
         p = maker()
         x = np.array([0.5, -1.0, 2.0])
-        mean = p.route()(derive_stream(3, replication=2), x, 64)
+        mean = p.route()([derive_stream(3, replication=2)], x[None], 64)[0]
         expected = p.oracle(derive_stream(3, replication=2), x, 64).mean(axis=0)
         assert np.array_equal(mean, expected)
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_empty_batch_rejected(self, size):
         p = gen_constant_noise(sigma=1.0)
-        for t in (None, np.zeros(1)):
+        for t in (None, np.zeros((1, 1))):
             with pytest.raises(InvalidSchedule, match="batch size"):
-                p.route()(derive_stream(0), np.zeros(1), size, t)
+                p.route()([derive_stream(0)], np.zeros((1, 1)), size, t)
 
 
 class TestErrorDecayProbe:
@@ -287,7 +287,7 @@ class TestErrorDecayProbe:
         assert calls == [(n, False) for n in grid for _ in range(R)]
         stream, t = streams(5), p.mean_operator(x)
         for j, (n, row) in enumerate(zip(grid, rows)):
-            errs = [p.route()(stream(r, j, 1, 0), x, n) - t for r in range(R)]
+            errs = [p.route()([stream(r, j, 1, 0)], x[None], n)[0] - t for r in range(R)]
             assert row["mean_sq_error"] == float(np.mean([float(e @ e) for e in errs]))
 
     def test_nonfinite_batch_raises(self):

@@ -688,7 +688,7 @@ class TestSharedMeanOperator:
         # a noiseless stage mean is the t it was handed, not a product of its own
         quiet, t = replace(problem, oracle=LinearMatrixNoiseOracle(own, 0.0)), np.arange(8.0)
         for sl in (None, slice(3, 6)):
-            out = quiet.route(sl)(None, np.ones(8), 4, t)
+            (out,) = quiet.route(sl)([None], np.ones((1, 8)), 4, t[None])
             assert out.tobytes() == t[sl or slice(None)].tobytes()
         assert own_calls[0] == 0
 
@@ -739,7 +739,7 @@ class TestSharedMeanOperator:
         problem = replace(identity_problem(n=3), oracle=OldContract()).with_blocks((1, 2))
         x = np.array([1.0, -2.0, 0.25])
         for sl in (None, slice(1, 3)):
-            out = problem.route(sl)(None, x, 4, problem.mean_operator(x))
+            (out,) = problem.route(sl)([None], x[None], 4, problem.mean_operator(x[None]))
             assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
         for coordination in ("centralized", "distributed"):
             advance = _lockstep(validate(problem, default_config(coordination=coordination)))
@@ -761,7 +761,7 @@ class TestSharedMeanOperator:
         with pytest.raises(OracleFailure, match="exact_error must have a block method"):
             problem.route()
         oracle_only = replace(problem, mean_operator=None)
-        assert oracle_only.route()(None, np.array([1.0, 2.0, 3.0]), 2).tolist() == [1, 2, 3]
+        assert oracle_only.route()([None], np.array([[1.0, 2.0, 3.0]]), 2).tolist() == [[1, 2, 3]]
         with pytest.raises(OracleFailure, match="block method"):
             run(validate(problem, default_config(max_iterations=2)), x0=np.ones(3))
 
@@ -771,7 +771,7 @@ class TestSharedMeanOperator:
         problem, _ = self.counted(blocks=(2, 2, 1))
         x = np.linspace(-1.0, 1.5, 5)
         for sl in (None, slice(2, 4)):
-            out = problem.route(sl)(derive_stream(7), x, 4)
+            (out,) = problem.route(sl)([derive_stream(7)], x[None], 4)
             draws = problem.oracle.block(derive_stream(7), x, 4, sl or slice(None))
             assert out.tobytes() == draws.mean(axis=0).tobytes()
 
@@ -782,7 +782,7 @@ class TestSharedMeanOperator:
         kept = t.copy()
         rng = np.random.default_rng(0)
         for sl in (None, slice(2, 4)):
-            out = problem.route(sl)(rng, x, 4, t)
+            (out,) = problem.route(sl)([rng], x[None], 4, t[None])
             assert out.tobytes() == t[sl or slice(None)].tobytes()
             assert not np.shares_memory(out, t)
             out[...] = 7.0
