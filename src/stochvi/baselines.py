@@ -82,8 +82,8 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
     The exact values are sigma^2 * sum alpha_k^2 and sigma^2 * sum theta_k^2
     (sums of independent Gaussians), so the empirical columns agree within
     Monte Carlo noise.  Replication r at the j-th horizon draws on stream
-    (r, 0, 1, 0) of the stream function of ``master_seed + j``.  A sample
-    variance needs at least two replications.
+    (r, 0, 1, 0) of the keyer of ``master_seed + j``.  A sample variance
+    needs at least two replications.
     """
     if replications < 2:
         raise InvalidParameters("variance scaling probe needs at least 2 replications")
@@ -92,9 +92,8 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
         sched = MirrorProxSchedule.build(int(K), sigma, L)
         z = np.empty(replications)
         zbar = np.empty(replications)
-        stream = streams(master_seed + j)
-        for r in range(replications):
-            z[r], zbar[r] = sched.sample(stream(r, 0, 1, 0))
+        for r, rng in enumerate(streams(master_seed + j)(range(replications), 0, 1, 0)):
+            z[r], zbar[r] = sched.sample(rng)
         rows.append({
             "K": int(K),
             "var_zK_emp": float(np.var(z, ddof=1)),

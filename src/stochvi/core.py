@@ -6,38 +6,39 @@ The stochastic oracle contract:
   rows are independent draws of the random operator at ``x`` -- one row per
   oracle call.
 * ``oracle.block(rng, x, size, sl)`` (optional) returns only the component
-  block ``sl`` of each draw.  The distributed iteration uses it: each agent
-  owns an independent sample stream, so restricting generation to the block
-  an agent consumes changes no observable quantity.  Without it the full
-  draws are sliced.
+  block ``sl``, a slice, of each draw; the route draws through it whenever
+  the oracle has one.  Each distributed agent owns an independent sample
+  stream, so restricting generation to the block an agent consumes changes
+  no observable quantity.  Without it the full draws are cut to ``sl``.
 * ``oracle.exact_error = True`` (optional) declares that ``block`` also
   accepts ``error=True`` and then returns, in the block's shape, the average
   of ``size`` draws of the error F(xi, x) - T(x), drawn from its exact law.
 * :meth:`ProblemInstance.route` is the one route by which the package calls
-  an oracle, and what it returns is a stage's averages, never raw draws.  A
-  call ``route(rngs, X, size, TX=None)`` takes a batch of points ``X`` and
-  returns one average per row, drawing row r on the r-th generator of
-  ``rngs``, which it takes only once row r-1 is drawn, so ``rngs`` may
-  yield one generator re-keyed for each row.  Each row is one oracle call
-  with ``size`` its fourth positional argument, and bills ``size`` calls.
-  On a problem with a ``mean_operator`` and an oracle declaring
-  ``exact_error``, a call handed T(X), as the caller evaluated it once for
-  the points, returns T(X) plus the errors drawn through ``block``
-  (``slice(None)`` for the whole point); every other call draws each row's
-  batch and averages it.  The solver hands T(X) over;
-  ``error_decay_probe`` and the harness's surrogate do not, so acceptance
-  criterion 2 sees every draw.  The solver resolves each draw set's route
-  once per run, when the run starts, so the oracle's methods are read then;
-  ``error_decay_probe`` and the surrogate resolve one each.
+  an oracle, and what it returns is a stage's averages, never raw draws.
+  ``route(sl)`` takes the block as a slice, ``slice(None)`` for the whole
+  point.  A call ``route(rngs, X, size, TX=None)`` takes a batch of points
+  ``X`` and returns one average per row, drawing row r on the r-th
+  generator of ``rngs``, which it takes only once row r-1 is drawn, so
+  ``rngs`` may yield one generator re-keyed for each row.  Each row is one
+  oracle call with ``size`` its fourth positional argument, and bills
+  ``size`` calls.  On a problem with a ``mean_operator`` and an oracle
+  declaring ``exact_error``, a call handed T(X), as the caller evaluated it
+  once for the points, returns T(X) plus the errors drawn through
+  ``block``; every other call draws each row's batch and averages it.  The
+  solver hands T(X) over; ``error_decay_probe`` and the harness's surrogate
+  do not, so acceptance criterion 2 sees every draw.  The solver resolves
+  each draw set's route once per run, when the run starts, so the oracle's
+  methods are read then; ``error_decay_probe`` and the surrogate resolve
+  one each.
 * The generator ``rng`` handed to an oracle is valid only for that call:
   the solver re-keys the same generator for the next row and stage, so an
   oracle must not keep it, or anything drawn lazily from it, past its
   return.
 
-Run-time randomness has one source, :func:`streams`: the solver, the probes,
-the baselines and the harness's surrogate each take a stream function of
-their own.  :func:`derive_stream`, on the same key fields, is the reference
-they equal bit for bit.
+Run-time randomness has one source, the row keyer :func:`streams` returns:
+the solver, the probes, the baselines and the harness's surrogate each take
+a keyer of their own.  :func:`derive_stream`, on the same key fields, is
+the reference they equal bit for bit.
 
 The mean-operator contract: ``mean_operator(X)`` maps points of shape
 ``(..., n)`` row by row to the same shape, as projections do, so merits
@@ -49,7 +50,6 @@ enforces it; a single-point ``lambda x: A @ x`` fails with
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import struct
@@ -94,9 +94,9 @@ def derive_stream(master_seed, replication=0, iteration=0, stage=1, block=0, sam
     correction step.  The fields are hashed into a 128-bit Philox key, so
     derivation is pure and order-independent and distinct keys give
     independent streams.  It is the reference for :func:`streams`, whose
-    stream function takes the same fields after ``master_seed``.  A
-    ``master_seed`` outside the signed 64-bit range raises
-    ``InvalidParameters``."""
+    keyer takes the same fields after ``master_seed``, replications for
+    ``replication``.  A ``master_seed`` outside the signed 64-bit range
+    raises ``InvalidParameters``."""
     _check_seed(master_seed)
     if stage not in (1, 2):
         raise InvalidParameters("stage must be 1 or 2")
@@ -104,50 +104,33 @@ def derive_stream(master_seed, replication=0, iteration=0, stage=1, block=0, sam
         master_seed, replication, iteration, stage, block, sample), dtype=np.uint64)))
 
 
-@functools.cache
-def _throwaway_seed():
-    """A fixed seed, so building a stream function draws no OS entropy (every
-    re-key replaces the key it gives); made on first use, since importing
-    the package loads no ``numpy.random``."""
-    return np.random.SeedSequence(0)
-
-
 def streams(master_seed):
-    """``stream(replication, iteration, stage, block, sample=0)``, the one
-    maker of run-time streams: it re-keys one Philox generator, owned by this
-    call of ``streams``, to the stream ``derive_stream`` gives for the key (a
-    Philox stream is fixed by its key and counter alone) and is valid until
-    the next call.  ``stream.rows(replications, iteration, stage, block)``
-    yields the same generator re-keyed to each replication's stream in turn
-    (``sample`` 0), each valid until the next is taken: the ``rngs`` of a
+    """``keyed(replications, iteration, stage, block, sample=0)``, the one
+    maker of run-time streams: it yields one Philox generator, owned by this
+    call of ``streams``, re-keyed in turn to the stream ``derive_stream``
+    gives each replication's key (a Philox stream is fixed by its key and
+    counter alone), each valid until the next is taken: the ``rngs`` of a
     route call.  Consumers that may run inside one another each call
     ``streams`` for their own.  A ``master_seed`` outside the signed 64-bit
     range raises ``InvalidParameters`` here, once, and not at a re-key."""
     _check_seed(master_seed)
-    bits = np.random.Philox(_throwaway_seed())
+    bits = np.random.Philox(0)  # no OS entropy; every re-key replaces the key
     rng = np.random.Generator(bits)
     fresh = bits.state  # counter zero, empty buffer, no cached uint32
     # as Python ints: the state setter reads them faster than array elements
-    keyed = fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    words = fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
     fresh["buffer"] = fresh["buffer"].tolist()
-
-    def stream(replication, iteration, stage, block, sample=0):
-        keyed["key"] = _philox_key(master_seed, replication, iteration, stage, block, sample)
-        bits.state = fresh
-        return rng
-
     pack, sha256, unpack = _KEY_FIELDS.pack, hashlib.sha256, _KEY_WORDS.unpack_from
 
-    def rows(replications, iteration, stage, block):
+    def keyed(replications, iteration, stage, block, sample=0):
         # _philox_key inlined: this runs once per row and stage
         for replication in replications:
-            keyed["key"] = unpack(sha256(pack(
-                master_seed, replication, iteration, stage, block, 0)).digest())
+            words["key"] = unpack(sha256(pack(
+                master_seed, replication, iteration, stage, block, sample)).digest())
             bits.state = fresh
             yield rng
 
-    stream.rows = rows
-    return stream
+    return keyed
 
 
 @dataclass(frozen=True)
@@ -215,6 +198,8 @@ class ProblemInstance:
         if not self.lipschitz_L > 0:
             raise InvalidParameters("lipschitz_L must be positive")
         blocks = tuple(int(b) for b in (self.blocks or (self.dimension,)))
+        if min(blocks) < 1:
+            raise BlockMismatch(f"blocks {blocks} must each hold at least one coordinate")
         if sum(blocks) != self.dimension:
             raise BlockMismatch(
                 f"blocks {blocks} do not sum to dimension {self.dimension}")
@@ -264,52 +249,52 @@ class ProblemInstance:
             else self.feasible_set
         return replace(self, blocks=blocks, feasible_set=fset)
 
-    def route(self, sl=None):
+    def route(self, sl=slice(None)):
         """The one route to the oracle: ``(rngs, X, size, TX=None)`` returns,
         as a ``(len(X), width)`` array, the average of ``size`` oracle draws
-        at each row of ``X`` (block ``sl`` only, if given), drawing row r on
-        the r-th generator of ``rngs``, and bills ``size`` calls per row.  It
-        takes each generator only after the previous row is drawn.  It reads
-        the oracle's methods now, so a run resolves its draw sets when it
-        starts.
+        at each row of ``X``, block ``sl`` of each (a slice; the whole point
+        by default), drawing row r on the r-th generator of ``rngs``, and
+        bills ``size`` calls per row.  It takes each generator only after the
+        previous row is drawn.  It reads the oracle's methods now, so a run
+        resolves its draw sets when it starts.
 
         Handed ``TX`` = T(X), on a problem with a ``mean_operator`` whose
         oracle declares ``exact_error``, it returns ``TX[:, sl]`` plus the
         errors drawn from their exact law by ``oracle.block``, stacked and
         checked once; such an oracle without ``block`` raises
         ``OracleFailure`` now.  Else it averages each row's draws, from
-        ``oracle.block`` if the oracle has one, or the full draws sliced.  A
-        ``size`` below 1 raises ``InvalidSchedule``.  Each row makes one
-        oracle call, with ``size`` its fourth positional argument, and the
-        output's shape is checked; callers check that the averages are
-        finite."""
+        ``oracle.block`` if the oracle has one, or the full draws cut to
+        ``sl``.  A ``size`` below 1 raises ``InvalidSchedule``.  Each row
+        makes one oracle call, with ``size`` its fourth positional argument,
+        and the output's shape is checked; callers check that the averages
+        are finite."""
         o, asarray, add_rows, empty = self.oracle, np.asarray, np.add.reduce, np.empty
         exact = self.mean_operator is not None and getattr(o, "exact_error", False)
-        block, part = getattr(o, "block", None), slice(None) if sl is None else sl
+        block = getattr(o, "block", None)
         if exact and block is None:
             raise OracleFailure("an oracle declaring exact_error must have a block method")
-        width = len(range(self.dimension)[part])
-        if sl is not None and block is not None:
-            what, cut, drawn = "block ", None, width
+        width = len(range(self.dimension)[sl])
+        if block is not None:
+            what, cut, drawn = "block ", slice(None), width
             draw = lambda rng, x, size: block(rng, x, size, sl)
-        else:  # the full draws, cut to block sl if given
+        else:  # the full draws, cut to block sl
             what, cut, drawn, draw = "", sl, self.dimension, o
 
         def route(rngs, X, size, TX=None):
             if size < 1:
                 raise InvalidSchedule("batch size must be >= 1")
             if TX is not None and exact:
-                errors = [block(rng, x, size, part, error=True) for x, rng in zip(X, rngs)]
+                errors = [block(rng, x, size, sl, error=True) for x, rng in zip(X, rngs)]
                 expected = (len(errors), width)
                 try:
                     E = asarray(errors, dtype=float)
                 except ValueError as exc:  # rows of unequal shapes
-                    raise OracleFailure(f"oracle {what}errors do not stack to shape "
+                    raise OracleFailure("oracle block errors do not stack to shape "
                                         f"{expected}: {exc}") from None
                 if E.shape != expected:
-                    raise OracleFailure(f"oracle {what}errors have shape {E.shape}, "
+                    raise OracleFailure(f"oracle block errors have shape {E.shape}, "
                                         f"expected {expected}")
-                return asarray(TX, dtype=float)[:, part] + E
+                return asarray(TX, dtype=float)[:, sl] + E
             means = empty((len(X), width))
             for r, (x, rng) in enumerate(zip(X, rngs)):
                 out = asarray(draw(rng, x, size), dtype=float)
@@ -317,7 +302,7 @@ class ProblemInstance:
                     raise OracleFailure(f"oracle {what}batch has shape {out.shape}, "
                                         f"expected {(size, drawn)}")
                 # the sum and division ndarray.mean makes, without its Python wrapper
-                means[r] = add_rows(out if cut is None else out[:, cut], axis=0) / size
+                means[r] = add_rows(out[:, cut], axis=0) / size
             return means
 
         return route
@@ -377,8 +362,8 @@ class RunPlan:
     """A validated (problem, config) pair and the tables every run of it
     reads, built once by :func:`validate`.
 
-    ``draw_sets`` are a stage's (block, slice) pairs: ``(0, None)`` alone
-    when sampling is centralized, one per agent when distributed.
+    ``draw_sets`` are a stage's (block, slice) pairs: ``(0, slice(None))``
+    alone when sampling is centralized, one per agent when distributed.
     ``sizes`` holds the per-agent counts N_{k,i} for k = 0..max_iterations,
     ``rows[k]`` the counts of iteration k's draw sets as Python ints,
     ``alphas[k]`` the stepsize alpha_k, and ``cum_calls[k]`` the oracle
@@ -422,7 +407,7 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     sizes = sched.sizes_upto(K)
     sizes.setflags(write=False)
     distributed = config.coordination == "distributed" and m > 1
-    draw_sets = tuple(enumerate(problem.block_slices())) if distributed else ((0, None),)
+    draw_sets = tuple(enumerate(problem.block_slices() if distributed else (slice(None),)))
     rows = tuple(map(tuple, sizes[:, :len(draw_sets)].tolist()))
     cum_calls = np.array(list(accumulate((2 * sum(r) for r in rows[:K]), initial=0)),
                          dtype=np.int64)

@@ -93,7 +93,7 @@ def problem_from_config(cfg) -> ProblemInstance:
     from . import problems as P
 
     cfg = dict(cfg)
-    kind, fset_cfg = cfg.pop("kind", None), cfg.pop("set", None)
+    kind, fset_cfg = typed(cfg.pop("kind", None), "str", "kind", "problem"), cfg.pop("set", None)
     makers = {"strongly_monotone": P.gen_strongly_monotone, "linear_svi": P.gen_linear_svi,
               "scaled_monotone": P.gen_scaled_monotone, "constant_noise": P.gen_constant_noise,
               "negative_control": P.gen_negative_control}
@@ -182,18 +182,17 @@ def effective_mean_operator(problem: ProblemInstance, n_samples: int = 100_000,
     Returns (operator, estimated): ``estimated`` is True when the surrogate
     is in use, so outputs can be labeled accordingly.  The surrogate maps
     the rows of its input through one route call, each row on stream
-    (0, 0, 1, 0) of its own stream function with ``sample`` a hash of the
-    row.
+    (0, 0, 1, 0) of its own keyer with ``sample`` a hash of the row.
     """
     if problem.mean_operator is not None:
         return problem.mean_operator, False
-    stream, draw = streams(master_seed), problem.route()
+    keyed, draw = streams(master_seed), problem.route()
 
     def surrogate(X):
         X = np.asarray(X, dtype=float)
         points = X.reshape(-1, problem.dimension)
         digests = (hashlib.sha256(x.tobytes()).digest() for x in points)
-        rngs = (stream(0, 0, 1, 0, int.from_bytes(d[:4], "little")) for d in digests)
+        rngs = (next(keyed((0,), 0, 1, 0, int.from_bytes(d[:4], "little"))) for d in digests)
         means = draw(rngs, points, n_samples).reshape(X.shape)
         if not np.isfinite(means).all():
             raise OracleFailure("oracle batch mean is not finite")
@@ -430,7 +429,7 @@ PROBES = {
 
 
 def probe_spec(kind: str) -> ProbeSpec:
-    if kind not in PROBES:
+    if typed(kind, "str", "kind", "probe config") not in PROBES:
         raise ConfigError(f"unknown probe kind {kind!r}")
     return PROBES[kind]
 

@@ -341,7 +341,7 @@ def feasible_set_from_config(cfg, key="set", where="problem") -> FeasibleSet:
     section ``where``: a ``variant`` of :data:`VARIANTS` and its class's
     constructor fields, a product's ``parts`` each in this form."""
     cfg = typed(cfg, "dict", key, where)
-    kind = cfg.pop("variant", None)
+    kind = typed(cfg.pop("variant", None), "str", "variant", where)
     if kind not in VARIANTS:
         raise ConfigError(f"unknown feasible-set variant {kind!r}")
     where = f"variant {kind!r}"

@@ -247,7 +247,7 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     (N, mean_sq_error, stderr, N * mean_sq_error).  The product column is
     flat in N exactly when the empirical average error variance scales like
     the single-draw variance divided by N.  Batch r of the j-th size draws
-    on stream (r, j, 1, 0) of one stream function, through one call of the
+    on stream (r, j, 1, 0) of one keyer, through one call of the
     problem's route per size, without T(x): every draw is made and averaged,
     even for an oracle that can draw the average from its exact law, on
     which the 1/N law holds by construction and acceptance criterion 2
@@ -264,7 +264,7 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     if x.shape != (problem.dimension,):
         raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
     draw, t = problem.route(), np.asarray(problem.mean_operator(x), dtype=float)
-    rows, keyed = [], streams(master_seed).rows
+    rows, keyed = [], streams(master_seed)
     X = np.broadcast_to(x, (replications, problem.dimension))
     for j, n in enumerate(n_grid):
         errs = draw(keyed(range(replications), j, 1, 0), X, int(n)) - t

@@ -154,10 +154,10 @@ class Ensemble(NamedTuple):
 
 
 def _lockstep(plan: RunPlan):
-    """``advance(replications, k, X, TX) -> (Z, G1, G2, X_next, TX, TZ,
+    """``advance(replications, k, X, TX) -> (Z, G1, G2, X_next, TZ,
     billed)``: iteration k of the plan for every row of ``X``, row r on the
     streams of ``replications[r]``, with the prediction points, the two
-    stage averages, the T(X) and T(Z) the stages used (None without a mean
+    stage averages, the T(Z) the second stage used (None without a mean
     operator) and the calls billed.  ``TX`` is T(X) as the caller evaluated
     it, or None without a mean operator.  ``run`` and ``martingale_probe``
     both advance through it.
@@ -165,16 +165,15 @@ def _lockstep(plan: RunPlan):
     T(Z) is evaluated once for all rows and each projection is one
     call.  A stage makes one call of the route (``ProblemInstance.route``,
     resolved here once) per draw set, which draws each row on that row's
-    own stream, keyed by ``stream.rows``, and bills N_{k,i} calls per row;
+    own stream, keyed by ``core.streams``, and bills N_{k,i} calls per row;
     a row's average is thus the one a run of that replication alone draws,
     bit for bit.  A non-finite average raises.
     """
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
     T = problem.mean_operator
-    keyed = streams(plan.config.master_seed).rows
+    keyed = streams(plan.config.master_seed)
     proj = problem.feasible_set.project
-    sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl))
-                 for i, sl in plan.draw_sets)
+    sets = tuple((i, sl, problem.route(sl)) for i, sl in plan.draw_sets)
     empty, isfinite, every = np.empty, np.isfinite, np.logical_and.reduce
 
     def stage_mean(replications, k, stage, P, TP):
@@ -193,7 +192,7 @@ def _lockstep(plan: RunPlan):
         Z = proj(X - alpha * G1)
         TZ = None if T is None else T(Z)
         G2, billed2 = stage_mean(replications, k, 2, Z, TZ)
-        return Z, G1, G2, proj(X - alpha * G2), TX, TZ, billed1 + billed2
+        return Z, G1, G2, proj(X - alpha * G2), TZ, billed1 + billed2
 
     return advance
 
@@ -260,7 +259,7 @@ def run(plan: RunPlan, replication=0, x0=None):
                     break
         if k == K:
             break
-        Z, G1, G2, X, TX, TZ, billed = advance(live_replications, k, X, TX)
+        Z, G1, G2, X, TZ, billed = advance(live_replications, k, X, TX)
         iterates[live, k + 1] = X
         if record:
             steps[live, k] = np.stack((Z, G1, G2, TX, TZ), axis=1)
@@ -415,7 +414,7 @@ def martingale_probe(plan: RunPlan, x, replications: int,
         raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
     X, TX = (np.broadcast_to(v, (replications, problem.dimension))
              for v in (x, problem.mean_operator(x)))
-    Z, _, G2, _, _, TZ, _ = _lockstep(plan)(range(replications), 0, X, TX)
+    Z, _, G2, _, TZ, _ = _lockstep(plan)(range(replications), 0, X, TX)
     deltas = 2.0 * plan.alphas[0] * np.vecdot(x_star - Z, G2 - TZ)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))

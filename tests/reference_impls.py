@@ -271,14 +271,13 @@ def serial_stepper_reference(plan):
 
     problem, rows, alphas = plan.problem, plan.rows, plan.alphas
     T = problem.mean_operator
-    stream, proj = streams(plan.config.master_seed), problem.feasible_set.project
-    sets = tuple((i, slice(None) if sl is None else sl, problem.route(sl))
-                 for i, sl in plan.draw_sets)
+    keyed, proj = streams(plan.config.master_seed), problem.feasible_set.project
+    sets = tuple((i, sl, problem.route(sl)) for i, sl in plan.draw_sets)
 
     def stage_mean(replication, k, stage, point, t):
         mean = np.empty(problem.dimension)
         for (i, sl, route), size in zip(sets, rows[k]):
-            mean[sl] = route([stream(replication, k, stage, i)], point[None], size,
+            mean[sl] = route(keyed([replication], k, stage, i), point[None], size,
                              None if t is None else t[None])[0]
         if not np.all(np.isfinite(mean)):
             raise OracleFailure(

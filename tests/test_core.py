@@ -66,6 +66,14 @@ class TestProblemInstance:
         with pytest.raises(BlockMismatch):
             gen_strongly_monotone(5, seed=0, noise_scale=0.0).with_blocks([2, 2])
 
+    @pytest.mark.parametrize("n, blocks", [(2, [2, 0]), (5, [-1, 6])],
+                             ids=["empty", "negative"])
+    def test_blocks_below_one_rejected(self, n, blocks):
+        """An empty block would be an agent that owns no coordinate yet bills
+        N_k calls a stage; a negative one would cut the slices 0:-1 and -1:n."""
+        with pytest.raises(BlockMismatch, match="at least one coordinate"):
+            gen_strongly_monotone(n, seed=0, noise_scale=0.5).with_blocks(blocks)
+
     def test_multi_block_needs_cartesian_set(self):
         p = gen_strongly_monotone(3, seed=0, noise_scale=0.0)
         with pytest.raises(BlockMismatch, match="Cartesian"):

@@ -134,6 +134,16 @@ def incomplete_documents(fejer):
     cases += [("experiment", experiment_doc(threads=value),
                f"threads must be an integer or null in experiment config, got {value!r}")
               for value in ("x", [1], True)]
+    # a kind or a variant that is not a string names its key, as does a block
+    # that holds no coordinate
+    cases += [("probe", {"kind": ["error_decay"]},
+               "kind must be a string in probe config, got ['error_decay']"),
+              ("experiment", experiment_doc(problem=dict(problem, kind=["linear_svi"])),
+               "kind must be a string in problem, got ['linear_svi']"),
+              ("experiment", experiment_doc(problem=dict(problem, set={"variant": {"a": 1}})),
+               "variant must be a string in problem kind 'strongly_monotone', got {'a': 1}"),
+              ("experiment", experiment_doc(problem=dict(problem, blocks=[3, 0])),
+               "blocks (3, 0) must each hold at least one coordinate")]
     return cases
 
 

@@ -48,5 +48,5 @@ def test_scan_flags_a_direct_oracle_call(source):
 def test_scan_passes_the_route():
     assert not oracle_reads(
         "route = problem.route(sl)\n"
-        "means = route(stream.rows(replications, k, stage, i), X, size, TX)\n"
+        "means = route(keyed(replications, k, stage, i), X, size, TX)\n"
         "slices = problem.block_slices()\n")

@@ -4,8 +4,8 @@
 generator of ``rngs``.  Handed generators keyed as ``derive_stream`` keys
 them, each row must equal the oracle's own output for that row: T(x) plus
 ``block(..., error=True)`` on the exact path, the average of the drawn rows
-on the per-draw path.  ``stream.rows`` must yield, replication by
-replication, the state ``derive_stream`` gives, and the route must make
+on the per-draw path.  The keyer ``streams(seed)`` must yield, replication
+by replication, the state ``derive_stream`` gives, and the route must make
 exactly one oracle call per row with ``size`` as the fourth positional
 argument (the instance counted), taking each generator only after the
 previous row is drawn.
@@ -58,27 +58,26 @@ def points(problem, R):
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-@pytest.mark.parametrize("sl", [None, slice(1, 4)], ids=["full", "block"])
+@pytest.mark.parametrize("sl", [slice(None), slice(1, 4)], ids=["full", "block"])
 @pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("path", ["exact", "per_draw", "plain"])
 def test_route_equals_per_row_oracle_calls_bitwise(name, sl, R, path):
     problem = PROBLEMS[name]()
     if path == "plain":
         problem = plain(problem)
-    part = slice(None) if sl is None else sl
     X = points(problem, R)
     TX = problem.mean_operator(X) if path == "exact" else None
     replications = REPLICATIONS[:R]
-    out = problem.route(sl)(streams(SEED).rows(replications, K, STAGE, BLOCK), X, SIZE, TX)
+    out = problem.route(sl)(streams(SEED)(replications, K, STAGE, BLOCK), X, SIZE, TX)
     oracle, ref = problem.oracle, []
     for x, t, rng in zip(X, TX if TX is not None else X, keyed(replications)):
         if path == "exact":
-            ref.append(t[part] + oracle.block(rng, x, SIZE, part, error=True))
+            ref.append(t[sl] + oracle.block(rng, x, SIZE, sl, error=True))
         elif path == "per_draw":
-            ref.append(oracle.block(rng, x, SIZE, part).mean(axis=0))
+            ref.append(oracle.block(rng, x, SIZE, sl).mean(axis=0))
         else:
-            ref.append(oracle(rng, x, SIZE)[:, part].mean(axis=0))
-    assert out.shape == (R, len(range(problem.dimension)[part]))
+            ref.append(oracle(rng, x, SIZE)[:, sl].mean(axis=0))
+    assert out.shape == (R, len(range(problem.dimension)[sl]))
     assert out.tobytes() == np.array(ref).tobytes()
     # the one-row form gives each row alone
     for r, rng in enumerate(keyed(replications)):
@@ -89,15 +88,17 @@ def test_route_equals_per_row_oracle_calls_bitwise(name, sl, R, path):
 @pytest.mark.parametrize("seed", [SEED, -2 ** 63, 2 ** 63 - 1])
 @pytest.mark.parametrize("R", [1, 3])
 def test_stream_rows_yield_derive_stream_states(seed, R):
-    stream = streams(seed)
+    keyed = streams(seed)
     replications = REPLICATIONS[:R]
-    for replication, rng in zip(replications, stream.rows(replications, K, STAGE, BLOCK),
+    for replication, rng in zip(replications, keyed(replications, K, STAGE, BLOCK),
                                 strict=True):
         ref = derive_stream(seed, replication, K, STAGE, BLOCK)
         assert state(rng) == state(ref)
         assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
-    # the single-key form re-keys the same generator
-    assert state(stream(3, K, STAGE, BLOCK)) == state(derive_stream(seed, 3, K, STAGE, BLOCK))
+    # a nonzero sample is a key field too
+    for replication, rng in zip(replications, keyed(replications, K, STAGE, BLOCK, 7),
+                                strict=True):
+        assert state(rng) == state(derive_stream(seed, replication, K, STAGE, BLOCK, 7))
 
 
 @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 99999999999999999999])
@@ -108,7 +109,7 @@ def test_seed_outside_int64_is_rejected(seed):
         streams(seed)
 
 
-@pytest.mark.parametrize("sl", [None, slice(1, 4)], ids=["full", "block"])
+@pytest.mark.parametrize("sl", [slice(None), slice(1, 4)], ids=["full", "block"])
 @pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "per_draw"])
 def test_one_oracle_call_per_row_taken_in_turn(monkeypatch, sl, R, exact):

@@ -285,9 +285,9 @@ class TestErrorDecayProbe:
         x, grid, R = np.array([0.5, -1.0, 2.0]), [1, 4, 16], 4
         rows = error_decay_probe(p, x, grid, replications=R, master_seed=5)
         assert calls == [(n, False) for n in grid for _ in range(R)]
-        stream, t = streams(5), p.mean_operator(x)
+        keyed, t = streams(5), p.mean_operator(x)
         for j, (n, row) in enumerate(zip(grid, rows)):
-            errs = [p.route()([stream(r, j, 1, 0)], x[None], n)[0] - t for r in range(R)]
+            errs = [p.route()(keyed([r], j, 1, 0), x[None], n)[0] - t for r in range(R)]
             assert row["mean_sq_error"] == float(np.mean([float(e @ e) for e in errs]))
 
     def test_nonfinite_batch_raises(self):

@@ -482,23 +482,27 @@ class TestStageMean:
             assert plan.cum_calls[k + 1] - plan.cum_calls[k] == billed
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), replication=st.integers(0, 2**63 - 1),
+    @given(seed=st.integers(0, 2**63 - 1),
+           replications=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=3),
            k=st.integers(0, 10**6), stage=st.sampled_from([1, 2]),
-           block=st.integers(0, 7), sample=st.integers(0, 2**32 - 1),
+           block=st.integers(0, 7), sample=st.integers(1, 2**32 - 1),
            words=st.integers(0, 7))
-    def test_rekeyed_stream_equals_derive_stream(self, seed, replication, k, stage, block,
+    def test_rekeyed_stream_equals_derive_stream(self, seed, replications, k, stage, block,
                                                  sample, words):
-        stream = streams(seed)
-        # the previous stream leaves a half-used buffer and a cached uint32
-        previous = stream(replication, k + 1, 3 - stage, block)
+        keyed = streams(seed)
+        # the previous stream leaves a half-used buffer and a cached uint32,
+        # and so does each row for the next
+        previous = next(keyed(replications[:1], k + 1, 3 - stage, block))
         previous.bit_generator.random_raw(words)
         previous.integers(0, 9, dtype=np.uint32)
-        ours = stream(replication, k, stage, block, sample)
-        ref = derive_stream(seed, replication, k, stage, block, sample)
-        assert np.array_equal(ours.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
-        assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
-        assert np.array_equal(ours.integers(0, 2**32, 7, dtype=np.uint32),
-                              ref.integers(0, 2**32, 7, dtype=np.uint32))
+        for replication, ours in zip(replications, keyed(replications, k, stage, block, sample),
+                                     strict=True):
+            ref = derive_stream(seed, replication, k, stage, block, sample)
+            assert np.array_equal(ours.bit_generator.random_raw(5),
+                                  ref.bit_generator.random_raw(5))
+            assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
+            assert np.array_equal(ours.integers(0, 2**32, 7, dtype=np.uint32),
+                                  ref.integers(0, 2**32, 7, dtype=np.uint32))
 
     def test_nonfinite_oracle_output_raises(self):
         state = {"calls": 0}
@@ -687,9 +691,9 @@ class TestSharedMeanOperator:
         assert (calls, own_calls) == ([2 * K + 1, 2 * K + 1], [0, 0])
         # a noiseless stage mean is the t it was handed, not a product of its own
         quiet, t = replace(problem, oracle=LinearMatrixNoiseOracle(own, 0.0)), np.arange(8.0)
-        for sl in (None, slice(3, 6)):
+        for sl in (slice(None), slice(3, 6)):
             (out,) = quiet.route(sl)([None], np.ones((1, 8)), 4, t[None])
-            assert out.tobytes() == t[sl or slice(None)].tobytes()
+            assert out.tobytes() == t[sl].tobytes()
         assert own_calls[0] == 0
 
     @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
@@ -738,9 +742,9 @@ class TestSharedMeanOperator:
 
         problem = replace(identity_problem(n=3), oracle=OldContract()).with_blocks((1, 2))
         x = np.array([1.0, -2.0, 0.25])
-        for sl in (None, slice(1, 3)):
+        for sl in (slice(None), slice(1, 3)):
             (out,) = problem.route(sl)([None], x[None], 4, problem.mean_operator(x[None]))
-            assert out.tobytes() == (x + 0.5)[sl or slice(None)].tobytes()
+            assert out.tobytes() == (x + 0.5)[sl].tobytes()
         for coordination in ("centralized", "distributed"):
             advance = _lockstep(validate(problem, default_config(coordination=coordination)))
             _, (g1,), *_ = advance([0], 4, x[None], problem.mean_operator(x[None]))
@@ -770,9 +774,9 @@ class TestSharedMeanOperator:
         draws, bit for bit, for the whole point and for a block."""
         problem, _ = self.counted(blocks=(2, 2, 1))
         x = np.linspace(-1.0, 1.5, 5)
-        for sl in (None, slice(2, 4)):
+        for sl in (slice(None), slice(2, 4)):
             (out,) = problem.route(sl)([derive_stream(7)], x[None], 4)
-            draws = problem.oracle.block(derive_stream(7), x, 4, sl or slice(None))
+            draws = problem.oracle.block(derive_stream(7), x, 4, sl)
             assert out.tobytes() == draws.mean(axis=0).tobytes()
 
     def test_zero_noise_stage_mean_does_not_alias_t(self):
@@ -781,9 +785,9 @@ class TestSharedMeanOperator:
         t = problem.mean_operator(x)
         kept = t.copy()
         rng = np.random.default_rng(0)
-        for sl in (None, slice(2, 4)):
+        for sl in (slice(None), slice(2, 4)):
             (out,) = problem.route(sl)([rng], x[None], 4, t[None])
-            assert out.tobytes() == t[sl or slice(None)].tobytes()
+            assert out.tobytes() == t[sl].tobytes()
             assert not np.shares_memory(out, t)
             out[...] = 7.0
             assert t.tobytes() == kept.tobytes()

@@ -1,7 +1,7 @@
 """One stream source: every run-time generator comes from ``core.streams``.
 
 The probes, the baselines and the harness's surrogate take their streams
-from a stream function of their own; ``derive_stream`` is the reference
+from a row keyer of their own; ``derive_stream`` is the reference
 they equal bit for bit.
 """
 
