@@ -7,7 +7,6 @@ from .core import (
     ProblemInstance,
     RunPlan,
     SolverConfig,
-    VarianceProfile,
     derive_stream,
     validate,
 )

@@ -2,7 +2,7 @@
 
 Conventions: ``alpha`` is the stepsize supremum, ``sigma`` the noise modulus
 (at a solution, over the solution set, or over the feasible set depending on
-the variance profile), ``c2``/``cp``/``cq`` the martingale moment constants
+the noise law), ``c2``/``cp``/``cq`` the martingale moment constants
 of the Burkholder-Davis-Gundy inequality at orders 2, p and p/2 (at order 2
 the inequality holds with constant one by orthogonality of increments, hence
 the default), and ``c_remainder`` the constant tying the exact per-step

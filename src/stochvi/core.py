@@ -82,9 +82,9 @@ def _philox_key(master_seed, replication, iteration, stage, block, sample=0):
         master_seed, replication, iteration, stage, block, sample)).digest())
 
 
-def _check_seed(master_seed):
-    if not -2 ** 63 <= master_seed < 2 ** 63:
-        raise InvalidParameters(f"master_seed {master_seed} is outside the signed 64-bit "
+def _check_key(value, field="master_seed"):
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise InvalidParameters(f"{field} {value} is outside the signed 64-bit "
                                 "range of a stream key")
 
 
@@ -97,7 +97,7 @@ def derive_stream(master_seed, replication=0, iteration=0, stage=1, block=0, sam
     keyer takes the same fields after ``master_seed``, replications for
     ``replication``.  A ``master_seed`` outside the signed 64-bit range
     raises ``InvalidParameters``."""
-    _check_seed(master_seed)
+    _check_key(master_seed)
     if stage not in (1, 2):
         raise InvalidParameters("stage must be 1 or 2")
     return np.random.Generator(np.random.Philox(key=np.array(_philox_key(
@@ -113,7 +113,7 @@ def streams(master_seed):
     route call.  Consumers that may run inside one another each call
     ``streams`` for their own.  A ``master_seed`` outside the signed 64-bit
     range raises ``InvalidParameters`` here, once, and not at a re-key."""
-    _check_seed(master_seed)
+    _check_key(master_seed)
     bits = np.random.Philox(0)  # no OS entropy; every re-key replaces the key
     rng = np.random.Generator(bits)
     fresh = bits.state  # counter zero, empty buffer, no cached uint32
@@ -131,20 +131,6 @@ def streams(master_seed):
             yield rng
 
     return keyed
-
-
-@dataclass(frozen=True)
-class VarianceProfile:
-    """Oracle-noise descriptor: 'uniform' sigma over X, or 'point' sigma(x*)."""
-
-    kind: str
-    sigma: float
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "point"):
-            raise InvalidParameters("variance profile kind must be 'uniform' or 'point'")
-        if self.sigma < 0:
-            raise InvalidParameters("sigma must be nonnegative")
 
 
 def check_mean_operator(T, fset: FeasibleSet, n: int):
@@ -188,7 +174,6 @@ class ProblemInstance:
     blocks: tuple = ()
     mean_operator: object = None
     known_solutions: tuple = ()
-    variance_profile: VarianceProfile | None = None
     solution_set_is_feasible_set: bool = False
     name: str = ""
 

@@ -23,7 +23,7 @@ Schema (defaults in parentheses):
       "x0": [floats] (origin),
       "merits": {"dgap_a": float, "dgap_b": float}   (off unless both given),
       "rate_fit_window": [k_lo, k_hi]   (optional),
-      "epsilon": float                  (optional; enables K_eps),
+      "epsilon": float > 0              (optional; enables K_eps),
       "threads": int                    (optional; accepted and ignored)
     }
 
@@ -139,6 +139,8 @@ class ExperimentConfig:
             raise ConfigError("rate_fit_window needs 0 < k_lo < k_hi <= max_iterations")
         if (self.dgap_a is None) != (self.dgap_b is None):
             raise ConfigError("dgap tracking needs both dgap_a and dgap_b")
+        if self.epsilon is not None and not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
 def config_hash(document) -> str:

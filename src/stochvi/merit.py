@@ -32,8 +32,9 @@ def natural_residual_sq(T, fset: FeasibleSet, x, alpha: float, t=None):
     return np.vecdot(diff, diff)
 
 
-def regularized_gap(T, fset: FeasibleSet, x, a: float):
-    """g_a(x) = max_{y in X} { <T(x), x - y> - (a/2) ||x - y||^2 }.
+def regularized_gap(T, fset: FeasibleSet, x, a: float, t=None):
+    """g_a(x) = max_{y in X} { <T(x), x - y> - (a/2) ||x - y||^2 }; ``t``,
+    if given, is T(x) as the caller already evaluated it.
 
     The maximizer of the concave quadratic is y = P[x - T(x)/a], so one
     projection evaluates the gap exactly; no inner loop is needed.
@@ -41,11 +42,7 @@ def regularized_gap(T, fset: FeasibleSet, x, a: float):
     if not a > 0:
         raise InvalidParameters("gap parameter a must be positive")
     x = np.asarray(x, dtype=float)
-    return _gap(np.asarray(T(x), dtype=float), fset, x, a)
-
-
-def _gap(t, fset, x, a):
-    """g_a(x) given t = T(x)."""
+    t = np.asarray(T(x) if t is None else t, dtype=float)
     d = x - project(fset, x - t / a)
     return np.vecdot(t, d) - 0.5 * a * np.vecdot(d, d)
 
@@ -58,7 +55,7 @@ def d_gap(T, fset: FeasibleSet, x, a: float, b: float):
         raise InvalidParameters("d-gap requires b > a > 0")
     x = np.asarray(x, dtype=float)
     t = np.asarray(T(x), dtype=float)
-    return _gap(t, fset, x, a) - _gap(t, fset, x, b)
+    return regularized_gap(T, fset, x, a, t=t) - regularized_gap(T, fset, x, b, t=t)
 
 
 def distance_sq_to_solutions(problem, x):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, VarianceProfile, _freeze, check_mean_operator
+from .core import ProblemInstance, _freeze, check_mean_operator
 from .errors import InvalidParameters
 from .projection import FeasibleSet, NonnegativeOrthant, WholeSpace
 
@@ -35,9 +35,8 @@ class AdditiveGaussianOracle:
 
     exact_error = True
 
-    def __init__(self, mean_operator, n, scale):
+    def __init__(self, mean_operator, scale):
         self.mean_operator = mean_operator
-        self.n = int(n)
         self.scale = float(scale)
 
     def __call__(self, rng, x, size):
@@ -47,7 +46,7 @@ class AdditiveGaussianOracle:
         # Additive noise is coordinatewise independent: an agent holding its
         # own stream may draw only the components it consumes.
         if error:
-            return _normal(rng, (len(range(self.n)[sl]),), self.scale / math.sqrt(size))
+            return _normal(rng, (len(range(len(x))[sl]),), self.scale / math.sqrt(size))
         t = np.asarray(self.mean_operator(x), dtype=float)[sl]
         return t + _normal(rng, (size,) + t.shape, self.scale)
 
@@ -89,15 +88,14 @@ class ConstantOracle:
 
     exact_error = True
 
-    def __init__(self, sigma, n=1):
+    def __init__(self, sigma):
         self.sigma = float(sigma)
-        self.n = int(n)
 
     def __call__(self, rng, x, size):
         return self.block(rng, x, size, slice(None))
 
     def block(self, rng, x, size, sl, error=False):
-        shape = (len(range(self.n)[sl]),)
+        shape = (len(range(len(x))[sl]),)
         if error:
             return _normal(rng, shape, self.sigma / math.sqrt(size))
         return _normal(rng, (size,) + shape, self.sigma)
@@ -135,7 +133,6 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
         raise InvalidParameters(f"feasible must be one of {sorted(sets)}, got {feasible!r}")
     fset = sets[feasible](n)
     L = _spectral_norm(abar)
-    sigma_star = float(np.sqrt(n) * noise_scale)  # sqrt(lambda_max(B))
     mean_op = lambda x, A=abar: np.matvec(A, np.asarray(x, dtype=float))
     return MatrixProblem(
         dimension=n,
@@ -144,7 +141,6 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
         lipschitz_L=max(L, 1e-12),
         feasible_set=fset,
         known_solutions=(np.zeros(n),),
-        variance_profile=VarianceProfile("point", sigma_star),
         mean_matrix=abar,
         name=f"linear_svi(n={n}, seed={seed}, noise={noise_scale:g})",
     )
@@ -155,12 +151,11 @@ def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ProblemInstance:
     every feasible point solves it."""
     return ProblemInstance(
         dimension=n,
-        oracle=ConstantOracle(sigma, n),
+        oracle=ConstantOracle(sigma),
         mean_operator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lipschitz_L=1.0,  # any positive modulus bounds the constant operator
         feasible_set=WholeSpace(n),
         known_solutions=(np.zeros(n),),
-        variance_profile=VarianceProfile("uniform", float(sigma) * np.sqrt(n)),
         solution_set_is_feasible_set=True,
         name=f"constant_noise(sigma={sigma:g}, n={n})",
     )
@@ -187,15 +182,13 @@ def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
     center = _freeze(center)  # T keeps its own copy, whatever the caller writes later
     mean_op = lambda x, A=abar, c=center: np.matvec(A, np.asarray(x, dtype=float) - c)
     fset = feasible if feasible is not None else WholeSpace(n)
-    sigma_star = float(np.sqrt(n) * noise_scale)
     return MatrixProblem(
         dimension=n,
-        oracle=AdditiveGaussianOracle(mean_op, n, noise_scale),
+        oracle=AdditiveGaussianOracle(mean_op, noise_scale),
         mean_operator=mean_op,
         lipschitz_L=_spectral_norm(abar),
         feasible_set=fset,
         known_solutions=(center,),
-        variance_profile=VarianceProfile("uniform", sigma_star),
         mean_matrix=abar,
         name=f"strongly_monotone(n={n}, seed={seed}, noise={noise_scale:g})",
     )
@@ -215,15 +208,13 @@ def gen_scaled_monotone(n: int, seed: int = 0,
 
     # |grad T| <= h ||A|| + ||A x|| * 2||x||/(1+||x||^2)^2 <= 1.5 ||A||
     L = 1.5 * _spectral_norm(abar)
-    sigma_star = float(np.sqrt(n) * noise_scale)
     return MatrixProblem(
         dimension=n,
-        oracle=AdditiveGaussianOracle(mean_op, n, noise_scale),
+        oracle=AdditiveGaussianOracle(mean_op, noise_scale),
         mean_operator=mean_op,
         lipschitz_L=L,
         feasible_set=WholeSpace(n),
         known_solutions=(np.zeros(n),),
-        variance_profile=VarianceProfile("uniform", sigma_star),
         mean_matrix=abar,
         name=f"scaled_monotone(n={n}, seed={seed}, noise={noise_scale:g})",
     )
@@ -234,7 +225,7 @@ def gen_negative_control(n: int = 1, noise_scale: float = 0.0) -> ProblemInstanc
     mean_op = lambda x: -np.asarray(x, dtype=float)
     return ProblemInstance(
         dimension=n,
-        oracle=AdditiveGaussianOracle(mean_op, n, noise_scale),
+        oracle=AdditiveGaussianOracle(mean_op, noise_scale),
         mean_operator=mean_op,
         lipschitz_L=1.0,
         feasible_set=WholeSpace(n),

@@ -263,6 +263,8 @@ def error_decay_probe(problem, x, n_grid, replications: int, master_seed: int = 
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
         raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
+    if not np.isfinite(x).all():
+        raise InvalidParameters(f"x must be finite, got {x.tolist()}")
     draw, t = problem.route(), np.asarray(problem.mean_operator(x), dtype=float)
     rows, keyed = [], streams(master_seed)
     X = np.broadcast_to(x, (replications, problem.dimension))

@@ -41,7 +41,7 @@ import numpy as np
 
 # derive_stream, validate and project are not called here, but they stay
 # module globals of the solver: perfbench/tracing.py rebinds them at these names.
-from .core import RunPlan, derive_stream, streams, validate  # noqa: F401
+from .core import RunPlan, _check_key, derive_stream, streams, validate  # noqa: F401
 from .errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -220,13 +220,17 @@ def run(plan: RunPlan, replication=0, x0=None):
     for bit the same whichever other rows share its run.  The plan comes
     from ``validate``, once for any number of replications.  T is evaluated
     once per point: T(x^k) serves the residual and the first stage, T(z^k)
-    the second, and both the diagnostics.
+    the second, and both the diagnostics.  A replication index outside the
+    signed 64-bit range, or an ``x0`` whose projection is not finite,
+    raises ``InvalidParameters`` before any draw.
     """
     one = isinstance(replication, Integral)
     # as Python ints, which a trace's JSON summary can hold (numpy's cannot)
     replications = [index(r) for r in ([replication] if one else replication)]
     if not replications:
         raise InvalidParameters("run needs at least one replication")
+    _check_key(min(replications), "replication")  # once here, not at each re-key
+    _check_key(max(replications), "replication")
     problem, config = plan.problem, plan.config
     n, K, R = problem.dimension, config.max_iterations, len(replications)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -236,7 +240,11 @@ def run(plan: RunPlan, replication=0, x0=None):
                               config.residual_floor, plan.alphas)
     residual_sq, advance = natural_residual_sq, _lockstep(plan)
     record = config.diagnostics and T is not None  # only diagnostics read the steps
-    X = np.broadcast_to(fset.project(x), (R, n))  # iterates live in X from the start
+    start = fset.project(x)
+    if not np.isfinite(start).all():
+        raise InvalidParameters(f"x0 {x.tolist()} projects to the non-finite point "
+                                f"{start.tolist()}")
+    X = np.broadcast_to(start, (R, n))  # iterates live in X from the start
     iterates = np.zeros((R, K + 1, n))
     iterates[:, 0] = X
     r2 = None if T is None else np.zeros((R, K + 1))
@@ -412,6 +420,8 @@ def martingale_probe(plan: RunPlan, x, replications: int,
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
         raise DimensionMismatch(f"x must have shape ({problem.dimension},)")
+    if not np.isfinite(x).all():
+        raise InvalidParameters(f"x must be finite, got {x.tolist()}")
     X, TX = (np.broadcast_to(v, (replications, problem.dimension))
              for v in (x, problem.mean_operator(x)))
     Z, _, G2, _, TZ, _ = _lockstep(plan)(range(replications), 0, X, TX)

@@ -27,6 +27,11 @@ def quiet_problem():
     return gen_strongly_monotone(5, seed=3, noise_scale=0.0, center=np.zeros(5))
 
 
+def never_drawn(rng, x, size):
+    """An oracle for checks that must fail before any draw."""
+    raise AssertionError("the oracle was drawn")
+
+
 def default_config(**overrides):
     kwargs = dict(
         stepsize=0.25,

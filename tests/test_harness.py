@@ -555,6 +555,16 @@ class TestCli:
         assert code == 2
         assert "outside the signed 64-bit range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", -1.0), ("epsilon", 0.0), ("x0", [math.nan, 0.0, 0.0])])
+    def test_value_outside_its_domain_exits_2(self, tmp_path, capsys, key, value):
+        """A non-positive epsilon and a non-finite start point exit 2 naming
+        their key before the run draws anything."""
+        cfg = self.write(tmp_path / "c.json", experiment_doc(**{key: value}))
+        assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "oracle" not in err
+
     @pytest.mark.parametrize("command,doc,named",
                              incomplete_documents(PROBE_DOCS["fejer_audit"]))
     def test_incomplete_documents_exit_2(self, tmp_path, capsys, command, doc, named):

@@ -115,7 +115,7 @@ def test_rows_stop_at_different_k():
             return super().block(rng, x, size, sl, error)
 
     base = agents()
-    problem = replace(base, oracle=Counted(base.mean_operator, 5, 1.0))
+    problem = replace(base, oracle=Counted(base.mean_operator, 1.0))
     plan = validate(problem, default_config(coordination="distributed", max_iterations=20,
                                             residual_floor=5e-3, diagnostics=False,
                                             master_seed=901))

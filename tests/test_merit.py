@@ -99,6 +99,17 @@ class TestRegularizedGap:
                                             grid=801)
             assert exact == pytest.approx(grid, abs=2e-4)
 
+    def test_reads_the_t_it_is_handed(self):
+        """Handed T(x), the gap evaluates no T and equals, bit for bit, the
+        gap that evaluates it."""
+        p = gen_strongly_monotone(3, seed=5, noise_scale=0.0, center=np.zeros(3),
+                                  feasible=Box(-np.ones(3), np.ones(3)))
+        X = np.linspace(-2.0, 2.0, 12).reshape(4, 3)
+        untouched = lambda x: pytest.fail("T evaluated although t was handed over")
+        assert np.array_equal(
+            regularized_gap(untouched, p.feasible_set, X, 1.5, t=p.mean_operator(X)),
+            regularized_gap(p.mean_operator, p.feasible_set, X, 1.5))
+
 
 class TestDGap:
     def test_parameter_order_enforced(self):

@@ -108,7 +108,7 @@ class WithoutRootN(AdditiveGaussianOracle):
 
 def test_gate_rejects_a_law_without_root_n(per_draw_finals):
     problem, config, x0 = configs()["strongly_monotone"]
-    faulty = replace(problem, oracle=WithoutRootN(problem.mean_operator, 2, 1.0))
+    faulty = replace(problem, oracle=WithoutRootN(problem.mean_operator, 1.0))
     exact = finals(faulty, config, x0, EXACT_SEED)
     D = [ks_statistic(e, d) for e, d in zip(exact, per_draw_finals["strongly_monotone"])]
     assert min(D) > critical_d(R, R), D

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import never_drawn
 from reference_impls import sample_count, tail_scan
 from stochvi.core import derive_stream
 from stochvi.errors import (
@@ -251,8 +253,6 @@ class TestErrorDecayProbe:
             assert r["product"] == pytest.approx(target, rel=0.15)
 
     def test_route_resolved_once_per_probe_and_surrogate(self, monkeypatch):
-        from dataclasses import replace
-
         from stochvi.core import ProblemInstance
         from stochvi.harness import effective_mean_operator
 
@@ -291,8 +291,6 @@ class TestErrorDecayProbe:
             assert row["mean_sq_error"] == float(np.mean([float(e @ e) for e in errs]))
 
     def test_nonfinite_batch_raises(self):
-        from dataclasses import replace
-
         from stochvi.harness import effective_mean_operator
 
         p = replace(gen_constant_noise(sigma=1.0),
@@ -321,6 +319,11 @@ class TestErrorDecayProbe:
         p = gen_linear_svi(n=2, seed=1, noise_scale=0.3)
         with pytest.raises(DimensionMismatch, match=r"x must have shape \(2,\)"):
             error_decay_probe(p, x, [1, 4], replications=2)
+
+    def test_nonfinite_point_rejected_before_any_draw(self):
+        p = replace(gen_linear_svi(n=2, seed=1, noise_scale=0.3), oracle=never_drawn)
+        with pytest.raises(InvalidParameters, match="x must be finite"):
+            error_decay_probe(p, [np.nan, 1.0], [1, 4], replications=2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import default_config
+from conftest import default_config, never_drawn
 from reference_impls import (
     diagnostic_sums_reference,
     fejer_audit_reference,
@@ -16,7 +16,6 @@ from reference_impls import (
 )
 from stochvi.core import (
     ProblemInstance,
-    VarianceProfile,
     derive_stream,
     streams,
     validate,
@@ -56,12 +55,11 @@ def identity_problem(noise=0.0, n=1):
     T = lambda x: np.asarray(x, dtype=float)
     return ProblemInstance(
         dimension=n,
-        oracle=AdditiveGaussianOracle(T, n, noise),
+        oracle=AdditiveGaussianOracle(T, noise),
         mean_operator=T,
         lipschitz_L=1.0,
         feasible_set=WholeSpace(n),
         known_solutions=(np.zeros(n),),
-        variance_profile=VarianceProfile("uniform", noise * np.sqrt(n)),
     )
 
 
@@ -155,6 +153,34 @@ class TestRun:
 
         dists = set_distance(p.feasible_set, trace.iterates)
         assert np.max(dists) <= 1e-10
+
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+    def test_nonfinite_start_point_rejected_before_any_draw(self, x0):
+        p = replace(gen_strongly_monotone(3, seed=1, noise_scale=0.5), oracle=never_drawn)
+        with pytest.raises(InvalidParameters, match="x0 .* projects to the non-finite"):
+            run(validate(p, default_config(max_iterations=3)), x0=x0)
+
+    def test_infinite_start_point_projected_into_a_box_runs(self):
+        box = Box(np.zeros(2), np.ones(2))
+        p = gen_strongly_monotone(2, seed=2, noise_scale=0.5, feasible=box,
+                                  center=np.full(2, 0.5))
+        cfg = default_config(max_iterations=3, stepsize=0.2 / p.lipschitz_L)
+        trace = run(validate(p, cfg), x0=[np.inf, 0.0])
+        assert trace.iterates[0].tolist() == [1.0, 0.0]
+        assert trace.n_steps == 3 and np.isfinite(trace.iterates).all()
+
+    @pytest.mark.parametrize("replication", [2 ** 63, -2 ** 63 - 1, [0, 2 ** 63]])
+    def test_replication_outside_int64_rejected(self, replication):
+        plan = validate(replace(identity_problem(), oracle=never_drawn),
+                        default_config(max_iterations=1))
+        with pytest.raises(InvalidParameters,
+                           match="replication -?[0-9]+ is outside the signed 64-bit range"):
+            run(plan, replication=replication)
+
+    def test_replication_at_the_int64_edges_runs(self):
+        plan = validate(identity_problem(noise=1.0), default_config(max_iterations=2))
+        ensemble = run(plan, replication=[-2 ** 63, 2 ** 63 - 1], x0=[1.0])
+        assert [t.replication for t in ensemble.traces] == [-2 ** 63, 2 ** 63 - 1]
 
     def test_oracle_accounting_identity(self, monotone_problem):
         cfg = default_config(max_iterations=25)
@@ -391,6 +417,29 @@ class TestMartingaleProbe:
         with pytest.raises(DimensionMismatch, match=r"x must have shape \(5,\)"):
             martingale_probe(plan, x, replications=2)
 
+    def test_nonfinite_point_rejected_before_any_draw(self, quiet_problem):
+        plan = validate(replace(quiet_problem, oracle=never_drawn),
+                        default_config(max_iterations=1))
+        with pytest.raises(InvalidParameters, match="x must be finite"):
+            martingale_probe(plan, np.array([np.inf, 0.0, 0.0, 0.0, 0.0]), replications=2)
+
+
+@pytest.mark.parametrize("error", [False, True])
+@pytest.mark.parametrize("sl", [slice(None), slice(1, 3)], ids=["whole", "1:3"])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("make", [
+    lambda T: AdditiveGaussianOracle(T, 0.5),
+    lambda T: LinearMatrixNoiseOracle(T, 0.5),
+    lambda T: ConstantOracle(0.5),
+], ids=["additive", "linear", "constant"])
+def test_block_width_is_the_slice_of_the_point(make, n, sl, error):
+    """Each built-in oracle takes its width from the point it is handed."""
+    oracle = make(lambda x: np.asarray(x, dtype=float))
+    x = np.linspace(-1.0, 1.0, n)
+    out = oracle.block(np.random.default_rng(3), x, 4, sl, error=error)
+    width = len(range(len(x))[sl])
+    assert out.shape == ((width,) if error else (4, width))
+
 
 def user_problem(oracle, blocks=()):
     """Identity operator sampled through a plain-function oracle (no
@@ -613,7 +662,7 @@ class TestSharedMeanOperator:
     def counted(noise=1.0, blocks=(5,)):
         base = gen_strongly_monotone(5, seed=3, noise_scale=noise, center=np.zeros(5))
         T, calls = counting(base.mean_operator)
-        problem = replace(base, oracle=AdditiveGaussianOracle(T, 5, noise), mean_operator=T)
+        problem = replace(base, oracle=AdditiveGaussianOracle(T, noise), mean_operator=T)
         return problem.with_blocks(blocks), calls
 
     @pytest.mark.parametrize("coordination, blocks",
@@ -661,7 +710,7 @@ class TestSharedMeanOperator:
         base = gen_strongly_monotone(5, seed=3, noise_scale=1.0, center=np.zeros(5))
         T, calls = counting(base.mean_operator)
         own, own_calls = counting(base.mean_operator)
-        problem = replace(base, oracle=AdditiveGaussianOracle(own, 5, 1.0), mean_operator=T)
+        problem = replace(base, oracle=AdditiveGaussianOracle(own, 1.0), mean_operator=T)
         K = 12
         plan = validate(problem.with_blocks(blocks), default_config(
             coordination=coordination, max_iterations=K, residual_floor=0.0,
@@ -702,7 +751,7 @@ class TestSharedMeanOperator:
         same traces bit for bit."""
         problem, _ = self.counted(blocks=(2, 2, 1))
         T = problem.mean_operator
-        own = replace(problem, oracle=AdditiveGaussianOracle(lambda x: T(x), 5, 1.0))
+        own = replace(problem, oracle=AdditiveGaussianOracle(lambda x: T(x), 1.0))
         cfg = default_config(coordination=coordination, max_iterations=15)
         a, b = (run(validate(p, cfg), replication=2, x0=np.ones(5)) for p in (problem, own))
         for field in ("iterates", "r2", "z", "eps2", "A", "cum_calls"):
@@ -715,7 +764,7 @@ class TestSharedMeanOperator:
         the marker, since its draws are then averaged."""
         base = gen_strongly_monotone(5, seed=3, noise_scale=0.0, center=np.zeros(5))
         T = base.mean_operator
-        oracle = AdditiveGaussianOracle(lambda x: T(x) + 1.0, 5, 0.0)
+        oracle = AdditiveGaussianOracle(lambda x: T(x) + 1.0, 0.0)
         x = np.linspace(-1.0, 1.5, 5)
         for exact_error, shift in ((True, 0.0), (False, 1.0)):
             oracle.exact_error = exact_error

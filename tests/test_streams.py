@@ -100,7 +100,7 @@ def test_surrogate_inside_a_stage_keeps_the_stage_stream():
     surrogate's value plus the stage's own normals."""
     base = replace(gen_constant_noise(sigma=1.0, n=2), mean_operator=None)
     S, _ = effective_mean_operator(base, n_samples=30)
-    p = ProblemInstance(dimension=2, oracle=AdditiveGaussianOracle(S, 2, 0.3),
+    p = ProblemInstance(dimension=2, oracle=AdditiveGaussianOracle(S, 0.3),
                         lipschitz_L=1.0, feasible_set=WholeSpace(2))
     plan = validate(p, default_config(master_seed=5))
     x = np.array([0.4, -1.0])
