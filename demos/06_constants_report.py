@@ -40,11 +40,11 @@ print(f"burn-in index: {burn}")
 bounds = rate_and_complexity_bounds(inputs, eps=1e-4, mean_dist2=result.mean_dist2)
 print(f"residual margin rho            = {bounds.rho:.4f}")
 print(f"trajectory bound J (empirical) = {bounds.trajectory_bound:.2f}")
-print(f"rate constants: Q_inf = {bounds.rate_Q_inf:.1f}, Q_bar = {bounds.rate_Q_bar:.1f}")
-print(f"complexity constant I = {bounds.complexity_I:.3e}")
-print(f"oracle-complexity bound at eps=1e-4: {bounds.complexity_bound:.3e}")
+print(f"rate constants: Q_inf = {bounds.rate_Q_inf:.1f}, Q_bar = {bounds.base.rate_Q:.1f}")
+print(f"complexity constant I = {bounds.base.complexity_I:.3e}")
+print(f"oracle-complexity bound at eps=1e-4: {bounds.base.complexity_bound:.3e}")
 
-check = compare_bound_to_run(inputs, bounds.rate_Q_bar, result.mean_r2, k_min=20)
+check = compare_bound_to_run(inputs, bounds.base.rate_Q, result.mean_r2, k_min=20)
 print(f"empirical direction check: {check}")
 
 print(f"\nmoment-boundedness certificate at gamma = phi/D:")

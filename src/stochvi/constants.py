@@ -13,6 +13,7 @@ that ``c_consistency`` admits at every noise level, see
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -311,37 +312,49 @@ def lp_bound_constants(inputs: ConstantsInputs, gamma: float) -> LpBoundResult:
     return LpBoundResult(gamma, beta, ok, factor, thresh)
 
 
-def _rate_constant(rho_val, d, A, J):
-    """2/rho * d^2 + 2/rho * A (1 + J)."""
-    return 2.0 / rho_val * d ** 2 + 2.0 / rho_val * A * (1.0 + J)
+@dataclass(frozen=True)
+class BoundFamily:
+    """One family's constants: rate <= Q/K, complexity <= I polylog(P/eps)
+    / eps^nu, and the coefficients A and B of its combined tail term
+    sigma^2 A + sigma^4 B.  Entries the family does not cover are None."""
+
+    rate_Q: float | None = None
+    log_arg_P: float | None = None
+    complexity_I: float | None = None
+    complexity_bound: float | None = None
+    tail_coeff_A: float | None = None
+    tail_coeff_B: float | None = None
 
 
-def _complexity_constant(rho_val, d, A, J):
-    """12/rho^2 * d^4 + 12/rho^2 * A^2 (1 + J)^2 + 1."""
-    return 12.0 / rho_val ** 2 * d ** 4 + 12.0 / rho_val ** 2 * A ** 2 * (1.0 + J) ** 2 + 1.0
-
-
-def _network_complexity_constant(rho_val, d, A, J, nu):
-    """4 * 3^(nu-1) * [ (2/rho)^nu d^(2 nu) + (2/rho)^nu A^nu (1+J)^nu + 1 ]."""
-    two_over_rho = 2.0 / rho_val
-    return 4.0 * 3.0 ** (nu - 1.0) * (
-        two_over_rho ** nu * d ** (2.0 * nu)
-        + two_over_rho ** nu * A ** nu * (1.0 + J) ** nu
-        + 1.0)
+def _bound_family(tail, J, P, law, *, rho, d0, eps, divisor=1.0, coeffs=(None, None)):
+    """The family with combined tail term A = ``tail / divisor`` (divided
+    last, as the uniform family's closed forms do), trajectory bound J and
+    log argument P: Q = 2/rho d^2 + 2/rho A (1 + J), and complexity <=
+    prefactor I (ln(P/eps)^log_power + offset) / eps^nu by ``law`` = (nu,
+    prefactor, log_power, offset).  At nu = 2 (base and uniform) I = 12/rho^2
+    d^4 + 12/rho^2 A^2 (1 + J)^2 + 1; the network's nu = 2 + a > 2 takes
+    I = 4 3^(nu-1) [(2/rho)^nu d^(2 nu) + (2/rho)^nu A^nu (1 + J)^nu + 1]."""
+    nu, prefactor, log_power, offset = law
+    two = 2.0 / rho
+    if nu == 2.0:
+        I = (12.0 / rho ** 2 * d0 ** 4
+             + 12.0 / rho ** 2 * tail ** 2 / divisor ** 2 * (1.0 + J) ** 2 + 1.0)
+    else:
+        I = 4.0 * 3.0 ** (nu - 1.0) * (two ** nu * d0 ** (2.0 * nu)
+                                       + two ** nu * (tail / divisor) ** nu * (1.0 + J) ** nu
+                                       + 1.0)
+    bound = prefactor * I * (math.log(P / eps) ** log_power + offset) / eps ** nu
+    return BoundFamily(two * d0 ** 2 + two * tail / divisor * (1.0 + J), P, I, bound, *coeffs)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Rate and oracle-complexity constants at tolerance eps.
-
-    The three families share the shape "rate <= Q/K, complexity <=
-    I * polylog(P/eps) / eps^power": the base family covers non-uniform
-    variance (single agent, a = 0 schedules), the ``uniform`` family sharpens
-    the constants when the variance is bounded over the feasible set, and the
-    ``network`` family covers fully distributed sampling with a > 0.
-    Inapplicable entries are None; the network entries are None also when
-    the smallest log exponent b_lo <= -1/2, because their tail coefficient
-    B integrates ln^-(2 + 2 b_lo), which is finite only for b_lo > -1/2.
+    """Rate and oracle-complexity constants at tolerance eps: the shared
+    quantities and one :class:`BoundFamily` each for ``base`` (non-uniform
+    variance, single agent, a = 0), ``uniform`` (variance bounded over the
+    feasible set, single agent; only its P unless a = 0) and ``network``
+    (fully distributed sampling with a shared a > 0 and b_lo > -1/2: the
+    network B integrates ln^-(2 + 2 b_lo), finite only for b_lo > -1/2).
     """
 
     eps: float
@@ -350,32 +363,16 @@ class BoundsReport:
     tail_sum: float
     tail_sum_sq: float
     rate_Q_inf: float | None
-    rate_Q_bar: float | None
-    log_arg_P: float | None
-    complexity_I: float | None
-    complexity_bound: float | None
-    tail_coeff_A: float | None
-    tail_coeff_B: float | None
-    burn_in: BurnInResult | None
-    uniform_rate_Q: float | None
-    uniform_complexity_I: float | None
-    uniform_log_arg_P: float | None
-    uniform_complexity_bound: float | None
-    network_tail_coeff_A: float | None
-    network_tail_coeff_B: float | None
-    network_rate_Q: float | None
-    network_complexity_I: float | None
-    network_log_arg_P: float | None
-    network_complexity_bound: float | None
+    burn_in: BurnInResult
+    base: BoundFamily
+    uniform: BoundFamily
+    network: BoundFamily
 
     def as_dict(self):
-        out = {}
-        for name, val in self.__dict__.items():
-            if isinstance(val, BurnInResult):
-                out["burn_in_closed_form"] = val.closed_form
-                out["burn_in_numeric"] = val.numeric
-            else:
-                out[name] = val
+        out = {name: dict(val.__dict__) if isinstance(val, BoundFamily) else val
+               for name, val in self.__dict__.items() if name != "burn_in"}
+        out["burn_in_closed_form"] = self.burn_in.closed_form
+        out["burn_in_numeric"] = self.burn_in.numeric
         return out
 
 
@@ -411,75 +408,46 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
     if D == 0.0 and J is None:
         J = 0.0  # multiplies zero below
 
-    d0 = inputs.d0
+    d0, sigma = inputs.d0, inputs.sigma
     Q_inf = 2.0 / rho_val * (d0 ** 2 + (1.0 + J) * (D * a0 + D ** 2 * b0))
     P = Q_inf + 1.0
-
-    ag = schedule.agents[0]
+    family = functools.partial(_bound_family, rho=rho_val, d0=d0, eps=eps)
     lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
+    ag, agents = schedule.agents[0], schedule.agents
     lg = math.log(ag.mu - 1.0)
-    scalar_family = inputs.m == 1 and ag.a == 0
-    Q_bar = I_const = complexity = coef_A = coef_B = None
-    if scalar_family:
-        coef_A = lam / (ag.b * lg ** ag.b)
-        coef_B = lam ** 2 / ((ag.mu - 1.0) * (1.0 + 2.0 * ag.b) * lg ** (1.0 + 2.0 * ag.b))
-        A_combo = inputs.sigma ** 2 * coef_A + inputs.sigma ** 4 * coef_B
-        Q_bar = _rate_constant(rho_val, d0, A_combo, J)
-        I_const = _complexity_constant(rho_val, d0, A_combo, J)
-        complexity = (max(1.0, ag.theta ** -4) * max(1.0, ag.theta) * I_const
-                      * (math.log(P / eps) ** (1.0 + ag.b) + 1.0 / ag.mu) / eps ** 2)
 
-    # Uniform-over-X family (single-agent schedule shape).
-    uQ = uI = uP = uC = None
+    base = BoundFamily(log_arg_P=P)
+    if inputs.m == 1 and ag.a == 0:
+        A = lam / (ag.b * lg ** ag.b)
+        B = lam ** 2 / ((ag.mu - 1.0) * (1.0 + 2.0 * ag.b) * lg ** (1.0 + 2.0 * ag.b))
+        law = (2.0, max(1.0, ag.theta ** -4) * max(1.0, ag.theta), 1.0 + ag.b, 1.0 / ag.mu)
+        base = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
+
+    # uniform over X: the tail 17 C_2^2 alpha^2 sigma^2 sums 1/min_i N_{k,i}
+    uniform = BoundFamily()
     if inputs.m == 1:
-        unif_tail = 17.0 * inputs.c2 ** 2 * inputs.alpha ** 2 * inputs.sigma ** 2
+        tail = 17.0 * inputs.c2 ** 2 * inputs.alpha ** 2 * sigma ** 2
         sum_min = float(np.sum(min_inv)) + schedule.tail_bound(horizon)
-        uQ_inf = 2.0 / rho_val * (d0 ** 2 + unif_tail * sum_min)
-        uP = uQ_inf + 1.0
+        uniform = BoundFamily(log_arg_P=2.0 / rho_val * (d0 ** 2 + tail * sum_min) + 1.0)
         if ag.a == 0:
-            uQ = (2.0 / rho_val * d0 ** 2
-                  + 2.0 / rho_val * unif_tail / (ag.b * lg ** ag.b))
-            uI = (12.0 / rho_val ** 2 * d0 ** 4
-                  + 12.0 / rho_val ** 2 * unif_tail ** 2 / (ag.b ** 2 * lg ** (2.0 * ag.b))
-                  + 1.0)
-            uC = (max(1.0, ag.theta ** -2) * max(1.0, ag.theta) * uI
-                  * (math.log(uP / eps) ** (1.0 + ag.b) + 1.0 / ag.mu) / eps ** 2)
+            law = (2.0, max(1.0, ag.theta ** -2) * max(1.0, ag.theta), 1.0 + ag.b, 1.0 / ag.mu)
+            uniform = family(tail, 0.0, uniform.log_arg_P, law, divisor=ag.b * lg ** ag.b)
 
-    # Network family (shared polynomial exponent a > 0, b_lo > -1/2).
-    nA = nB = nQ = nI = nP = nC = None
-    a_exps = {a.a for a in schedule.agents}
-    b_lo = min(a.b for a in schedule.agents)
-    if all(a.a > 0 for a in schedule.agents) and len(a_exps) == 1 and b_lo > -0.5:
-        a_exp = schedule.agents[0].a
-        mu_lo = min(a.mu for a in schedule.agents)
+    network = BoundFamily()
+    b_lo = min(a.b for a in agents)
+    if all(a.a > 0 for a in agents) and len({a.a for a in agents}) == 1 and b_lo > -0.5:
+        mu_lo = min(a.mu for a in agents)
         lg_lo = math.log(mu_lo - 1.0)
-        nA = sum(lam / (a.theta * a.a * (a.mu - 1.0) ** a.a)
-                 for a in schedule.agents)
-        vartheta = (1.0 + 2.0 * b_lo) * (mu_lo - 1.0) ** (1.0 + 2.0 * a_exp) * lg_lo
-        nB = (sum(lam / (a.theta * lg_lo ** a.b) for a in schedule.agents) ** 2
-              / vartheta)
-        A_net = inputs.sigma ** 2 * nA + inputs.sigma ** 4 * nB
-        nQ = _rate_constant(rho_val, d0, A_net, J)
-        nP = Q_inf + 1.0
-        nu = 2.0 + a_exp
-        nI = _network_complexity_constant(rho_val, d0, A_net, J, nu)
-        b1 = max(a.b for a in schedule.agents)
-        theta_max = max(a.theta for a in schedule.agents)
-        nC = (inputs.S * max(theta_max, 1.0)
-              * math.log(nP / eps) ** (1.0 + b1) * nI / eps ** nu)
+        A = sum(lam / (a.theta * a.a * (a.mu - 1.0) ** a.a) for a in agents)
+        vartheta = (1.0 + 2.0 * b_lo) * (mu_lo - 1.0) ** (1.0 + 2.0 * ag.a) * lg_lo
+        B = sum(lam / (a.theta * lg_lo ** a.b) for a in agents) ** 2 / vartheta
+        law = (2.0 + ag.a, inputs.S * max(max(a.theta for a in agents), 1.0),
+               1.0 + max(a.b for a in agents), 0.0)
+        network = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
 
-    return BoundsReport(
-        eps=eps, rho=rho_val, trajectory_bound=J,
-        tail_sum=a0, tail_sum_sq=b0,
-        rate_Q_inf=Q_inf, rate_Q_bar=Q_bar, log_arg_P=P,
-        complexity_I=I_const, complexity_bound=complexity,
-        tail_coeff_A=coef_A, tail_coeff_B=coef_B, burn_in=burn,
-        uniform_rate_Q=uQ, uniform_complexity_I=uI,
-        uniform_log_arg_P=uP, uniform_complexity_bound=uC,
-        network_tail_coeff_A=nA, network_tail_coeff_B=nB,
-        network_rate_Q=nQ, network_complexity_I=nI,
-        network_log_arg_P=nP, network_complexity_bound=nC,
-    )
+    return BoundsReport(eps=eps, rho=rho_val, trajectory_bound=J, tail_sum=a0,
+                        tail_sum_sq=b0, rate_Q_inf=Q_inf, burn_in=burn,
+                        base=base, uniform=uniform, network=network)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -327,8 +328,13 @@ class SolverConfig:
     residual_floor: float = 1e-24
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidParameters(f"max_iterations must be positive, got {self.max_iterations}")
+        K = self.max_iterations
+        if isinstance(K, bool) or not isinstance(K, numbers.Integral):
+            raise InvalidParameters(f"max_iterations must be an integer, got {K!r}")
+        if K < 1:
+            raise InvalidParameters(f"max_iterations must be positive, got {K}")
+        if math.isnan(self.residual_floor):
+            raise InvalidParameters("residual_floor must not be NaN")
         if self.coordination not in ("centralized", "distributed"):
             raise InvalidParameters(f"coordination {self.coordination!r} is not "
                                     "'centralized' or 'distributed'")
@@ -372,11 +378,12 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     above 1/(sqrt(6) L), sample counts still stalled near 1 at the
     ``schedule_tail_check`` horizon (the schedule's parameter region already
     makes sum_k 1/N_k finite; the check is analytic, not a scan), agent
-    schedules that do not fit the blocks or the coordination, and counts
-    beyond the int64 range by ``max_iterations``.  The block partition and
-    the known solutions' feasibility and fixed-point tests are construction
-    invariants of ``ProblemInstance``.  Re-running is idempotent and
-    side-effect free.
+    schedules that do not fit the blocks or the coordination, and a
+    ``max_iterations`` whose billed total could leave the int64 range,
+    bounded from the last row of counts before any table is built.  The
+    block partition and the known solutions' feasibility and fixed-point
+    tests are construction invariants of ``ProblemInstance``.  Re-running
+    is idempotent and side-effect free.
     """
     stepsize_cap(problem.lipschitz_L, config.stepsize)
     m = problem.n_blocks
@@ -389,6 +396,10 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
                 "centralized sampling requires identical per-block sample counts")
 
     K = config.max_iterations
+    # cum_calls[K] <= 2 K sum_i N_{K,i}, since counts never decrease in k
+    if K >= 2 ** 62 or 2.0 * K * float(sched.counts([K]).sum()) >= 2.0 ** 63:
+        raise InvalidSchedule(f"max_iterations = {K} could bill more oracle calls "
+                              "than the int64 range holds")
     sizes = sched.sizes_upto(K)
     sizes.setflags(write=False)
     distributed = config.coordination == "distributed" and m > 1

@@ -489,8 +489,8 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
             "threshold_k": consistency.threshold_k,
         },
     }
-    if mean_r2 and report.rate_Q_bar is not None:
-        cmp_res = compare_bound_to_run(inputs, report.rate_Q_bar, mean_r2,
+    if mean_r2 and report.base.rate_Q is not None:
+        cmp_res = compare_bound_to_run(inputs, report.base.rate_Q, mean_r2,
                                        k_min=(window or [1])[0] or 1)
         doc["empirical_check"] = {"passed": cmp_res.passed,
                                   "detail": str(cmp_res)}
@@ -512,10 +512,13 @@ def _jsonable(obj):
 
 
 def format_constants_table(doc) -> str:
-    """Human-readable rendering of a constants report document."""
+    """Human-readable rendering of a constants report document, one line per
+    shared bound and per ``family.field``."""
     lines = [f"constants report (eps = {doc['eps']:g})"]
     for key, val in sorted(doc["bounds"].items()):
-        lines.append(f"  {key:28s} {val}")
+        rows = ((f"{key}.{field}", v) for field, v in sorted(val.items())) \
+            if isinstance(val, dict) else [(key, val)]
+        lines += [f"  {name:28s} {v}" for name, v in rows]
     cc = doc["c_consistency"]
     lines.append(f"  c-consistency: default {cc['default_c']} "
                  f"minimal {cc['minimal_admissible_c']:.6g} "

@@ -196,7 +196,11 @@ class Halfspace(FeasibleSet):
         return self.a.shape[0]
 
     def project(self, x):
+        """Raises ``InvalidParameters`` for a point with a non-finite
+        coordinate: the projection of an infinite point can be unbounded."""
         x = _as_batch(x, self.dim)
+        if not np.isfinite(x).all():
+            raise InvalidParameters("halfspace projection needs finite points")
         viol = (np.vecdot(x, self.a) - self.b) / (self.a @ self.a)
         return x - np.maximum(viol, 0.0)[..., None] * self.a
 

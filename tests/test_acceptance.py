@@ -252,7 +252,7 @@ def test_criterion_09_constants_self_consistency(rate_run):
                              d0=float(np.sqrt(N_DIM)))
     bounds = rate_and_complexity_bounds(inputs, 1e-4,
                                         mean_dist2=rate_run.mean_dist2)
-    direction = compare_bound_to_run(inputs, bounds.rate_Q_bar,
+    direction = compare_bound_to_run(inputs, bounds.base.rate_Q,
                                      rate_run.mean_r2, k_min=20)
     consistency = c_consistency(inputs, k_max=1000)
     admissible = (consistency.threshold_k is not None
@@ -261,7 +261,7 @@ def test_criterion_09_constants_self_consistency(rate_run):
     ok = direction.passed and admissible
     assert report(9, "constants self-consistency", ok,
                   f"mean r^2 <= Q_bar/k on k in [20,300]: {direction.passed} "
-                  f"(Q_bar={bounds.rate_Q_bar:.4g}, {direction}); "
+                  f"(Q_bar={bounds.base.rate_Q:.4g}, {direction}); "
                   f"minimal admissible c = {consistency.minimal_c:.2f} "
                   f"(required <= c_remainder = {inputs.c_remainder:.2f})")
 

@@ -1,9 +1,19 @@
+import ast
+import contextlib
+import importlib.util
+import io
+import json
 import math
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from stochvi.cli import main
 from stochvi.constants import (
+    BoundFamily,
     ConstantsInputs,
     GOLDEN_PHI_CAP,
     admissible_remainder_constant,
@@ -218,10 +228,10 @@ class TestRateAndComplexity:
             vals.append(rate_and_complexity_bounds(inputs(sigma=sigma, J=5.0), 1e-3))
         for a, b in zip(vals, vals[1:]):
             assert b.rate_Q_inf >= a.rate_Q_inf
-            assert b.rate_Q_bar >= a.rate_Q_bar
-            assert b.complexity_I >= a.complexity_I
-            assert b.complexity_bound >= a.complexity_bound
-            assert b.uniform_rate_Q >= a.uniform_rate_Q
+            assert b.base.rate_Q >= a.base.rate_Q
+            assert b.base.complexity_I >= a.base.complexity_I
+            assert b.base.complexity_bound >= a.base.complexity_bound
+            assert b.uniform.rate_Q >= a.uniform.rate_Q
 
     def test_network_single_agent_matches_scalar_recomputation(self):
         inp = inputs(schedule=SampleSchedule.uniform(1.3, 3.5, 0.7, 0.9),
@@ -233,11 +243,11 @@ class TestRateAndComplexity:
         lg = math.log(ag.mu - 1.0)
         vartheta = (1.0 + 2.0 * ag.b) * (ag.mu - 1.0) ** (1.0 + 2.0 * ag.a) * lg
         coef_b = (lam / (ag.theta * lg ** ag.b)) ** 2 / vartheta
-        assert rep.network_tail_coeff_A == pytest.approx(coef_a, rel=1e-12)
-        assert rep.network_tail_coeff_B == pytest.approx(coef_b, rel=1e-12)
+        assert rep.network.tail_coeff_A == pytest.approx(coef_a, rel=1e-12)
+        assert rep.network.tail_coeff_B == pytest.approx(coef_b, rel=1e-12)
         A = inp.sigma ** 2 * coef_a + inp.sigma ** 4 * coef_b
         want_q = 2.0 / inp.rho * (1.0 + A * (1.0 + 4.0))
-        assert rep.network_rate_Q == pytest.approx(want_q, rel=1e-12)
+        assert rep.network.rate_Q == pytest.approx(want_q, rel=1e-12)
 
     @pytest.mark.parametrize("b", [-0.5, -0.75])
     def test_network_family_needs_b_above_minus_half(self, b):
@@ -246,17 +256,17 @@ class TestRateAndComplexity:
         inp = inputs(L=1.0, alpha=0.1, sigma=0.7, J=2.0,
                      schedule=SampleSchedule.uniform(0.5, 2.5, 0.3, b))
         rep = rate_and_complexity_bounds(inp, 1e-3)
-        assert rep.network_tail_coeff_A is None and rep.network_tail_coeff_B is None
-        assert rep.network_rate_Q is None and rep.network_complexity_bound is None
+        assert rep.network.tail_coeff_A is None and rep.network.tail_coeff_B is None
+        assert rep.network.rate_Q is None and rep.network.complexity_bound is None
 
     def test_network_family_unchanged_above_minus_half(self):
         inp = inputs(L=1.0, alpha=0.1, sigma=0.7, J=2.0, c_remainder=None,
                      schedule=SampleSchedule.uniform(0.5, 2.5, 0.3, -0.25))
         rep = rate_and_complexity_bounds(inp, 1e-3)
-        assert rep.network_tail_coeff_A == pytest.approx(9.64179231179309, rel=1e-12)
-        assert rep.network_tail_coeff_B == pytest.approx(17.519433022582753, rel=1e-12)
-        assert rep.network_rate_Q == pytest.approx(59.133366605323815, rel=1e-12)
-        assert rep.network_complexity_bound == pytest.approx(8033334167432.941, rel=1e-12)
+        assert rep.network.tail_coeff_A == pytest.approx(9.64179231179309, rel=1e-12)
+        assert rep.network.tail_coeff_B == pytest.approx(17.519433022582753, rel=1e-12)
+        assert rep.network.rate_Q == pytest.approx(59.133366605323815, rel=1e-12)
+        assert rep.network.complexity_bound == pytest.approx(8033334167432.941, rel=1e-12)
 
     def test_uniform_constants_shape(self):
         rep = rate_and_complexity_bounds(inputs(J=2.0), 1e-4)
@@ -264,14 +274,14 @@ class TestRateAndComplexity:
         ag = inp.schedule.agents[0]
         tail = 17.0 * inp.alpha ** 2 * inp.sigma ** 2
         want = (2.0 / inp.rho) * 1.0 + (2.0 / inp.rho) * tail / (ag.b * math.log(2.0))
-        assert rep.uniform_rate_Q == pytest.approx(want, rel=1e-12)
-        assert rep.uniform_complexity_bound > 0
+        assert rep.uniform.rate_Q == pytest.approx(want, rel=1e-12)
+        assert rep.uniform.complexity_bound > 0
 
     def test_empirical_direction_check(self):
         mean_r2 = [1.0] + [0.001 / k for k in range(1, 50)]
         inp = inputs(J=2.0)
         rep = rate_and_complexity_bounds(inp, 1e-3)
-        cmp_res = compare_bound_to_run(inp, rep.rate_Q_bar, mean_r2, k_min=1)
+        cmp_res = compare_bound_to_run(inp, rep.base.rate_Q, mean_r2, k_min=1)
         assert cmp_res.passed
         bad = compare_bound_to_run(inp, 1e-9, mean_r2, k_min=1)
         assert not bad.passed and bad.first_violation_k == 1
@@ -376,3 +386,103 @@ class TestInputValidation:
     def test_c_remainder_domain(self):
         with pytest.raises(InvalidInputs):
             inputs(c_remainder=1.0)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+FLAT_REPORTS = ROOT / "tests" / "data" / "constants_reports_flat.json"
+
+
+def load(path):
+    """The module in the file ``path``."""
+    spec = importlib.util.spec_from_file_location(f"constants_guard_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def constants_reports(tmp):
+    """``stochvi constants`` on each of the digest tool's ``CONSTANTS_DOCS``,
+    after the seed-1 rate_ensemble experiment whose summary two of them read."""
+    with mock.patch.dict(os.environ):  # the tool pins BLAS threads on import
+        tool = load(ROOT / "tools" / "output_digests.py")
+    workloads = load(ROOT / "perfbench" / "workloads.py")
+    runs = [(Path(tool.RATE_SUMMARY).parent.name, "experiment",
+             workloads.config_document("rate_ensemble", 1))]
+    runs += [(name, "constants", doc) for name, doc in tool.CONSTANTS_DOCS.items()]
+    for run, command, doc in runs:
+        (tmp / f"{run}.json").write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main([command, "--config", str(tmp / f"{run}.json"), "--out", str(tmp / run)])
+        assert status == 0
+    return {name: json.loads((tmp / name / "constants_report.json").read_text())
+            for name in tool.CONSTANTS_DOCS}
+
+
+def nested_key(flat):
+    """Where a key of a flat report's ``bounds`` lives in the nested one:
+    ``rate_Q_bar`` is ``base.rate_Q``, a ``uniform_`` or ``network_`` key is
+    its family's field, another family field is the base family's."""
+    family, _, field = flat.partition("_")
+    if family in ("uniform", "network"):
+        return (family, field)
+    if flat == "rate_Q_bar":
+        return ("base", "rate_Q")
+    return ("base", flat) if flat in BoundFamily.__dataclass_fields__ else (flat,)
+
+
+def leaves(doc, path=()):
+    """(path, value) of every non-object value in a JSON document."""
+    if not isinstance(doc, dict):
+        yield path, doc
+        return
+    for key, value in doc.items():
+        yield from leaves(value, path + (key,))
+
+
+def test_nested_reports_keep_every_number_of_the_flat_ones(tmp_path):
+    """Each of the four constants reports holds, under its nested name, every
+    value the flat reports in ``tests/data`` held, bit for bit (floats by
+    ``repr``); the one field it adds is the uniform family's tail
+    coefficients, which that family does not have."""
+    flat = json.loads(FLAT_REPORTS.read_text())
+    reports = constants_reports(tmp_path)
+    assert reports.keys() == flat.keys()
+    for name, old in flat.items():
+        new = dict(leaves(reports[name]))
+        moved = {("bounds", *nested_key(path[1])) if path[0] == "bounds" else path: value
+                 for path, value in leaves(old)}
+        assert {p: repr(v) for p, v in moved.items()} == \
+            {p: repr(new.get(p, "missing")) for p in moved}, name
+        assert {p: v for p, v in new.items() if p not in moved} == {
+            ("bounds", "uniform", "tail_coeff_A"): None,
+            ("bounds", "uniform", "tail_coeff_B"): None}, name
+
+
+def family_prefixed(source):
+    """Names in ``source`` (bindings, attributes, parameters, keywords and
+    definitions) that start with ``uniform_`` or ``network_``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None), getattr(node, "name", None)):
+            if isinstance(name, str) and name.startswith(("uniform_", "network_")):
+                found.add(name)
+    return sorted(found)
+
+
+def test_constants_keeps_no_per_family_copy():
+    """Each family's constants live in one ``BoundFamily``, so no name in
+    ``constants.py`` is a prefixed copy such as ``uniform_rate_Q``."""
+    source = (ROOT / "src" / "stochvi" / "constants.py").read_text()
+    assert family_prefixed(source) == []
+
+
+@pytest.mark.parametrize("source", [
+    "class R:\n    uniform_rate_Q: float | None\n",
+    "R(network_complexity_I=nI)",
+    "def _network_x(network_tail): pass",
+    "rep.uniform_complexity_bound > 0",
+    "network_rate_Q = None",
+])
+def test_scan_flags_a_family_prefix(source):
+    assert family_prefixed(source)

@@ -14,6 +14,7 @@ from stochvi.errors import (
     BlockMismatch,
     CoordinationMismatch,
     DimensionMismatch,
+    InvalidParameters,
     InvalidSchedule,
     InvalidStepsize,
 )
@@ -207,6 +208,31 @@ class TestValidate:
                         except InvalidStepsize:
                             verdicts.append(False)
                     assert verdicts[0] == verdicts[1], (L, alpha)
+
+    @pytest.mark.parametrize("K", [2.5, 3.0, True, "7"])
+    def test_max_iterations_must_be_an_integer(self, K):
+        with pytest.raises(InvalidParameters, match="max_iterations must be an integer"):
+            default_config(max_iterations=K)
+
+    def test_nan_residual_floor_rejected(self):
+        with pytest.raises(InvalidParameters, match="residual_floor"):
+            default_config(residual_floor=float("nan"))
+
+    @pytest.mark.parametrize("theta, K", [(1, 10 ** 12), (1, 10 ** 400), (1, 2 ** 62),
+                                          (1e17, 10)],
+                             ids=["K=1e12", "K=1e400", "K=2^62", "N_k=8.6e18"])
+    def test_horizon_past_int64_rejected_before_any_table(self, quiet_problem, monkeypatch,
+                                                          theta, K):
+        """A horizon whose billed total 2 sum_(k<K) sum_i N_{k,i} could leave
+        int64 raises before ``sizes_upto`` would allocate its K + 1 rows; at
+        theta = 1e17 every count fits in int64 but ten of them do not."""
+        def no_table(self, k_max):
+            raise AssertionError(f"tabulated {k_max + 1} rows")
+
+        monkeypatch.setattr(SampleSchedule, "sizes_upto", no_table)
+        cfg = default_config(schedule=SampleSchedule.uniform(theta, 3, 0, 1), max_iterations=K)
+        with pytest.raises(InvalidSchedule, match="max_iterations"):
+            validate(quiet_problem, cfg)
 
     def test_invalid_schedule_a0_b0(self):
         with pytest.raises(InvalidSchedule):

@@ -17,6 +17,7 @@ from stochvi.harness import (
     experiment_from_config,
     effective_mean_operator,
     fit_loglog_slope,
+    format_constants_table,
     PROBES,
     probe,
     problem_from_config,
@@ -446,6 +447,20 @@ class TestConstantsCmd:
         rho = 1.0 - 6.0 * 0.25 ** 2
         assert doc["bounds"]["rate_Q_inf"] == pytest.approx(2.0 / rho)
         assert (tmp_path / "constants_report.json").exists()
+
+    def test_bounds_nest_one_record_per_family(self):
+        doc = constants_cmd({
+            "L": 1.0, "alpha": 0.25, "sigma": 1.0, "J": 2.0,
+            "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+        }, eps=1e-4)
+        fields = {"rate_Q", "log_arg_P", "complexity_I", "complexity_bound",
+                  "tail_coeff_A", "tail_coeff_B"}
+        families = {k for k, v in doc["bounds"].items() if isinstance(v, dict)}
+        assert families == {"base", "uniform", "network"}
+        assert all(doc["bounds"][f].keys() == fields for f in families)
+        names = [line.split()[0] for line in format_constants_table(doc).splitlines()[1:]]
+        assert sorted(n for n in names if "." in n) == sorted(
+            f"{family}.{field}" for family in families for field in fields)
 
     def test_phi_out_of_range_rejected(self):
         from stochvi.errors import InvalidInputs

@@ -10,7 +10,12 @@ from reference_impls import (
     project_cartesian_per_factor,
     project_simplex_bruteforce,
 )
-from stochvi.errors import BlockMismatch, DimensionMismatch, InfeasibleAffine
+from stochvi.errors import (
+    BlockMismatch,
+    DimensionMismatch,
+    InfeasibleAffine,
+    InvalidParameters,
+)
 from stochvi.projection import (
     AffineSubspace,
     Ball,
@@ -73,6 +78,14 @@ def test_halfspace_hand_case():
     hs = Halfspace(np.array([1.0, 0.0]), 1.0)
     np.testing.assert_allclose(project(hs, np.array([3.0, 5.0])), [1.0, 5.0], atol=1e-15)
     assert np.array_equal(project(hs, np.array([0.5, -2.0])), [0.5, -2.0])
+
+
+@pytest.mark.parametrize("point", [[np.inf, 0.0], [-np.inf, 0.0], [0.0, np.nan],
+                                   [[1.0, 2.0], [np.inf, -np.inf]]])
+def test_halfspace_rejects_nonfinite_points(point):
+    # the projection of an infinite point onto a halfspace can be unbounded
+    with pytest.raises(InvalidParameters, match="finite"):
+        Halfspace(np.array([1.0, 0.0]), 0.0).project(point)
 
 
 def test_affine_projection_zero_sum_plane():
