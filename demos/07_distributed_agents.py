@@ -7,6 +7,8 @@ separately, so the oracle-call count multiplies by the number of agents
 while the per-agent exponent coordination keeps the aggregate rate intact.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from stochvi import SampleSchedule, SolverConfig, validate
@@ -15,7 +17,7 @@ from stochvi.sampling import network_exponents, verify_network_exponents
 from stochvi.solver import run
 
 problem = gen_strongly_monotone(5, seed=7, noise_scale=1.0, center=np.zeros(5))
-blocked = problem.with_blocks([2, 2, 1])
+blocked = replace(problem, blocks=(2, 2, 1))
 config = SolverConfig(stepsize=0.25, schedule=SampleSchedule.uniform(1, 3, 0, 1),
                       max_iterations=80, master_seed=11)
 

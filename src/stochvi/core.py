@@ -68,7 +68,14 @@ from .errors import (
     InvalidStepsize,
     OracleFailure,
 )
-from .projection import CartesianProduct, FeasibleSet, block_slices, project, set_distance
+from .projection import (
+    _SEPARABLE,
+    CartesianProduct,
+    FeasibleSet,
+    block_slices,
+    project,
+    set_distance,
+)
 from .sampling import SampleSchedule, schedule_tail_check
 
 _KEY_FIELDS, _KEY_WORDS = struct.Struct("<qqqqqq"), struct.Struct("<QQ")
@@ -165,7 +172,11 @@ class ProblemInstance:
     ``mean_operator`` is the closed-form T used by merit functions and
     diagnostics; ``lipschitz_L`` is a known Lipschitz modulus of T (an input,
     never estimated silently).  ``blocks`` partitions the coordinates among
-    agents; a single block recovers the monolithic problem.
+    agents; a single block recovers the monolithic problem.  With more than
+    one block the feasible set must be a product along them: a separable
+    set (whole space, orthant, box), which is one along any partition, or a
+    ``CartesianProduct`` whose ``sizes`` are the blocks.  To re-partition a
+    problem, ``dataclasses.replace(problem, blocks=...)``.
     """
 
     dimension: int
@@ -190,11 +201,12 @@ class ProblemInstance:
             raise BlockMismatch(
                 f"blocks {blocks} do not sum to dimension {self.dimension}")
         object.__setattr__(self, "blocks", blocks)
-        self.feasible_set.check_dim(self.dimension)
-        if len(blocks) > 1 and not (isinstance(self.feasible_set, CartesianProduct)
-                                    and tuple(self.feasible_set.sizes) == blocks):
-            raise BlockMismatch(f"blocks {blocks} need a Cartesian feasible set with the "
-                                "same blocks (see ProblemInstance.with_blocks)")
+        fset = self.feasible_set
+        fset.check_dim(self.dimension)
+        if len(blocks) > 1 and not (isinstance(fset, _SEPARABLE) or isinstance(
+                fset, CartesianProduct) and fset.sizes == blocks):
+            raise BlockMismatch(f"blocks {blocks} need a whole space, orthant or box, or a "
+                                "Cartesian feasible set with the same blocks")
         sols = tuple(_freeze(s) for s in self.known_solutions)
         object.__setattr__(self, "known_solutions", sols)
         for s in sols:
@@ -219,21 +231,6 @@ class ProblemInstance:
 
     def block_slices(self):
         return block_slices(self.blocks)
-
-    def with_blocks(self, blocks) -> "ProblemInstance":
-        """Re-partition the coordinates; the feasible set is split blockwise.
-
-        Only componentwise-separable sets (whole space, box, orthant, or an
-        already matching Cartesian product) can be split.
-        """
-        from dataclasses import replace
-
-        from .projection import split_separable
-
-        blocks = tuple(int(b) for b in blocks)
-        fset = split_separable(self.feasible_set, blocks) if len(blocks) > 1 \
-            else self.feasible_set
-        return replace(self, blocks=blocks, feasible_set=fset)
 
     def route(self, sl=slice(None)):
         """The one route to the oracle: ``(rngs, X, size, TX=None)`` returns,

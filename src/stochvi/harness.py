@@ -62,7 +62,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from inspect import signature
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -108,9 +108,7 @@ def problem_from_config(cfg) -> ProblemInstance:
     elif fset_cfg is not None:
         raise ConfigError("'set' override is only supported for strongly_monotone")
     problem = from_document(makers[kind], cfg, where)
-    if blocks is not None:
-        problem = problem.with_blocks(blocks)
-    return problem
+    return problem if blocks is None else replace(problem, blocks=blocks)
 
 
 def solver_config_from_config(cfg) -> SolverConfig:
@@ -239,22 +237,10 @@ class ExperimentResult:
             "cum_calls": self.cum_calls})
 
     def summary(self):
-        out = {
-            "replications": self.replications,
-            "config_hash": self.config_hash,
-            "merit_mode": self.merit_mode,
-            "epsilon": self.epsilon,
-            "k_eps": self.k_eps,
-            "nonconvergence": self.nonconvergence,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rate_fit_window": list(self.rate_fit_window) if self.rate_fit_window else None,
-            "cum_calls": self.cum_calls.tolist(),
-        }
-        for name in ("mean_r2", "stderr_r2", "mean_dist2", "mean_dgap"):
-            arr = getattr(self, name)
-            out[name] = None if arr is None else arr.tolist()
-        return out
+        """The fields :func:`_run_summary` names, arrays and tuples as lists."""
+        plain = lambda v: v.tolist() if isinstance(v, np.ndarray) else \
+            list(v) if isinstance(v, tuple) else v
+        return {name: plain(getattr(self, name)) for name in signature(_run_summary).parameters}
 
 
 def _run_summary(replications: int | None = None, config_hash: str | None = None,
@@ -266,10 +252,10 @@ def _run_summary(replications: int | None = None, config_hash: str | None = None
                  stderr_r2: list[float] | None = None, mean_dist2: list[float] | None = None,
                  mean_dgap: list[float] | None = None):
     """(mean_r2, mean_dist2, rate_fit_window) of an experiment summary, the
-    fields ``stochvi constants`` reads back.  Its parameters are the keys
-    :meth:`ExperimentResult.summary` writes, each optional, so that
-    :func:`~stochvi.errors.from_document` rejects a summary of the wrong
-    shape naming the key."""
+    fields ``stochvi constants`` reads back.  Its parameters, each optional,
+    are the keys :meth:`ExperimentResult.summary` writes (it reads them
+    here), so that :func:`~stochvi.errors.from_document` rejects a summary
+    of the wrong shape naming the key."""
     return mean_r2, mean_dist2, rate_fit_window
 
 

@@ -32,6 +32,19 @@ def block_slices(sizes):
     return out
 
 
+def _frozen(owner, name, ndmin=1, nan_only=False):
+    """Field ``name`` of ``owner`` as a read-only float array of at least
+    ``ndmin`` axes, set back on it; raises ``InvalidParameters`` naming the
+    field if an entry is NaN, or infinite unless ``nan_only``."""
+    a = np.array(getattr(owner, name), dtype=float, ndmin=ndmin)
+    if np.isnan(a).any() or not (nan_only or np.isfinite(a).all()):
+        raise InvalidParameters(f"{type(owner).__name__} {name} must be "
+                                f"{'free of NaN' if nan_only else 'finite'}, got {a.tolist()}")
+    a.setflags(write=False)
+    object.__setattr__(owner, name, a)
+    return a
+
+
 def _as_batch(x, n):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
@@ -89,17 +102,12 @@ class Box(FeasibleSet):
     lower: np.ndarray
     upper: np.ndarray
 
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+    def __post_init__(self):  # infinite bounds are legal
+        lo, hi = _frozen(self, "lower", nan_only=True), _frozen(self, "upper", nan_only=True)
         if lo.shape != hi.shape:
             raise DimensionMismatch("box bounds must share a shape")
         if np.any(lo > hi):
             raise InvalidParameters("box requires lower <= upper componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @property
     def dim(self):
@@ -122,9 +130,7 @@ class Ball(FeasibleSet):
     radius: float
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        _frozen(self, "center")
         if not 0 < self.radius < np.inf:  # a ball of infinite radius is WholeSpace
             raise InvalidParameters(f"ball radius must be positive and finite, got {self.radius}")
 
@@ -159,8 +165,10 @@ class Simplex(FeasibleSet):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InvalidParameters(f"simplex scale must be positive, got {self.scale}")
+        if not self.dim >= 1:
+            raise InvalidParameters(f"simplex dim must be at least 1, got {self.dim}")
+        if not 0 < self.scale < np.inf:
+            raise InvalidParameters(f"simplex scale must be positive and finite, got {self.scale}")
 
     def project(self, x):
         x = _as_batch(x, self.dim)
@@ -185,11 +193,10 @@ class Halfspace(FeasibleSet):
     b: float
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if np.linalg.norm(a) == 0:
+        if np.linalg.norm(_frozen(self, "a")) == 0:
             raise InvalidParameters("halfspace normal must be nonzero")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        if not np.isfinite(self.b):
+            raise InvalidParameters(f"Halfspace b must be finite, got {self.b}")
 
     @property
     def dim(self):
@@ -212,9 +219,12 @@ class Halfspace(FeasibleSet):
 class AffineSubspace(FeasibleSet):
     """{ y : A y = b } with full-row-rank A.
 
-    The Gram matrix A A^T is Cholesky-factored once at construction and the
-    factorization fails loudly on rank deficiency; a silently regularized
-    pseudo-inverse would corrupt downstream audit inequalities.
+    The Gram matrix A A^T is Cholesky-factored once at construction.  An
+    inconsistent system raises ``InfeasibleAffine``; a consistent one whose
+    A has rank below its row count (``np.linalg.matrix_rank``), or whose
+    Gram matrix Cholesky cannot factor, raises ``InvalidParameters``.  A
+    silently regularized pseudo-inverse would corrupt downstream audit
+    inequalities.
     """
 
     A: np.ndarray
@@ -222,22 +232,21 @@ class AffineSubspace(FeasibleSet):
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        A, b = _frozen(self, "A", ndmin=2), _frozen(self, "b")
         if A.shape[0] != b.shape[0]:
             raise DimensionMismatch("A rows must match len(b)")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        gram = A @ A.T
+        rank = np.linalg.matrix_rank(A)
+        if rank < A.shape[0]:
+            sol = np.linalg.lstsq(A, b, rcond=None)[0]
+            if np.linalg.norm(A @ sol - b) > 1e-8 * (1 + np.linalg.norm(b)):
+                raise InfeasibleAffine("affine system A y = b is inconsistent")
+            raise InvalidParameters(f"AffineSubspace A has rank {rank}, below its "
+                                    f"{A.shape[0]} rows")
         try:
-            chol = np.linalg.cholesky(gram)
+            chol = np.linalg.cholesky(A @ A.T)
         except np.linalg.LinAlgError:
-            sol, residual, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-            if rank < A.shape[0] and np.linalg.norm(A @ sol - b) > 1e-8 * (1 + np.linalg.norm(b)):
-                raise InfeasibleAffine("affine system A y = b is inconsistent") from None
-            raise
+            raise InvalidParameters("AffineSubspace A is too close to rank deficient: "
+                                    "Cholesky cannot factor A A^T") from None
         object.__setattr__(self, "_chol", chol)
 
     @property
@@ -278,6 +287,8 @@ class CartesianProduct(FeasibleSet):
     def __post_init__(self):
         if len(self.parts) != len(self.sizes):
             raise BlockMismatch("one size per factor required")
+        if any(s < 1 for s in self.sizes):
+            raise BlockMismatch(f"factor sizes {tuple(self.sizes)} must each be at least 1")
         for s, p in zip(self.sizes, self.parts):
             d = getattr(p, "dim", None)
             if d is not None and d != s:
@@ -311,22 +322,6 @@ class CartesianProduct(FeasibleSet):
         cols = [p.sample(rng, size, n=s, scale=scale)
                 for p, s in zip(self.parts, self.sizes)]
         return np.concatenate(cols, axis=-1)
-
-
-def split_separable(fset: FeasibleSet, sizes) -> CartesianProduct:
-    """Split a componentwise-separable set into a Cartesian descriptor."""
-    if isinstance(fset, CartesianProduct):
-        if tuple(fset.sizes) != tuple(sizes):
-            raise BlockMismatch("cartesian sizes disagree with requested split")
-        return fset
-    if isinstance(fset, WholeSpace):
-        return CartesianProduct(tuple(WholeSpace(s) for s in sizes), tuple(sizes))
-    if isinstance(fset, NonnegativeOrthant):
-        return CartesianProduct(tuple(NonnegativeOrthant(s) for s in sizes), tuple(sizes))
-    if isinstance(fset, Box):
-        parts = tuple(Box(fset.lower[sl], fset.upper[sl]) for sl in block_slices(sizes))
-        return CartesianProduct(parts, tuple(sizes))
-    raise BlockMismatch(f"{type(fset).__name__} cannot be split into blocks")
 
 
 def project(fset: FeasibleSet, x):

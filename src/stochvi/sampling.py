@@ -35,6 +35,9 @@ class AgentSchedule:
     b: float = 1.0
 
     def __post_init__(self):
+        for name in ("theta", "mu", "a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSchedule(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.theta > 0:
             raise InvalidSchedule("theta must be positive")
         if not self.mu > 2:

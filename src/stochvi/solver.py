@@ -5,8 +5,9 @@ One iteration from x^k draws N_k samples per stage and projects twice:
     z^k     = P[ x^k - (alpha_k / N_k) sum_j F(xi_j^k,  x^k) ]
     x^(k+1) = P[ x^k - (alpha_k / N_k) sum_j F(eta_j^k, z^k) ]
 
-with fresh, independent sample sets per stage.  On a Cartesian problem the
-projection splits blockwise; under centralized sampling all blocks share one
+with fresh, independent sample sets per stage.  On a problem of several
+blocks the feasible set is a product along them, so the projection splits
+blockwise; under centralized sampling all blocks share one
 draw set per stage (and the trace coincides bit for bit with the monolithic
 iteration), under distributed sampling each block consumes its own stream of
 N_{k,i} draws and is billed separately.
@@ -15,7 +16,7 @@ The replications of a run advance in lockstep, as the rows of one (R, n)
 array: each iteration evaluates T, the residual and each projection once
 for all rows, and each row draws from the streams keyed by its own
 replication index, so a row's trace is bit for bit the trace of that
-replication run alone.
+replication run alone, provided T maps rows independently (see :func:`run`).
 
 When diagnostics are enabled and the closed-form mean operator exists, the
 realized stochastic errors eps1 = mean - T(x^k) and eps2 = mean - T(z^k) are
@@ -216,8 +217,12 @@ def run(plan: RunPlan, replication=0, x0=None):
     streams (see ``_lockstep``).  A row whose residual falls below the floor
     stops there and draws and bills nothing more; the others go on.
 
-    Deterministic given (master_seed, replication): a row's trace is bit
-    for bit the same whichever other rows share its run.  The plan comes
+    Deterministic given (master_seed, replication).  A row's trace is bit
+    for bit the same whichever other rows share its run when T maps each
+    row independently of the others, as ``np.matvec`` and the built-in
+    operators do; ``check_mean_operator`` compares rows only to rtol 1e-12,
+    so it accepts a T such as ``X @ A.T`` whose rows may change in their
+    last bits with the rows beside them.  The plan comes
     from ``validate``, once for any number of replications.  T is evaluated
     once per point: T(x^k) serves the residual and the first stage, T(z^k)
     the second, and both the diagnostics.  A replication index outside the

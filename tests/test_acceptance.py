@@ -8,6 +8,7 @@ scan admits.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_criterion_07_deterministic_limit():
 
 def test_criterion_08_distributed_consistency():
     problem = rate_problem()
-    blocked = problem.with_blocks([2, 2, 1])
+    blocked = replace(problem, blocks=(2, 2, 1))
     cfg = rate_config(max_iterations=120)
     mono = run(validate(problem, cfg), x0=np.full(N_DIM, 1.0))
     cent = run(validate(blocked, cfg), x0=np.full(N_DIM, 1.0))

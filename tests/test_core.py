@@ -19,8 +19,17 @@ from stochvi.errors import (
     InvalidStepsize,
 )
 from stochvi.problems import check_pseudo_monotone, gen_strongly_monotone
-from stochvi.projection import Box, CartesianProduct, WholeSpace
+from stochvi.projection import (
+    Ball,
+    Box,
+    CartesianProduct,
+    NonnegativeOrthant,
+    WholeSpace,
+    block_slices,
+)
 from stochvi.sampling import AgentSchedule, SampleSchedule
+from stochvi.solver import run
+from test_lockstep import assert_same_trace
 
 
 class TestStreams:
@@ -65,7 +74,7 @@ class TestStreams:
 class TestProblemInstance:
     def test_block_partition_enforced(self):
         with pytest.raises(BlockMismatch):
-            gen_strongly_monotone(5, seed=0, noise_scale=0.0).with_blocks([2, 2])
+            replace(gen_strongly_monotone(5, seed=0, noise_scale=0.0), blocks=(2, 2))
 
     @pytest.mark.parametrize("n, blocks", [(2, [2, 0]), (5, [-1, 6])],
                              ids=["empty", "negative"])
@@ -73,13 +82,17 @@ class TestProblemInstance:
         """An empty block would be an agent that owns no coordinate yet bills
         N_k calls a stage; a negative one would cut the slices 0:-1 and -1:n."""
         with pytest.raises(BlockMismatch, match="at least one coordinate"):
-            gen_strongly_monotone(n, seed=0, noise_scale=0.5).with_blocks(blocks)
+            replace(gen_strongly_monotone(n, seed=0, noise_scale=0.5), blocks=blocks)
 
     def test_multi_block_needs_cartesian_set(self):
+        """A ball is no product along blocks (2, 1), alone or as the one
+        factor of a product."""
         p = gen_strongly_monotone(3, seed=0, noise_scale=0.0)
-        with pytest.raises(BlockMismatch, match="Cartesian"):
-            ProblemInstance(dimension=3, blocks=(2, 1), feasible_set=WholeSpace(3),
-                            oracle=p.oracle, lipschitz_L=p.lipschitz_L)
+        ball = Ball(np.zeros(3), 1.0)
+        for fset in (ball, CartesianProduct((ball,), (3,))):
+            with pytest.raises(BlockMismatch, match="Cartesian"):
+                ProblemInstance(dimension=3, blocks=(2, 1), feasible_set=fset,
+                                oracle=p.oracle, lipschitz_L=p.lipschitz_L)
 
     def test_cartesian_blocks_must_match_problem_blocks(self):
         p = gen_strongly_monotone(3, seed=0, noise_scale=0.0)
@@ -106,15 +119,28 @@ class TestProblemInstance:
                 known_solutions=(good.known_solutions[0] + 1.0,),
             )
 
-    def test_with_blocks_splits_feasible_set(self):
-        p = gen_strongly_monotone(6, seed=1, noise_scale=0.0,
-                                  feasible=Box(-5 * np.ones(6), 5 * np.ones(6)),
-                                  center=np.zeros(6))
-        p3 = p.with_blocks([2, 2, 2])
-        assert p3.n_blocks == 3
-        x = np.arange(6.0) * 3 - 8
-        np.testing.assert_array_equal(p3.feasible_set.project(x),
-                                      p.feasible_set.project(x))
+    def test_separable_set_runs_as_its_product(self):
+        """A whole space, orthant or box is a product along any partition, so
+        a problem keeps it under blocks (2, 2, 1); its runs, centralized and
+        distributed with diagnostics on, equal bit for bit those on the
+        explicit product of its factors."""
+        blocks = (2, 2, 1)
+        lower = np.array([-2.0, -np.inf, -0.0, -1.0, 0.0])
+        upper = np.array([2.0, 1.0, np.inf, 0.5, 0.0])
+        sets = [(WholeSpace(), [WholeSpace(s) for s in blocks]),
+                (NonnegativeOrthant(5), [NonnegativeOrthant(s) for s in blocks]),
+                (Box(lower, upper), [Box(lower[sl], upper[sl]) for sl in block_slices(blocks)])]
+        for fset, parts in sets:
+            kept = replace(gen_strongly_monotone(5, seed=2, noise_scale=1.0, feasible=fset,
+                                                 center=np.zeros(5)), blocks=blocks)
+            assert kept.feasible_set is fset
+            product = replace(kept, feasible_set=CartesianProduct(tuple(parts), blocks))
+            for coordination in ("centralized", "distributed"):
+                cfg = default_config(max_iterations=20, master_seed=5, coordination=coordination)
+                a, b = (run(validate(p, cfg), replication=range(3), x0=np.full(5, 1.5)).traces
+                        for p in (kept, product))
+                for ours, ref in zip(a, b, strict=True):
+                    assert_same_trace(ours, ref)
 
 
 class TestMeanOperatorContract:
@@ -239,13 +265,13 @@ class TestValidate:
             AgentSchedule(theta=1.0, mu=3.0, a=0.0, b=0.0)
 
     def test_schedule_agent_count_must_match_blocks(self, quiet_problem):
-        p3 = quiet_problem.with_blocks([2, 2, 1])
+        p3 = replace(quiet_problem, blocks=(2, 2, 1))
         cfg = default_config(schedule=SampleSchedule.uniform(1, 3, 0, 1, m=2))
         with pytest.raises(InvalidSchedule):
             validate(p3, cfg)
 
     def test_centralized_needs_identical_agents(self, quiet_problem):
-        p3 = quiet_problem.with_blocks([2, 2, 1])
+        p3 = replace(quiet_problem, blocks=(2, 2, 1))
         agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(2, 3, 0, 1),
                   AgentSchedule(1, 3, 0, 1))
         cfg = default_config(schedule=SampleSchedule(agents))

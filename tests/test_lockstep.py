@@ -45,8 +45,8 @@ def agents():
     """n = 5 on a box, a ball and an orthant, one block per factor."""
     fset = CartesianProduct((Box([-1.0, -1.0], [1.0, 1.0]), Ball([0.0, 0.0], 1.0),
                              NonnegativeOrthant(1)), (2, 2, 1))
-    return gen_strongly_monotone(5, seed=3, noise_scale=1.0, center=np.zeros(5),
-                                 feasible=fset).with_blocks((2, 2, 1))
+    return replace(gen_strongly_monotone(5, seed=3, noise_scale=1.0, center=np.zeros(5),
+                                         feasible=fset), blocks=(2, 2, 1))
 
 
 LAYOUTS = {  # (problem, coordination, stepsize)

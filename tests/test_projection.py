@@ -27,8 +27,8 @@ from stochvi.projection import (
     WholeSpace,
     feasible_set_from_config,
     project,
+    block_slices,
     set_distance,
-    split_separable,
 )
 
 SEED = 918273
@@ -103,7 +103,7 @@ def test_affine_inconsistent_system_raises():
 
 def test_affine_rank_deficient_consistent_fails_loudly():
     A = np.array([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(InvalidParameters, match="rank 1"):
         AffineSubspace(A, np.array([1.0, 2.0]))
 
 
@@ -120,11 +120,23 @@ def test_cartesian_single_block_degenerates_to_project():
 
 
 def test_cartesian_matches_monolithic_split(rng):
-    box = Box(-np.ones(6), np.arange(1.0, 7.0))
-    cart = split_separable(box, (2, 3, 1))
-    for _ in range(50):
-        x = 5 * rng.standard_normal(6)
-        np.testing.assert_allclose(cart.project(x), box.project(x), atol=1e-14)
+    """A whole space, an orthant and a box project every row, the awkward
+    values too, to the same bytes as the product of their factors."""
+    lower = np.array([-1.0, -0.0, 0.0, -np.inf, -np.inf, 2.0])
+    upper = np.array([1.0, 0.0, np.inf, np.inf, 3.0, 2.0])
+    awkward = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+    X = np.concatenate([5 * rng.standard_normal((50, 6)),
+                        rng.choice(awkward, size=(200, 6))])
+    for sizes in ((2, 3, 1), (6,)):
+        for fset, parts in [(WholeSpace(), [WholeSpace(s) for s in sizes]),
+                            (WholeSpace(6), [WholeSpace() for s in sizes]),
+                            (NonnegativeOrthant(), [NonnegativeOrthant(s) for s in sizes]),
+                            (NonnegativeOrthant(6), [NonnegativeOrthant() for s in sizes]),
+                            (Box(lower, upper),
+                             [Box(lower[sl], upper[sl]) for sl in block_slices(sizes)])]:
+            cart = CartesianProduct(tuple(parts), sizes)
+            for x in (X, X[0], X[-1]):
+                assert cart.project(x).tobytes() == fset.project(x).tobytes()
 
 
 def test_dimension_mismatch():

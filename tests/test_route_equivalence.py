@@ -50,8 +50,8 @@ def configs():
     linear SVI n = 3, whose noise grows with ||x||; distributed m = 3."""
     mono = gen_strongly_monotone(2, seed=3, noise_scale=1.0, center=np.zeros(2))
     linear = gen_linear_svi(3, seed=4, noise_scale=0.3)
-    agents = gen_strongly_monotone(3, seed=3, noise_scale=1.0,
-                                   center=np.zeros(3)).with_blocks((1, 1, 1))
+    agents = replace(gen_strongly_monotone(3, seed=3, noise_scale=1.0, center=np.zeros(3)),
+                     blocks=(1, 1, 1))
     cfg = lambda **kw: SolverConfig(stepsize=0.25, schedule=SCHEDULE, **kw)
     return {
         "strongly_monotone": (mono, cfg(max_iterations=15), np.ones(2)),

@@ -92,8 +92,8 @@ class TestStep:
 
     def test_distributed_call_accounting(self):
         # per-agent counts 4 and 8 at k = 0 give 2 * (4 + 8) = 24 calls
-        p = gen_strongly_monotone(2, seed=0, noise_scale=0.5,
-                                  center=np.zeros(2)).with_blocks([1, 1])
+        p = replace(gen_strongly_monotone(2, seed=0, noise_scale=0.5, center=np.zeros(2)),
+                    blocks=(1, 1))
         agents = (AgentSchedule(theta=4 / 9, mu=3, a=1, b=-1),
                   AgentSchedule(theta=8 / 9, mu=3, a=1, b=-1))
         schedule = SampleSchedule(agents)
@@ -109,8 +109,8 @@ class TestStep:
 
     def test_centralized_schedule_with_differing_agents_rejected(self):
         # both agents draw 4 samples at k = 0; they differ from k = 2 on
-        p = gen_strongly_monotone(2, seed=0, noise_scale=0.5,
-                                  center=np.zeros(2)).with_blocks([1, 1])
+        p = replace(gen_strongly_monotone(2, seed=0, noise_scale=0.5, center=np.zeros(2)),
+                    blocks=(1, 1))
         agents = (AgentSchedule(1, 3, 0, 1), AgentSchedule(1, 3, 0, 1.01))
         with pytest.raises(CoordinationMismatch):
             validate(p, default_config(schedule=SampleSchedule(agents)))
@@ -260,7 +260,7 @@ class TestCartesianConsistency:
             fset = WholeSpace(5)
         p1 = gen_strongly_monotone(5, seed=7, noise_scale=1.0, feasible=fset,
                                    center=np.zeros(5))
-        p3 = p1.with_blocks([2, 2, 1])
+        p3 = replace(p1, blocks=(2, 2, 1))
         cfg = default_config(max_iterations=40, master_seed=11)
         t1 = run(validate(p1, cfg), x0=np.full(5, 1.5))
         t3 = run(validate(p3, cfg), x0=np.full(5, 1.5))
@@ -273,7 +273,7 @@ class TestCartesianConsistency:
         p1 = gen_strongly_monotone(5, seed=7, noise_scale=1.0, center=np.zeros(5),
                                    feasible=Box(-2 * np.ones(5), 2 * np.ones(5)))
         p1 = replace(p1, oracle=lambda rng, x, size, o=p1.oracle: o(rng, x, size))
-        p3 = p1.with_blocks([2, 2, 1])
+        p3 = replace(p1, blocks=(2, 2, 1))
         cfg = default_config(max_iterations=40, master_seed=11)
         t1 = run(validate(p1, cfg), x0=np.full(5, 1.5))
         t3 = run(validate(p3, cfg), x0=np.full(5, 1.5))
@@ -281,7 +281,7 @@ class TestCartesianConsistency:
         assert np.array_equal(t1.cum_calls, t3.cum_calls)
 
     def test_distributed_differs_but_converges_similarly(self, monotone_problem):
-        p3 = monotone_problem.with_blocks([2, 2, 1])
+        p3 = replace(monotone_problem, blocks=(2, 2, 1))
         cfg_c = default_config(max_iterations=50, master_seed=3)
         cfg_d = default_config(max_iterations=50, master_seed=3,
                                coordination="distributed")
@@ -354,7 +354,7 @@ class TestFejerAudit:
     def test_diagnostic_sums_match_the_step_by_step_recursion(self, monotone_problem, blocks):
         """A, M and the error norms, computed over the stored steps after
         the loop, equal the per-step recursion bit for bit."""
-        p = monotone_problem.with_blocks(blocks) if blocks else monotone_problem
+        p = replace(monotone_problem, blocks=blocks)
         cfg = default_config(max_iterations=60, coordination="distributed" if blocks
                              else "centralized", stepsize=np.linspace(0.3, 0.2, 60))
         for rep in range(3):
@@ -447,7 +447,7 @@ def user_problem(oracle, blocks=()):
     T = lambda x: np.asarray(x, dtype=float)
     return ProblemInstance(dimension=3, oracle=oracle, mean_operator=T,
                            lipschitz_L=1.0, feasible_set=WholeSpace(3),
-                           known_solutions=(np.zeros(3),)).with_blocks(blocks or (3,))
+                           known_solutions=(np.zeros(3),), blocks=blocks)
 
 
 def odd_state_identity(rng, x, size):
@@ -473,7 +473,7 @@ class PerDrawBlock:
 
 def exact_error_problem(blocks):
     """Built-in additive Gaussian oracle: stage errors from the exact law."""
-    return gen_strongly_monotone(3, seed=0, noise_scale=0.5).with_blocks(blocks)
+    return replace(gen_strongly_monotone(3, seed=0, noise_scale=0.5), blocks=blocks)
 
 
 class TestStageMean:
@@ -602,7 +602,7 @@ class TestOracleBilling:
     @pytest.mark.parametrize("coordination", ["distributed", "centralized"])
     def test_oracle_sizes_add_up_to_cum_calls(self, monotone_problem, coordination):
         R, K = 3, 20
-        plan = validate(monotone_problem.with_blocks((2, 2, 1)),
+        plan = validate(replace(monotone_problem, blocks=(2, 2, 1)),
                         default_config(coordination=coordination, max_iterations=K))
         assert len(plan.draw_sets) == (3 if coordination == "distributed" else 1)
         seen = {"calls": 0, "size": 0, "depth": 0}
@@ -663,7 +663,7 @@ class TestSharedMeanOperator:
         base = gen_strongly_monotone(5, seed=3, noise_scale=noise, center=np.zeros(5))
         T, calls = counting(base.mean_operator)
         problem = replace(base, oracle=AdditiveGaussianOracle(T, noise), mean_operator=T)
-        return problem.with_blocks(blocks), calls
+        return replace(problem, blocks=blocks), calls
 
     @pytest.mark.parametrize("coordination, blocks",
                              [("centralized", (5,)), ("distributed", (2, 2, 1))])
@@ -712,7 +712,7 @@ class TestSharedMeanOperator:
         own, own_calls = counting(base.mean_operator)
         problem = replace(base, oracle=AdditiveGaussianOracle(own, 1.0), mean_operator=T)
         K = 12
-        plan = validate(problem.with_blocks(blocks), default_config(
+        plan = validate(replace(problem, blocks=blocks), default_config(
             coordination=coordination, max_iterations=K, residual_floor=0.0,
             diagnostics=False))
         calls[:] = own_calls[:] = 0, 0
@@ -728,8 +728,8 @@ class TestSharedMeanOperator:
         base = gen_linear_svi(8, seed=3, noise_scale=0.2)
         T, calls = counting(base.mean_operator)
         own, own_calls = counting(base.mean_operator)
-        problem = replace(base, oracle=LinearMatrixNoiseOracle(own, 0.2), mean_operator=T)
-        problem = problem.with_blocks(blocks)
+        problem = replace(base, oracle=LinearMatrixNoiseOracle(own, 0.2), mean_operator=T,
+                          blocks=blocks)
         K = 12
         plan = validate(problem, default_config(
             coordination=coordination, max_iterations=K, residual_floor=0.0,
@@ -768,7 +768,7 @@ class TestSharedMeanOperator:
         x = np.linspace(-1.0, 1.5, 5)
         for exact_error, shift in ((True, 0.0), (False, 1.0)):
             oracle.exact_error = exact_error
-            problem = replace(base, oracle=oracle).with_blocks((2, 2, 1))
+            problem = replace(base, oracle=oracle, blocks=(2, 2, 1))
             advance = _lockstep(validate(problem, default_config(coordination=coordination)))
             (z,), (g1,), (g2,), *_ = advance([0], 0, x[None], T(x[None]))
             np.testing.assert_allclose(g1, T(x) + shift, rtol=1e-15, atol=0.0)
@@ -789,7 +789,7 @@ class TestSharedMeanOperator:
                 shifted = np.asarray(x, dtype=float)[sl] + 0.5
                 return shifted if mean else np.tile(shifted, (size, 1))
 
-        problem = replace(identity_problem(n=3), oracle=OldContract()).with_blocks((1, 2))
+        problem = replace(identity_problem(n=3), oracle=OldContract(), blocks=(1, 2))
         x = np.array([1.0, -2.0, 0.25])
         for sl in (slice(None), slice(1, 3)):
             (out,) = problem.route(sl)([None], x[None], 4, problem.mean_operator(x[None]))

@@ -10,6 +10,9 @@ bits on these runs:
 * ``stochvi experiment`` on ``CARTESIAN_AGENTS``: four distributed agents
   on a product of a box, a ball of radius 0.25, an orthant and the whole
   space, noisy enough that the ball's factor projects most stages;
+* ``stochvi experiment`` on ``BOX_AGENTS``: three distributed agents given
+  ``blocks`` on one plain box, whose bounds mix finite, infinite and zero
+  values, so the problem keeps the box as the product along its blocks;
 * ``stochvi probe --seed 3`` on each probe document of the CLI tests
   (``TestCli.PROBE_DOCS`` in ``tests/test_harness.py``);
 * ``stochvi constants`` on the four documents of ``CONSTANTS_DOCS``: the
@@ -28,11 +31,11 @@ bits on these runs:
   form mean operator.
 
 Each experiment, solve and probe run writes two files: 8 configs x 2
-commands x 2 + 1 experiment x 2 + 5 probes x 2 = 44 digests, keyed
+commands x 2 + 2 experiments x 2 + 5 probes x 2 = 46 digests, keyed
 ``<run>/<file>``; each
 constants run writes one, 4 more; each per-draw run gives one digest of
 its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more;
-the surrogate gives one, 55 in all.  BLAS is pinned to one thread.
+the surrogate gives one, 57 in all.  BLAS is pinned to one thread.
 
 Usage (from the repository root)::
 
@@ -64,6 +67,7 @@ from pathlib import Path  # noqa: E402
 SEEDS = (1, 2)
 DIAGNOSTIC_WORKLOADS = ("rate_ensemble", "short_agents")
 PROBE_SEED = 3
+INF = float("inf")  # written as Infinity, which Python's JSON reader takes
 RATE_SUMMARY = "rate_ensemble-s1-experiment/experiment_summary.json"
 CARTESIAN_AGENTS = {
     "schema_version": 1,
@@ -79,6 +83,18 @@ CARTESIAN_AGENTS = {
                "max_iterations": 20, "coordination": "distributed", "master_seed": 1},
     "replications": 3,
     "x0": [1.5] * 7,
+    "epsilon": 1e-2,
+}
+BOX_AGENTS = {
+    "schema_version": 1,
+    "problem": {"kind": "strongly_monotone", "n": 5, "seed": 5, "noise_scale": 4.0,
+                "center": [0.0] * 5, "blocks": [2, 2, 1],
+                "set": {"variant": "box", "lower": [-1.0, -0.0, 0.0, -INF, -0.5],
+                        "upper": [1.0, 0.5, INF, 0.0, 0.0]}},
+    "solver": {"stepsize": 0.25, "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+               "max_iterations": 20, "coordination": "distributed", "master_seed": 1},
+    "replications": 3,
+    "x0": [1.5] * 5,
     "epsilon": 1e-2,
 }
 CONSTANTS_DOCS = {
@@ -180,6 +196,7 @@ def digests(root: Path) -> dict:
     runs = [(f"{name}-{command}", [command], doc)
             for name, doc in configs(workloads) for command in ("experiment", "solve")]
     runs.append(("cartesian_agents-experiment", ["experiment"], CARTESIAN_AGENTS))
+    runs.append(("box_agents-experiment", ["experiment"], BOX_AGENTS))
     runs += [(f"probe-{kind}", ["probe", "--seed", str(PROBE_SEED)], dict(doc, kind=kind))
              for kind, doc in sorted(TestCli.PROBE_DOCS.items())]
     runs += [(f"constants-{name}", ["constants"], doc)  # after the summaries they read
