@@ -31,5 +31,5 @@ trace = run(plan, x0=np.full(8, 2.0))
 print()
 print("  k    r_alpha(x)^2      dist^2        N_k   cumulative calls")
 for k in (0, 10, 50, 100, 200):
-    nk = trace.sizes[min(k, 199), 0]
+    nk = plan.rows[min(k, 199)][0]
     print(f"{k:4d}   {trace.r2[k]:.6e}  {trace.dist2[k]:.6e}  {nk:6d}   {trace.cum_calls[k]:10d}")

@@ -352,18 +352,18 @@ class RunPlan:
 
     ``draw_sets`` are a stage's (block, slice) pairs: ``(0, slice(None))``
     alone when sampling is centralized, one per agent when distributed.
-    ``sizes`` holds the per-agent counts N_{k,i} for k = 0..max_iterations,
-    ``rows[k]`` the counts of iteration k's draw sets as Python ints,
-    ``alphas[k]`` the stepsize alpha_k, and ``cum_calls[k]`` the oracle
-    calls billed before iteration k, 2 sum_(j<k) sum_i N_{j,i}.
+    ``rows[k]`` holds the counts N_{k,i} of iteration k's draw sets as
+    Python ints for k = 0..max_iterations; two read-only arrays, which the
+    plan's traces view, hold the stepsize alpha_k at ``alphas[k]`` and the
+    oracle calls billed before iteration k, 2 sum_(j<k) sum_i N_{j,i}, at
+    ``cum_calls[k]``.
     """
 
     problem: ProblemInstance
     config: SolverConfig
     draw_sets: tuple
-    sizes: np.ndarray
     rows: tuple
-    alphas: tuple
+    alphas: np.ndarray
     cum_calls: np.ndarray
 
 
@@ -397,14 +397,13 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     if K >= 2 ** 62 or 2.0 * K * float(sched.counts([K]).sum()) >= 2.0 ** 63:
         raise InvalidSchedule(f"max_iterations = {K} could bill more oracle calls "
                               "than the int64 range holds")
-    sizes = sched.sizes_upto(K)
-    sizes.setflags(write=False)
     distributed = config.coordination == "distributed" and m > 1
     draw_sets = tuple(enumerate(problem.block_slices() if distributed else (slice(None),)))
-    rows = tuple(map(tuple, sizes[:, :len(draw_sets)].tolist()))
+    rows = tuple(map(tuple, sched.sizes_upto(K)[:, :len(draw_sets)].tolist()))
     cum_calls = np.array(list(accumulate((2 * sum(r) for r in rows[:K]), initial=0)),
                          dtype=np.int64)
+    alphas = np.array([config.stepsize_at(k) for k in range(K + 1)])
     cum_calls.setflags(write=False)
-    return RunPlan(problem=problem, config=config, draw_sets=draw_sets, sizes=sizes, rows=rows,
-                   alphas=tuple(map(config.stepsize_at, range(K + 1))),
-                   cum_calls=cum_calls)
+    alphas.setflags(write=False)
+    return RunPlan(problem=problem, config=config, draw_sets=draw_sets, rows=rows,
+                   alphas=alphas, cum_calls=cum_calls)

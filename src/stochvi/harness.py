@@ -278,31 +278,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     The pair is validated into one run plan, and all R replications run
     from it as one lockstep ensemble, one call of ``run`` with replications
     0..R-1, each row on the streams keyed by its index, so results depend
-    only on (master_seed, replication).  Traces shorter than max_iterations
-    (early residual-floor stops) are carried forward at their final value
-    for ensemble averaging; the calls column is the plan's ``cum_calls``.
+    only on (master_seed, replication).  The statistics are column means of
+    the ensemble's (R, K+1) arrays, in which an early-stopped row holds its
+    final value; the D-gap is one ``d_gap`` call on the ensemble's
+    iterates, and the calls column is the plan's ``cum_calls``.
     """
     plan = validate(config.problem, config.solver)
     problem, R, K = config.problem, config.replications, config.solver.max_iterations
-    traces = run(plan, replication=range(R), x0=config.x0).traces
+    ensemble = run(plan, replication=range(R), x0=config.x0)
     T_op, estimated = effective_mean_operator(problem)
 
-    def stacked(per_trace):  # (R, K+1), each row held at its final value
-        return np.stack([v[np.minimum(np.arange(K + 1), len(v) - 1)] for v in per_trace])
-
     mean_r2 = stderr_r2 = None
-    if traces[0].r2 is not None:
-        stack = stacked(t.r2 for t in traces)
-        mean_r2 = stack.mean(axis=0)
-        stderr_r2 = (stack.std(axis=0, ddof=1) / math.sqrt(R)) if R > 1 \
+    if ensemble.r2 is not None:
+        mean_r2 = ensemble.r2.mean(axis=0)
+        stderr_r2 = (ensemble.r2.std(axis=0, ddof=1) / math.sqrt(R)) if R > 1 \
             else np.zeros(K + 1)
-    mean_dist2 = None
-    if traces[0].dist2 is not None:
-        mean_dist2 = stacked(t.dist2 for t in traces).mean(axis=0)
-    mean_dgap = None
-    if config.dgap_a is not None:
-        mean_dgap = stacked(d_gap(T_op, problem.feasible_set, t.iterates, config.dgap_a,
-                                  config.dgap_b) for t in traces).mean(axis=0)
+    mean_dist2 = None if ensemble.dist2 is None else ensemble.dist2.mean(axis=0)
+    mean_dgap = None if config.dgap_a is None else d_gap(
+        T_op, problem.feasible_set, ensemble.iterates, config.dgap_a, config.dgap_b).mean(axis=0)
 
     slope = intercept = None
     if config.rate_fit_window is not None and mean_r2 is not None:
@@ -315,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         slope=slope, intercept=intercept, rate_fit_window=config.rate_fit_window,
         config_hash=config.config_hash,
         merit_mode="estimated" if estimated else "exact",
-        traces=traces,
+        traces=ensemble.traces,
     )
     if config.epsilon is not None and mean_r2 is not None:
         result.k_eps = result.k_eps_for(config.epsilon)

@@ -121,7 +121,10 @@ class Box(FeasibleSet):
         return np.minimum(np.maximum(_as_batch(x, self.dim), self.lower), self.upper)
 
     def sample(self, rng, size, n=None, scale=1.0):
-        return rng.uniform(self.lower, self.upper, size=(size, self.dim))
+        # uniform takes no infinite range: such a box projects scale N(0, I)
+        if np.isfinite(self.upper - self.lower).all():
+            return rng.uniform(self.lower, self.upper, size=(size, self.dim))
+        return self.project(scale * rng.standard_normal((size, self.dim)))
 
 
 @dataclass(frozen=True)

@@ -82,15 +82,16 @@ class RunTrace:
     Arrays indexed by iterate (length K+1): ``iterates``, ``r2``, ``dist2``,
     ``A``, ``M`` (one column per tracked solution), ``cum_calls``.
     Arrays indexed by step (length K): ``z``, ``eps1_norm``, ``eps2_norm``,
-    ``eps2`` vectors, ``sizes`` (per-agent draw counts), ``alphas``.
+    ``eps2`` vectors, ``alphas``; step k drew the plan's ``rows[k]``.
     Diagnostics-only arrays are None when the run was recorded without them.
+    From :func:`run`, ``iterates``, ``r2``, ``dist2``, ``cum_calls`` and
+    ``alphas`` are views of its :class:`Ensemble` row and the plan's tables.
     """
 
     iterates: np.ndarray
     r2: np.ndarray | None
     dist2: np.ndarray | None
     cum_calls: np.ndarray
-    sizes: np.ndarray
     alphas: np.ndarray
     replication: int
     z: np.ndarray | None = None
@@ -140,14 +141,19 @@ class RunTrace:
 
 
 class Ensemble(NamedTuple):
-    """The traces of one lockstep run, one per replication in the order
-    given.  ``cum_calls[k]`` is the oracle calls the ensemble billed before
-    iteration k, counted where the engine hands each stage's sizes to the
-    route (so it is not read from the traces or the plan); a stopped row
+    """One lockstep run, a row per replication in the order given: the
+    (R, K+1, n) ``iterates`` and (R, K+1) ``r2`` and ``dist2`` (as in a
+    trace), a stopped row held at its final value to K, and ``traces``, the
+    rows cut to their own steps.  ``cum_calls[k]`` is the calls the ensemble
+    billed before iteration k, counted where the engine hands each stage's
+    sizes to the route (not read from the traces or the plan); a stopped row
     bills nothing more.  ``n_steps`` is the steps of every row, summed."""
 
     traces: list
     cum_calls: np.ndarray
+    iterates: np.ndarray
+    r2: np.ndarray | None
+    dist2: np.ndarray | None
 
     @property
     def n_steps(self):
@@ -215,7 +221,8 @@ def run(plan: RunPlan, replication=0, x0=None):
     lockstep as one ``(R, n)`` array: each k evaluates T and the residual
     once for all rows, and each stage draws every row from that row's own
     streams (see ``_lockstep``).  A row whose residual falls below the floor
-    stops there and draws and bills nothing more; the others go on.
+    stops there and draws and bills nothing more; the others go on, and the
+    ensemble's arrays hold the stopped row at its final iterate and r^2.
 
     Deterministic given (master_seed, replication).  A row's trace is bit
     for bit the same whichever other rows share its run when T maps each
@@ -265,7 +272,10 @@ def run(plan: RunPlan, replication=0, x0=None):
             stop = res <= floor
             if k < K and stop.any():
                 rows = np.arange(R)[live]
-                ends[rows[stop]] = k
+                done = rows[stop]
+                ends[done] = k
+                iterates[done, k + 1:] = iterates[done, k, None]
+                r2[done, k + 1:] = res[stop, None]
                 live, X, TX = rows[~stop], X[~stop], TX[~stop]
                 live_replications = [replications[row] for row in live.tolist()]
                 if not live_replications:
@@ -283,22 +293,16 @@ def run(plan: RunPlan, replication=0, x0=None):
     traces = []
     for row, (replication, m) in enumerate(zip(replications, ends.tolist())):
         trace = RunTrace(
-            iterates=iterates[row, :m + 1],
+            iterates=iterates[row, :m + 1], cum_calls=plan.cum_calls[:m + 1],
             r2=None if r2 is None else r2[row, :m + 1],
-            dist2=None if dist2 is None else dist2[row, :m + 1],
-            cum_calls=plan.cum_calls[:m + 1].copy(),
-            sizes=plan.sizes[:m].copy(),
-            alphas=np.array(alphas[:m]),
-            replication=replication,
-            lipschitz_L=problem.lipschitz_L,
-            stopped_early=m < K,
-        )
+            dist2=None if dist2 is None else dist2[row, :m + 1], alphas=alphas[:m],
+            replication=replication, lipschitz_L=problem.lipschitz_L, stopped_early=m < K)
         if record:
             _record_diagnostics(trace, steps[row, :m], problem.known_solutions)
         traces.append(trace)
     if one:
         return traces[0]
-    return Ensemble(traces=traces, cum_calls=np.array(cum_calls, dtype=np.int64))
+    return Ensemble(traces, np.array(cum_calls, dtype=np.int64), iterates, r2, dist2)
 
 
 def _record_diagnostics(trace: RunTrace, steps, track):

@@ -360,7 +360,6 @@ def serial_run_reference(plan, replication=0, x0=None):
         r2=np.array(r2) if T is not None else None,
         dist2=distance_sq_to_solutions(problem, iterates) if has_dist else None,
         cum_calls=plan.cum_calls[:n_steps + 1].copy(),
-        sizes=plan.sizes[:n_steps].copy(),
         alphas=np.array(alphas[:n_steps]),
         replication=replication,
         lipschitz_L=problem.lipschitz_L,
@@ -371,3 +370,27 @@ def serial_run_reference(plan, replication=0, x0=None):
             trace, np.array(steps, dtype=float).reshape(n_steps, 5, n),
             problem.known_solutions)
     return trace
+
+
+def carry_forward_statistics_reference(traces, T, fset, K, dgap=None):
+    """(mean_r2, stderr_r2, mean_dist2, mean_dgap) of an ensemble's traces
+    as the harness aggregated them from the traces alone: each trace's
+    values held at its final one up to K and stacked row by row, with one
+    ``d_gap`` call per trace.  ``dgap`` is the pair (a, b), or None."""
+    from stochvi.merit import d_gap
+
+    R = len(traces)
+
+    def stacked(per_trace):
+        return np.stack([v[np.minimum(np.arange(K + 1), len(v) - 1)] for v in per_trace])
+
+    mean_r2 = stderr_r2 = mean_dist2 = mean_dgap = None
+    if traces[0].r2 is not None:
+        stack = stacked(t.r2 for t in traces)
+        mean_r2 = stack.mean(axis=0)
+        stderr_r2 = stack.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(K + 1)
+    if traces[0].dist2 is not None:
+        mean_dist2 = stacked(t.dist2 for t in traces).mean(axis=0)
+    if dgap is not None:
+        mean_dgap = stacked(d_gap(T, fset, t.iterates, *dgap) for t in traces).mean(axis=0)
+    return mean_r2, stderr_r2, mean_dist2, mean_dgap

@@ -7,6 +7,7 @@ from inspect import signature
 import numpy as np
 import pytest
 
+from reference_impls import carry_forward_statistics_reference
 from stochvi.cli import build_parser, main as cli_main
 from stochvi.core import validate
 from stochvi.errors import ConfigError, InvalidParameters
@@ -296,6 +297,29 @@ class TestRunExperiment:
         rows = (tmp_path / "e.csv").read_text().splitlines()
         assert [int(r.rsplit(",", 1)[1]) for r in rows[1:]] == want.tolist()
 
+    @pytest.mark.parametrize("coordination", ["centralized", "distributed"])
+    def test_statistics_equal_the_carry_forward_reference(self, coordination):
+        """Rows stopping at different k, with dist2 and the d-gap on: the
+        column means of the ensemble's arrays equal, bit for bit, the
+        traces held at their final values and stacked one by one."""
+        doc = experiment_doc(
+            problem={"kind": "strongly_monotone", "n": 5, "seed": 3, "noise_scale": 1.0,
+                     "center": [0.0] * 5, "blocks": [2, 2, 1]},
+            solver={"stepsize": 0.25, "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1},
+                    "max_iterations": 30, "coordination": coordination, "master_seed": 1,
+                    "residual_floor": 1e-4},
+            replications=8, x0=[1.0] * 5, merits={"dgap_a": 1.0, "dgap_b": 2.0},
+            rate_fit_window=None)
+        cfg = experiment_from_config(doc)
+        res = run_experiment(cfg)
+        steps = [t.n_steps for t in res.traces]
+        assert min(steps) < 30 == max(steps) and len(set(steps)) > 3
+        want = carry_forward_statistics_reference(
+            res.traces, cfg.problem.mean_operator, cfg.problem.feasible_set, 30, (1.0, 2.0))
+        got = (res.mean_r2, res.stderr_r2, res.mean_dist2, res.mean_dgap)
+        for name, a, b in zip(("mean_r2", "stderr_r2", "mean_dist2", "mean_dgap"), got, want):
+            assert a.shape == (31,) and a.tobytes() == b.tobytes(), name
+
     def test_k_eps_monotone_in_eps(self):
         cfg = experiment_from_config(experiment_doc(replications=3))
         res = run_experiment(cfg)
@@ -553,6 +577,20 @@ class TestCli:
             csvs.append((out / f"{kind}.csv").read_text())
         if kind != "fejer_audit":  # its rows hold no draw-dependent value
             assert csvs[0] != csvs[1]
+
+    @pytest.mark.parametrize("fset", [
+        {"variant": "box", "lower": [-1.0, 0.0], "upper": [1.0, math.inf]},
+        {"variant": "cartesian", "sizes": [1, 1],
+         "parts": [{"variant": "box", "lower": [-1.0], "upper": [1.0]},
+                   {"variant": "box", "lower": [0.0], "upper": [math.inf]}]},
+    ], ids=["box", "cartesian"])
+    def test_pm_check_on_an_unbounded_box_reaches_a_verdict(self, tmp_path, capsys, fset):
+        cfg = self.write(tmp_path / "p.json", {
+            "kind": "pm_check", "samples": 200,
+            "problem": {"kind": "strongly_monotone", "n": 2, "seed": 0, "noise_scale": 1.0,
+                        "center": [0.0, 0.5], "set": fset}})
+        assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 0
+        assert "pm_check: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command,doc,seed", [
         ("solve", experiment_doc(), 2 ** 63),

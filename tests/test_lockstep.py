@@ -24,7 +24,7 @@ from stochvi.problems import AdditiveGaussianOracle, gen_linear_svi, gen_strongl
 from stochvi.projection import Ball, Box, CartesianProduct, NonnegativeOrthant
 from stochvi.solver import Ensemble, run
 
-FIELDS = ("iterates", "r2", "dist2", "cum_calls", "sizes", "alphas",
+FIELDS = ("iterates", "r2", "dist2", "cum_calls", "alphas",
           "z", "eps1_norm", "eps2_norm", "eps2", "A", "M")
 
 
@@ -130,6 +130,34 @@ def test_rows_stop_at_different_k():
         sum(int(t.cum_calls[-1]) for t in ensemble.traces)
     for trace in ensemble.traces:
         assert_same_trace(trace, serial_run_reference(plan, trace.replication, x0))
+
+
+@pytest.mark.parametrize("layout", ["m1", "distributed_m3"])
+def test_ensemble_arrays_hold_stopped_rows_and_traces_view_them(layout):
+    """The ensemble's (R, K+1) arrays hold a stopped row at its final
+    iterate, r^2 and dist2 to K; each trace is its row up to its own
+    steps, and views the plan's read-only tables instead of copying them."""
+    rng = np.random.default_rng(11)
+    plan, x0 = plan_for(layout, "exact", False, rng)
+    plan = validate(plan.problem, replace(plan.config, max_iterations=30))
+    cut = float(np.median(run(plan, replication=range(8), x0=x0).r2[:, 15]))
+    plan = validate(plan.problem, replace(plan.config, residual_floor=cut))
+    ensemble = run(plan, replication=range(8), x0=x0)
+    K, n = 30, plan.problem.dimension
+    assert ensemble.iterates.shape == (8, K + 1, n)
+    assert ensemble.r2.shape == ensemble.dist2.shape == (8, K + 1)
+    ends = [t.n_steps for t in ensemble.traces]
+    assert min(ends) < K and len(set(ends)) > 2
+    for row, trace in enumerate(ensemble.traces):
+        m = trace.n_steps
+        for name in ("iterates", "r2", "dist2"):
+            held = getattr(ensemble, name)[row]
+            assert getattr(trace, name).tobytes() == held[:m + 1].tobytes(), name
+            assert np.shares_memory(getattr(trace, name), held), name
+            assert (held[m:] == held[m]).all(), name
+        for name in ("cum_calls", "alphas"):
+            table = getattr(trace, name)
+            assert np.shares_memory(table, getattr(plan, name)) and not table.flags.writeable
 
 
 def test_one_replication_is_the_one_row_ensemble():

@@ -1,7 +1,7 @@
-"""The determinism contract as a check: the 57 output digests of
-``tools/output_digests.py`` (CLI experiments, solves, probes and constants
-reports, the per-draw routes and the surrogate) equal the committed ones in
-``tests/data/output_digests.json``.
+"""The determinism contract as a check: the 59 output digests of
+``tools/output_digests.py`` (CLI experiments, one of them stopping rows
+early, solves, probes and constants reports, the per-draw routes and the
+surrogate) equal the committed ones in ``tests/data/output_digests.json``.
 
 Bits may legitimately differ on another numpy or BLAS, so the file records
 the environment it was written in, and a failure prints it beside the
@@ -43,7 +43,7 @@ def test_output_digests_unchanged(tmp_path):
     expected = committed["digests"]
     changed = sorted(k for k in expected.keys() | digests.keys()
                      if expected.get(k) != digests.get(k))
-    assert len(expected) == 57 and not changed, (
+    assert len(expected) == 59 and not changed, (
         f"{len(changed)} output digests differ: {changed}\n"
         f"committed in: {committed['environment']}\n"
         f"current:      {environment()}")

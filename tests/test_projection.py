@@ -56,6 +56,26 @@ def test_box_clamp():
     assert np.array_equal(project(box, np.array([-0.5, 2.0])), [0.0, 1.0])
 
 
+def test_finite_box_samples_uniformly():
+    box = Box([-1.0, 0.0, 2.0], [1.0, 0.5, 2.0])
+    want = np.random.default_rng(7).uniform(box.lower, box.upper, size=(40, 3))
+    assert box.sample(np.random.default_rng(7), 40).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fset", [
+    Box([-1.0, 0.0], [1.0, np.inf]),
+    Box([-np.inf, -np.inf], [np.inf, np.inf]),
+    CartesianProduct((Box([-np.inf], [0.0]), Ball([0.0, 0.0], 1.0)), (1, 2)),
+], ids=["half_open", "unbounded", "cartesian"])
+def test_box_with_an_infinite_bound_samples_feasible_points(fset):
+    """A uniform draw has no infinite range: the box draws projected
+    normal points instead, finite and feasible, spread by ``scale``."""
+    pts = fset.sample(np.random.default_rng(7), 500, scale=3.0)
+    assert pts.shape == (500, fset.dim) and np.isfinite(pts).all()
+    assert (set_distance(fset, pts) == 0.0).all()
+    assert np.std(pts, axis=0).max() > 1.0
+
+
 def test_ball_radial_scaling():
     ball = Ball(np.zeros(2), 1.0)
     np.testing.assert_allclose(project(ball, np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)

@@ -184,8 +184,9 @@ class TestRun:
 
     def test_oracle_accounting_identity(self, monotone_problem):
         cfg = default_config(max_iterations=25)
-        trace = run(validate(monotone_problem, cfg), x0=np.ones(5))
-        expected = 2 * np.cumsum(trace.sizes.sum(axis=1))
+        plan = validate(monotone_problem, cfg)
+        trace = run(plan, x0=np.ones(5))
+        expected = 2 * np.cumsum([sum(row) for row in plan.rows[:trace.n_steps]])
         np.testing.assert_array_equal(trace.cum_calls[1:], expected)
 
     def test_linear_svi_stays_bounded(self):
@@ -512,7 +513,7 @@ class TestStageMean:
             out = []
             for i, sl in blocks:
                 rng = derive_stream(5, 3, k, stage, i)
-                n = int(plan.sizes[k, i])
+                n = plan.rows[k][i]
                 if getattr(p.oracle, "exact_error", False):
                     t = p.mean_operator(point)[sl]
                     out.append(t + p.oracle.block(rng, point, n, sl, error=True))
@@ -527,7 +528,7 @@ class TestStageMean:
             (z,), (g1,), (g2,), *_, billed = advance([3], k, x[None], p.mean_operator(x[None]))
             assert np.array_equal(g1, expected(k, 1, x))
             assert np.array_equal(g2, expected(k, 2, z))
-            assert billed == 2 * sum(int(plan.sizes[k, i]) for i, _ in blocks)
+            assert billed == 2 * sum(plan.rows[k])
             assert plan.cum_calls[k + 1] - plan.cum_calls[k] == billed
 
     @settings(max_examples=50, deadline=None)

@@ -13,6 +13,10 @@ bits on these runs:
 * ``stochvi experiment`` on ``BOX_AGENTS``: three distributed agents given
   ``blocks`` on one plain box, whose bounds mix finite, infinite and zero
   values, so the problem keeps the box as the product along its blocks;
+* ``stochvi experiment`` on ``early_stop_document``: rate_ensemble's
+  problem at seed 1 with residual floor 1e-4, K = 30, R = 8 and the d-gap
+  on, where six rows stop early and two run to K, so the summary pins how
+  a stopped row is carried to K;
 * ``stochvi probe --seed 3`` on each probe document of the CLI tests
   (``TestCli.PROBE_DOCS`` in ``tests/test_harness.py``);
 * ``stochvi constants`` on the four documents of ``CONSTANTS_DOCS``: the
@@ -31,11 +35,11 @@ bits on these runs:
   form mean operator.
 
 Each experiment, solve and probe run writes two files: 8 configs x 2
-commands x 2 + 2 experiments x 2 + 5 probes x 2 = 46 digests, keyed
+commands x 2 + 3 experiments x 2 + 5 probes x 2 = 48 digests, keyed
 ``<run>/<file>``; each
 constants run writes one, 4 more; each per-draw run gives one digest of
 its ``iterates``, ``r2`` and ``cum_calls``, 3 configs x 2 wrappers = 6 more;
-the surrogate gives one, 57 in all.  BLAS is pinned to one thread.
+the surrogate gives one, 59 in all.  BLAS is pinned to one thread.
 
 Usage (from the repository root)::
 
@@ -113,6 +117,16 @@ CONSTANTS_DOCS = {
                    "schedule": {"theta": 2, "mu": 3, "a": 0, "b": 1},
                    "p": 4, "cp": 1.2, "cq": 1.1},
 }
+
+
+def early_stop_document(workloads):
+    """rate_ensemble at seed 1, cut to K = 30 and R = 8 with a residual
+    floor that six of the rows reach before K."""
+    doc = workloads.config_document("rate_ensemble", SEEDS[0])
+    doc["solver"].update(max_iterations=30, residual_floor=1e-4)
+    del doc["rate_fit_window"]
+    doc.update(replications=8, merits={"dgap_a": 1.0, "dgap_b": 2.0})
+    return doc
 
 
 def configs(workloads):
@@ -197,6 +211,7 @@ def digests(root: Path) -> dict:
             for name, doc in configs(workloads) for command in ("experiment", "solve")]
     runs.append(("cartesian_agents-experiment", ["experiment"], CARTESIAN_AGENTS))
     runs.append(("box_agents-experiment", ["experiment"], BOX_AGENTS))
+    runs.append(("early_stop-experiment", ["experiment"], early_stop_document(workloads)))
     runs += [(f"probe-{kind}", ["probe", "--seed", str(PROBE_SEED)], dict(doc, kind=kind))
              for kind, doc in sorted(TestCli.PROBE_DOCS.items())]
     runs += [(f"constants-{name}", ["constants"], doc)  # after the summaries they read
