@@ -343,7 +343,9 @@ def _bound_family(tail, J, P, law, *, rho, d0, eps, divisor=1.0, coeffs=(None, N
         I = 4.0 * 3.0 ** (nu - 1.0) * (two ** nu * d0 ** (2.0 * nu)
                                        + two ** nu * (tail / divisor) ** nu * (1.0 + J) ** nu
                                        + 1.0)
-    bound = prefactor * I * (math.log(P / eps) ** log_power + offset) / eps ** nu
+    bound = prefactor * I * (math.log(P / eps) ** log_power + offset)
+    scale = eps ** nu  # 0.0 once it underflows, and then the bound overflows
+    bound = bound / scale if scale else math.inf
     return BoundFamily(two * d0 ** 2 + two * tail / divisor * (1.0 + J), P, I, bound, *coeffs)
 
 

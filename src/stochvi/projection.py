@@ -142,11 +142,16 @@ class Ball(FeasibleSet):
         return self.center.shape[0]
 
     def project(self, x):
+        """Raises ``InvalidParameters`` for a point with an infinite
+        coordinate and no NaN: a limit exists for one such coordinate, but
+        with several it depends on their rates.  A NaN row stays NaN."""
         x = _as_batch(x, self.dim)
         d = x - self.center
         # np.linalg.norm(d, axis=-1, keepdims=True), without its Python wrapper
         nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
-        if np.isinf(nrm).any():  # d * d overflowed: those finite rows' norms by hypot
+        if np.isinf(nrm).any():  # an infinite x, or d * d overflowed: finite rows by hypot
+            if (np.isinf(nrm) & np.isinf(x).any(axis=-1, keepdims=True)).any():
+                raise InvalidParameters("ball projection needs points with no infinite coordinate")
             fix = np.isinf(nrm) & np.isfinite(d).all(axis=-1, keepdims=True)
             nrm = np.where(fix, np.hypot.reduce(d, axis=-1, keepdims=True), nrm)
         # r / max(nrm, r): 1.0 inside the ball, and fmax keeps it 1.0 on NaN rows
@@ -174,7 +179,12 @@ class Simplex(FeasibleSet):
             raise InvalidParameters(f"simplex scale must be positive and finite, got {self.scale}")
 
     def project(self, x):
+        """Raises ``InvalidParameters`` for a point with an infinite
+        coordinate and no NaN, as :meth:`Ball.project` does."""
         x = _as_batch(x, self.dim)
+        inf = np.isinf(x)
+        if inf.any() and (inf.any(axis=-1) & ~np.isnan(x).any(axis=-1)).any():
+            raise InvalidParameters("simplex projection needs points with no infinite coordinate")
         srt = np.sort(x, axis=-1)[..., ::-1]
         csum = np.cumsum(srt, axis=-1) - self.scale
         idx = np.arange(1, self.dim + 1, dtype=float)
@@ -222,17 +232,19 @@ class Halfspace(FeasibleSet):
 class AffineSubspace(FeasibleSet):
     """{ y : A y = b } with full-row-rank A.
 
-    The Gram matrix A A^T is Cholesky-factored once at construction.  An
-    inconsistent system raises ``InfeasibleAffine``; a consistent one whose
-    A has rank below its row count (``np.linalg.matrix_rank``), or whose
-    Gram matrix Cholesky cannot factor, raises ``InvalidParameters``.  A
+    A^T = Q R is factored once at construction, and a point projects as
+    x - Q Q^T (x - p) with p = Q R^-T b: two products, and no Gram matrix
+    A A^T to square A's condition number.  An inconsistent system raises
+    ``InfeasibleAffine``; a consistent one whose A has rank below its row
+    count (``np.linalg.matrix_rank``) raises ``InvalidParameters``.  A
     silently regularized pseudo-inverse would corrupt downstream audit
     inequalities.
     """
 
     A: np.ndarray
     b: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _q: np.ndarray = field(init=False, repr=False, compare=False)
+    _p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, b = _frozen(self, "A", ndmin=2), _frozen(self, "b")
@@ -245,23 +257,17 @@ class AffineSubspace(FeasibleSet):
                 raise InfeasibleAffine("affine system A y = b is inconsistent")
             raise InvalidParameters(f"AffineSubspace A has rank {rank}, below its "
                                     f"{A.shape[0]} rows")
-        try:
-            chol = np.linalg.cholesky(A @ A.T)
-        except np.linalg.LinAlgError:
-            raise InvalidParameters("AffineSubspace A is too close to rank deficient: "
-                                    "Cholesky cannot factor A A^T") from None
-        object.__setattr__(self, "_chol", chol)
+        q, r = np.linalg.qr(A.T)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_p", np.matvec(q, np.linalg.solve(r.T, b)))
 
     @property
     def dim(self):
         return self.A.shape[1]
 
     def project(self, x):
-        # two solves against the Cholesky factor, each row as a single point
         x = _as_batch(x, self.dim)
-        resid = np.matvec(self.A, x) - self.b
-        y = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, resid[..., None]))
-        return x - np.vecmat(y[..., 0], self.A)
+        return x - np.matvec(self._q, np.vecmat(x - self._p, self._q))
 
     def sample(self, rng, size, n=None, scale=1.0):
         return self.project(scale * rng.standard_normal((size, self.dim)))

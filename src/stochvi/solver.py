@@ -84,8 +84,8 @@ class RunTrace:
     Arrays indexed by step (length K): ``z``, ``eps1_norm``, ``eps2_norm``,
     ``eps2`` vectors, ``alphas``; step k drew the plan's ``rows[k]``.
     Diagnostics-only arrays are None when the run was recorded without them.
-    From :func:`run`, ``iterates``, ``r2``, ``dist2``, ``cum_calls`` and
-    ``alphas`` are views of its :class:`Ensemble` row and the plan's tables.
+    From :func:`run`, a trace is built once, complete: every array is a view
+    of a row of the run's arrays or of the plan's tables.
     """
 
     iterates: np.ndarray
@@ -229,12 +229,13 @@ def run(plan: RunPlan, replication=0, x0=None):
     row independently of the others, as ``np.matvec`` and the built-in
     operators do; ``check_mean_operator`` compares rows only to rtol 1e-12,
     so it accepts a T such as ``X @ A.T`` whose rows may change in their
-    last bits with the rows beside them.  The plan comes
-    from ``validate``, once for any number of replications.  T is evaluated
-    once per point: T(x^k) serves the residual and the first stage, T(z^k)
-    the second, and both the diagnostics.  A replication index outside the
-    signed 64-bit range, or an ``x0`` whose projection is not finite,
-    raises ``InvalidParameters`` before any draw.
+    last bits with the rows beside them.  The plan comes from ``validate``,
+    once for any number of replications.  T is evaluated once per point:
+    T(x^k) serves the residual and the first stage, T(z^k) the second, and
+    both the diagnostics, which keep every row's z^k and realized errors in
+    (R, K, n) arrays and sum A and M for all rows after the loop.  A
+    replication index outside the signed 64-bit range, or an ``x0`` whose
+    projection is not finite, raises ``InvalidParameters`` before any draw.
     """
     one = isinstance(replication, Integral)
     # as Python ints, which a trace's JSON summary can hold (numpy's cannot)
@@ -260,7 +261,8 @@ def run(plan: RunPlan, replication=0, x0=None):
     iterates = np.zeros((R, K + 1, n))
     iterates[:, 0] = X
     r2 = None if T is None else np.zeros((R, K + 1))
-    steps = np.zeros((R, K, 5, n)) if record else None
+    # z^k and the realized errors eps1 = G1 - T(x^k) and eps2 = G2 - T(z^k)
+    Zs, E1, E2 = (np.zeros((R, K, n)) for _ in range(3)) if record else (None,) * 3
     ends = np.full(R, K)  # each row's step count
     live, live_replications = slice(None), replications  # the rows still advancing
     cum_calls, TX = [0], None
@@ -285,46 +287,46 @@ def run(plan: RunPlan, replication=0, x0=None):
         Z, G1, G2, X, TZ, billed = advance(live_replications, k, X, TX)
         iterates[live, k + 1] = X
         if record:
-            steps[live, k] = np.stack((Z, G1, G2, TX, TZ), axis=1)
+            Zs[live, k], E1[live, k], E2[live, k] = Z, G1 - TX, G2 - TZ
         cum_calls.append(cum_calls[-1] + billed)
 
     has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
     dist2 = distance_sq_to_solutions(problem, iterates) if has_dist else None
-    traces = []
-    for row, (replication, m) in enumerate(zip(replications, ends.tolist())):
-        trace = RunTrace(
-            iterates=iterates[row, :m + 1], cum_calls=plan.cum_calls[:m + 1],
-            r2=None if r2 is None else r2[row, :m + 1],
-            dist2=None if dist2 is None else dist2[row, :m + 1], alphas=alphas[:m],
-            replication=replication, lipschitz_L=problem.lipschitz_L, stopped_early=m < K)
-        if record:
-            _record_diagnostics(trace, steps[row, :m], problem.known_solutions)
-        traces.append(trace)
-    if one:
-        return traces[0]
-    return Ensemble(traces, np.array(cum_calls, dtype=np.int64), iterates, r2, dist2)
+    track = problem.known_solutions if record else ()
+    by_step, sums = _diagnostics(alphas[:K], problem, Zs, E1, E2) if record else ({}, {})
+    by_iterate = {"iterates": iterates, "r2": r2, "dist2": dist2, **sums}
+    traces = [RunTrace(**{f: None if a is None else a[row, :m + 1] for f, a in by_iterate.items()},
+                       **{f: a[row, :m] for f, a in by_step.items()},
+                       cum_calls=plan.cum_calls[:m + 1], alphas=alphas[:m],
+                       replication=replication, tracked_solutions=track,
+                       lipschitz_L=problem.lipschitz_L, stopped_early=m < K)
+              for row, (replication, m) in enumerate(zip(replications, ends.tolist()))]
+    return traces[0] if one else Ensemble(
+        traces, np.array(cum_calls, dtype=np.int64), iterates, r2, dist2)
 
 
-def _record_diagnostics(trace: RunTrace, steps, track):
-    """Realized errors and the A and M sums (module docstring) from each
-    step's (z, g1, g2, T(x^k), T(z^k)).  ``np.cumsum`` adds in order, and
-    A_(k+1) adds its two terms one after the other, so A is a running sum of
-    both, interleaved."""
-    z, g1, g2, t, tz = steps.swapaxes(0, 1)
-    e1, e2 = g1 - t, g2 - tz
-    alpha = trace.alphas
-    rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
-    trace.z, trace.eps2 = z, e2
-    trace.eps1_norm, trace.eps2_norm = np.sqrt(np.vecdot(e1, e1)), np.sqrt(np.vecdot(e2, e2))
-    dA = np.zeros(2 * len(alpha) + 1)
-    dA[1::2] = (8.0 + rho) * _pow2(alpha) * _pow2(trace.eps1_norm)
-    dA[2::2] = 8.0 * _pow2(alpha) * _pow2(trace.eps2_norm)
-    trace.A = np.cumsum(dA)[::2]
-    dM = np.zeros((len(alpha) + 1, len(track)))
-    for s, xstar in enumerate(track):
-        dM[1:, s] = 2.0 * alpha * np.vecdot(xstar - z, e2)
-    trace.M = np.cumsum(dM, axis=0)
-    trace.tracked_solutions = track
+def _martingale_increment(alpha, x_star, z, eps2):
+    """The increment 2 alpha_k <x* - z^k, eps2^k> of M(x*), over the last axis."""
+    return 2.0 * alpha * np.vecdot(x_star - z, eps2)
+
+
+def _diagnostics(alphas, problem, Z, E1, E2):
+    """By step and by iterate, ``({"z", "eps1_norm", "eps2_norm", "eps2"},
+    {"A", "M"})`` of every row from its (R, K, n) z^k, eps1 and eps2, an M
+    column per known solution.  ``np.cumsum`` adds along the steps in order:
+    A is the running sum of its two terms interleaved (module docstring),
+    and a stopped row's zero steps lie past its end."""
+    R, K = Z.shape[:2]
+    norm1, norm2 = np.sqrt(np.vecdot(E1, E1)), np.sqrt(np.vecdot(E2, E2))
+    rho = 1.0 - 6.0 * _pow2(problem.lipschitz_L * alphas)
+    dA = np.zeros((R, 2 * K + 1))
+    dA[:, 1::2] = (8.0 + rho) * _pow2(alphas) * _pow2(norm1)
+    dA[:, 2::2] = 8.0 * _pow2(alphas) * _pow2(norm2)
+    dM = np.zeros((R, K + 1, len(problem.known_solutions)))
+    for s, x_star in enumerate(problem.known_solutions):
+        dM[:, 1:, s] = _martingale_increment(alphas, x_star, Z, E2)
+    return ({"z": Z, "eps1_norm": norm1, "eps2_norm": norm2, "eps2": E2},
+            {"A": np.cumsum(dA, axis=1)[:, ::2], "M": np.cumsum(dM, axis=1)})
 
 
 @dataclass(frozen=True)
@@ -370,10 +372,8 @@ def fejer_audit(trace: RunTrace, x_star, rel_tol: float = 1e-9) -> FejerAuditRep
     alpha = trace.alphas
     col = next((s for s, sol in enumerate(trace.tracked_solutions)
                 if np.array_equal(sol, x_star)), None)
-    if col is not None:
-        dM = np.diff(trace.M[:, col])
-    else:
-        dM = 2.0 * alpha * np.vecdot(x_star - trace.z, trace.eps2)
+    dM = (_martingale_increment(alpha, x_star, trace.z, trace.eps2) if col is None
+          else np.diff(trace.M[:, col]))
     d2 = np.sum((trace.iterates - x_star) ** 2, axis=1)
     rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
     rhs = d2[:-1] - 0.5 * rho * trace.r2[:-1] + dM + np.diff(trace.A)
@@ -434,7 +434,7 @@ def martingale_probe(plan: RunPlan, x, replications: int,
     X, TX = (np.broadcast_to(v, (replications, problem.dimension))
              for v in (x, problem.mean_operator(x)))
     Z, _, G2, _, TZ, _ = _lockstep(plan)(range(replications), 0, X, TX)
-    deltas = 2.0 * plan.alphas[0] * np.vecdot(x_star - Z, G2 - TZ)
+    deltas = _martingale_increment(plan.alphas[0], x_star, Z, G2 - TZ)
     mean = float(np.mean(deltas))
     stderr = float(np.std(deltas, ddof=1) / math.sqrt(replications))
     return MartingaleProbeResult(mean=mean, stderr=stderr, replications=replications)

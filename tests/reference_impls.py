@@ -242,12 +242,11 @@ def project_halfspace_stacked(a, b, x):
 
 
 def project_affine_stacked(A, b, x):
-    """Projection onto { y : A y = b } with stacked products and two solves
-    against the Cholesky factor of A A^T."""
-    chol = np.linalg.cholesky(A @ A.T)
-    resid = (x[..., None, :] @ A.T)[..., 0, :] - b
-    y = np.linalg.solve(chol.T, np.linalg.solve(chol, resid[..., None]))
-    return x - (y.swapaxes(-1, -2) @ A)[..., 0, :]
+    """Projection onto { y : A y = b } with stacked products through the QR
+    factor A^T = Q R: x - Q Q^T (x - p) with p = Q R^-T b."""
+    q, r = np.linalg.qr(A.T)
+    p = matvec_stacked(q, np.linalg.solve(r.T, b))
+    return x - matvec_stacked(q, vecmat_stacked(x - p, q))
 
 
 def write_rows_reference(path, rows):

@@ -268,6 +268,16 @@ class TestRateAndComplexity:
         assert rep.network.rate_Q == pytest.approx(59.133366605323815, rel=1e-12)
         assert rep.network.complexity_bound == pytest.approx(8033334167432.941, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200, 5e-324])
+    def test_complexity_bounds_overflow_to_inf_at_a_tiny_eps(self, eps):
+        # below about 1e-162, eps^nu underflows to 0.0 (it raised ZeroDivisionError)
+        single = rate_and_complexity_bounds(inputs(J=2.0), eps)
+        network = rate_and_complexity_bounds(
+            inputs(J=2.0, schedule=SampleSchedule.uniform(0.5, 2.5, 0.3, -0.25)), eps)
+        assert single.base.complexity_bound == single.uniform.complexity_bound == math.inf
+        assert network.network.complexity_bound == math.inf
+        assert math.isfinite(single.base.rate_Q) and math.isfinite(network.network.rate_Q)
+
     def test_uniform_constants_shape(self):
         rep = rate_and_complexity_bounds(inputs(J=2.0), 1e-4)
         inp = inputs()
@@ -416,6 +426,17 @@ def constants_reports(tmp):
         assert status == 0
     return {name: json.loads((tmp / name / "constants_report.json").read_text())
             for name in tool.CONSTANTS_DOCS}
+
+
+def test_constants_command_reports_inf_bounds_at_a_tiny_eps(tmp_path):
+    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-200,
+           "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["constants", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path)]) == 0
+    bounds = json.loads((tmp_path / "constants_report.json").read_text())["bounds"]
+    assert bounds["base"]["complexity_bound"] == bounds["uniform"]["complexity_bound"] == "inf"
 
 
 def nested_key(flat):

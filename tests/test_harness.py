@@ -1,8 +1,12 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -764,3 +768,25 @@ class TestCli:
         cfg = self.write(tmp_path / "bad.json", experiment_doc(schema_version=9))
         assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_experiment_path_imports_neither_constants_nor_baselines():
+    """An experiment imports ``stochvi.constants`` (about 10 ms of a fresh
+    process) and ``stochvi.baselines`` (about 1.5 ms) only in the functions
+    that need them, so neither is loaded by building, validating and
+    running one."""
+    code = (
+        "import json, sys\n"
+        "import stochvi.cli, stochvi.harness\n"
+        "from stochvi.core import validate\n"
+        "from stochvi.harness import experiment_from_config, run_experiment\n"
+        "cfg = experiment_from_config(json.loads(sys.argv[1]))\n"
+        "validate(cfg.problem, cfg.solver)\n"
+        "assert run_experiment(cfg).replications == 4\n"
+        "print(sorted({'stochvi.constants', 'stochvi.baselines'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    doc = experiment_doc(solver=dict(experiment_doc()["solver"], max_iterations=10),
+                         rate_fit_window=[2, 10])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(doc)], env=env,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr

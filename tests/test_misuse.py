@@ -1,8 +1,9 @@
 """Misuse fails loudly: one table of bad inputs to the public entry points.
 
 Each case is a call that must raise a typed ``StochviError`` whose message
-names the fault, or an experiment document on which ``stochvi experiment``
-must exit 2 with an ``error:`` line naming it.  None may end in NaN output,
+names the fault, or an experiment document (or a ``(command, document)``
+pair) on which ``stochvi experiment`` (or the command) must exit 2 with an
+``error:`` line naming it and write nothing.  None may end in NaN output,
 an untyped exception or a message about a symptom elsewhere (a feasible
 set with a NaN parameter used to fail the mean-operator row check, and a
 schedule exponent of NaN the tail check).
@@ -11,11 +12,26 @@ schedule exponent of NaN the tail check).
 import json
 import math
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stochvi.cli import main as cli_main
-from stochvi.errors import BlockMismatch, InvalidParameters, InvalidSchedule
+from stochvi.constants import ConstantsInputs, lp_bound_constants, rate_and_complexity_bounds
+from stochvi.core import SolverConfig, validate
+from stochvi.errors import (
+    BlockMismatch,
+    ConfigError,
+    DimensionMismatch,
+    InvalidInputs,
+    InvalidParameters,
+    InvalidSchedule,
+    NoKnownSolutions,
+    NoMeanOperator,
+)
+from stochvi.merit import regularized_gap
+from stochvi.problems import gen_strongly_monotone
 from stochvi.projection import (
     AffineSubspace,
     Ball,
@@ -24,19 +40,40 @@ from stochvi.projection import (
     Halfspace,
     Simplex,
     WholeSpace,
+    feasible_set_from_config,
 )
-from stochvi.sampling import AgentSchedule
+from stochvi.sampling import AgentSchedule, SampleSchedule, network_exponents
+from stochvi.solver import martingale_probe, run
 
 NAN, INF = math.nan, math.inf
+SCHEDULE = SampleSchedule.uniform(1, 3, 0, 1)
 
 
-def experiment(fset=None, **schedule):
-    """A three-dimensional strongly monotone experiment on ``fset``."""
-    problem = {"kind": "strongly_monotone", "n": 3, "seed": 0, "noise_scale": 0.5,
-               "center": [0.0, 0.0, 0.0]}
+def problem(**fields):
+    """A two-dimensional strongly monotone problem with ``fields`` replaced."""
+    return replace(gen_strongly_monotone(2, seed=0, noise_scale=0.5), **fields)
+
+
+def plan(**fields):
+    """A two-step plan of ``problem(**fields)``."""
+    return validate(problem(**fields),
+                    SolverConfig(stepsize=0.25, schedule=SCHEDULE, max_iterations=2))
+
+
+def constants_inputs(**fields):
+    return ConstantsInputs(**{"L": 1.0, "alpha": 0.1, "sigma": 1.0, "schedule": SCHEDULE,
+                              **fields})
+
+
+def experiment(fset=None, kind="strongly_monotone", top=(), **schedule):
+    """A three-dimensional experiment of ``kind`` on ``fset``, with the
+    top-level entries ``top``."""
+    problem = {"kind": kind, "n": 3, "seed": 0, "noise_scale": 0.5}
+    if kind == "strongly_monotone":
+        problem["center"] = [0.0, 0.0, 0.0]
     if fset is not None:
         problem["set"] = fset
-    return {"schema_version": 1, "problem": problem,
+    return {"schema_version": 1, "problem": problem, **dict(top),
             "solver": {"stepsize": 0.25, "max_iterations": 5,
                        "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1, **schedule}}}
 
@@ -46,8 +83,6 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
                                 InvalidParameters, "rank 1"),
     "affine_a_of_rank_1_cholesky_passes_on_roundoff": (
         lambda: AffineSubspace([[1, 1], [2, 2]], [0, 0]), InvalidParameters, "rank 1"),
-    "affine_a_too_close_to_rank_1": (lambda: AffineSubspace([[1, 1], [1, 1 + 1e-10]], [0, 0]),
-                                     InvalidParameters, "Cholesky cannot factor"),
     "affine_a_with_nan": (lambda: AffineSubspace([[1, NAN]], [0]), InvalidParameters,
                           "AffineSubspace A must be finite"),
     "affine_b_infinite": (lambda: AffineSubspace([[1, 0]], [INF]), InvalidParameters,
@@ -100,6 +135,71 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
     "cli_simplex_scale_infinite": (experiment({"variant": "simplex", "dim": 3, "scale": INF}),
                                    2, "scale must be positive and finite"),
     "cli_schedule_a_nan": (experiment(a=NAN), 2, "a must be finite"),
+    # problems and runs
+    "problem_dimension_0": (lambda: problem(dimension=0), InvalidParameters,
+                            "dimension must be positive"),
+    "problem_lipschitz_0": (lambda: problem(lipschitz_L=0.0), InvalidParameters,
+                            "lipschitz_L must be positive"),
+    "problem_known_solution_too_long": (lambda: problem(known_solutions=(np.zeros(3),)),
+                                        BlockMismatch, "known solution has wrong dimension"),
+    "run_x0_wrong_shape": (lambda: run(plan(), x0=np.zeros(3)), DimensionMismatch,
+                           "x0 must have shape (2,)"),
+    "martingale_probe_without_mean_operator": (
+        lambda: martingale_probe(plan(mean_operator=None), np.zeros(2), 2), NoMeanOperator,
+        "needs the closed-form mean operator"),
+    "martingale_probe_without_known_solution": (
+        lambda: martingale_probe(plan(known_solutions=()), np.zeros(2), 2), NoKnownSolutions,
+        "needs a reference solution"),
+    # feasible sets
+    "box_bounds_of_different_shapes": (lambda: Box([0, 0], [1, 1, 1]), DimensionMismatch,
+                                       "box bounds must share a shape"),
+    "box_lower_above_upper": (lambda: Box([0, 2], [1, 1]), InvalidParameters,
+                              "lower <= upper"),
+    "halfspace_zero_normal": (lambda: Halfspace([0, 0], 1.0), InvalidParameters,
+                              "normal must be nonzero"),
+    "affine_a_rows_not_len_b": (lambda: AffineSubspace([[1, 0]], [0, 1]), DimensionMismatch,
+                                "A rows must match len(b)"),
+    "cartesian_sizes_not_one_per_part": (
+        lambda: CartesianProduct((WholeSpace(), WholeSpace()), (2,)), BlockMismatch,
+        "one size per factor"),
+    "set_variant_unknown": (lambda: feasible_set_from_config({"variant": "sphere"}),
+                            ConfigError, "unknown feasible-set variant 'sphere'"),
+    "set_check_dim_mismatch": (lambda: Ball([0, 0], 1.0).check_dim(3), DimensionMismatch,
+                               "set has dimension 2, point has 3"),
+    # schedules
+    "schedule_a_negative": (lambda: AgentSchedule(1, 3, -0.5, 1), InvalidSchedule,
+                            "exponent a must be nonnegative"),
+    "schedule_counts_negative_index": (lambda: SCHEDULE.counts([-1]), InvalidSchedule,
+                                       "iteration index must be nonnegative"),
+    "schedule_sizes_upto_negative_index": (lambda: SCHEDULE.sizes_upto(-1), InvalidSchedule,
+                                           "iteration index must be nonnegative"),
+    "network_exponents_m_0": (lambda: network_exponents(0, 1.0), InvalidSchedule,
+                              "network size must be >= 1"),
+    "network_exponents_s_below_1": (lambda: network_exponents(2, 1.0, S=0.5), InvalidSchedule,
+                                    "scaling factor S must be >= 1"),
+    # experiment documents and probes
+    "cli_replications_0": (experiment(top={"replications": 0}), 2,
+                           "replications must be >= 1"),
+    "cli_dgap_a_without_dgap_b": (experiment(top={"merits": {"dgap_a": 0.5}}), 2,
+                                  "needs both dgap_a and dgap_b"),
+    "cli_set_on_linear_svi": (experiment({"variant": "whole_space"}, kind="linear_svi"), 2,
+                              "'set' override is only supported for strongly_monotone"),
+    "cli_probe_without_kind": (("probe", {"replications": 2}), 2,
+                               "probe config needs a 'kind' field"),
+    "regularized_gap_a_0": (lambda: regularized_gap(problem().mean_operator, WholeSpace(),
+                                                    np.zeros(2), 0.0),
+                            InvalidParameters, "gap parameter a must be positive"),
+    # constants
+    "constants_l_0": (lambda: constants_inputs(L=0.0), InvalidInputs, "L must be positive"),
+    "constants_sigma_negative": (lambda: constants_inputs(sigma=-1.0), InvalidInputs,
+                                 "sigma must be nonnegative"),
+    "constants_m_0": (lambda: constants_inputs(m=0), InvalidInputs,
+                      "network size must be >= 1"),
+    "constants_s_below_1": (lambda: constants_inputs(S=0.5), InvalidInputs, "S must be >= 1"),
+    "lp_bound_gamma_negative": (lambda: lp_bound_constants(constants_inputs(), -1.0),
+                                InvalidInputs, "gamma must be nonnegative"),
+    "rate_bounds_eps_0": (lambda: rate_and_complexity_bounds(constants_inputs(J=1.0), 0.0),
+                          InvalidInputs, "eps must be positive"),
 }
 
 
@@ -107,12 +207,15 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
 def test_misuse_fails_loudly(case, tmp_path, capsys):
     what, expected, text = CASES[case]
     if isinstance(what, dict):
+        what = ("experiment", what)
+    if isinstance(what, tuple):
+        command, document = what
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(what))  # NaN and Infinity, as Python's JSON reader takes
-        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path)]) == expected
+        cfg.write_text(json.dumps(document))  # NaN and Infinity, as Python's JSON reader takes
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path)]) == expected
         err = capsys.readouterr().err
         assert err.startswith("error:") and text in err, err
-        assert not (tmp_path / "experiment_summary.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
     else:
         with pytest.raises(expected, match=re.escape(text)):
             what()

@@ -108,6 +108,22 @@ def test_halfspace_rejects_nonfinite_points(point):
         Halfspace(np.array([1.0, 0.0]), 0.0).project(point)
 
 
+@pytest.mark.parametrize("fset", [Ball(np.zeros(2), 1.0), Simplex(2)], ids=["ball", "simplex"])
+@pytest.mark.parametrize("point", [[np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf],
+                                   [[1.0, 2.0], [0.0, np.inf]]])
+def test_ball_and_simplex_reject_infinite_points(fset, point):
+    # one infinite coordinate has a limit; with several, it depends on their rates
+    with pytest.raises(InvalidParameters, match="no infinite coordinate"):
+        fset.project(point)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a NaN row, as intended
+def test_simplex_keeps_a_nan_row_with_an_infinite_coordinate():
+    # hard_ball_rows holds the ball's such row
+    out = Simplex(2).project(np.array([[np.nan, np.inf], [1.0, 2.0]]))
+    assert np.isnan(out[0]).all() and out[1].tolist() == [0.0, 1.0]
+
+
 def test_affine_projection_zero_sum_plane():
     # {y : sum y = 0}: projection subtracts the mean
     aff = AffineSubspace(np.ones((1, 4)), np.zeros(1))
@@ -125,6 +141,15 @@ def test_affine_rank_deficient_consistent_fails_loudly():
     A = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(InvalidParameters, match="rank 1"):
         AffineSubspace(A, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("d, tol", [(1e-6, 1e-8), (1e-8, 1e-6), (1e-10, 1e-4)])
+def test_affine_projection_stays_on_an_ill_conditioned_set(d, tol):
+    # a Cholesky factor of A A^T squares A's condition number: it projected
+    # 0 to |A y - b| = 7e-4 at d = 1e-6 and 0.5 at 1e-8, and failed at 1e-10
+    A, b = np.array([[1.0, 1.0], [1.0, 1.0 + d]]), np.array([1.0, 2.0])
+    y = AffineSubspace(A, b).project(np.zeros(2))
+    assert np.abs(A @ y - b).max() <= tol
 
 
 def test_cartesian_example():
@@ -268,10 +293,19 @@ SEPARABLE_PRODUCTS = {
 def test_merged_clip_matches_per_factor_loop_bitwise(name):
     """One clip through the merged box, then the other factors, gives the
     per-factor loop's bits: signed zeros at zero bounds, +-inf and NaN rows
-    included, as a C- or Fortran-ordered batch and point by point."""
+    included, as a C- or Fortran-ordered batch and point by point.  A row
+    giving a ball or simplex factor an inf entry and no NaN raises."""
     parts, sizes = SEPARABLE_PRODUCTS[name]
     fset = CartesianProduct(parts, sizes)
     X = tie_rows(np.random.default_rng(SEED), fset.dim)
+    infinite = np.zeros(len(X), dtype=bool)  # rows a ball or simplex factor rejects
+    for part, sl in zip(parts, block_slices(sizes)):
+        if isinstance(part, (Ball, Simplex)):
+            infinite |= np.isinf(X[:, sl]).any(axis=-1) & ~np.isnan(X[:, sl]).any(axis=-1)
+    for x in X[infinite]:
+        with pytest.raises(InvalidParameters, match="no infinite coordinate"):
+            fset.project(x)
+    X = X[~infinite]
     ref = project_cartesian_per_factor(fset, X)
     assert bits(fset.project(X)) == bits(ref)
     assert bits(fset.project(np.asfortranarray(X))) == bits(ref)
@@ -297,8 +331,8 @@ def test_box_rows_match_single_points_on_ties(width):
 
 def hard_ball_rows(center, radius, rng, n_random=20000):
     """Offsets from ``center`` at scales from 1e-3 r to 1e3 r, then the
-    centre, points on the sphere, subnormal offsets, +-inf and NaN entries,
-    and offsets whose squared norm overflows."""
+    centre, points on the sphere, subnormal offsets, offsets whose squared
+    norm overflows and NaN entries, one beside an inf."""
     n = len(center)
     u = rng.standard_normal((n_random, n))
     d = u * (radius * 10.0 ** rng.uniform(-3, 3, (n_random, 1)))
@@ -308,12 +342,19 @@ def hard_ball_rows(center, radius, rng, n_random=20000):
         5e-324 * np.sign(u[:8]), 1e-310 * u[:8], np.full((2, n), 1e200),
         1e160 * u[:8], np.diag(np.full(n, 1.5e154))])
     rows = center + np.concatenate([d, special])
-    odd = np.tile(center, (6, 1))
-    odd[0, 0], odd[1, -1], odd[2, 0] = np.inf, -np.inf, np.nan
-    odd[3] = np.inf
-    odd[4, 0], odd[4, -1] = np.nan, np.inf
-    odd[5, 0], odd[5, -1] = np.inf, -np.inf
+    odd = np.tile(center, (2, 1))
+    odd[0, 0] = np.nan
+    odd[1, 0], odd[1, -1] = np.nan, np.inf
     return np.concatenate([rows, odd])
+
+
+def infinite_ball_rows(center):
+    """Points with +-inf entries and no NaN, which a ball rejects."""
+    odd = np.tile(center, (4, 1))
+    odd[0, 0], odd[1, -1] = np.inf, -np.inf
+    odd[2] = np.inf
+    odd[3, 0], odd[3, -1] = np.inf, -np.inf
+    return odd
 
 
 def bits(a):
@@ -325,7 +366,8 @@ def bits(a):
 def test_ball_factor_matches_where_reference_bitwise(radius):
     """``radius / fmax(nrm, radius)`` is the ``np.where`` factor bit for bit,
     NaN rows and overflowing norms included: alone and as a Cartesian
-    factor, in a batch and point by point."""
+    factor, in a batch and point by point.  A row with an infinite entry and
+    no NaN raises, in a batch and alone."""
     rng = np.random.default_rng(SEED)
     center = np.array([0.0, -0.0, 0.0]) if radius < 1e-7 else np.array([0.5, -0.25, 0.0])
     ball = Ball(center, radius)
@@ -341,6 +383,10 @@ def test_ball_factor_matches_where_reference_bitwise(radius):
     for i in singles:
         assert bits(ball.project(X[i])) == bits(ref[i])
         assert bits(prod.project(Y[i])) == bits(out[i])
+    for x in infinite_ball_rows(center):
+        for fset, point in ((ball, x), (ball, np.stack([X[0], x])), (prod, np.r_[0.0, 0.0, x])):
+            with pytest.raises(InvalidParameters, match="no infinite coordinate"):
+                fset.project(point)
 
 
 def test_ball_projects_overflowing_rows_onto_the_sphere():
