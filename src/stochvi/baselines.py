@@ -87,6 +87,9 @@ def variance_scaling_probe(K_list, sigma: float, L: float, replications: int,
     """
     if replications < 2:
         raise InvalidParameters("variance scaling probe needs at least 2 replications")
+    if master_seed > 2 ** 63 - len(K_list):
+        raise InvalidParameters(f"master_seed {master_seed} keys its {len(K_list)} horizons as "
+                                "master_seed + j, outside the signed 64-bit range")
     rows = []
     for j, K in enumerate(K_list):
         sched = MirrorProxSchedule.build(int(K), sigma, L)

@@ -124,13 +124,10 @@ def cmd_constants(args):
 
     document = _load(args.config)
     eps = typed(document.pop("eps", 1e-4), "float", "eps", "constants document")
-    run_summary = None
     summary_path = typed(document.pop("run_summary", None), "str | None", "run_summary",
                          "constants document")
-    if summary_path is not None:
-        run_summary = _load(Path(args.config).parent / summary_path
-                            if not Path(summary_path).is_absolute() else summary_path,
-                            "run summary")
+    run_summary = None if summary_path is None else _load(  # an absolute path stays as it is
+        Path(args.config).parent / summary_path, "run summary")
     doc = constants_cmd(document, eps, run_summary=run_summary, out_dir=args.out)
     print(format_constants_table(doc))
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,20 +195,20 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON,
     if D == 0.0:
         closed = 0
     elif all(a.a == 0 for a in schedule.agents) and inputs.m == 1:
-        expo = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
-                * inputs.sigma ** 2 / (inputs.phi * ag0.b * ag0.theta)) ** (1.0 / ag0.b)
-        # round outward: this index solves the same tail condition the numeric
-        # search evaluates, which can differ from expo by a few ulps
-        expo *= 1.0 + 16.0 * sys.float_info.epsilon
         try:
+            expo = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
+                    * inputs.sigma ** 2 / (inputs.phi * ag0.b * ag0.theta)) ** (1.0 / ag0.b)
+            # round outward: this index solves the same tail condition the numeric
+            # search evaluates, which can differ from expo by a few ulps
+            expo *= 1.0 + 16.0 * sys.float_info.epsilon
             closed = max(0, math.ceil(math.exp(expo) - ag0.mu + 1.0))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # a divisor underflowed to 0
             closed = None
     elif all(a.a > 0 for a in schedule.agents):
         # schedule.tail_bound bounds the tail from k0 by the sum over agents of
         # 1 / (theta_i a_i (k0 - 1 + mu_i)^a_i) once k0 + mu_i >= e; each
         # term is at most threshold / m from the index computed here.
-        m = schedule.n_agents
+        m = len(schedule.agents)
         closed = max(0, math.ceil(math.e - min(a.mu for a in schedule.agents)))
         try:
             for ag in schedule.agents:
@@ -215,7 +216,7 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON,
                 # round outward: the power amplifies relative error by 1/a
                 base *= 1.0 + 16.0 * sys.float_info.epsilon * (m + 1.0 / ag.a)
                 closed = max(closed, math.ceil(base - ag.mu + 1.0))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             closed = None
 
     if D == 0.0:
@@ -336,16 +337,16 @@ def _bound_family(tail, J, P, law, *, rho, d0, eps, divisor=1.0, coeffs=(None, N
     I = 4 3^(nu-1) [(2/rho)^nu d^(2 nu) + (2/rho)^nu A^nu (1 + J)^nu + 1]."""
     nu, prefactor, log_power, offset = law
     two = 2.0 / rho
-    if nu == 2.0:
-        I = (12.0 / rho ** 2 * d0 ** 4
-             + 12.0 / rho ** 2 * tail ** 2 / divisor ** 2 * (1.0 + J) ** 2 + 1.0)
-    else:
-        I = 4.0 * 3.0 ** (nu - 1.0) * (two ** nu * d0 ** (2.0 * nu)
-                                       + two ** nu * (tail / divisor) ** nu * (1.0 + J) ** nu
-                                       + 1.0)
-    bound = prefactor * I * (math.log(P / eps) ** log_power + offset)
-    scale = eps ** nu  # 0.0 once it underflows, and then the bound overflows
-    bound = bound / scale if scale else math.inf
+    I = bound = math.inf  # from where a power overflows or a divisor (eps^nu too) underflows to 0
+    with suppress(OverflowError, ZeroDivisionError):
+        if nu == 2.0:
+            I = (12.0 / rho ** 2 * d0 ** 4
+                 + 12.0 / rho ** 2 * tail ** 2 / divisor ** 2 * (1.0 + J) ** 2 + 1.0)
+        else:
+            I = 4.0 * 3.0 ** (nu - 1.0) * (two ** nu * d0 ** (2.0 * nu)
+                                           + two ** nu * (tail / divisor) ** nu
+                                           * (1.0 + J) ** nu + 1.0)
+        bound = prefactor * I * (math.log(P / eps) ** log_power + offset) / eps ** nu
     return BoundFamily(two * d0 ** 2 + two * tail / divisor * (1.0 + J), P, I, bound, *coeffs)
 
 

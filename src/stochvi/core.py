@@ -225,13 +225,6 @@ class ProblemInstance:
                     raise InvalidParameters(
                         f"known solution fails the fixed-point test: r^2 = {r2.max():.3e}")
 
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
-
-    def block_slices(self):
-        return block_slices(self.blocks)
-
     def route(self, sl=slice(None)):
         """The one route to the oracle: ``(rngs, X, size, TX=None)`` returns,
         as a ``(len(X), width)`` array, the average of ``size`` oracle draws
@@ -341,9 +334,6 @@ class SolverConfig:
                                   f"numbers, got {self.stepsize!r}")
         object.__setattr__(self, "stepsize", tuple(alphas.ravel().tolist()))
 
-    def stepsize_at(self, k: int) -> float:
-        return self.stepsize[min(k, len(self.stepsize) - 1)]
-
 
 @dataclass(frozen=True, eq=False)
 class RunPlan:
@@ -383,7 +373,7 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     is idempotent and side-effect free.
     """
     stepsize_cap(problem.lipschitz_L, config.stepsize)
-    m = problem.n_blocks
+    m = len(problem.blocks)
     sched = config.schedule.broadcast(m)  # raises InvalidSchedule on shape mismatch
     schedule_tail_check(sched)
     if config.coordination == "centralized" and m > 1:
@@ -398,11 +388,11 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
         raise InvalidSchedule(f"max_iterations = {K} could bill more oracle calls "
                               "than the int64 range holds")
     distributed = config.coordination == "distributed" and m > 1
-    draw_sets = tuple(enumerate(problem.block_slices() if distributed else (slice(None),)))
+    draw_sets = tuple(enumerate(block_slices(problem.blocks) if distributed else (slice(None),)))
     rows = tuple(map(tuple, sched.sizes_upto(K)[:, :len(draw_sets)].tolist()))
     cum_calls = np.array(list(accumulate((2 * sum(r) for r in rows[:K]), initial=0)),
                          dtype=np.int64)
-    alphas = np.array([config.stepsize_at(k) for k in range(K + 1)])
+    alphas = np.array(config.stepsize)[np.minimum(np.arange(K + 1), len(config.stepsize) - 1)]
     cum_calls.setflags(write=False)
     alphas.setflags(write=False)
     return RunPlan(problem=problem, config=config, draw_sets=draw_sets, rows=rows,

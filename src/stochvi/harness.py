@@ -425,8 +425,7 @@ def probe(kind: str, params: dict, out_dir) -> dict:
     """
     rows, fields = from_document(probe_spec(kind).runner, params, f"{kind} params")
     out_dir = Path(out_dir)
-    if rows:
-        write_table(out_dir / f"{kind}.csv", {h: [r[h] for r in rows] for h in rows[0]})
+    write_table(out_dir / f"{kind}.csv", {h: [r[h] for r in rows] for h in rows[0]})
     verdict = {"kind": kind, **fields}
     write_json(out_dir / f"{kind}_verdict.json", verdict)
     return verdict
@@ -481,13 +480,7 @@ def constants_cmd(inputs_cfg: dict, eps: float, run_summary: dict | None = None,
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
+    return "inf" if isinstance(obj, float) and math.isinf(obj) else obj
 
 
 def format_constants_table(doc) -> str:

@@ -9,6 +9,7 @@ pathwise audit in :mod:`stochvi.solver` relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -25,11 +26,7 @@ from .errors import (
 
 def block_slices(sizes):
     """Consecutive slices covering blocks of the given sizes."""
-    out, start = [], 0
-    for s in sizes:
-        out.append(slice(start, start + s))
-        start += s
-    return out
+    return [slice(start, stop) for start, stop in pairwise(accumulate(sizes, initial=0))]
 
 
 def _frozen(owner, name, ndmin=1, nan_only=False):
@@ -146,16 +143,19 @@ class Ball(FeasibleSet):
         coordinate and no NaN: a limit exists for one such coordinate, but
         with several it depends on their rates.  A NaN row stays NaN."""
         x = _as_batch(x, self.dim)
-        d = x - self.center
+        d, floor = x - self.center, self.radius
         # np.linalg.norm(d, axis=-1, keepdims=True), without its Python wrapper
         nrm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
-        if np.isinf(nrm).any():  # an infinite x, or d * d overflowed: finite rows by hypot
+        if np.isinf(nrm).any():  # an infinite x, or d or d * d overflowed
             if (np.isinf(nrm) & np.isinf(x).any(axis=-1, keepdims=True)).any():
                 raise InvalidParameters("ball projection needs points with no infinite coordinate")
-            fix = np.isinf(nrm) & np.isfinite(d).all(axis=-1, keepdims=True)
-            nrm = np.where(fix, np.hypot.reduce(d, axis=-1, keepdims=True), nrm)
+            # a finite row by its halved offset (d's direction, no overflow), hypot its norm
+            half = np.isinf(nrm) & np.isfinite(x).all(axis=-1, keepdims=True)
+            d = np.where(half, x / 2 - self.center / 2, d)
+            nrm = np.where(half, np.hypot.reduce(d, axis=-1, keepdims=True), nrm)
+            floor = np.where(half, floor / 2, floor)
         # r / max(nrm, r): 1.0 inside the ball, and fmax keeps it 1.0 on NaN rows
-        return self.center + d * (self.radius / np.fmax(nrm, self.radius))
+        return self.center + d * (self.radius / np.fmax(nrm, floor))
 
     def sample(self, rng, size, n=None, scale=1.0):
         n = self.dim

@@ -61,16 +61,24 @@ class AgentSchedule:
         """
         t = k + self.mu
         if self.a > 0:
-            return 1.0 / (self.theta * self.a * t ** self.a)
-        return 1.0 / (self.theta * self.b * math.log(t) ** self.b)
+            return _reciprocal((self.theta, 1), (self.a, 1), (t, self.a))
+        return _reciprocal((self.theta, 1), (self.b, 1), (math.log(t), self.b))
 
     def tail_bound_sq(self, k) -> float:
         """Integral-test bound >= sum_(j > k) 1/N_j^2, valid for k >= 0:
         1/(theta^2 (1 + 2a) (k+mu)^(1+2a) ln(k+mu)^(2+2b)), since
         ln(x+mu)^-(2+2b) is nonincreasing for b >= -1."""
-        t = k + self.mu
-        return 1.0 / (self.theta ** 2 * (1.0 + 2.0 * self.a) * t ** (1.0 + 2.0 * self.a)
-                      * math.log(t) ** (2.0 + 2.0 * self.b))
+        t, p = k + self.mu, 1.0 + 2.0 * self.a
+        return _reciprocal((self.theta, 2), (p, 1), (t, p), (math.log(t), 2.0 + 2.0 * self.b))
+
+
+def _reciprocal(*powers):
+    """A tail bound 1 / prod(base ** e) over ``(base, e)`` pairs, left to right,
+    or where a power overflows exp(-sum(e ln base)), 0.0 where that underflows."""
+    try:
+        return 1.0 / math.prod(base ** e for base, e in powers)
+    except OverflowError:
+        return math.exp(-math.fsum(e * math.log(base) for base, e in powers))
 
 
 @dataclass(frozen=True)
@@ -99,17 +107,13 @@ class SampleSchedule:
     def uniform(cls, theta, mu, a=0.0, b=1.0, m=1):
         return cls((AgentSchedule(theta, mu, a, b),) * m)
 
-    @property
-    def n_agents(self):
-        return len(self.agents)
-
     def broadcast(self, m: int) -> "SampleSchedule":
-        if self.n_agents == m:
+        if len(self.agents) == m:
             return self
-        if self.n_agents == 1:
+        if len(self.agents) == 1:
             return SampleSchedule(self.agents * m)
         raise InvalidSchedule(
-            f"schedule has {self.n_agents} agents, problem has {m} blocks")
+            f"schedule has {len(self.agents)} agents, problem has {m} blocks")
 
     def counts(self, k) -> np.ndarray:
         """Per-agent counts N_{k,i} as floats at the indices ``k``, shape

@@ -80,7 +80,7 @@ class RunTrace:
     """Per-iteration record of one replication.
 
     Arrays indexed by iterate (length K+1): ``iterates``, ``r2``, ``dist2``,
-    ``A``, ``M`` (one column per tracked solution), ``cum_calls``.
+    ``A``, ``M`` (one column per known solution of the problem), ``cum_calls``.
     Arrays indexed by step (length K): ``z``, ``eps1_norm``, ``eps2_norm``,
     ``eps2`` vectors, ``alphas``; step k drew the plan's ``rows[k]``.
     Diagnostics-only arrays are None when the run was recorded without them.
@@ -100,16 +100,12 @@ class RunTrace:
     eps2: np.ndarray | None = None
     A: np.ndarray | None = None
     M: np.ndarray | None = None
-    tracked_solutions: tuple = ()
     lipschitz_L: float = 1.0
     stopped_early: bool = False
 
     @property
     def n_steps(self):
         return self.iterates.shape[0] - 1
-
-    def final_iterate(self):
-        return self.iterates[-1]
 
     def to_csv(self, path):
         """Write the per-iterate columns (k, r2, dist2, eps1_norm, eps2_norm,
@@ -131,7 +127,7 @@ class RunTrace:
             "iterations": self.n_steps,
             "cum_calls": int(self.cum_calls[-1]),
             "stopped_early": self.stopped_early,
-            "final_iterate": self.final_iterate().tolist(),
+            "final_iterate": self.iterates[-1].tolist(),
         }
         if self.r2 is not None:
             out["final_r2"] = float(self.r2[-1])
@@ -292,14 +288,13 @@ def run(plan: RunPlan, replication=0, x0=None):
 
     has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
     dist2 = distance_sq_to_solutions(problem, iterates) if has_dist else None
-    track = problem.known_solutions if record else ()
     by_step, sums = _diagnostics(alphas[:K], problem, Zs, E1, E2) if record else ({}, {})
     by_iterate = {"iterates": iterates, "r2": r2, "dist2": dist2, **sums}
     traces = [RunTrace(**{f: None if a is None else a[row, :m + 1] for f, a in by_iterate.items()},
                        **{f: a[row, :m] for f, a in by_step.items()},
                        cum_calls=plan.cum_calls[:m + 1], alphas=alphas[:m],
-                       replication=replication, tracked_solutions=track,
-                       lipschitz_L=problem.lipschitz_L, stopped_early=m < K)
+                       replication=replication, lipschitz_L=problem.lipschitz_L,
+                       stopped_early=m < K)
               for row, (replication, m) in enumerate(zip(replications, ends.tolist()))]
     return traces[0] if one else Ensemble(
         traces, np.array(cum_calls, dtype=np.int64), iterates, r2, dist2)
@@ -362,18 +357,14 @@ class FejerAuditReport:
 def fejer_audit(trace: RunTrace, x_star, rel_tol: float = 1e-9) -> FejerAuditReport:
     """Audit the per-step quasi-Fejer inequality along a recorded trace.
 
-    ``x_star`` may be any solution: tracked solutions reuse the recorded M
-    column, other points recompute the martingale increment from the stored
-    z and eps2 vectors.
+    ``x_star`` may be any solution, and every x* takes its martingale
+    increments from the stored z and eps2 vectors.
     """
     if trace.z is None or trace.eps2 is None or trace.A is None:
         raise MissingDiagnostics("fejer_audit needs a trace recorded with diagnostics")
     x_star = np.asarray(x_star, dtype=float)
     alpha = trace.alphas
-    col = next((s for s, sol in enumerate(trace.tracked_solutions)
-                if np.array_equal(sol, x_star)), None)
-    dM = (_martingale_increment(alpha, x_star, trace.z, trace.eps2) if col is None
-          else np.diff(trace.M[:, col]))
+    dM = _martingale_increment(alpha, x_star, trace.z, trace.eps2)
     d2 = np.sum((trace.iterates - x_star) ** 2, axis=1)
     rho = 1.0 - 6.0 * _pow2(trace.lipschitz_L * alpha)
     rhs = d2[:-1] - 0.5 * rho * trace.r2[:-1] + dM + np.diff(trace.A)

@@ -106,21 +106,13 @@ def fejer_audit_reference(trace, x_star, rel_tol=1e-9):
     """The quasi-Fejer audit one step at a time, as a Python loop over the
     recorded trace; returns (max_violation, max_rel_violation, violations)."""
     x_star = np.asarray(x_star, dtype=float)
-    col = None
-    for s, sol in enumerate(trace.tracked_solutions):
-        if np.array_equal(sol, x_star):
-            col = s
-            break
     max_viol = max_rel = 0.0
     n_bad = 0
     d2 = np.sum((trace.iterates - x_star) ** 2, axis=1)
     for k in range(trace.n_steps):
         alpha = trace.alphas[k]
         rho_k = 1.0 - 6.0 * (trace.lipschitz_L * alpha) ** 2
-        if col is not None:
-            dM = trace.M[k + 1, col] - trace.M[k, col]
-        else:
-            dM = 2.0 * alpha * float((x_star - trace.z[k]) @ trace.eps2[k])
+        dM = 2.0 * alpha * float((x_star - trace.z[k]) @ trace.eps2[k])
         dA = trace.A[k + 1] - trace.A[k]
         rhs = d2[k] - 0.5 * rho_k * trace.r2[k] + dM + dA
         viol = d2[k + 1] - rhs
@@ -132,18 +124,19 @@ def fejer_audit_reference(trace, x_star, rel_tol=1e-9):
     return max_viol, max_rel, n_bad
 
 
-def diagnostic_sums_reference(trace):
+def diagnostic_sums_reference(trace, solutions):
     """A and M of a diagnostics trace, one step at a time from its recorded
-    errors, as the recursions in the ``stochvi.solver`` docstring read."""
+    errors, as the recursions in the ``stochvi.solver`` docstring read, an M
+    column per point of ``solutions``."""
     K = trace.n_steps
     A = np.zeros(K + 1)
-    M = np.zeros((K + 1, len(trace.tracked_solutions)))
+    M = np.zeros((K + 1, len(solutions)))
     for k in range(K):
         alpha = float(trace.alphas[k])
         rho_k = 1.0 - 6.0 * (trace.lipschitz_L * alpha) ** 2
         A[k + 1] = A[k] + (8.0 + rho_k) * alpha ** 2 * float(trace.eps1_norm[k]) ** 2 \
             + 8.0 * alpha ** 2 * float(trace.eps2_norm[k]) ** 2
-        for s, xstar in enumerate(trace.tracked_solutions):
+        for s, xstar in enumerate(solutions):
             M[k + 1, s] = M[k, s] + 2.0 * alpha * float((xstar - trace.z[k]) @ trace.eps2[k])
     return A, M
 
@@ -300,7 +293,7 @@ def _pow2(v):
     return np.float_power(v, 2)
 
 
-def record_diagnostics_reference(trace, steps, track):
+def record_diagnostics_reference(trace, steps, solutions):
     """The realized errors and the A and M sums from each step's (z, g1, g2,
     T(x^k), T(z^k)), as the serial engine recorded them."""
     z, g1, g2, t, tz = steps.swapaxes(0, 1)
@@ -313,11 +306,10 @@ def record_diagnostics_reference(trace, steps, track):
     dA[1::2] = (8.0 + rho) * _pow2(alpha) * _pow2(trace.eps1_norm)
     dA[2::2] = 8.0 * _pow2(alpha) * _pow2(trace.eps2_norm)
     trace.A = np.cumsum(dA)[::2]
-    dM = np.zeros((len(alpha) + 1, len(track)))
-    for s, xstar in enumerate(track):
+    dM = np.zeros((len(alpha) + 1, len(solutions)))
+    for s, xstar in enumerate(solutions):
         dM[1:, s] = 2.0 * alpha * np.vecdot(xstar - z, e2)
     trace.M = np.cumsum(dM, axis=0)
-    trace.tracked_solutions = track
 
 
 def serial_run_reference(plan, replication=0, x0=None):

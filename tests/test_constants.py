@@ -385,7 +385,7 @@ class TestInputValidation:
         assert (shared.a_coef, shared.b_coef) == (2, 1)
         independent = inputs(m=3, shared_samples=False)
         assert (independent.a_coef, independent.b_coef) == (2, 2)
-        assert independent.schedule.n_agents == 3
+        assert len(independent.schedule.agents) == 3
         with pytest.raises(TypeError):
             inputs(a_coef=2)  # not an input any more
 
@@ -437,6 +437,22 @@ def test_constants_command_reports_inf_bounds_at_a_tiny_eps(tmp_path):
                      "--out", str(tmp_path)]) == 0
     bounds = json.loads((tmp_path / "constants_report.json").read_text())["bounds"]
     assert bounds["base"]["complexity_bound"] == bounds["uniform"]["complexity_bound"] == "inf"
+
+
+@pytest.mark.parametrize("a, family", [(0, "base"), (0.5, "network")])
+def test_constants_command_reports_bounds_at_a_large_schedule_exponent(tmp_path, a, family):
+    """At b = 200 ln(k + mu)^(2 + 2b) passes the float range in the tail
+    bound of 1/N_k^2, which is then taken in log space; the family's
+    complexity bound overflows to inf."""
+    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+           "schedule": {"theta": 1, "mu": 3, "a": a, "b": 200}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["constants", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path)]) == 0
+    bounds = json.loads((tmp_path / "constants_report.json").read_text())["bounds"]
+    assert 0.0 < bounds["tail_sum_sq"] < 1e-17
+    assert bounds[family]["complexity_bound"] == "inf"
 
 
 def nested_key(flat):

@@ -194,9 +194,8 @@ class TestValidate:
 
     def test_varying_stepsize_bounds(self, quiet_problem):
         cfg = default_config(stepsize=np.array([0.1, 0.2, 0.3]))
-        assert cfg.stepsize_at(0) == 0.1
-        assert cfg.stepsize_at(99) == 0.3  # extended by the last value
-        validate(quiet_problem, cfg)
+        alphas = validate(quiet_problem, cfg).alphas
+        assert alphas[0] == 0.1 and alphas[99] == 0.3  # extended by the last value
         with pytest.raises(InvalidStepsize):
             validate(quiet_problem, default_config(stepsize=np.array([0.1, 0.45])))
 

@@ -237,7 +237,7 @@ class TestConfigParsing:
     def test_problem_kinds_and_blocks(self):
         p = problem_from_config({"kind": "linear_svi", "n": 4, "seed": 1,
                                  "noise_scale": 0.2, "blocks": [2, 2]})
-        assert p.n_blocks == 2
+        assert p.blocks == (2, 2)
         with pytest.raises(ConfigError):
             problem_from_config({"kind": "mystery"})
 
@@ -349,6 +349,12 @@ class TestRunExperiment:
         slope, intercept = fit_loglog_slope(vals, (10, 199))
         assert slope == pytest.approx(-1.25, abs=1e-9)
         assert intercept == pytest.approx(math.log(3.0), abs=1e-9)
+
+    def test_k_eps_without_a_mean_operator_is_none(self):
+        """Without T an experiment records no r^2, so no tolerance is reached."""
+        cfg = experiment_from_config(experiment_doc(replications=2))
+        res = run_experiment(replace(cfg, problem=replace(cfg.problem, mean_operator=None)))
+        assert res.mean_r2 is None and res.k_eps is None and res.k_eps_for(1e300) is None
 
     def test_dgap_tracking(self):
         doc = experiment_doc(replications=1,
@@ -550,6 +556,24 @@ class TestCli:
             "replications": 500,
         })
         assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr")]) == 0
+
+    def test_experiment_from_the_solution_without_noise_writes_a_null_slope(self, tmp_path):
+        """r^2 is 0 at every k, so the fit window holds no positive value."""
+        doc = experiment_doc(x0=[0.0, 0.0, 0.0])
+        doc["problem"]["noise_scale"] = 0.0
+        cfg = self.write(tmp_path / "cfg.json", doc)
+        assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+        summary = json.loads((tmp_path / "e" / "experiment_summary.json").read_text())
+        assert summary["mean_r2"] == [0.0] * 41
+        assert summary["slope"] is None and summary["intercept"] is None
+
+    def test_probe_replications_flag_reaches_the_probe(self, tmp_path):
+        cfg = self.write(tmp_path / "p.json",
+                         dict(self.PROBE_DOCS["martingale"], kind="martingale"))
+        assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "pr"),
+                         "--replications", "7"]) == 0
+        header, row = (tmp_path / "pr" / "martingale.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["replications"] == "7"
 
     PROBE_DOCS = {
         "error_decay": {"problem": {"kind": "constant_noise", "sigma": 1.0},

@@ -9,6 +9,8 @@ set with a NaN parameter used to fail the mean-operator row check, and a
 schedule exponent of NaN the tail check).
 """
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -16,7 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stochvi.baselines import variance_scaling_probe
 from stochvi.cli import main as cli_main
 from stochvi.constants import ConstantsInputs, lp_bound_constants, rate_and_complexity_bounds
 from stochvi.core import SolverConfig, validate
@@ -135,6 +140,8 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
     "cli_simplex_scale_infinite": (experiment({"variant": "simplex", "dim": 3, "scale": INF}),
                                    2, "scale must be positive and finite"),
     "cli_schedule_a_nan": (experiment(a=NAN), 2, "a must be finite"),
+    # ln(k + mu)^b overflowed in the tail check's integral bound at b = 300
+    "cli_schedule_b_300": (experiment(b=300), 2, "could bill more oracle calls than the int64"),
     # problems and runs
     "problem_dimension_0": (lambda: problem(dimension=0), InvalidParameters,
                             "dimension must be positive"),
@@ -186,6 +193,10 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
                               "'set' override is only supported for strongly_monotone"),
     "cli_probe_without_kind": (("probe", {"replications": 2}), 2,
                                "probe config needs a 'kind' field"),
+    # horizon j is keyed by master_seed + j, and 2^63 is no key
+    "variance_scaling_last_horizon_past_int64": (
+        lambda: variance_scaling_probe([10, 20], 1.0, 1.0, 4, master_seed=2 ** 63 - 1),
+        InvalidParameters, "master_seed 9223372036854775807 keys its 2 horizons"),
     "regularized_gap_a_0": (lambda: regularized_gap(problem().mean_operator, WholeSpace(),
                                                     np.zeros(2), 0.0),
                             InvalidParameters, "gap parameter a must be positive"),
@@ -220,3 +231,17 @@ def test_misuse_fails_loudly(case, tmp_path, capsys):
         with pytest.raises(expected, match=re.escape(text)):
             what()
 
+
+@settings(max_examples=23, deadline=None)
+@example(a=0.0, b=200.0)  # the tail bounds of the two series overflowed
+@example(a=0.5, b=200.0)
+@given(a=st.floats(0.0, 5.0), b=st.floats(0.0, 400.0, exclude_min=True))
+def test_constants_command_never_ends_untyped(tmp_path_factory, a, b):
+    """Over schedule exponents a in [0, 5] and b in (0, 400], ``stochvi
+    constants`` reports (exit 0) or names the fault (exit 2)."""
+    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+           "schedule": {"theta": 1, "mu": 3, "a": a, "b": b}}
+    cfg = tmp_path_factory.mktemp("constants") / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(["constants", "--config", str(cfg), "--out", str(cfg.parent)]) in (0, 2)

@@ -49,4 +49,4 @@ def test_scan_passes_the_route():
     assert not oracle_reads(
         "route = problem.route(sl)\n"
         "means = route(keyed(replications, k, stage, i), X, size, TX)\n"
-        "slices = problem.block_slices()\n")
+        "slices = block_slices(problem.blocks)\n")

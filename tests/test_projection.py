@@ -406,6 +406,25 @@ def test_ball_projects_overflowing_rows_onto_the_sphere():
     assert bits(out[2:4]) == bits(ball.project(X[2:4]))
 
 
+def test_ball_projects_a_finite_point_whose_offset_overflows():
+    """x - c overflows for a finite x far from a finite centre; the halved
+    offset has its direction, so the point lands on the sphere: alone,
+    beside a finite row and as a Cartesian factor, each batch row with the
+    bits of its single-point projection."""
+    ball = Ball([-1e308, 0.0], 1.0)
+    prod = CartesianProduct((Box([-1.0], [1.0]), ball), (1, 2))
+    X = np.array([[1e308, 0.0], [-1e308, 0.5], [1e308, 1e308]])
+    Y = np.c_[[2.0, 0.0, -3.0], X]
+    with np.errstate(over="ignore"):
+        out, prod_out = ball.project(X), prod.project(Y)
+        singles = [(ball.project(x), prod.project(y)) for x, y in zip(X, Y)]
+    assert out[:2].tolist() == [[-1e308, 0.0], [-1e308, 0.5]]
+    assert out[2, 0] == -1e308 and out[2, 1] == pytest.approx(1 / np.sqrt(5), rel=1e-15)
+    assert bits(prod_out[:, 1:]) == bits(out) and prod_out[:, 0].tolist() == [1.0, 0.0, -1.0]
+    for row, prod_row, (single, prod_single) in zip(out, prod_out, singles):
+        assert bits(single) == bits(row) and bits(prod_single) == bits(prod_row)
+
+
 @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
 def test_ball_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ def test_tail_bounds_bound_the_tails():
             tail = inv[k + 1:]
             assert np.sum(tail) <= sched.tail_bound(k), (sched, k)
             assert np.sum(tail ** 2) <= sched.tail_bound_sq(k), (sched, k)
+
+
+@pytest.mark.parametrize("theta, a, b", [(1.0, 0.0, 200.0), (1.0, 0.5, 200.0),
+                                         (1.0, 0.0, 300.0), (1e-300, 0.0, 300.0)])
+def test_tail_bounds_past_the_float_range(theta, a, b):
+    """Where a power in a tail bound overflows, the bound is its value in log
+    space: the exact value where that is a float (theta = 1e-300 keeps the
+    bound at 1e-45), 0.0 where it underflows.  The exact values are taken in
+    50-digit decimals."""
+    ag, k = AgentSchedule(theta, 3.0, a, b), 10 ** 6
+    with localcontext(prec=50):
+        th, t, a_, b_ = Decimal(theta), Decimal(k + 3), Decimal(a), Decimal(b)
+        lt, p = t.ln(), 1 + 2 * a_
+        exact = (1 / (th * a_ * t ** a_) if a else 1 / (th * b_ * lt ** b_),
+                 1 / (th ** 2 * p * t ** p * lt ** (2 + 2 * b_)))
+    for bound, value in zip((ag.tail_bound(k), ag.tail_bound_sq(k)), exact):
+        assert math.isclose(bound, float(value), rel_tol=1e-11), (bound, value)
 
 
 class TestNetworkExponents:

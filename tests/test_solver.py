@@ -38,7 +38,7 @@ from stochvi.problems import (
     gen_scaled_monotone,
     gen_strongly_monotone,
 )
-from stochvi.projection import Box, WholeSpace, project
+from stochvi.projection import Box, WholeSpace, block_slices, project
 from stochvi.sampling import AgentSchedule, SampleSchedule
 from stochvi.solver import (
     _lockstep,
@@ -360,7 +360,7 @@ class TestFejerAudit:
                              else "centralized", stepsize=np.linspace(0.3, 0.2, 60))
         for rep in range(3):
             trace = run(validate(p, cfg), replication=rep, x0=np.ones(5))
-            A, M = diagnostic_sums_reference(trace)
+            A, M = diagnostic_sums_reference(trace, p.known_solutions)
             assert np.array_equal(trace.A, A) and np.array_equal(trace.M, M)
             assert np.array_equal(trace.eps2_norm, [np.linalg.norm(e) for e in trace.eps2])
 
@@ -507,7 +507,7 @@ class TestStageMean:
         plan = validate(p, cfg)
         advance = _lockstep(plan)
         blocks = [(0, slice(None))] if coordination == "centralized" \
-            else list(enumerate(p.block_slices()))
+            else list(enumerate(block_slices(p.blocks)))
 
         def expected(k, stage, point):
             out = []
