@@ -14,6 +14,7 @@ the randomized pseudo-monotonicity check finds a witness pair.
 import numpy as np
 
 from stochvi import SampleSchedule, SolverConfig, validate
+from stochvi.merit import anchor
 from stochvi.problems import check_pseudo_monotone, gen_negative_control, gen_scaled_monotone
 from stochvi.solver import fejer_audit, run
 
@@ -26,7 +27,7 @@ print(f"pseudo-monotone (non-monotone) instance: {problem.name}")
 plan = validate(problem, config)
 for rep in range(3):
     trace = run(plan, replication=rep, x0=np.full(5, 1.0))
-    audit = fejer_audit(trace, problem.known_solutions[0])
+    audit = fejer_audit(trace, anchor(problem))
     print(f"  replication {rep}: {audit}")
 
 control = gen_negative_control(n=1)

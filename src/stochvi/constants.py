@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import stepsize_cap
 from .errors import InvalidInputs, MissingJ
-from .sampling import SampleSchedule
+from .sampling import SampleSchedule, _reciprocal
 
 GOLDEN_PHI_CAP = (math.sqrt(5.0) - 1.0) / 2.0
 _HORIZON = 200_000
@@ -187,14 +187,14 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON,
     ``inv`` is the head 1/N_k for k = 0..horizon when the caller has
     already tabulated it."""
     D = inputs.noise_margin
-    threshold = math.inf if D == 0.0 else inputs.phi / D
+    if D == 0.0:  # no noise to outlast
+        return BurnInResult(0, 0, 0.0, math.inf)
+    threshold = inputs.phi / D
 
     schedule = inputs.schedule
     ag0 = schedule.agents[0]
     closed: int | None = None
-    if D == 0.0:
-        closed = 0
-    elif all(a.a == 0 for a in schedule.agents) and inputs.m == 1:
+    if all(a.a == 0 for a in schedule.agents) and inputs.m == 1:
         try:
             expo = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
                     * inputs.sigma ** 2 / (inputs.phi * ag0.b * ag0.theta)) ** (1.0 / ag0.b)
@@ -219,8 +219,6 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON,
         except (OverflowError, ZeroDivisionError):
             closed = None
 
-    if D == 0.0:
-        return BurnInResult(closed, 0, 0.0, threshold)
     if inv is None:
         inv, _ = schedule.inverse_series(np.arange(horizon + 1))
     rem = schedule.tail_bound(horizon)
@@ -327,6 +325,14 @@ class BoundFamily:
     tail_coeff_B: float | None = None
 
 
+def _power(base, e):
+    """``base ** e``, or inf where that overflows."""
+    try:
+        return base ** e
+    except OverflowError:
+        return math.inf
+
+
 def _bound_family(tail, J, P, law, *, rho, d0, eps, divisor=1.0, coeffs=(None, None)):
     """The family with combined tail term A = ``tail / divisor`` (divided
     last, as the uniform family's closed forms do), trajectory bound J and
@@ -384,8 +390,8 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
                                horizon: int = _HORIZON) -> BoundsReport:
     """Evaluate every applicable rate/complexity formula at tolerance eps.
 
-    ``mean_dist2`` is an optional per-iteration array of E||x^k - x*||^2
-    (or squared distances to the solution set) from an actual run, used to
+    ``mean_dist2`` is an optional per-iteration array of E dist(x^k, X*)^2,
+    the mean squared distance to the solution set, from an actual run, used to
     form the trajectory bound J when it is not supplied directly; without
     either, a nonzero noise level raises MissingJ.
     """
@@ -421,9 +427,11 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
 
     base = BoundFamily(log_arg_P=P)
     if inputs.m == 1 and ag.a == 0:
-        A = lam / (ag.b * lg ** ag.b)
-        B = lam ** 2 / ((ag.mu - 1.0) * (1.0 + 2.0 * ag.b) * lg ** (1.0 + 2.0 * ag.b))
-        law = (2.0, max(1.0, ag.theta ** -4) * max(1.0, ag.theta), 1.0 + ag.b, 1.0 / ag.mu)
+        A = _reciprocal((ag.b, 1), (lg, ag.b), scale=lam)
+        e = 1.0 + 2.0 * ag.b
+        B = _reciprocal((ag.mu - 1.0, 1), (e, 1), (lg, e), scale=lam ** 2)
+        law = (2.0, max(1.0, _power(ag.theta, -4)) * max(1.0, ag.theta), 1.0 + ag.b,
+               1.0 / ag.mu)
         base = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
 
     # uniform over X: the tail 17 C_2^2 alpha^2 sigma^2 sums 1/min_i N_{k,i}
@@ -433,8 +441,10 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
         sum_min = float(np.sum(min_inv)) + schedule.tail_bound(horizon)
         uniform = BoundFamily(log_arg_P=2.0 / rho_val * (d0 ** 2 + tail * sum_min) + 1.0)
         if ag.a == 0:
-            law = (2.0, max(1.0, ag.theta ** -2) * max(1.0, ag.theta), 1.0 + ag.b, 1.0 / ag.mu)
-            uniform = family(tail, 0.0, uniform.log_arg_P, law, divisor=ag.b * lg ** ag.b)
+            law = (2.0, max(1.0, _power(ag.theta, -2)) * max(1.0, ag.theta), 1.0 + ag.b,
+                   1.0 / ag.mu)
+            uniform = family(tail, 0.0, uniform.log_arg_P, law,
+                             divisor=ag.b * _power(lg, ag.b))
 
     network = BoundFamily()
     b_lo = min(a.b for a in agents)
@@ -470,16 +480,10 @@ class EmpiricalComparison:
 def compare_bound_to_run(inputs: ConstantsInputs, Q_bar: float, mean_r2,
                          k_min: int = 1) -> EmpiricalComparison:
     """Check mean r^2(x^k) <= max(1, theta^-2) * Q_bar / k for measured k."""
-    theta = inputs.schedule.agents[0].theta
-    scale = max(1.0, theta ** -2)
-    margin = math.inf
-    first_bad = None
-    for k in range(k_min, len(mean_r2)):
-        bound = scale * Q_bar / k
-        meas = float(mean_r2[k])
-        if meas <= 0:
-            continue
-        margin = min(margin, bound / meas)
-        if meas > bound and first_bad is None:
-            first_bad = k
-    return EmpiricalComparison(first_bad is None, first_bad, margin)
+    k = np.arange(k_min, len(mean_r2))
+    bound = max(1.0, _power(inputs.schedule.agents[0].theta, -2)) * Q_bar / k
+    meas = np.asarray(mean_r2, dtype=float)[k]
+    measured = meas > 0  # only a positive r^2 is compared
+    bad = k[measured & (meas > bound)]
+    margin = float(np.min(bound[measured] / meas[measured], initial=math.inf))
+    return EmpiricalComparison(not bad.size, int(bad[0]) if bad.size else None, margin)

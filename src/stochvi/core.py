@@ -157,12 +157,6 @@ def check_mean_operator(T, fset: FeasibleSet, n: int):
         raise DimensionMismatch(f"{must} its rows differ from its single-point values")
 
 
-def _freeze(arr):
-    a = np.asarray(arr, dtype=float).copy()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, kw_only=True)
 class ProblemInstance:
     """A stochastic variational inequality: find x* in X with
@@ -176,7 +170,9 @@ class ProblemInstance:
     one block the feasible set must be a product along them: a separable
     set (whole space, orthant, box), which is one along any partition, or a
     ``CartesianProduct`` whose ``sizes`` are the blocks.  To re-partition a
-    problem, ``dataclasses.replace(problem, blocks=...)``.
+    problem, ``dataclasses.replace(problem, blocks=...)``.  ``solution_set``
+    is X* (None if unknown), one solution x* as ``Box(x*, x*)``; its anchor
+    (``merit.anchor``) must lie in X and pass the fixed-point test.
     """
 
     dimension: int
@@ -185,8 +181,7 @@ class ProblemInstance:
     feasible_set: FeasibleSet
     blocks: tuple = ()
     mean_operator: object = None
-    known_solutions: tuple = ()
-    solution_set_is_feasible_set: bool = False
+    solution_set: FeasibleSet | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -207,23 +202,22 @@ class ProblemInstance:
                 fset, CartesianProduct) and fset.sizes == blocks):
             raise BlockMismatch(f"blocks {blocks} need a whole space, orthant or box, or a "
                                 "Cartesian feasible set with the same blocks")
-        sols = tuple(_freeze(s) for s in self.known_solutions)
-        object.__setattr__(self, "known_solutions", sols)
-        for s in sols:
-            if s.shape != (self.dimension,):
-                raise BlockMismatch("known solution has wrong dimension")
-            if set_distance(self.feasible_set, s) > 1e-10:
-                raise InvalidParameters("known solution lies outside the feasible set")
-        if self.mean_operator is not None:
-            from .merit import natural_residual_sq
+        T = self.mean_operator
+        if T is not None:
+            check_mean_operator(T, fset, self.dimension)
+        if self.solution_set is None:
+            return
+        if getattr(self.solution_set, "dim", None) not in (None, self.dimension):
+            raise BlockMismatch(f"solution set has dimension {self.solution_set.dim}, "
+                                f"problem has {self.dimension}")
+        from .merit import anchor, natural_residual_sq
 
-            check_mean_operator(self.mean_operator, self.feasible_set, self.dimension)
-            if sols:
-                r2 = natural_residual_sq(self.mean_operator, self.feasible_set,
-                                         np.stack(sols), 0.1 / self.lipschitz_L)
-                if r2.max() > 1e-20:
-                    raise InvalidParameters(
-                        f"known solution fails the fixed-point test: r^2 = {r2.max():.3e}")
+        x_hat = anchor(self)
+        if set_distance(fset, x_hat) > 1e-10:
+            raise InvalidParameters("anchor of X* lies outside the feasible set")
+        if T is not None and (r2 := natural_residual_sq(
+                T, fset, x_hat, 0.1 / self.lipschitz_L)) > 1e-20:
+            raise InvalidParameters(f"anchor of X* fails the fixed-point test: r^2 = {r2:.3e}")
 
     def route(self, sl=slice(None)):
         """The one route to the oracle: ``(rngs, X, size, TX=None)`` returns,
@@ -368,8 +362,8 @@ def validate(problem: ProblemInstance, config: SolverConfig) -> RunPlan:
     schedules that do not fit the blocks or the coordination, and a
     ``max_iterations`` whose billed total could leave the int64 range,
     bounded from the last row of counts before any table is built.  The
-    block partition and the known solutions' feasibility and fixed-point
-    tests are construction invariants of ``ProblemInstance``.  Re-running
+    block partition and the solution set's anchor tests are construction
+    invariants of ``ProblemInstance``.  Re-running
     is idempotent and side-effect free.
     """
     stepsize_cap(problem.lipschitz_L, config.stepsize)

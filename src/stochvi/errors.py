@@ -56,7 +56,7 @@ class MissingDiagnostics(StochviError):
 
 
 class NoKnownSolutions(StochviError):
-    """Distance-to-solution merit needs known solutions on the problem."""
+    """The distance merit or the anchor needs a solution set on the problem."""
 
 
 class NoMeanOperator(StochviError):

@@ -78,7 +78,7 @@ from .errors import (
     from_document,
     typed,
 )
-from .merit import d_gap
+from .merit import anchor, d_gap
 from .projection import feasible_set_from_config
 from .sampling import SampleSchedule, error_decay_probe
 from .solver import fejer_audit, martingale_probe, run, write_json, write_table
@@ -364,9 +364,9 @@ def _fejer_audit(problem: dict, solver: dict, replications: int,
     if replications < 1:  # with no path audited the verdict would pass vacuously
         raise InvalidParameters("fejer_audit probe needs at least 1 replication")
     plan = validate(problem_from_config(problem), solver_config_from_config(solver))
-    rows = []
+    rows, x_hat = [], anchor(plan.problem)
     for trace in run(plan, replication=range(replications), x0=x0).traces:
-        report = fejer_audit(trace, plan.problem.known_solutions[0])
+        report = fejer_audit(trace, x_hat)
         rows.append({"replication": trace.replication,
                      "max_rel_violation": report.max_rel_violation,
                      "violations": report.n_violations})

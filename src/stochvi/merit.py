@@ -58,16 +58,18 @@ def d_gap(T, fset: FeasibleSet, x, a: float, b: float):
     return regularized_gap(T, fset, x, a, t=t) - regularized_gap(T, fset, x, b, t=t)
 
 
-def distance_sq_to_solutions(problem, x):
-    """min over known solutions of ||x - x*||^2.
+def anchor(problem):
+    """x^ = P_{X*}(0), the point of the solution set X* nearest the origin:
+    the x* of ``trace.M`` and of the two probes."""
+    if problem.solution_set is None:
+        raise NoKnownSolutions("problem carries no solution set")
+    return project(problem.solution_set, np.zeros(problem.dimension))
 
-    For problems whose solution set is the entire feasible set, this is the
-    squared projection distance instead.
-    """
+
+def distance_sq_to_solutions(problem, x):
+    """||x - P_{X*}(x)||^2 over the last axis, X* the problem's ``solution_set``."""
+    if problem.solution_set is None:
+        raise NoKnownSolutions("problem carries no solution set")
     x = np.asarray(x, dtype=float)
-    if problem.solution_set_is_feasible_set:
-        d = x - project(problem.feasible_set, x)
-        return np.vecdot(d, d)
-    if not problem.known_solutions:
-        raise NoKnownSolutions("problem carries no known solutions")
-    return np.min([np.vecdot(x - s, x - s) for s in problem.known_solutions], axis=0)
+    d = x - project(problem.solution_set, x)
+    return np.vecdot(d, d)

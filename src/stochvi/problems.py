@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, _freeze, check_mean_operator
+from .core import ProblemInstance, check_mean_operator
 from .errors import InvalidParameters
-from .projection import FeasibleSet, NonnegativeOrthant, WholeSpace
+from .projection import Box, FeasibleSet, NonnegativeOrthant, WholeSpace
 
 
 def _normal(rng, shape, scale):
@@ -104,8 +104,8 @@ class ConstantOracle:
 @dataclass(frozen=True, kw_only=True)
 class MatrixProblem(ProblemInstance):
     """A built-in problem whose mean operator is built on the matrix Abar,
-    ``mean_matrix``.  Its oracle holds the noise scale and
-    ``known_solutions[0]`` is its solution."""
+    ``mean_matrix``.  Its oracle holds the noise scale and its
+    ``solution_set`` is its one solution, as a point ``Box``."""
 
     mean_matrix: np.ndarray = None
 
@@ -140,7 +140,7 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
         mean_operator=mean_op,
         lipschitz_L=max(L, 1e-12),
         feasible_set=fset,
-        known_solutions=(np.zeros(n),),
+        solution_set=Box(np.zeros(n), np.zeros(n)),
         mean_matrix=abar,
         name=f"linear_svi(n={n}, seed={seed}, noise={noise_scale:g})",
     )
@@ -148,15 +148,15 @@ def gen_linear_svi(n: int, seed: int = 0, noise_scale: float = 0.1,
 
 def gen_constant_noise(sigma: float = 1.0, n: int = 1) -> ProblemInstance:
     """Zero-mean random constant operator on the whole space (T == 0);
-    every feasible point solves it."""
+    every feasible point solves it, so X* is the feasible set."""
+    fset = WholeSpace(n)
     return ProblemInstance(
         dimension=n,
         oracle=ConstantOracle(sigma),
         mean_operator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lipschitz_L=1.0,  # any positive modulus bounds the constant operator
-        feasible_set=WholeSpace(n),
-        known_solutions=(np.zeros(n),),
-        solution_set_is_feasible_set=True,
+        feasible_set=fset,
+        solution_set=fset,
         name=f"constant_noise(sigma={sigma:g}, n={n})",
     )
 
@@ -179,8 +179,8 @@ def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
         abar = abar + skew_scale * 0.5 * (S - S.T)
     if center is None:
         center = rng.standard_normal(n)
-    center = _freeze(center)  # T keeps its own copy, whatever the caller writes later
-    mean_op = lambda x, A=abar, c=center: np.matvec(A, np.asarray(x, dtype=float) - c)
+    solution = Box(center, center)  # a read-only copy of the center, which T reads too
+    mean_op = lambda x, A=abar, c=solution.lower: np.matvec(A, np.asarray(x, dtype=float) - c)
     fset = feasible if feasible is not None else WholeSpace(n)
     return MatrixProblem(
         dimension=n,
@@ -188,7 +188,7 @@ def gen_strongly_monotone(n: int, seed: int = 0, noise_scale: float = 1.0,
         mean_operator=mean_op,
         lipschitz_L=_spectral_norm(abar),
         feasible_set=fset,
-        known_solutions=(center,),
+        solution_set=solution,
         mean_matrix=abar,
         name=f"strongly_monotone(n={n}, seed={seed}, noise={noise_scale:g})",
     )
@@ -214,7 +214,7 @@ def gen_scaled_monotone(n: int, seed: int = 0,
         mean_operator=mean_op,
         lipschitz_L=L,
         feasible_set=WholeSpace(n),
-        known_solutions=(np.zeros(n),),
+        solution_set=Box(np.zeros(n), np.zeros(n)),
         mean_matrix=abar,
         name=f"scaled_monotone(n={n}, seed={seed}, noise={noise_scale:g})",
     )
@@ -229,7 +229,7 @@ def gen_negative_control(n: int = 1, noise_scale: float = 0.0) -> ProblemInstanc
         mean_operator=mean_op,
         lipschitz_L=1.0,
         feasible_set=WholeSpace(n),
-        known_solutions=(np.zeros(n),),
+        solution_set=Box(np.zeros(n), np.zeros(n)),
         name=f"negative_control(n={n})",
     )
 

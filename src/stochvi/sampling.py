@@ -72,13 +72,17 @@ class AgentSchedule:
         return _reciprocal((self.theta, 2), (p, 1), (t, p), (math.log(t), 2.0 + 2.0 * self.b))
 
 
-def _reciprocal(*powers):
-    """A tail bound 1 / prod(base ** e) over ``(base, e)`` pairs, left to right,
-    or where a power overflows exp(-sum(e ln base)), 0.0 where that underflows."""
+def _reciprocal(*powers, scale=1.0):
+    """``scale / prod(base ** e)`` over ``(base, e)`` pairs, left to right, or
+    where a power overflows or the product underflows to 0, scale
+    exp(-sum(e ln base)), which is 0.0 or inf past the float range."""
     try:
-        return 1.0 / math.prod(base ** e for base, e in powers)
-    except OverflowError:
-        return math.exp(-math.fsum(e * math.log(base) for base, e in powers))
+        return scale / math.prod(base ** e for base, e in powers)
+    except (OverflowError, ZeroDivisionError):
+        try:
+            return scale * math.exp(-math.fsum(e * math.log(base) for base, e in powers))
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,15 @@ class SampleSchedule:
         if np.any(k < 0):
             raise InvalidSchedule("iteration index must be nonnegative")
         cols = []
-        for ag in self.agents:
-            base = k + ag.mu
-            vals = ag.theta * base ** (1.0 + ag.a) * np.log(base) ** (1.0 + ag.b)
-            nearest = np.round(vals)
-            snap = np.abs(vals - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest))
-            cols.append(np.maximum(np.where(snap, nearest, np.ceil(vals)), 1.0))
+        # a count past the float range is inf, the mark sizes_upto turns into
+        # InvalidSchedule, and 1/inf = 0 is its correct series term: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ag in self.agents:
+                base = k + ag.mu
+                vals = ag.theta * base ** (1.0 + ag.a) * np.log(base) ** (1.0 + ag.b)
+                nearest = np.round(vals)
+                snap = np.abs(vals - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest))
+                cols.append(np.maximum(np.where(snap, nearest, np.ceil(vals)), 1.0))
         return np.stack(cols, axis=-1)
 
     def sizes_upto(self, k_max: int) -> np.ndarray:

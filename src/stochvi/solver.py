@@ -47,11 +47,10 @@ from .errors import (
     DimensionMismatch,
     InvalidParameters,
     MissingDiagnostics,
-    NoKnownSolutions,
     NoMeanOperator,
     OracleFailure,
 )
-from .merit import distance_sq_to_solutions, natural_residual_sq
+from .merit import anchor, distance_sq_to_solutions, natural_residual_sq
 from .projection import project  # noqa: F401
 
 
@@ -80,7 +79,7 @@ class RunTrace:
     """Per-iteration record of one replication.
 
     Arrays indexed by iterate (length K+1): ``iterates``, ``r2``, ``dist2``,
-    ``A``, ``M`` (one column per known solution of the problem), ``cum_calls``.
+    ``A``, ``M`` (at the problem's anchor, ``merit.anchor``), ``cum_calls``.
     Arrays indexed by step (length K): ``z``, ``eps1_norm``, ``eps2_norm``,
     ``eps2`` vectors, ``alphas``; step k drew the plan's ``rows[k]``.
     Diagnostics-only arrays are None when the run was recorded without them.
@@ -109,16 +108,15 @@ class RunTrace:
 
     def to_csv(self, path):
         """Write the per-iterate columns (k, r2, dist2, eps1_norm, eps2_norm,
-        A, M_0..M_s, cum_calls); step-indexed columns are padded with nan at
-        k = 0 so every row describes iterate x^k."""
+        A, M_0 where M was recorded, cum_calls); step-indexed columns are
+        padded with nan at k = 0 so every row describes iterate x^k."""
         nan = np.full(self.n_steps + 1, np.nan)
         given = lambda v: nan if v is None else v
         pad = lambda v: nan if v is None else np.concatenate([[np.nan], v])
-        M = () if self.M is None else self.M.T
         write_table(path, {
             "k": range(len(nan)), "r2": given(self.r2), "dist2": given(self.dist2),
             "eps1_norm": pad(self.eps1_norm), "eps2_norm": pad(self.eps2_norm),
-            "A": given(self.A), **{f"M_{s}": column for s, column in enumerate(M)},
+            "A": given(self.A), **({} if self.M is None else {"M_0": self.M}),
             "cum_calls": self.cum_calls.astype(float)})
 
     def summary(self):
@@ -286,8 +284,7 @@ def run(plan: RunPlan, replication=0, x0=None):
             Zs[live, k], E1[live, k], E2[live, k] = Z, G1 - TX, G2 - TZ
         cum_calls.append(cum_calls[-1] + billed)
 
-    has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
-    dist2 = distance_sq_to_solutions(problem, iterates) if has_dist else None
+    dist2 = None if problem.solution_set is None else distance_sq_to_solutions(problem, iterates)
     by_step, sums = _diagnostics(alphas[:K], problem, Zs, E1, E2) if record else ({}, {})
     by_iterate = {"iterates": iterates, "r2": r2, "dist2": dist2, **sums}
     traces = [RunTrace(**{f: None if a is None else a[row, :m + 1] for f, a in by_iterate.items()},
@@ -307,21 +304,20 @@ def _martingale_increment(alpha, x_star, z, eps2):
 
 def _diagnostics(alphas, problem, Z, E1, E2):
     """By step and by iterate, ``({"z", "eps1_norm", "eps2_norm", "eps2"},
-    {"A", "M"})`` of every row from its (R, K, n) z^k, eps1 and eps2, an M
-    column per known solution.  ``np.cumsum`` adds along the steps in order:
-    A is the running sum of its two terms interleaved (module docstring),
-    and a stopped row's zero steps lie past its end."""
+    {"A", "M"})`` of every row from its (R, K, n) z^k, eps1 and eps2, M at
+    the anchor (None without a solution set).  ``np.cumsum`` adds along the
+    steps in order: A is the running sum of its two terms interleaved
+    (module docstring), and a stopped row's zero steps lie past its end."""
     R, K = Z.shape[:2]
     norm1, norm2 = np.sqrt(np.vecdot(E1, E1)), np.sqrt(np.vecdot(E2, E2))
     rho = 1.0 - 6.0 * _pow2(problem.lipschitz_L * alphas)
     dA = np.zeros((R, 2 * K + 1))
     dA[:, 1::2] = (8.0 + rho) * _pow2(alphas) * _pow2(norm1)
     dA[:, 2::2] = 8.0 * _pow2(alphas) * _pow2(norm2)
-    dM = np.zeros((R, K + 1, len(problem.known_solutions)))
-    for s, x_star in enumerate(problem.known_solutions):
-        dM[:, 1:, s] = _martingale_increment(alphas, x_star, Z, E2)
+    M = None if problem.solution_set is None else np.cumsum(np.pad(
+        _martingale_increment(alphas, anchor(problem), Z, E2), ((0, 0), (1, 0))), axis=1)
     return ({"z": Z, "eps1_norm": norm1, "eps2_norm": norm2, "eps2": E2},
-            {"A": np.cumsum(dA, axis=1)[:, ::2], "M": np.cumsum(dM, axis=1)})
+            {"A": np.cumsum(dA, axis=1)[:, ::2], "M": M})
 
 
 @dataclass(frozen=True)
@@ -397,26 +393,22 @@ class MartingaleProbeResult:
                 f"{4.0 * self.stderr:.4e} over {self.replications} steps")
 
 
-def martingale_probe(plan: RunPlan, x, replications: int,
-                     x_star=None) -> MartingaleProbeResult:
+def martingale_probe(plan: RunPlan, x, replications: int) -> MartingaleProbeResult:
     """Run independent single steps of the plan from ``x``, replications
     0..R-1 as one lockstep ensemble, and test E[dM] = 0.
 
-    dM = 2 <x* - z, alpha eps2> where eps2 is the correction-stage error;
-    its conditional mean vanishes because the second-stage samples are
-    independent of everything realized before them.  Its standard error
-    needs at least two replications.
+    dM = 2 <x* - z, alpha eps2> at the anchor x* (``merit.anchor``), where
+    eps2 is the correction-stage error; its conditional mean vanishes
+    because the second-stage samples are independent of everything
+    realized before them.  Its standard error needs at least two
+    replications.
     """
     problem = plan.problem
     if replications < 2:
         raise InvalidParameters("martingale probe needs at least 2 replications")
     if problem.mean_operator is None:
         raise NoMeanOperator("martingale probe needs the closed-form mean operator")
-    if x_star is None:
-        if not problem.known_solutions:
-            raise NoKnownSolutions("martingale probe needs a reference solution")
-        x_star = problem.known_solutions[0]
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = anchor(problem)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
         raise DimensionMismatch(f"x must have shape ({problem.dimension},)")

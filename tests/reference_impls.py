@@ -124,20 +124,19 @@ def fejer_audit_reference(trace, x_star, rel_tol=1e-9):
     return max_viol, max_rel, n_bad
 
 
-def diagnostic_sums_reference(trace, solutions):
+def diagnostic_sums_reference(trace, solution_set):
     """A and M of a diagnostics trace, one step at a time from its recorded
-    errors, as the recursions in the ``stochvi.solver`` docstring read, an M
-    column per point of ``solutions``."""
+    errors, as the recursions in the ``stochvi.solver`` docstring read, M at
+    the point of ``solution_set`` nearest the origin."""
     K = trace.n_steps
-    A = np.zeros(K + 1)
-    M = np.zeros((K + 1, len(solutions)))
+    xstar = solution_set.project(np.zeros(trace.iterates.shape[1]))
+    A, M = np.zeros(K + 1), np.zeros(K + 1)
     for k in range(K):
         alpha = float(trace.alphas[k])
         rho_k = 1.0 - 6.0 * (trace.lipschitz_L * alpha) ** 2
         A[k + 1] = A[k] + (8.0 + rho_k) * alpha ** 2 * float(trace.eps1_norm[k]) ** 2 \
             + 8.0 * alpha ** 2 * float(trace.eps2_norm[k]) ** 2
-        for s, xstar in enumerate(solutions):
-            M[k + 1, s] = M[k, s] + 2.0 * alpha * float((xstar - trace.z[k]) @ trace.eps2[k])
+        M[k + 1] = M[k] + 2.0 * alpha * float((xstar - trace.z[k]) @ trace.eps2[k])
     return A, M
 
 
@@ -293,9 +292,10 @@ def _pow2(v):
     return np.float_power(v, 2)
 
 
-def record_diagnostics_reference(trace, steps, solutions):
+def record_diagnostics_reference(trace, steps, solution_set):
     """The realized errors and the A and M sums from each step's (z, g1, g2,
-    T(x^k), T(z^k)), as the serial engine recorded them."""
+    T(x^k), T(z^k)), as the serial engine recorded them, M at the point of
+    ``solution_set`` nearest the origin (None without a solution set)."""
     z, g1, g2, t, tz = steps.swapaxes(0, 1)
     e1, e2 = g1 - t, g2 - tz
     alpha = trace.alphas
@@ -306,10 +306,10 @@ def record_diagnostics_reference(trace, steps, solutions):
     dA[1::2] = (8.0 + rho) * _pow2(alpha) * _pow2(trace.eps1_norm)
     dA[2::2] = 8.0 * _pow2(alpha) * _pow2(trace.eps2_norm)
     trace.A = np.cumsum(dA)[::2]
-    dM = np.zeros((len(alpha) + 1, len(solutions)))
-    for s, xstar in enumerate(solutions):
-        dM[1:, s] = 2.0 * alpha * np.vecdot(xstar - z, e2)
-    trace.M = np.cumsum(dM, axis=0)
+    if solution_set is not None:
+        dM = np.zeros(len(alpha) + 1)
+        dM[1:] = 2.0 * alpha * np.vecdot(solution_set.project(np.zeros(z.shape[1])) - z, e2)
+        trace.M = np.cumsum(dM)
 
 
 def serial_run_reference(plan, replication=0, x0=None):
@@ -345,11 +345,11 @@ def serial_run_reference(plan, replication=0, x0=None):
 
     iterates = np.array(iterates)
     n_steps = len(iterates) - 1
-    has_dist = bool(problem.known_solutions) or problem.solution_set_is_feasible_set
     trace = RunTrace(
         iterates=iterates,
         r2=np.array(r2) if T is not None else None,
-        dist2=distance_sq_to_solutions(problem, iterates) if has_dist else None,
+        dist2=None if problem.solution_set is None
+        else distance_sq_to_solutions(problem, iterates),
         cum_calls=plan.cum_calls[:n_steps + 1].copy(),
         alphas=np.array(alphas[:n_steps]),
         replication=replication,
@@ -359,7 +359,7 @@ def serial_run_reference(plan, replication=0, x0=None):
     if record:
         record_diagnostics_reference(
             trace, np.array(steps, dtype=float).reshape(n_steps, 5, n),
-            problem.known_solutions)
+            problem.solution_set)
     return trace
 
 

@@ -23,7 +23,7 @@ from stochvi.constants import (
     rate_and_complexity_bounds,
 )
 from stochvi.harness import ExperimentConfig, run_experiment
-from stochvi.merit import natural_residual_sq
+from stochvi.merit import anchor, natural_residual_sq
 from stochvi.problems import (
     check_pseudo_monotone,
     gen_constant_noise,
@@ -105,7 +105,7 @@ def test_criterion_03_fejer_audit():
         plan = validate(problem, solver)
         for rep in range(50):
             trace = run(plan, replication=rep, x0=np.full(N_DIM, 1.0))
-            audit = fejer_audit(trace, problem.known_solutions[0])
+            audit = fejer_audit(trace, anchor(problem))
             worst = max(worst, audit.max_rel_violation)
             violations += audit.n_violations
 
@@ -303,7 +303,7 @@ def test_criterion_10_property_suites():
 
     p = gen_linear_svi(4, seed=9, noise_scale=0.0)
     merit_ok, n_points = True, 0
-    for x in [p.known_solutions[0]] + \
+    for x in [anchor(p)] + \
             [np.abs(rng.standard_normal(4)) for _ in range(100)]:
         gap = d_gap(p.mean_operator, p.feasible_set, x, 1.0, 2.0)
         res = natural_residual_sq(p.mean_operator, p.feasible_set, x, 0.25)

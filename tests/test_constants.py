@@ -455,6 +455,18 @@ def test_constants_command_reports_bounds_at_a_large_schedule_exponent(tmp_path,
     assert bounds[family]["complexity_bound"] == "inf"
 
 
+@pytest.mark.filterwarnings("error")
+def test_constants_command_tabulates_counts_past_the_float_range_without_warnings(tmp_path):
+    """At a = 5, b = 400 the head counts N_k pass the float range: they read
+    inf, 1/inf = 0 is their series term, and numpy warns of nothing."""
+    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+           "schedule": {"theta": 1, "mu": 3, "a": 5, "b": 400}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["constants", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path)]) == 0
+
+
 def nested_key(flat):
     """Where a key of a flat report's ``bounds`` lives in the nested one:
     ``rate_Q_bar`` is ``base.rate_Q``, a ``uniform_`` or ``network_`` key is

@@ -18,6 +18,7 @@ from stochvi.errors import (
     InvalidSchedule,
     InvalidStepsize,
 )
+from stochvi.merit import anchor
 from stochvi.problems import check_pseudo_monotone, gen_strongly_monotone
 from stochvi.projection import (
     Ball,
@@ -116,7 +117,7 @@ class TestProblemInstance:
                 mean_operator=good.mean_operator,
                 lipschitz_L=good.lipschitz_L,
                 feasible_set=WholeSpace(3),
-                known_solutions=(good.known_solutions[0] + 1.0,),
+                solution_set=Box(anchor(good) + 1.0, anchor(good) + 1.0),
             )
 
     def test_separable_set_runs_as_its_product(self):
@@ -153,7 +154,8 @@ class TestMeanOperatorContract:
     @staticmethod
     def problem(T, n):
         return ProblemInstance(dimension=n, oracle=None, mean_operator=T, lipschitz_L=1.0,
-                               feasible_set=WholeSpace(n), known_solutions=(np.zeros(n),))
+                               feasible_set=WholeSpace(n),
+                               solution_set=Box(np.zeros(n), np.zeros(n)))
 
     def test_single_point_product_fails_on_a_batch(self):
         with pytest.raises(DimensionMismatch, match=r"on shape \(2, 3\) it raised ValueError"):

@@ -11,12 +11,16 @@ from reference_impls import quadratic_gap_bruteforce
 from stochvi.core import validate
 from stochvi.errors import InvalidParameters, NoKnownSolutions
 from stochvi.merit import (
+    anchor,
     d_gap,
     distance_sq_to_solutions,
     natural_residual_sq,
     regularized_gap,
 )
+from stochvi.harness import fit_loglog_slope
 from stochvi.problems import (
+    LinearMatrixNoiseOracle,
+    MatrixProblem,
     gen_constant_noise,
     gen_linear_svi,
     gen_negative_control,
@@ -43,7 +47,7 @@ class TestNaturalResidual:
     def test_zero_at_known_solution(self, quiet_problem):
         r2 = natural_residual_sq(quiet_problem.mean_operator,
                                  quiet_problem.feasible_set,
-                                 quiet_problem.known_solutions[0], 0.1)
+                                 anchor(quiet_problem), 0.1)
         assert r2 <= 1e-20
 
     def test_unconstrained_linear_closed_form(self):
@@ -76,7 +80,7 @@ class TestRegularizedGap:
     def test_zero_at_solution(self):
         p = gen_strongly_monotone(3, seed=5, noise_scale=0.0)
         assert regularized_gap(p.mean_operator, p.feasible_set,
-                               p.known_solutions[0], 2.0) <= 1e-20
+                               anchor(p), 2.0) <= 1e-20
 
     def test_unconstrained_closed_form(self):
         # g_a(x) = ||T(x)||^2 / (2a) on the whole space
@@ -119,7 +123,7 @@ class TestDGap:
     def test_zero_at_solution(self):
         p = gen_strongly_monotone(3, seed=5, noise_scale=0.0)
         assert abs(d_gap(p.mean_operator, p.feasible_set,
-                         p.known_solutions[0], 1.0, 2.0)) <= 1e-12
+                         anchor(p), 1.0, 2.0)) <= 1e-12
 
     def test_unconstrained_closed_form(self):
         # ||x||^2/2 - ||x||^2/4 with a=1, b=2
@@ -136,7 +140,7 @@ class TestDGap:
     def test_zero_set_matches_residual(self, rng):
         """The d-gap and the squared residual vanish together."""
         p = gen_linear_svi(4, seed=9, noise_scale=0.0)
-        pts = [p.known_solutions[0]] + \
+        pts = [anchor(p)] + \
             [np.abs(rng.standard_normal(4)) for _ in range(100)]
         for x in pts:
             gap = d_gap(p.mean_operator, p.feasible_set, x, 1.0, 2.0)
@@ -204,10 +208,35 @@ class TestDistance:
 
     def test_no_solutions_error(self):
         p = gen_constant_noise(sigma=1.0)
-        object.__setattr__(p, "solution_set_is_feasible_set", False)
-        object.__setattr__(p, "known_solutions", ())
+        object.__setattr__(p, "solution_set", None)
         with pytest.raises(NoKnownSolutions):
             distance_sq_to_solutions(p, np.zeros(1))
+
+    def test_singular_linear_svi_converges_to_its_solution_set(self):
+        """Abar = M^T M with M a (5, 8) Gaussian matrix over sqrt(8) has
+        X* = null(M), of dimension 3, and the rows settle at different
+        points of it: the mean dist^2 to X* falls at the criterion-1 rate
+        (slope -1.58), while the mean dist^2 to the one solution 0 stays
+        near 25."""
+        M = np.random.default_rng(1).standard_normal((5, 8)) / np.sqrt(8)
+        abar = M.T @ M
+        T = lambda x: np.matvec(abar, np.asarray(x, dtype=float))
+        L = float(np.linalg.norm(abar, 2))
+        p = MatrixProblem(dimension=8, oracle=LinearMatrixNoiseOracle(T, 0.3),
+                          mean_operator=T, lipschitz_L=L, feasible_set=WholeSpace(8),
+                          solution_set=AffineSubspace(M, np.zeros(5)), mean_matrix=abar)
+        cfg = default_config(stepsize=0.9 / (np.sqrt(6) * L), max_iterations=300,
+                             master_seed=77, diagnostics=False)
+
+        def slope(solution_set):
+            ensemble = run(validate(replace(p, solution_set=solution_set), cfg),
+                           replication=range(20), x0=np.full(8, 2.0))
+            return fit_loglog_slope(ensemble.dist2.mean(axis=0), (20, 300))[0]
+
+        to_set, to_zero = slope(p.solution_set), slope(Box(np.zeros(8), np.zeros(8)))
+        print(f"[singular SVI] dist^2 slope over k in [20, 300]: to X* {to_set:.3f}, "
+              f"to the point 0 {to_zero:.3f}")
+        assert to_set <= -0.85 < to_zero  # the criterion-1 edge
 
 
 OPERATORS = {
@@ -245,15 +274,15 @@ def test_batched_calls_equal_row_calls(op, kind, n, K, seed):
     T = OPERATORS[op](n).mean_operator
     fset = SETS[kind](n, rng)
     X = 3.0 * rng.standard_normal((K, n))
-    solutions = SimpleNamespace(solution_set_is_feasible_set=False,
-                                known_solutions=tuple(rng.standard_normal((2, n))))
-    whole_set = SimpleNamespace(solution_set_is_feasible_set=True, feasible_set=fset)
+    c = rng.standard_normal(n)
+    point = SimpleNamespace(solution_set=Box(c, c))
+    whole_set = SimpleNamespace(solution_set=fset)
     merits = [
         T,
         lambda x: natural_residual_sq(T, fset, x, 0.3),
         lambda x: regularized_gap(T, fset, x, 1.5),
         lambda x: d_gap(T, fset, x, 1.0, 2.0),
-        lambda x: distance_sq_to_solutions(solutions, x),
+        lambda x: distance_sq_to_solutions(point, x),
         lambda x: distance_sq_to_solutions(whole_set, x),
     ]
     for f in merits:

@@ -3,7 +3,8 @@
 Each case is a call that must raise a typed ``StochviError`` whose message
 names the fault, or an experiment document (or a ``(command, document)``
 pair) on which ``stochvi experiment`` (or the command) must exit 2 with an
-``error:`` line naming it and write nothing.  None may end in NaN output,
+``error:`` line naming it and write nothing, or, for a document it must
+take, exit 0 with nothing on stderr.  None may end in NaN output,
 an untyped exception or a message about a symptom elsewhere (a feasible
 set with a NaN parameter used to fail the mean-operator row check, and a
 schedule exponent of NaN the tail check).
@@ -70,6 +71,13 @@ def constants_inputs(**fields):
                               **fields})
 
 
+def constants_document(**schedule):
+    """A constants document at the criterion-1 schedule with ``schedule``
+    entries replaced."""
+    return {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+            "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1, **schedule}}
+
+
 def experiment(fset=None, kind="strongly_monotone", top=(), **schedule):
     """A three-dimensional experiment of ``kind`` on ``fset``, with the
     top-level entries ``top``."""
@@ -83,7 +91,8 @@ def experiment(fset=None, kind="strongly_monotone", top=(), **schedule):
                        "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1, **schedule}}}
 
 
-CASES = {  # name: (call or experiment document, error or exit code, text the message holds)
+CASES = {  # name: (call or experiment document, error or exit code, text the message holds,
+    # or at exit 0 text the report holds)
     "affine_a_of_rank_1_2x3": (lambda: AffineSubspace([[1, 2, 3], [2, 4, 6]], [0, 0]),
                                 InvalidParameters, "rank 1"),
     "affine_a_of_rank_1_cholesky_passes_on_roundoff": (
@@ -142,21 +151,28 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
     "cli_schedule_a_nan": (experiment(a=NAN), 2, "a must be finite"),
     # ln(k + mu)^b overflowed in the tail check's integral bound at b = 300
     "cli_schedule_b_300": (experiment(b=300), 2, "could bill more oracle calls than the int64"),
+    # theta^2 underflowed to 0 in the tail bound of 1/N_k^2, whose value passes the float range
+    "cli_constants_theta_1e-200": (("constants", constants_document(theta=1e-200)), 0,
+                                   "tail_sum_sq                  inf"),
+    # ln(mu - 1)^(1 + 2b) overflowed in the base family's coefficient B, which is 1e-465
+    "cli_constants_mu_1e6_b_200": (("constants", constants_document(mu=1e6, b=200)), 0,
+                                   "base.tail_coeff_B            0.0"),
     # problems and runs
     "problem_dimension_0": (lambda: problem(dimension=0), InvalidParameters,
                             "dimension must be positive"),
     "problem_lipschitz_0": (lambda: problem(lipschitz_L=0.0), InvalidParameters,
                             "lipschitz_L must be positive"),
-    "problem_known_solution_too_long": (lambda: problem(known_solutions=(np.zeros(3),)),
-                                        BlockMismatch, "known solution has wrong dimension"),
+    "problem_known_solution_too_long": (
+        lambda: problem(solution_set=Box(np.zeros(3), np.zeros(3))), BlockMismatch,
+        "solution set has dimension 3, problem has 2"),
     "run_x0_wrong_shape": (lambda: run(plan(), x0=np.zeros(3)), DimensionMismatch,
                            "x0 must have shape (2,)"),
     "martingale_probe_without_mean_operator": (
         lambda: martingale_probe(plan(mean_operator=None), np.zeros(2), 2), NoMeanOperator,
         "needs the closed-form mean operator"),
     "martingale_probe_without_known_solution": (
-        lambda: martingale_probe(plan(known_solutions=()), np.zeros(2), 2), NoKnownSolutions,
-        "needs a reference solution"),
+        lambda: martingale_probe(plan(solution_set=None), np.zeros(2), 2), NoKnownSolutions,
+        "carries no solution set"),
     # feasible sets
     "box_bounds_of_different_shapes": (lambda: Box([0, 0], [1, 1, 1]), DimensionMismatch,
                                        "box bounds must share a shape"),
@@ -224,9 +240,13 @@ def test_misuse_fails_loudly(case, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(document))  # NaN and Infinity, as Python's JSON reader takes
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path)]) == expected
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and text in err, err
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        out, err = capsys.readouterr()
+        if expected == 0:  # a report, with nothing on stderr and no NaN in it
+            assert err == "" and text in out and "nan" not in out.split(), err
+            assert not any("NaN" in p.read_text() for p in tmp_path.iterdir())
+        else:
+            assert err.startswith("error:") and text in err, err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
     else:
         with pytest.raises(expected, match=re.escape(text)):
             what()
@@ -239,9 +259,7 @@ def test_misuse_fails_loudly(case, tmp_path, capsys):
 def test_constants_command_never_ends_untyped(tmp_path_factory, a, b):
     """Over schedule exponents a in [0, 5] and b in (0, 400], ``stochvi
     constants`` reports (exit 0) or names the fault (exit 2)."""
-    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
-           "schedule": {"theta": 1, "mu": 3, "a": a, "b": b}}
     cfg = tmp_path_factory.mktemp("constants") / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(constants_document(a=a, b=b)))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli_main(["constants", "--config", str(cfg), "--out", str(cfg.parent)]) in (0, 2)

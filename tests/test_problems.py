@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import default_config
 from stochvi.core import derive_stream, validate
+from stochvi.merit import anchor
 from stochvi.problems import (
     check_pseudo_monotone,
     gen_constant_noise,
@@ -116,8 +117,8 @@ def test_strongly_monotone_keeps_its_own_center():
     c = np.zeros(3)
     p = gen_strongly_monotone(3, center=c)
     c[:] = 1.0
-    assert np.array_equal(p.known_solutions[0], np.zeros(3))
-    assert np.array_equal(p.mean_operator(p.known_solutions[0]), np.zeros(3))
+    assert np.array_equal(anchor(p), np.zeros(3))
+    assert np.array_equal(p.mean_operator(anchor(p)), np.zeros(3))
     assert np.array_equal(p.oracle.mean_operator(np.zeros(3)), np.zeros(3))
 
 

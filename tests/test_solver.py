@@ -28,6 +28,7 @@ from stochvi.errors import (
     MissingDiagnostics,
     OracleFailure,
 )
+from stochvi.merit import anchor
 from stochvi.problems import (
     AdditiveGaussianOracle,
     ConstantOracle,
@@ -59,7 +60,7 @@ def identity_problem(noise=0.0, n=1):
         mean_operator=T,
         lipschitz_L=1.0,
         feasible_set=WholeSpace(n),
-        known_solutions=(np.zeros(n),),
+        solution_set=Box(np.zeros(n), np.zeros(n)),
     )
 
 
@@ -80,7 +81,7 @@ class TestStep:
     def test_fixed_point_stays(self, quiet_problem):
         # r^2 is exactly zero at the solution, so only a negative floor lets
         # the run take its step there
-        x_star = quiet_problem.known_solutions[0]
+        x_star = anchor(quiet_problem)
         trace = first_step(quiet_problem, x_star.copy(), residual_floor=-1.0)
         assert trace.n_steps == 1
         np.testing.assert_allclose(trace.iterates[1], x_star, atol=1e-14)
@@ -324,7 +325,7 @@ class TestFejerAudit:
     def test_zero_variance_pure_decrease(self, quiet_problem):
         cfg = default_config(max_iterations=120)
         trace = run(validate(quiet_problem, cfg), x0=np.full(5, 2.0))
-        report = fejer_audit(trace, quiet_problem.known_solutions[0])
+        report = fejer_audit(trace, anchor(quiet_problem))
         assert report.passed
         assert report.max_violation <= 1e-10
 
@@ -332,7 +333,7 @@ class TestFejerAudit:
         cfg = default_config(max_iterations=100)
         for rep in range(5):
             trace = run(validate(monotone_problem, cfg), replication=rep, x0=np.ones(5))
-            report = fejer_audit(trace, monotone_problem.known_solutions[0])
+            report = fejer_audit(trace, anchor(monotone_problem))
             assert report.passed, str(report)
 
     def test_untracked_solution_recomputed_from_errors(self, monotone_problem):
@@ -340,7 +341,7 @@ class TestFejerAudit:
         trace = run(validate(monotone_problem, cfg), x0=np.ones(5))
         # audit against a perturbed reference: inequality need not hold, but
         # the computation must run off the stored z and eps2 vectors
-        other = monotone_problem.known_solutions[0] + 0.01
+        other = anchor(monotone_problem) + 0.01
         report = fejer_audit(trace, other)
         assert report.n_steps == 40
 
@@ -360,7 +361,7 @@ class TestFejerAudit:
                              else "centralized", stepsize=np.linspace(0.3, 0.2, 60))
         for rep in range(3):
             trace = run(validate(p, cfg), replication=rep, x0=np.ones(5))
-            A, M = diagnostic_sums_reference(trace, p.known_solutions)
+            A, M = diagnostic_sums_reference(trace, p.solution_set)
             assert np.array_equal(trace.A, A) and np.array_equal(trace.M, M)
             assert np.array_equal(trace.eps2_norm, [np.linalg.norm(e) for e in trace.eps2])
 
@@ -376,7 +377,7 @@ class TestFejerAudit:
         """The vectorised audit equals the per-step loop bit for bit."""
         p = gen_negative_control(n=1) if case == "negative_control" else monotone_problem
         cfg = default_config(stepsize=0.2, max_iterations=30, diagnostics=True)
-        x_star = p.known_solutions[0] + (0.01 if case == "untracked" else 0.0)
+        x_star = anchor(p) + (0.01 if case == "untracked" else 0.0)
         for rep in range(3):
             trace = run(validate(p, cfg), replication=rep, x0=np.ones(p.dimension))
             report = fejer_audit(trace, x_star)
@@ -389,7 +390,7 @@ class TestFejerAudit:
         cfg = default_config(diagnostics=False, max_iterations=5)
         trace = run(validate(quiet_problem, cfg), x0=np.ones(5))
         with pytest.raises(MissingDiagnostics):
-            fejer_audit(trace, quiet_problem.known_solutions[0])
+            fejer_audit(trace, anchor(quiet_problem))
 
 
 class TestMartingaleProbe:
@@ -448,7 +449,7 @@ def user_problem(oracle, blocks=()):
     T = lambda x: np.asarray(x, dtype=float)
     return ProblemInstance(dimension=3, oracle=oracle, mean_operator=T,
                            lipschitz_L=1.0, feasible_set=WholeSpace(3),
-                           known_solutions=(np.zeros(3),), blocks=blocks)
+                           solution_set=Box(np.zeros(3), np.zeros(3)), blocks=blocks)
 
 
 def odd_state_identity(rng, x, size):
