@@ -16,14 +16,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import stepsize_cap
 from .errors import InvalidInputs, MissingJ
-from .sampling import SampleSchedule, _reciprocal
+from .sampling import SampleSchedule, _quotient
 
 GOLDEN_PHI_CAP = (math.sqrt(5.0) - 1.0) / 2.0
 _HORIZON = 200_000
@@ -79,11 +78,14 @@ class ConstantsInputs:
     J: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidInputs(f"{name} must be finite, got {value!r}")
+            if name in ("sigma", "d0", "J") and (value or 0.0) < 0:
+                raise InvalidInputs(f"{name} must be nonnegative, got {value!r}")
         if not self.L > 0:
             raise InvalidInputs(f"L must be positive, got {self.L!r}")
         stepsize_cap(self.L, (self.alpha,))
-        if self.sigma < 0:
-            raise InvalidInputs("sigma must be nonnegative")
         if not 0.0 < self.phi < GOLDEN_PHI_CAP:
             raise InvalidInputs(
                 f"phi must lie strictly inside (0, {GOLDEN_PHI_CAP:.6f})")
@@ -119,7 +121,8 @@ class ConstantsInputs:
     @property
     def noise_margin(self) -> float:
         """Summable noise majorant D = 2 c alpha^2 C_2^2 sigma^2."""
-        return 2.0 * self.c_remainder * self.alpha ** 2 * self.c2 ** 2 * self.sigma ** 2
+        return _quotient(((2.0, 1), (self.c_remainder, 1), (self.alpha, 2), (self.c2, 2),
+                          (self.sigma, 2)))
 
 
 @dataclass(frozen=True)
@@ -193,36 +196,30 @@ def k0_and_tail(inputs: ConstantsInputs, horizon: int = _HORIZON,
 
     schedule = inputs.schedule
     ag0 = schedule.agents[0]
-    closed: int | None = None
+    starts = [math.inf]  # closed form: max(0, ceil(start)) over starts, None at an inf one
     if all(a.a == 0 for a in schedule.agents) and inputs.m == 1:
-        try:
-            expo = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
-                    * inputs.sigma ** 2 / (inputs.phi * ag0.b * ag0.theta)) ** (1.0 / ag0.b)
-            # round outward: this index solves the same tail condition the numeric
-            # search evaluates, which can differ from expo by a few ulps
-            expo *= 1.0 + 16.0 * sys.float_info.epsilon
-            closed = max(0, math.ceil(math.exp(expo) - ag0.mu + 1.0))
-        except (OverflowError, ZeroDivisionError):  # a divisor underflowed to 0
-            closed = None
+        ratio = _quotient(((2.0, 1), (inputs.c_remainder, 1), (inputs.c2, 2), (inputs.alpha, 2),
+                           (inputs.sigma, 2)), ((inputs.phi, 1), (ag0.b, 1), (ag0.theta, 1)))
+        # round outward: this index solves the same tail condition the numeric
+        # search evaluates, which can differ from expo by a few ulps
+        expo = _quotient(((ratio, 1.0 / ag0.b),)) * (1.0 + 16.0 * sys.float_info.epsilon)
+        starts = [_quotient((), exp=expo) - ag0.mu + 1.0]
     elif all(a.a > 0 for a in schedule.agents):
         # schedule.tail_bound bounds the tail from k0 by the sum over agents of
         # 1 / (theta_i a_i (k0 - 1 + mu_i)^a_i) once k0 + mu_i >= e; each
         # term is at most threshold / m from the index computed here.
         m = len(schedule.agents)
-        closed = max(0, math.ceil(math.e - min(a.mu for a in schedule.agents)))
-        try:
-            for ag in schedule.agents:
-                base = (m * D / (inputs.phi * ag.theta * ag.a)) ** (1.0 / ag.a)
-                # round outward: the power amplifies relative error by 1/a
-                base *= 1.0 + 16.0 * sys.float_info.epsilon * (m + 1.0 / ag.a)
-                closed = max(closed, math.ceil(base - ag.mu + 1.0))
-        except (OverflowError, ZeroDivisionError):
-            closed = None
+        # round outward: the power amplifies relative error by 1/a
+        starts = [math.e - min(a.mu for a in schedule.agents)] + [
+            _quotient(((_quotient(((m, 1), (D, 1)), ((inputs.phi, 1), (ag.theta, 1),
+                                                     (ag.a, 1))), 1.0 / ag.a),))
+            * (1.0 + 16.0 * sys.float_info.epsilon * (m + 1.0 / ag.a)) - ag.mu + 1.0
+            for ag in schedule.agents]
+    closed = None if math.inf in starts else max(0, *map(math.ceil, starts))
 
     if inv is None:
         inv, _ = schedule.inverse_series(np.arange(horizon + 1))
-    rem = schedule.tail_bound(horizon)
-    suffix = np.cumsum(inv[::-1])[::-1] + rem
+    suffix = np.cumsum(inv[::-1])[::-1] + schedule.tail_bound(horizon)
     ok = np.nonzero(suffix <= threshold)[0]
     if ok.size:
         k0 = int(ok[0])
@@ -314,8 +311,8 @@ def lp_bound_constants(inputs: ConstantsInputs, gamma: float) -> LpBoundResult:
 @dataclass(frozen=True)
 class BoundFamily:
     """One family's constants: rate <= Q/K, complexity <= I polylog(P/eps)
-    / eps^nu, and the coefficients A and B of its combined tail term
-    sigma^2 A + sigma^4 B.  Entries the family does not cover are None."""
+    / eps^nu (stated for eps < P only), and the coefficients A and B of its
+    tail term sigma^2 A + sigma^4 B.  Entries it does not cover are None."""
 
     rate_Q: float | None = None
     log_arg_P: float | None = None
@@ -325,35 +322,29 @@ class BoundFamily:
     tail_coeff_B: float | None = None
 
 
-def _power(base, e):
-    """``base ** e``, or inf where that overflows."""
-    try:
-        return base ** e
-    except OverflowError:
-        return math.inf
-
-
 def _bound_family(tail, J, P, law, *, rho, d0, eps, divisor=1.0, coeffs=(None, None)):
-    """The family with combined tail term A = ``tail / divisor`` (divided
-    last, as the uniform family's closed forms do), trajectory bound J and
-    log argument P: Q = 2/rho d^2 + 2/rho A (1 + J), and complexity <=
-    prefactor I (ln(P/eps)^log_power + offset) / eps^nu by ``law`` = (nu,
-    prefactor, log_power, offset).  At nu = 2 (base and uniform) I = 12/rho^2
-    d^4 + 12/rho^2 A^2 (1 + J)^2 + 1; the network's nu = 2 + a > 2 takes
-    I = 4 3^(nu-1) [(2/rho)^nu d^(2 nu) + (2/rho)^nu A^nu (1 + J)^nu + 1]."""
+    """The family with tail term A = ``tail / divisor`` (divided last, as the
+    uniform family's closed forms do; the divisor is 1 unless J is 0),
+    trajectory bound J and log argument P: Q = 2/rho d^2 + 2/rho A (1 + J),
+    and complexity <= prefactor I (ln(P/eps)^log_power + offset) / eps^nu
+    for eps < P by ``law`` = (nu, prefactor, log_power, offset).  At nu = 2
+    I = 12/rho^2 d^4 + 12/rho^2 A^2 (1 + J)^2 + 1; the network's nu = 2 + a
+    takes I = 4 3^(nu-1) [(2/rho)^nu (d^(2 nu) + A^nu (1 + J)^nu) + 1]."""
     nu, prefactor, log_power, offset = law
-    two = 2.0 / rho
-    I = bound = math.inf  # from where a power overflows or a divisor (eps^nu too) underflows to 0
-    with suppress(OverflowError, ZeroDivisionError):
-        if nu == 2.0:
-            I = (12.0 / rho ** 2 * d0 ** 4
-                 + 12.0 / rho ** 2 * tail ** 2 / divisor ** 2 * (1.0 + J) ** 2 + 1.0)
-        else:
-            I = 4.0 * 3.0 ** (nu - 1.0) * (two ** nu * d0 ** (2.0 * nu)
-                                           + two ** nu * (tail / divisor) ** nu
-                                           * (1.0 + J) ** nu + 1.0)
-        bound = prefactor * I * (math.log(P / eps) ** log_power + offset) / eps ** nu
-    return BoundFamily(two * d0 ** 2 + two * tail / divisor * (1.0 + J), P, I, bound, *coeffs)
+    two, twelve = 2.0 / rho, 12.0 / rho ** 2
+    if nu == 2.0:
+        I = (_quotient(((twelve, 1), (d0, 4)))
+             + _quotient(((twelve, 1), (tail, 2), (1.0 + J, 2)), ((divisor, 2),)) + 1.0)
+    else:
+        I = _quotient(((4.0, 1), (3.0, nu - 1.0), (
+            _quotient(((two, nu), (d0, 2.0 * nu)))
+            + _quotient(((two, nu), (tail, nu), (1.0 + J, nu)), ((divisor, nu),)) + 1.0, 1)))
+    bound = None if eps >= P else _quotient(
+        ((prefactor, 1), (I, 1), (_quotient(((math.log(P / eps), log_power),)) + offset, 1)),
+        ((eps, nu),))
+    return BoundFamily(_quotient(((two, 1), (d0, 2)))
+                       + _quotient(((two, 1), (tail, 1), (1.0 + J, 1)), ((divisor, 1),)),
+                       P, I, bound, *coeffs)
 
 
 @dataclass(frozen=True)
@@ -418,45 +409,50 @@ def rate_and_complexity_bounds(inputs: ConstantsInputs, eps: float,
         J = 0.0  # multiplies zero below
 
     d0, sigma = inputs.d0, inputs.sigma
-    Q_inf = 2.0 / rho_val * (d0 ** 2 + (1.0 + J) * (D * a0 + D ** 2 * b0))
+    two = 2.0 / rho_val
+    Q_inf = two * (_quotient(((d0, 2),)) + (1.0 + J) * (
+        _quotient(((D, 1), (a0, 1))) + _quotient(((D, 2), (b0, 1)))))
     P = Q_inf + 1.0
     family = functools.partial(_bound_family, rho=rho_val, d0=d0, eps=eps)
-    lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
+    lam = ((2.0, 1), (inputs.c_remainder, 1), (inputs.alpha, 2), (inputs.c2, 2))
     ag, agents = schedule.agents[0], schedule.agents
     lg = math.log(ag.mu - 1.0)
 
     base = BoundFamily(log_arg_P=P)
     if inputs.m == 1 and ag.a == 0:
-        A = _reciprocal((ag.b, 1), (lg, ag.b), scale=lam)
+        A = _quotient(lam, ((ag.b, 1), (lg, ag.b)))
         e = 1.0 + 2.0 * ag.b
-        B = _reciprocal((ag.mu - 1.0, 1), (e, 1), (lg, e), scale=lam ** 2)
-        law = (2.0, max(1.0, _power(ag.theta, -4)) * max(1.0, ag.theta), 1.0 + ag.b,
+        B = _quotient(((_quotient(lam), 2),), ((ag.mu - 1.0, 1), (e, 1), (lg, e)))
+        law = (2.0, max(1.0, _quotient(((ag.theta, -4),))) * max(1.0, ag.theta), 1.0 + ag.b,
                1.0 / ag.mu)
-        base = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
+        base = family(_quotient(((sigma, 2), (A, 1))) + _quotient(((sigma, 4), (B, 1))),
+                      J, P, law, coeffs=(A, B))
 
     # uniform over X: the tail 17 C_2^2 alpha^2 sigma^2 sums 1/min_i N_{k,i}
     uniform = BoundFamily()
     if inputs.m == 1:
-        tail = 17.0 * inputs.c2 ** 2 * inputs.alpha ** 2 * sigma ** 2
+        tail = _quotient(((17.0, 1), (inputs.c2, 2), (inputs.alpha, 2), (sigma, 2)))
         sum_min = float(np.sum(min_inv)) + schedule.tail_bound(horizon)
-        uniform = BoundFamily(log_arg_P=2.0 / rho_val * (d0 ** 2 + tail * sum_min) + 1.0)
+        uniform = BoundFamily(log_arg_P=two * (
+            _quotient(((d0, 2),)) + _quotient(((tail, 1), (sum_min, 1)))) + 1.0)
         if ag.a == 0:
-            law = (2.0, max(1.0, _power(ag.theta, -2)) * max(1.0, ag.theta), 1.0 + ag.b,
-                   1.0 / ag.mu)
+            law = (2.0, max(1.0, _quotient(((ag.theta, -2),))) * max(1.0, ag.theta),
+                   1.0 + ag.b, 1.0 / ag.mu)
             uniform = family(tail, 0.0, uniform.log_arg_P, law,
-                             divisor=ag.b * _power(lg, ag.b))
+                             divisor=_quotient(((ag.b, 1), (lg, ag.b))))
 
     network = BoundFamily()
     b_lo = min(a.b for a in agents)
     if all(a.a > 0 for a in agents) and len({a.a for a in agents}) == 1 and b_lo > -0.5:
         mu_lo = min(a.mu for a in agents)
         lg_lo = math.log(mu_lo - 1.0)
-        A = sum(lam / (a.theta * a.a * (a.mu - 1.0) ** a.a) for a in agents)
-        vartheta = (1.0 + 2.0 * b_lo) * (mu_lo - 1.0) ** (1.0 + 2.0 * ag.a) * lg_lo
-        B = sum(lam / (a.theta * lg_lo ** a.b) for a in agents) ** 2 / vartheta
+        A = sum(_quotient(lam, ((a.theta, 1), (a.a, 1), (a.mu - 1.0, a.a))) for a in agents)
+        B = _quotient(((sum(_quotient(lam, ((a.theta, 1), (lg_lo, a.b))) for a in agents), 2),),
+                      ((1.0 + 2.0 * b_lo, 1), (mu_lo - 1.0, 1.0 + 2.0 * ag.a), (lg_lo, 1)))
         law = (2.0 + ag.a, inputs.S * max(max(a.theta for a in agents), 1.0),
                1.0 + max(a.b for a in agents), 0.0)
-        network = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
+        network = family(_quotient(((sigma, 2), (A, 1))) + _quotient(((sigma, 4), (B, 1))),
+                         J, P, law, coeffs=(A, B))
 
     return BoundsReport(eps=eps, rho=rho_val, trajectory_bound=J, tail_sum=a0,
                         tail_sum_sq=b0, rate_Q_inf=Q_inf, burn_in=burn,
@@ -481,7 +477,7 @@ def compare_bound_to_run(inputs: ConstantsInputs, Q_bar: float, mean_r2,
                          k_min: int = 1) -> EmpiricalComparison:
     """Check mean r^2(x^k) <= max(1, theta^-2) * Q_bar / k for measured k."""
     k = np.arange(k_min, len(mean_r2))
-    bound = max(1.0, _power(inputs.schedule.agents[0].theta, -2)) * Q_bar / k
+    bound = max(1.0, _quotient(((inputs.schedule.agents[0].theta, -2),))) * Q_bar / k
     meas = np.asarray(mean_r2, dtype=float)[k]
     measured = meas > 0  # only a positive r^2 is compared
     bad = k[measured & (meas > bound)]

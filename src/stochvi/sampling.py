@@ -61,28 +61,38 @@ class AgentSchedule:
         """
         t = k + self.mu
         if self.a > 0:
-            return _reciprocal((self.theta, 1), (self.a, 1), (t, self.a))
-        return _reciprocal((self.theta, 1), (self.b, 1), (math.log(t), self.b))
+            return _quotient((), ((self.theta, 1), (self.a, 1), (t, self.a)))
+        return _quotient((), ((self.theta, 1), (self.b, 1), (math.log(t), self.b)))
 
     def tail_bound_sq(self, k) -> float:
         """Integral-test bound >= sum_(j > k) 1/N_j^2, valid for k >= 0:
         1/(theta^2 (1 + 2a) (k+mu)^(1+2a) ln(k+mu)^(2+2b)), since
         ln(x+mu)^-(2+2b) is nonincreasing for b >= -1."""
         t, p = k + self.mu, 1.0 + 2.0 * self.a
-        return _reciprocal((self.theta, 2), (p, 1), (t, p), (math.log(t), 2.0 + 2.0 * self.b))
+        return _quotient((), ((self.theta, 2), (p, 1), (t, p), (math.log(t), 2.0 + 2.0 * self.b)))
 
 
-def _reciprocal(*powers, scale=1.0):
-    """``scale / prod(base ** e)`` over ``(base, e)`` pairs, left to right, or
-    where a power overflows or the product underflows to 0, scale
-    exp(-sum(e ln base)), which is 0.0 or inf past the float range."""
+def _quotient(num, den=(), exp=0.0):
+    """e^exp prod(base ** e over num) / prod(base ** e over den), each product
+    left to right over (base, e) pairs of nonnegative bases, bit for bit.
+    Where a power overflows, or the quotient reads 0, inf or NaN though no
+    numerator base is 0 (which gives 0.0), it is exp(exp + sum(e ln base)
+    over num - over den): 0.0 only below the float range, inf past it or
+    where the sum is undetermined (a denominator base 0.0, or inf over inf)."""
     try:
-        return scale / math.prod(base ** e for base, e in powers)
+        value = math.prod((b ** e for b, e in num), start=math.exp(exp)) \
+            / math.prod(b ** e for b, e in den)
     except (OverflowError, ZeroDivisionError):
-        try:
-            return scale * math.exp(-math.fsum(e * math.log(base) for base, e in powers))
-        except OverflowError:
-            return math.inf
+        value = math.nan
+    if 0.0 < value < math.inf:
+        return value
+    if not all(b for b, _ in num):
+        return 0.0
+    try:
+        return math.exp(math.fsum([exp, *(e * math.log(b) for b, e in num),
+                                   *(-e * math.log(b) for b, e in den)]))
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -167,18 +177,12 @@ class SampleSchedule:
 
     def tail_bound(self, k) -> float:
         """Bound on sum_(j > k) 1/N_j: the agents' integral-test bounds summed."""
-        total = 0.0
-        for ag in self.agents:
-            total += ag.tail_bound(k)
-        return total
+        return sum(ag.tail_bound(k) for ag in self.agents)
 
     def tail_bound_sq(self, k) -> float:
         """Bound on sum_(j > k) 1/N_j^2: the agents' bounds combined by the
         l2 triangle inequality, (sum_i sqrt(B2_i(k)))^2."""
-        root = 0.0
-        for ag in self.agents:
-            root += math.sqrt(ag.tail_bound_sq(k))
-        return root ** 2
+        return _quotient(((sum(math.sqrt(ag.tail_bound_sq(k)) for ag in self.agents), 2),))
 
     @classmethod
     def from_config(cls, cfg):

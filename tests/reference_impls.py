@@ -4,6 +4,7 @@ These deliberately avoid the library's solver and projection internals so
 that agreement between the two routes is meaningful.
 """
 
+import functools
 import itertools
 import math
 
@@ -385,3 +386,138 @@ def carry_forward_statistics_reference(traces, T, fset, K, dgap=None):
     if dgap is not None:
         mean_dgap = stacked(d_gap(T, fset, t.iterates, *dgap) for t in traces).mean(axis=0)
     return mean_r2, stderr_r2, mean_dist2, mean_dgap
+
+
+def reciprocal_reference(*powers, scale=1.0):
+    """``scale / prod(base ** e)`` left to right over ``(base, e)`` pairs, as
+    the schedule tail bounds and the base family's coefficients were written
+    before one helper took every product of powers, with no fallback: a
+    power past the float range raises ``OverflowError`` and a product that
+    underflows to 0 ``ZeroDivisionError``."""
+    return scale / math.prod(base ** e for base, e in powers)
+
+
+def tail_bounds_reference(schedule, k):
+    """(sum_i B_i(k), (sum_i sqrt(B2_i(k)))^2): a schedule's integral-test
+    bounds on the tails of 1/N_k and 1/N_k^2, agent by agent."""
+    total = root = 0.0
+    for ag in schedule.agents:
+        t, p = k + ag.mu, 1.0 + 2.0 * ag.a
+        total += (reciprocal_reference((ag.theta, 1), (ag.a, 1), (t, ag.a)) if ag.a > 0 else
+                  reciprocal_reference((ag.theta, 1), (ag.b, 1), (math.log(t), ag.b)))
+        root += math.sqrt(reciprocal_reference((ag.theta, 2), (p, 1), (t, p),
+                                               (math.log(t), 2.0 + 2.0 * ag.b)))
+    return total, root ** 2
+
+
+def burn_in_reference(inputs, inv, horizon):
+    """(closed form, numeric index) of the burn-in k0 as written before one
+    helper took every product of powers, without the two guards of its
+    closed forms; the numeric index is the least k with
+    sum_(j >= k) 1/N_j <= phi / D, searched past the head ``inv`` by
+    bisection on the integral bound."""
+    D = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2 * inputs.sigma ** 2
+    if D == 0.0:
+        return 0, 0
+    threshold, schedule, eps = inputs.phi / D, inputs.schedule, np.finfo(float).eps
+    ag0, closed = schedule.agents[0], None
+    if all(a.a == 0 for a in schedule.agents) and inputs.m == 1:
+        expo = (2.0 * inputs.c_remainder * inputs.c2 ** 2 * inputs.alpha ** 2
+                * inputs.sigma ** 2 / (inputs.phi * ag0.b * ag0.theta)) ** (1.0 / ag0.b)
+        expo *= 1.0 + 16.0 * eps
+        closed = max(0, math.ceil(math.exp(expo) - ag0.mu + 1.0))
+    elif all(a.a > 0 for a in schedule.agents):
+        m = len(schedule.agents)
+        closed = max(0, math.ceil(math.e - min(a.mu for a in schedule.agents)))
+        for ag in schedule.agents:
+            base = (m * D / (inputs.phi * ag.theta * ag.a)) ** (1.0 / ag.a)
+            base *= 1.0 + 16.0 * eps * (m + 1.0 / ag.a)
+            closed = max(closed, math.ceil(base - ag.mu + 1.0))
+    suffix = np.cumsum(inv[::-1])[::-1] + tail_bounds_reference(schedule, horizon)[0]
+    ok = np.nonzero(suffix <= threshold)[0]
+    if ok.size:
+        return closed, int(ok[0])
+    lo, hi = horizon, max(2 * horizon, 4)
+    while not tail_bounds_reference(schedule, hi - 1)[0] <= threshold:
+        lo, hi = hi, 4 * hi
+        if hi > 1e300:
+            return closed, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail_bounds_reference(schedule, mid - 1)[0] <= threshold \
+            else (mid, hi)
+    return closed, hi
+
+
+def bound_family_reference(tail, J, P, law, *, rho, d0, eps, divisor=1.0,
+                           coeffs=(None, None)):
+    """One family's fields as ``constants._bound_family`` wrote them before
+    one helper took every product of powers, without its guard."""
+    nu, prefactor, log_power, offset = law
+    two = 2.0 / rho
+    if nu == 2.0:
+        I = (12.0 / rho ** 2 * d0 ** 4
+             + 12.0 / rho ** 2 * tail ** 2 / divisor ** 2 * (1.0 + J) ** 2 + 1.0)
+    else:
+        I = 4.0 * 3.0 ** (nu - 1.0) * (two ** nu * d0 ** (2.0 * nu)
+                                       + two ** nu * (tail / divisor) ** nu
+                                       * (1.0 + J) ** nu + 1.0)
+    bound = prefactor * I * (math.log(P / eps) ** log_power + offset) / eps ** nu
+    return {"rate_Q": two * d0 ** 2 + two * tail / divisor * (1.0 + J), "log_arg_P": P,
+            "complexity_I": I, "complexity_bound": bound,
+            "tail_coeff_A": coeffs[0], "tail_coeff_B": coeffs[1]}
+
+
+def bounds_report_reference(inputs, eps, horizon):
+    """``constants.rate_and_complexity_bounds(inputs, eps, horizon=horizon)
+    .as_dict()`` as written before one helper took every product of powers,
+    without a guard, for inputs that carry J: on inputs where no power
+    leaves the float range the two agree bit for bit."""
+    rho = 1.0 - 6.0 * (inputs.L * inputs.alpha) ** 2
+    D = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2 * inputs.sigma ** 2
+    schedule, J, d0, sigma = inputs.schedule, inputs.J, inputs.d0, inputs.sigma
+    inv, min_inv = schedule.inverse_series(np.arange(horizon + 1))
+    closed, numeric = burn_in_reference(inputs, inv, horizon)
+    tail, tail_sq = tail_bounds_reference(schedule, horizon)
+    a0, b0 = float(np.sum(inv)) + tail, float(np.sum(inv ** 2)) + tail_sq
+    Q_inf = 2.0 / rho * (d0 ** 2 + (1.0 + J) * (D * a0 + D ** 2 * b0))
+    P = Q_inf + 1.0
+    family = functools.partial(bound_family_reference, rho=rho, d0=d0, eps=eps)
+    none = dict.fromkeys(("rate_Q", "log_arg_P", "complexity_I", "complexity_bound",
+                          "tail_coeff_A", "tail_coeff_B"))
+    lam = 2.0 * inputs.c_remainder * inputs.alpha ** 2 * inputs.c2 ** 2
+    ag, agents = schedule.agents[0], schedule.agents
+    lg = math.log(ag.mu - 1.0)
+
+    base = {**none, "log_arg_P": P}
+    if inputs.m == 1 and ag.a == 0:
+        A = reciprocal_reference((ag.b, 1), (lg, ag.b), scale=lam)
+        e = 1.0 + 2.0 * ag.b
+        B = reciprocal_reference((ag.mu - 1.0, 1), (e, 1), (lg, e), scale=lam ** 2)
+        law = (2.0, max(1.0, ag.theta ** -4) * max(1.0, ag.theta), 1.0 + ag.b, 1.0 / ag.mu)
+        base = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
+
+    uniform = none
+    if inputs.m == 1:
+        tail = 17.0 * inputs.c2 ** 2 * inputs.alpha ** 2 * sigma ** 2
+        sum_min = float(np.sum(min_inv)) + tail_bounds_reference(schedule, horizon)[0]
+        uniform = {**none, "log_arg_P": 2.0 / rho * (d0 ** 2 + tail * sum_min) + 1.0}
+        if ag.a == 0:
+            law = (2.0, max(1.0, ag.theta ** -2) * max(1.0, ag.theta), 1.0 + ag.b, 1.0 / ag.mu)
+            uniform = family(tail, 0.0, uniform["log_arg_P"], law, divisor=ag.b * lg ** ag.b)
+
+    network = none
+    b_lo = min(a.b for a in agents)
+    if all(a.a > 0 for a in agents) and len({a.a for a in agents}) == 1 and b_lo > -0.5:
+        mu_lo = min(a.mu for a in agents)
+        lg_lo = math.log(mu_lo - 1.0)
+        A = sum(lam / (a.theta * a.a * (a.mu - 1.0) ** a.a) for a in agents)
+        vartheta = (1.0 + 2.0 * b_lo) * (mu_lo - 1.0) ** (1.0 + 2.0 * ag.a) * lg_lo
+        B = sum(lam / (a.theta * lg_lo ** a.b) for a in agents) ** 2 / vartheta
+        law = (2.0 + ag.a, inputs.S * max(max(a.theta for a in agents), 1.0),
+               1.0 + max(a.b for a in agents), 0.0)
+        network = family(sigma ** 2 * A + sigma ** 4 * B, J, P, law, coeffs=(A, B))
+
+    return {"eps": eps, "rho": rho, "trajectory_bound": J, "tail_sum": a0, "tail_sum_sq": b0,
+            "rate_Q_inf": Q_inf, "base": base, "uniform": uniform, "network": network,
+            "burn_in_closed_form": closed, "burn_in_numeric": numeric}

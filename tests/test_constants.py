@@ -10,7 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from reference_impls import bounds_report_reference
 from stochvi.cli import main
 from stochvi.constants import (
     BoundFamily,
@@ -428,14 +431,18 @@ def constants_reports(tmp):
             for name in tool.CONSTANTS_DOCS}
 
 
-def test_constants_command_reports_inf_bounds_at_a_tiny_eps(tmp_path):
-    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-200,
-           "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1}}
+def report_bounds(tmp_path, doc):
+    """The ``bounds`` of ``stochvi constants`` on ``doc``, which must exit 0."""
     (tmp_path / "c.json").write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["constants", "--config", str(tmp_path / "c.json"),
                      "--out", str(tmp_path)]) == 0
-    bounds = json.loads((tmp_path / "constants_report.json").read_text())["bounds"]
+    return json.loads((tmp_path / "constants_report.json").read_text())["bounds"]
+
+
+def test_constants_command_reports_inf_bounds_at_a_tiny_eps(tmp_path):
+    bounds = report_bounds(tmp_path, {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-200,
+                                      "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1}})
     assert bounds["base"]["complexity_bound"] == bounds["uniform"]["complexity_bound"] == "inf"
 
 
@@ -444,13 +451,8 @@ def test_constants_command_reports_bounds_at_a_large_schedule_exponent(tmp_path,
     """At b = 200 ln(k + mu)^(2 + 2b) passes the float range in the tail
     bound of 1/N_k^2, which is then taken in log space; the family's
     complexity bound overflows to inf."""
-    doc = {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
-           "schedule": {"theta": 1, "mu": 3, "a": a, "b": 200}}
-    (tmp_path / "c.json").write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["constants", "--config", str(tmp_path / "c.json"),
-                     "--out", str(tmp_path)]) == 0
-    bounds = json.loads((tmp_path / "constants_report.json").read_text())["bounds"]
+    bounds = report_bounds(tmp_path, {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+                                      "schedule": {"theta": 1, "mu": 3, "a": a, "b": 200}})
     assert 0.0 < bounds["tail_sum_sq"] < 1e-17
     assert bounds[family]["complexity_bound"] == "inf"
 
@@ -535,3 +537,111 @@ def test_constants_keeps_no_per_family_copy():
 ])
 def test_scan_flags_a_family_prefix(source):
     assert family_prefixed(source)
+
+
+def test_uniform_complexity_constant_survives_a_divisor_past_the_float_range(tmp_path):
+    """At mu = 1e6, b = 200 the uniform divisor b ln(mu - 1)^b passes the
+    float range, so its tail term A^2 is 0 to the float: I is 12/rho^2 + 1 =
+    31.72, as the base family reads it, not inf."""
+    bounds = report_bounds(tmp_path, {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+                                      "schedule": {"theta": 1, "mu": 1e6, "a": 0, "b": 200}})
+    assert bounds["uniform"]["complexity_I"] == bounds["base"]["complexity_I"] == 31.72
+
+
+def test_complexity_bound_is_null_at_eps_past_the_log_argument(tmp_path):
+    """ln(P/eps)^(1 + b) is complex for eps > P at a fractional b; the bound
+    is stated for eps < P only, so a family with P <= eps reads null while
+    one with P > eps keeps its bound."""
+    bounds = report_bounds(tmp_path, {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 100,
+                                      "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 0.5}})
+    assert bounds["uniform"]["log_arg_P"] < 100 < bounds["base"]["log_arg_P"]
+    assert bounds["uniform"]["complexity_bound"] is None
+    assert bounds["uniform"]["complexity_I"] > 0 and bounds["base"]["complexity_bound"] > 0
+
+
+def agents(m):
+    """One agent schedule, or ``m`` sharing the exponent a, in ranges where no
+    power of the constants leaves the float range."""
+    def agent(a):
+        return st.builds(AgentSchedule, st.floats(1e-3, 1e3), st.floats(2.001, 1e3), st.just(a),
+                         st.floats(0.05 if a == 0 else -0.9, 5.0))
+
+    a = st.just(0.0) | st.floats(0.01, 3.0)
+    return a.flatmap(lambda a: st.lists(agent(a), min_size=1, max_size=1)
+                     | st.lists(agent(a), min_size=m, max_size=m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 3]), data=st.data(), alpha=st.floats(0.01, 0.4),
+       sigma=st.just(0.0) | st.floats(1e-3, 10.0), phi=st.floats(0.05, 0.6),
+       d0=st.floats(0.0, 10.0), J=st.floats(0.0, 100.0), eps=st.floats(1e-12, 0.5),
+       c_remainder=st.sampled_from([None, 2.0]), c2=st.floats(0.5, 2.0), S=st.floats(1.0, 5.0),
+       shared=st.booleans())
+def test_report_matches_the_unguarded_reference_bit_for_bit(m, data, alpha, sigma, phi, d0, J,
+                                                            eps, c_remainder, c2, S, shared):
+    """Every field of the report, and the noise margin, has the bits of the
+    formulas as written before one helper took every product of powers, on
+    inputs where those formulas, run without a guard, raise nothing."""
+    schedule = SampleSchedule(tuple(data.draw(agents(m))))
+    inputs = ConstantsInputs(L=1.0, alpha=alpha, sigma=sigma, schedule=schedule, phi=phi,
+                             d0=d0, J=J, m=m, shared_samples=shared, c_remainder=c_remainder,
+                             c2=c2, S=S)
+    try:
+        want = bounds_report_reference(inputs, eps, horizon=2000)
+    except (OverflowError, ZeroDivisionError):  # a guard would have fired
+        assume(False)
+    got = rate_and_complexity_bounds(inputs, eps, horizon=2000).as_dict()
+    assert {p: repr(v) for p, v in leaves(got)} == {p: repr(v) for p, v in leaves(want)}
+    D = 2.0 * inputs.c_remainder * alpha ** 2 * c2 ** 2 * sigma ** 2
+    assert repr(inputs.noise_margin) == repr(D)
+
+
+OVERFLOW_ERRORS = {"OverflowError", "ZeroDivisionError"}
+
+
+def overflow_guards(source):
+    """Line numbers in ``source``, outside the helper ``_quotient``, of an
+    ``except`` naming OverflowError or ZeroDivisionError (or a bare one) and
+    of a ``suppress`` call."""
+    tree = ast.parse(source)
+    helper = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_quotient"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        if isinstance(node, ast.ExceptHandler) and (node.type is None or OVERFLOW_ERRORS & {
+                n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
+            found.append(node.lineno)
+        if isinstance(node, ast.Call) and "suppress" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", ["constants", "sampling"])
+def test_one_helper_holds_the_overflow_handling(module):
+    """The rule for what an out-of-range product reads lives in
+    ``sampling._quotient`` alone: no other code of the constants or the
+    schedules catches an overflow or a division by zero."""
+    source = (ROOT / "src" / "stochvi" / f"{module}.py").read_text()
+    assert overflow_guards(source) == []
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    x = 2.0 ** 2000\nexcept OverflowError:\n    x = None\n",
+    "def f():\n    try:\n        return 1 / 0\n    except (ValueError, ZeroDivisionError):\n"
+    "        return None\n",
+    "with suppress(OverflowError):\n    x = 2.0 ** 2000\n",
+    "with contextlib.suppress(ArithmeticError):\n    pass\n",
+    "try:\n    pass\nexcept:\n    pass\n",
+])
+def test_scan_flags_an_overflow_guard(source):
+    assert overflow_guards(source)
+
+
+def test_scan_passes_the_helper_itself():
+    source = ("def _quotient(num):\n    try:\n        return num ** 2\n"
+              "    except OverflowError:\n        return None\n")
+    assert overflow_guards(source) == []

@@ -71,10 +71,10 @@ def constants_inputs(**fields):
                               **fields})
 
 
-def constants_document(**schedule):
+def constants_document(top=(), **schedule):
     """A constants document at the criterion-1 schedule with ``schedule``
-    entries replaced."""
-    return {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3,
+    entries and the top-level entries ``top`` replaced."""
+    return {"L": 1, "alpha": 0.25, "sigma": 1, "J": 1, "eps": 1e-3, **dict(top),
             "schedule": {"theta": 1, "mu": 3, "a": 0, "b": 1, **schedule}}
 
 
@@ -157,6 +157,35 @@ CASES = {  # name: (call or experiment document, error or exit code, text the me
     # ln(mu - 1)^(1 + 2b) overflowed in the base family's coefficient B, which is 1e-465
     "cli_constants_mu_1e6_b_200": (("constants", constants_document(mu=1e6, b=200)), 0,
                                    "base.tail_coeff_B            0.0"),
+    # (b ln(mu - 1)^b)^2 overflowed in the uniform I, which read inf for 31.72
+    "cli_constants_mu_1e6_b_200_uniform_complexity": (
+        ("constants", constants_document(mu=1e6, b=200)), 0, "uniform.complexity_I         31.72"),
+    # (mu - 1)^(1 + 2a) overflowed in the network family's coefficient B
+    "cli_constants_network_mu_1e6_a_50": (("constants", constants_document(mu=1e6, a=50)), 0,
+                                          "network.rate_Q               3.2"),
+    # the uniform divisor b ln(mu - 1)^b underflowed to 0 in its rate constant
+    "cli_constants_uniform_mu_2.0001_b_100": (
+        ("constants", constants_document(mu=2.0001, b=100)), 0, "uniform.rate_Q               inf"),
+    # ln(P/eps)^(1 + b) was complex at eps > P, which JSON cannot hold
+    "cli_constants_eps_past_the_uniform_log_argument": (
+        ("constants", constants_document({"eps": 100}, b=0.5)), 0,
+        "uniform.complexity_bound     None"),
+    # a non-finite or negative input reached the formulas
+    "cli_constants_sigma_nan": (("constants", constants_document({"sigma": NAN})), 2,
+                                "sigma must be finite, got nan"),
+    "cli_constants_sigma_infinite": (("constants", constants_document({"sigma": INF})), 2,
+                                     "sigma must be finite, got inf"),
+    "cli_constants_c2_infinite": (("constants", constants_document({"c2": INF})), 2,
+                                  "c2 must be finite, got inf"),
+    "cli_constants_d0_nan": (("constants", constants_document({"d0": NAN})), 2,
+                             "d0 must be finite, got nan"),
+    "cli_constants_j_nan": (("constants", constants_document({"J": NAN})), 2,
+                            "J must be finite, got nan"),
+    "cli_constants_d0_negative": (("constants", constants_document({"d0": -3})), 2,
+                                  "d0 must be nonnegative, got -3"),
+    "cli_constants_network_j_negative": (
+        ("constants", constants_document({"J": -5, "m": 3}, a=0.5)), 2,
+        "J must be nonnegative, got -5"),
     # problems and runs
     "problem_dimension_0": (lambda: problem(dimension=0), InvalidParameters,
                             "dimension must be positive"),
@@ -252,14 +281,39 @@ def test_misuse_fails_loudly(case, tmp_path, capsys):
             what()
 
 
-@settings(max_examples=23, deadline=None)
-@example(a=0.0, b=200.0)  # the tail bounds of the two series overflowed
-@example(a=0.5, b=200.0)
-@given(a=st.floats(0.0, 5.0), b=st.floats(0.0, 400.0, exclude_min=True))
-def test_constants_command_never_ends_untyped(tmp_path_factory, a, b):
-    """Over schedule exponents a in [0, 5] and b in (0, 400], ``stochvi
-    constants`` reports (exit 0) or names the fault (exit 2)."""
+def wide(lo, hi):
+    """Floats spread evenly over the decades from ``lo`` to ``hi``."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+CONSTANTS_DOCUMENTS = st.builds(
+    lambda top, schedule: constants_document(top, **schedule),
+    st.fixed_dictionaries({
+        "sigma": st.just(0.0) | wide(1e-100, 1e150), "d0": wide(5e-324, 0.99),
+        "J": wide(5e-324, 0.99), "eps": wide(5e-324, 0.99), "m": st.sampled_from([1, 3])}),
+    st.fixed_dictionaries({
+        "theta": wide(1e-300, 1e300), "mu": wide(1e-6, 1e300).map(lambda d: 2.0 + d),
+        "a": st.just(0.0) | wide(1e-3, 60.0), "b": st.just(0.0) | wide(1e-100, 1e150)}))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=25, deadline=None)
+@example(constants_document(a=0.0, b=200.0))  # the tail bounds of the two series overflowed
+@example(constants_document(a=0.5, b=200.0))
+@given(document=CONSTANTS_DOCUMENTS)
+def test_constants_command_never_ends_untyped(tmp_path_factory, document):
+    """Over schedules, noise levels, distances and tolerances across the float
+    range, ``stochvi constants`` reports (exit 0, nothing on stderr, no NaN
+    or complex value) or names the fault (exit 2); numpy warns of nothing."""
     cfg = tmp_path_factory.mktemp("constants") / "cfg.json"
-    cfg.write_text(json.dumps(constants_document(a=a, b=b)))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert cli_main(["constants", "--config", str(cfg), "--out", str(cfg.parent)]) in (0, 2)
+    cfg.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli_main(["constants", "--config", str(cfg), "--out", str(cfg.parent)])
+    assert status in (0, 2), document
+    if status == 2:
+        assert err.getvalue().startswith("error:"), err.getvalue()
+        return
+    report = (cfg.parent / "constants_report.json").read_text()
+    assert err.getvalue() == "" and "NaN" not in report, document
+    assert not {"nan", "nanj"} & set(out.getvalue().split()) and "j)" not in out.getvalue()

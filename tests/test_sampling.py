@@ -21,6 +21,7 @@ from stochvi.problems import gen_constant_noise, gen_linear_svi, gen_strongly_mo
 from stochvi.sampling import (
     AgentSchedule,
     SampleSchedule,
+    _quotient,
     error_decay_probe,
     network_exponents,
     schedule_tail_check,
@@ -177,6 +178,38 @@ def test_tail_bounds_past_the_float_range(theta, a, b):
                  1 / (th ** 2 * p * t ** p * lt ** (2 + 2 * b_)))
     for bound, value in zip((ag.tail_bound(k), ag.tail_bound_sq(k)), exact):
         assert math.isclose(bound, float(value), rel_tol=1e-11), (bound, value)
+
+
+def test_quotient_keeps_the_direct_bits():
+    """Where nothing leaves the float range, ``_quotient`` is its products
+    evaluated left to right and divided, bit for bit."""
+    assert _quotient(((3.0, 1), (0.1, 2), (1.7, 0.5)), ((7.0, 1), (0.3, 3))) == \
+        3.0 * 0.1 ** 2 * 1.7 ** 0.5 / (7.0 * 0.3 ** 3)
+    assert _quotient((), exp=2.5) == math.exp(2.5)
+
+
+@pytest.mark.parametrize("num, den, exp, value", [
+    # a power overflows or underflows, and the quotient is in range
+    (((1e200, 2),), ((1e200, 2),), 0.0, 1.0),
+    (((1e-200, 2),), ((1e-200, 2),), 0.0, 1.0),
+    (((1e-300, 1),), (), 800.0, math.exp(800.0 - 300.0 * math.log(10.0))),
+    (((10.0, 400),), ((10.0, 399),), 0.0, 10.0),
+    # past the float range, or below it
+    ((), ((1e-200, 2),), 0.0, math.inf),
+    (((1e-200, 2),), ((1e200, 2),), 0.0, 0.0),
+    ((), (), 800.0, math.inf),
+    # a numerator base of 0 gives 0, whatever overflows beside it
+    (((0.0, 1), (1e300, 2)), (), 0.0, 0.0),
+    (((0.0, 2),), ((0.0, 1),), 0.0, 0.0),
+    # undetermined: a denominator base of 0.0, or inf over inf
+    (((1.0, 1),), ((0.0, 1),), 0.0, math.inf),
+    (((math.inf, 1),), ((math.inf, 1),), 0.0, math.inf),
+])
+def test_quotient_past_the_float_range(num, den, exp, value):
+    """Where a power or the quotient leaves the float range, ``_quotient``
+    takes the value in log space: 0.0 or inf only where the value is past
+    the float range or cannot be told."""
+    assert math.isclose(_quotient(num, den, exp), value, rel_tol=1e-12)
 
 
 class TestNetworkExponents:
